@@ -197,12 +197,18 @@ def expected_sphere_floor(params: SystemParams) -> float:
     """Binomial(n, delta) average of the per-weight sphere floors.
 
     A valid lower bound on the expected distortion of every code, with no
-    integrality requirement on n delta.
+    integrality requirement on n delta. The binomial weights are formed in
+    the log domain, so no term overflows at large n.
     """
     n, d = params.n, params.delta
+    log_d, log_1md = math.log(d), math.log1p(-d)
+    log_n_fact = math.lgamma(n + 1)
     total = 0.0
     for w in range(n + 1):
-        pw = math.comb(n, w) * d**w * (1.0 - d) ** (n - w)
+        pw = math.exp(
+            log_n_fact - math.lgamma(w + 1) - math.lgamma(n - w + 1)
+            + w * log_d + (n - w) * log_1md
+        )
         total += pw * sphere_floor_at_weight(params, w)
     return total
 

@@ -241,21 +241,48 @@ def _slack_no_raise(d1: float, d2: float, q: float, bp: BinaryBroadcastParams) -
         return float("-inf")
 
 
-def _worst_slack(bp: BinaryBroadcastParams, d1: float, d2: float):
-    """Minimum of the bound slack over q; returns (slack, q)."""
-    vals = [_slack_no_raise(d1, d2, q, bp) for q in _Q_SEEDS]
+def _seeded_min(fn):
+    """Minimum of fn over q in [0, 1/2]: the _Q_SEEDS sweep, then golden
+    section to 1e-10 in the bracket around the best seed; returns (value, q)."""
+    vals = [fn(q) for q in _Q_SEEDS]
     i = min(range(len(_Q_SEEDS)), key=lambda j: (vals[j], j))
     best_q, best_v = _Q_SEEDS[i], vals[i]
     if best_v == float("-inf"):
         return best_v, best_q
     lo = _Q_SEEDS[i - 1] if i > 0 else 0.0
     hi = _Q_SEEDS[i + 1] if i + 1 < len(_Q_SEEDS) else 0.5
-    q_ref, v_ref = golden_min(
-        lambda q: _slack_no_raise(d1, d2, q, bp), lo, hi, tol=1e-10
-    )
+    q_ref, v_ref = golden_min(fn, lo, hi, tol=1e-10)
     if v_ref < best_v:
         return v_ref, q_ref
     return best_v, best_q
+
+
+def _worst_slack(bp: BinaryBroadcastParams, d1: float, d2: float):
+    """Minimum of the bound slack over q; returns (slack, q)."""
+    return _seeded_min(lambda q: _slack_no_raise(d1, d2, q, bp))
+
+
+def _d2_at_q(bp: BinaryBroadcastParams, d1: float, q: float) -> float:
+    """Smallest d2 in [0, p] whose slack at this q is nonnegative.
+
+    Only the h_b(conv(q, d2)) term of the slack moves with d2, so with s0 the
+    slack at d2 = 0 the threshold solves h_b(conv(q, d2)) = h_b(q) - s0: the
+    inversion erasure_d2_floor uses. p when even d2 = p falls short, which
+    includes a q at which d1 itself is infeasible.
+    """
+    s0 = _slack_no_raise(d1, 0.0, q, bp)
+    if s0 >= 0.0:
+        return 0.0
+    t = h_b(q) - s0
+    if t >= h_b(conv(q, bp.p)):
+        return bp.p
+    return min(max((h_b_inv(t) - q) / (1.0 - 2.0 * q), 0.0), bp.p)
+
+
+# Bisection mids this close to the closed-form threshold are decided by the
+# slack's sign instead: h_b_inv's 1e-14 tolerance leaves the threshold within
+# noise of a mid there.
+_D2_BAND = 1e-12
 
 
 def _trace_point(bp: BinaryBroadcastParams, d1: float) -> RegionPoint:
@@ -266,11 +293,15 @@ def _trace_point(bp: BinaryBroadcastParams, d1: float) -> RegionPoint:
     s0, q0 = _worst_slack(bp, d1, 0.0)
     if s0 >= 0.0:
         return RegionPoint(d1=d1, d2_min=0.0, q_star=q0, slack=s0)
+    d2_star = -_seeded_min(lambda q: -_d2_at_q(bp, d1, q))[0]
     lo, hi = 0.0, bp.p
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        s_mid, _ = _worst_slack(bp, d1, mid)
-        if s_mid < 0.0:
+        if abs(mid - d2_star) <= _D2_BAND:
+            below = _worst_slack(bp, d1, mid)[0] < 0.0
+        else:
+            below = mid < d2_star
+        if below:
             lo = mid
         else:
             hi = mid
@@ -283,11 +314,17 @@ def _trace_point(bp: BinaryBroadcastParams, d1: float) -> RegionPoint:
 def region_trace(bp: BinaryBroadcastParams, d1_grid) -> list[RegionPoint]:
     """For each d1, the smallest d2 the outer bound still allows.
 
-    The slack is nondecreasing in d2 (the weak user's need shrinks), so the
-    threshold comes from bisection to 1e-12; the worst q is found from the
-    seed sweep refined by golden section to 1e-10. Points whose d1 the bound
-    rules out entirely come back with d2_min = p and slack = -inf; points
-    where the bound never binds come back with d2_min = 0.
+    The slack is nondecreasing in d2 (the weak user's need shrinks) and, at a
+    fixed q, only h_b(conv(q, d2)) depends on d2, so the threshold at each q
+    has a closed form through h_b_inv. Its maximum over q, taken over the q
+    seeds and refined by golden section to 1e-10, is the boundary d2*. The
+    reported d2_min is the upper end of a bisection on [0, p] stopped at
+    width 1e-12, each mid decided against d2*; a mid within 1e-12 of d2* is
+    decided by the sign of the worst slack over q instead, because d2* is
+    itself only good to h_b_inv's tolerance. q_star and slack are the worst
+    q and slack at d2_min. Points whose d1 the bound rules out entirely come
+    back with d2_min = p and slack = -inf; points where the bound never binds
+    come back with d2_min = 0.
     """
     pts = []
     for d1 in d1_grid:

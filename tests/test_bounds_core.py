@@ -227,6 +227,21 @@ def test_expected_floor_dominated_by_best_weight():
     assert 0.0 < got < top
 
 
+def test_expected_sphere_floor_large_n():
+    # math.comb(n, w) * delta**w overflows a float from n = 1030 on
+    n, delta = 2000, 0.11
+    p = bc.SystemParams(n=n, rho=1.3, delta=delta)
+    want = math.fsum(
+        math.exp(math.lgamma(n + 1) - math.lgamma(w + 1) - math.lgamma(n - w + 1)
+                 + w * math.log(delta) + (n - w) * math.log1p(-delta))
+        * bc.sphere_floor_at_weight(p, w)
+        for w in range(n + 1)
+    )
+    got = bc.expected_sphere_floor(p)
+    assert want > 0.0
+    assert math.isclose(got, want, rel_tol=1e-9)
+
+
 # ---------- domains ----------
 
 

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from jsccbounds import bounds_core as bc
 from jsccbounds import broadcast_region as br
@@ -288,6 +288,58 @@ def test_region_trace_grid_validation():
         br.region_trace(region_bp(), [0.0])
     with pytest.raises(DomainError):
         br.region_trace(region_bp(), [0.6])
+
+
+# frozen region_trace outputs: (rho, p, delta1, delta2, n, d1) ->
+# (d2_min, q_star, slack), compared with ==
+REGION_FROZEN = [
+    # knife edge: the closed-form d2* lies within 1e-12 of a bisection mid,
+    # so the worst-slack sign has to decide that mid
+    ((1.126, 0.5, 0.174, 0.032, 1444, 0.09),
+     (0.21845556653170206, 0.19543330238996123, 3.960720640350246e-13)),
+    # asymptotic, binding at an interior q
+    ((1.359, 0.5, 0.177, 0.05, None, 0.13),
+     (0.1656545829591778, 0.10897334927052013, 1.6819878823071122e-14)),
+    # asymptotic, binding at q = 0
+    ((1.127, 0.5, 0.023, 0.062, None, 0.05),
+     (0.061847412710449134, 0.0, 1.1757261830780408e-13)),
+    # the bound never binds
+    ((1.871, 0.309, 0.1, 0.03, 1077, 0.05), (0.0, 0.0, 0.08779715824735035)),
+    # d1 itself is infeasible
+    ((1.044, 0.414, 0.183, 0.032, None, 0.05),
+     (0.414, 0.1432881153307649, float("-inf"))),
+]
+
+
+@pytest.mark.parametrize("args,want", REGION_FROZEN)
+def test_region_trace_bit_identical(args, want):
+    rho, p, delta1, delta2, n, d1 = args
+    bp = br.BinaryBroadcastParams(rho=rho, p=p, delta1=delta1, delta2=delta2, n=n)
+    (pt,) = br.region_trace(bp, [d1])
+    assert (pt.d2_min, pt.q_star, pt.slack) == want
+
+
+@st.composite
+def slack_inputs(draw):
+    p = draw(st.floats(0.05, 0.5))
+    bp = br.BinaryBroadcastParams(
+        rho=draw(st.floats(0.5, 3.0)),
+        p=p,
+        delta1=draw(st.floats(0.0, 0.45)),
+        delta2=draw(st.floats(0.0, 0.5)),
+        n=draw(st.none() | st.integers(1, 5000)),
+    )
+    return bp, draw(st.floats(0.01 * p, p)), draw(st.floats(0.0, 0.5))
+
+
+@given(slack_inputs())
+def test_d2_at_q_inverts_the_slack(inputs):
+    bp, d1, q = inputs
+    d2 = br._d2_at_q(bp, d1, q)
+    assume(0.0 < d2 < bp.p)
+    assert abs(br.outer_bound_slack(d1, d2, q, bp)) <= 1e-12
+    assert br.outer_bound_slack(d1, d2 - 1e-9, q, bp) < 0.0
+    assert br.outer_bound_slack(d1, d2 + 1e-9, q, bp) > 0.0
 
 
 # ---------- closed-form floors ----------
