@@ -109,16 +109,32 @@ def _bit_groups(m: int):
             for j in range(m)]
 
 
+# cap on the cells of one block of _encoder_costs (output words x tables)
+_BLOCK_CELLS = 1 << 16
+
+
 def _encoder_costs(m, n, wtabs, use_symmetry, budget):
     """Integer decoding cost of every encoder table, one array per weight table.
 
     The cost of an encoder under weights w is
         sum_y sum_j min(A_j(y), S(y) - A_j(y)),
-    S(y) = sum_s w[dist(c_s, y)] and A_j restricted to source words with bit
-    j set: the Bayes-optimal per-bit decoding error in weight units. Arrays
-    are indexed by the lexicographic table rank (with codeword 0 pinned to
-    the zero word when use_symmetry is set, which XOR translation makes
-    lossless for any weight-only channel).
+    S(y) = sum_s W[c_s, y] with W[x, y] = w[popcount(x ^ y)], and A_j the
+    same sum restricted to source words with bit j set: the Bayes-optimal
+    per-bit decoding error in weight units. Arrays are indexed by the
+    lexicographic table rank (with codeword 0 pinned to the zero word when
+    use_symmetry is set, which XOR translation makes lossless for any
+    weight-only channel).
+
+    With min(A, S - A) = (S - |S - 2A|) / 2, and sum_y S(y) = K sum_y W[0, y]
+    the same for every table, the cost is
+        (m K sum_y W[0, y] - sum_j sum_y |D_j(y)|) / 2,
+    D_j(y) = sum_s sign_j(s) W[c_s, y], sign_j(s) = -1 when source word s
+    has bit j set and +1 otherwise. The tables are the Cartesian product of
+    the free codewords in rank order, so D_j is a broadcast sum: the
+    trailing slots' part is built once as an (N, N^T) array from the
+    (N, N) table W, and the leading slots are walked in blocks of prefixes
+    whose (N, prefixes, N^T) sums stay within _BLOCK_CELLS cells. All of it
+    is exact int64 arithmetic, so the costs equal the direct sums.
     """
     K = 1 << m
     N = 1 << n
@@ -133,25 +149,46 @@ def _encoder_costs(m, n, wtabs, use_symmetry, budget):
     warrs = [np.array(w, dtype=np.int64) for w in wtabs]
     pc = _popcounts(n)
     y = np.arange(N, dtype=np.int64)
-    place = np.array([N ** (K - 1 - s) for s in range(K)], dtype=np.int64)
-    groups = _bit_groups(m)
+    slots = range(K - free, K)
+    signs = [[-1 if (s >> (m - 1 - j)) & 1 else 1 for s in range(K)] for j in range(m)]
+    # T trailing slots are summed once; the L leading ones are walked per block
+    T = 0
+    while T < free and N ** (T + 2) <= _BLOCK_CELLS:
+        T += 1
+    L = free - T
+    NT = N ** T
+    NL = N ** L
+    block = max(1, _BLOCK_CELLS // (N * NT))
+    # full[y, c] = popcount(c ^ y); only the trailing slots need all N columns
+    full = pc[y[:, None] ^ y[None, :]] if T else None
+    row0 = [w[pc] for w in warrs]  # W[0, y]; every row of W has the same sum
+    total = [m * K * int(r.sum()) for r in row0]
+    base = row0 if use_symmetry else [np.zeros(N, dtype=np.int64)] * len(warrs)
+    tails = []
+    for w in warrs:
+        W = w[full] if T else None
+        per_bit = []
+        for sg in signs:
+            Dt = np.zeros((N, 1), dtype=np.int64)
+            for s in slots[L:]:
+                Dt = (Dt[:, :, None] + sg[s] * W[:, None, :]).reshape(N, -1)
+            per_bit.append(Dt)
+        tails.append(per_bit)
     out = [np.empty(num, dtype=np.int64) for _ in wtabs]
-    chunk = max(1, min(num, (1 << 22) // (K * N)))
-    for start in range(0, num, chunk):
-        cnt = min(chunk, num - start)
+    for start in range(0, NL, block):
+        cnt = min(block, NL - start)
         e = np.arange(start, start + cnt, dtype=np.int64)
-        M = np.empty((cnt, K), dtype=np.int64)
-        for s in range(K):
-            M[:, s] = (e // place[s]) % N
-        dist = pc[M[:, :, None] ^ y[None, None, :]]
+        dists = [pc[y[:, None] ^ ((e // N ** (L - 1 - l)) % N)[None, :]] for l in range(L)]
         for wi, w in enumerate(warrs):
-            G = w[dist]
-            S = G.sum(axis=1)
-            cost = np.zeros(cnt, dtype=np.int64)
-            for grp in groups:
-                A = G[:, grp, :].sum(axis=1)
-                cost += np.minimum(A, S - A).sum(axis=1)
-            out[wi][start:start + cnt] = cost
+            cols = [w[d] for d in dists]
+            acc = np.zeros((cnt, NT), dtype=np.int64)
+            for sg, Dt in zip(signs, tails[wi]):
+                Dl = np.repeat(base[wi][:, None], cnt, axis=1)
+                for s, col in zip(slots[:L], cols):
+                    Dl += sg[s] * col
+                D = Dl[:, :, None] + Dt[:, None, :]
+                acc += np.abs(D, out=D).sum(axis=0)
+            out[wi][start * NT:(start + cnt) * NT] = (total[wi] - acc.reshape(-1)) // 2
     return out
 
 
@@ -237,6 +274,8 @@ def broadcast_frontier(m, n, w1, w2, budget=DEFAULT_BUDGET):
     n = int(n)
     w1 = int(w1)
     w2 = int(w2)
+    if m < 1 or n < 1:
+        raise DomainError("m and n must be positive")
     if not (0 <= w1 <= n and 0 <= w2 <= n):
         raise DomainError("weights must lie in [0, n]")
     t1 = [1 if d == w1 else 0 for d in range(n + 1)]
@@ -245,15 +284,12 @@ def broadcast_frontier(m, n, w1, w2, budget=DEFAULT_BUDGET):
     den1 = m * (1 << m) * math.comb(n, w1)
     den2 = m * (1 << m) * math.comb(n, w2)
     order = np.lexsort((np.arange(len(c1)), c2, c1))
-    points = []
-    best2 = None
-    for idx in order:
-        if best2 is None or c2[idx] < best2:
-            points.append(FrontierPoint(Fraction(int(c1[idx]), den1),
-                                        Fraction(int(c2[idx]), den2),
-                                        int(idx)))
-            best2 = c2[idx]
-    return points
+    # a table is on the frontier when its c2 beats every c2 sorted before it
+    s2 = c2[order]
+    keep = np.ones(len(order), dtype=bool)
+    keep[1:] = s2[1:] < np.minimum.accumulate(s2)[:-1]
+    return [FrontierPoint(Fraction(int(c1[idx]), den1), Fraction(int(c2[idx]), den2), int(idx))
+            for idx in order[keep]]
 
 
 # ---------- posterior weight ratios ----------

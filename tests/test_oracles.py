@@ -1,7 +1,9 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jsccbounds import bounds_core as bc
 from jsccbounds import oracles as orc
@@ -75,6 +77,18 @@ def test_p2p_domain_and_budget():
         orc.p2p_bruteforce(2, 4, F(1, 4), budget=1000)
 
 
+def test_p2p_frozen_n5_n6():
+    # copied from perfbench/reference/oracle.json (seed-commit outputs)
+    cases = [
+        (2, 5, F(1, 4), F(13, 64), 1487),
+        (2, 5, F(1, 5), F(89, 625), 7998),
+        (2, 6, F(1, 4), F(5, 32), 32319),
+    ]
+    for m, n, delta, want, index in cases:
+        val, table = orc.p2p_bruteforce(m, n, delta)
+        assert (val.value, table.index) == (want, index), (m, n, delta)
+
+
 def test_exact_value_container():
     v = orc.ExactValue(F(1, 3))
     assert float(v) == pytest.approx(1 / 3, rel=1e-15)
@@ -121,6 +135,10 @@ def test_sphere_floor_is_a_true_lower_bound():
             assert floor <= exact + 1e-12, (m, n, w)
 
 
+def test_sphere_frozen_n5():
+    assert orc.sphere_bruteforce(2, 5, 2).value == F(3, 20)
+
+
 def test_sphere_domain():
     with pytest.raises(DomainError):
         orc.sphere_bruteforce(1, 2, 3)
@@ -143,6 +161,17 @@ def test_frontier_frozen():
         orc.FrontierPoint(F(1, 16), F(5, 24), 318),
         orc.FrontierPoint(F(1, 8), F(1, 6), 306),
     ]
+    assert orc.broadcast_frontier(2, 5, 1, 2) == [
+        orc.FrontierPoint(F(0), F(3, 20), 1518)
+    ]
+
+
+def test_frontier_domain():
+    for m, n in ((0, 2), (-1, 2), (2, 0)):
+        with pytest.raises(DomainError, match="m and n must be positive"):
+            orc.broadcast_frontier(m, n, 0, 0)
+    with pytest.raises(DomainError):
+        orc.broadcast_frontier(1, 2, 3, 0)
 
 
 def test_frontier_is_pareto():
@@ -160,6 +189,46 @@ def test_frontier_encoders_reproduce_their_points():
         tab = orc.encoder_from_index(2, 4, pt.encoder_index)
         assert orc.sphere_bruteforce(2, 4, 1, encoder=tab).value == pt.d1
         assert orc.sphere_bruteforce(2, 4, 2, encoder=tab).value == pt.d2
+
+
+# ---------- encoder cost kernel ----------
+
+
+ENCODER_SHAPES = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
+
+
+def _weight_tables(n):
+    table = st.lists(st.integers(0, 2**40), min_size=n + 1, max_size=n + 1)
+    return st.lists(table, min_size=1, max_size=2)
+
+
+@pytest.mark.parametrize("use_symmetry", [True, False])
+@pytest.mark.parametrize("m,n", ENCODER_SHAPES)
+@settings(max_examples=2)
+@given(data=st.data())
+def test_encoder_costs_match_table_cost(m, n, use_symmetry, data):
+    # (3, 2) without symmetry walks its leading slot in several blocks
+    wtabs = data.draw(_weight_tables(n))
+    costs = orc._encoder_costs(m, n, wtabs, use_symmetry, orc.DEFAULT_BUDGET)
+    K = 1 << m
+    pinned = (0,) if use_symmetry else ()
+    tables = [pinned + rest
+              for rest in itertools.product(range(1 << n), repeat=K - len(pinned))]
+    for wt, got in zip(wtabs, costs):
+        assert got.tolist() == [orc._table_cost(m, n, cw, wt) for cw in tables]
+
+
+@pytest.mark.parametrize("cells", [1, 48, 192, 1000])
+def test_encoder_costs_block_layout(monkeypatch, cells):
+    # at m=2, n=3 these caps give 0, 0, 1 and 2 trailing slots, and blocks
+    # of 1, 6, 3 and 1 prefixes (6 and 3 leave a partial last block)
+    wtabs = [[3, 1, 4, 1], [0, 2**40, 7, 5]]
+    want = {sym: orc._encoder_costs(2, 3, wtabs, sym, orc.DEFAULT_BUDGET)
+            for sym in (True, False)}
+    monkeypatch.setattr(orc, "_BLOCK_CELLS", cells)
+    for sym in (True, False):
+        got = orc._encoder_costs(2, 3, wtabs, sym, orc.DEFAULT_BUDGET)
+        assert all((a == b).all() for a, b in zip(got, want[sym]))
 
 
 # ---------- binomial posterior ratio ----------
