@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from functools import lru_cache
 
 from ._scalar_opt import Lcg64
 from .binary_info import NAT_LOG2, DomainError, conv, h_b, h_b_inv
@@ -95,18 +94,29 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+# cached per m or n and shared by every caller, so the arrays are read-only
+@lru_cache(maxsize=None)
 def _popcounts(n: int) -> np.ndarray:
+    import numpy as np
+
     size = 1 << n
     pc = np.zeros(size, dtype=np.int64)
     for b in range(n):
         pc += (np.arange(size, dtype=np.int64) >> b) & 1
+    pc.setflags(write=False)
     return pc
 
 
-def _bit_groups(m: int):
+@lru_cache(maxsize=None)
+def _bit_groups(m: int) -> tuple[np.ndarray, ...]:
+    import numpy as np
+
     K = 1 << m
-    return [np.array([s for s in range(K) if (s >> (m - 1 - j)) & 1], dtype=np.int64)
-            for j in range(m)]
+    groups = tuple(np.array([s for s in range(K) if (s >> (m - 1 - j)) & 1], dtype=np.int64)
+                   for j in range(m))
+    for grp in groups:
+        grp.setflags(write=False)
+    return groups
 
 
 # cap on the cells of one block of _encoder_costs (output words x tables)
@@ -136,6 +146,8 @@ def _encoder_costs(m, n, wtabs, use_symmetry, budget):
     whose (N, prefixes, N^T) sums stay within _BLOCK_CELLS cells. All of it
     is exact int64 arithmetic, so the costs equal the direct sums.
     """
+    import numpy as np
+
     K = 1 << m
     N = 1 << n
     free = K - 1 if use_symmetry else K
@@ -193,6 +205,8 @@ def _encoder_costs(m, n, wtabs, use_symmetry, budget):
 
 
 def _table_cost(m, n, codewords, wtab) -> int:
+    import numpy as np
+
     K = 1 << m
     N = 1 << n
     pc = _popcounts(n)
@@ -270,6 +284,8 @@ def broadcast_frontier(m, n, w1, w2, budget=DEFAULT_BUDGET):
     channels of weights w1 and w2 at once. Returns FrontierPoints sorted by
     increasing d1; each carries the lowest-rank encoder achieving the pair.
     """
+    import numpy as np
+
     m = int(m)
     n = int(n)
     w1 = int(w1)
@@ -375,6 +391,8 @@ def coupling_distance_exact(n, delta1, delta2):
 
 
 def _xlogx(x):
+    import numpy as np
+
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(x > 0.0, x * np.log(np.where(x > 0.0, x, 1.0)), 0.0)
 
@@ -396,6 +414,8 @@ def rbar_grid(p, q, d, steps=2001):
     """Smallest I(U;V) over test channels S -> V with mean Hamming distortion
     at most d, by grid scan plus a dense sweep of the distortion-equality line.
     """
+    import numpy as np
+
     p = float(p)
     q = float(q)
     d = float(d)
@@ -510,11 +530,15 @@ _BOX_HI = 0.5 - 1e-4
 
 
 def _axis(step):
+    import numpy as np
+
     ax = np.arange(_BOX_LO, _BOX_HI + 0.5 * step, step)
     return ax[ax <= _BOX_HI + 1e-12]
 
 
 def _h_np(x):
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     inner = (x > 0.0) & (x < 1.0)
     xs = np.where(inner, x, 0.5)
@@ -523,6 +547,8 @@ def _h_np(x):
 
 
 def _hinv_np(t):
+    import numpy as np
+
     t = np.asarray(t, dtype=float)
     lo = np.zeros_like(t)
     hi = np.full_like(t, 0.5)
@@ -537,18 +563,26 @@ def _hinv_np(t):
 
 
 def _hp_np(x):
+    import numpy as np
+
     return np.log((1.0 - x) / x)
 
 
 def _g_np(t):
+    import numpy as np
+
     return (1.0 - 2.0 * t) * np.log((1.0 - t) / t)
 
 
 def _kappa_np(t):
+    import numpy as np
+
     return 2.0 * np.log((1.0 - t) / t) + (1.0 - 2.0 * t) / (t * (1.0 - t))
 
 
 def _Phi_np(t):
+    import numpy as np
+
     L = np.log((1.0 - t) / t)
     return 2.0 / ((1.0 - 2.0 * t) * L) + 1.0 / (t * (1.0 - t) * L * L)
 
@@ -562,6 +596,8 @@ def _span(step):
 
 
 def _run_mgl_lin(step, tol):
+    import numpy as np
+
     ax = _axis(step)
     fracs = np.linspace(0.0, 1.0, 20)
     us = _hinv_np(fracs * NAT_LOG2)
@@ -589,6 +625,8 @@ def _run_mgl_lin(step, tol):
 
 
 def _run_g_convex(step, tol):
+    import numpy as np
+
     ax = _axis(step)
     gv = _g_np(ax)
     v = gv[1:-1] - 0.5 * (gv[:-2] + gv[2:])
@@ -598,6 +636,8 @@ def _run_g_convex(step, tol):
 
 
 def _run_beta_props(step, tol):
+    import numpy as np
+
     ax = _axis(step)
     q = ax[:, None]
     t = ax[None, :]
@@ -621,6 +661,8 @@ def _run_beta_props(step, tol):
 
 
 def _run_theta_dec(step, tol):
+    import numpy as np
+
     ax = _axis(step)
     th = _Phi_np(ax) * (NAT_LOG2 - _h_np(ax))
     v = th[1:] - th[:-1]
@@ -630,6 +672,8 @@ def _run_theta_dec(step, tol):
 
 
 def _run_f_lt_1(step, tol):
+    import numpy as np
+
     ax = _axis(step)
     npts = len(ax)
     rho = 1.0 + 2.0 * np.arange(1, npts + 1) / npts
@@ -647,6 +691,8 @@ def _run_f_lt_1(step, tol):
 
 
 def _run_phi_deriv(step, tol):
+    import numpy as np
+
     ax = _axis(step)
     dd = ax[:, None]
     x = ax[None, :]

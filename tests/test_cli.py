@@ -1,12 +1,14 @@
 """Command line surface: exit codes, formats, flag plumbing.
 
-Everything here drives cli.main() directly with argv lists; only the
-acceptance suite shells out to a subprocess.
+Everything here drives cli.main() directly with argv lists, except the
+start-up test, which needs a fresh interpreter to see what gets imported.
 """
 
 import csv
 import io
 import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -292,3 +294,33 @@ def test_region_bad_grid_returns_1(capsys):
          "--d1-step", "0.01"], capsys)
     assert code == 1
     assert err.startswith("error:")
+
+
+# ---------- start-up ----------
+
+
+_START_UP = """
+import json
+import sys
+
+import jsccbounds
+from jsccbounds import cli
+
+loaded = ["numpy" in sys.modules]
+for argv in (["eval", "--fn", "h_b", "--x", "0.11"],
+             ["bound", "lower", "--n", "10000", "--rho", "1.2", "--delta", "0.2"],
+             ["oracle", "coupling", "--n", "10", "--delta1", "1/5", "--delta2", "1/4"]):
+    assert cli.main(argv) == 0
+loaded.append("numpy" in sys.modules)
+assert cli.main(["oracle", "p2p", "--m", "1", "--n", "2", "--delta", "1/4"]) == 0
+loaded.append("numpy" in sys.modules)
+sys.stderr.write(json.dumps(loaded))
+"""
+
+
+def test_scalar_commands_start_without_numpy():
+    # numpy loads on the first array call, not on import or for scalar commands
+    proc = subprocess.run([sys.executable, "-c", _START_UP], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr) == [False, False, True]
+    assert proc.stdout.endswith("m,n,delta,value,witness\n1,2,1/4,0.25,00;01\n")
