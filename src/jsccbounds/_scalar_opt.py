@@ -1,34 +1,10 @@
-"""Deterministic scalar search helpers: bisection, golden section, seeded LCG."""
+"""Deterministic scalar search helpers: golden section, seeded LCG."""
 
 from __future__ import annotations
 
 import math
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def bisect_root(fn, lo: float, hi: float, tol: float = 1e-12, max_iters: int = 200) -> float:
-    """Root of fn on [lo, hi]; fn(lo) and fn(hi) must have opposite signs."""
-    flo = fn(lo)
-    fhi = fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise ValueError("bisect_root needs a sign change on [lo, hi]")
-    for _ in range(max_iters):
-        mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            break
-    return 0.5 * (lo + hi)
 
 
 def golden_min(fn, lo: float, hi: float, tol: float = 1e-10):

@@ -368,6 +368,19 @@ def d1_feasibility_margin(d1: float, bp: BinaryBroadcastParams) -> float:
     )
 
 
+def _d2_floor_k(bp: BinaryBroadcastParams, name: str) -> float:
+    """Right side (1-2c)^2 + (1-2p)^2 (1 - (1-2c)^2) of the quadratic
+    weak-user bound, c = conv(delta2, D1*); name is the caller, for errors."""
+    if bp.n is not None:
+        raise DomainError(f"{name} is an asymptotic statement; drop n")
+    d1s = bounds_core.d_asym(bp.rho, bp.delta1)
+    if d1s <= 0.0:
+        raise DomainError("strong-user optimum D1* is 0; the floor degenerates")
+    c = conv(bp.delta2, d1s)
+    k = (1.0 - 2.0 * c) ** 2
+    return k + (1.0 - 2.0 * bp.p) ** 2 * (1.0 - k)
+
+
 def d2_floor(bp: BinaryBroadcastParams) -> float:
     """Smallest d2 the quadratic weak-user bound allows when the strong user
     runs at its optimum D1* = d_asym(rho, delta1). Asymptotic mode only.
@@ -375,30 +388,14 @@ def d2_floor(bp: BinaryBroadcastParams) -> float:
     With c = conv(delta2, D1*), the bound reads (1-2 d2)^2 <= (1-2c)^2 +
     (1-2p)^2 (1 - (1-2c)^2); at p = 1/2 the floor is exactly c.
     """
-    if bp.n is not None:
-        raise DomainError("d2_floor is an asymptotic statement; drop n")
-    d1s = bounds_core.d_asym(bp.rho, bp.delta1)
-    if d1s <= 0.0:
-        raise DomainError("strong-user optimum D1* is 0; the floor degenerates")
-    c = conv(bp.delta2, d1s)
-    k = (1.0 - 2.0 * c) ** 2
-    k = k + (1.0 - 2.0 * bp.p) ** 2 * (1.0 - k)
-    return 0.5 * (1.0 - math.sqrt(k))
+    return 0.5 * (1.0 - math.sqrt(_d2_floor_k(bp, "d2_floor")))
 
 
 def d2_floor_slack(d2_probe: float, bp: BinaryBroadcastParams) -> float:
     """Slack of the quadratic weak-user bound at d2_probe (>= 0 iff allowed)."""
     if not 0.0 <= d2_probe <= 0.5:
         raise DomainError(f"d2_probe must lie in [0, 1/2], got {d2_probe!r}")
-    if bp.n is not None:
-        raise DomainError("d2_floor_slack is an asymptotic statement; drop n")
-    d1s = bounds_core.d_asym(bp.rho, bp.delta1)
-    if d1s <= 0.0:
-        raise DomainError("strong-user optimum D1* is 0; the floor degenerates")
-    c = conv(bp.delta2, d1s)
-    k = (1.0 - 2.0 * c) ** 2
-    k = k + (1.0 - 2.0 * bp.p) ** 2 * (1.0 - k)
-    return k - (1.0 - 2.0 * d2_probe) ** 2
+    return _d2_floor_k(bp, "d2_floor_slack") - (1.0 - 2.0 * d2_probe) ** 2
 
 
 # ---------- Gaussian instantiation ----------
@@ -457,22 +454,27 @@ def gaussian_d2_floor(gp: GaussianBroadcastParams, d1: float) -> float:
     return max(0.0, (gp.aux_var + gp.sigma2) / ratio - gp.aux_var)
 
 
-# ---------- generic composition and the erasure instantiation ----------
+# ---------- erasure instantiation ----------
 
 
-def general_compose(F, Rbar, R, G, rho: float, d1: float, d2: float | None = None):
-    """Feasibility threshold rho G(F(R(d1))/rho) of the composed outer bound.
-
-    The caller supplies the four handles (F nondecreasing convex, G
-    nonincreasing concave on their domains). With d2 given, returns the slack
-    threshold - Rbar(d2) instead; achievable pairs keep it nonnegative.
-    """
+def _erasure_threshold(eps: ErasureParams, rho: float, d1: float, q: float):
+    """(fp, threshold) of the erasure bound: fp = fp_binary(1/2, q, R(d1))
+    and threshold = rho g_bec(fp / rho). DomainError when fp / rho exceeds
+    the strong user's capacity (1 - eps1) log 2."""
     if rho <= 0.0:
         raise DomainError(f"rho must be positive, got {rho!r}")
-    thr = rho * G(F(R(d1)) / rho)
-    if d2 is None:
-        return thr
-    return thr - Rbar(d2)
+    if not 0.0 <= q <= 0.5:
+        raise DomainError(f"q must lie in [0, 1/2], got {q!r}")
+    if not 0.0 < d1 <= 0.5:
+        raise DomainError(f"d1 must lie in (0, 1/2], got {d1!r}")
+    fhat = fp_binary(0.5, q, NAT_LOG2 - h_b(d1))
+    arg = fhat / rho
+    cap = (1.0 - eps.eps1) * NAT_LOG2
+    if arg > cap + 1e-12:
+        raise DomainError(
+            f"strong-user rate need {arg!r} exceeds its capacity {cap!r}"
+        )
+    return fhat, rho * g_bec(eps, min(arg, cap))
 
 
 def erasure_d2_floor(eps: ErasureParams, rho: float, d1: float, q: float) -> float:
@@ -482,21 +484,7 @@ def erasure_d2_floor(eps: ErasureParams, rho: float, d1: float, q: float) -> flo
     h_b(conv(q, d2)) >= log 2 - threshold. DomainError when even user 1's
     constraint alone is infeasible.
     """
-    if rho <= 0.0:
-        raise DomainError(f"rho must be positive, got {rho!r}")
-    if not 0.0 <= q <= 0.5:
-        raise DomainError(f"q must lie in [0, 1/2], got {q!r}")
-    if not 0.0 < d1 <= 0.5:
-        raise DomainError(f"d1 must lie in (0, 1/2], got {d1!r}")
-    t = NAT_LOG2 - h_b(d1)
-    fhat = fp_binary(0.5, q, t)
-    arg = fhat / rho
-    cap = (1.0 - eps.eps1) * NAT_LOG2
-    if arg > cap + 1e-12:
-        raise DomainError(
-            f"strong-user rate need {arg!r} exceeds its capacity {cap!r}"
-        )
-    thr = rho * g_bec(eps, min(arg, cap))
+    _, thr = _erasure_threshold(eps, rho, d1, q)
     if thr >= NAT_LOG2:
         return 0.0
     x = h_b_inv(NAT_LOG2 - thr)

@@ -19,9 +19,8 @@ from fractions import Fraction
 from . import bounds_core as bc
 from . import broadcast_region as br
 from . import oracles as orc
-from .binary_info import NAT_LOG2, DomainError, conv, h_b, info_fn
+from .binary_info import _ONE_ARG, NAT_LOG2, DomainError, conv, info_fn
 
-_ONE_ARG_FNS = ("h_b", "h_b_inv", "g", "kappa", "Phi", "psi", "vartheta", "R")
 _NAT_VALUED_FNS = ("h_b", "g", "kappa", "beta", "phi", "R", "mgl")
 
 
@@ -104,7 +103,7 @@ def _run_eval(args):
     name = args.fn
     fn = info_fn(name)
     qcell = dcell = None
-    if name in _ONE_ARG_FNS:
+    if name in _ONE_ARG:
         value = fn(args.x)
     elif name == "conv":
         if args.q is None:
@@ -185,11 +184,7 @@ def _run_region(args):
         rows = []
         for pt in points:
             for q in br._Q_SEEDS:
-                try:
-                    s = br.outer_bound_slack(pt.d1, pt.d2_min, q, bp)
-                except DomainError:
-                    s = float("-inf")
-                rows.append([pt.d1, q, s])
+                rows.append([pt.d1, q, br._slack_no_raise(pt.d1, pt.d2_min, q, bp)])
         return (["d1", "q", "slack"], rows, {"slack"}, code)
     rows = [[pt.d1, pt.d2_min, pt.q_star, pt.slack] for pt in points]
     return (["d1", "d2_min", "q_star", "slack"], rows, {"slack"}, code)
@@ -210,10 +205,8 @@ def _run_gaussian(args):
 
 def _run_erasure(args):
     eps = br.ErasureParams(eps1=args.eps1, eps2=args.eps2)
+    fhat, thr = br._erasure_threshold(eps, args.rho, args.d1, args.q)
     floor = br.erasure_d2_floor(eps, args.rho, args.d1, args.q)
-    fhat = br.fp_binary(0.5, args.q, NAT_LOG2 - h_b(args.d1))
-    cap = (1.0 - args.eps1) * NAT_LOG2
-    thr = args.rho * br.g_bec(eps, min(fhat / args.rho, cap))
     row = [args.eps1, args.eps2, args.rho, args.d1, args.q, fhat, thr, floor]
     return (["eps1", "eps2", "rho", "d1", "q", "fp", "threshold", "d2_floor"],
             [row], {"fp", "threshold"}, 0)
@@ -259,7 +252,9 @@ def _run_spherical(args):
         enc_cell = ";".join(words)
     try:
         value = orc.sphere_bruteforce(args.m, args.n, args.weight, encoder=encoder)
-    except ValueError as exc:
+    except DomainError:
+        raise
+    except ValueError as exc:  # the encoder table's shape check
         raise _Usage(str(exc))
     row = [args.m, args.n, args.weight, enc_cell, value.value]
     return (["m", "n", "weight", "encoder", "value"], [row], set(), 0)

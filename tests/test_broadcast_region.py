@@ -185,7 +185,8 @@ def test_slack_nondecreasing_in_d2(q, d2a, d2b):
     assert s_hi >= s_lo - 1e-12
 
 
-def test_slack_matches_general_compose():
+def test_slack_matches_composition():
+    # the binary slack is the composed threshold rho G(F(R(d1)) / rho) - Rbar(d2)
     bp = std_bp()
     q = 0.1
 
@@ -201,10 +202,8 @@ def test_slack_matches_general_compose():
     def G(t):
         return br.g_bsc(0.18, 0.05, t)
 
-    got = br.general_compose(F, Rbar, R, G, 1.2, 0.15, 0.2)
-    assert feq(got, br.outer_bound_slack(0.15, 0.2, 0.1, bp), rel=1e-12)
-    thr = br.general_compose(F, Rbar, R, G, 1.2, 0.15)
-    assert feq(thr - Rbar(0.2), got, rel=1e-12)
+    thr = 1.2 * G(F(R(0.15)) / 1.2)
+    assert feq(thr - Rbar(0.2), br.outer_bound_slack(0.15, 0.2, 0.1, bp), rel=1e-12)
 
 
 def test_slack_infeasible_d1_asymptotic_vs_finite():

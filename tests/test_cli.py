@@ -101,6 +101,21 @@ def test_frontier_rows_increasing(capsys):
     assert rows[0][7] == "1/4"
 
 
+def test_bound_erasure_row(capsys):
+    code, out, _ = run_cli(
+        ["bound", "erasure", "--eps1", "0.1", "--eps2", "0.3", "--rho", "1",
+         "--d1", "0.1", "--q", "0.05"], capsys)
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert header == ["eps1", "eps2", "rho", "d1", "q", "fp", "threshold",
+                      "d2_floor"]
+    eps = br.ErasureParams(0.1, 0.3)
+    fp, thr = br._erasure_threshold(eps, 1.0, 0.1, 0.05)
+    floor = br.erasure_d2_floor(eps, 1.0, 0.1, 0.05)
+    assert floor > 0.0
+    assert rows[0][5:] == ["%.12g" % fp, "%.12g" % thr, "%.12g" % floor]
+
+
 # ---------- formats and plumbing ----------
 
 
@@ -231,6 +246,24 @@ def test_gaussian_floor_infeasible_returns_3(capsys):
          "--d1", "0.01"], capsys)
     assert code == 3
     assert err.startswith("infeasible:")
+
+
+def test_erasure_infeasible_returns_3(capsys):
+    code, out, err = run_cli(
+        ["bound", "erasure", "--eps1", "0.95", "--eps2", "0.96", "--rho", "1",
+         "--d1", "0.05", "--q", "0.4"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("infeasible:")
+
+
+def test_spherical_domain_error_returns_3(capsys):
+    for argv in (["--m", "1", "--n", "2", "--weight", "5"],
+                 ["--m", "0", "--n", "2", "--weight", "1"]):
+        code, out, err = run_cli(["oracle", "spherical"] + argv, capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("infeasible:")
 
 
 def test_budget_overflow_returns_3(capsys):
