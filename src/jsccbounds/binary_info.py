@@ -28,14 +28,30 @@ def h_b(x: float) -> float:
     return -x * math.log(x) - (1.0 - x) * math.log(1.0 - x)
 
 
+# The bisection below stops after 46 halvings of [0, 1/2] (the first width
+# <= _INV_TOL), so its answers are midpoints of cells 2^-47 wide. Below
+# h_b(5 cells) ~ 1.1e-12 those cells are coarse against the root, so h_b_inv
+# takes a Newton root there. The cutoff sits at h_b of a cell edge: every
+# Newton root is at most that edge, every bisection answer above the cutoff
+# at least half a cell beyond it, so h_b_inv stays nondecreasing across it.
+_NEWTON_EDGE = 5.0 * 2.0 ** -47
+_NEWTON_CUTOFF = h_b(_NEWTON_EDGE)
+
+
 def h_b_inv(t: float) -> float:
-    """Inverse of h_b on [0, 1/2], extended to return 0 for every t <= 0."""
+    """Inverse of h_b on [0, 1/2], extended to return 0 for every t <= 0.
+
+    Bisection to 1e-14 absolute, except for 0 < t <= ~1.1e-12, where a
+    Newton root keeps the relative accuracy that h_b itself has there.
+    """
     if t <= 0.0:
         return 0.0
     if t > NAT_LOG2 + 1e-12:
         raise DomainError(f"h_b_inv needs t <= log 2, got {t!r}")
     if t >= NAT_LOG2:
         return 0.5
+    if t <= _NEWTON_CUTOFF:
+        return _h_b_inv_newton(t)
     lo, hi = 0.0, 0.5
     for _ in range(_INV_MAX_ITERS):
         mid = 0.5 * (lo + hi)
@@ -46,6 +62,34 @@ def h_b_inv(t: float) -> float:
         if hi - lo <= _INV_TOL:
             break
     return 0.5 * (lo + hi)
+
+
+def _h_b_inv_newton(t: float) -> float:
+    """Root of h_b(x) = t for 0 < t <= _NEWTON_CUTOFF.
+
+    Newton steps from t / (1 - 2 log t), which lies left of the root, kept
+    inside a bracket [lo, hi] with h_b(lo) < t <= h_b(hi) that each step
+    shrinks; a step that would leave it bisects instead. Stops when a step
+    no longer moves x or the bracket has no float left inside. The result
+    is 0.0 only where the root underflows.
+    """
+    lo, hi = 0.0, _NEWTON_EDGE
+    x = t / (1.0 - 2.0 * math.log(t))
+    for _ in range(_INV_MAX_ITERS):
+        if not lo < x < hi:
+            break
+        f = h_b(x) - t
+        if f < 0.0:
+            lo = x
+        elif f > 0.0:
+            hi = x
+        else:
+            break
+        step = x - f / (math.log(1.0 - x) - math.log(x))
+        if step == x:
+            break
+        x = step if lo < step < hi else 0.5 * (lo + hi)
+    return x
 
 
 def conv(a: float, b: float) -> float:

@@ -193,12 +193,23 @@ def outer_bound_slack(d1: float, d2: float, q: float, bp: BinaryBroadcastParams)
     means no blocklength sequence can achieve d1, and it raises DomainError
     beyond a 1e-12 floating guard.
     """
+    _check_slack_args(d1, d2, q, bp)
+    d1 = min(max(d1, 0.0), bp.p)
+    d2 = min(max(d2, 0.0), bp.p)
+    return _slack_rhs(d1, q, bp) - _slack_lhs(d2, q, bp)
+
+
+def _check_slack_args(d1: float, d2: float, q: float, bp: BinaryBroadcastParams) -> None:
     if not 0.0 <= q <= 0.5:
         raise DomainError(f"q must lie in [0, 1/2], got {q!r}")
     if not -1e-15 <= d1 <= bp.p + 1e-12 or not -1e-15 <= d2 <= bp.p + 1e-12:
         raise DomainError("outer_bound_slack needs d1 <= p and d2 <= p")
-    d1 = min(max(d1, 0.0), bp.p)
-    d2 = min(max(d2, 0.0), bp.p)
+
+
+def _slack_rhs(d1: float, q: float, bp: BinaryBroadcastParams) -> float:
+    """The d2-free part of the slack: rho times the weak user's rate ceiling
+    at A1, plus the finite-n correction. Takes d1 already clamped to [0, p];
+    DomainError and the clamp warning as documented on outer_bound_slack."""
     a1 = h_b(bp.delta1) + (
         h_b(conv(q, d1)) - h_b(d1) - h_b(conv(q, bp.p)) + h_b(bp.p)
     ) / bp.rho
@@ -214,14 +225,19 @@ def outer_bound_slack(d1: float, d2: float, q: float, bp: BinaryBroadcastParams)
                 f"A1={a1!r} exceeds log 2: d1={d1!r} is infeasible at q={q!r}"
             )
         if a1 > NAT_LOG2:
+            # 3: past this helper and outer_bound_slack, to its caller
             warnings.warn(
                 f"A1={a1!r} exceeds log 2 within the floating guard; clamping",
-                stacklevel=2,
+                stacklevel=3,
             )
         a1 = min(max(a1, 0.0), NAT_LOG2)
         rhs = bp.rho * (NAT_LOG2 - h_b(conv(bp.delta2, h_b_inv(a1))))
-    lhs = h_b(conv(q, bp.p)) - h_b(conv(q, d2))
-    return rhs - lhs
+    return rhs
+
+
+def _slack_lhs(d2: float, q: float, bp: BinaryBroadcastParams) -> float:
+    """The weak user's rate need h_b(conv(q, p)) - h_b(conv(q, d2)), d2 in [0, p]."""
+    return h_b(conv(q, bp.p)) - h_b(conv(q, d2))
 
 
 # 64 geometric seeds plus both analytic endpoints; interior maxima of the
@@ -257,20 +273,15 @@ def _seeded_min(fn):
     return best_v, best_q
 
 
-def _worst_slack(bp: BinaryBroadcastParams, d1: float, d2: float):
-    """Minimum of the bound slack over q; returns (slack, q)."""
-    return _seeded_min(lambda q: _slack_no_raise(d1, d2, q, bp))
+def _d2_at_q(bp: BinaryBroadcastParams, q: float, s0: float) -> float:
+    """Smallest d2 in [0, p] whose slack at this q is nonnegative, given the
+    slack s0 at d2 = 0 (-inf where d1 is infeasible at q).
 
-
-def _d2_at_q(bp: BinaryBroadcastParams, d1: float, q: float) -> float:
-    """Smallest d2 in [0, p] whose slack at this q is nonnegative.
-
-    Only the h_b(conv(q, d2)) term of the slack moves with d2, so with s0 the
-    slack at d2 = 0 the threshold solves h_b(conv(q, d2)) = h_b(q) - s0: the
-    inversion erasure_d2_floor uses. p when even d2 = p falls short, which
-    includes a q at which d1 itself is infeasible.
+    Only the h_b(conv(q, d2)) term of the slack moves with d2, so the
+    threshold solves h_b(conv(q, d2)) = h_b(q) - s0: the inversion
+    erasure_d2_floor uses. p when even d2 = p falls short, which includes a
+    q at which d1 itself is infeasible.
     """
-    s0 = _slack_no_raise(d1, 0.0, q, bp)
     if s0 >= 0.0:
         return 0.0
     t = h_b(q) - s0
@@ -286,19 +297,36 @@ _D2_BAND = 1e-12
 
 
 def _trace_point(bp: BinaryBroadcastParams, d1: float) -> RegionPoint:
-    s_top, q_top = _worst_slack(bp, d1, bp.p)
+    # the d2-free half of the slack at this d1, by q: every sweep below
+    # revisits the same q, and only the lhs moves with d2
+    rhs_by_q = {}
+
+    def slack(d2, q):
+        rhs = rhs_by_q.get(q)
+        if rhs is None:
+            try:
+                rhs = _slack_rhs(d1, q, bp)
+            except DomainError:
+                rhs = float("-inf")
+            rhs_by_q[q] = rhs
+        return rhs - _slack_lhs(d2, q, bp)
+
+    def worst_slack(d2):
+        return _seeded_min(lambda q: slack(d2, q))
+
+    s_top, q_top = worst_slack(bp.p)
     if s_top == float("-inf"):
         # only an A1 overflow can fail at d2 = p: d1 itself is infeasible
         return RegionPoint(d1=d1, d2_min=bp.p, q_star=q_top, slack=float("-inf"))
-    s0, q0 = _worst_slack(bp, d1, 0.0)
+    s0, q0 = worst_slack(0.0)
     if s0 >= 0.0:
         return RegionPoint(d1=d1, d2_min=0.0, q_star=q0, slack=s0)
-    d2_star = -_seeded_min(lambda q: -_d2_at_q(bp, d1, q))[0]
+    d2_star = -_seeded_min(lambda q: -_d2_at_q(bp, q, slack(0.0, q)))[0]
     lo, hi = 0.0, bp.p
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if abs(mid - d2_star) <= _D2_BAND:
-            below = _worst_slack(bp, d1, mid)[0] < 0.0
+            below = worst_slack(mid)[0] < 0.0
         else:
             below = mid < d2_star
         if below:
@@ -307,7 +335,7 @@ def _trace_point(bp: BinaryBroadcastParams, d1: float) -> RegionPoint:
             hi = mid
         if hi - lo <= 1e-12:
             break
-    s, q = _worst_slack(bp, d1, hi)
+    s, q = worst_slack(hi)
     return RegionPoint(d1=d1, d2_min=hi, q_star=q, slack=s)
 
 
@@ -325,6 +353,12 @@ def region_trace(bp: BinaryBroadcastParams, d1_grid) -> list[RegionPoint]:
     q and slack at d2_min. Points whose d1 the bound rules out entirely come
     back with d2_min = p and slack = -inf; points where the bound never binds
     come back with d2_min = 0.
+
+    Each point keeps a per-q cache of the slack's right-hand side (A1, its
+    h_b_inv and the finite-n term, -inf where A1 is out of range), which no
+    d2 moves, so each q the sweeps revisit costs only the d2 term. The
+    cache lives for one d1 and holds the values outer_bound_slack would
+    compute, so every point is bit-identical to evaluating it directly.
     """
     pts = []
     for d1 in d1_grid:

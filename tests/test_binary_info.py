@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from jsccbounds import binary_info as bi
 
@@ -143,6 +143,68 @@ def test_g_is_entropy_slope_product():
 @given(st.floats(1e-6, 0.6931471805599453))
 def test_inverse_roundtrips_through_entropy(t):
     assert abs(bi.h_b(bi.h_b_inv(t)) - t) < 1e-11
+
+
+# Below x = 2^-54, 1 - x rounds to 1 and h_b(x) is the smooth -x log x.
+# Between there and the Newton cutoff, the rounding of 1 - x makes h_b jump
+# by up to 2^-53 at each float step of 1 - x, so a t inside a jump has no
+# float x with h_b(x) nearer than the jump.
+SMOOTH_T = bi.h_b(2.0 ** -54)
+
+
+@example(13.0)
+@example(15.0)
+@example(18.0)
+@example(300.0)
+@given(st.floats(12.0, 300.0))
+def test_inverse_roundtrips_below_the_newton_cutoff(e):
+    t = 10.0 ** -e
+    x = bi.h_b_inv(t)
+    if t <= SMOOTH_T:
+        assert abs(bi.h_b(x) / t - 1.0) <= 1e-9
+    else:
+        assert abs(bi.h_b(x) - t) <= 2.0 ** -53
+
+
+def test_inverse_nondecreasing_across_the_newton_cutoff():
+    cut = bi._NEWTON_CUTOFF
+    assert 1e-12 < cut < 2e-12
+    ts = [cut * (1.0 + k * 1e-9) for k in range(-50, 51)]
+    for _ in range(3):
+        ts += [math.nextafter(ts[-1], 0.0), math.nextafter(ts[-1], 1.0)]
+    ts += [cut, math.nextafter(cut, 0.0), math.nextafter(cut, 1.0)]
+    ts.sort()
+    xs = [bi.h_b_inv(t) for t in ts]
+    assert all(a <= b for a, b in zip(xs, xs[1:]))
+    assert bi.h_b_inv(cut) <= bi._NEWTON_EDGE < bi.h_b_inv(math.nextafter(cut, 1.0))
+
+
+def _bisection_inverse(t):
+    # the 46-step walk h_b_inv runs above the Newton cutoff, written out
+    lo, hi = 0.0, 0.5
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if bi.h_b(mid) < t:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-14:
+            break
+    return 0.5 * (lo + hi)
+
+
+def test_inverse_above_the_newton_cutoff_is_the_bisection():
+    cut = bi._NEWTON_CUTOFF
+    ts = [cut * (1.0 + 1e-6 * k) for k in range(1, 200)]
+    ts += [10.0 ** (-11.9 + 11.7 * k / 2000) for k in range(2000)]
+    ts += [bi.NAT_LOG2 - 10.0 ** -k for k in range(1, 16)]
+    t = cut
+    for _ in range(50):
+        t = math.nextafter(t, 1.0)
+        ts.append(t)
+    for t in ts:
+        assert t > cut
+        assert bi.h_b_inv(t) == _bisection_inverse(t)
 
 
 @given(st.floats(1e-4, 0.5))

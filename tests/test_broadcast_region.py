@@ -1,4 +1,7 @@
+import json
 import math
+import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -225,6 +228,42 @@ def test_slack_domain():
         br.outer_bound_slack(0.15, 0.6, 0.1, bp)
 
 
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return str(exc)
+
+
+@given(st.floats(0.05, 0.5), st.floats(0.3, 3.0), st.floats(0.0, 0.45),
+       st.floats(0.0, 0.5), st.none() | st.integers(1, 5000),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 0.5))
+def test_slack_is_rhs_minus_lhs(p, rho, delta1, delta2, n, u1, u2, q):
+    bp = br.BinaryBroadcastParams(rho=rho, p=p, delta1=delta1, delta2=delta2, n=n)
+    d1, d2 = u1 * p, u2 * p
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = _outcome(br.outer_bound_slack, d1, d2, q, bp)
+        got = _outcome(lambda: br._slack_rhs(d1, q, bp) - br._slack_lhs(d2, q, bp))
+    assert got == want
+
+
+def test_a1_clamp_warning_points_at_the_caller():
+    # A1 - log 2 is 4.4e-13 here: inside the 1e-12 guard, so the asymptotic
+    # bound clamps A1 and warns instead of raising
+    bp = br.BinaryBroadcastParams(rho=1.0, p=0.5, delta1=0.1, delta2=0.05)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        val = br.outer_bound_slack(0.0999999999998, 0.2, 0.5, bp)
+    assert math.isfinite(val)
+    assert len(caught) == 1
+    assert caught[0].category is UserWarning
+    assert "exceeds log 2 within the floating guard" in str(caught[0].message)
+    assert caught[0].filename == __file__
+    with pytest.raises(DomainError):
+        br.outer_bound_slack(0.0999999999990, 0.2, 0.5, bp)
+
+
 # ---------- region tracing ----------
 
 
@@ -318,6 +357,45 @@ def test_region_trace_bit_identical(args, want):
     assert (pt.d2_min, pt.q_star, pt.slack) == want
 
 
+def _pool_points():
+    ref = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+                      / "region.json").read_text())
+    insts = {i["id"]: i for i in ref["instances"]}
+    for pt in ref["points"]:
+        i = insts[pt["inst"]]
+        bp = br.BinaryBroadcastParams(rho=i["rho"], p=i["p"], delta1=i["delta1"],
+                                      delta2=i["delta2"], n=i["n"])
+        slack = float("-inf") if pt["slack"] is None else pt["slack"]
+        yield bp, pt["d1"], (pt["d2_min"], pt["q_star"], slack)
+
+
+def test_region_trace_bit_identical_on_reference_pool():
+    # every point of the benchmark's frozen region pool (528), compared with ==
+    wrong = []
+    for bp, d1, want in _pool_points():
+        (pt,) = br.region_trace(bp, [d1])
+        if (pt.d2_min, pt.q_star, pt.slack) != want:
+            wrong.append((bp, d1, (pt.d2_min, pt.q_star, pt.slack), want))
+    assert wrong == []
+
+
+# binding at an interior q, never binding, d1 infeasible
+@pytest.mark.parametrize("args", [REGION_FROZEN[i][0] for i in (1, 3, 4)])
+def test_trace_point_evaluates_each_q_once(monkeypatch, args):
+    rho, p, delta1, delta2, n, d1 = args
+    bp = br.BinaryBroadcastParams(rho=rho, p=p, delta1=delta1, delta2=delta2, n=n)
+    seen = []
+    real = br._slack_rhs
+
+    def spy(d1_arg, q, bp_arg):
+        seen.append(q)
+        return real(d1_arg, q, bp_arg)
+
+    monkeypatch.setattr(br, "_slack_rhs", spy)
+    br.region_trace(bp, [d1])
+    assert len(seen) == len(set(seen)) > 0
+
+
 @st.composite
 def slack_inputs(draw):
     p = draw(st.floats(0.05, 0.5))
@@ -334,7 +412,7 @@ def slack_inputs(draw):
 @given(slack_inputs())
 def test_d2_at_q_inverts_the_slack(inputs):
     bp, d1, q = inputs
-    d2 = br._d2_at_q(bp, d1, q)
+    d2 = br._d2_at_q(bp, q, br._slack_no_raise(d1, 0.0, q, bp))
     assume(0.0 < d2 < bp.p)
     assert abs(br.outer_bound_slack(d1, d2, q, bp)) <= 1e-12
     assert br.outer_bound_slack(d1, d2 - 1e-9, q, bp) < 0.0
