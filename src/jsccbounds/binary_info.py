@@ -2,6 +2,11 @@
 
 Everything is in nats. Probabilities are plain floats; functions state the
 sub-range of [0, 1] they accept and raise DomainError outside it.
+
+Each measure is defined once, as a private formula that takes the log to
+apply: public functions check their domain and pass math.log, the grid
+verifiers in oracles pass np.log on arrays. The two logs differ in the last
+bit on a few inputs per thousand, so each path keeps its own printed digits.
 """
 
 from __future__ import annotations
@@ -10,13 +15,49 @@ import math
 
 NAT_LOG2 = math.log(2.0)
 
-# extended-inverse bisection: absolute argument tolerance / iteration cap
-_INV_TOL = 1e-14
-_INV_MAX_ITERS = 200
-
 
 class DomainError(ValueError):
     """An argument left the domain where the requested quantity is defined."""
+
+
+# ---------- one formula per measure, for floats and arrays alike ----------
+# No checks: callers keep every log argument positive.
+
+
+def _h(x, log):
+    return -x * log(x) - (1.0 - x) * log(1.0 - x)
+
+
+def _conv(a, b):
+    return a + b - 2.0 * a * b
+
+
+def _hp(x, log):
+    return log((1.0 - x) / x)
+
+
+def _g(t, log):
+    return (1.0 - 2.0 * t) * _hp(t, log)
+
+
+def _kappa(t, log):
+    return 2.0 * _hp(t, log) + (1.0 - 2.0 * t) / (t * (1.0 - t))
+
+
+def _Phi(t, log):
+    L = _hp(t, log)
+    return 2.0 / ((1.0 - 2.0 * t) * L) + 1.0 / (t * (1.0 - t) * L * L)
+
+
+def _phi(q, t, log):
+    r = 1.0 - 2.0 * t
+    return 2.0 * q * _hp(t, log) + (1.0 - 2.0 * q) * log(
+        (1.0 + q * r / t) / (1.0 - q * r / (1.0 - t))
+    )
+
+
+def _nu(q, t):
+    return (1.0 - 2.0 * q) / (1.0 + q * (1.0 - 2.0 * t) / t)
 
 
 def h_b(x: float) -> float:
@@ -25,11 +66,11 @@ def h_b(x: float) -> float:
         raise DomainError(f"h_b needs x in [0, 1], got {x!r}")
     if x == 0.0 or x == 1.0:
         return 0.0
-    return -x * math.log(x) - (1.0 - x) * math.log(1.0 - x)
+    return _h(x, math.log)
 
 
 # The bisection below stops after 46 halvings of [0, 1/2] (the first width
-# <= _INV_TOL), so its answers are midpoints of cells 2^-47 wide. Below
+# <= 1e-14), so its answers are midpoints of cells 2^-47 wide. Below
 # h_b(5 cells) ~ 1.1e-12 those cells are coarse against the root, so h_b_inv
 # takes a Newton root there. The cutoff sits at h_b of a cell edge: every
 # Newton root is at most that edge, every bisection answer above the cutoff
@@ -41,26 +82,26 @@ _NEWTON_CUTOFF = h_b(_NEWTON_EDGE)
 def h_b_inv(t: float) -> float:
     """Inverse of h_b on [0, 1/2], extended to return 0 for every t <= 0.
 
-    Bisection to 1e-14 absolute, except for 0 < t <= ~1.1e-12, where a
-    Newton root keeps the relative accuracy that h_b itself has there.
+    Returns the midpoint of the 2^-47-wide cell that 46 halvings of [0, 1/2]
+    leave around the root, so within 7.1e-15 of it, except for
+    0 < t <= ~1.1e-12, where a Newton root keeps the relative accuracy that
+    h_b itself has there. NaN raises DomainError.
     """
     if t <= 0.0:
         return 0.0
-    if t > NAT_LOG2 + 1e-12:
+    if not t <= NAT_LOG2 + 1e-12:
         raise DomainError(f"h_b_inv needs t <= log 2, got {t!r}")
     if t >= NAT_LOG2:
         return 0.5
     if t <= _NEWTON_CUTOFF:
         return _h_b_inv_newton(t)
     lo, hi = 0.0, 0.5
-    for _ in range(_INV_MAX_ITERS):
+    for _ in range(46):
         mid = 0.5 * (lo + hi)
-        if h_b(mid) < t:
+        if _h(mid, math.log) < t:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= _INV_TOL:
-            break
     return 0.5 * (lo + hi)
 
 
@@ -75,10 +116,10 @@ def _h_b_inv_newton(t: float) -> float:
     """
     lo, hi = 0.0, _NEWTON_EDGE
     x = t / (1.0 - 2.0 * math.log(t))
-    for _ in range(_INV_MAX_ITERS):
+    for _ in range(200):
         if not lo < x < hi:
             break
-        f = h_b(x) - t
+        f = _h(x, math.log) - t
         if f < 0.0:
             lo = x
         elif f > 0.0:
@@ -96,14 +137,14 @@ def conv(a: float, b: float) -> float:
     """Binary convolution a(1-b) + b(1-a)."""
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
         raise DomainError(f"conv needs arguments in [0, 1], got {a!r}, {b!r}")
-    return a + b - 2.0 * a * b
+    return _conv(a, b)
 
 
 def h_b_prime(x: float) -> float:
     """Derivative of h_b: log((1-x)/x), for x in (0, 1)."""
     if not 0.0 < x < 1.0:
         raise DomainError(f"h_b_prime needs x in (0, 1), got {x!r}")
-    return math.log((1.0 - x) / x)
+    return _hp(x, math.log)
 
 
 def mgl_phi(delta: float, t: float) -> float:
@@ -148,19 +189,18 @@ def _check_q(name: str, q: float) -> None:
 
 def g(t: float) -> float:
     _check_t_open("g", t)
-    return (1.0 - 2.0 * t) * math.log((1.0 - t) / t)
+    return _g(t, math.log)
 
 
 def kappa(t: float) -> float:
     """Negative derivative of g."""
     _check_t_open("kappa", t)
-    return 2.0 * math.log((1.0 - t) / t) + (1.0 - 2.0 * t) / (t * (1.0 - t))
+    return _kappa(t, math.log)
 
 
 def Phi(t: float) -> float:
     _check_t_open("Phi", t)
-    L = math.log((1.0 - t) / t)
-    return 2.0 / ((1.0 - 2.0 * t) * L) + 1.0 / (t * (1.0 - t) * L * L)
+    return _Phi(t, math.log)
 
 
 def beta(q: float, t: float) -> float:
@@ -174,17 +214,13 @@ def phi(q: float, t: float) -> float:
     """Negative t-derivative of beta(q, .)."""
     _check_q("phi", q)
     _check_t_open("phi", t)
-    L = math.log((1.0 - t) / t)
-    r = (1.0 - 2.0 * t)
-    return 2.0 * q * L + (1.0 - 2.0 * q) * math.log(
-        (1.0 + q * r / t) / (1.0 - q * r / (1.0 - t))
-    )
+    return _phi(q, t, math.log)
 
 
 def nu(q: float, t: float) -> float:
     _check_q("nu", q)
     _check_t_open("nu", t)
-    return (1.0 - 2.0 * q) / (1.0 + q * (1.0 - 2.0 * t) / t)
+    return _nu(q, t)
 
 
 def psi(t: float) -> float:

@@ -24,6 +24,11 @@ from .binary_info import (
 )
 
 
+def _check_count(name: str, v) -> None:
+    if v < 1 or int(v) != v:
+        raise DomainError(f"{name} must be a positive integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """A point-to-point instance: n channel uses for m source bits, rho = n/m.
@@ -38,15 +43,13 @@ class SystemParams:
     m: int | None = None
 
     def __post_init__(self):
-        if self.n < 1 or int(self.n) != self.n:
-            raise DomainError(f"n must be a positive integer, got {self.n!r}")
+        _check_count("n", self.n)
         if self.rho <= 0.0:
             raise DomainError(f"rho must be positive, got {self.rho!r}")
         if not 0.0 < self.delta < 0.5:
             raise DomainError(f"delta must lie in (0, 1/2), got {self.delta!r}")
         if self.m is not None:
-            if self.m < 1 or int(self.m) != self.m:
-                raise DomainError(f"m must be a positive integer, got {self.m!r}")
+            _check_count("m", self.m)
             if self.rho != self.n / self.m:
                 raise DomainError(
                     f"rho={self.rho!r} does not equal n/m={self.n}/{self.m}"
@@ -54,6 +57,7 @@ class SystemParams:
 
     @classmethod
     def from_counts(cls, m: int, n: int, delta: float) -> "SystemParams":
+        _check_count("m", m)
         return cls(n=n, rho=n / m, delta=delta, m=m)
 
 
@@ -147,7 +151,11 @@ def gamma_corr(n: int, delta2: float) -> float:
     second = (math.log(n) + 1.0) / (2.0 * n)
     if delta2 == 0.0:
         return second
-    return math.sqrt(delta2 / n) * math.log(n / delta2) + second
+    ratio = n / delta2
+    if ratio == math.inf:
+        # subnormal delta2: n / delta2 overflows and delta2 / n may flush to 0
+        return math.sqrt(delta2) / math.sqrt(n) * (math.log(n) - math.log(delta2)) + second
+    return math.sqrt(delta2 / n) * math.log(ratio) + second
 
 
 def gap_lower_bound(params: SystemParams) -> LowerBoundReport:

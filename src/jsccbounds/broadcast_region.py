@@ -291,7 +291,7 @@ def _d2_at_q(bp: BinaryBroadcastParams, q: float, s0: float) -> float:
 
 
 # Bisection mids this close to the closed-form threshold are decided by the
-# slack's sign instead: h_b_inv's 1e-14 tolerance leaves the threshold within
+# slack's sign instead: h_b_inv's 7.1e-15 grid leaves the threshold within
 # noise of a mid there.
 _D2_BAND = 1e-12
 

@@ -161,6 +161,8 @@ def _run_gap(args):
 
 
 def _d1_grid(lo, hi, step):
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise _Usage("--d1-min, --d1-max and --d1-step must be finite")
     if step <= 0.0:
         raise _Usage("--d1-step must be positive")
     vals = []
@@ -274,7 +276,8 @@ def _run_binomial(args):
     w = args.n * args.delta
     if w.denominator != 1:
         raise DomainError("n * delta must be an integer")
-    k_cap = min(args.k_max, min(int(w), args.n - int(w)))
+    # an invalid n or delta still reaches the oracles at k = 0, which reject it
+    k_cap = min(args.k_max, max(0, min(int(w), args.n - int(w))))
     rows = []
     for k in range(k_cap + 1):
         ratio, gamma = orc.binomial_gamma_exact(args.n, args.delta, k)

@@ -14,7 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._scalar_opt import Lcg64
-from .binary_info import NAT_LOG2, DomainError, conv, h_b, h_b_inv
+from .binary_info import (NAT_LOG2, DomainError, _conv, _g, _h, _hp, _kappa, _nu,
+                          _phi, _Phi, conv, h_b, h_b_inv)
 
 DEFAULT_BUDGET = 2 ** 32
 
@@ -322,6 +323,8 @@ def binomial_gamma_exact(n, delta, k):
     n = int(n)
     k = int(k)
     delta = _as_fraction(delta)
+    if n < 1:
+        raise DomainError("n must be positive")
     if not Fraction(0) < delta < Fraction(1, 2):
         raise DomainError("delta must lie in (0, 1/2)")
     w = n * delta
@@ -338,10 +341,17 @@ def binomial_gamma_exact(n, delta, k):
 
 
 def binomial_gamma_approx(n, delta, k) -> float:
-    """Second-order expansion of the posterior split r(k) for small k/n."""
+    """Second-order expansion of the posterior split r(k) for small k/n.
+
+    Needs n >= 1 and delta in (0, 1/2).
+    """
     n = float(n)
     d = float(delta)
     k = float(k)
+    if n < 1.0:
+        raise DomainError("n must be positive")
+    if not 0.0 < d < 0.5:
+        raise DomainError("delta must lie in (0, 1/2)")
     lead = (1.0 - 2.0 * d) / (d * (1.0 - d))
     inner = k * k / (3.0 * n * d * (1.0 - d)) - 1.0
     return 0.5 + 0.25 * lead * inner * (k / n)
@@ -536,17 +546,8 @@ def _axis(step):
     return ax[ax <= _BOX_HI + 1e-12]
 
 
-def _h_np(x):
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    inner = (x > 0.0) & (x < 1.0)
-    xs = np.where(inner, x, 0.5)
-    out = -(xs * np.log(xs) + (1.0 - xs) * np.log(1.0 - xs))
-    return np.where(inner, out, 0.0)
-
-
 def _hinv_np(t):
+    """Array h_b_inv: 60 halvings of [0, 1/2], every mid inside (0, 1/2)."""
     import numpy as np
 
     t = np.asarray(t, dtype=float)
@@ -554,41 +555,12 @@ def _hinv_np(t):
     hi = np.full_like(t, 0.5)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        below = _h_np(mid) < t
+        below = _h(mid, np.log) < t
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     out = 0.5 * (lo + hi)
     out = np.where(t <= 0.0, 0.0, out)
     return np.where(t >= NAT_LOG2, 0.5, out)
-
-
-def _hp_np(x):
-    import numpy as np
-
-    return np.log((1.0 - x) / x)
-
-
-def _g_np(t):
-    import numpy as np
-
-    return (1.0 - 2.0 * t) * np.log((1.0 - t) / t)
-
-
-def _kappa_np(t):
-    import numpy as np
-
-    return 2.0 * np.log((1.0 - t) / t) + (1.0 - 2.0 * t) / (t * (1.0 - t))
-
-
-def _Phi_np(t):
-    import numpy as np
-
-    L = np.log((1.0 - t) / t)
-    return 2.0 / ((1.0 - 2.0 * t) * L) + 1.0 / (t * (1.0 - t) * L * L)
-
-
-def _conv_np(a, b):
-    return a + b - 2.0 * a * b
 
 
 def _span(step):
@@ -601,17 +573,17 @@ def _run_mgl_lin(step, tol):
     ax = _axis(step)
     fracs = np.linspace(0.0, 1.0, 20)
     us = _hinv_np(fracs * NAT_LOG2)
-    h1 = _h_np(ax)
-    g1 = _g_np(ax)
-    cc = _conv_np(ax[:, None], ax[None, :])
-    hcc = _h_np(cc)
-    slope = _g_np(cc) / g1[:, None]
+    h1 = _h(ax, np.log)
+    g1 = _g(ax, np.log)
+    cc = _conv(ax[:, None], ax[None, :])
+    hcc = _h(cc, np.log)
+    slope = _g(cc, np.log) / g1[:, None]
     best = -math.inf
     arg = (0.0, 0.0, 0.0)
     count = 0
     for u, fr in zip(us, fracs):
         tval = fr * NAT_LOG2
-        lhs = _h_np(_conv_np(ax, float(u)))
+        lhs = _h(_conv(ax, float(u)), np.log)
         v = hcc + slope * (tval - h1[:, None]) - lhs[None, :]
         count += int((v > tol).sum())
         i = int(np.argmax(v))
@@ -628,7 +600,7 @@ def _run_g_convex(step, tol):
     import numpy as np
 
     ax = _axis(step)
-    gv = _g_np(ax)
+    gv = _g(ax, np.log)
     v = gv[1:-1] - 0.5 * (gv[:-2] + gv[2:])
     i = int(np.argmax(v))
     return ViolationReport("g-convex", "t in %s" % _span(step),
@@ -641,13 +613,9 @@ def _run_beta_props(step, tol):
     ax = _axis(step)
     q = ax[:, None]
     t = ax[None, :]
-    L = _hp_np(t)
-    phi = 2.0 * q * L + (1.0 - 2.0 * q) * np.log((1.0 + q * (1.0 - 2.0 * t) / t)
-                                                 / (1.0 - q * (1.0 - 2.0 * t) / (1.0 - t)))
-    nu = (1.0 - 2.0 * q) / (1.0 + q * (1.0 - 2.0 * t) / t)
-    beta = _h_np(_conv_np(q, t)) - _h_np(t)
-    v1 = q * _kappa_np(t) * nu - phi
-    v2 = beta - q * _g_np(t)
+    v1 = q * _kappa(t, np.log) * _nu(q, t) - _phi(q, t, np.log)
+    beta = _h(_conv(q, t), np.log) - _h(t, np.log)
+    v2 = beta - q * _g(t, np.log)
     count = int((v1 > tol).sum()) + int((v2 > tol).sum())
     i1 = int(np.argmax(v1))
     i2 = int(np.argmax(v2))
@@ -664,7 +632,7 @@ def _run_theta_dec(step, tol):
     import numpy as np
 
     ax = _axis(step)
-    th = _Phi_np(ax) * (NAT_LOG2 - _h_np(ax))
+    th = _Phi(ax, np.log) * (NAT_LOG2 - _h(ax, np.log))
     v = th[1:] - th[:-1]
     i = int(np.argmax(v))
     return ViolationReport("theta-dec", "t in %s" % _span(step),
@@ -677,11 +645,11 @@ def _run_f_lt_1(step, tol):
     ax = _axis(step)
     npts = len(ax)
     rho = 1.0 + 2.0 * np.arange(1, npts + 1) / npts
-    targ = NAT_LOG2 - rho[:, None] * (NAT_LOG2 - _h_np(ax))[None, :]
+    targ = NAT_LOG2 - rho[:, None] * (NAT_LOG2 - _h(ax, np.log))[None, :]
     D = _hinv_np(targ)
     ok = D > 0.0
-    phiD = _Phi_np(np.where(ok, D, 0.25))
-    f = _Phi_np(ax)[None, :] / (rho[:, None] * phiD)
+    phiD = _Phi(np.where(ok, D, 0.25), np.log)
+    f = _Phi(ax, np.log)[None, :] / (rho[:, None] * phiD)
     v = np.where(ok, f - 1.0, -np.inf)
     i = int(np.argmax(v))
     r, ccol = divmod(i, v.shape[1])
@@ -696,7 +664,7 @@ def _run_phi_deriv(step, tol):
     ax = _axis(step)
     dd = ax[:, None]
     x = ax[None, :]
-    deriv = (1.0 - 2.0 * dd) * _hp_np(_conv_np(dd, x)) / _hp_np(x)
+    deriv = (1.0 - 2.0 * dd) * _hp(_conv(dd, x), np.log) / _hp(x, np.log)
     v = np.maximum(deriv - 1.0, -deriv)
     i = int(np.argmax(v))
     r, ccol = divmod(i, v.shape[1])

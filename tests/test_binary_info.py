@@ -50,6 +50,8 @@ def test_entropy_inverse_values():
     assert bi.h_b_inv(bi.NAT_LOG2 + 1e-13) == 0.5
     with pytest.raises(bi.DomainError):
         bi.h_b_inv(bi.NAT_LOG2 + 1e-9)
+    with pytest.raises(bi.DomainError):
+        bi.h_b_inv(math.nan)
 
 
 def test_catalog_values():

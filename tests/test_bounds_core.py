@@ -53,6 +53,9 @@ def test_from_counts():
     p = bc.SystemParams.from_counts(m=80, n=100, delta=0.2)
     assert p.rho == 1.25
     assert p.m == 80 and p.n == 100
+    # m is checked before n / m is formed
+    with pytest.raises(bc.DomainError):
+        bc.SystemParams.from_counts(m=0, n=100, delta=0.2)
 
 
 # ---------- frozen values ----------
@@ -86,6 +89,11 @@ def test_gamma_corr_values():
     assert feq(bc.gamma_corr(4, 0.5), GAMMA_4_05, rel=1e-14)
     # delta2 = 0 keeps only the (log n + 1)/(2n) piece
     assert feq(bc.gamma_corr(50, 0.0), (math.log(50) + 1.0) / 100.0, rel=1e-15)
+    # at subnormal delta2, n / delta2 overflows, yet the first term (below
+    # 1e-150) still vanishes against the second rather than giving NaN or inf
+    for n in (1, 2, 5000):
+        for delta2 in (5e-324, 1e-320, 1e-310):
+            assert bc.gamma_corr(n, delta2) == (math.log(n) + 1.0) / (2.0 * n)
 
 
 def test_gap_lower_bound_report():
@@ -248,6 +256,8 @@ def test_expected_sphere_floor_large_n():
 def test_domain_errors():
     with pytest.raises(bc.DomainError):
         bc.d_asym(-1.0, 0.2)
+    with pytest.raises(bc.DomainError):
+        bc.d_asym(math.nan, 0.1)
     with pytest.raises(bc.DomainError):
         bc.d_asym(1.2, 0.6)
     with pytest.raises(bc.DomainError):

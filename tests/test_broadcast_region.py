@@ -4,7 +4,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from jsccbounds import bounds_core as bc
 from jsccbounds import broadcast_region as br
@@ -410,6 +410,9 @@ def slack_inputs(draw):
 
 
 @given(slack_inputs())
+# subnormal delta2: n / delta2 overflows inside the finite-n term
+@example((br.BinaryBroadcastParams(rho=1.0, p=0.5, delta1=0.0, delta2=5e-324, n=2),
+          0.5, 0.0))
 def test_d2_at_q_inverts_the_slack(inputs):
     bp, d1, q = inputs
     d2 = br._d2_at_q(bp, q, br._slack_no_raise(d1, 0.0, q, bp))

@@ -10,6 +10,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -327,6 +328,44 @@ def test_region_bad_grid_returns_1(capsys):
          "--d1-step", "0.01"], capsys)
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag", ["--d1-min", "--d1-max", "--d1-step"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_region_non_finite_grid_returns_1(capsys, flag, value):
+    grid = {"--d1-min": "0.05", "--d1-max": "0.3", "--d1-step": "0.01"}
+    grid[flag] = value
+    argv = ["bound", "region", "--rho", "1.2", "--delta1", "0.08", "--delta2", "0.05"]
+    code, out, err = run_cli(argv + ["%s=%s" % kv for kv in grid.items()], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--fn", "h_b_inv", "--x", "nan"],
+    ["bound", "psi", "--n", "3", "--m", "0", "--delta", "0.11", "--k", "1"],
+    ["oracle", "binomial", "--n", "0", "--delta", "1/4", "--k-max", "0"],
+    ["oracle", "binomial", "--n", "-4", "--delta", "1/4", "--k-max", "2"],
+])
+def test_out_of_domain_counts_and_nan_return_3(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("infeasible:")
+
+
+def test_reference_commands_reproduce_their_stdout(capsys):
+    # every command of the benchmark's frozen cli pool, run in-process
+    ref = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+                      / "cli.json").read_text())
+    wrong = []
+    for op in ref["ops"]:
+        code, out, _ = run_cli(list(op["argv"]), capsys)
+        if (code, out) != (op["returncode"], op["stdout"]):
+            wrong.append(op["argv"])
+    assert len(ref["ops"]) == 122
+    assert wrong == []
 
 
 # ---------- start-up ----------

@@ -274,6 +274,14 @@ def test_binomial_domain():
         orc.binomial_gamma_exact(5, F(1, 4), 1)  # n delta not integral
     with pytest.raises(DomainError):
         orc.binomial_gamma_exact(4, F(1, 2), 1)
+    for n in (0, -4):
+        with pytest.raises(DomainError):
+            orc.binomial_gamma_exact(n, F(1, 4), 0)
+        with pytest.raises(DomainError):
+            orc.binomial_gamma_approx(n, 0.25, 0)
+    for delta in (0.0, 0.5, -0.1):
+        with pytest.raises(DomainError):
+            orc.binomial_gamma_approx(10, delta, 1)
 
 
 # ---------- coupling deviation ----------
