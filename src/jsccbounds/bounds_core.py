@@ -44,7 +44,7 @@ class SystemParams:
 
     def __post_init__(self):
         _check_count("n", self.n)
-        if self.rho <= 0.0:
+        if not self.rho > 0.0:
             raise DomainError(f"rho must be positive, got {self.rho!r}")
         if not 0.0 < self.delta < 0.5:
             raise DomainError(f"delta must lie in (0, 1/2), got {self.delta!r}")

@@ -43,7 +43,7 @@ class BinaryBroadcastParams:
     n: int | None = None
 
     def __post_init__(self):
-        if self.rho <= 0.0:
+        if not self.rho > 0.0:
             raise DomainError(f"rho must be positive, got {self.rho!r}")
         if not 0.0 < self.p <= 0.5:
             raise DomainError(f"p must lie in (0, 1/2], got {self.p!r}")

@@ -160,11 +160,18 @@ def _run_gap(args):
             [row], set(), 0)
 
 
+# most points a bound region grid may hold
+_D1_GRID_MAX_POINTS = 100_000
+
+
 def _d1_grid(lo, hi, step):
     if not all(map(math.isfinite, (lo, hi, step))):
         raise _Usage("--d1-min, --d1-max and --d1-step must be finite")
     if step <= 0.0:
         raise _Usage("--d1-step must be positive")
+    # the grid holds floor((hi - lo + 1e-12) / step) + 1 points
+    if (hi - lo + 1e-12) / step >= _D1_GRID_MAX_POINTS:
+        raise _Usage("the d1 grid would hold more than %d points" % _D1_GRID_MAX_POINTS)
     vals = []
     k = 0
     while True:
@@ -176,6 +183,7 @@ def _d1_grid(lo, hi, step):
     if not vals:
         raise _Usage("empty d1 grid")
     return vals
+
 
 def _run_region(args):
     bp = br.BinaryBroadcastParams(rho=args.rho, p=args.p, delta1=args.delta1,
@@ -222,6 +230,8 @@ def _run_verify(args):
         if nm not in orc.ALL_SUITES:
             raise _Usage("unknown suite: %s (choose from %s)"
                          % (nm, ", ".join(orc.ALL_SUITES)))
+    if not 0.0 < args.grid_step < math.inf:
+        raise _Usage("--grid-step must be finite and positive")
     reports = orc.verify_inequalities(names, args.grid_step, args.tol)
     rows = []
     for rep in reports:

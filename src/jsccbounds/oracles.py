@@ -364,10 +364,17 @@ def coupling_distance_exact(n, delta1, delta2):
     """Exact mean absolute deviation of T = Bin(n(1-d1), d2) + Bin(n d1, 1-d2)
     around n conv(d1, d2).
 
-    The pmf numerators are the coefficients of
-        ((b-a) + a x)^(n - n d1) (a + (b-a) x)^(n d1),  delta2 = a/b,
-    read off one big-integer product evaluated at x = 2^B with B chosen so
-    digits cannot carry. Returns an ExactValue rational.
+    With delta2 = a/b, b^n times the pmf of T is the coefficient list c_t of
+        P(x) = (q1 + p1 x)^m1 (q2 + p2 x)^m2,
+    (q1, p1, m1) = (b-a, a, n - n d1) and (q2, p2, m2) = (a, b-a, n d1).
+    P solves the first-order ODE (q1 + p1 x)(q2 + p2 x) P' = (r0 + n p1 p2 x) P
+    with r0 = m1 p1 q2 + m2 p2 q1, so with s = q1 p2 + p1 q2 the coefficients
+    obey the three-term recurrence
+        (t+1) q1 q2 c_{t+1} = (r0 - s t) c_t + p1 p2 (n - t + 1) c_{t-1},
+    from c_0 = q1^m1 q2^m2 and c_{-1} = 0. Each step scales one integer of at
+    most n log2 b bits by small factors and divides it exactly, so the work is
+    linear in the total size of the n + 1 coefficients, with no big-by-big
+    product. Returns an ExactValue rational.
     """
     n = int(n)
     d1 = _as_fraction(delta1)
@@ -383,17 +390,24 @@ def coupling_distance_exact(n, delta1, delta2):
         raise DomainError("n * delta1 must be an integer")
     w1 = int(w1)
     a, b = d2.numerator, d2.denominator
-    B = (b ** n).bit_length()
-    base = 1 << B
-    prod = ((b - a) + a * base) ** (n - w1) * (a + (b - a) * base) ** w1
+    q1, p1, m1 = b - a, a, n - w1
+    q2, p2, m2 = a, b - a, w1
+    r0 = m1 * p1 * q2 + m2 * p2 * q1
+    s = q1 * p2 + p1 * q2
+    pp, qq = p1 * p2, q1 * q2
     mu = n * (d1 + d2 - 2 * d1 * d2)
     pn, qd = mu.numerator, mu.denominator
-    mask = base - 1
-    total = 0
-    for t in range(n + 1):
-        coeff = prod & mask
-        prod >>= B
-        total += coeff * abs(t * qd - pn)
+    prev, coeff = 0, q1 ** m1 * q2 ** m2
+    total = coeff * pn
+    for t in range(n):
+        nxt, rem = divmod((r0 - s * t) * coeff + pp * (n - t + 1) * prev,
+                          (t + 1) * qq)
+        if rem:
+            raise AssertionError("inexact step %d of the coupling recurrence" % t)
+        prev, coeff = coeff, nxt
+        total += coeff * abs((t + 1) * qd - pn)
+    if coeff != p1 ** m1 * p2 ** m2:
+        raise AssertionError("coupling recurrence missed its last coefficient")
     return ExactValue(Fraction(total, qd * b ** n))
 
 
@@ -689,10 +703,14 @@ def verify_inequalities(suites, grid_step=1e-3, tol=1e-9):
     """Scan the named inequality suites on dense grids; one report each.
 
     A report with violations == 0 means no grid point exceeded tol.
+    grid_step must be finite and positive.
     """
+    grid_step = float(grid_step)
+    if not 0.0 < grid_step < math.inf:
+        raise DomainError("grid_step must be finite and positive, got %r" % grid_step)
     reports = []
     for name in suites:
         if name not in _SUITE_RUNNERS:
             raise DomainError("unknown suite: %s" % name)
-        reports.append(_SUITE_RUNNERS[name](float(grid_step), float(tol)))
+        reports.append(_SUITE_RUNNERS[name](grid_step, float(tol)))
     return reports

@@ -41,6 +41,8 @@ def test_params_validation():
         bc.SystemParams(n=2.5, rho=1.2, delta=0.2)
     with pytest.raises(bc.DomainError):
         bc.SystemParams(n=10, rho=0.0, delta=0.2)
+    with pytest.raises(bc.DomainError, match="rho"):
+        bc.SystemParams(n=10, rho=math.nan, delta=0.2)
     with pytest.raises(bc.DomainError):
         bc.SystemParams(n=10, rho=1.2, delta=0.0)
     with pytest.raises(bc.DomainError):

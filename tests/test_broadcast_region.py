@@ -46,6 +46,8 @@ def region_bp(n=None):
 def test_binary_params_validation():
     with pytest.raises(DomainError):
         br.BinaryBroadcastParams(rho=0.0, p=0.5, delta1=0.1, delta2=0.1)
+    with pytest.raises(DomainError, match="rho"):
+        br.BinaryBroadcastParams(rho=math.nan, p=0.5, delta1=0.1, delta2=0.1)
     with pytest.raises(DomainError):
         br.BinaryBroadcastParams(rho=1.0, p=0.0, delta1=0.1, delta2=0.1)
     with pytest.raises(DomainError):

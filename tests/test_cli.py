@@ -9,6 +9,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -340,6 +341,45 @@ def test_region_non_finite_grid_returns_1(capsys, flag, value):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_region_grid_over_the_point_cap_returns_1_at_once(capsys):
+    argv = ["bound", "region", "--rho", "1.2", "--delta1", "0.08", "--delta2", "0.05",
+            "--d1-min", "0.05", "--d1-max", "0.3", "--d1-step", "1e-10"]
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_d1_grid_cap_boundary():
+    cap = cli._D1_GRID_MAX_POINTS
+    assert len(cli._d1_grid(0.0, 1.0, 1.0 / (cap - 1))) == cap
+    with pytest.raises(cli._Usage):
+        cli._d1_grid(0.0, 1.0, 1.0 / cap)
+
+
+@pytest.mark.parametrize("step", ["0", "-0.01", "nan", "inf"])
+def test_verify_bad_grid_step_returns_1(capsys, step):
+    code, out, err = run_cli(["verify", "--suite", "beta-props",
+                              "--grid-step=%s" % step], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "region", "--rho", "nan", "--delta1", "0.08", "--delta2", "0.05",
+     "--d1-min", "0.05", "--d1-max", "0.06", "--d1-step", "0.01"],
+    ["bound", "lower", "--n", "100", "--rho", "nan", "--delta", "0.11"],
+])
+def test_nan_rho_returns_3_naming_rho(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("infeasible: rho must be positive")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -313,6 +314,44 @@ def test_coupling_deviation_bound():
             assert got <= math.sqrt(n * float(d2))
 
 
+def _coupling_by_kronecker(n, d1, d2):
+    # reference oracle: the pmf numerators are the base-2^B digits of one
+    # big-integer product, B chosen so that no digit carries
+    w1 = int(n * d1)
+    a, b = d2.numerator, d2.denominator
+    B = (b ** n).bit_length()
+    base = 1 << B
+    prod = ((b - a) + a * base) ** (n - w1) * (a + (b - a) * base) ** w1
+    mu = n * (d1 + d2 - 2 * d1 * d2)
+    total = 0
+    for t in range(n + 1):
+        total += (prod & (base - 1)) * abs(t * mu.denominator - mu.numerator)
+        prod >>= B
+    return F(total, mu.denominator * b ** n)
+
+
+@st.composite
+def _coupling_instances(draw):
+    n = draw(st.integers(3, 200))
+    k = draw(st.integers(1, (n - 1) // 2))
+    b = draw(st.integers(3, 300))
+    a = draw(st.integers(1, (b - 1) // 2))
+    return n, F(k, n), F(a, b)
+
+
+@settings(max_examples=200)
+@given(inst=_coupling_instances())
+def test_coupling_recurrence_matches_kronecker_product(inst):
+    n, d1, d2 = inst
+    assert orc.coupling_distance_exact(n, d1, d2).value == _coupling_by_kronecker(n, d1, d2)
+
+
+def test_coupling_frozen_digest_at_n2000():
+    got = orc.coupling_distance_exact(2000, F(3, 10), F(1, 7))
+    digest = hashlib.sha256(str(got.value).encode()).hexdigest()
+    assert digest == "cd459332c55053c73dd9a051911b394678daf6a2318047b4385608e2d3f861b3"
+
+
 def test_coupling_domain():
     with pytest.raises(DomainError):
         orc.coupling_distance_exact(10, F(1, 3), F(1, 5))  # n delta1 = 10/3
@@ -375,6 +414,12 @@ def test_verify_all_suites_clean_on_coarse_grid():
 def test_verify_unknown_suite():
     with pytest.raises(DomainError):
         orc.verify_inequalities(["nope"])
+
+
+@pytest.mark.parametrize("step", [0.0, -0.01, math.nan, math.inf])
+def test_verify_rejects_bad_grid_step(step):
+    with pytest.raises(DomainError):
+        orc.verify_inequalities(["beta-props"], grid_step=step)
 
 
 def test_verify_report_shape():
