@@ -240,33 +240,27 @@ def R(t: float) -> float:
     return NAT_LOG2 - h_b(t)
 
 
-_ONE_ARG = {
+# every catalog function by name, in the order the CLI lists them
+_CATALOG = {
     "h_b": h_b,
     "h_b_inv": h_b_inv,
+    "conv": conv,
     "g": g,
     "kappa": kappa,
     "Phi": Phi,
-    "psi": psi,
-    "vartheta": vartheta,
-    "R": R,
-}
-
-_TWO_ARG = {
-    "conv": conv,
     "beta": beta,
     "phi": phi,
     "nu": nu,
+    "psi": psi,
+    "vartheta": vartheta,
+    "R": R,
+    "mgl": mgl_phi,
+    "mgl_deriv": mgl_phi_deriv,
 }
 
 
 def info_fn(name: str):
     """Look up a catalog function by name; raises DomainError on unknown names."""
-    if name in _ONE_ARG:
-        return _ONE_ARG[name]
-    if name in _TWO_ARG:
-        return _TWO_ARG[name]
-    if name == "mgl":
-        return mgl_phi
-    if name == "mgl_deriv":
-        return mgl_phi_deriv
-    raise DomainError(f"unknown function name {name!r}")
+    if name not in _CATALOG:
+        raise DomainError(f"unknown function name {name!r}")
+    return _CATALOG[name]

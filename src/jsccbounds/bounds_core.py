@@ -228,7 +228,7 @@ def gap_rhs(d1: float, d2: float, bparams, tau: float) -> float:
     correction term is 0 (asymptotic mode). Requires d1, d2 in (0, 1/2) and
     tau > 0.
     """
-    if tau <= 0.0:
+    if not tau > 0.0:
         raise DomainError(f"tau must be positive, got {tau!r}")
     if not (0.0 < d1 < 0.5 and 0.0 < d2 < 0.5):
         raise DomainError("gap_rhs needs d1, d2 in (0, 1/2)")
@@ -259,7 +259,7 @@ def sum_distortion_lb(a: float, params: SystemParams) -> float:
     Warns (without failing) when a >= log^2(n), where the guarantee backing
     the formula no longer applies.
     """
-    if a < 0.0:
+    if not a >= 0.0:
         raise DomainError(f"a must be nonnegative, got {a!r}")
     if params.rho <= 1.0:
         raise DomainError("sum_distortion_lb needs rho > 1")

@@ -68,11 +68,11 @@ class GaussianBroadcastParams:
     rho: float
 
     def __post_init__(self):
-        if self.sigma2 <= 0.0 or self.power <= 0.0 or self.n1 <= 0.0:
+        if not (self.sigma2 > 0.0 and self.power > 0.0 and self.n1 > 0.0):
             raise DomainError("sigma2, power, n1 must be positive")
-        if self.aux_var < 0.0 or self.n2 < 0.0:
+        if not (self.aux_var >= 0.0 and self.n2 >= 0.0):
             raise DomainError("aux_var, n2 must be nonnegative")
-        if self.rho <= 0.0:
+        if not self.rho > 0.0:
             raise DomainError("rho must be positive")
 
 
@@ -444,7 +444,7 @@ def gaussian_rate(gp: GaussianBroadcastParams, d: float) -> float:
 
 def gaussian_fp(gp: GaussianBroadcastParams, t: float) -> float:
     """t - (1/2) log((aux_var + sigma2)/(aux_var + sigma2 e^{-2t}))."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise DomainError(f"t must be nonnegative, got {t!r}")
     s2, a2 = gp.sigma2, gp.aux_var
     return t - 0.5 * math.log((a2 + s2) / (a2 + s2 * math.exp(-2.0 * t)))
@@ -460,7 +460,7 @@ def gaussian_rbar(gp: GaussianBroadcastParams, d: float) -> float:
 def gaussian_gq(gp: GaussianBroadcastParams, t: float) -> float:
     """(1/2) log((P + N1 + N2)/(N1 e^{2t} + N2)); negative past the strong
     user's capacity, which signals an empty bound."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise DomainError(f"t must be nonnegative, got {t!r}")
     return 0.5 * math.log(
         (gp.power + gp.n1 + gp.n2) / (gp.n1 * math.exp(2.0 * t) + gp.n2)

@@ -19,9 +19,13 @@ from fractions import Fraction
 from . import bounds_core as bc
 from . import broadcast_region as br
 from . import oracles as orc
-from .binary_info import _ONE_ARG, NAT_LOG2, DomainError, conv, info_fn
+from .binary_info import _CATALOG, NAT_LOG2, DomainError, info_fn
 
 _NAT_VALUED_FNS = ("h_b", "g", "kappa", "beta", "phi", "R", "mgl")
+
+# the flag each two-argument catalog function takes before x
+_FIRST_ARG_FLAG = {"conv": "q", "beta": "q", "phi": "q", "nu": "q",
+                   "mgl": "delta", "mgl_deriv": "delta"}
 
 
 class _Usage(Exception):
@@ -102,27 +106,19 @@ def _to_bits(columns, rows, bits_cols):
 def _run_eval(args):
     name = args.fn
     fn = info_fn(name)
-    qcell = dcell = None
-    if name in _ONE_ARG:
+    cells = {"q": None, "delta": None}
+    flag = _FIRST_ARG_FLAG.get(name)
+    if flag is None:
         value = fn(args.x)
-    elif name == "conv":
-        if args.q is None:
-            raise _Usage("eval --fn conv needs --q")
-        value = conv(args.x, args.q)
-        qcell = args.q
-    elif name in ("beta", "phi", "nu"):
-        if args.q is None:
-            raise _Usage("eval --fn %s needs --q" % name)
-        value = fn(args.q, args.x)
-        qcell = args.q
-    else:  # mgl, mgl_deriv
-        if args.delta is None:
-            raise _Usage("eval --fn %s needs --delta" % name)
-        value = fn(args.delta, args.x)
-        dcell = args.delta
+    else:
+        first = getattr(args, flag)
+        if first is None:
+            raise _Usage("eval --fn %s needs --%s" % (name, flag))
+        cells[flag] = first
+        value = fn(first, args.x)
     bits = {"value"} if name in _NAT_VALUED_FNS else set()
     return (["fn", "x", "q", "delta", "value"],
-            [[name, args.x, qcell, dcell, value]], bits, 0)
+            [[name, args.x, cells["q"], cells["delta"], value]], bits, 0)
 
 
 def _run_lower(args):
@@ -143,9 +139,9 @@ def _run_psi(args):
 
 def _run_sum(args):
     params = bc.SystemParams(n=args.n, rho=args.rho, delta=args.delta)
-    rep = bc.gap_lower_bound(params)
     value = bc.sum_distortion_lb(args.a, params)
-    row = [args.n, args.rho, args.delta, args.a, "auto", value, rep.correction_order]
+    row = [args.n, args.rho, args.delta, args.a, "auto", value,
+           bc.LowerBoundReport.correction_order]
     return (["n", "rho", "delta", "a", "tau", "value", "correction_order"],
             [row], set(), 0)
 
@@ -226,13 +222,10 @@ def _run_verify(args):
     names = [s for s in args.suite.split(",") if s]
     if not names:
         raise _Usage("--suite needs at least one suite name")
-    for nm in names:
-        if nm not in orc.ALL_SUITES:
-            raise _Usage("unknown suite: %s (choose from %s)"
-                         % (nm, ", ".join(orc.ALL_SUITES)))
-    if not 0.0 < args.grid_step < math.inf:
-        raise _Usage("--grid-step must be finite and positive")
-    reports = orc.verify_inequalities(names, args.grid_step, args.tol)
+    try:
+        reports = orc.verify_inequalities(names, args.grid_step, args.tol)
+    except DomainError as exc:  # a bad suite name, grid step or tol
+        raise _Usage(str(exc))
     rows = []
     for rep in reports:
         rows.append([rep.inequality, args.grid_step, args.tol, rep.max_violation,
@@ -332,10 +325,7 @@ def _build_parser() -> _Parser:
                                 parser_class=_Parser)
 
     p = top.add_parser("eval", parents=[common])
-    p.add_argument("--fn", required=True,
-                   choices=["h_b", "h_b_inv", "conv", "g", "kappa", "Phi",
-                            "beta", "phi", "nu", "psi", "vartheta", "R",
-                            "mgl", "mgl_deriv"])
+    p.add_argument("--fn", required=True, choices=list(_CATALOG))
     p.add_argument("--x", required=True, type=float)
     p.add_argument("--q", type=float)
     p.add_argument("--delta", type=float)

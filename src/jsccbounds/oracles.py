@@ -9,7 +9,7 @@ The grid verifiers scan the scalar inequalities over dense boxes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -29,14 +29,10 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class ExactValue:
-    """A number carried either as an exact rational or as a float."""
+    """A number carried as an exact rational."""
 
-    value: Fraction | float
-    mode: str = "exact"
-
-    def __post_init__(self):
-        if self.mode not in ("exact", "float"):
-            raise ValueError("mode must be 'exact' or 'float'")
+    value: Fraction
+    mode = "exact"
 
     def __float__(self):
         return float(self.value)
@@ -581,6 +577,23 @@ def _span(step):
     return "[%g, %g] step %g" % (_BOX_LO, _BOX_HI, step)
 
 
+def _report(name, grid, v, axes, tol):
+    """Report on the margins v, where axes[k] labels the k-th index of v:
+    the first largest margin, the axis values at it, and the count above tol."""
+    import numpy as np
+
+    idx = np.unravel_index(int(np.argmax(v)), v.shape)
+    return ViolationReport(name, grid, float(v[idx]),
+                           tuple(float(a[i]) for a, i in zip(axes, idx)),
+                           int((v > tol).sum()))
+
+
+def _merge(reports):
+    """The first report with the largest margin, carrying every report's count."""
+    best = max(reports, key=lambda rep: rep.max_violation)
+    return replace(best, violations=sum(rep.violations for rep in reports))
+
+
 def _run_mgl_lin(step, tol):
     import numpy as np
 
@@ -592,22 +605,14 @@ def _run_mgl_lin(step, tol):
     cc = _conv(ax[:, None], ax[None, :])
     hcc = _h(cc, np.log)
     slope = _g(cc, np.log) / g1[:, None]
-    best = -math.inf
-    arg = (0.0, 0.0, 0.0)
-    count = 0
+    grid = "d1,d2 in %s; 20 t values in [0, log 2]" % _span(step)
+    reports = []
     for u, fr in zip(us, fracs):
         tval = fr * NAT_LOG2
         lhs = _h(_conv(ax, float(u)), np.log)
         v = hcc + slope * (tval - h1[:, None]) - lhs[None, :]
-        count += int((v > tol).sum())
-        i = int(np.argmax(v))
-        vi = float(v.flat[i])
-        if vi > best:
-            best = vi
-            r, ccol = divmod(i, v.shape[1])
-            arg = (float(ax[r]), float(ax[ccol]), float(tval))
-    return ViolationReport("mgl-lin", "d1,d2 in %s; 20 t values in [0, log 2]" % _span(step),
-                           best, arg, count)
+        reports.append(_report("mgl-lin", grid, v[:, :, None], (ax, ax, (tval,)), tol))
+    return _merge(reports)
 
 
 def _run_g_convex(step, tol):
@@ -616,9 +621,7 @@ def _run_g_convex(step, tol):
     ax = _axis(step)
     gv = _g(ax, np.log)
     v = gv[1:-1] - 0.5 * (gv[:-2] + gv[2:])
-    i = int(np.argmax(v))
-    return ViolationReport("g-convex", "t in %s" % _span(step),
-                           float(v[i]), (float(ax[i + 1]),), int((v > tol).sum()))
+    return _report("g-convex", "t in %s" % _span(step), v, (ax[1:-1],), tol)
 
 
 def _run_beta_props(step, tol):
@@ -627,19 +630,12 @@ def _run_beta_props(step, tol):
     ax = _axis(step)
     q = ax[:, None]
     t = ax[None, :]
+    grid = "q,t in %s" % _span(step)
     v1 = q * _kappa(t, np.log) * _nu(q, t) - _phi(q, t, np.log)
+    rep1 = _report("beta-props", grid, v1, (ax, ax), tol)
     beta = _h(_conv(q, t), np.log) - _h(t, np.log)
     v2 = beta - q * _g(t, np.log)
-    count = int((v1 > tol).sum()) + int((v2 > tol).sum())
-    i1 = int(np.argmax(v1))
-    i2 = int(np.argmax(v2))
-    if float(v1.flat[i1]) >= float(v2.flat[i2]):
-        best, i = float(v1.flat[i1]), i1
-    else:
-        best, i = float(v2.flat[i2]), i2
-    r, ccol = divmod(i, v1.shape[1])
-    return ViolationReport("beta-props", "q,t in %s" % _span(step),
-                           best, (float(ax[r]), float(ax[ccol])), count)
+    return _merge([rep1, _report("beta-props", grid, v2, (ax, ax), tol)])
 
 
 def _run_theta_dec(step, tol):
@@ -648,9 +644,7 @@ def _run_theta_dec(step, tol):
     ax = _axis(step)
     th = _Phi(ax, np.log) * (NAT_LOG2 - _h(ax, np.log))
     v = th[1:] - th[:-1]
-    i = int(np.argmax(v))
-    return ViolationReport("theta-dec", "t in %s" % _span(step),
-                           float(v[i]), (float(ax[i + 1]),), int((v > tol).sum()))
+    return _report("theta-dec", "t in %s" % _span(step), v, (ax[1:],), tol)
 
 
 def _run_f_lt_1(step, tol):
@@ -665,11 +659,7 @@ def _run_f_lt_1(step, tol):
     phiD = _Phi(np.where(ok, D, 0.25), np.log)
     f = _Phi(ax, np.log)[None, :] / (rho[:, None] * phiD)
     v = np.where(ok, f - 1.0, -np.inf)
-    i = int(np.argmax(v))
-    r, ccol = divmod(i, v.shape[1])
-    return ViolationReport("f-lt-1", "rho in (1, 3], delta in %s" % _span(step),
-                           float(v.flat[i]), (float(rho[r]), float(ax[ccol])),
-                           int((v > tol).sum()))
+    return _report("f-lt-1", "rho in (1, 3], delta in %s" % _span(step), v, (rho, ax), tol)
 
 
 def _run_phi_deriv(step, tol):
@@ -680,11 +670,7 @@ def _run_phi_deriv(step, tol):
     x = ax[None, :]
     deriv = (1.0 - 2.0 * dd) * _hp(_conv(dd, x), np.log) / _hp(x, np.log)
     v = np.maximum(deriv - 1.0, -deriv)
-    i = int(np.argmax(v))
-    r, ccol = divmod(i, v.shape[1])
-    return ViolationReport("phi-deriv-le-1", "delta,x in %s" % _span(step),
-                           float(v.flat[i]), (float(ax[r]), float(ax[ccol])),
-                           int((v > tol).sum()))
+    return _report("phi-deriv-le-1", "delta,x in %s" % _span(step), v, (ax, ax), tol)
 
 
 _SUITE_RUNNERS = {
@@ -699,18 +685,32 @@ _SUITE_RUNNERS = {
 ALL_SUITES = tuple(_SUITE_RUNNERS)
 
 
+# most points one grid axis may hold: the two-dimensional suites peak at
+# about 66 B per grid cell, so the cap keeps a run near 0.3 GiB
+_VERIFY_AXIS_MAX_POINTS = 2_000
+
+
 def verify_inequalities(suites, grid_step=1e-3, tol=1e-9):
     """Scan the named inequality suites on dense grids; one report each.
 
     A report with violations == 0 means no grid point exceeded tol.
-    grid_step must be finite and positive.
+    grid_step must be finite and positive and put at most 2,000 points on
+    an axis, and tol must be finite. Every argument is checked before any
+    suite runs.
     """
+    suites = list(suites)
     grid_step = float(grid_step)
+    tol = float(tol)
     if not 0.0 < grid_step < math.inf:
         raise DomainError("grid_step must be finite and positive, got %r" % grid_step)
-    reports = []
+    # the length of the np.arange that _axis builds
+    if (_BOX_HI + 0.5 * grid_step - _BOX_LO) / grid_step > _VERIFY_AXIS_MAX_POINTS:
+        raise DomainError("grid_step %r puts more than %d points on an axis"
+                          % (grid_step, _VERIFY_AXIS_MAX_POINTS))
+    if not math.isfinite(tol):
+        raise DomainError("tol must be finite, got %r" % tol)
     for name in suites:
         if name not in _SUITE_RUNNERS:
-            raise DomainError("unknown suite: %s" % name)
-        reports.append(_SUITE_RUNNERS[name](grid_step, float(tol)))
-    return reports
+            raise DomainError("unknown suite: %s (choose from %s)"
+                              % (name, ", ".join(ALL_SUITES)))
+    return [_SUITE_RUNNERS[name](grid_step, tol) for name in suites]

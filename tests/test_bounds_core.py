@@ -303,8 +303,9 @@ def test_sphere_floor_integrality():
 
 def test_gap_rhs_domains():
     bp = BinaryBroadcastParams(rho=1.2, p=0.5, delta1=0.18, delta2=0.05)
-    with pytest.raises(bc.DomainError):
-        bc.gap_rhs(0.15, 0.2, bp, 0.0)
+    for tau in (0.0, math.nan):
+        with pytest.raises(bc.DomainError):
+            bc.gap_rhs(0.15, 0.2, bp, tau)
     with pytest.raises(bc.DomainError):
         bc.gap_rhs(0.0, 0.2, bp, 1.0)
     with pytest.raises(bc.DomainError):
@@ -313,8 +314,9 @@ def test_gap_rhs_domains():
 
 def test_sum_distortion_guard_rails():
     p = bc.SystemParams(n=100, rho=1.2, delta=0.2)
-    with pytest.raises(bc.DomainError):
-        bc.sum_distortion_lb(-1.0, p)
+    for a in (-1.0, math.nan):
+        with pytest.raises(bc.DomainError):
+            bc.sum_distortion_lb(a, p)
     with pytest.raises(bc.DomainError):
         bc.sum_distortion_lb(1.0, bc.SystemParams(n=100, rho=1.0, delta=0.2))
     with pytest.warns(UserWarning):

@@ -73,7 +73,8 @@ def test_erasure_params_validation():
 
 
 def test_gaussian_params_validation():
-    for kw in ({"sigma2": 0.0}, {"power": 0.0}, {"n1": 0.0}):
+    nans = [{name: math.nan} for name in ("sigma2", "aux_var", "power", "n1", "n2", "rho")]
+    for kw in [{"sigma2": 0.0}, {"power": 0.0}, {"n1": 0.0}] + nans:
         args = dict(sigma2=1.0, aux_var=0.5, power=4.0, n1=1.0, n2=1.0, rho=1.0)
         args.update(kw)
         with pytest.raises(DomainError):
@@ -488,8 +489,9 @@ def test_gaussian_fp():
     got = br.gaussian_fp(gp, br.gaussian_rate(gp, 0.2))
     assert feq(got, GAUSS_F, rel=1e-14)
     assert feq(got, 0.5 * math.log(7.0 / 3.0), rel=1e-14)
-    with pytest.raises(DomainError):
-        br.gaussian_fp(gp, -0.1)
+    for t in (-0.1, math.nan):
+        with pytest.raises(DomainError):
+            br.gaussian_fp(gp, t)
 
 
 def test_gaussian_rbar():
@@ -506,6 +508,9 @@ def test_gaussian_gq():
     cap = 0.5 * math.log(1.0 + 4.0)
     assert abs(br.gaussian_gq(gp, cap)) < 1e-12
     assert br.gaussian_gq(gp, cap + 0.1) < 0.0
+    for t in (-0.1, math.nan):
+        with pytest.raises(DomainError):
+            br.gaussian_gq(gp, t)
 
 
 def test_gaussian_bound_and_floor():

@@ -50,6 +50,19 @@ def test_eval_h_b_csv_row(capsys):
     assert value == "%.12g" % bi.h_b(0.25)
 
 
+def test_eval_reaches_every_catalog_function(capsys):
+    for name, fn in bi._CATALOG.items():
+        flag = cli._FIRST_ARG_FLAG.get(name)
+        argv = ["eval", "--fn", name, "--x", "0.3"]
+        args = (0.3,)
+        if flag is not None:
+            argv += ["--" + flag, "0.1"]
+            args = (0.1, 0.3)
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0, name
+        assert parse_csv(out)[1][0][4] == "%.12g" % fn(*args), name
+
+
 def test_eval_two_arg_fns(capsys):
     code, out, _ = run_cli(
         ["eval", "--fn", "beta", "--x", "0.2", "--q", "0.1"], capsys)
@@ -370,6 +383,25 @@ def test_verify_bad_grid_step_returns_1(capsys, step):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_verify_non_finite_tol_returns_1(capsys, tol):
+    code, out, err = run_cli(["verify", "--suite", "g-convex", "--grid-step", "0.01",
+                              "--tol=%s" % tol], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_verify_grid_over_the_axis_cap_returns_1_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(["verify", "--suite", "beta-props", "--grid-step", "1e-5"],
+                             capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("argv", [
     ["bound", "region", "--rho", "nan", "--delta1", "0.08", "--delta2", "0.05",
      "--d1-min", "0.05", "--d1-max", "0.06", "--d1-step", "0.01"],
@@ -382,11 +414,21 @@ def test_nan_rho_returns_3_naming_rho(capsys, argv):
     assert err.startswith("infeasible: rho must be positive")
 
 
+_GAUSSIAN = ["bound", "gaussian", "--sigma2", "1", "--aux-var", "0.5", "--power", "1",
+             "--n1", "0.5", "--n2", "1", "--rho", "1", "--d1", "0.3"]
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "--fn", "h_b_inv", "--x", "nan"],
     ["bound", "psi", "--n", "3", "--m", "0", "--delta", "0.11", "--k", "1"],
     ["oracle", "binomial", "--n", "0", "--delta", "1/4", "--k-max", "0"],
     ["oracle", "binomial", "--n", "-4", "--delta", "1/4", "--k-max", "2"],
+    ["bound", "gap", "--rho", "1.2", "--delta1", "0.08", "--delta2", "0.05",
+     "--d1", "0.1", "--d2", "0.2", "--tau", "nan"],
+    ["bound", "sum", "--n", "100", "--rho", "1.2", "--delta", "0.2", "--a", "nan"],
+] + [
+    # a repeated flag takes its last value
+    _GAUSSIAN + [flag, "nan"] for flag in ("--rho", "--aux-var", "--power", "--n1", "--n2")
 ])
 def test_out_of_domain_counts_and_nan_return_3(capsys, argv):
     code, out, err = run_cli(argv, capsys)

@@ -94,10 +94,6 @@ def test_exact_value_container():
     v = orc.ExactValue(F(1, 3))
     assert float(v) == pytest.approx(1 / 3, rel=1e-15)
     assert v.mode == "exact"
-    w = orc.ExactValue(0.25, mode="float")
-    assert float(w) == 0.25
-    with pytest.raises(ValueError):
-        orc.ExactValue(0.25, mode="fancy")
 
 
 def test_encoder_table_validation():
@@ -416,10 +412,59 @@ def test_verify_unknown_suite():
         orc.verify_inequalities(["nope"])
 
 
+def test_verify_checks_every_suite_name_before_running_any(monkeypatch):
+    ran = []
+    monkeypatch.setitem(orc._SUITE_RUNNERS, "mgl-lin", lambda step, tol: ran.append(step))
+    with pytest.raises(DomainError):
+        orc.verify_inequalities(["mgl-lin", "nope"])
+    assert ran == []
+
+
 @pytest.mark.parametrize("step", [0.0, -0.01, math.nan, math.inf])
 def test_verify_rejects_bad_grid_step(step):
     with pytest.raises(DomainError):
         orc.verify_inequalities(["beta-props"], grid_step=step)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_verify_rejects_non_finite_tol(tol):
+    # every comparison with NaN is False, so a NaN tol would pass every grid
+    with pytest.raises(DomainError):
+        orc.verify_inequalities(["g-convex"], grid_step=0.01, tol=tol)
+
+
+def test_verify_axis_cap_boundary():
+    cap = orc._VERIFY_AXIS_MAX_POINTS
+    span = orc._BOX_HI - orc._BOX_LO
+    assert len(orc._axis(span / (cap - 1))) == cap
+    (rep,) = orc.verify_inequalities(["g-convex"], grid_step=span / (cap - 1))
+    assert rep.violations == 0
+    assert len(orc._axis(span / cap)) == cap + 1
+    with pytest.raises(DomainError):
+        orc.verify_inequalities(["g-convex"], grid_step=span / cap)
+
+
+# every suite at grid step 0.02 with tol = -1, so every count is nonzero
+_FROZEN_REPORTS_002 = [
+    orc.ViolationReport("mgl-lin", "d1,d2 in [0.0001, 0.4999] step 0.02; 20 t values in [0, log 2]",
+                        -8.376566107415329e-11, (0.48009999999999997, 0.0001, 0.6931471805599453),
+                        12500),
+    orc.ViolationReport("g-convex", "t in [0.0001, 0.4999] step 0.02",
+                        -0.0032429565310716658, (0.4601,), 22),
+    orc.ViolationReport("beta-props", "q,t in [0.0001, 0.4999] step 0.02",
+                        -3.173117894265859e-11, (0.0001, 0.48009999999999997), 1066),
+    orc.ViolationReport("theta-dec", "t in [0.0001, 0.4999] step 0.02",
+                        -0.0008032878408799071, (0.48009999999999997,), 23),
+    orc.ViolationReport("f-lt-1", "rho in (1, 3], delta in [0.0001, 0.4999] step 0.02",
+                        -2.1173538161112226e-05, (1.08, 0.48009999999999997), 483),
+    orc.ViolationReport("phi-deriv-le-1", "delta,x in [0.0001, 0.4999] step 0.02",
+                        -0.00034408654202332456, (0.48009999999999997, 0.0001), 625),
+]
+
+
+def test_verify_frozen_reports_at_negative_tol():
+    reports = orc.verify_inequalities(orc.ALL_SUITES, grid_step=0.02, tol=-1.0)
+    assert reports == _FROZEN_REPORTS_002
 
 
 def test_verify_report_shape():
