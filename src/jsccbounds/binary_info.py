@@ -20,6 +20,53 @@ class DomainError(ValueError):
     """An argument left the domain where the requested quantity is defined."""
 
 
+# ---------- the argument checker ----------
+# Every argument check of the package goes through _real or _count, so the
+# NaN and +-inf policy lives here: a comparison with NaN is False, and the
+# -inf < x < inf test catches the infinities an unbounded end lets through.
+# The scalar kernel leaves h_b, h_b_inv and conv keep inline comparisons: a
+# checker call adds about 300 ns to h_b's ~450 ns (timeit, CPython 3.11 on
+# an Intel Xeon), and a region point makes about 3,100 h_b and conv calls.
+
+
+def _real(name, x, lo=-math.inf, hi=math.inf, ends="[]"):
+    """x, when it is finite and lies between lo and hi; the interval is open
+    at an end whose bracket in ends is a parenthesis. Else DomainError."""
+    if ((lo < x if ends[0] == "(" else lo <= x)
+            and (x < hi if ends[1] == ")" else x <= hi)
+            and -math.inf < x < math.inf):
+        return x
+    raise DomainError(_outside(name, x, lo, hi, ends, False))
+
+
+def _count(name, v, lo=1, hi=math.inf) -> int:
+    """int(v), when v is an integer in [lo, hi]; else DomainError."""
+    if lo <= v <= hi and -math.inf < v < math.inf and v == int(v):
+        return int(v)
+    raise DomainError(_outside(name, v, lo, hi, "[]", True))
+
+
+def _outside(name, x, lo, hi, ends, integer) -> str:
+    if hi == math.inf and integer and lo == 1:
+        must = "a positive integer"
+    elif hi == math.inf and not integer and lo == 0:
+        must = ("positive" if ends[0] == "(" else "nonnegative") + " and finite"
+    else:
+        # an infinite end prints open: the checks reject +-inf
+        must = "%sin %s%s, %s%s" % (
+            "an integer " if integer else "",
+            "(" if lo == -math.inf else ends[0], _end(lo),
+            _end(hi), ")" if hi == math.inf else ends[1])
+    return "%s must be %s, got %r" % (name, must, x)
+
+
+def _end(b) -> str:
+    if isinstance(b, int) and b.bit_length() > 256:
+        # an encoder rank can run to thousands of digits
+        return "~2^%d" % b.bit_length()
+    return "%g" % b if isinstance(b, float) else str(b)
+
+
 # ---------- one formula per measure, for floats and arrays alike ----------
 # No checks: callers keep every log argument positive.
 
@@ -142,28 +189,21 @@ def conv(a: float, b: float) -> float:
 
 def h_b_prime(x: float) -> float:
     """Derivative of h_b: log((1-x)/x), for x in (0, 1)."""
-    if not 0.0 < x < 1.0:
-        raise DomainError(f"h_b_prime needs x in (0, 1), got {x!r}")
-    return _hp(x, math.log)
+    return _hp(_real("x", x, 0.0, 1.0, "()"), math.log)
 
 
 def mgl_phi(delta: float, t: float) -> float:
     """h_b(conv(delta, h_b_inv(t))): convex and nondecreasing in t."""
-    if not 0.0 <= delta <= 0.5:
-        raise DomainError(f"mgl_phi needs delta in [0, 1/2], got {delta!r}")
-    if not 0.0 <= t <= NAT_LOG2 + 1e-12:
-        raise DomainError(f"mgl_phi needs t in [0, log 2], got {t!r}")
+    _real("delta", delta, 0.0, 0.5)
+    _real("t", t, 0.0, NAT_LOG2 + 1e-12)
     return h_b(conv(delta, h_b_inv(t)))
 
 
 def mgl_phi_deriv(delta: float, t: float) -> float:
     """d/dt of mgl_phi(delta, .), in (0, 1] on the open interval t in (0, log 2)."""
-    if not 0.0 <= delta < 0.5:
-        raise DomainError(f"mgl_phi_deriv needs delta in [0, 1/2), got {delta!r}")
-    if not 0.0 < t < NAT_LOG2:
-        # singular at t=0, indeterminate 0/0 at t=log 2
-        raise DomainError(f"mgl_phi_deriv needs t in (0, log 2), got {t!r}")
-    x = h_b_inv(t)
+    _real("delta", delta, 0.0, 0.5, "[)")
+    # singular at t=0, indeterminate 0/0 at t=log 2
+    x = h_b_inv(_real("t", t, 0.0, NAT_LOG2, "()"))
     return (1.0 - 2.0 * delta) * h_b_prime(conv(delta, x)) / h_b_prime(x)
 
 
@@ -172,72 +212,51 @@ def mgl_phi_deriv(delta: float, t: float) -> float:
 # where both are finite (0). q-arguments live in [0, 1/2].
 
 
-def _check_t_open(name: str, t: float) -> None:
-    if not 0.0 < t < 0.5:
-        raise DomainError(f"{name} needs t in (0, 1/2), got {t!r}")
-
-
-def _check_t_closed_right(name: str, t: float) -> None:
-    if not 0.0 < t <= 0.5:
-        raise DomainError(f"{name} needs t in (0, 1/2], got {t!r}")
-
-
-def _check_q(name: str, q: float) -> None:
-    if not 0.0 <= q <= 0.5:
-        raise DomainError(f"{name} needs q in [0, 1/2], got {q!r}")
-
-
 def g(t: float) -> float:
-    _check_t_open("g", t)
-    return _g(t, math.log)
+    return _g(_real("t", t, 0.0, 0.5, "()"), math.log)
 
 
 def kappa(t: float) -> float:
     """Negative derivative of g."""
-    _check_t_open("kappa", t)
-    return _kappa(t, math.log)
+    return _kappa(_real("t", t, 0.0, 0.5, "()"), math.log)
 
 
 def Phi(t: float) -> float:
-    _check_t_open("Phi", t)
-    return _Phi(t, math.log)
+    return _Phi(_real("t", t, 0.0, 0.5, "()"), math.log)
 
 
 def beta(q: float, t: float) -> float:
     """h_b(conv(q, t)) - h_b(t); vanishes at t = 1/2 and at q = 0."""
-    _check_q("beta", q)
-    _check_t_closed_right("beta", t)
+    _real("q", q, 0.0, 0.5)
+    _real("t", t, 0.0, 0.5, "(]")
     return h_b(conv(q, t)) - h_b(t)
 
 
 def phi(q: float, t: float) -> float:
     """Negative t-derivative of beta(q, .)."""
-    _check_q("phi", q)
-    _check_t_open("phi", t)
-    return _phi(q, t, math.log)
+    _real("q", q, 0.0, 0.5)
+    return _phi(q, _real("t", t, 0.0, 0.5, "()"), math.log)
 
 
 def nu(q: float, t: float) -> float:
-    _check_q("nu", q)
-    _check_t_open("nu", t)
-    return _nu(q, t)
+    _real("q", q, 0.0, 0.5)
+    return _nu(q, _real("t", t, 0.0, 0.5, "()"))
 
 
 def psi(t: float) -> float:
-    _check_t_open("psi", t)
+    # kappa checks t
     return (1.0 - 2.0 * t) * kappa(t) / g(t)
 
 
 def vartheta(t: float) -> float:
     """Phi(t) * R(t); strictly decreasing on (0, 1/2)."""
-    _check_t_open("vartheta", t)
+    # Phi checks t
     return Phi(t) * R(t)
 
 
 def R(t: float) -> float:
     """Rate log 2 - h_b(t); equals the BSC(t) capacity."""
-    _check_t_closed_right("R", t)
-    return NAT_LOG2 - h_b(t)
+    return NAT_LOG2 - h_b(_real("t", t, 0.0, 0.5, "(]"))
 
 
 # every catalog function by name, in the order the CLI lists them

@@ -16,17 +16,14 @@ from .binary_info import (
     NAT_LOG2,
     DomainError,
     Phi,
+    _count,
+    _real,
     conv,
     g,
     h_b,
     h_b_inv,
     h_b_prime,
 )
-
-
-def _check_count(name: str, v) -> None:
-    if v < 1 or int(v) != v:
-        raise DomainError(f"{name} must be a positive integer, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -43,13 +40,12 @@ class SystemParams:
     m: int | None = None
 
     def __post_init__(self):
-        _check_count("n", self.n)
-        if not self.rho > 0.0:
-            raise DomainError(f"rho must be positive, got {self.rho!r}")
-        if not 0.0 < self.delta < 0.5:
-            raise DomainError(f"delta must lie in (0, 1/2), got {self.delta!r}")
+        # counts are stored as int, so an integral float n or m counts too
+        object.__setattr__(self, "n", _count("n", self.n))
+        _real("rho", self.rho, 0.0, ends="()")
+        _real("delta", self.delta, 0.0, 0.5, "()")
         if self.m is not None:
-            _check_count("m", self.m)
+            object.__setattr__(self, "m", _count("m", self.m))
             if self.rho != self.n / self.m:
                 raise DomainError(
                     f"rho={self.rho!r} does not equal n/m={self.n}/{self.m}"
@@ -57,8 +53,7 @@ class SystemParams:
 
     @classmethod
     def from_counts(cls, m: int, n: int, delta: float) -> "SystemParams":
-        _check_count("m", m)
-        return cls(n=n, rho=n / m, delta=delta, m=m)
+        return cls(n=n, rho=n / _count("m", m), delta=delta, m=m)
 
 
 @dataclass(frozen=True)
@@ -83,10 +78,8 @@ def d_asym(rho: float, delta: float) -> float:
     Uses the extended inverse, so expansion factors large enough to drive the
     argument nonpositive return exactly 0.
     """
-    if rho <= 0.0:
-        raise DomainError(f"rho must be positive, got {rho!r}")
-    if not 0.0 <= delta <= 0.5:
-        raise DomainError(f"delta must lie in [0, 1/2], got {delta!r}")
+    _real("rho", rho, 0.0, ends="()")
+    _real("delta", delta, 0.0, 0.5)
     return h_b_inv(NAT_LOG2 - rho * (NAT_LOG2 - h_b(delta)))
 
 
@@ -144,10 +137,8 @@ def gamma_corr(n: int, delta2: float) -> float:
 
     At delta2 = 0 the first term is taken at its limit, 0.
     """
-    if n < 1 or int(n) != n:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    if not 0.0 <= delta2 <= 0.5:
-        raise DomainError(f"delta2 must lie in [0, 1/2], got {delta2!r}")
+    _count("n", n)
+    _real("delta2", delta2, 0.0, 0.5)
     second = (math.log(n) + 1.0) / (2.0 * n)
     if delta2 == 0.0:
         return second
@@ -164,8 +155,7 @@ def gap_lower_bound(params: SystemParams) -> LowerBoundReport:
     Valid for rho > 1 with d_asym > 0; the remainder of the bound is known
     only as a symbolic order, carried in correction_order.
     """
-    if params.rho <= 1.0:
-        raise DomainError("gap_lower_bound needs rho > 1")
+    _real("rho", params.rho, 1.0, ends="()")
     D = d_asym(params.rho, params.delta)
     e = eta(params.rho, params.delta)
     lead = math.sqrt(params.delta * (1.0 - params.delta) / (2.0 * math.pi * params.n)) * e
@@ -180,8 +170,7 @@ def sphere_floor_at_weight(params: SystemParams, w: int) -> float:
     clamps to 0.
     """
     n = params.n
-    if not 0 <= w <= n:
-        raise DomainError(f"weight must lie in [0, n], got {w!r}")
+    w = _count("weight", w, 0, n)
     arg = (
         NAT_LOG2
         - params.rho * (NAT_LOG2 - h_b(w / n))
@@ -195,10 +184,8 @@ def sphere_floor(params: SystemParams, k: int = 0) -> float:
     w0 = params.n * params.delta
     if abs(w0 - round(w0)) > 1e-9:
         raise DomainError(f"sphere_floor needs n*delta integral, got {w0!r}")
-    w = int(round(w0)) + k
-    if not -round(w0) <= k <= params.n - round(w0):
-        raise DomainError(f"offset k={k!r} pushes the weight outside [0, n]")
-    return sphere_floor_at_weight(params, w)
+    w0 = round(w0)
+    return sphere_floor_at_weight(params, w0 + _count("k", k, -w0, params.n - w0))
 
 
 def expected_sphere_floor(params: SystemParams) -> float:
@@ -228,10 +215,9 @@ def gap_rhs(d1: float, d2: float, bparams, tau: float) -> float:
     correction term is 0 (asymptotic mode). Requires d1, d2 in (0, 1/2) and
     tau > 0.
     """
-    if not tau > 0.0:
-        raise DomainError(f"tau must be positive, got {tau!r}")
-    if not (0.0 < d1 < 0.5 and 0.0 < d2 < 0.5):
-        raise DomainError("gap_rhs needs d1, d2 in (0, 1/2)")
+    _real("tau", tau, 0.0, ends="()")
+    _real("d1", d1, 0.0, 0.5, "()")
+    _real("d2", d2, 0.0, 0.5, "()")
     rho = bparams.rho
     c = conv(bparams.delta1, bparams.delta2)
     n = getattr(bparams, "n", None)
@@ -259,10 +245,8 @@ def sum_distortion_lb(a: float, params: SystemParams) -> float:
     Warns (without failing) when a >= log^2(n), where the guarantee backing
     the formula no longer applies.
     """
-    if not a >= 0.0:
-        raise DomainError(f"a must be nonnegative, got {a!r}")
-    if params.rho <= 1.0:
-        raise DomainError("sum_distortion_lb needs rho > 1")
+    _real("a", a, 0.0)
+    _real("rho", params.rho, 1.0, ends="()")
     if a >= math.log(params.n) ** 2:
         warnings.warn(
             f"a={a!r} is at or above log^2(n)={math.log(params.n) ** 2:.6g}; "
@@ -276,6 +260,6 @@ def sum_distortion_lb(a: float, params: SystemParams) -> float:
 
 def separation_upper(d0: float, p_err: float) -> float:
     """Distortion achieved by separate compression and coding: (1-p_err) d0 + p_err."""
-    if not (0.0 <= d0 <= 1.0 and 0.0 <= p_err <= 1.0):
-        raise DomainError("separation_upper needs d0, p_err in [0, 1]")
+    _real("d0", d0, 0.0, 1.0)
+    _real("p_err", p_err, 0.0, 1.0)
     return (1.0 - p_err) * d0 + p_err

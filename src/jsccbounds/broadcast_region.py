@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import bounds_core
 from ._scalar_opt import golden_min
-from .binary_info import NAT_LOG2, DomainError, conv, g, h_b, h_b_inv
+from .binary_info import NAT_LOG2, DomainError, _count, _real, conv, g, h_b, h_b_inv
 
 _A1_FLOAT_GUARD = 1e-12
 
@@ -43,16 +43,12 @@ class BinaryBroadcastParams:
     n: int | None = None
 
     def __post_init__(self):
-        if not self.rho > 0.0:
-            raise DomainError(f"rho must be positive, got {self.rho!r}")
-        if not 0.0 < self.p <= 0.5:
-            raise DomainError(f"p must lie in (0, 1/2], got {self.p!r}")
-        if not 0.0 <= self.delta1 < 0.5:
-            raise DomainError(f"delta1 must lie in [0, 1/2), got {self.delta1!r}")
-        if not 0.0 <= self.delta2 <= 0.5:
-            raise DomainError(f"delta2 must lie in [0, 1/2], got {self.delta2!r}")
-        if self.n is not None and (self.n < 1 or int(self.n) != self.n):
-            raise DomainError(f"n must be a positive integer, got {self.n!r}")
+        _real("rho", self.rho, 0.0, ends="()")
+        _real("p", self.p, 0.0, 0.5, "(]")
+        _real("delta1", self.delta1, 0.0, 0.5, "[)")
+        _real("delta2", self.delta2, 0.0, 0.5)
+        if self.n is not None:
+            object.__setattr__(self, "n", _count("n", self.n))
 
 
 @dataclass(frozen=True)
@@ -68,12 +64,12 @@ class GaussianBroadcastParams:
     rho: float
 
     def __post_init__(self):
-        if not (self.sigma2 > 0.0 and self.power > 0.0 and self.n1 > 0.0):
-            raise DomainError("sigma2, power, n1 must be positive")
-        if not (self.aux_var >= 0.0 and self.n2 >= 0.0):
-            raise DomainError("aux_var, n2 must be nonnegative")
-        if not self.rho > 0.0:
-            raise DomainError("rho must be positive")
+        _real("sigma2", self.sigma2, 0.0, ends="()")
+        _real("aux_var", self.aux_var, 0.0)
+        _real("power", self.power, 0.0, ends="()")
+        _real("n1", self.n1, 0.0, ends="()")
+        _real("n2", self.n2, 0.0)
+        _real("rho", self.rho, 0.0, ends="()")
 
 
 @dataclass(frozen=True)
@@ -84,10 +80,8 @@ class ErasureParams:
     eps2: float
 
     def __post_init__(self):
-        if not 0.0 <= self.eps1 <= self.eps2 < 1.0:
-            raise DomainError(
-                f"need 0 <= eps1 <= eps2 < 1, got {self.eps1!r}, {self.eps2!r}"
-            )
+        _real("eps1", self.eps1, 0.0, 1.0, "[)")
+        _real("eps2", self.eps2, self.eps1, 1.0, "[)")
 
 
 @dataclass(frozen=True)
@@ -114,24 +108,18 @@ def fp_binary(p: float, q: float, t: float) -> float:
 
     t - h_b(conv(q, p)) + h_b(conv(q, h_b_inv(h_b(p) - t))); exact at p = 1/2.
     """
-    if not 0.0 < p <= 0.5:
-        raise DomainError(f"p must lie in (0, 1/2], got {p!r}")
-    if not 0.0 <= q <= 0.5:
-        raise DomainError(f"q must lie in [0, 1/2], got {q!r}")
-    if not -1e-12 <= t <= h_b(p) + 1e-12:
-        raise DomainError(f"t must lie in [0, h_b(p)], got {t!r}")
+    _real("p", p, 0.0, 0.5, "(]")
+    _real("q", q, 0.0, 0.5)
+    _real("t", t, -1e-12, h_b(p) + 1e-12)
     t = min(max(t, 0.0), h_b(p))
     return t - h_b(conv(q, p)) + h_b(conv(q, h_b_inv(h_b(p) - t)))
 
 
 def rbar_binary(p: float, q: float, d: float) -> float:
     """Weak user's remaining rate need at distortion d: h_b(conv(q, p)) - h_b(conv(q, d))."""
-    if not 0.0 < p <= 0.5:
-        raise DomainError(f"p must lie in (0, 1/2], got {p!r}")
-    if not 0.0 <= q <= 0.5:
-        raise DomainError(f"q must lie in [0, 1/2], got {q!r}")
-    if not -1e-15 <= d <= p + 1e-12:
-        raise DomainError(f"d must lie in [0, p], got {d!r}")
+    _real("p", p, 0.0, 0.5, "(]")
+    _real("q", q, 0.0, 0.5)
+    _real("d", d, -1e-15, p + 1e-12)
     d = min(max(d, 0.0), p)
     return h_b(conv(q, p)) - h_b(conv(q, d))
 
@@ -142,13 +130,10 @@ def g_bsc(delta1: float, delta2: float, t: float) -> float:
     log 2 - h_b(conv(delta2, h_b_inv(h_b(delta1) + t))); concave and
     nonincreasing in t on [0, log 2 - h_b(delta1)].
     """
-    if not 0.0 <= delta1 < 0.5:
-        raise DomainError(f"delta1 must lie in [0, 1/2), got {delta1!r}")
-    if not 0.0 <= delta2 <= 0.5:
-        raise DomainError(f"delta2 must lie in [0, 1/2], got {delta2!r}")
+    _real("delta1", delta1, 0.0, 0.5, "[)")
+    _real("delta2", delta2, 0.0, 0.5)
     cap = NAT_LOG2 - h_b(delta1)
-    if not -1e-12 <= t <= cap + 1e-12:
-        raise DomainError(f"t must lie in [0, log 2 - h_b(delta1)], got {t!r}")
+    _real("t", t, -1e-12, cap + 1e-12)
     t = min(max(t, 0.0), cap)
     return NAT_LOG2 - h_b(conv(delta2, h_b_inv(h_b(delta1) + t)))
 
@@ -160,8 +145,7 @@ def g_bec(eps: ErasureParams, t: float) -> float:
     and 0 at the strong-user capacity t = (1-eps1) log 2.
     """
     cap = (1.0 - eps.eps1) * NAT_LOG2
-    if not -1e-12 <= t <= cap + 1e-12:
-        raise DomainError(f"t must lie in [0, (1-eps1) log 2], got {t!r}")
+    _real("t", t, -1e-12, cap + 1e-12)
     t = min(max(t, 0.0), cap)
     return ((1.0 - eps.eps2) / (1.0 - eps.eps1)) * (cap - t)
 
@@ -172,6 +156,7 @@ def g_spherical_ub(delta1: float, delta2: float, n: int, t: float) -> float:
     g_bsc plus the correction gamma_corr(n, delta2); the sphere semantics
     require n delta1 and n conv(delta1, delta2) to be integers.
     """
+    n = _count("n", n)
     w1 = n * delta1
     w2 = n * conv(delta1, delta2)
     if abs(w1 - round(w1)) > 1e-9 or abs(w2 - round(w2)) > 1e-9:
@@ -193,17 +178,12 @@ def outer_bound_slack(d1: float, d2: float, q: float, bp: BinaryBroadcastParams)
     means no blocklength sequence can achieve d1, and it raises DomainError
     beyond a 1e-12 floating guard.
     """
-    _check_slack_args(d1, d2, q, bp)
+    _real("q", q, 0.0, 0.5)
+    _real("d1", d1, -1e-15, bp.p + 1e-12)
+    _real("d2", d2, -1e-15, bp.p + 1e-12)
     d1 = min(max(d1, 0.0), bp.p)
     d2 = min(max(d2, 0.0), bp.p)
     return _slack_rhs(d1, q, bp) - _slack_lhs(d2, q, bp)
-
-
-def _check_slack_args(d1: float, d2: float, q: float, bp: BinaryBroadcastParams) -> None:
-    if not 0.0 <= q <= 0.5:
-        raise DomainError(f"q must lie in [0, 1/2], got {q!r}")
-    if not -1e-15 <= d1 <= bp.p + 1e-12 or not -1e-15 <= d2 <= bp.p + 1e-12:
-        raise DomainError("outer_bound_slack needs d1 <= p and d2 <= p")
 
 
 def _slack_rhs(d1: float, q: float, bp: BinaryBroadcastParams) -> float:
@@ -362,10 +342,7 @@ def region_trace(bp: BinaryBroadcastParams, d1_grid) -> list[RegionPoint]:
     """
     pts = []
     for d1 in d1_grid:
-        d1 = float(d1)
-        if not 0.0 < d1 <= bp.p:
-            raise DomainError(f"d1 grid values must lie in (0, p], got {d1!r}")
-        pts.append(_trace_point(bp, d1))
+        pts.append(_trace_point(bp, _real("d1", float(d1), 0.0, bp.p, "(]")))
     return pts
 
 
@@ -386,11 +363,9 @@ def d1_feasibility_margin(d1: float, bp: BinaryBroadcastParams) -> float:
     """
     if bp.n is not None:
         raise DomainError("d1_feasibility_margin is an asymptotic statement; drop n")
-    if not 0.0 < d1 <= bp.p:
-        raise DomainError(f"d1 must lie in (0, p], got {d1!r}")
-    c = conv(bp.delta1, bp.delta2)
-    if bp.delta1 <= 0.0 or c >= 0.5:
-        raise DomainError("needs delta1 > 0 and conv(delta1, delta2) < 1/2")
+    _real("d1", d1, 0.0, bp.p, "(]")
+    _real("delta1", bp.delta1, 0.0, 0.5, "()")
+    c = _real("conv(delta1, delta2)", conv(bp.delta1, bp.delta2), 0.0, 0.5, "[)")
     d2s = bounds_core.d_asym(bp.rho, c)
     if d2s <= 0.0:
         raise DomainError("weak-user optimum D2* is 0; the condition degenerates")
@@ -427,8 +402,7 @@ def d2_floor(bp: BinaryBroadcastParams) -> float:
 
 def d2_floor_slack(d2_probe: float, bp: BinaryBroadcastParams) -> float:
     """Slack of the quadratic weak-user bound at d2_probe (>= 0 iff allowed)."""
-    if not 0.0 <= d2_probe <= 0.5:
-        raise DomainError(f"d2_probe must lie in [0, 1/2], got {d2_probe!r}")
+    _real("d2_probe", d2_probe, 0.0, 0.5)
     return _d2_floor_k(bp, "d2_floor_slack") - (1.0 - 2.0 * d2_probe) ** 2
 
 
@@ -437,31 +411,26 @@ def d2_floor_slack(d2_probe: float, bp: BinaryBroadcastParams) -> float:
 
 def gaussian_rate(gp: GaussianBroadcastParams, d: float) -> float:
     """Gaussian source rate at distortion d: (1/2) log(sigma2/d)."""
-    if not 0.0 < d <= gp.sigma2:
-        raise DomainError(f"d must lie in (0, sigma2], got {d!r}")
-    return 0.5 * math.log(gp.sigma2 / d)
+    return 0.5 * math.log(gp.sigma2 / _real("d", d, 0.0, gp.sigma2, "(]"))
 
 
 def gaussian_fp(gp: GaussianBroadcastParams, t: float) -> float:
     """t - (1/2) log((aux_var + sigma2)/(aux_var + sigma2 e^{-2t}))."""
-    if not t >= 0.0:
-        raise DomainError(f"t must be nonnegative, got {t!r}")
+    _real("t", t, 0.0)
     s2, a2 = gp.sigma2, gp.aux_var
     return t - 0.5 * math.log((a2 + s2) / (a2 + s2 * math.exp(-2.0 * t)))
 
 
 def gaussian_rbar(gp: GaussianBroadcastParams, d: float) -> float:
     """(1/2) log((aux_var + sigma2)/(aux_var + d))."""
-    if not 0.0 < d <= gp.sigma2:
-        raise DomainError(f"d must lie in (0, sigma2], got {d!r}")
+    _real("d", d, 0.0, gp.sigma2, "(]")
     return 0.5 * math.log((gp.aux_var + gp.sigma2) / (gp.aux_var + d))
 
 
 def gaussian_gq(gp: GaussianBroadcastParams, t: float) -> float:
     """(1/2) log((P + N1 + N2)/(N1 e^{2t} + N2)); negative past the strong
     user's capacity, which signals an empty bound."""
-    if not t >= 0.0:
-        raise DomainError(f"t must be nonnegative, got {t!r}")
+    _real("t", t, 0.0)
     return 0.5 * math.log(
         (gp.power + gp.n1 + gp.n2) / (gp.n1 * math.exp(2.0 * t) + gp.n2)
     )
@@ -495,12 +464,9 @@ def _erasure_threshold(eps: ErasureParams, rho: float, d1: float, q: float):
     """(fp, threshold) of the erasure bound: fp = fp_binary(1/2, q, R(d1))
     and threshold = rho g_bec(fp / rho). DomainError when fp / rho exceeds
     the strong user's capacity (1 - eps1) log 2."""
-    if rho <= 0.0:
-        raise DomainError(f"rho must be positive, got {rho!r}")
-    if not 0.0 <= q <= 0.5:
-        raise DomainError(f"q must lie in [0, 1/2], got {q!r}")
-    if not 0.0 < d1 <= 0.5:
-        raise DomainError(f"d1 must lie in (0, 1/2], got {d1!r}")
+    _real("rho", rho, 0.0, ends="()")
+    _real("q", q, 0.0, 0.5)
+    _real("d1", d1, 0.0, 0.5, "(]")
     fhat = fp_binary(0.5, q, NAT_LOG2 - h_b(d1))
     arg = fhat / rho
     cap = (1.0 - eps.eps1) * NAT_LOG2

@@ -276,17 +276,16 @@ def _run_frontier(args):
 
 
 def _run_binomial(args):
-    w = args.n * args.delta
-    if w.denominator != 1:
-        raise DomainError("n * delta must be an integer")
-    # an invalid n or delta still reaches the oracles at k = 0, which reject it
-    k_cap = min(args.k_max, max(0, min(int(w), args.n - int(w))))
+    w = int(args.n * args.delta)
+    # k = 0 runs even for a negative --k-max: there the oracles reject an
+    # invalid n or delta before any row is printed
     rows = []
-    for k in range(k_cap + 1):
+    for k in range(max(0, min(args.k_max, w, args.n - w)) + 1):
         ratio, gamma = orc.binomial_gamma_exact(args.n, args.delta, k)
         approx = orc.binomial_gamma_approx(args.n, float(args.delta), k)
-        rows.append([k, ratio.value, gamma.value, approx,
-                     abs(approx - float(ratio))])
+        if k <= args.k_max:
+            rows.append([k, ratio.value, gamma.value, approx,
+                         abs(approx - float(ratio))])
     return (["k", "ratio", "gamma", "ratio_approx", "abs_err"], rows, set(), 0)
 
 

@@ -14,8 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._scalar_opt import Lcg64
-from .binary_info import (NAT_LOG2, DomainError, _conv, _g, _h, _hp, _kappa, _nu,
-                          _phi, _Phi, conv, h_b, h_b_inv)
+from .binary_info import (NAT_LOG2, DomainError, _conv, _count, _g, _h, _hp, _kappa,
+                          _nu, _phi, _Phi, _real, conv, h_b, h_b_inv)
 
 DEFAULT_BUDGET = 2 ** 32
 
@@ -84,11 +84,12 @@ class ViolationReport:
 # ---------- exact search machinery ----------
 
 
-def _as_fraction(x) -> Fraction:
-    # floats are read through their decimal repr, so 0.1 means 1/10
+def _as_fraction(name, x) -> Fraction:
+    """A crossover probability as an exact rational in (0, 1/2). Floats are
+    checked first, then read through their decimal repr, so 0.1 means 1/10."""
     if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
+        x = str(_real(name, x, 0.0, 0.5, "()"))
+    return _real(name, Fraction(x), 0, 0.5, "()")
 
 
 # cached per m or n and shared by every caller, so the arrays are read-only
@@ -220,10 +221,11 @@ def _table_cost(m, n, codewords, wtab) -> int:
 
 def encoder_from_index(m: int, n: int, index: int) -> EncoderTable:
     """Inverse of EncoderTable.index."""
+    m = _count("m", m)
+    n = _count("n", n)
     K = 1 << m
     N = 1 << n
-    if not 0 <= index < N ** K:
-        raise DomainError("encoder index out of range")
+    index = _count("index", index, 0, N ** K - 1)
     codewords = []
     for s in range(K):
         codewords.append((index // N ** (K - 1 - s)) % N)
@@ -240,13 +242,9 @@ def p2p_bruteforce(m, n, delta, use_symmetry=True, budget=DEFAULT_BUDGET):
     m 2^m b^n. Returns (ExactValue, EncoderTable witness); the witness is
     the lowest-rank minimizing table.
     """
-    m = int(m)
-    n = int(n)
-    if m < 1 or n < 1:
-        raise DomainError("m and n must be positive")
-    delta = _as_fraction(delta)
-    if not Fraction(0) < delta < Fraction(1, 2):
-        raise DomainError("delta must lie in (0, 1/2)")
+    m = _count("m", m)
+    n = _count("n", n)
+    delta = _as_fraction("delta", delta)
     a, b = delta.numerator, delta.denominator
     wt = [a ** d * (b - a) ** (n - d) for d in range(n + 1)]
     costs = _encoder_costs(m, n, [wt], use_symmetry, budget)[0]
@@ -259,13 +257,9 @@ def sphere_bruteforce(m, n, weight, encoder=None, budget=DEFAULT_BUDGET):
     """Exact per-bit Hamming distortion when the additive noise is uniform
     on the weight-`weight` sphere. Searches all encoders unless one is given.
     """
-    m = int(m)
-    n = int(n)
-    weight = int(weight)
-    if m < 1 or n < 1:
-        raise DomainError("m and n must be positive")
-    if not 0 <= weight <= n:
-        raise DomainError("weight must lie in [0, n]")
+    m = _count("m", m)
+    n = _count("n", n)
+    weight = _count("weight", weight, 0, n)
     wt = [1 if d == weight else 0 for d in range(n + 1)]
     denom = m * (1 << m) * math.comb(n, weight)
     if encoder is not None:
@@ -283,14 +277,10 @@ def broadcast_frontier(m, n, w1, w2, budget=DEFAULT_BUDGET):
     """
     import numpy as np
 
-    m = int(m)
-    n = int(n)
-    w1 = int(w1)
-    w2 = int(w2)
-    if m < 1 or n < 1:
-        raise DomainError("m and n must be positive")
-    if not (0 <= w1 <= n and 0 <= w2 <= n):
-        raise DomainError("weights must lie in [0, n]")
+    m = _count("m", m)
+    n = _count("n", n)
+    w1 = _count("w1", w1, 0, n)
+    w2 = _count("w2", w2, 0, n)
     t1 = [1 if d == w1 else 0 for d in range(n + 1)]
     t2 = [1 if d == w2 else 0 for d in range(n + 1)]
     c1, c2 = _encoder_costs(m, n, [t1, t2], True, budget)
@@ -316,19 +306,13 @@ def binomial_gamma_exact(n, delta, k):
     cancel, leaving r = C(n,w+k) a^2k / (C(n,w+k) a^2k + C(n,w-k) (b-a)^2k).
     Returns (ratio, gamma) as ExactValues.
     """
-    n = int(n)
-    k = int(k)
-    delta = _as_fraction(delta)
-    if n < 1:
-        raise DomainError("n must be positive")
-    if not Fraction(0) < delta < Fraction(1, 2):
-        raise DomainError("delta must lie in (0, 1/2)")
+    n = _count("n", n)
+    delta = _as_fraction("delta", delta)
     w = n * delta
     if w.denominator != 1:
         raise DomainError("n * delta must be an integer")
     w = int(w)
-    if not 0 <= k <= min(w, n - w):
-        raise DomainError("k must lie in [0, min(w, n-w)]")
+    k = _count("k", k, 0, min(w, n - w))
     a, b = delta.numerator, delta.denominator
     up = math.comb(n, w + k) * a ** (2 * k)
     down = math.comb(n, w - k) * (b - a) ** (2 * k)
@@ -339,15 +323,14 @@ def binomial_gamma_exact(n, delta, k):
 def binomial_gamma_approx(n, delta, k) -> float:
     """Second-order expansion of the posterior split r(k) for small k/n.
 
-    Needs n >= 1 and delta in (0, 1/2).
+    Needs a positive integer n, an integer k and delta in (0, 1/2).
     """
     n = float(n)
     d = float(delta)
     k = float(k)
-    if n < 1.0:
-        raise DomainError("n must be positive")
-    if not 0.0 < d < 0.5:
-        raise DomainError("delta must lie in (0, 1/2)")
+    _count("n", n)
+    _real("delta", d, 0.0, 0.5, "()")
+    _count("k", k, -math.inf)
     lead = (1.0 - 2.0 * d) / (d * (1.0 - d))
     inner = k * k / (3.0 * n * d * (1.0 - d)) - 1.0
     return 0.5 + 0.25 * lead * inner * (k / n)
@@ -372,15 +355,9 @@ def coupling_distance_exact(n, delta1, delta2):
     linear in the total size of the n + 1 coefficients, with no big-by-big
     product. Returns an ExactValue rational.
     """
-    n = int(n)
-    d1 = _as_fraction(delta1)
-    d2 = _as_fraction(delta2)
-    if n < 1:
-        raise DomainError("n must be positive")
-    if not Fraction(0) < d1 < Fraction(1, 2):
-        raise DomainError("delta1 must lie in (0, 1/2)")
-    if not Fraction(0) < d2 < Fraction(1, 2):
-        raise DomainError("delta2 must lie in (0, 1/2)")
+    n = _count("n", n)
+    d1 = _as_fraction("delta1", delta1)
+    d2 = _as_fraction("delta2", delta2)
     w1 = n * d1
     if w1.denominator != 1:
         raise DomainError("n * delta1 must be an integer")
@@ -436,16 +413,10 @@ def rbar_grid(p, q, d, steps=2001):
     """
     import numpy as np
 
-    p = float(p)
-    q = float(q)
-    d = float(d)
-    if not 0.0 < p <= 0.5:
-        raise DomainError("p must lie in (0, 1/2]")
-    if not 0.0 <= q <= 0.5:
-        raise DomainError("q must lie in [0, 1/2]")
-    if not 0.0 <= d <= p:
-        raise DomainError("d must lie in [0, p]")
-    ax = np.linspace(0.0, 1.0, steps)
+    p = _real("p", float(p), 0.0, 0.5, "(]")
+    q = _real("q", float(q), 0.0, 0.5)
+    d = _real("d", float(d), 0.0, p)
+    ax = np.linspace(0.0, 1.0, _count("steps", steps))
     info = _info_uv(p, q, ax[:, None], ax[None, :])
     feasible = (1.0 - p) * ax[:, None] + p * ax[None, :] <= d + 1e-15
     best = float(np.where(feasible, info, np.inf).min())
@@ -468,14 +439,11 @@ def converse_search_gq(delta1, delta2, t, trials=10000, seed=0):
     self-contained LCG, then a deterministic coordinate-descent polish of
     the incumbent. Returns -inf when nothing feasible is found.
     """
-    d1 = float(delta1)
-    d2 = float(delta2)
-    t = float(t)
-    if not 0.0 < d1 < 0.5 or not 0.0 < d2 < 0.5:
-        raise DomainError("delta1 and delta2 must lie in (0, 1/2)")
+    d1 = _real("delta1", float(delta1), 0.0, 0.5, "()")
+    d2 = _real("delta2", float(delta2), 0.0, 0.5, "()")
     cap = NAT_LOG2 - h_b(d1)
-    if t < -1e-12 or t > cap + 1e-12:
-        raise DomainError("t must lie in [0, log 2 - h_b(delta1)]")
+    t = _real("t", float(t), -1e-12, cap + 1e-12)
+    trials = _count("trials", trials, -math.inf)
     t = min(max(t, 0.0), cap)
     c = conv(d1, d2)
     h1 = h_b(d1)
@@ -503,7 +471,7 @@ def converse_search_gq(delta1, delta2, t, trials=10000, seed=0):
     consider((0.5, 0.5, 0.0, 0.0), (eta, 1.0 - eta, 0.5, 0.5))
 
     rng = Lcg64(seed)
-    for _ in range(int(trials)):
+    for _ in range(trials):
         raw = [rng.uniform() for _ in range(4)]
         tot = sum(raw) or 1.0
         p = tuple(r / tot for r in raw)
@@ -701,14 +669,12 @@ def verify_inequalities(suites, grid_step=1e-3, tol=1e-9):
     suites = list(suites)
     grid_step = float(grid_step)
     tol = float(tol)
-    if not 0.0 < grid_step < math.inf:
-        raise DomainError("grid_step must be finite and positive, got %r" % grid_step)
+    _real("grid_step", grid_step, 0.0, ends="()")
     # the length of the np.arange that _axis builds
     if (_BOX_HI + 0.5 * grid_step - _BOX_LO) / grid_step > _VERIFY_AXIS_MAX_POINTS:
         raise DomainError("grid_step %r puts more than %d points on an axis"
                           % (grid_step, _VERIFY_AXIS_MAX_POINTS))
-    if not math.isfinite(tol):
-        raise DomainError("tol must be finite, got %r" % tol)
+    _real("tol", tol)
     for name in suites:
         if name not in _SUITE_RUNNERS:
             raise DomainError("unknown suite: %s (choose from %s)"

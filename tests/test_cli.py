@@ -429,12 +429,30 @@ _GAUSSIAN = ["bound", "gaussian", "--sigma2", "1", "--aux-var", "0.5", "--power"
 ] + [
     # a repeated flag takes its last value
     _GAUSSIAN + [flag, "nan"] for flag in ("--rho", "--aux-var", "--power", "--n1", "--n2")
+] + [
+    # an infinite real is out of every domain
+    ["bound", "gap", "--rho", "1.2", "--delta1", "0.08", "--delta2", "0.05",
+     "--d1", "0.1", "--d2", "0.2", "--tau", "inf"],
+    _GAUSSIAN + ["--rho", "inf"],
+    _GAUSSIAN + ["--sigma2", "inf"],
+    ["bound", "sum", "--n", "100", "--rho", "1.2", "--delta", "0.2", "--a", "inf"],
+    ["bound", "erasure", "--eps1", "0.1", "--eps2", "0.2", "--rho", "inf",
+     "--d1", "0.2", "--q", "0.1"],
+    ["bound", "region", "--rho", "inf", "--delta1", "0.08", "--delta2", "0.05",
+     "--d1-min", "0.05", "--d1-max", "0.06", "--d1-step", "0.01"],
 ])
 def test_out_of_domain_counts_and_nan_return_3(capsys, argv):
     code, out, err = run_cli(argv, capsys)
     assert code == 3
     assert out == ""
     assert err.startswith("infeasible:")
+
+
+def test_infinite_sigma2_names_sigma2(capsys):
+    code, out, err = run_cli(_GAUSSIAN + ["--sigma2", "inf"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("infeasible: sigma2 ")
 
 
 def test_reference_commands_reproduce_their_stdout(capsys):

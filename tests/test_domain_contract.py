@@ -1,0 +1,156 @@
+"""The domain contract of the public API: every function and params class
+exported from jsccbounds returns a finite value or raises DomainError, for
+NaN and +-inf in any real or count argument and a non-integer count, and a
+count given as an integral float means the same as the int."""
+
+import dataclasses
+import math
+from fractions import Fraction
+
+import pytest
+
+import jsccbounds as jb
+from jsccbounds import DomainError
+
+_BP = dict(rho=1.2, p=0.5, delta1=0.08, delta2=0.05)
+_GP = dict(sigma2=1.0, aux_var=0.5, power=1.0, n1=0.5, n2=1.0, rho=1.0)
+_SP = dict(n=10, rho=1.5, delta=0.2)
+
+
+def _bp(rho, p, delta1, delta2, n=None):
+    return jb.BinaryBroadcastParams(rho=rho, p=p, delta1=delta1, delta2=delta2, n=n)
+
+
+def _gp(sigma2, aux_var, power, n1, n2, rho):
+    return jb.GaussianBroadcastParams(sigma2, aux_var, power, n1, n2, rho)
+
+
+# name: (callable taking keyword arguments, a valid point); every keyword is
+# a real or a count argument, and the params fields are arguments too
+_TABLE = {
+    "h_b": (jb.h_b, dict(x=0.3)),
+    "h_b_inv": (jb.h_b_inv, dict(t=0.3)),
+    "h_b_prime": (jb.h_b_prime, dict(x=0.3)),
+    "conv": (jb.conv, dict(a=0.1, b=0.2)),
+    "g": (jb.g, dict(t=0.2)),
+    "kappa": (jb.kappa, dict(t=0.2)),
+    "Phi": (jb.Phi, dict(t=0.2)),
+    "psi": (jb.psi, dict(t=0.2)),
+    "vartheta": (jb.vartheta, dict(t=0.2)),
+    "R": (jb.R, dict(t=0.2)),
+    "beta": (jb.beta, dict(q=0.1, t=0.2)),
+    "phi": (jb.phi, dict(q=0.1, t=0.2)),
+    "nu": (jb.nu, dict(q=0.1, t=0.2)),
+    "mgl_phi": (jb.mgl_phi, dict(delta=0.1, t=0.3)),
+    "mgl_phi_deriv": (jb.mgl_phi_deriv, dict(delta=0.1, t=0.3)),
+    "SystemParams": (jb.SystemParams, dict(n=200, rho=2.0, delta=0.1, m=100)),
+    "SystemParams.from_counts": (jb.SystemParams.from_counts,
+                                 dict(m=100, n=200, delta=0.1)),
+    "d_asym": (jb.d_asym, dict(rho=1.5, delta=0.1)),
+    "d_asym_deriv": (jb.d_asym_deriv, dict(rho=1.5, delta=0.1)),
+    "f_factor": (jb.f_factor, dict(rho=1.5, delta=0.1)),
+    "eta": (jb.eta, dict(rho=1.5, delta=0.1)),
+    "tau_star": (jb.tau_star, dict(rho=1.5, delta=0.1)),
+    "gamma_corr": (jb.gamma_corr, dict(n=100, delta2=0.1)),
+    "gap_lower_bound": (lambda **kw: jb.gap_lower_bound(jb.SystemParams(**kw)),
+                        dict(n=1000, rho=1.5, delta=0.1)),
+    "sphere_floor_at_weight": (
+        lambda weight, **kw: jb.sphere_floor_at_weight(jb.SystemParams(**kw), weight),
+        dict(_SP, weight=1)),
+    "sphere_floor": (lambda k, **kw: jb.sphere_floor(jb.SystemParams(**kw), k),
+                     dict(_SP, k=1)),
+    "expected_sphere_floor": (lambda **kw: jb.expected_sphere_floor(jb.SystemParams(**kw)),
+                              dict(_SP)),
+    "gap_rhs": (lambda d1, d2, tau, **kw: jb.gap_rhs(d1, d2, _bp(**kw), tau),
+                dict(_BP, n=1000, d1=0.1, d2=0.2, tau=0.5)),
+    "sum_distortion_lb": (lambda a, **kw: jb.sum_distortion_lb(a, jb.SystemParams(**kw)),
+                          dict(a=1.0, n=1000, rho=1.5, delta=0.1)),
+    "separation_upper": (jb.separation_upper, dict(d0=0.1, p_err=0.2)),
+    "BinaryBroadcastParams": (_bp, dict(_BP, n=1000)),
+    "GaussianBroadcastParams": (_gp, dict(_GP)),
+    "ErasureParams": (jb.ErasureParams, dict(eps1=0.1, eps2=0.2)),
+    "fp_binary": (jb.fp_binary, dict(p=0.5, q=0.1, t=0.2)),
+    "rbar_binary": (jb.rbar_binary, dict(p=0.5, q=0.1, d=0.2)),
+    "g_bsc": (jb.g_bsc, dict(delta1=0.1, delta2=0.05, t=0.1)),
+    "g_bec": (lambda t, **kw: jb.g_bec(jb.ErasureParams(**kw), t),
+              dict(eps1=0.1, eps2=0.2, t=0.3)),
+    "g_spherical_ub": (jb.g_spherical_ub, dict(delta1=0.2, delta2=0.25, n=20, t=0.1)),
+    "outer_bound_slack": (lambda d1, d2, q, **kw: jb.outer_bound_slack(d1, d2, q, _bp(**kw)),
+                          dict(_BP, n=1000, d1=0.1, d2=0.2, q=0.3)),
+    "region_trace": (lambda d1, **kw: jb.region_trace(_bp(**kw), [d1]), dict(_BP, d1=0.2)),
+    "d1_feasibility_margin": (lambda d1, **kw: jb.d1_feasibility_margin(d1, _bp(**kw)),
+                              dict(_BP, d1=0.2)),
+    "d2_floor": (lambda **kw: jb.d2_floor(_bp(**kw)), dict(_BP)),
+    "d2_floor_slack": (lambda d2_probe, **kw: jb.d2_floor_slack(d2_probe, _bp(**kw)),
+                       dict(_BP, d2_probe=0.2)),
+    "gaussian_rate": (lambda d, **kw: jb.gaussian_rate(_gp(**kw), d), dict(_GP, d=0.3)),
+    "gaussian_rbar": (lambda d, **kw: jb.gaussian_rbar(_gp(**kw), d), dict(_GP, d=0.3)),
+    "gaussian_fp": (lambda t, **kw: jb.gaussian_fp(_gp(**kw), t), dict(_GP, t=0.2)),
+    "gaussian_gq": (lambda t, **kw: jb.gaussian_gq(_gp(**kw), t), dict(_GP, t=0.2)),
+    "gaussian_bound": (lambda d1, **kw: jb.gaussian_bound(_gp(**kw), d1), dict(_GP, d1=0.3)),
+    "gaussian_d2_floor": (lambda d1, **kw: jb.gaussian_d2_floor(_gp(**kw), d1),
+                          dict(_GP, d1=0.3)),
+    "erasure_d2_floor": (
+        lambda eps1, eps2, **kw: jb.erasure_d2_floor(jb.ErasureParams(eps1, eps2), **kw),
+        dict(eps1=0.1, eps2=0.2, rho=1.0, d1=0.2, q=0.1)),
+    "encoder_from_index": (jb.encoder_from_index, dict(m=1, n=2, index=3)),
+    "p2p_bruteforce": (jb.p2p_bruteforce, dict(m=1, n=2, delta=0.25)),
+    "sphere_bruteforce": (jb.sphere_bruteforce, dict(m=1, n=2, weight=1)),
+    "broadcast_frontier": (jb.broadcast_frontier, dict(m=1, n=2, w1=1, w2=1)),
+    "binomial_gamma_exact": (jb.binomial_gamma_exact, dict(n=8, delta=0.25, k=1)),
+    "binomial_gamma_approx": (jb.binomial_gamma_approx, dict(n=8, delta=0.25, k=1)),
+    "coupling_distance_exact": (jb.coupling_distance_exact,
+                                dict(n=10, delta1=0.2, delta2=0.25)),
+    "rbar_grid": (jb.rbar_grid, dict(p=0.5, q=0.1, d=0.2, steps=11)),
+    "converse_search_gq": (jb.converse_search_gq,
+                           dict(delta1=0.1, delta2=0.05, t=0.1, trials=10)),
+    "verify_inequalities": (
+        lambda **kw: jb.verify_inequalities(["g-convex"], **kw),
+        dict(grid_step=0.01, tol=1e-9)),
+}
+
+_COUNTS = {"m", "n", "k", "weight", "w1", "w2", "index", "steps", "trials"}
+
+
+def _cases():
+    for name, (_, base) in _TABLE.items():
+        yield pytest.param(name, None, None, id=name)
+        for arg, v in base.items():
+            values = [math.nan, math.inf, -math.inf]
+            if arg in _COUNTS:
+                values += [v + 0.7, float(v)]
+            for value in values:
+                yield pytest.param(name, arg, value, id="%s-%s=%r" % (name, arg, value))
+
+
+def _finite(out) -> bool:
+    if isinstance(out, float):
+        return math.isfinite(out)
+    if isinstance(out, (list, tuple)):
+        return all(map(_finite, out))
+    if dataclasses.is_dataclass(out):
+        return all(_finite(getattr(out, f.name)) for f in dataclasses.fields(out))
+    return out is None or isinstance(out, (int, Fraction, str))
+
+
+@pytest.mark.parametrize("name,arg,value", list(_cases()))
+def test_finite_result_or_domain_error(name, arg, value):
+    fn, base = _TABLE[name]
+    kw = dict(base)
+    if arg is None:
+        # the valid point itself, so every probe below moves one argument off it
+        assert _finite(fn(**kw))
+        return
+    kw[arg] = value
+    if arg in _COUNTS and value == int(base[arg]):
+        assert fn(**kw) == fn(**base)
+        return
+    if arg in _COUNTS and math.isfinite(value):
+        with pytest.raises(DomainError):
+            fn(**kw)
+        return
+    try:
+        out = fn(**kw)
+    except DomainError:
+        return
+    assert _finite(out), out

@@ -165,7 +165,7 @@ def test_frontier_frozen():
 
 def test_frontier_domain():
     for m, n in ((0, 2), (-1, 2), (2, 0)):
-        with pytest.raises(DomainError, match="m and n must be positive"):
+        with pytest.raises(DomainError, match="must be a positive integer"):
             orc.broadcast_frontier(m, n, 0, 0)
     with pytest.raises(DomainError):
         orc.broadcast_frontier(1, 2, 3, 0)
