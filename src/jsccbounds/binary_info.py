@@ -192,11 +192,20 @@ def h_b_prime(x: float) -> float:
     return _hp(_real("x", x, 0.0, 1.0, "()"), math.log)
 
 
+def _mgl(delta, t):
+    return h_b(conv(delta, h_b_inv(t)))
+
+
+def _mgl_inv(a, t, hi):
+    # the d solving h_b(conv(a, d)) = t, clamped to [0, hi]; needs a < 1/2
+    return min(max((h_b_inv(t) - a) / (1.0 - 2.0 * a), 0.0), hi)
+
+
 def mgl_phi(delta: float, t: float) -> float:
-    """h_b(conv(delta, h_b_inv(t))): convex and nondecreasing in t."""
+    """The Gerber map h_b(conv(delta, h_b_inv(t))): convex and nondecreasing in t."""
     _real("delta", delta, 0.0, 0.5)
     _real("t", t, 0.0, NAT_LOG2 + 1e-12)
-    return h_b(conv(delta, h_b_inv(t)))
+    return _mgl(delta, t)
 
 
 def mgl_phi_deriv(delta: float, t: float) -> float:

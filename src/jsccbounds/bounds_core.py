@@ -83,11 +83,17 @@ def d_asym(rho: float, delta: float) -> float:
     return h_b_inv(NAT_LOG2 - rho * (NAT_LOG2 - h_b(delta)))
 
 
-def d_asym_deriv(rho: float, delta: float) -> float:
-    """Derivative of d_asym in delta: rho h_b'(delta)/h_b'(D); needs D > 0."""
+def _d_star(rho: float, delta: float, why: str) -> float:
+    """D* = d_asym(rho, delta) when it is positive; else DomainError(why)."""
     D = d_asym(rho, delta)
     if D <= 0.0:
-        raise DomainError("d_asym_deriv needs d_asym(rho, delta) > 0")
+        raise DomainError(why)
+    return D
+
+
+def d_asym_deriv(rho: float, delta: float) -> float:
+    """Derivative of d_asym in delta: rho h_b'(delta)/h_b'(D); needs D > 0."""
+    D = _d_star(rho, delta, "d_asym_deriv needs d_asym(rho, delta) > 0")
     return rho * h_b_prime(delta) / h_b_prime(D)
 
 
@@ -97,9 +103,7 @@ def f_factor(rho: float, delta: float) -> float:
     Equals 1 at rho = 1, drops below 1 for rho > 1 (when D > 0), and sits at
     or above 1 for rho <= 1.
     """
-    D = d_asym(rho, delta)
-    if D <= 0.0:
-        raise DomainError("f_factor needs d_asym(rho, delta) > 0")
+    D = _d_star(rho, delta, "f_factor needs d_asym(rho, delta) > 0")
     return Phi(delta) / (rho * Phi(D))
 
 
@@ -109,9 +113,7 @@ def eta(rho: float, delta: float) -> float:
     2 rho [h_b'(delta)/h_b'(D)] [D(1-f)^2 / (2f + 4D(1-f))] [(1+f)/f]
     with D = d_asym and f = f_factor. Strictly positive on its domain.
     """
-    D = d_asym(rho, delta)
-    if D <= 0.0:
-        raise DomainError("eta needs d_asym(rho, delta) > 0")
+    D = _d_star(rho, delta, "eta needs d_asym(rho, delta) > 0")
     f = f_factor(rho, delta)
     if f >= 1.0:
         raise DomainError(f"eta needs f < 1, got f={f!r}")
@@ -213,18 +215,22 @@ def gap_rhs(d1: float, d2: float, bparams, tau: float) -> float:
 
     bparams carries rho, delta1, delta2, and an optional n; with n absent the
     correction term is 0 (asymptotic mode). Requires d1, d2 in (0, 1/2) and
-    tau > 0.
+    tau > 0; DomainError when 2 d2 tau underflows to 0 or the value is not
+    finite.
     """
     _real("tau", tau, 0.0, ends="()")
     _real("d1", d1, 0.0, 0.5, "()")
     _real("d2", d2, 0.0, 0.5, "()")
+    two_d2_tau = 2.0 * d2 * tau
+    if two_d2_tau == 0.0:
+        raise DomainError(f"2*d2*tau underflows to 0 at d2={d2!r}, tau={tau!r}")
     rho = bparams.rho
     c = conv(bparams.delta1, bparams.delta2)
     n = getattr(bparams, "n", None)
     gamma = gamma_corr(n, bparams.delta2) if n is not None else 0.0
     L2 = h_b_prime(d2)
     first = (
-        ((1.0 + 2.0 * d2 * tau) / (2.0 * d2 * tau))
+        ((1.0 + two_d2_tau) / two_d2_tau)
         * (rho * (NAT_LOG2 - h_b(c)) - (NAT_LOG2 - h_b(d2)) + rho * gamma)
         / L2
     )
@@ -236,7 +242,10 @@ def gap_rhs(d1: float, d2: float, bparams, tau: float) -> float:
         * g(d1)
         / g(d2)
     )
-    return first + second
+    rhs = first + second
+    if not -math.inf < rhs < math.inf:
+        raise DomainError(f"the gap bound is not finite at d2={d2!r}, tau={tau!r}")
+    return rhs
 
 
 def sum_distortion_lb(a: float, params: SystemParams) -> float:

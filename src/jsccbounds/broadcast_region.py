@@ -14,12 +14,13 @@ spherical) factors through it. region_trace inverts the binary bound into a
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 from . import bounds_core
 from ._scalar_opt import golden_min
-from .binary_info import NAT_LOG2, DomainError, _count, _real, conv, g, h_b, h_b_inv
+from .binary_info import NAT_LOG2, DomainError, _count, _mgl, _mgl_inv, _real, conv, g, h_b
 
 _A1_FLOAT_GUARD = 1e-12
 
@@ -106,13 +107,13 @@ class RegionPoint:
 def fp_binary(p: float, q: float, t: float) -> float:
     """Lower bound on the strong user's forward rate cost at source rate t.
 
-    t - h_b(conv(q, p)) + h_b(conv(q, h_b_inv(h_b(p) - t))); exact at p = 1/2.
+    t - h_b(conv(q, p)) + mgl_phi(q, h_b(p) - t); exact at p = 1/2.
     """
     _real("p", p, 0.0, 0.5, "(]")
     _real("q", q, 0.0, 0.5)
     _real("t", t, -1e-12, h_b(p) + 1e-12)
     t = min(max(t, 0.0), h_b(p))
-    return t - h_b(conv(q, p)) + h_b(conv(q, h_b_inv(h_b(p) - t)))
+    return t - h_b(conv(q, p)) + _mgl(q, h_b(p) - t)
 
 
 def rbar_binary(p: float, q: float, d: float) -> float:
@@ -120,14 +121,18 @@ def rbar_binary(p: float, q: float, d: float) -> float:
     _real("p", p, 0.0, 0.5, "(]")
     _real("q", q, 0.0, 0.5)
     _real("d", d, -1e-15, p + 1e-12)
-    d = min(max(d, 0.0), p)
+    return _rbar(p, q, min(max(d, 0.0), p))
+
+
+def _rbar(p: float, q: float, d: float) -> float:
+    # rbar_binary without its checks and clamp: d already in [0, p]
     return h_b(conv(q, p)) - h_b(conv(q, d))
 
 
 def g_bsc(delta1: float, delta2: float, t: float) -> float:
     """Weak user's rate ceiling once the strong user consumes rate t.
 
-    log 2 - h_b(conv(delta2, h_b_inv(h_b(delta1) + t))); concave and
+    log 2 - mgl_phi(delta2, h_b(delta1) + t); concave and
     nonincreasing in t on [0, log 2 - h_b(delta1)].
     """
     _real("delta1", delta1, 0.0, 0.5, "[)")
@@ -135,7 +140,7 @@ def g_bsc(delta1: float, delta2: float, t: float) -> float:
     cap = NAT_LOG2 - h_b(delta1)
     _real("t", t, -1e-12, cap + 1e-12)
     t = min(max(t, 0.0), cap)
-    return NAT_LOG2 - h_b(conv(delta2, h_b_inv(h_b(delta1) + t)))
+    return NAT_LOG2 - _mgl(delta2, h_b(delta1) + t)
 
 
 def g_bec(eps: ErasureParams, t: float) -> float:
@@ -183,7 +188,7 @@ def outer_bound_slack(d1: float, d2: float, q: float, bp: BinaryBroadcastParams)
     _real("d2", d2, -1e-15, bp.p + 1e-12)
     d1 = min(max(d1, 0.0), bp.p)
     d2 = min(max(d2, 0.0), bp.p)
-    return _slack_rhs(d1, q, bp) - _slack_lhs(d2, q, bp)
+    return _slack_rhs(d1, q, bp) - _rbar(bp.p, q, d2)
 
 
 def _slack_rhs(d1: float, q: float, bp: BinaryBroadcastParams) -> float:
@@ -195,11 +200,7 @@ def _slack_rhs(d1: float, q: float, bp: BinaryBroadcastParams) -> float:
     ) / bp.rho
     if a1 < -_A1_FLOAT_GUARD:
         raise DomainError(f"A1={a1!r} fell below 0")
-    if bp.n is not None:
-        a1 = min(max(a1, 0.0), NAT_LOG2)
-        rhs = bp.rho * (NAT_LOG2 - h_b(conv(bp.delta2, h_b_inv(a1))))
-        rhs += bp.rho * bounds_core.gamma_corr(bp.n, bp.delta2)
-    else:
+    if bp.n is None:
         if a1 > NAT_LOG2 + _A1_FLOAT_GUARD:
             raise DomainError(
                 f"A1={a1!r} exceeds log 2: d1={d1!r} is infeasible at q={q!r}"
@@ -210,14 +211,10 @@ def _slack_rhs(d1: float, q: float, bp: BinaryBroadcastParams) -> float:
                 f"A1={a1!r} exceeds log 2 within the floating guard; clamping",
                 stacklevel=3,
             )
-        a1 = min(max(a1, 0.0), NAT_LOG2)
-        rhs = bp.rho * (NAT_LOG2 - h_b(conv(bp.delta2, h_b_inv(a1))))
+    rhs = bp.rho * (NAT_LOG2 - _mgl(bp.delta2, min(max(a1, 0.0), NAT_LOG2)))
+    if bp.n is not None:
+        rhs += bp.rho * bounds_core.gamma_corr(bp.n, bp.delta2)
     return rhs
-
-
-def _slack_lhs(d2: float, q: float, bp: BinaryBroadcastParams) -> float:
-    """The weak user's rate need h_b(conv(q, p)) - h_b(conv(q, d2)), d2 in [0, p]."""
-    return h_b(conv(q, bp.p)) - h_b(conv(q, d2))
 
 
 # 64 geometric seeds plus both analytic endpoints; interior maxima of the
@@ -258,16 +255,15 @@ def _d2_at_q(bp: BinaryBroadcastParams, q: float, s0: float) -> float:
     slack s0 at d2 = 0 (-inf where d1 is infeasible at q).
 
     Only the h_b(conv(q, d2)) term of the slack moves with d2, so the
-    threshold solves h_b(conv(q, d2)) = h_b(q) - s0: the inversion
-    erasure_d2_floor uses. p when even d2 = p falls short, which includes a
-    q at which d1 itself is infeasible.
+    threshold solves h_b(conv(q, d2)) = h_b(q) - s0. p when even d2 = p
+    falls short, which includes a q at which d1 itself is infeasible.
     """
     if s0 >= 0.0:
         return 0.0
     t = h_b(q) - s0
     if t >= h_b(conv(q, bp.p)):
         return bp.p
-    return min(max((h_b_inv(t) - q) / (1.0 - 2.0 * q), 0.0), bp.p)
+    return _mgl_inv(q, t, bp.p)
 
 
 # Bisection mids this close to the closed-form threshold are decided by the
@@ -289,7 +285,7 @@ def _trace_point(bp: BinaryBroadcastParams, d1: float) -> RegionPoint:
             except DomainError:
                 rhs = float("-inf")
             rhs_by_q[q] = rhs
-        return rhs - _slack_lhs(d2, q, bp)
+        return rhs - _rbar(bp.p, q, d2)
 
     def worst_slack(d2):
         return _seeded_min(lambda q: slack(d2, q))
@@ -366,9 +362,8 @@ def d1_feasibility_margin(d1: float, bp: BinaryBroadcastParams) -> float:
     _real("d1", d1, 0.0, bp.p, "(]")
     _real("delta1", bp.delta1, 0.0, 0.5, "()")
     c = _real("conv(delta1, delta2)", conv(bp.delta1, bp.delta2), 0.0, 0.5, "[)")
-    d2s = bounds_core.d_asym(bp.rho, c)
-    if d2s <= 0.0:
-        raise DomainError("weak-user optimum D2* is 0; the condition degenerates")
+    d2s = bounds_core._d_star(
+        bp.rho, c, "weak-user optimum D2* is 0; the condition degenerates")
     ratio = g(bp.delta1) / g(c)
     return (
         _g_closed(bp.p)
@@ -382,9 +377,8 @@ def _d2_floor_k(bp: BinaryBroadcastParams, name: str) -> float:
     weak-user bound, c = conv(delta2, D1*); name is the caller, for errors."""
     if bp.n is not None:
         raise DomainError(f"{name} is an asymptotic statement; drop n")
-    d1s = bounds_core.d_asym(bp.rho, bp.delta1)
-    if d1s <= 0.0:
-        raise DomainError("strong-user optimum D1* is 0; the floor degenerates")
+    d1s = bounds_core._d_star(
+        bp.rho, bp.delta1, "strong-user optimum D1* is 0; the floor degenerates")
     c = conv(bp.delta2, d1s)
     k = (1.0 - 2.0 * c) ** 2
     return k + (1.0 - 2.0 * bp.p) ** 2 * (1.0 - k)
@@ -427,29 +421,60 @@ def gaussian_rbar(gp: GaussianBroadcastParams, d: float) -> float:
     return 0.5 * math.log((gp.aux_var + gp.sigma2) / (gp.aux_var + d))
 
 
+# math.exp(x) overflows for x above this
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _log_sum_exp(*logs: float) -> float:
+    """log(sum of e^l) without overflow; the largest l must be finite."""
+    top = max(logs)
+    return top + math.log(math.fsum(math.exp(v - top) for v in logs))
+
+
 def gaussian_gq(gp: GaussianBroadcastParams, t: float) -> float:
     """(1/2) log((P + N1 + N2)/(N1 e^{2t} + N2)); negative past the strong
     user's capacity, which signals an empty bound."""
     _real("t", t, 0.0)
-    return 0.5 * math.log(
-        (gp.power + gp.n1 + gp.n2) / (gp.n1 * math.exp(2.0 * t) + gp.n2)
-    )
+    if 2.0 * t < _LOG_FLOAT_MAX:
+        ratio = (gp.power + gp.n1 + gp.n2) / (gp.n1 * math.exp(2.0 * t) + gp.n2)
+        if 0.0 < ratio < math.inf:
+            return 0.5 * math.log(ratio)
+    # e^{2t} or the ratio leaves the float range: compare log(N1) + 2t with
+    # log(N2) in the log domain instead
+    log_n2 = math.log(gp.n2) if gp.n2 > 0.0 else -math.inf
+    return 0.5 * (_log_sum_exp(math.log(gp.power), math.log(gp.n1), log_n2)
+                  - _log_sum_exp(math.log(gp.n1) + 2.0 * t, log_n2))
+
+
+def _gaussian_threshold(gp: GaussianBroadcastParams, d1: float) -> float:
+    """rho G(F(R(d1))/rho), half the log of gaussian_bound."""
+    t = gaussian_rate(gp, d1)
+    return gp.rho * gaussian_gq(gp, gaussian_fp(gp, t) / gp.rho)
 
 
 def gaussian_bound(gp: GaussianBroadcastParams, d1: float) -> float:
     """Upper bound on (aux_var + sigma2)/(aux_var + d2) given user 1 gets d1.
 
     exp(2 rho G(F(R(d1))/rho)) with the Gaussian handles above. A value below
-    1 means no d2 satisfies the bound (the pair is infeasible).
+    1 means no d2 satisfies the bound (the pair is infeasible). DomainError
+    when the value exceeds the float range; the bound does not bind there.
     """
-    t = gaussian_rate(gp, d1)
-    thr = gp.rho * gaussian_gq(gp, gaussian_fp(gp, t) / gp.rho)
+    thr = _gaussian_threshold(gp, d1)
+    if not 2.0 * thr < _LOG_FLOAT_MAX:
+        raise DomainError(
+            f"ratio bound exp(2 * {thr!r}) exceeds the float range; "
+            "the bound does not bind")
     return math.exp(2.0 * thr)
 
 
 def gaussian_d2_floor(gp: GaussianBroadcastParams, d1: float) -> float:
     """Smallest d2 compatible with gaussian_bound; DomainError when empty."""
-    ratio = gaussian_bound(gp, d1)
+    thr = _gaussian_threshold(gp, d1)
+    if not 2.0 * thr < _LOG_FLOAT_MAX:
+        # the ratio overflows, so (aux_var + sigma2) / ratio is tiny
+        return max(0.0, math.exp(math.log(gp.aux_var + gp.sigma2) - 2.0 * thr)
+                   - gp.aux_var)
+    ratio = math.exp(2.0 * thr)
     if ratio < 1.0:
         raise DomainError(
             f"ratio bound {ratio!r} < 1: no distortion pair satisfies the bound"
@@ -485,9 +510,5 @@ def erasure_d2_floor(eps: ErasureParams, rho: float, d1: float, q: float) -> flo
     constraint alone is infeasible.
     """
     _, thr = _erasure_threshold(eps, rho, d1, q)
-    if thr >= NAT_LOG2:
-        return 0.0
-    x = h_b_inv(NAT_LOG2 - thr)
-    if x <= q or q >= 0.5:
-        return 0.0
-    return (x - q) / (1.0 - 2.0 * q)
+    # q = 1/2 leaves d2 free, and _mgl_inv would divide by 1 - 2q = 0 there
+    return 0.0 if q >= 0.5 else _mgl_inv(q, NAT_LOG2 - thr, 0.5)

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from ._scalar_opt import Lcg64
 from .binary_info import (NAT_LOG2, DomainError, _conv, _count, _g, _h, _hp, _kappa,
-                          _nu, _phi, _Phi, _real, conv, h_b, h_b_inv)
+                          _mgl_inv, _nu, _phi, _Phi, _real, conv, h_b)
 
 DEFAULT_BUDGET = 2 ** 32
 
@@ -417,8 +417,11 @@ def rbar_grid(p, q, d, steps=2001):
     q = _real("q", float(q), 0.0, 0.5)
     d = _real("d", float(d), 0.0, p)
     ax = np.linspace(0.0, 1.0, _count("steps", steps))
-    info = _info_uv(p, q, ax[:, None], ax[None, :])
-    feasible = (1.0 - p) * ax[:, None] + p * ax[None, :] <= d + 1e-15
+    # a row or column whose own distortion term exceeds d holds no feasible cell
+    rows = ax[(1.0 - p) * ax <= d + 1e-15][:, None]
+    cols = ax[p * ax <= d + 1e-15][None, :]
+    info = _info_uv(p, q, rows, cols)
+    feasible = (1.0 - p) * rows + p * cols <= d + 1e-15
     best = float(np.where(feasible, info, np.inf).min())
     hi = min(1.0, d / (1.0 - p))
     u01 = np.linspace(0.0, hi, 200001)
@@ -466,8 +469,7 @@ def converse_search_gq(delta1, delta2, t, trials=10000, seed=0):
             best = v
             best_cand = (p, x)
 
-    xstar = h_b_inv(h1 + t)
-    eta = min(max((xstar - d1) / (1.0 - 2.0 * d1), 0.0), 0.5)
+    eta = _mgl_inv(d1, h1 + t, 0.5)
     consider((0.5, 0.5, 0.0, 0.0), (eta, 1.0 - eta, 0.5, 0.5))
 
     rng = Lcg64(seed)
@@ -481,32 +483,23 @@ def converse_search_gq(delta1, delta2, t, trials=10000, seed=0):
     if best_cand is None:
         return -math.inf
 
-    # deterministic polish: greedy coordinate steps on raw weights and letters
-    r = list(best_cand[0])
-    x = list(best_cand[1])
+    # deterministic polish: greedy coordinate steps on the raw weights, kept
+    # in [0, inf), then on the letters, kept in [0, 1]
+    cur = [list(best_cand[0]), list(best_cand[1])]
     step = 0.25
     for _ in range(60):
         for i in range(4):
-            for sgn in (1.0, -1.0):
-                cand = list(r)
-                cand[i] = max(0.0, cand[i] + sgn * step)
-                tot = sum(cand)
-                if tot <= 0.0:
-                    continue
-                p = tuple(v / tot for v in cand)
-                v = score(p, tuple(x))
-                if v is not None and v > best:
-                    best = v
-                    r = cand
-            for sgn in (1.0, -1.0):
-                cand = list(x)
-                cand[i] = min(1.0, max(0.0, cand[i] + sgn * step))
-                tot = sum(r)
-                p = tuple(v / tot for v in r)
-                v = score(p, tuple(cand))
-                if v is not None and v > best:
-                    best = v
-                    x = cand
+            for k, hi in ((0, math.inf), (1, 1.0)):
+                for sgn in (1.0, -1.0):
+                    cand = [list(cur[0]), list(cur[1])]
+                    cand[k][i] = min(hi, max(0.0, cand[k][i] + sgn * step))
+                    tot = sum(cand[0])
+                    if tot <= 0.0:
+                        continue
+                    v = score(tuple(w / tot for w in cand[0]), tuple(cand[1]))
+                    if v is not None and v > best:
+                        best = v
+                        cur = cand
         step *= 0.65
     return best
 

@@ -312,6 +312,16 @@ def test_gap_rhs_domains():
         bc.gap_rhs(0.15, 0.5, bp, 1.0)
 
 
+def test_gap_rhs_underflowing_tau_is_a_domain_error():
+    bp = BinaryBroadcastParams(rho=1.2, p=0.5, delta1=0.08, delta2=0.05)
+    # 2 d2 tau underflows to 0
+    with pytest.raises(bc.DomainError, match="underflows"):
+        bc.gap_rhs(0.1, 1e-200, bp, 1e-200)
+    # 2 d2 tau is subnormal: (1 + 2 d2 tau) / (2 d2 tau) overflows
+    with pytest.raises(bc.DomainError, match="not finite"):
+        bc.gap_rhs(0.1, 1e-160, bp, 1e-160)
+
+
 def test_sum_distortion_guard_rails():
     p = bc.SystemParams(n=100, rho=1.2, delta=0.2)
     for a in (-1.0, math.nan):

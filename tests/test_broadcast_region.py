@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, strategies as st
 
 from jsccbounds import bounds_core as bc
 from jsccbounds import broadcast_region as br
-from jsccbounds.binary_info import NAT_LOG2, DomainError, beta, conv, h_b, h_b_inv
+from jsccbounds.binary_info import NAT_LOG2, DomainError, beta, conv, h_b, h_b_inv, mgl_phi
 
 FP_HALF = 0.11663125297678283
 FP_BIASED = 0.13443503419918123
@@ -247,8 +247,86 @@ def test_slack_is_rhs_minus_lhs(p, rho, delta1, delta2, n, u1, u2, q):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         want = _outcome(br.outer_bound_slack, d1, d2, q, bp)
-        got = _outcome(lambda: br._slack_rhs(d1, q, bp) - br._slack_lhs(d2, q, bp))
+        got = _outcome(lambda: br._slack_rhs(d1, q, bp) - br._rbar(bp.p, q, d2))
     assert got == want
+
+
+# The Gerber map h_b(conv(a, h_b_inv(t))), its inverse in the crossover and
+# the weak user's rate need are each defined once (_mgl, _mgl_inv, _rbar).
+# Below, each caller is written out with those steps inline, in the same
+# float operations, so the library must agree with it exactly.
+
+
+def _inline_slack(d1, d2, q, bp):
+    d1 = min(max(d1, 0.0), bp.p)
+    d2 = min(max(d2, 0.0), bp.p)
+    a1 = h_b(bp.delta1) + (
+        h_b(conv(q, d1)) - h_b(d1) - h_b(conv(q, bp.p)) + h_b(bp.p)
+    ) / bp.rho
+    if a1 < -1e-12:
+        raise DomainError(f"A1={a1!r} fell below 0")
+    if bp.n is None and a1 > NAT_LOG2 + 1e-12:
+        raise DomainError(f"A1={a1!r} exceeds log 2: d1={d1!r} is infeasible at q={q!r}")
+    a1 = min(max(a1, 0.0), NAT_LOG2)
+    rhs = bp.rho * (NAT_LOG2 - h_b(conv(bp.delta2, h_b_inv(a1))))
+    if bp.n is not None:
+        rhs += bp.rho * bc.gamma_corr(bp.n, bp.delta2)
+    return rhs - (h_b(conv(q, bp.p)) - h_b(conv(q, d2)))
+
+
+def _inline_d2_at_q(bp, q, s0):
+    if s0 >= 0.0:
+        return 0.0
+    t = h_b(q) - s0
+    if t >= h_b(conv(q, bp.p)):
+        return bp.p
+    return min(max((h_b_inv(t) - q) / (1.0 - 2.0 * q), 0.0), bp.p)
+
+
+def _inline_erasure_floor(eps, rho, d1, q):
+    _, thr = br._erasure_threshold(eps, rho, d1, q)
+    if thr >= NAT_LOG2:
+        return 0.0
+    x = h_b_inv(NAT_LOG2 - thr)
+    if x <= q or q >= 0.5:
+        return 0.0
+    return (x - q) / (1.0 - 2.0 * q)
+
+
+_STEPS_ARGS = dict(p=0.5, rho=2.0, delta1=0.08, delta2=0.05, n=None, u1=0.0,
+                   u2=0.3, q=0.1, u=0.4, s0=-0.2, eps1=0.0, eps_u=0.0)
+
+
+@given(st.floats(1e-3, 0.5), st.floats(0.3, 3.0), st.floats(0.0, 0.45),
+       st.floats(0.0, 0.5), st.none() | st.integers(1, 5000),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 0.5),
+       st.floats(0.0, 1.0), st.floats(-1.0, 0.5) | st.just(-math.inf),
+       st.floats(0.0, 0.95), st.floats(0.0, 1.0))
+# rho (1 - eps2) >= 1 at d1 = 1/2: the erasure threshold reaches log 2
+@example(**_STEPS_ARGS)
+@example(**dict(_STEPS_ARGS, q=0.5, n=1000))
+@example(**dict(_STEPS_ARGS, q=0.5, u1=0.5, eps1=0.2, eps_u=0.5, s0=-math.inf))
+def test_factored_steps_match_the_inline_formulas(p, rho, delta1, delta2, n, u1, u2,
+                                                  q, u, s0, eps1, eps_u):
+    bp = br.BinaryBroadcastParams(rho=rho, p=p, delta1=delta1, delta2=delta2, n=n)
+    d1, d2 = u1 * p, u2 * p
+    t = u * NAT_LOG2
+    assert mgl_phi(delta2, t) == h_b(conv(delta2, h_b_inv(t)))
+    t = u * h_b(p)
+    assert br.fp_binary(p, q, t) == t - h_b(conv(q, p)) + h_b(conv(q, h_b_inv(h_b(p) - t)))
+    t = u * (NAT_LOG2 - h_b(delta1))
+    assert br.g_bsc(delta1, delta2, t) == NAT_LOG2 - h_b(
+        conv(delta2, h_b_inv(h_b(delta1) + t)))
+    assert br.rbar_binary(p, q, d2) == h_b(conv(q, p)) - h_b(conv(q, d2))
+    assert br._d2_at_q(bp, q, s0) == _inline_d2_at_q(bp, q, s0)
+    eps = br.ErasureParams(eps1, eps1 + eps_u * (0.99 - eps1))
+    d1e = 0.5 - 0.4999 * u1
+    assert (_outcome(br.erasure_d2_floor, eps, rho, d1e, q)
+            == _outcome(_inline_erasure_floor, eps, rho, d1e, q))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert (_outcome(br.outer_bound_slack, d1, d2, q, bp)
+                == _outcome(_inline_slack, d1, d2, q, bp))
 
 
 def test_a1_clamp_warning_points_at_the_caller():
@@ -530,6 +608,39 @@ def test_gaussian_floor_monotone_in_d1():
     floors = [br.gaussian_d2_floor(gp, d) for d in (0.7, 0.8, 0.9)]
     # tightening user 1 squeezes user 2 harder
     assert floors[0] >= floors[1] >= floors[2]
+
+
+def test_gaussian_gq_stays_finite_where_exp_2t_overflows():
+    gp = br.GaussianBroadcastParams(sigma2=1.0, aux_var=0.5, power=1.0, n1=0.5,
+                                    n2=1.0, rho=0.5)
+    # N1 e^{2t} swamps N2: gq = (1/2)(log(P + N1 + N2) - log N1 - 2t)
+    for t in (355.0, 400.0, 1e4):
+        assert feq(br.gaussian_gq(gp, t), 0.5 * (math.log(2.5 / 0.5) - 2.0 * t),
+                   rel=1e-15)
+    # no jump where the log domain takes over
+    edge = 0.5 * math.log(1.7976931348623157e308)
+    below, above = br.gaussian_gq(gp, edge * (1 - 1e-15)), br.gaussian_gq(gp, edge)
+    assert feq(below, above, rel=1e-14)
+    # fields near the float ceiling: P + N1 + N2 or N1 e^{2t} overflows
+    big = br.GaussianBroadcastParams(sigma2=1.0, aux_var=0.5, power=1e308, n1=1e308,
+                                     n2=1e308, rho=1.0)
+    assert feq(br.gaussian_gq(big, 0.0), 0.5 * math.log(1.5), rel=1e-12)
+    wide = br.GaussianBroadcastParams(sigma2=1.0, aux_var=0.5, power=1.0, n1=1e300,
+                                      n2=1.0, rho=1.0)
+    assert feq(br.gaussian_gq(wide, 10.0), -10.0, rel=1e-12)
+    # fp / rho ~ 690 here: the pair is infeasible, not an overflow
+    with pytest.raises(DomainError, match="< 1"):
+        br.gaussian_d2_floor(gp, 1e-300)
+
+
+def test_gaussian_bound_past_the_float_range_does_not_bind():
+    # 2 rho G(...) ~ 6216: exp of it overflows
+    for aux_var in (0.5, 0.0):
+        gp = br.GaussianBroadcastParams(sigma2=1.0, aux_var=aux_var, power=1000.0,
+                                        n1=1.0, n2=1.0, rho=1000.0)
+        assert br.gaussian_d2_floor(gp, 0.3) == 0.0
+        with pytest.raises(DomainError, match="float range"):
+            br.gaussian_bound(gp, 0.3)
 
 
 # ---------- erasure instantiation ----------

@@ -263,6 +263,22 @@ def test_gaussian_floor_infeasible_returns_3(capsys):
     assert err.startswith("infeasible:")
 
 
+@pytest.mark.parametrize("argv, msg", [
+    # exp(2t) and exp(2 thr) overflow a float, 2 d2 tau underflows to 0
+    (["bound", "gaussian", "--sigma2", "1", "--aux-var", "0.5", "--power", "1",
+      "--n1", "0.5", "--n2", "1", "--rho", "0.5", "--d1", "1e-300"], "< 1"),
+    (["bound", "gaussian", "--sigma2", "1", "--aux-var", "0.5", "--power", "1000",
+      "--n1", "1", "--n2", "1", "--rho", "1000", "--d1", "0.3"], "float range"),
+    (["bound", "gap", "--rho", "1.2", "--delta1", "0.08", "--delta2", "0.05",
+      "--d1", "0.1", "--d2", "1e-200", "--tau", "1e-200"], "underflows"),
+])
+def test_float_range_edges_return_3(capsys, argv, msg):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("infeasible:") and msg in err
+
+
 def test_erasure_infeasible_returns_3(capsys):
     code, out, err = run_cli(
         ["bound", "erasure", "--eps1", "0.95", "--eps2", "0.96", "--rho", "1",
