@@ -405,14 +405,26 @@ def d2_floor_slack(d2_probe: float, bp: BinaryBroadcastParams) -> float:
 
 def gaussian_rate(gp: GaussianBroadcastParams, d: float) -> float:
     """Gaussian source rate at distortion d: (1/2) log(sigma2/d)."""
-    return 0.5 * math.log(gp.sigma2 / _real("d", d, 0.0, gp.sigma2, "(]"))
+    ratio = gp.sigma2 / _real("d", d, 0.0, gp.sigma2, "(]")
+    if ratio < math.inf:
+        return 0.5 * math.log(ratio)
+    return 0.5 * (math.log(gp.sigma2) - math.log(d))
 
 
 def gaussian_fp(gp: GaussianBroadcastParams, t: float) -> float:
-    """t - (1/2) log((aux_var + sigma2)/(aux_var + sigma2 e^{-2t}))."""
+    """t - (1/2) log((aux_var + sigma2)/(aux_var + sigma2 e^{-2t})), which is
+    (1/2) log((aux_var e^{2t} + sigma2)/(aux_var + sigma2)): 0 at aux_var = 0."""
     _real("t", t, 0.0)
     s2, a2 = gp.sigma2, gp.aux_var
-    return t - 0.5 * math.log((a2 + s2) / (a2 + s2 * math.exp(-2.0 * t)))
+    den = a2 + s2 * math.exp(-2.0 * t)
+    ratio = (a2 + s2) / den if den > 0.0 else math.inf
+    if ratio < math.inf:
+        return t - 0.5 * math.log(ratio)
+    # e^{-2t} underflows to 0 or the ratio overflows: the second form, in
+    # the log domain
+    log_a2 = math.log(a2) if a2 > 0.0 else -math.inf
+    return 0.5 * (_log_sum_exp(log_a2 + 2.0 * t, math.log(s2))
+                  - _log_sum_exp(log_a2, math.log(s2)))
 
 
 def gaussian_rbar(gp: GaussianBroadcastParams, d: float) -> float:

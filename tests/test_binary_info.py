@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -206,6 +207,71 @@ def test_inverse_above_the_newton_cutoff_is_the_bisection():
         ts.append(t)
     for t in ts:
         assert t > cut
+        assert bi.h_b_inv(t) == _bisection_inverse(t)
+
+
+ABOVE_CUTOFF = st.one_of(
+    st.floats(bi._NEWTON_CUTOFF, bi.NAT_LOG2, exclude_min=True, exclude_max=True),
+    st.floats(0.2, 11.9).map(lambda e: 10.0 ** -e),
+    st.floats(1.0, 16.0).map(lambda e: bi.NAT_LOG2 - 10.0 ** -e),
+)
+
+
+# h of a grid mid equals this t exactly, so the mid's decision turns on
+# the last bit
+@example(0.5209097113396619)
+@given(ABOVE_CUTOFF)
+def test_inverse_is_the_bisection_everywhere_above_the_cutoff(t):
+    assert bi.h_b_inv(t) == _bisection_inverse(t)
+
+
+def test_first_mid_has_the_most_trailing_zeros():
+    def tz(m):
+        return (m & -m).bit_length()
+
+    for a in range(1, 300):
+        for b in range(a, 300):
+            m = bi._first_mid(a, b)
+            assert a <= m <= b
+            assert all(tz(j) < tz(m) for j in range(a, b + 1) if j != m)
+
+
+def test_inverse_first_mid_regression():
+    assert bi.h_b_inv(0.5209097113396619) == 0.21531166044803385
+
+
+def test_inverse_is_the_bisection_at_knife_edges():
+    # t = h of a grid mid, and its two float neighbours: the walk's decision
+    # at that mid turns on the last bit
+    rng = random.Random(2047)
+    for i in range(2000):
+        m = rng.randrange(6, 2 ** 46) if i % 2 else int(2.0 ** rng.uniform(2.6, 46.0))
+        hm = bi.h_b(m * 2.0 ** -47)
+        for t in (math.nextafter(hm, 0.0), hm, math.nextafter(hm, 1.0)):
+            assert bi.h_b_inv(t) == _bisection_inverse(t)
+
+
+INVERSE_TS = [0.5209097113396619, 0.3, 1e-6, 1e-11, bi.NAT_LOG2 - 1e-15]
+
+
+def test_inverse_falls_back_to_the_walk_when_an_edge_fails(monkeypatch):
+    # with no error margin the window is the point x0 and the two edge
+    # proofs contradict each other, so every call takes the walk
+    walked = []
+    real_walk = bi._h_b_inv_walk
+    monkeypatch.setattr(bi, "_H_ERR", 0.0)
+    monkeypatch.setattr(bi, "_h_b_inv_walk", lambda t: walked.append(t) or real_walk(t))
+    for t in INVERSE_TS:
+        assert bi.h_b_inv(t) == _bisection_inverse(t)
+    assert walked == INVERSE_TS
+
+
+@pytest.mark.parametrize("err", [1e-9, 1e-4, 1.0])
+def test_inverse_replays_the_walk_through_a_wide_window(monkeypatch, err):
+    # a wider window holds more mids, up to all 46 levels of the walk
+    monkeypatch.setattr(bi, "_H_ERR", err)
+    monkeypatch.setattr(bi, "_h_b_inv_walk", None)
+    for t in INVERSE_TS:
         assert bi.h_b_inv(t) == _bisection_inverse(t)
 
 

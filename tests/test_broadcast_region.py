@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+from jsccbounds import binary_info as bi
 from jsccbounds import bounds_core as bc
 from jsccbounds import broadcast_region as br
 from jsccbounds.binary_info import NAT_LOG2, DomainError, beta, conv, h_b, h_b_inv, mgl_phi
@@ -460,6 +461,24 @@ def test_region_trace_bit_identical_on_reference_pool():
     assert wrong == []
 
 
+def test_reference_pool_never_falls_back_to_the_inverse_walk(monkeypatch):
+    # h_b_inv proves its window edges on every inverse the pool makes
+    fast, walked = [], []
+    real_inv, real_walk = bi.h_b_inv, bi._h_b_inv_walk
+
+    def inv_spy(t):
+        if bi._NEWTON_CUTOFF < t < bi.NAT_LOG2:
+            fast.append(t)
+        return real_inv(t)
+
+    monkeypatch.setattr(bi, "h_b_inv", inv_spy)
+    monkeypatch.setattr(bi, "_h_b_inv_walk", lambda t: walked.append(t) or real_walk(t))
+    for bp, d1, _ in _pool_points():
+        br.region_trace(bp, [d1])
+    assert len(fast) > 50_000
+    assert walked == []
+
+
 # binding at an interior q, never binding, d1 infeasible
 @pytest.mark.parametrize("args", [REGION_FROZEN[i][0] for i in (1, 3, 4)])
 def test_trace_point_evaluates_each_q_once(monkeypatch, args):
@@ -641,6 +660,27 @@ def test_gaussian_bound_past_the_float_range_does_not_bind():
         assert br.gaussian_d2_floor(gp, 0.3) == 0.0
         with pytest.raises(DomainError, match="float range"):
             br.gaussian_bound(gp, 0.3)
+
+
+def test_gaussian_fp_stays_finite_where_exp_minus_2t_underflows():
+    # aux_var = 0: fp is (1/2) log(sigma2 / sigma2) = 0 for every t; past
+    # t ~ 355 the ratio overflowed to -inf and past ~372 the denominator
+    # underflowed to 0 (ZeroDivisionError)
+    gp = br.GaussianBroadcastParams(1.0, 0.0, 1.0, 0.5, 1.0, 1.0)
+    for t in (360.0, 372.0, 400.0, 1e6):
+        assert br.gaussian_fp(gp, t) == 0.0
+    # aux_var + sigma2 overflows: fp = (1/2) log((e^2 + 1) / 2) at t = 1
+    big = br.GaussianBroadcastParams(1e308, 1e308, 1.0, 0.5, 1.0, 1.0)
+    assert feq(br.gaussian_fp(big, 1.0), 0.5 * math.log((math.e ** 2 + 1.0) / 2.0),
+               rel=1e-14)
+    # a positive aux_var keeps the first form, whose denominator is aux_var
+    tiny = br.GaussianBroadcastParams(1.0, 1e-300, 1.0, 0.5, 1.0, 1.0)
+    assert br.gaussian_fp(tiny, 400.0) == 400.0 - 0.5 * math.log(1.0 / 1e-300)
+
+
+def test_gaussian_rate_stays_finite_where_the_ratio_overflows():
+    gp = br.GaussianBroadcastParams(1e300, 0.0, 1.0, 0.5, 1.0, 0.5)
+    assert feq(br.gaussian_rate(gp, 1e-300), 300.0 * math.log(10.0), rel=1e-14)
 
 
 # ---------- erasure instantiation ----------

@@ -7,6 +7,7 @@ start-up test, which needs a fresh interpreter to see what gets imported.
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 import time
@@ -277,6 +278,19 @@ def test_float_range_edges_return_3(capsys, argv, msg):
     assert code == 3
     assert out == ""
     assert err.startswith("infeasible:") and msg in err
+
+
+def test_gaussian_with_an_overflowing_rate_ratio_prints_its_row(capsys):
+    # sigma2 / d1 = 1e600 overflows; the rate is (1/2)(log sigma2 - log d1),
+    # and at aux_var = 0 the channel map F returns 0, so the ratio bound is
+    # sqrt((P + N1 + N2) / (N1 + N2)) = sqrt(2.5 / 1.5)
+    code, out, err = run_cli(
+        ["bound", "gaussian", "--sigma2", "1e300", "--aux-var", "0", "--power", "1",
+         "--n1", "0.5", "--n2", "1", "--rho", "0.5", "--d1", "1e-300"], capsys)
+    assert (code, err) == (0, "")
+    row = out.splitlines()[1].split(",")
+    assert row[7] == "1.29099444874"
+    assert float(row[8]) == pytest.approx(1e300 / math.sqrt(2.5 / 1.5), rel=1e-11)
 
 
 def test_erasure_infeasible_returns_3(capsys):
