@@ -116,26 +116,27 @@ def h_b(x: float) -> float:
     return _h(x, math.log)
 
 
-# h_b_inv's answers are defined by a bisection (_h_b_inv_walk): 46 halvings
-# of [0, 1/2] (the first width <= 1e-14), each keeping the right half when
-# _h(mid) < t, so every answer is the midpoint of a cell 2^-47 wide. Below
-# h_b(5 cells) ~ 1.1e-12 those cells are coarse against the root, so h_b_inv
-# takes a Newton root there. The cutoff sits at h_b of a cell edge: every
-# Newton root is at most that edge, every bisection answer above the cutoff
-# at least half a cell beyond it, so h_b_inv stays nondecreasing across it.
+# h_b_inv's answers are defined by a bisection: 46 halvings of [0, 1/2]
+# (the first width <= 1e-14), each keeping the right half when _h(mid) < t,
+# so every answer is the midpoint of a cell 2^-47 wide. Below h_b(5 cells)
+# ~ 1.1e-12 those cells are coarse against the root, so h_b_inv takes a
+# Newton root there. The cutoff sits at h_b of a cell edge: every Newton
+# root is at most that edge, every bisection answer above the cutoff at
+# least half a cell beyond it, so h_b_inv stays nondecreasing across it.
 #
-# Above the cutoff h_b_inv returns the walk's float without walking. The
-# walk's mids are the integers m in (0, 2^46), in units of 2^-47, and its
-# answer depends only on the 46 decisions _h(m) < t. With fl(_h(x)) within
-# _H_ERR of the exact h(x) for every float x in (0, 1/2], one _h value
-# settles a whole side: if _h(xa) < t - 2 _H_ERR, then for every mid
-# m <= xa, fl(_h(m)) <= h(m) + _H_ERR <= h(xa) + _H_ERR < t, since the exact
-# h increases on [0, 1/2]; likewise _h(xb) >= t + 2 _H_ERR settles every
-# mid m >= xb as "not below t". Only the mids strictly inside (xa, xb) need
-# _h. The forward error model (Higham, Accuracy and Stability of Numerical
-# Algorithms, 2nd ed., 2002, ch. 3): each float operation is exact times
-# (1 + d) with |d| <= u = 2^-53, and the libm log within 1 ulp (2u
-# relative). Then -x log x carries 3u of its value, (1 - x) log(1 - x)
+# Above the cutoff h_b_inv returns the bisection's float without making all
+# of its 46 evaluations. The bisection's mids are the integers m in
+# (0, 2^46), in units of 2^-47, and its answer depends only on the 46
+# decisions _h(m) < t. With fl(_h(x)) within _H_ERR of the exact h(x) for
+# every float x in (0, 1/2], one _h value settles a whole side: if
+# _h(xa) < t - 2 _H_ERR with xa <= 1/2, then for every mid m <= xa,
+# fl(_h(m)) <= h(m) + _H_ERR <= h(xa) + _H_ERR < t, since the exact h
+# increases on [0, 1/2]; likewise _h(xb) >= t + 2 _H_ERR with xb >= 0
+# settles every mid m >= xb as "not below t". Only the mids strictly inside
+# (xa, xb) need _h. The forward error model (Higham, Accuracy and Stability
+# of Numerical Algorithms, 2nd ed., 2002, ch. 3): each float operation is
+# exact times (1 + d) with |d| <= u = 2^-53, and the libm log within 1 ulp
+# (2u relative). Then -x log x carries 3u of its value, (1 - x) log(1 - x)
 # 4u plus u from rounding 1 - x inside the log, and the final subtraction u
 # of h, so |fl(_h(x)) - h(x)| <= (5 log 2 + 1) u + O(u^2) ~ 4.5u. _H_ERR
 # takes 8u, which also covers a libm log within 2 ulps.
@@ -154,13 +155,12 @@ def h_b_inv(t: float) -> float:
 
     Above ~1.1e-12 the result is the bisection's float, bit for bit, from
     about 2.5 evaluations of h_b instead of 46 (two at the window edges):
-    four Newton steps find the root x0, the window x0 +- M with
-    M = _H_ERR (3 / h_b'(upper edge) + x0) holds every mid whose side is in
-    doubt, h_b at its two edges proves the side of every mid outside it
-    (see the comment above _H_ERR), and the walk is replayed on the integer
-    grid, jumping straight to each mid inside the window. Near t = log 2,
-    where h_b' vanishes, the window widens and holds more mids. When an
-    edge fails its proof, the call runs the 46-step bisection instead.
+    _proved_window finds the few grid mids whose side of the root is in
+    doubt, and the bisection is replayed on the integer grid, jumping
+    straight to each of them. Near t = log 2, where h_b' vanishes, the
+    window widens and holds more mids. When the window's proof fails, the
+    replay takes the whole grid as its window and so makes all 46
+    evaluations of the bisection itself.
     """
     if t <= 0.0:
         return 0.0
@@ -170,36 +170,12 @@ def h_b_inv(t: float) -> float:
         return 0.5
     if t <= _NEWTON_CUTOFF:
         return _h_b_inv_newton(t)
-    # x0 from the closed form h(x) ~ log 2 (4x(1 - x))^(3/4), inverted without
-    # cancellation. It lies in (0, 1/2), and where it lies right of the root
-    # (roots above ~0.06) it is within 2% of 1/2 - root. h is concave, so a
-    # Newton step from the right lands left of the root, and from the left
-    # climbs toward it without passing it.
-    z = (t / NAT_LOG2) ** (4.0 / 3.0)
-    x = z / (2.0 + 2.0 * math.sqrt(1.0 - z))
-    for _ in range(4):
-        lx, l1x = math.log(x), math.log(1.0 - x)
-        hp = l1x - lx
-        x += (t + x * lx + (1.0 - x) * l1x) / hp
-    # The edges need h(root) - h(xa) and h(xb) - h(root) above 3 _H_ERR; h
-    # is concave, so its least slope on the window is at the upper edge.
-    # _H_ERR x0 = 8u x0 covers the few ulps Newton's last step leaves.
-    half = 3.0 * _H_ERR / hp
-    if x + half < 0.5:
-        half = _H_ERR * (3.0 / _hp(x + half, math.log) + x)
-    xa, xb = x - half, x + half
-    # No mid lies at or below 0 or at or above 1/2: a window reaching past
-    # either end holds vacuously there, so the proof stands for any _H_ERR
-    # at least the true error. Both subtractions are exact (Sterbenz)
-    # wherever they come near 2 _H_ERR, because t > 1e-12.
-    if ((xa > 0.0 and not t - _h(xa, math.log) > 2.0 * _H_ERR)
-            or (xb < 0.5 and not _h(xb, math.log) - t >= 2.0 * _H_ERR)):
-        return _h_b_inv_walk(t)
-    below = math.floor(xa * 2.0 ** 47)  # mids <= below lie left of the root
-    a = max(below + 1, 1)
-    b = min(math.ceil(xb * 2.0 ** 47) - 1, 2 ** 46 - 1)
-    # the walk's block (lo, hi) holds [a, b], and the block of its first mid
-    # m inside [a, b] is m +- 2^tz(m), tz the trailing zero count
+    # mids <= below lie left of the root; [a, b] holds the mids in doubt,
+    # all of them when the proof fails, and then the loop below meets the
+    # bisection's 46 mids one by one
+    below, a, b = _proved_window(t) or (-1, 1, 2 ** 46 - 1)
+    # the bisection's block (lo, hi) holds [a, b], and the block of its
+    # first mid m inside [a, b] is m +- 2^tz(m), tz the trailing zero count
     lo, hi = 0, 2 ** 46
     while a <= b:
         m = _first_mid(a, b)
@@ -212,24 +188,51 @@ def h_b_inv(t: float) -> float:
     return (2 * min(max(below, lo), hi - 1) + 1) * 2.0 ** -48
 
 
+def _proved_window(t: float):
+    """(below, a, b) for _NEWTON_CUTOFF < t < log 2: the bisection finds
+    every grid mid m <= below left of the root and every m > b right of it,
+    and [a, b] holds the rest, from h_b at the window's two edges (see the
+    comment above _H_ERR). None when an edge fails its proof."""
+    # x0 from the closed form h(x) ~ log 2 (4x(1 - x))^(3/4), inverted
+    # without cancellation. It lies in (0, 1/2), and where it lies right of
+    # the root (roots above ~0.06) it is within 2% of 1/2 - root. h is
+    # concave, so a Newton step from the right lands left of the root, and
+    # from the left climbs toward it without passing it.
+    z = (t / NAT_LOG2) ** (4.0 / 3.0)
+    x = z / (2.0 + 2.0 * math.sqrt(1.0 - z))
+    for _ in range(4):
+        lx, l1x = math.log(x), math.log(1.0 - x)
+        hp = l1x - lx
+        x += (t + x * lx + (1.0 - x) * l1x) / hp
+    # The edge proofs need xa <= 1/2 and xb >= 0, which hold when x lies in
+    # (0, 1/2) and the half-width is positive. Within a few ulps of
+    # t = log 2, t - _h(x) is rounding noise, and a step can carry x past
+    # 1/2, where the last step's hp is negative.
+    if not (0.0 < x < 0.5 and hp > 0.0):
+        return None
+    # The edges need h(root) - h(xa) and h(xb) - h(root) above 3 _H_ERR; h
+    # is concave, so its least slope on the window is at the upper edge.
+    # _H_ERR x0 = 8u x0 covers the few ulps Newton's last step leaves.
+    half = 3.0 * _H_ERR / hp
+    if x + half < 0.5:
+        half = _H_ERR * (3.0 / _hp(x + half, math.log) + x)
+    xa, xb = x - half, x + half
+    # No mid lies at or below 0 or at or above 1/2: a window reaching past
+    # either end holds vacuously there. Both subtractions are exact
+    # (Sterbenz) wherever they come near 2 _H_ERR, because t > 1e-12.
+    if ((xa > 0.0 and not t - _h(xa, math.log) > 2.0 * _H_ERR)
+            or (xb < 0.5 and not _h(xb, math.log) - t >= 2.0 * _H_ERR)):
+        return None
+    below = math.floor(xa * 2.0 ** 47)
+    return below, max(below + 1, 1), min(math.ceil(xb * 2.0 ** 47) - 1, 2 ** 46 - 1)
+
+
 def _first_mid(a: int, b: int) -> int:
     """The integer in [a, b] with the most trailing zeros, for 1 <= a <= b:
     the first mid that a bisection of a dyadic block holding [a, b] meets."""
     k = (a ^ b).bit_length()
     m = (b >> k) << k  # a multiple of 2^k in [a, b] can only be a itself
     return m if m >= a else (b >> (k - 1)) << (k - 1)
-
-
-def _h_b_inv_walk(t: float) -> float:
-    """The 46-step bisection that defines h_b_inv above _NEWTON_CUTOFF."""
-    lo, hi = 0.0, 0.5
-    for _ in range(46):
-        mid = 0.5 * (lo + hi)
-        if _h(mid, math.log) < t:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _h_b_inv_newton(t: float) -> float:

@@ -47,6 +47,8 @@ def test_entropy_inverse_values():
     assert bi.h_b_inv(0.0) == 0.0
     assert bi.h_b_inv(-1.0) == 0.0
     assert bi.h_b_inv(bi.NAT_LOG2) == 0.5
+    # h_b of the mid at the answer cell's right edge is this t exactly
+    assert bi.h_b_inv(0.5209097113396619) == 0.21531166044803385
     # tiny overshoot is absorbed, a real overshoot is rejected
     assert bi.h_b_inv(bi.NAT_LOG2 + 1e-13) == 0.5
     with pytest.raises(bi.DomainError):
@@ -183,7 +185,8 @@ def test_inverse_nondecreasing_across_the_newton_cutoff():
 
 
 def _bisection_inverse(t):
-    # the 46-step walk h_b_inv runs above the Newton cutoff, written out
+    # the 46-step walk whose float h_b_inv returns above the Newton cutoff,
+    # written out
     lo, hi = 0.0, 0.5
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -236,10 +239,6 @@ def test_first_mid_has_the_most_trailing_zeros():
             assert all(tz(j) < tz(m) for j in range(a, b + 1) if j != m)
 
 
-def test_inverse_first_mid_regression():
-    assert bi.h_b_inv(0.5209097113396619) == 0.21531166044803385
-
-
 def test_inverse_is_the_bisection_at_knife_edges():
     # t = h of a grid mid, and its two float neighbours: the walk's decision
     # at that mid turns on the last bit
@@ -254,25 +253,31 @@ def test_inverse_is_the_bisection_at_knife_edges():
 INVERSE_TS = [0.5209097113396619, 0.3, 1e-6, 1e-11, bi.NAT_LOG2 - 1e-15]
 
 
+def _spy_on_windows(monkeypatch):
+    # every window h_b_inv gets, None where the edge proof failed
+    windows, real = [], bi._proved_window
+    monkeypatch.setattr(bi, "_proved_window", lambda t: windows.append(real(t)) or windows[-1])
+    return windows
+
+
 def test_inverse_falls_back_to_the_walk_when_an_edge_fails(monkeypatch):
     # with no error margin the window is the point x0 and the two edge
-    # proofs contradict each other, so every call takes the walk
-    walked = []
-    real_walk = bi._h_b_inv_walk
+    # proofs contradict each other, so every call walks the whole grid
+    windows = _spy_on_windows(monkeypatch)
     monkeypatch.setattr(bi, "_H_ERR", 0.0)
-    monkeypatch.setattr(bi, "_h_b_inv_walk", lambda t: walked.append(t) or real_walk(t))
     for t in INVERSE_TS:
         assert bi.h_b_inv(t) == _bisection_inverse(t)
-    assert walked == INVERSE_TS
+    assert windows == [None] * len(INVERSE_TS)
 
 
 @pytest.mark.parametrize("err", [1e-9, 1e-4, 1.0])
 def test_inverse_replays_the_walk_through_a_wide_window(monkeypatch, err):
     # a wider window holds more mids, up to all 46 levels of the walk
+    windows = _spy_on_windows(monkeypatch)
     monkeypatch.setattr(bi, "_H_ERR", err)
-    monkeypatch.setattr(bi, "_h_b_inv_walk", None)
     for t in INVERSE_TS:
         assert bi.h_b_inv(t) == _bisection_inverse(t)
+    assert None not in windows
 
 
 @given(st.floats(1e-4, 0.5))

@@ -463,20 +463,12 @@ def test_region_trace_bit_identical_on_reference_pool():
 
 def test_reference_pool_never_falls_back_to_the_inverse_walk(monkeypatch):
     # h_b_inv proves its window edges on every inverse the pool makes
-    fast, walked = [], []
-    real_inv, real_walk = bi.h_b_inv, bi._h_b_inv_walk
-
-    def inv_spy(t):
-        if bi._NEWTON_CUTOFF < t < bi.NAT_LOG2:
-            fast.append(t)
-        return real_inv(t)
-
-    monkeypatch.setattr(bi, "h_b_inv", inv_spy)
-    monkeypatch.setattr(bi, "_h_b_inv_walk", lambda t: walked.append(t) or real_walk(t))
+    windows, real = [], bi._proved_window
+    monkeypatch.setattr(bi, "_proved_window", lambda t: windows.append(real(t)) or windows[-1])
     for bp, d1, _ in _pool_points():
         br.region_trace(bp, [d1])
-    assert len(fast) > 50_000
-    assert walked == []
+    assert len(windows) > 50_000
+    assert None not in windows
 
 
 # binding at an interior q, never binding, d1 infeasible
