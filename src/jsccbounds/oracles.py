@@ -1,13 +1,15 @@
 """Independent exact and brute-force checks for the closed forms.
 
 Tiny instances are solved outright: every encoder table is enumerated (up
-to XOR translation), decoding is the exact posterior-majority rule, and
-all expectations stay in integer arithmetic until the final division.
+to XOR translation and coordinate permutations), decoding is the exact
+posterior-majority rule, and all expectations stay in integer arithmetic
+until the final division.
 The grid verifiers scan the scalar inequalities over dense boxes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -121,38 +123,86 @@ def _bit_groups(m: int) -> tuple[np.ndarray, ...]:
 _BLOCK_CELLS = 1 << 16
 
 
+@lru_cache(maxsize=None)
+def _canonical_prefixes(n: int, L: int) -> np.ndarray:
+    """Ascending ranks of the L-word prefixes (c_1, ..., c_L) that are
+    lexicographically least in their orbit under permutations of the n
+    coordinates, c_1 most significant.
+
+    The column type of coordinate i is the L-bit number whose bits, c_1's
+    bit on top, are bit i of c_1, ..., c_L. A permutation moves the types
+    between coordinates, and the prefix is least when they do not increase
+    from bit 0 upward: c_1's ones sit lowest, then c_2's within each run of
+    equal c_1 bits, and so on. So the canonical prefixes are the multisets
+    of n types, C(n + 2^L - 1, n) of the N^L prefixes.
+    """
+    import numpy as np
+
+    N = 1 << n
+    ranks = []
+    # each multiset comes non-decreasing; bit n - 1 - j takes its j-th type
+    for types in itertools.combinations_with_replacement(range(1 << L), n):
+        rank = 0
+        for l in range(L):
+            word = sum(((t >> (L - 1 - l)) & 1) << (n - 1 - j) for j, t in enumerate(types))
+            rank = rank * N + word
+        ranks.append(rank)
+    out = np.array(sorted(ranks), dtype=np.int64)
+    out.setflags(write=False)
+    return out
+
+
 def _encoder_costs(m, n, wtabs, use_symmetry, budget):
-    """Integer decoding cost of every encoder table, one array per weight table.
+    """Integer decoding cost of encoder tables, one array per weight table,
+    followed by the ascending int64 array of the tables' ranks.
 
     The cost of an encoder under weights w is
         sum_y sum_j min(A_j(y), S(y) - A_j(y)),
     S(y) = sum_s W[c_s, y] with W[x, y] = w[popcount(x ^ y)], and A_j the
     same sum restricted to source words with bit j set: the Bayes-optimal
-    per-bit decoding error in weight units. Arrays are indexed by the
-    lexicographic table rank (with codeword 0 pinned to the zero word when
-    use_symmetry is set, which XOR translation makes lossless for any
-    weight-only channel).
+    per-bit decoding error in weight units. A table's rank is its
+    lexicographic rank (EncoderTable.index). Without use_symmetry every
+    table is scanned and the ranks are 0, 1, 2, ...
+
+    With use_symmetry, codeword 0 is pinned to the zero word, and only the
+    tables whose first two free codewords (c_1, c_2; c_1 alone at m = 1)
+    are a canonical prefix (_canonical_prefixes) are scanned. This loses no
+    minimum and no lowest-rank witness for any weight-only channel. XOR by
+    c_0 and any permutation of the n coordinates keep every Hamming
+    distance, so they keep every table's cost, and the permutations keep
+    c_0 = 0. A permutation that makes a table's prefix least either leaves
+    the prefix alone, so the table is scanned, or makes it strictly
+    smaller, and with it the rank. So the lowest-rank table with any cost,
+    or any tuple of costs under several weight tables, has a canonical
+    prefix, and all of its later codewords are scanned with it.
 
     With min(A, S - A) = (S - |S - 2A|) / 2, and sum_y S(y) = K sum_y W[0, y]
     the same for every table, the cost is
         (m K sum_y W[0, y] - sum_j sum_y |D_j(y)|) / 2,
     D_j(y) = sum_s sign_j(s) W[c_s, y], sign_j(s) = -1 when source word s
-    has bit j set and +1 otherwise. The tables are the Cartesian product of
-    the free codewords in rank order, so D_j is a broadcast sum: the
-    trailing slots' part is built once as an (N, N^T) array from the
-    (N, N) table W, and the leading slots are walked in blocks of prefixes
-    whose (N, prefixes, N^T) sums stay within _BLOCK_CELLS cells. All of it
-    is exact int64 arithmetic, so the costs equal the direct sums.
+    has bit j set and +1 otherwise. The scanned tables are a product of
+    leading prefixes and all trailing codewords in rank order, so D_j is a
+    broadcast sum: the trailing slots' part is built once as an (N, N^T)
+    array from the (N, N) table W, and the leading prefixes are walked in
+    blocks whose (N, prefixes, N^T) sums stay within _BLOCK_CELLS cells.
+    At least two leading slots are kept, so the canonical filter never
+    depends on the block size. All of it is exact int64 arithmetic, so the
+    costs equal the direct sums.
+
+    The budget counts every table, scanned or not: BudgetExceeded is raised
+    when tables times output words, 2^(n (free slots + 1)), exceed it.
     """
     import numpy as np
 
     K = 1 << m
-    N = 1 << n
     free = K - 1 if use_symmetry else K
-    num = N ** free
-    if num * N > budget:
-        raise BudgetExceeded("search needs %d (encoder, output) pairs, budget is %d"
-                             % (num * N, budget))
+    # tables times output words is 2^pairs; N ** free itself may be too big
+    # to form, so the exponent is compared (an infinite budget never binds)
+    pairs = n * (free + 1)
+    if budget < 0 or (budget < math.inf and pairs >= int(budget).bit_length()):
+        raise BudgetExceeded("search needs 2^%d (encoder, output) pairs, budget is %d"
+                             % (pairs, budget))
+    N = 1 << n
     wmax = max(max(w) for w in wtabs)
     if m * K * N * wmax >= 2 ** 62:
         raise BudgetExceeded("integer costs would overflow int64 accumulators")
@@ -163,11 +213,18 @@ def _encoder_costs(m, n, wtabs, use_symmetry, budget):
     signs = [[-1 if (s >> (m - 1 - j)) & 1 else 1 for s in range(K)] for j in range(m)]
     # T trailing slots are summed once; the L leading ones are walked per block
     T = 0
-    while T < free and N ** (T + 2) <= _BLOCK_CELLS:
+    while T < free - 2 and N ** (T + 2) <= _BLOCK_CELLS:
         T += 1
     L = free - T
     NT = N ** T
-    NL = N ** L
+    if use_symmetry:
+        F = min(L, 2)
+        rest = N ** (L - F)
+        leads = (_canonical_prefixes(n, F)[:, None] * rest
+                 + np.arange(rest, dtype=np.int64)).reshape(-1)
+    else:
+        leads = np.arange(N ** L, dtype=np.int64)
+    ranks = (leads[:, None] * NT + np.arange(NT, dtype=np.int64)).reshape(-1)
     block = max(1, _BLOCK_CELLS // (N * NT))
     # full[y, c] = popcount(c ^ y); only the trailing slots need all N columns
     full = pc[y[:, None] ^ y[None, :]] if T else None
@@ -184,10 +241,10 @@ def _encoder_costs(m, n, wtabs, use_symmetry, budget):
                 Dt = (Dt[:, :, None] + sg[s] * W[:, None, :]).reshape(N, -1)
             per_bit.append(Dt)
         tails.append(per_bit)
-    out = [np.empty(num, dtype=np.int64) for _ in wtabs]
-    for start in range(0, NL, block):
-        cnt = min(block, NL - start)
-        e = np.arange(start, start + cnt, dtype=np.int64)
+    out = [np.empty(len(ranks), dtype=np.int64) for _ in wtabs]
+    for start in range(0, len(leads), block):
+        e = leads[start:start + block]
+        cnt = len(e)
         dists = [pc[y[:, None] ^ ((e // N ** (L - 1 - l)) % N)[None, :]] for l in range(L)]
         for wi, w in enumerate(warrs):
             cols = [w[d] for d in dists]
@@ -199,7 +256,7 @@ def _encoder_costs(m, n, wtabs, use_symmetry, budget):
                 D = Dl[:, :, None] + Dt[:, None, :]
                 acc += np.abs(D, out=D).sum(axis=0)
             out[wi][start * NT:(start + cnt) * NT] = (total[wi] - acc.reshape(-1)) // 2
-    return out
+    return out + [ranks]
 
 
 def _table_cost(m, n, codewords, wtab) -> int:
@@ -247,10 +304,10 @@ def p2p_bruteforce(m, n, delta, use_symmetry=True, budget=DEFAULT_BUDGET):
     delta = _as_fraction("delta", delta)
     a, b = delta.numerator, delta.denominator
     wt = [a ** d * (b - a) ** (n - d) for d in range(n + 1)]
-    costs = _encoder_costs(m, n, [wt], use_symmetry, budget)[0]
+    costs, ranks = _encoder_costs(m, n, [wt], use_symmetry, budget)
     best = int(costs.argmin())
     value = Fraction(int(costs[best]), m * (1 << m) * b ** n)
-    return ExactValue(value), encoder_from_index(m, n, best)
+    return ExactValue(value), encoder_from_index(m, n, int(ranks[best]))
 
 
 def sphere_bruteforce(m, n, weight, encoder=None, budget=DEFAULT_BUDGET):
@@ -283,15 +340,16 @@ def broadcast_frontier(m, n, w1, w2, budget=DEFAULT_BUDGET):
     w2 = _count("w2", w2, 0, n)
     t1 = [1 if d == w1 else 0 for d in range(n + 1)]
     t2 = [1 if d == w2 else 0 for d in range(n + 1)]
-    c1, c2 = _encoder_costs(m, n, [t1, t2], True, budget)
+    c1, c2, ranks = _encoder_costs(m, n, [t1, t2], True, budget)
     den1 = m * (1 << m) * math.comb(n, w1)
     den2 = m * (1 << m) * math.comb(n, w2)
-    order = np.lexsort((np.arange(len(c1)), c2, c1))
+    order = np.lexsort((ranks, c2, c1))
     # a table is on the frontier when its c2 beats every c2 sorted before it
     s2 = c2[order]
     keep = np.ones(len(order), dtype=bool)
     keep[1:] = s2[1:] < np.minimum.accumulate(s2)[:-1]
-    return [FrontierPoint(Fraction(int(c1[idx]), den1), Fraction(int(c2[idx]), den2), int(idx))
+    return [FrontierPoint(Fraction(int(c1[idx]), den1), Fraction(int(c2[idx]), den2),
+                          int(ranks[idx]))
             for idx in order[keep]]
 
 

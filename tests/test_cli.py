@@ -319,6 +319,20 @@ def test_budget_overflow_returns_3(capsys):
     assert err.startswith("budget:")
 
 
+@pytest.mark.parametrize("argv,pairs", [
+    (["p2p", "--m", "12", "--n", "4", "--delta", "1/4"], 4 * 4096),
+    (["frontier", "--m", "12", "--n", "4", "--w1", "1", "--w2", "2"], 4 * 4096),
+    (["spherical", "--m", "14", "--n", "1", "--weight", "0"], 16384),
+])
+def test_budget_message_for_large_m(capsys, argv, pairs):
+    # (tables x output words) has over 4,300 digits here, past the limit of
+    # Python's int-to-str conversion, so the message gives it as a power of 2
+    code, out, err = run_cli(["oracle"] + argv, capsys)
+    assert (code, out) == (3, "")
+    assert err == ("budget: search needs 2^%d (encoder, output) pairs, budget is %d\n"
+                   % (pairs, orc.DEFAULT_BUDGET))
+
+
 def test_region_all_infeasible_returns_3(capsys):
     code, out, _ = run_cli(
         ["bound", "region", "--rho", "0.3", "--delta1", "0.4",

@@ -76,6 +76,13 @@ def test_p2p_domain_and_budget():
         orc.p2p_bruteforce(0, 2, F(1, 10))
     with pytest.raises(orc.BudgetExceeded):
         orc.p2p_bruteforce(2, 4, F(1, 4), budget=1000)
+    # m=2, n=2: 4^3 tables times 4 output words is 2^8; the budget is inclusive
+    with pytest.raises(orc.BudgetExceeded, match=r"needs 2\^8 .* budget is 255$"):
+        orc.p2p_bruteforce(2, 2, F(1, 4), budget=255)
+    assert orc.p2p_bruteforce(2, 2, F(1, 4), budget=256)[0].value == F(1, 4)
+    with pytest.raises(orc.BudgetExceeded):
+        orc.p2p_bruteforce(1, 1, F(1, 4), budget=-1)
+    assert orc.p2p_bruteforce(1, 1, F(1, 4), budget=math.inf)[0].value == F(1, 4)
 
 
 def test_p2p_frozen_n5_n6():
@@ -84,6 +91,8 @@ def test_p2p_frozen_n5_n6():
         (2, 5, F(1, 4), F(13, 64), 1487),
         (2, 5, F(1, 5), F(89, 625), 7998),
         (2, 6, F(1, 4), F(5, 32), 32319),
+        # computed once by the full enumeration, before coordinate permutations
+        (2, 7, F(1, 4), F(5, 32), 121919),
     ]
     for m, n, delta, want, index in cases:
         val, table = orc.p2p_bruteforce(m, n, delta)
@@ -161,6 +170,10 @@ def test_frontier_frozen():
     assert orc.broadcast_frontier(2, 5, 1, 2) == [
         orc.FrontierPoint(F(0), F(3, 20), 1518)
     ]
+    # computed once by the full enumeration, before coordinate permutations
+    assert orc.broadcast_frontier(2, 6, 1, 2) == [
+        orc.FrontierPoint(F(0), F(0), 8127)
+    ]
 
 
 def test_frontier_domain():
@@ -199,33 +212,83 @@ def _weight_tables(n):
     return st.lists(table, min_size=1, max_size=2)
 
 
+def _permuted(word, perm):
+    return sum(((word >> i) & 1) << p for i, p in enumerate(perm))
+
+
+def _canonical_tables(m, n):
+    """The c0 = 0 tables whose first two free codewords (the first alone at
+    m = 1) are least over all n! coordinate permutations, in rank order."""
+    lead = min((1 << m) - 1, 2)
+    perms = list(itertools.permutations(range(n)))
+    return [(0,) + rest
+            for rest in itertools.product(range(1 << n), repeat=(1 << m) - 1)
+            if rest[:lead] == min(tuple(_permuted(c, p) for c in rest[:lead]) for p in perms)]
+
+
 @pytest.mark.parametrize("use_symmetry", [True, False])
 @pytest.mark.parametrize("m,n", ENCODER_SHAPES)
 @settings(max_examples=2)
 @given(data=st.data())
 def test_encoder_costs_match_table_cost(m, n, use_symmetry, data):
-    # (3, 2) without symmetry walks its leading slot in several blocks
+    # (3, 2) without symmetry walks its leading slots in several blocks
     wtabs = data.draw(_weight_tables(n))
-    costs = orc._encoder_costs(m, n, wtabs, use_symmetry, orc.DEFAULT_BUDGET)
-    K = 1 << m
-    pinned = (0,) if use_symmetry else ()
-    tables = [pinned + rest
-              for rest in itertools.product(range(1 << n), repeat=K - len(pinned))]
+    *costs, ranks = orc._encoder_costs(m, n, wtabs, use_symmetry, orc.DEFAULT_BUDGET)
+    if use_symmetry:
+        want = [orc.EncoderTable(m, n, cw).index for cw in _canonical_tables(m, n)]
+    else:
+        want = list(range((1 << n) ** (1 << m)))
+    assert ranks.dtype.name == "int64"
+    assert ranks.tolist() == want
+    tables = [orc.encoder_from_index(m, n, r).codewords for r in want]
+    assert len(costs) == len(wtabs)
     for wt, got in zip(wtabs, costs):
         assert got.tolist() == [orc._table_cost(m, n, cw, wt) for cw in tables]
 
 
 @pytest.mark.parametrize("cells", [1, 48, 192, 1000])
 def test_encoder_costs_block_layout(monkeypatch, cells):
-    # at m=2, n=3 these caps give 0, 0, 1 and 2 trailing slots, and blocks
-    # of 1, 6, 3 and 1 prefixes (6 and 3 leave a partial last block)
+    # at m=2, n=3 these caps give 0, 0, 1 and 1 trailing slots with symmetry
+    # (0, 0, 1 and 2 without), and blocks of 1, 6, 3 and 15 prefixes (1, 6,
+    # 3 and 1 without); 6, 3 and 15 leave a partial last block
     wtabs = [[3, 1, 4, 1], [0, 2**40, 7, 5]]
     want = {sym: orc._encoder_costs(2, 3, wtabs, sym, orc.DEFAULT_BUDGET)
             for sym in (True, False)}
     monkeypatch.setattr(orc, "_BLOCK_CELLS", cells)
     for sym in (True, False):
         got = orc._encoder_costs(2, 3, wtabs, sym, orc.DEFAULT_BUDGET)
-        assert all((a == b).all() for a, b in zip(got, want[sym]))
+        assert [a.tolist() for a in got] == [b.tolist() for b in want[sym]]
+
+
+def _pick_p2p(costs, ranks):
+    # the least cost and the lowest rank that reaches it
+    return min(zip(costs.tolist(), ranks.tolist()))
+
+
+def _pick_frontier(c1, c2, ranks):
+    # each Pareto point of (c1, c2) with the lowest rank that reaches it
+    points = []
+    for a, b, r in sorted(zip(c1.tolist(), c2.tolist(), ranks.tolist())):
+        if not points or b < points[-1][1]:
+            points.append((a, b, r))
+    return points
+
+
+@pytest.mark.parametrize("m,n", ENCODER_SHAPES)
+@settings(max_examples=4)
+@given(data=st.data())
+def test_coordinate_permutations_keep_values_and_witnesses(m, n, data):
+    # small weights make ties, so the lowest-rank witness is really tested
+    weight = st.integers(0, 3) | st.integers(0, 2**40)
+    wtabs = data.draw(st.lists(st.lists(weight, min_size=n + 1, max_size=n + 1),
+                               min_size=2, max_size=2))
+    c1, c2, ranks = orc._encoder_costs(m, n, wtabs, True, orc.DEFAULT_BUDGET)
+    f1, f2, franks = orc._encoder_costs(m, n, wtabs, False, orc.DEFAULT_BUDGET)
+    cut = (1 << n) ** ((1 << m) - 1)  # the c0 = 0 tables lead the full rank order
+    f1, f2, franks = f1[:cut], f2[:cut], franks[:cut]
+    assert _pick_p2p(c1, ranks) == _pick_p2p(f1, franks)
+    assert _pick_p2p(c2, ranks) == _pick_p2p(f2, franks)
+    assert _pick_frontier(c1, c2, ranks) == _pick_frontier(f1, f2, franks)
 
 
 # ---------- binomial posterior ratio ----------
