@@ -152,7 +152,7 @@ def _canonical_prefixes(n: int, L: int) -> np.ndarray:
     return out
 
 
-def _encoder_costs(m, n, wtabs, use_symmetry, budget):
+def _encoder_costs(m, n, wtabs, budget):
     """Integer decoding cost of encoder tables, one array per weight table,
     followed by the ascending int64 array of the tables' ranks.
 
@@ -161,20 +161,20 @@ def _encoder_costs(m, n, wtabs, use_symmetry, budget):
     S(y) = sum_s W[c_s, y] with W[x, y] = w[popcount(x ^ y)], and A_j the
     same sum restricted to source words with bit j set: the Bayes-optimal
     per-bit decoding error in weight units. A table's rank is its
-    lexicographic rank (EncoderTable.index). Without use_symmetry every
-    table is scanned and the ranks are 0, 1, 2, ...
+    lexicographic rank (EncoderTable.index).
 
-    With use_symmetry, codeword 0 is pinned to the zero word, and only the
-    tables whose first two free codewords (c_1, c_2; c_1 alone at m = 1)
-    are a canonical prefix (_canonical_prefixes) are scanned. This loses no
-    minimum and no lowest-rank witness for any weight-only channel. XOR by
-    c_0 and any permutation of the n coordinates keep every Hamming
-    distance, so they keep every table's cost, and the permutations keep
-    c_0 = 0. A permutation that makes a table's prefix least either leaves
-    the prefix alone, so the table is scanned, or makes it strictly
-    smaller, and with it the rank. So the lowest-rank table with any cost,
-    or any tuple of costs under several weight tables, has a canonical
-    prefix, and all of its later codewords are scanned with it.
+    Codeword 0 is pinned to the zero word, and only the tables whose first
+    two free codewords (c_1, c_2; c_1 alone at m = 1) are a canonical
+    prefix (_canonical_prefixes) are scanned. This loses no minimum and no
+    lowest-rank witness for any weight-only channel. XOR by c_0 and any
+    permutation of the n coordinates keep every Hamming distance, so they
+    keep every table's cost. XOR by c_0 gives c_0 = 0 and, when c_0 was not
+    already 0, a smaller rank; the permutations keep c_0 = 0. A permutation
+    that makes a table's prefix least either leaves the prefix alone, so the
+    table is scanned, or makes it strictly smaller, and with it the rank. So
+    the lowest-rank table with any cost, or any tuple of costs under several
+    weight tables, has c_0 = 0 and a canonical prefix, and all of its later
+    codewords are scanned with it.
 
     With min(A, S - A) = (S - |S - 2A|) / 2, and sum_y S(y) = K sum_y W[0, y]
     the same for every table, the cost is
@@ -189,19 +189,21 @@ def _encoder_costs(m, n, wtabs, use_symmetry, budget):
     depends on the block size. All of it is exact int64 arithmetic, so the
     costs equal the direct sums.
 
-    The budget counts every table, scanned or not: BudgetExceeded is raised
-    when tables times output words, 2^(n (free slots + 1)), exceed it.
+    The budget counts the scanned work: BudgetExceeded is raised when the
+    scanned tables times the 2^n output words, P 2^e with P canonical
+    prefixes of F = min(2^m - 1, 2) words and e = n (2^m - F), exceed it.
     """
     import numpy as np
 
     K = 1 << m
-    free = K - 1 if use_symmetry else K
-    # tables times output words is 2^pairs; N ** free itself may be too big
-    # to form, so the exponent is compared (an infinite budget never binds)
-    pairs = n * (free + 1)
-    if budget < 0 or (budget < math.inf and pairs >= int(budget).bit_length()):
-        raise BudgetExceeded("search needs 2^%d (encoder, output) pairs, budget is %d"
-                             % (pairs, budget))
+    F = min(K - 1, 2)
+    # P >= 1, so once e reaches the budget's bit length 2^e alone exceeds
+    # it: no power that large is formed (an infinite budget never binds)
+    P = math.comb(n + (1 << F) - 1, n)
+    e = n * (K - F)
+    if budget < math.inf and (e >= int(budget).bit_length() or P << e > budget):
+        raise BudgetExceeded("search needs %d x 2^%d (encoder, output) pairs, budget is %d"
+                             % (P, e, budget))
     N = 1 << n
     wmax = max(max(w) for w in wtabs)
     if m * K * N * wmax >= 2 ** 62:
@@ -209,49 +211,43 @@ def _encoder_costs(m, n, wtabs, use_symmetry, budget):
     warrs = [np.array(w, dtype=np.int64) for w in wtabs]
     pc = _popcounts(n)
     y = np.arange(N, dtype=np.int64)
-    slots = range(K - free, K)
     signs = [[-1 if (s >> (m - 1 - j)) & 1 else 1 for s in range(K)] for j in range(m)]
     # T trailing slots are summed once; the L leading ones are walked per block
     T = 0
-    while T < free - 2 and N ** (T + 2) <= _BLOCK_CELLS:
+    while T < K - 3 and N ** (T + 2) <= _BLOCK_CELLS:
         T += 1
-    L = free - T
+    L = K - 1 - T
     NT = N ** T
-    if use_symmetry:
-        F = min(L, 2)
-        rest = N ** (L - F)
-        leads = (_canonical_prefixes(n, F)[:, None] * rest
-                 + np.arange(rest, dtype=np.int64)).reshape(-1)
-    else:
-        leads = np.arange(N ** L, dtype=np.int64)
+    rest = N ** (L - F)
+    leads = (_canonical_prefixes(n, F)[:, None] * rest
+             + np.arange(rest, dtype=np.int64)).reshape(-1)
     ranks = (leads[:, None] * NT + np.arange(NT, dtype=np.int64)).reshape(-1)
     block = max(1, _BLOCK_CELLS // (N * NT))
     # full[y, c] = popcount(c ^ y); only the trailing slots need all N columns
     full = pc[y[:, None] ^ y[None, :]] if T else None
     row0 = [w[pc] for w in warrs]  # W[0, y]; every row of W has the same sum
     total = [m * K * int(r.sum()) for r in row0]
-    base = row0 if use_symmetry else [np.zeros(N, dtype=np.int64)] * len(warrs)
     tails = []
     for w in warrs:
         W = w[full] if T else None
         per_bit = []
         for sg in signs:
             Dt = np.zeros((N, 1), dtype=np.int64)
-            for s in slots[L:]:
+            for s in range(L + 1, K):
                 Dt = (Dt[:, :, None] + sg[s] * W[:, None, :]).reshape(N, -1)
             per_bit.append(Dt)
         tails.append(per_bit)
     out = [np.empty(len(ranks), dtype=np.int64) for _ in wtabs]
     for start in range(0, len(leads), block):
-        e = leads[start:start + block]
-        cnt = len(e)
-        dists = [pc[y[:, None] ^ ((e // N ** (L - 1 - l)) % N)[None, :]] for l in range(L)]
+        ld = leads[start:start + block]
+        cnt = len(ld)
+        dists = [pc[y[:, None] ^ ((ld // N ** (L - 1 - l)) % N)[None, :]] for l in range(L)]
         for wi, w in enumerate(warrs):
             cols = [w[d] for d in dists]
             acc = np.zeros((cnt, NT), dtype=np.int64)
             for sg, Dt in zip(signs, tails[wi]):
-                Dl = np.repeat(base[wi][:, None], cnt, axis=1)
-                for s, col in zip(slots[:L], cols):
+                Dl = np.repeat(row0[wi][:, None], cnt, axis=1)  # c_0 = 0, sign +1
+                for s, col in enumerate(cols, 1):
                     Dl += sg[s] * col
                 D = Dl[:, :, None] + Dt[:, None, :]
                 acc += np.abs(D, out=D).sum(axis=0)
@@ -289,7 +285,7 @@ def encoder_from_index(m: int, n: int, index: int) -> EncoderTable:
     return EncoderTable(m, n, tuple(codewords))
 
 
-def p2p_bruteforce(m, n, delta, use_symmetry=True, budget=DEFAULT_BUDGET):
+def p2p_bruteforce(m, n, delta, budget=DEFAULT_BUDGET):
     """Exact optimal per-bit Hamming distortion of the best 2^m -> 2^n code
     over a memoryless flip channel with crossover delta.
 
@@ -304,7 +300,7 @@ def p2p_bruteforce(m, n, delta, use_symmetry=True, budget=DEFAULT_BUDGET):
     delta = _as_fraction("delta", delta)
     a, b = delta.numerator, delta.denominator
     wt = [a ** d * (b - a) ** (n - d) for d in range(n + 1)]
-    costs, ranks = _encoder_costs(m, n, [wt], use_symmetry, budget)
+    costs, ranks = _encoder_costs(m, n, [wt], budget)
     best = int(costs.argmin())
     value = Fraction(int(costs[best]), m * (1 << m) * b ** n)
     return ExactValue(value), encoder_from_index(m, n, int(ranks[best]))
@@ -323,7 +319,7 @@ def sphere_bruteforce(m, n, weight, encoder=None, budget=DEFAULT_BUDGET):
         cw = encoder.codewords if isinstance(encoder, EncoderTable) else tuple(encoder)
         EncoderTable(m, n, tuple(cw))  # validates shape and range
         return ExactValue(Fraction(_table_cost(m, n, cw, wt), denom))
-    costs = _encoder_costs(m, n, [wt], True, budget)[0]
+    costs = _encoder_costs(m, n, [wt], budget)[0]
     return ExactValue(Fraction(int(costs.min()), denom))
 
 
@@ -340,7 +336,7 @@ def broadcast_frontier(m, n, w1, w2, budget=DEFAULT_BUDGET):
     w2 = _count("w2", w2, 0, n)
     t1 = [1 if d == w1 else 0 for d in range(n + 1)]
     t2 = [1 if d == w2 else 0 for d in range(n + 1)]
-    c1, c2, ranks = _encoder_costs(m, n, [t1, t2], True, budget)
+    c1, c2, ranks = _encoder_costs(m, n, [t1, t2], budget)
     den1 = m * (1 << m) * math.comb(n, w1)
     den2 = m * (1 << m) * math.comb(n, w2)
     order = np.lexsort((ranks, c2, c1))

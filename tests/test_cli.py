@@ -319,18 +319,19 @@ def test_budget_overflow_returns_3(capsys):
     assert err.startswith("budget:")
 
 
-@pytest.mark.parametrize("argv,pairs", [
-    (["p2p", "--m", "12", "--n", "4", "--delta", "1/4"], 4 * 4096),
-    (["frontier", "--m", "12", "--n", "4", "--w1", "1", "--w2", "2"], 4 * 4096),
-    (["spherical", "--m", "14", "--n", "1", "--weight", "0"], 16384),
+@pytest.mark.parametrize("argv,prefixes,exp", [
+    (["p2p", "--m", "12", "--n", "4", "--delta", "1/4"], 35, 4 * 4094),
+    (["frontier", "--m", "12", "--n", "4", "--w1", "1", "--w2", "2"], 35, 4 * 4094),
+    (["spherical", "--m", "14", "--n", "1", "--weight", "0"], 4, 16382),
 ])
-def test_budget_message_for_large_m(capsys, argv, pairs):
-    # (tables x output words) has over 4,300 digits here, past the limit of
-    # Python's int-to-str conversion, so the message gives it as a power of 2
+def test_budget_message_for_large_m(capsys, argv, prefixes, exp):
+    # (scanned tables x output words) has over 4,300 digits here, past the
+    # limit of Python's int-to-str conversion, so the message gives it as
+    # canonical (c_1, c_2) prefixes times a power of 2
     code, out, err = run_cli(["oracle"] + argv, capsys)
     assert (code, out) == (3, "")
-    assert err == ("budget: search needs 2^%d (encoder, output) pairs, budget is %d\n"
-                   % (pairs, orc.DEFAULT_BUDGET))
+    assert err == ("budget: search needs %d x 2^%d (encoder, output) pairs, budget is %d\n"
+                   % (prefixes, exp, orc.DEFAULT_BUDGET))
 
 
 def test_region_all_infeasible_returns_3(capsys):

@@ -3,6 +3,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -48,10 +49,13 @@ def test_p2p_witness_roundtrip():
 
 
 def test_p2p_symmetry_reduction_is_lossless():
-    for m, n, delta in ((1, 2, F(1, 10)), (2, 2, F(1, 4)), (1, 3, F(1, 4))):
-        full, _ = orc.p2p_bruteforce(m, n, delta, use_symmetry=False)
-        red, _ = orc.p2p_bruteforce(m, n, delta, use_symmetry=True)
-        assert full.value == red.value
+    # against every table with codeword 0 free, so XOR translation is covered too
+    for m, n, delta in ((1, 2, F(1, 10)), (2, 2, F(1, 4)), (1, 3, F(1, 4)), (2, 3, F(1, 10))):
+        a, b = delta.numerator, delta.denominator
+        wt = [a ** d * (b - a) ** (n - d) for d in range(n + 1)]
+        cost, rank = _pick_p2p(*_direct_costs(m, n, [wt], pinned=False))
+        val, table = orc.p2p_bruteforce(m, n, delta)
+        assert (val.value, table.index) == (F(cost, m * (1 << m) * b ** n), rank)
 
 
 def test_p2p_float_delta_reads_as_decimal():
@@ -76,10 +80,12 @@ def test_p2p_domain_and_budget():
         orc.p2p_bruteforce(0, 2, F(1, 10))
     with pytest.raises(orc.BudgetExceeded):
         orc.p2p_bruteforce(2, 4, F(1, 4), budget=1000)
-    # m=2, n=2: 4^3 tables times 4 output words is 2^8; the budget is inclusive
-    with pytest.raises(orc.BudgetExceeded, match=r"needs 2\^8 .* budget is 255$"):
-        orc.p2p_bruteforce(2, 2, F(1, 4), budget=255)
-    assert orc.p2p_bruteforce(2, 2, F(1, 4), budget=256)[0].value == F(1, 4)
+    # m=2, n=2: C(5, 2) = 10 canonical (c_1, c_2) prefixes, each with 4
+    # choices of c_3, times 4 output words is 10 x 2^4 = 160 scanned pairs;
+    # the budget is inclusive
+    with pytest.raises(orc.BudgetExceeded, match=r"needs 10 x 2\^4 .* budget is 159$"):
+        orc.p2p_bruteforce(2, 2, F(1, 4), budget=159)
+    assert orc.p2p_bruteforce(2, 2, F(1, 4), budget=160)[0].value == F(1, 4)
     with pytest.raises(orc.BudgetExceeded):
         orc.p2p_bruteforce(1, 1, F(1, 4), budget=-1)
     assert orc.p2p_bruteforce(1, 1, F(1, 4), budget=math.inf)[0].value == F(1, 4)
@@ -93,6 +99,8 @@ def test_p2p_frozen_n5_n6():
         (2, 6, F(1, 4), F(5, 32), 32319),
         # computed once by the full enumeration, before coordinate permutations
         (2, 7, F(1, 4), F(5, 32), 121919),
+        # computed once with budget=2**40, when the budget counted every table
+        (2, 9, F(1, 4), F(983, 8192), 8373246),
     ]
     for m, n, delta, want, index in cases:
         val, table = orc.p2p_bruteforce(m, n, delta)
@@ -226,18 +234,13 @@ def _canonical_tables(m, n):
             if rest[:lead] == min(tuple(_permuted(c, p) for c in rest[:lead]) for p in perms)]
 
 
-@pytest.mark.parametrize("use_symmetry", [True, False])
 @pytest.mark.parametrize("m,n", ENCODER_SHAPES)
 @settings(max_examples=2)
 @given(data=st.data())
-def test_encoder_costs_match_table_cost(m, n, use_symmetry, data):
-    # (3, 2) without symmetry walks its leading slots in several blocks
+def test_encoder_costs_match_table_cost(m, n, data):
     wtabs = data.draw(_weight_tables(n))
-    *costs, ranks = orc._encoder_costs(m, n, wtabs, use_symmetry, orc.DEFAULT_BUDGET)
-    if use_symmetry:
-        want = [orc.EncoderTable(m, n, cw).index for cw in _canonical_tables(m, n)]
-    else:
-        want = list(range((1 << n) ** (1 << m)))
+    *costs, ranks = orc._encoder_costs(m, n, wtabs, orc.DEFAULT_BUDGET)
+    want = [orc.EncoderTable(m, n, cw).index for cw in _canonical_tables(m, n)]
     assert ranks.dtype.name == "int64"
     assert ranks.tolist() == want
     tables = [orc.encoder_from_index(m, n, r).codewords for r in want]
@@ -248,16 +251,33 @@ def test_encoder_costs_match_table_cost(m, n, use_symmetry, data):
 
 @pytest.mark.parametrize("cells", [1, 48, 192, 1000])
 def test_encoder_costs_block_layout(monkeypatch, cells):
-    # at m=2, n=3 these caps give 0, 0, 1 and 1 trailing slots with symmetry
-    # (0, 0, 1 and 2 without), and blocks of 1, 6, 3 and 15 prefixes (1, 6,
-    # 3 and 1 without); 6, 3 and 15 leave a partial last block
+    # at m=2, n=3 these caps give 0, 0, 1 and 1 trailing slots, and blocks
+    # of 1, 6, 3 and 15 prefixes; 6, 3 and 15 leave a partial last block
     wtabs = [[3, 1, 4, 1], [0, 2**40, 7, 5]]
-    want = {sym: orc._encoder_costs(2, 3, wtabs, sym, orc.DEFAULT_BUDGET)
-            for sym in (True, False)}
+    want = orc._encoder_costs(2, 3, wtabs, orc.DEFAULT_BUDGET)
     monkeypatch.setattr(orc, "_BLOCK_CELLS", cells)
-    for sym in (True, False):
-        got = orc._encoder_costs(2, 3, wtabs, sym, orc.DEFAULT_BUDGET)
-        assert [a.tolist() for a in got] == [b.tolist() for b in want[sym]]
+    got = orc._encoder_costs(2, 3, wtabs, orc.DEFAULT_BUDGET)
+    assert [a.tolist() for a in got] == [b.tolist() for b in want]
+
+
+def _direct_costs(m, n, wtabs, pinned):
+    """The _table_cost of every table, vectorised over the tables, in the
+    kernel's return shape: one cost array per weight table, then the ranks.
+    Pinned, only the c0 = 0 tables, which lead the rank order."""
+    K, N = 1 << m, 1 << n
+    ranks = np.arange(N ** (K - 1 if pinned else K), dtype=np.int64)
+    cw = np.stack([(ranks // N ** (K - 1 - s)) % N for s in range(K)], axis=1)
+    dist = orc._popcounts(n)[cw[:, :, None] ^ np.arange(N)]
+    out = []
+    for wt in wtabs:
+        G = np.array(wt, dtype=np.int64)[dist]
+        S = G.sum(axis=1)
+        cost = np.zeros(len(ranks), dtype=np.int64)
+        for grp in orc._bit_groups(m):
+            A = G[:, grp].sum(axis=1)
+            cost += np.minimum(A, S - A).sum(axis=1)
+        out.append(cost)
+    return out + [ranks]
 
 
 def _pick_p2p(costs, ranks):
@@ -282,10 +302,8 @@ def test_coordinate_permutations_keep_values_and_witnesses(m, n, data):
     weight = st.integers(0, 3) | st.integers(0, 2**40)
     wtabs = data.draw(st.lists(st.lists(weight, min_size=n + 1, max_size=n + 1),
                                min_size=2, max_size=2))
-    c1, c2, ranks = orc._encoder_costs(m, n, wtabs, True, orc.DEFAULT_BUDGET)
-    f1, f2, franks = orc._encoder_costs(m, n, wtabs, False, orc.DEFAULT_BUDGET)
-    cut = (1 << n) ** ((1 << m) - 1)  # the c0 = 0 tables lead the full rank order
-    f1, f2, franks = f1[:cut], f2[:cut], franks[:cut]
+    c1, c2, ranks = orc._encoder_costs(m, n, wtabs, orc.DEFAULT_BUDGET)
+    f1, f2, franks = _direct_costs(m, n, wtabs, pinned=True)
     assert _pick_p2p(c1, ranks) == _pick_p2p(f1, franks)
     assert _pick_p2p(c2, ranks) == _pick_p2p(f2, franks)
     assert _pick_frontier(c1, c2, ranks) == _pick_frontier(f1, f2, franks)
