@@ -290,11 +290,9 @@ def _trace_point(bp: BinaryBroadcastParams, d1: float) -> RegionPoint:
     def worst_slack(d2):
         return _seeded_min(lambda q: slack(d2, q))
 
-    s_top, q_top = worst_slack(bp.p)
-    if s_top == float("-inf"):
-        # only an A1 overflow can fail at d2 = p: d1 itself is infeasible
-        return RegionPoint(d1=d1, d2_min=bp.p, q_star=q_top, slack=float("-inf"))
     s0, q0 = worst_slack(0.0)
+    if s0 == float("-inf"):
+        return RegionPoint(d1=d1, d2_min=bp.p, q_star=q0, slack=s0)
     if s0 >= 0.0:
         return RegionPoint(d1=d1, d2_min=0.0, q_star=q0, slack=s0)
     d2_star = -_seeded_min(lambda q: -_d2_at_q(bp, q, slack(0.0, q)))[0]
@@ -318,17 +316,17 @@ def _trace_point(bp: BinaryBroadcastParams, d1: float) -> RegionPoint:
 def region_trace(bp: BinaryBroadcastParams, d1_grid) -> list[RegionPoint]:
     """For each d1, the smallest d2 the outer bound still allows.
 
-    The slack is nondecreasing in d2 (the weak user's need shrinks) and, at a
-    fixed q, only h_b(conv(q, d2)) depends on d2, so the threshold at each q
-    has a closed form through h_b_inv. Its maximum over q, taken over the q
-    seeds and refined by golden section to 1e-10, is the boundary d2*. The
-    reported d2_min is the upper end of a bisection on [0, p] stopped at
-    width 1e-12, each mid decided against d2*; a mid within 1e-12 of d2* is
-    decided by the sign of the worst slack over q instead, because d2* is
-    itself only good to h_b_inv's tolerance. q_star and slack are the worst
-    q and slack at d2_min. Points whose d1 the bound rules out entirely come
-    back with d2_min = p and slack = -inf; points where the bound never binds
-    come back with d2_min = 0.
+    Each point makes three fixed sweeps over q, the q seeds refined by
+    golden section to 1e-10: at d2 = 0, for d2* and at d2_min. The worst
+    slack at d2 = 0 is -inf only where A1 is out of range at some q, which
+    no d2 repairs: d1 is infeasible, and d2_min = p. When it is nonnegative
+    the bound never binds, and d2_min = 0. Otherwise, as the slack is
+    nondecreasing in d2 and at a fixed q only h_b(conv(q, d2)) moves with
+    d2, each q's threshold has a closed form through h_b_inv, and d2* is
+    their maximum. d2_min is the upper end of a bisection on [0, p] stopped
+    at width 1e-12, each mid decided against d2* or, within 1e-12 of it, by
+    the sign of a further sweep, since d2* is only good to h_b_inv's
+    tolerance. q_star and slack come from the last sweep.
 
     Each point keeps a per-q cache of the slack's right-hand side (A1, its
     h_b_inv and the finite-n term, -inf where A1 is out of range), which no

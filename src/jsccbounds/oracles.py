@@ -197,11 +197,12 @@ def _encoder_costs(m, n, wtabs, budget):
 
     K = 1 << m
     F = min(K - 1, 2)
-    # P >= 1, so once e reaches the budget's bit length 2^e alone exceeds
-    # it: no power that large is formed (an infinite budget never binds)
+    # P >= 1, so once e reaches the budget's bit length 2^e alone exceeds it:
+    # no power that large is formed. math.inf never binds; NaN and -inf raise
     P = math.comb(n + (1 << F) - 1, n)
     e = n * (K - F)
-    if budget < math.inf and (e >= int(budget).bit_length() or P << e > budget):
+    if budget != math.inf and (e >= int(_real("budget", budget)).bit_length()
+                               or P << e > budget):
         raise BudgetExceeded("search needs %d x 2^%d (encoder, output) pairs, budget is %d"
                              % (P, e, budget))
     N = 1 << n

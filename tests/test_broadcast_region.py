@@ -484,8 +484,20 @@ def test_trace_point_evaluates_each_q_once(monkeypatch, args):
         return real(d1_arg, q, bp_arg)
 
     monkeypatch.setattr(br, "_slack_rhs", spy)
-    br.region_trace(bp, [d1])
+    sweeps, real_min = [], br._seeded_min
+    monkeypatch.setattr(br, "_seeded_min", lambda fn: sweeps.append(fn) or real_min(fn))
+    d2s, real_rbar = [], br._rbar
+    monkeypatch.setattr(br, "_rbar", lambda p_, q, d: d2s.append(d) or real_rbar(p_, q, d))
+    (pt,) = br.region_trace(bp, [d1])
     assert len(seen) == len(set(seen)) > 0
+    # the d2 = 0 sweep alone decides an infeasible or unbinding point; a
+    # binding one adds at least the d2* sweep and the final one at d2_min
+    if pt.slack == float("-inf") or pt.d2_min == 0.0:
+        assert len(sweeps) == 1
+    else:
+        assert len(sweeps) >= 3
+    # no sweep at d2 = p: its verdict is the d2 = 0 sweep's
+    assert 0.0 in d2s and bp.p not in d2s
 
 
 @st.composite
@@ -512,6 +524,20 @@ def test_d2_at_q_inverts_the_slack(inputs):
     assert abs(br.outer_bound_slack(d1, d2, q, bp)) <= 1e-12
     assert br.outer_bound_slack(d1, d2 - 1e-9, q, bp) < 0.0
     assert br.outer_bound_slack(d1, d2 + 1e-9, q, bp) > 0.0
+
+
+@given(slack_inputs())
+def test_infeasible_point_is_the_d2_p_seed_verdict(inputs):
+    # only A1 can make the slack -inf, and the d2 term is finite at every q,
+    # so a sweep at d2 = p would find the same infeasible seeds as the d2 = 0
+    # sweep region_trace runs: the first of them is q_star
+    bp, d1, _ = inputs
+    (pt,) = br.region_trace(bp, [d1])
+    dead = [q for q in br._Q_SEEDS
+            if br._slack_no_raise(d1, bp.p, q, bp) == float("-inf")]
+    assert (pt.slack == float("-inf")) == bool(dead)
+    if dead:
+        assert (pt.d2_min, pt.q_star) == (bp.p, dead[0])
 
 
 # ---------- closed-form floors ----------

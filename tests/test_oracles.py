@@ -89,6 +89,14 @@ def test_p2p_domain_and_budget():
     with pytest.raises(orc.BudgetExceeded):
         orc.p2p_bruteforce(1, 1, F(1, 4), budget=-1)
     assert orc.p2p_bruteforce(1, 1, F(1, 4), budget=math.inf)[0].value == F(1, 4)
+    # NaN would never bind and -inf has no integer part: neither is a budget
+    for budget in (math.nan, -math.inf):
+        with pytest.raises(DomainError, match="budget must be"):
+            orc.p2p_bruteforce(1, 1, F(1, 4), budget=budget)
+        with pytest.raises(DomainError, match="budget must be"):
+            orc.sphere_bruteforce(1, 1, 0, budget=budget)
+        with pytest.raises(DomainError, match="budget must be"):
+            orc.broadcast_frontier(1, 1, 0, 1, budget=budget)
 
 
 def test_p2p_frozen_n5_n6():
