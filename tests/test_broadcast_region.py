@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import warnings
@@ -476,28 +477,31 @@ def test_reference_pool_never_falls_back_to_the_inverse_walk(monkeypatch):
 def test_trace_point_evaluates_each_q_once(monkeypatch, args):
     rho, p, delta1, delta2, n, d1 = args
     bp = br.BinaryBroadcastParams(rho=rho, p=p, delta1=delta1, delta2=delta2, n=n)
-    seen = []
-    real = br._slack_rhs
-
-    def spy(d1_arg, q, bp_arg):
-        seen.append(q)
-        return real(d1_arg, q, bp_arg)
-
-    monkeypatch.setattr(br, "_slack_rhs", spy)
+    seen, real_rhs = [], br._rhs_at_a1
+    monkeypatch.setattr(br, "_rhs_at_a1", lambda a1, d1_, q, bp_, corr:
+                        seen.append(q) or real_rhs(a1, d1_, q, bp_, corr))
     sweeps, real_min = [], br._seeded_min
     monkeypatch.setattr(br, "_seeded_min", lambda fn: sweeps.append(fn) or real_min(fn))
-    d2s, real_rbar = [], br._rbar
-    monkeypatch.setattr(br, "_rbar", lambda p_, q, d: d2s.append(d) or real_rbar(p_, q, d))
+    convs, real_conv = [], br.conv
+    monkeypatch.setattr(br, "conv", lambda a, b: convs.append((a, b)) or real_conv(a, b))
     (pt,) = br.region_trace(bp, [d1])
     assert len(seen) == len(set(seen)) > 0
+    # h_b(conv(q, p)) once per q, kept beside its rhs; a slack evaluated at
+    # d2 = p would call conv(q, p) a second time
+    assert sorted(a for a, b in convs if b == bp.p) == sorted(seen)
+    # a worst-slack sweep is a partial of the slack at its d2, and the d2*
+    # sweep is the one other kind
+    swept = [fn.args[0] for fn in sweeps if isinstance(fn, functools.partial)]
     # the d2 = 0 sweep alone decides an infeasible or unbinding point; a
-    # binding one adds at least the d2* sweep and the final one at d2_min
+    # binding one adds at least the d2* sweep and one at d2_min
     if pt.slack == float("-inf") or pt.d2_min == 0.0:
-        assert len(sweeps) == 1
+        assert len(sweeps) == len(swept) == 1
     else:
-        assert len(sweeps) >= 3
-    # no sweep at d2 = p: its verdict is the d2 = 0 sweep's
-    assert 0.0 in d2s and bp.p not in d2s
+        assert len(sweeps) - 1 == len(swept) >= 2
+    # no sweep at d2 = p, whose verdict is the d2 = 0 sweep's, and no d2 swept
+    # twice: the final sweep at d2_min reuses the band sweep that set it
+    assert swept[0] == 0.0 and bp.p not in swept
+    assert len(swept) == len(set(swept))
 
 
 @st.composite
@@ -538,6 +542,51 @@ def test_infeasible_point_is_the_d2_p_seed_verdict(inputs):
     assert (pt.slack == float("-inf")) == bool(dead)
     if dead:
         assert (pt.d2_min, pt.q_star) == (bp.p, dead[0])
+
+
+def _uncached_trace_point(bp, d1):
+    # _trace_point's sweeps and bisection, each slack evaluated afresh
+    def worst_slack(d2):
+        return br._seeded_min(lambda q: br._slack_no_raise(d1, d2, q, bp))
+
+    s0, q0 = worst_slack(0.0)
+    if s0 == float("-inf"):
+        return bp.p, q0, s0
+    if s0 >= 0.0:
+        return 0.0, q0, s0
+    d2_star = -br._seeded_min(
+        lambda q: -br._d2_at_q(bp, q, br._slack_no_raise(d1, 0.0, q, bp)))[0]
+    lo, hi = 0.0, bp.p
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if abs(mid - d2_star) <= br._D2_BAND:
+            below = worst_slack(mid)[0] < 0.0
+        else:
+            below = mid < d2_star
+        if below:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12:
+            break
+    s, q = worst_slack(hi)
+    return hi, q, s
+
+
+@given(slack_inputs())
+# subnormal delta2: n / delta2 overflows inside the finite-n term
+@example((br.BinaryBroadcastParams(rho=1.0, p=0.5, delta1=0.0, delta2=5e-324, n=2),
+          0.5, 0.0))
+# A1 lands inside the clamp guard at q = 1/2 (see the clamp warning test)
+@example((br.BinaryBroadcastParams(rho=1.0, p=0.5, delta1=0.1, delta2=0.05),
+          0.0999999999998, 0.0))
+def test_cached_trace_point_matches_an_uncached_reference(inputs):
+    bp, d1, _ = inputs
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        (pt,) = br.region_trace(bp, [d1])
+        want = _uncached_trace_point(bp, d1)
+    assert (pt.d2_min, pt.q_star, pt.slack) == want
 
 
 # ---------- closed-form floors ----------

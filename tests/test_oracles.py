@@ -89,9 +89,16 @@ def test_p2p_domain_and_budget():
     with pytest.raises(orc.BudgetExceeded):
         orc.p2p_bruteforce(1, 1, F(1, 4), budget=-1)
     assert orc.p2p_bruteforce(1, 1, F(1, 4), budget=math.inf)[0].value == F(1, 4)
-    # NaN would never bind and -inf has no integer part: neither is a budget
+    # the message gives a non-integer budget exactly, not its integer part
+    with pytest.raises(orc.BudgetExceeded, match=r"needs 10 x 2\^4 .* budget is 159\.5$"):
+        orc.p2p_bruteforce(2, 2, F(1, 4), budget=159.5)
+    with pytest.raises(orc.BudgetExceeded, match=r"budget is -1\.5$"):
+        orc.p2p_bruteforce(1, 1, F(1, 4), budget=-1.5)
+    # NaN would never bind and -inf has no integer part: neither is a budget,
+    # and the error names math.inf as the way to lift it
     for budget in (math.nan, -math.inf):
-        with pytest.raises(DomainError, match="budget must be"):
+        with pytest.raises(DomainError,
+                           match=r"^budget must be .*; math\.inf is accepted too, for no budget$"):
             orc.p2p_bruteforce(1, 1, F(1, 4), budget=budget)
         with pytest.raises(DomainError, match="budget must be"):
             orc.sphere_bruteforce(1, 1, 0, budget=budget)
