@@ -269,9 +269,10 @@ def _seeded_min(fn):
     return best_v, best_q
 
 
-def _d2_at_q(bp: BinaryBroadcastParams, q: float, s0: float) -> float:
+def _d2_at_q(q: float, s0: float, hcp: float, p: float) -> float:
     """Smallest d2 in [0, p] whose slack at this q is nonnegative, given the
-    slack s0 at d2 = 0 (-inf where d1 is infeasible at q).
+    slack s0 at d2 = 0 (-inf where d1 is infeasible at q) and
+    hcp = h_b(conv(q, p)).
 
     Only the h_b(conv(q, d2)) term of the slack moves with d2, so the
     threshold solves h_b(conv(q, d2)) = h_b(q) - s0. p when even d2 = p
@@ -279,11 +280,6 @@ def _d2_at_q(bp: BinaryBroadcastParams, q: float, s0: float) -> float:
     """
     if s0 >= 0.0:
         return 0.0
-    return _d2_threshold(q, s0, h_b(conv(q, bp.p)), bp.p)
-
-
-def _d2_threshold(q: float, s0: float, hcp: float, p: float) -> float:
-    # _d2_at_q at s0 < 0, given hcp = h_b(conv(q, p))
     t = h_b(q) - s0
     if t >= hcp:
         return p
@@ -321,10 +317,6 @@ def _trace_point(bp: BinaryBroadcastParams, d1: float) -> RegionPoint:
         # rhs - _rbar(p, q, d2), with h_b(conv(q, p)) kept
         return got[0] - (got[1] - h_b(conv(q, d2)))
 
-    def d2_at(q):
-        s0 = slack(0.0, q)
-        return 0.0 if s0 >= 0.0 else _d2_threshold(q, s0, by_q[q][1], bp.p)
-
     # the final sweep at hi repeats the band sweep that set hi, if one did
     by_d2 = {}
 
@@ -338,7 +330,9 @@ def _trace_point(bp: BinaryBroadcastParams, d1: float) -> RegionPoint:
         return RegionPoint(d1=d1, d2_min=bp.p, q_star=q0, slack=s0)
     if s0 >= 0.0:
         return RegionPoint(d1=d1, d2_min=0.0, q_star=q0, slack=s0)
-    d2_star = -_seeded_min(lambda q: -d2_at(q))[0]
+    # slack(0.0, q) is evaluated first, so by_q holds q's h_b(conv(q, p))
+    d2_star = -_seeded_min(
+        lambda q: -_d2_at_q(q, slack(0.0, q), by_q[q][1], bp.p))[0]
     lo, hi = 0.0, bp.p
     for _ in range(80):
         mid = 0.5 * (lo + hi)

@@ -256,8 +256,7 @@ def _run_spherical(args):
             raise _Usage("each encoder word must have exactly n bits")
         enc_cell = ";".join(words)
     try:
-        value = orc.sphere_bruteforce(args.m, args.n, args.weight, encoder=encoder,
-                                      budget=args.budget)
+        value = orc.sphere_bruteforce(args.m, args.n, args.weight, encoder=encoder)
     except DomainError:
         raise
     except ValueError as exc:  # the encoder table's shape check
@@ -267,8 +266,7 @@ def _run_spherical(args):
 
 
 def _run_frontier(args):
-    points = orc.broadcast_frontier(args.m, args.n, args.w1, args.w2,
-                                    budget=args.budget)
+    points = orc.broadcast_frontier(args.m, args.n, args.w1, args.w2)
     rows = []
     for pt in points:
         rows.append([args.m, args.n, args.w1, args.w2,
@@ -420,7 +418,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--weight", required=True, type=int)
     p.add_argument("--encoder", default=None)
-    p.add_argument("--budget", type=int, default=orc.DEFAULT_BUDGET)
     p.set_defaults(handler=_run_spherical)
 
     p = oracle.add_parser("frontier", parents=[common])
@@ -428,7 +425,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--w1", required=True, type=int)
     p.add_argument("--w2", required=True, type=int)
-    p.add_argument("--budget", type=int, default=orc.DEFAULT_BUDGET)
     p.set_defaults(handler=_run_frontier)
 
     p = oracle.add_parser("binomial", parents=[common])

@@ -320,7 +320,7 @@ def test_factored_steps_match_the_inline_formulas(p, rho, delta1, delta2, n, u1,
     assert br.g_bsc(delta1, delta2, t) == NAT_LOG2 - h_b(
         conv(delta2, h_b_inv(h_b(delta1) + t)))
     assert br.rbar_binary(p, q, d2) == h_b(conv(q, p)) - h_b(conv(q, d2))
-    assert br._d2_at_q(bp, q, s0) == _inline_d2_at_q(bp, q, s0)
+    assert br._d2_at_q(q, s0, h_b(conv(q, p)), p) == _inline_d2_at_q(bp, q, s0)
     eps = br.ErasureParams(eps1, eps1 + eps_u * (0.99 - eps1))
     d1e = 0.5 - 0.4999 * u1
     assert (_outcome(br.erasure_d2_floor, eps, rho, d1e, q)
@@ -523,7 +523,8 @@ def slack_inputs(draw):
           0.5, 0.0))
 def test_d2_at_q_inverts_the_slack(inputs):
     bp, d1, q = inputs
-    d2 = br._d2_at_q(bp, q, br._slack_no_raise(d1, 0.0, q, bp))
+    d2 = br._d2_at_q(q, br._slack_no_raise(d1, 0.0, q, bp), h_b(conv(q, bp.p)),
+                     bp.p)
     assume(0.0 < d2 < bp.p)
     assert abs(br.outer_bound_slack(d1, d2, q, bp)) <= 1e-12
     assert br.outer_bound_slack(d1, d2 - 1e-9, q, bp) < 0.0
@@ -555,7 +556,8 @@ def _uncached_trace_point(bp, d1):
     if s0 >= 0.0:
         return 0.0, q0, s0
     d2_star = -br._seeded_min(
-        lambda q: -br._d2_at_q(bp, q, br._slack_no_raise(d1, 0.0, q, bp)))[0]
+        lambda q: -br._d2_at_q(q, br._slack_no_raise(d1, 0.0, q, bp),
+                               h_b(conv(q, bp.p)), bp.p))[0]
     lo, hi = 0.0, bp.p
     for _ in range(80):
         mid = 0.5 * (lo + hi)

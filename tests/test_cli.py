@@ -319,18 +319,6 @@ def test_budget_overflow_returns_3(capsys):
     assert err.startswith("budget:")
 
 
-@pytest.mark.parametrize("argv,needs", [
-    (["spherical", "--m", "2", "--n", "5", "--weight", "1"], "56 x 2^10"),
-    (["frontier", "--m", "2", "--n", "6", "--w1", "1", "--w2", "2"], "84 x 2^12"),
-])
-def test_budget_option_on_every_brute_force(capsys, argv, needs):
-    # the option oracle p2p has: a budget below the scanned work exits 3
-    code, out, err = run_cli(["oracle"] + argv + ["--budget", "10"], capsys)
-    assert (code, out) == (3, "")
-    assert err == ("budget: search needs %s (encoder, output) pairs, budget is 10\n"
-                   % needs)
-
-
 @pytest.mark.parametrize("argv,prefixes,exp", [
     (["p2p", "--m", "12", "--n", "4", "--delta", "1/4"], 35, 4 * 4094),
     (["frontier", "--m", "12", "--n", "4", "--w1", "1", "--w2", "2"], 35, 4 * 4094),
