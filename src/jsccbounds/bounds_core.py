@@ -9,6 +9,7 @@ Hamming values in [0, 1/2].
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -137,10 +138,21 @@ def tau_star(rho: float, delta: float) -> float:
 def gamma_corr(n: int, delta2: float) -> float:
     """Finite-n correction sqrt(delta2/n) log(n/delta2) + (log n + 1)/(2n).
 
-    At delta2 = 0 the first term is taken at its limit, 0.
+    At delta2 = 0 the first term is taken at its limit, 0. An integer n
+    beyond the float range is scaled by powers of two rather than converted.
     """
     _count("n", n)
     _real("delta2", delta2, 0.0, 0.5)
+    if n > sys.float_info.max:
+        # n = f 4^e with f a float below 2^54; ldexp rounds an underflow to 0
+        e = (n.bit_length() - 53) // 2
+        f = float(n >> (2 * e))
+        log_n = math.log(n)
+        second = math.ldexp((log_n + 1.0) / (2.0 * f), -2 * e)
+        if delta2 == 0.0:
+            return second
+        first = math.sqrt(delta2) / math.sqrt(f) * (log_n - math.log(delta2))
+        return math.ldexp(first, -e) + second
     second = (math.log(n) + 1.0) / (2.0 * n)
     if delta2 == 0.0:
         return second

@@ -184,10 +184,18 @@ def _encoder_costs(m, n, wtabs, budget):
     leading prefixes and all trailing codewords in rank order, so D_j is a
     broadcast sum: the trailing slots' part is built once as an (N, N^T)
     array from the (N, N) table W, and the leading prefixes are walked in
-    blocks whose (N, prefixes, N^T) sums stay within _BLOCK_CELLS cells.
-    At least two leading slots are kept, so the canonical filter never
-    depends on the block size. All of it is exact int64 arithmetic, so the
-    costs equal the direct sums.
+    blocks whose (N, prefixes, N^T) sums stay within _BLOCK_CELLS cells,
+    or one prefix when N^(T+1) alone exceeds that. From m = 2 on at least
+    one trailing slot is kept, so no table pays its own gathers of W's
+    entries, and at least two leading slots are kept, so the canonical
+    filter never depends on the block size. Every block's sums are written
+    into one array, allocated once per call for the largest block.
+
+    The sums are exact integers in int32 when m K N max(w) < 2^31, and in
+    int64 otherwise (up to a 2^62 guard). Each |D_j(y)| is at most
+    K max(w), so each sum over y stays below K N max(w), and both a table's
+    sum over j and y and the constant m K sum_y W[0, y] stay within
+    m K N max(w). So the costs, returned as int64, equal the direct sums.
 
     The budget counts the scanned work: BudgetExceeded is raised when the
     scanned tables times the 2^n output words, P 2^e with P canonical
@@ -211,15 +219,17 @@ def _encoder_costs(m, n, wtabs, budget):
                                  % (P, e, budget))
     N = 1 << n
     wmax = max(max(w) for w in wtabs)
-    if m * K * N * wmax >= 2 ** 62:
+    bound = m * K * N * wmax
+    if bound >= 2 ** 62:
         raise BudgetExceeded("integer costs would overflow int64 accumulators")
-    warrs = [np.array(w, dtype=np.int64) for w in wtabs]
+    dt = np.int32 if bound < 2 ** 31 else np.int64
+    warrs = [np.array(w, dtype=dt) for w in wtabs]
     pc = _popcounts(n)
     y = np.arange(N, dtype=np.int64)
     signs = [[-1 if (s >> (m - 1 - j)) & 1 else 1 for s in range(K)] for j in range(m)]
     # T trailing slots are summed once; the L leading ones are walked per block
-    T = 0
-    while T < K - 3 and N ** (T + 2) <= _BLOCK_CELLS:
+    T = min(1, K - 1 - F)
+    while T < K - 1 - F and N ** (T + 2) <= _BLOCK_CELLS:
         T += 1
     L = K - 1 - T
     NT = N ** T
@@ -227,7 +237,7 @@ def _encoder_costs(m, n, wtabs, budget):
     leads = (_canonical_prefixes(n, F)[:, None] * rest
              + np.arange(rest, dtype=np.int64)).reshape(-1)
     ranks = (leads[:, None] * NT + np.arange(NT, dtype=np.int64)).reshape(-1)
-    block = max(1, _BLOCK_CELLS // (N * NT))
+    block = min(max(1, _BLOCK_CELLS // (N * NT)), len(leads))
     # full[y, c] = popcount(c ^ y); only the trailing slots need all N columns
     full = pc[y[:, None] ^ y[None, :]] if T else None
     row0 = [w[pc] for w in warrs]  # W[0, y]; every row of W has the same sum
@@ -237,25 +247,28 @@ def _encoder_costs(m, n, wtabs, budget):
         W = w[full] if T else None
         per_bit = []
         for sg in signs:
-            Dt = np.zeros((N, 1), dtype=np.int64)
+            Dt = np.zeros((N, 1), dtype=dt)
             for s in range(L + 1, K):
                 Dt = (Dt[:, :, None] + sg[s] * W[:, None, :]).reshape(N, -1)
             per_bit.append(Dt)
         tails.append(per_bit)
     out = [np.empty(len(ranks), dtype=np.int64) for _ in wtabs]
+    # every block's D_j sums are written into this one array
+    buf = np.empty(N * block * NT, dtype=dt)
     for start in range(0, len(leads), block):
         ld = leads[start:start + block]
         cnt = len(ld)
         dists = [pc[y[:, None] ^ ((ld // N ** (L - 1 - l)) % N)[None, :]] for l in range(L)]
+        D = buf[:N * cnt * NT].reshape(N, cnt, NT)
         for wi, w in enumerate(warrs):
             cols = [w[d] for d in dists]
-            acc = np.zeros((cnt, NT), dtype=np.int64)
+            acc = np.zeros((cnt, NT), dtype=dt)
             for sg, Dt in zip(signs, tails[wi]):
                 Dl = np.repeat(row0[wi][:, None], cnt, axis=1)  # c_0 = 0, sign +1
                 for s, col in enumerate(cols, 1):
                     Dl += sg[s] * col
-                D = Dl[:, :, None] + Dt[:, None, :]
-                acc += np.abs(D, out=D).sum(axis=0)
+                np.add(Dl[:, :, None], Dt[:, None, :], out=D)
+                acc += np.abs(D, out=D).sum(axis=0, dtype=dt)
             out[wi][start * NT:(start + cnt) * NT] = (total[wi] - acc.reshape(-1)) // 2
     return out + [ranks]
 

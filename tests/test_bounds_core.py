@@ -1,4 +1,6 @@
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -96,6 +98,29 @@ def test_gamma_corr_values():
     for n in (1, 2, 5000):
         for delta2 in (5e-324, 1e-320, 1e-310):
             assert bc.gamma_corr(n, delta2) == (math.log(n) + 1.0) / (2.0 * n)
+
+
+def _gamma_corr_decimal(n, delta2):
+    # sqrt(delta2/n) log(n/delta2) + (log n + 1)/(2n) in 50-digit decimals
+    with localcontext() as ctx:
+        ctx.prec = 50
+        n, d = Decimal(n), Decimal(delta2)
+        first = (d / n).sqrt() * (n / d).ln() if d else Decimal(0)
+        return float(first + (n.ln() + 1) / (2 * n))
+
+
+def test_gamma_corr_beyond_the_float_range():
+    # n has no float here, yet the value is finite and within 2 ulps
+    top = int(sys.float_info.max)
+    for n in (top + 1, 2**1030, 3**700, 10**330, 10**400):
+        for delta2 in (0.5, 0.05, 1e-300, 5e-324, 0.0):
+            assert math.isclose(bc.gamma_corr(n, delta2), _gamma_corr_decimal(n, delta2),
+                                rel_tol=5e-16, abs_tol=0.0)
+    # (log n + 1)/(2n) underflows to 0 at n = 10^400, sqrt(delta2/n) does not
+    assert bc.gamma_corr(10**400, 0.0) == 0.0
+    assert bc.gamma_corr(10**400, 0.05) > 0.0
+    # the last n inside the float range and the first past it agree
+    assert math.isclose(bc.gamma_corr(top + 1, 0.05), bc.gamma_corr(top, 0.05), rel_tol=5e-16)
 
 
 def test_gap_lower_bound_report():

@@ -388,6 +388,16 @@ def test_region_trace_finite_n_weakens():
     assert fin.d2_min <= asym.d2_min + 1e-9
 
 
+def test_finite_n_beyond_the_float_range():
+    # at n = 10^400 the finite-n term is about 2e-198: every slack and
+    # region point equals the asymptotic one
+    huge, asym = region_bp(n=10**400), region_bp()
+    assert 0.0 < br._finite_n_term(huge) < 1e-190
+    for d1, d2, q in ((0.1, 0.1, 0.1), (0.2, 0.09, 0.3), (0.05, 0.2, 0.0)):
+        assert br.outer_bound_slack(d1, d2, q, huge) == br.outer_bound_slack(d1, d2, q, asym)
+    assert br.region_trace(huge, [0.15, 0.2]) == br.region_trace(asym, [0.15, 0.2])
+
+
 def test_region_trace_never_binding():
     bp = br.BinaryBroadcastParams(rho=20.0, p=0.5, delta1=0.01, delta2=0.01)
     pt = br.region_trace(bp, [0.4])[0]

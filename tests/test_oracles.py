@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -230,9 +231,14 @@ def test_frontier_encoders_reproduce_their_points():
 ENCODER_SHAPES = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
 
 
-def _weight_tables(n):
-    table = st.lists(st.integers(0, 2**40), min_size=n + 1, max_size=n + 1)
+def _weight_tables(n, top=2**40):
+    table = st.lists(st.integers(0, top), min_size=n + 1, max_size=n + 1)
     return st.lists(table, min_size=1, max_size=2)
+
+
+def _int32_bound(m, n, wtabs):
+    # the kernel sums in int32 when m 2^m 2^n max(w) < 2^31
+    return m * 2**m * 2**n * max(map(max, wtabs)) < 2**31
 
 
 def _permuted(word, perm):
@@ -253,7 +259,35 @@ def _canonical_tables(m, n):
 @settings(max_examples=2)
 @given(data=st.data())
 def test_encoder_costs_match_table_cost(m, n, data):
+    # one weight of 2^40 puts every draw in the int64 width
     wtabs = data.draw(_weight_tables(n))
+    wtabs[0][data.draw(st.integers(0, n))] = 2**40
+    assert not _int32_bound(m, n, wtabs)
+    _assert_costs_match_table_cost(m, n, wtabs)
+
+
+@pytest.mark.parametrize("m,n", ENCODER_SHAPES)
+@settings(max_examples=2)
+@given(data=st.data())
+def test_encoder_costs_match_table_cost_in_int32(m, n, data):
+    # small weights make ties, and keep every shape in the int32 width
+    wtabs = data.draw(_weight_tables(n, top=3))
+    assert _int32_bound(m, n, wtabs)
+    _assert_costs_match_table_cost(m, n, wtabs)
+
+
+@pytest.mark.parametrize("top", [2**26 - 1, 2**26])
+def test_encoder_costs_at_the_int32_edge(top):
+    # at m=2, n=2 the bound is 32 max(w): 2^26 - 1 is the last int32 table
+    # and 2^26 the first int64 one
+    wtabs = [[top, top, top], [top, 0, 0], [0, 1, top], [top, top - 1, 1]]
+    for wt in wtabs:
+        assert _int32_bound(2, 2, [wt]) == (top < 2**26)
+        _assert_costs_match_table_cost(2, 2, [wt])
+    _assert_costs_match_table_cost(2, 2, wtabs[1:3])
+
+
+def _assert_costs_match_table_cost(m, n, wtabs):
     *costs, ranks = orc._encoder_costs(m, n, wtabs, orc.DEFAULT_BUDGET)
     want = [orc.EncoderTable(m, n, cw).index for cw in _canonical_tables(m, n)]
     assert ranks.dtype.name == "int64"
@@ -266,13 +300,37 @@ def test_encoder_costs_match_table_cost(m, n, data):
 
 @pytest.mark.parametrize("cells", [1, 48, 192, 1000])
 def test_encoder_costs_block_layout(monkeypatch, cells):
-    # at m=2, n=3 these caps give 0, 0, 1 and 1 trailing slots, and blocks
-    # of 1, 6, 3 and 15 prefixes; 6, 3 and 15 leave a partial last block
+    # at m=2, n=3 every cap gives 1 trailing slot, and blocks of 1, 1, 3
+    # and 15 of the 20 prefixes; 3 and 15 leave a partial last block
     wtabs = [[3, 1, 4, 1], [0, 2**40, 7, 5]]
     want = orc._encoder_costs(2, 3, wtabs, orc.DEFAULT_BUDGET)
     monkeypatch.setattr(orc, "_BLOCK_CELLS", cells)
     got = orc._encoder_costs(2, 3, wtabs, orc.DEFAULT_BUDGET)
     assert [a.tolist() for a in got] == [b.tolist() for b in want]
+
+
+@pytest.mark.parametrize("m,n,cells", [(1, 4, 1), (1, 4, 48), (3, 2, 1), (3, 2, 256)])
+def test_encoder_costs_block_layout_at_other_slot_counts(monkeypatch, m, n, cells):
+    # m = 1 has no trailing slot, with blocks of 1 and 3 of the 5 prefixes;
+    # at m=3, n=2 the caps give 1 and 3 trailing slots against 5 uncapped
+    wtabs = [list(range(1, n + 2)), [2**40] + [7] * n]
+    want = orc._encoder_costs(m, n, wtabs, orc.DEFAULT_BUDGET)
+    monkeypatch.setattr(orc, "_BLOCK_CELLS", cells)
+    got = orc._encoder_costs(m, n, wtabs, orc.DEFAULT_BUDGET)
+    assert [a.tolist() for a in got] == [b.tolist() for b in want]
+
+
+def test_encoder_costs_hold_one_block_array():
+    # two int64 (N, block, N) arrays at m=2, n=5 are 896 KiB; one call that
+    # allocates a fresh sum array per weight table and bit peaks above it
+    orc.p2p_bruteforce(2, 5, F(1, 4))  # fills the cached popcounts and prefixes
+    tracemalloc.start()
+    try:
+        orc.p2p_bruteforce(2, 5, F(1, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 896 * 1024
 
 
 def _direct_costs(m, n, wtabs, pinned):
