@@ -110,7 +110,7 @@ def _gamma_corr_decimal(n, delta2):
 
 
 def test_gamma_corr_beyond_the_float_range():
-    # n has no float here, yet the value is finite and within 2 ulps
+    # n has no float here, yet the value is finite and within about 2 ulps
     top = int(sys.float_info.max)
     for n in (top + 1, 2**1030, 3**700, 10**330, 10**400):
         for delta2 in (0.5, 0.05, 1e-300, 5e-324, 0.0):
