@@ -135,6 +135,16 @@ def tau_star(rho: float, delta: float) -> float:
     return (1.0 - f) / (2.0 * f)
 
 
+def _split_n(n: int) -> tuple[float, int]:
+    """(f, e) with n = f 4^e: f = float(n) and e = 0 when n fits a float,
+    and f a float below 2^54 otherwise (n >> 2e, rounded), so that a formula
+    in n can be evaluated at f and scaled back by math.ldexp."""
+    if n <= sys.float_info.max:
+        return float(n), 0
+    e = (n.bit_length() - 53) // 2
+    return float(n >> (2 * e)), e
+
+
 def gamma_corr(n: int, delta2: float) -> float:
     """Finite-n correction sqrt(delta2/n) log(n/delta2) + (log n + 1)/(2n).
 
@@ -143,19 +153,14 @@ def gamma_corr(n: int, delta2: float) -> float:
     """
     _count("n", n)
     _real("delta2", delta2, 0.0, 0.5)
-    if n > sys.float_info.max:
-        # n = f 4^e with f a float below 2^54; ldexp rounds an underflow to 0
-        e = (n.bit_length() - 53) // 2
-        f = float(n >> (2 * e))
-        log_n = math.log(n)
-        second = math.ldexp((log_n + 1.0) / (2.0 * f), -2 * e)
-        if delta2 == 0.0:
-            return second
-        first = math.sqrt(delta2) / math.sqrt(f) * (log_n - math.log(delta2))
-        return math.ldexp(first, -e) + second
-    second = (math.log(n) + 1.0) / (2.0 * n)
+    f, e = _split_n(n)
+    # ldexp rounds an underflow to 0
+    second = math.ldexp((math.log(n) + 1.0) / (2.0 * f), -2 * e)
     if delta2 == 0.0:
         return second
+    if e:
+        first = math.sqrt(delta2) / math.sqrt(f) * (math.log(n) - math.log(delta2))
+        return math.ldexp(first, -e) + second
     ratio = n / delta2
     if ratio == math.inf:
         # subnormal delta2: n / delta2 overflows and delta2 / n may flush to 0
@@ -167,12 +172,15 @@ def gap_lower_bound(params: SystemParams) -> LowerBoundReport:
     """Leading term of the gap between the best code at n and d_asym.
 
     Valid for rho > 1 with d_asym > 0; the remainder of the bound is known
-    only as a symbolic order, carried in correction_order.
+    only as a symbolic order, carried in correction_order. An n beyond the
+    float range is scaled as in gamma_corr.
     """
     _real("rho", params.rho, 1.0, ends="()")
     D = d_asym(params.rho, params.delta)
     e = eta(params.rho, params.delta)
-    lead = math.sqrt(params.delta * (1.0 - params.delta) / (2.0 * math.pi * params.n)) * e
+    f, k = _split_n(params.n)
+    lead = math.ldexp(
+        math.sqrt(params.delta * (1.0 - params.delta) / (2.0 * math.pi * f)) * e, -k)
     return LowerBoundReport(d_asym=D, eta=e, leading_term=lead)
 
 
@@ -181,14 +189,15 @@ def sphere_floor_at_weight(params: SystemParams, w: int) -> float:
 
     h_b_inv(log 2 - rho (log 2 - h_b(w/n)) - rho (log n + 1)/(2n)); depends on
     (n, rho, w) only, so it needs no integrality of n delta. Extended inverse
-    clamps to 0.
+    clamps to 0. An n beyond the float range is scaled as in gamma_corr.
     """
     n = params.n
     w = _count("weight", w, 0, n)
+    f, k = _split_n(n)
     arg = (
         NAT_LOG2
         - params.rho * (NAT_LOG2 - h_b(w / n))
-        - params.rho * (math.log(n) + 1.0) / (2.0 * n)
+        - math.ldexp(params.rho * (math.log(n) + 1.0) / (2.0 * f), -2 * k)
     )
     return h_b_inv(min(arg, NAT_LOG2))
 

@@ -17,6 +17,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 
 from . import bounds_core
@@ -160,11 +161,15 @@ def g_spherical_ub(delta1: float, delta2: float, n: int, t: float) -> float:
     """Finite-n upper bound on the weak user's normalized rate ceiling.
 
     g_bsc plus the correction gamma_corr(n, delta2); the sphere semantics
-    require n delta1 and n conv(delta1, delta2) to be integers.
+    require n delta1 and n conv(delta1, delta2) to be integers. An n beyond
+    the float range takes both products exactly, as fractions.
     """
     n = _count("n", n)
-    w1 = n * delta1
-    w2 = n * conv(delta1, delta2)
+    c = conv(delta1, delta2)
+    if n > sys.float_info.max:
+        w1, w2 = n * Fraction(delta1), n * Fraction(c)
+    else:
+        w1, w2 = n * delta1, n * c
     if abs(w1 - round(w1)) > 1e-9 or abs(w2 - round(w2)) > 1e-9:
         raise DomainError(
             f"sphere semantics need n*delta1={w1!r} and n*conv={w2!r} integral"
@@ -198,7 +203,12 @@ def _slack_rhs(d1: float, q: float, bp: BinaryBroadcastParams) -> float:
     DomainError and the clamp warning as documented on outer_bound_slack."""
     a1 = _a1(h_b(bp.delta1), h_b(conv(q, d1)), h_b(d1), h_b(conv(q, bp.p)),
              h_b(bp.p), bp.rho)
-    return _rhs_at_a1(a1, d1, q, bp, _finite_n_term(bp))
+    rhs = _rhs_at_a1(a1, d1, q, bp, _finite_n_term(bp))
+    if bp.n is None and a1 > NAT_LOG2:
+        # 3: past this helper and outer_bound_slack, to its caller
+        warnings.warn(f"A1={a1!r} exceeds log 2 within the floating guard; clamping",
+                      stacklevel=3)
+    return rhs
 
 
 def _a1(hd1: float, hc1: float, h1: float, hcp: float, hp: float, rho: float) -> float:
@@ -216,20 +226,14 @@ def _finite_n_term(bp: BinaryBroadcastParams) -> float | None:
 def _rhs_at_a1(a1: float, d1: float, q: float, bp: BinaryBroadcastParams,
                corr: float | None) -> float:
     """_slack_rhs from A1 and corr = _finite_n_term(bp): the A1 guards, the
-    clamp warning, the rate ceiling and the finite-n term."""
+    rate ceiling and the finite-n term. An A1 in (log 2, log 2 + guard] is
+    clamped here in asymptotic mode, and each caller warns of it its own way."""
     if a1 < -_A1_FLOAT_GUARD:
         raise DomainError(f"A1={a1!r} fell below 0")
-    if bp.n is None:
-        if a1 > NAT_LOG2 + _A1_FLOAT_GUARD:
-            raise DomainError(
-                f"A1={a1!r} exceeds log 2: d1={d1!r} is infeasible at q={q!r}"
-            )
-        if a1 > NAT_LOG2:
-            # 4: past this helper, _slack_rhs and outer_bound_slack, to its caller
-            warnings.warn(
-                f"A1={a1!r} exceeds log 2 within the floating guard; clamping",
-                stacklevel=4,
-            )
+    if bp.n is None and a1 > NAT_LOG2 + _A1_FLOAT_GUARD:
+        raise DomainError(
+            f"A1={a1!r} exceeds log 2: d1={d1!r} is infeasible at q={q!r}"
+        )
     rhs = bp.rho * (NAT_LOG2 - _mgl(bp.delta2, min(max(a1, 0.0), NAT_LOG2)))
     if bp.n is not None:
         rhs += corr
@@ -292,10 +296,11 @@ def _d2_at_q(q: float, s0: float, hcp: float, p: float) -> float:
 _D2_BAND = 1e-12
 
 
-def _trace_point(bp: BinaryBroadcastParams, d1: float) -> RegionPoint:
+def _trace_point(bp: BinaryBroadcastParams, d1: float, clamped: list) -> RegionPoint:
     # every sweep below revisits the same q, and only h_b(conv(q, d2)) moves
     # with d2: per q, keep the d2-free half of the slack at this d1 (-inf
-    # where A1 is out of range) and h_b(conv(q, p))
+    # where A1 is out of range) and h_b(conv(q, p)); each A1 the guard
+    # clamps goes to clamped, once per q
     hd1, h1, hp = h_b(bp.delta1), h_b(d1), h_b(bp.p)
     try:
         corr = _finite_n_term(bp)
@@ -309,10 +314,13 @@ def _trace_point(bp: BinaryBroadcastParams, d1: float) -> RegionPoint:
         if got is None:
             hcp = h_b(conv(q, bp.p))
             try:
-                rhs = _rhs_at_a1(_a1(hd1, h_b(conv(q, d1)), h1, hcp, hp, bp.rho),
-                                 d1, q, bp, corr)
+                a1 = _a1(hd1, h_b(conv(q, d1)), h1, hcp, hp, bp.rho)
+                rhs = _rhs_at_a1(a1, d1, q, bp, corr)
             except DomainError:
                 rhs = float("-inf")
+            else:
+                if bp.n is None and a1 > NAT_LOG2:
+                    clamped.append(a1)
             got = by_q[q] = (rhs, hcp)
         # rhs - _rbar(p, q, d2), with h_b(conv(q, p)) kept
         return got[0] - (got[1] - h_b(conv(q, d2)))
@@ -381,7 +389,13 @@ def region_trace(bp: BinaryBroadcastParams, d1_grid) -> list[RegionPoint]:
     """
     pts = []
     for d1 in d1_grid:
-        pts.append(_trace_point(bp, _real("d1", float(d1), 0.0, bp.p, "(]")))
+        d1 = _real("d1", float(d1), 0.0, bp.p, "(]")
+        clamped = []
+        pts.append(_trace_point(bp, d1, clamped))
+        if clamped:
+            warnings.warn(f"A1 exceeds log 2 within the floating guard at {len(clamped)} "
+                          f"of the q searched at d1={d1!r}, up to A1={max(clamped)!r}; "
+                          "clamping", stacklevel=2)
     return pts
 
 

@@ -191,11 +191,35 @@ def _encoder_costs(m, n, wtabs, budget):
     filter never depends on the block size. Every block's sums are written
     into one array, allocated once per call for the largest block.
 
-    The sums are exact integers in int32 when m K N max(w) < 2^31, and in
-    int64 otherwise (up to a 2^62 guard). Each |D_j(y)| is at most
-    K max(w), so each sum over y stays below K N max(w), and both a table's
-    sum over j and y and the constant m K sum_y W[0, y] stay within
-    m K N max(w). So the costs, returned as int64, equal the direct sums.
+    At m = 2 there is one trailing slot and two leading ones, and the two
+    bits' sums give D_0 + D_1 = 2 (W[0] - W[c_3]) and
+    D_0 - D_1 = 2 (W[c_1] - W[c_2]). With |a| + |b| = max(|a + b|, |a - b|),
+    |D_0| + |D_1| = 2 max(A, B), A(y) = |W[c_1, y] - W[c_2, y]| from the
+    leading prefix alone and B(y, c_3) = |W[0, y] - W[c_3, y]| from the
+    trailing codeword alone, so the cost is
+        4 sum_y W[0, y] - sum_y max(A(y), B(y, c_3)),
+    one max and one sum over y per table instead of two add, abs and sum
+    passes. Every other m takes the per-bit sums.
+
+    The sums are exact integers in int32 when they stay below 2^31 and in
+    int64 otherwise (up to a 2^62 guard on m K N max(w)). Each |D_j(y)| is
+    at most K max(w), so each sum over y stays below K N max(w), and both a
+    table's sum over j and y and the constant m K sum_y W[0, y] stay within
+    m K N max(w): int32 when m K N max(w) < 2^31. At m = 2 each max is at
+    most max(w), so the sums stay within N max(w), int32 when
+    N max(w) < 2^31, and the constant 4 sum_y W[0, y], which can pass 2^31
+    when the sums do not, is subtracted in int64. So the costs, returned as
+    int64, equal the direct sums.
+
+    Memory: besides one int64 cost and one int64 rank per scanned table, a
+    call holds the trailing part, the block array and, while the part is
+    built, the (N, N) distance table and one weight table's W. At m = 2 the
+    part is one (N, N) array B per weight table, each built in its W's
+    place, and the block array holds at most max(_BLOCK_CELLS, N^2) cells:
+    from n = 8 on a block is one prefix with all N trailing codewords. So
+    at m = 2 the arrays beside the costs and ranks grow with 4^n, and no
+    (N, N) array is held per bit. Elsewhere the part is one (N, N^T) sum
+    per weight table and bit.
 
     The budget counts the scanned work: BudgetExceeded is raised when the
     scanned tables times the 2^n output words, P 2^e with P canonical
@@ -219,10 +243,10 @@ def _encoder_costs(m, n, wtabs, budget):
                                  % (P, e, budget))
     N = 1 << n
     wmax = max(max(w) for w in wtabs)
-    bound = m * K * N * wmax
-    if bound >= 2 ** 62:
+    if m * K * N * wmax >= 2 ** 62:
         raise BudgetExceeded("integer costs would overflow int64 accumulators")
-    dt = np.int32 if bound < 2 ** 31 else np.int64
+    pair = m == 2  # the one-max form above
+    dt = np.int32 if (1 if pair else m * K) * N * wmax < 2 ** 31 else np.int64
     warrs = [np.array(w, dtype=dt) for w in wtabs]
     pc = _popcounts(n)
     y = np.arange(N, dtype=np.int64)
@@ -241,10 +265,15 @@ def _encoder_costs(m, n, wtabs, budget):
     # full[y, c] = popcount(c ^ y); only the trailing slots need all N columns
     full = pc[y[:, None] ^ y[None, :]] if T else None
     row0 = [w[pc] for w in warrs]  # W[0, y]; every row of W has the same sum
-    total = [m * K * int(r.sum()) for r in row0]
+    total = [(4 if pair else m * K) * int(r.sum()) for r in row0]
     tails = []
-    for w in warrs:
+    for w, r in zip(warrs, row0):
         W = w[full] if T else None
+        if pair:
+            # B[y, c_3] = |W[0, y] - W[c_3, y]|, built in W's place
+            np.subtract(r[:, None], W, out=W)
+            tails.append(np.abs(W, out=W))
+            continue
         per_bit = []
         for sg in signs:
             Dt = np.zeros((N, 1), dtype=dt)
@@ -252,8 +281,9 @@ def _encoder_costs(m, n, wtabs, budget):
                 Dt = (Dt[:, :, None] + sg[s] * W[:, None, :]).reshape(N, -1)
             per_bit.append(Dt)
         tails.append(per_bit)
+    del full, W
     out = [np.empty(len(ranks), dtype=np.int64) for _ in wtabs]
-    # every block's D_j sums are written into this one array
+    # every block's sums are written into this one array
     buf = np.empty(N * block * NT, dtype=dt)
     for start in range(0, len(leads), block):
         ld = leads[start:start + block]
@@ -262,14 +292,22 @@ def _encoder_costs(m, n, wtabs, budget):
         D = buf[:N * cnt * NT].reshape(N, cnt, NT)
         for wi, w in enumerate(warrs):
             cols = [w[d] for d in dists]
-            acc = np.zeros((cnt, NT), dtype=dt)
-            for sg, Dt in zip(signs, tails[wi]):
-                Dl = np.repeat(row0[wi][:, None], cnt, axis=1)  # c_0 = 0, sign +1
-                for s, col in enumerate(cols, 1):
-                    Dl += sg[s] * col
-                np.add(Dl[:, :, None], Dt[:, None, :], out=D)
-                acc += np.abs(D, out=D).sum(axis=0, dtype=dt)
-            out[wi][start * NT:(start + cnt) * NT] = (total[wi] - acc.reshape(-1)) // 2
+            if pair:
+                A = np.abs(cols[0] - cols[1])
+                np.maximum(A[:, :, None], tails[wi][:, None, :], out=D)
+                acc = D.sum(axis=0, dtype=dt)
+            else:
+                acc = np.zeros((cnt, NT), dtype=dt)
+                for sg, Dt in zip(signs, tails[wi]):
+                    Dl = np.repeat(row0[wi][:, None], cnt, axis=1)  # c_0 = 0, sign +1
+                    for s, col in enumerate(cols, 1):
+                        Dl += sg[s] * col
+                    np.add(Dl[:, :, None], Dt[:, None, :], out=D)
+                    acc += np.abs(D, out=D).sum(axis=0, dtype=dt)
+            got = out[wi][start * NT:(start + cnt) * NT]
+            np.subtract(total[wi], acc.reshape(-1), out=got, dtype=np.int64)
+            if not pair:
+                got //= 2
     return out + [ranks]
 
 

@@ -123,6 +123,29 @@ def test_gamma_corr_beyond_the_float_range():
     assert math.isclose(bc.gamma_corr(top + 1, 0.05), bc.gamma_corr(top, 0.05), rel_tol=5e-16)
 
 
+def test_gap_lower_bound_beyond_the_float_range():
+    # sqrt(delta (1 - delta) / (2 pi n)) eta has no float n here, yet it is
+    # finite and within a few ulps of the 50-digit value
+    for n in (int(sys.float_info.max) + 1, 3**700, 10**400):
+        rep = bc.gap_lower_bound(bc.SystemParams(n=n, rho=1.2, delta=0.2))
+        with localcontext() as ctx:
+            ctx.prec = 50
+            want = (Decimal(0.2 * 0.8) / (Decimal(2.0 * math.pi) * n)).sqrt() * Decimal(rep.eta)
+        assert 0.0 < rep.leading_term < 1e-150
+        assert math.isclose(rep.leading_term, float(want), rel_tol=1e-15, abs_tol=0.0)
+
+
+def test_sphere_floor_at_weight_beyond_the_float_range():
+    # at n = 10^400 the rho (log n + 1)/(2n) term underflows to 0, and w/n
+    # is a correctly rounded float: the floor is the asymptotic formula's
+    n = 10**400
+    params = bc.SystemParams(n=n, rho=1.2, delta=0.2)
+    for w in (0, n // 10, n // 5, n // 2, n):
+        x = w / n
+        want = bi.h_b_inv(min(bi.NAT_LOG2 - 1.2 * (bi.NAT_LOG2 - bi.h_b(x)), bi.NAT_LOG2))
+        assert bc.sphere_floor_at_weight(params, w) == want
+
+
 def test_gap_lower_bound_report():
     rep = bc.gap_lower_bound(bc.SystemParams(n=10000, rho=1.2, delta=0.2))
     assert feq(rep.d_asym, D_12_02)

@@ -347,6 +347,23 @@ def test_a1_clamp_warning_points_at_the_caller():
         br.outer_bound_slack(0.0999999999990, 0.2, 0.5, bp)
 
 
+def test_region_trace_warns_once_per_clamped_d1():
+    # the clamp warning test's instance: the guard clamps A1 at dozens of the
+    # q one region point searches, and the trace says so once, at its caller
+    bp = br.BinaryBroadcastParams(rho=1.0, p=0.5, delta1=0.1, delta2=0.05)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pts = br.region_trace(bp, [0.0999999999998, 0.2])
+    assert len(caught) == 1
+    assert caught[0].category is UserWarning
+    assert "exceeds log 2 within the floating guard" in str(caught[0].message)
+    assert "d1=0.0999999999998" in str(caught[0].message)
+    assert caught[0].filename == __file__
+    # the values from before the warning moved out of the per-q evaluation
+    assert [(pt.d2_min, pt.q_star, pt.slack) for pt in pts] == [
+        (0.4999999999990905, 0.5, 0.0), (0.14000000000032742, 0.0, 5.977995876094155e-13)]
+
+
 # ---------- region tracing ----------
 
 
@@ -386,6 +403,16 @@ def test_region_trace_finite_n_weakens():
     fin = br.region_trace(region_bp(n=100), [0.15])[0]
     assert fin.feasible
     assert fin.d2_min <= asym.d2_min + 1e-9
+
+
+def test_g_spherical_ub_beyond_the_float_range():
+    # n delta1 and n conv(delta1, delta2) have no float product here; they
+    # are taken exactly, and the correction is gamma_corr's
+    n = 10**400
+    got = br.g_spherical_ub(0.25, 0.25, n, 0.1)
+    assert got == br.g_bsc(0.25, 0.25, 0.1) + bc.gamma_corr(n, 0.25)
+    with pytest.raises(DomainError, match="sphere semantics"):
+        br.g_spherical_ub(0.25, 0.25, n + 1, 0.1)  # n/4 is not an integer
 
 
 def test_finite_n_beyond_the_float_range():

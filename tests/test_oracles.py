@@ -117,6 +117,8 @@ def test_p2p_frozen_n5_n6():
         (2, 7, F(1, 4), F(5, 32), 121919),
         # computed once with budget=2**40, when the budget counted every table
         (2, 9, F(1, 4), F(983, 8192), 8373246),
+        # the per-bit sums and the one-max form of the kernel agree on it
+        (2, 10, F(1, 4), F(53, 512), 33522687),
     ]
     for m, n, delta, want, index in cases:
         val, table = orc.p2p_bruteforce(m, n, delta)
@@ -237,8 +239,20 @@ def _weight_tables(n, top=2**40):
 
 
 def _int32_bound(m, n, wtabs):
-    # the kernel sums in int32 when m 2^m 2^n max(w) < 2^31
-    return m * 2**m * 2**n * max(map(max, wtabs)) < 2**31
+    # the kernel sums in int32 when 2^n max(w) < 2^31 at m = 2 (the one-max
+    # form) and when m 2^m 2^n max(w) < 2^31 at every other m
+    return (1 if m == 2 else m * 2**m) * 2**n * max(map(max, wtabs)) < 2**31
+
+
+def _costs_and_width(monkeypatch, m, n, wtabs):
+    # the kernel's return value, and whether it allocated an int32 array: its
+    # block sums are the only array of that type it makes
+    seen, real_empty = [], np.empty
+    with monkeypatch.context() as mp:
+        mp.setattr(np, "empty", lambda *a, **k: seen.append(np.dtype(k["dtype"]))
+                   or real_empty(*a, **k))
+        got = orc._encoder_costs(m, n, wtabs, orc.DEFAULT_BUDGET)
+    return got, np.dtype(np.int32) in seen
 
 
 def _permuted(word, perm):
@@ -277,14 +291,44 @@ def test_encoder_costs_match_table_cost_in_int32(m, n, data):
 
 
 @pytest.mark.parametrize("top", [2**26 - 1, 2**26])
-def test_encoder_costs_at_the_int32_edge(top):
-    # at m=2, n=2 the bound is 32 max(w): 2^26 - 1 is the last int32 table
-    # and 2^26 the first int64 one
+def test_encoder_costs_at_the_int32_edge(monkeypatch, top):
+    # the general rule: at m=1, n=4 the bound is 32 max(w), so 2^26 - 1 is the
+    # last int32 table and 2^26 the first int64 one
+    wtabs = [[top] * 5, [top, 0, 0, 0, 0], [0, 1, top, 2, top], [top, top - 1, 1, 0, top]]
+    for wt in wtabs:
+        assert _int32_bound(1, 4, [wt]) == (top < 2**26)
+        assert _costs_and_width(monkeypatch, 1, 4, [wt])[1] == (top < 2**26)
+        _assert_costs_match_table_cost(1, 4, [wt])
+    _assert_costs_match_table_cost(1, 4, wtabs[1:3])
+
+
+@pytest.mark.parametrize("top", [2**29 - 1, 2**29])
+def test_encoder_costs_at_the_one_max_int32_edge(monkeypatch, top):
+    # at m=2, n=2 the bound is 4 max(w): 2^29 - 1 is the last int32 table and
+    # 2^29 the first int64 one. Under [top, 0, 0] a table whose c_1, c_2, c_3
+    # differ from each other and from 0 has maxima summing to 4 top, which
+    # would wrap in int32 at 2^29
     wtabs = [[top, top, top], [top, 0, 0], [0, 1, top], [top, top - 1, 1]]
     for wt in wtabs:
-        assert _int32_bound(2, 2, [wt]) == (top < 2**26)
+        assert _int32_bound(2, 2, [wt]) == (top < 2**29)
+        assert _costs_and_width(monkeypatch, 2, 2, [wt])[1] == (top < 2**29)
         _assert_costs_match_table_cost(2, 2, [wt])
     _assert_costs_match_table_cost(2, 2, wtabs[1:3])
+
+
+def test_encoder_costs_one_max_constant_past_int32(monkeypatch):
+    # at m=2, n=8 with weights up to 8,000,000 the sums of maxima stay within
+    # 2^8 8e6 < 2^31, so they are int32, while 4 sum_y W[0, y] is 8.192e9
+    flat, sloped = [8_000_000] * 9, [8_000_000 - d for d in range(9)]
+    (costs, ranks), narrow = _costs_and_width(monkeypatch, 2, 8, [flat])
+    assert narrow and sum(math.comb(8, d) * 8_000_000 for d in range(9)) * 4 > 2**31
+    # W is constant: every max is 0 and every cost is the constant
+    assert costs.tolist() == [4 * 256 * 8_000_000] * len(ranks)
+    (costs, ranks), narrow = _costs_and_width(monkeypatch, 2, 8, [sloped])
+    assert narrow
+    for i in range(0, len(ranks), 997):
+        cw = orc.encoder_from_index(2, 8, int(ranks[i])).codewords
+        assert int(costs[i]) == orc._table_cost(2, 8, cw, sloped)
 
 
 def _assert_costs_match_table_cost(m, n, wtabs):
@@ -321,8 +365,9 @@ def test_encoder_costs_block_layout_at_other_slot_counts(monkeypatch, m, n, cell
 
 
 def test_encoder_costs_hold_one_block_array():
-    # two int64 (N, block, N) arrays at m=2, n=5 are 896 KiB; one call that
-    # allocates a fresh sum array per weight table and bit peaks above it
+    # two int64 (N, block, N) arrays at m=2, n=5 are 896 KiB; the call holds
+    # one int32 array of that shape, and one that allocated a fresh array per
+    # weight table and bit would peak above the bound
     orc.p2p_bruteforce(2, 5, F(1, 4))  # fills the cached popcounts and prefixes
     tracemalloc.start()
     try:
