@@ -359,7 +359,7 @@ def test_region_trace_warns_once_per_clamped_d1():
     assert "exceeds log 2 within the floating guard" in str(caught[0].message)
     assert "d1=0.0999999999998" in str(caught[0].message)
     assert caught[0].filename == __file__
-    # the values from before the warning moved out of the per-q evaluation
+    # where the warning is raised moves no float operation: the frozen points
     assert [(pt.d2_min, pt.q_star, pt.slack) for pt in pts] == [
         (0.4999999999990905, 0.5, 0.0), (0.14000000000032742, 0.0, 5.977995876094155e-13)]
 
