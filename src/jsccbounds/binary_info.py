@@ -12,6 +12,7 @@ bit on a few inputs per thousand, so each path keeps its own printed digits.
 from __future__ import annotations
 
 import math
+import sys
 
 NAT_LOG2 = math.log(2.0)
 
@@ -81,6 +82,12 @@ def _conv(a, b):
 
 def _hp(x, log):
     return log((1.0 - x) / x)
+
+
+# (1 - x) / x overflows for x below about 5.6e-309, and so does nu's
+# q (1 - 2t) / t: h_b_prime takes x, and the catalog's measures of t take t,
+# from the smallest normal float up. Below it they would return inf, 0 or NaN.
+_X_MIN = sys.float_info.min
 
 
 def _g(t, log):
@@ -271,8 +278,8 @@ def conv(a: float, b: float) -> float:
 
 
 def h_b_prime(x: float) -> float:
-    """Derivative of h_b: log((1-x)/x), for x in (0, 1)."""
-    return _hp(_real("x", x, 0.0, 1.0, "()"), math.log)
+    """Derivative of h_b: log((1-x)/x), for x in [_X_MIN, 1)."""
+    return _hp(_real("x", x, _X_MIN, 1.0, "[)"), math.log)
 
 
 def _mgl(delta, t):
@@ -300,21 +307,25 @@ def mgl_phi_deriv(delta: float, t: float) -> float:
 
 
 # ---------- catalog of derived scalar functions ----------
-# t-arguments live in (0, 1/2); beta and R additionally accept t = 1/2,
-# where both are finite (0). q-arguments live in [0, 1/2].
+# t-arguments live in [_X_MIN, 1/2); beta and R accept every t in (0, 1/2],
+# where both are finite (0 at t = 1/2). q-arguments live in [0, 1/2].
+
+
+def _t(t):
+    return _real("t", t, _X_MIN, 0.5, "[)")
 
 
 def g(t: float) -> float:
-    return _g(_real("t", t, 0.0, 0.5, "()"), math.log)
+    return _g(_t(t), math.log)
 
 
 def kappa(t: float) -> float:
     """Negative derivative of g."""
-    return _kappa(_real("t", t, 0.0, 0.5, "()"), math.log)
+    return _kappa(_t(t), math.log)
 
 
 def Phi(t: float) -> float:
-    return _Phi(_real("t", t, 0.0, 0.5, "()"), math.log)
+    return _Phi(_t(t), math.log)
 
 
 def beta(q: float, t: float) -> float:
@@ -327,12 +338,12 @@ def beta(q: float, t: float) -> float:
 def phi(q: float, t: float) -> float:
     """Negative t-derivative of beta(q, .)."""
     _real("q", q, 0.0, 0.5)
-    return _phi(q, _real("t", t, 0.0, 0.5, "()"), math.log)
+    return _phi(q, _t(t), math.log)
 
 
 def nu(q: float, t: float) -> float:
     _real("q", q, 0.0, 0.5)
-    return _nu(q, _real("t", t, 0.0, 0.5, "()"))
+    return _nu(q, _t(t))
 
 
 def psi(t: float) -> float:

@@ -12,6 +12,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .binary_info import (
     NAT_LOG2,
@@ -145,6 +146,12 @@ def _split_n(n: int) -> tuple[float, int]:
     return float(n >> (2 * e)), e
 
 
+def _n_times(n: int, x: float):
+    """n x: the float product when n fits a float, the exact Fraction
+    otherwise, where the float product would overflow."""
+    return n * Fraction(x) if n > sys.float_info.max else n * x
+
+
 def gamma_corr(n: int, delta2: float) -> float:
     """Finite-n correction sqrt(delta2/n) log(n/delta2) + (log n + 1)/(2n).
 
@@ -203,8 +210,9 @@ def sphere_floor_at_weight(params: SystemParams, w: int) -> float:
 
 
 def sphere_floor(params: SystemParams, k: int = 0) -> float:
-    """Sphere floor at the offset-k weight n delta + k; needs n delta integral."""
-    w0 = params.n * params.delta
+    """Sphere floor at the offset-k weight n delta + k; needs n delta integral.
+    An n beyond the float range takes n delta exactly."""
+    w0 = _n_times(params.n, params.delta)
     if abs(w0 - round(w0)) > 1e-9:
         raise DomainError(f"sphere_floor needs n*delta integral, got {w0!r}")
     w0 = round(w0)
@@ -216,9 +224,14 @@ def expected_sphere_floor(params: SystemParams) -> float:
 
     A valid lower bound on the expected distortion of every code, with no
     integrality requirement on n delta. The binomial weights are formed in
-    the log domain, so no term overflows at large n.
+    the log domain, so no term overflows at large n. The sum runs over all
+    n + 1 weights, so an n beyond the float range is a DomainError.
     """
     n, d = params.n, params.delta
+    if n > sys.float_info.max:
+        raise DomainError(
+            f"expected_sphere_floor sums n + 1 weights; n ~ 2^{n.bit_length()} "
+            "is beyond the float range")
     log_d, log_1md = math.log(d), math.log1p(-d)
     log_n_fact = math.lgamma(n + 1)
     total = 0.0
@@ -273,7 +286,8 @@ def sum_distortion_lb(a: float, params: SystemParams) -> float:
     """Sum-distortion lower bound 2 d_asym + (a/sqrt(n)) eta for rho > 1.
 
     Warns (without failing) when a >= log^2(n), where the guarantee backing
-    the formula no longer applies.
+    the formula no longer applies. An n beyond the float range is scaled as
+    in gamma_corr.
     """
     _real("a", a, 0.0)
     _real("rho", params.rho, 1.0, ends="()")
@@ -283,9 +297,9 @@ def sum_distortion_lb(a: float, params: SystemParams) -> float:
             "the bound's validity range is exceeded",
             stacklevel=2,
         )
-    return 2.0 * d_asym(params.rho, params.delta) + (a / math.sqrt(params.n)) * eta(
-        params.rho, params.delta
-    )
+    f, k = _split_n(params.n)
+    return 2.0 * d_asym(params.rho, params.delta) + math.ldexp(
+        (a / math.sqrt(f)) * eta(params.rho, params.delta), -k)
 
 
 def separation_upper(d0: float, p_err: float) -> float:

@@ -17,7 +17,6 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
 from . import bounds_core
@@ -123,12 +122,13 @@ def rbar_binary(p: float, q: float, d: float) -> float:
     _real("p", p, 0.0, 0.5, "(]")
     _real("q", q, 0.0, 0.5)
     _real("d", d, -1e-15, p + 1e-12)
-    return _rbar(p, q, min(max(d, 0.0), p))
+    return _rbar(h_b(conv(q, p)), q, min(max(d, 0.0), p))
 
 
-def _rbar(p: float, q: float, d: float) -> float:
-    # rbar_binary without its checks and clamp: d already in [0, p]
-    return h_b(conv(q, p)) - h_b(conv(q, d))
+def _rbar(hcp: float, q: float, d: float) -> float:
+    # rbar_binary from hcp = h_b(conv(q, p)), without its checks and clamp:
+    # d already in [0, p]
+    return hcp - h_b(conv(q, d))
 
 
 def g_bsc(delta1: float, delta2: float, t: float) -> float:
@@ -165,11 +165,8 @@ def g_spherical_ub(delta1: float, delta2: float, n: int, t: float) -> float:
     the float range takes both products exactly, as fractions.
     """
     n = _count("n", n)
-    c = conv(delta1, delta2)
-    if n > sys.float_info.max:
-        w1, w2 = n * Fraction(delta1), n * Fraction(c)
-    else:
-        w1, w2 = n * delta1, n * c
+    w1 = bounds_core._n_times(n, delta1)
+    w2 = bounds_core._n_times(n, conv(delta1, delta2))
     if abs(w1 - round(w1)) > 1e-9 or abs(w2 - round(w2)) > 1e-9:
         raise DomainError(
             f"sphere semantics need n*delta1={w1!r} and n*conv={w2!r} integral"
@@ -194,49 +191,40 @@ def outer_bound_slack(d1: float, d2: float, q: float, bp: BinaryBroadcastParams)
     _real("d2", d2, -1e-15, bp.p + 1e-12)
     d1 = min(max(d1, 0.0), bp.p)
     d2 = min(max(d2, 0.0), bp.p)
-    return _slack_rhs(d1, q, bp) - _rbar(bp.p, q, d2)
-
-
-def _slack_rhs(d1: float, q: float, bp: BinaryBroadcastParams) -> float:
-    """The d2-free part of the slack: rho times the weak user's rate ceiling
-    at A1, plus the finite-n correction. Takes d1 already clamped to [0, p];
-    DomainError and the clamp warning as documented on outer_bound_slack."""
-    a1 = _a1(h_b(bp.delta1), h_b(conv(q, d1)), h_b(d1), h_b(conv(q, bp.p)),
-             h_b(bp.p), bp.rho)
-    rhs = _rhs_at_a1(a1, d1, q, bp, _finite_n_term(bp))
+    hcp = h_b(conv(q, bp.p))
+    rhs, a1 = _rhs_at(bp, d1)(q, hcp)
     if bp.n is None and a1 > NAT_LOG2:
-        # 3: past this helper and outer_bound_slack, to its caller
         warnings.warn(f"A1={a1!r} exceeds log 2 within the floating guard; clamping",
-                      stacklevel=3)
-    return rhs
+                      stacklevel=2)
+    return rhs - _rbar(hcp, q, d2)
 
 
-def _a1(hd1: float, hc1: float, h1: float, hcp: float, hp: float, rho: float) -> float:
-    # A1 from h_b(delta1), h_b(conv(q, d1)), h_b(d1), h_b(conv(q, p)), h_b(p)
-    return hd1 + (hc1 - h1 - hcp + hp) / rho
+def _rhs_at(bp: BinaryBroadcastParams, d1: float):
+    """The d2-free half of the slack at d1, already clamped to [0, p]: a
+    function rhs(q, hcp) of q and hcp = h_b(conv(q, p)) that returns
+    (rho times the weak user's rate ceiling at A1 plus the finite-n term, A1).
 
+    h_b(delta1), h_b(d1), h_b(p) and the finite-n term are computed here,
+    once per d1. rhs raises DomainError where A1 is out of range, and clamps
+    an A1 in (log 2, log 2 + guard] in asymptotic mode; each caller warns of
+    that clamp its own way.
+    """
+    hd1, h1, hp = h_b(bp.delta1), h_b(d1), h_b(bp.p)
+    corr = None if bp.n is None else bp.rho * bounds_core.gamma_corr(bp.n, bp.delta2)
 
-def _finite_n_term(bp: BinaryBroadcastParams) -> float | None:
-    # rho * gamma_corr(n, delta2); None in asymptotic mode
-    if bp.n is None:
-        return None
-    return bp.rho * bounds_core.gamma_corr(bp.n, bp.delta2)
+    def rhs(q: float, hcp: float) -> tuple[float, float]:
+        a1 = hd1 + (h_b(conv(q, d1)) - h1 - hcp + hp) / bp.rho
+        if a1 < -_A1_FLOAT_GUARD:
+            raise DomainError(f"A1={a1!r} fell below 0")
+        if corr is None and a1 > NAT_LOG2 + _A1_FLOAT_GUARD:
+            raise DomainError(
+                f"A1={a1!r} exceeds log 2: d1={d1!r} is infeasible at q={q!r}"
+            )
+        out = bp.rho * (NAT_LOG2 - _mgl(bp.delta2, min(max(a1, 0.0), NAT_LOG2)))
+        if corr is not None:
+            out += corr
+        return out, a1
 
-
-def _rhs_at_a1(a1: float, d1: float, q: float, bp: BinaryBroadcastParams,
-               corr: float | None) -> float:
-    """_slack_rhs from A1 and corr = _finite_n_term(bp): the A1 guards, the
-    rate ceiling and the finite-n term. An A1 in (log 2, log 2 + guard] is
-    clamped here in asymptotic mode, and each caller warns of it its own way."""
-    if a1 < -_A1_FLOAT_GUARD:
-        raise DomainError(f"A1={a1!r} fell below 0")
-    if bp.n is None and a1 > NAT_LOG2 + _A1_FLOAT_GUARD:
-        raise DomainError(
-            f"A1={a1!r} exceeds log 2: d1={d1!r} is infeasible at q={q!r}"
-        )
-    rhs = bp.rho * (NAT_LOG2 - _mgl(bp.delta2, min(max(a1, 0.0), NAT_LOG2)))
-    if bp.n is not None:
-        rhs += corr
     return rhs
 
 
@@ -301,12 +289,7 @@ def _trace_point(bp: BinaryBroadcastParams, d1: float, clamped: list) -> RegionP
     # with d2: per q, keep the d2-free half of the slack at this d1 (-inf
     # where A1 is out of range) and h_b(conv(q, p)); each A1 the guard
     # clamps goes to clamped, once per q
-    hd1, h1, hp = h_b(bp.delta1), h_b(d1), h_b(bp.p)
-    try:
-        corr = _finite_n_term(bp)
-    except DomainError:
-        # as if each q's _slack_rhs raised it: every rhs is -inf
-        corr = float("-inf")
+    rhs_at = _rhs_at(bp, d1)
     by_q = {}
 
     def slack(d2, q):
@@ -314,16 +297,14 @@ def _trace_point(bp: BinaryBroadcastParams, d1: float, clamped: list) -> RegionP
         if got is None:
             hcp = h_b(conv(q, bp.p))
             try:
-                a1 = _a1(hd1, h_b(conv(q, d1)), h1, hcp, hp, bp.rho)
-                rhs = _rhs_at_a1(a1, d1, q, bp, corr)
+                rhs, a1 = rhs_at(q, hcp)
             except DomainError:
                 rhs = float("-inf")
             else:
                 if bp.n is None and a1 > NAT_LOG2:
                     clamped.append(a1)
             got = by_q[q] = (rhs, hcp)
-        # rhs - _rbar(p, q, d2), with h_b(conv(q, p)) kept
-        return got[0] - (got[1] - h_b(conv(q, d2)))
+        return got[0] - _rbar(got[1], q, d2)
 
     # the final sweep at hi repeats the band sweep that set hi, if one did
     by_d2 = {}
@@ -382,10 +363,10 @@ def region_trace(bp: BinaryBroadcastParams, d1_grid) -> list[RegionPoint]:
     and the finite-n term, -inf where A1 is out of range) and
     h_b(conv(q, p)). No d2 moves either, so each q the sweeps revisit costs
     one conv and one h_b. h_b(delta1), h_b(d1), h_b(p) and the finite-n
-    term are computed once per point. These caches live for one d1 and hold
-    the values outer_bound_slack computes, by the same float operations in
-    the same order, so every point is bit-identical to evaluating it
-    directly.
+    term are computed once per point, by _rhs_at. These caches live for one
+    d1, and the slack is formed from them by _rhs_at and _rbar, as
+    outer_bound_slack forms it, so every point is bit-identical to
+    evaluating it directly.
     """
     pts = []
     for d1 in d1_grid:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -433,17 +434,29 @@ def binomial_gamma_exact(n, delta, k):
 def binomial_gamma_approx(n, delta, k) -> float:
     """Second-order expansion of the posterior split r(k) for small k/n.
 
-    Needs a positive integer n, an integer k and delta in (0, 1/2).
+    Needs a positive integer n, an integer k and delta in (0, 1/2). Where n
+    or k has no float, or a float step overflows, the same formula is taken
+    in exact rationals and rounded once; DomainError when that value is
+    beyond the float range.
     """
-    n = float(n)
-    d = float(delta)
-    k = float(k)
-    _count("n", n)
-    _real("delta", d, 0.0, 0.5, "()")
-    _count("k", k, -math.inf)
+    n = _count("n", n)
+    k = _count("k", k, -math.inf)
+    d = _real("delta", float(delta), 0.0, 0.5, "()")
     lead = (1.0 - 2.0 * d) / (d * (1.0 - d))
-    inner = k * k / (3.0 * n * d * (1.0 - d)) - 1.0
-    return 0.5 + 0.25 * lead * inner * (k / n)
+    if max(n, abs(k)) <= sys.float_info.max:
+        fn, fk = float(n), float(k)
+        inner = fk * fk / (3.0 * fn * d * (1.0 - d)) - 1.0
+        value = 0.5 + 0.25 * lead * inner * (fk / fn)
+        if math.isfinite(value):
+            return value
+    fd = Fraction(d)
+    exact = Fraction(1, 2) + Fraction(lead) / 4 * (
+        Fraction(k * k, 3 * n) / (fd * (1 - fd)) - 1) * Fraction(k, n)
+    try:
+        return float(exact)
+    except OverflowError:
+        raise DomainError(f"the expansion at k ~ 2^{abs(k).bit_length()}, "
+                          f"n ~ 2^{n.bit_length()} is beyond the float range") from None
 
 
 # ---------- coupling deviation ----------

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -350,6 +351,33 @@ def test_domain_errors():
         bi.mgl_phi_deriv(0.5, 0.3)  # left endpoint excluded for the slope
     with pytest.raises(bi.DomainError):
         bi.mgl_phi_deriv(0.1, 0.0)
+
+
+_LOG_RATIO_FNS = {
+    "h_b_prime": bi.h_b_prime,
+    "g": bi.g,
+    "kappa": bi.kappa,
+    "Phi": bi.Phi,
+    "phi": lambda t: bi.phi(0.25, t),
+    "nu": lambda t: bi.nu(0.25, t),
+    "psi": bi.psi,
+    "vartheta": bi.vartheta,
+}
+
+
+@pytest.mark.parametrize("name", _LOG_RATIO_FNS)
+@pytest.mark.parametrize("t", [5e-324, 1e-310, 5.5e-309])
+def test_subnormal_t_is_a_domain_error(name, t):
+    # (1 - t) / t and q (1 - 2t) / t overflow here: these returned inf, 0 or
+    # NaN, where h_b_prime(1e-310) is 713.80 and Phi(1e-310) about 2e304
+    with pytest.raises(bi.DomainError):
+        _LOG_RATIO_FNS[name](t)
+
+
+@pytest.mark.parametrize("name", _LOG_RATIO_FNS)
+def test_smallest_normal_t_is_finite(name):
+    value = _LOG_RATIO_FNS[name](sys.float_info.min)
+    assert math.isfinite(value) and value > 0.0
 
 
 def test_closed_right_endpoint():

@@ -133,6 +133,9 @@ def test_gap_lower_bound_beyond_the_float_range():
             want = (Decimal(0.2 * 0.8) / (Decimal(2.0 * math.pi) * n)).sqrt() * Decimal(rep.eta)
         assert 0.0 < rep.leading_term < 1e-150
         assert math.isclose(rep.leading_term, float(want), rel_tol=1e-15, abs_tol=0.0)
+        # (a / sqrt(n)) eta, about 1e-154 or less, vanishes beside 2 d_asym
+        params = bc.SystemParams(n=n, rho=1.2, delta=0.2)
+        assert bc.sum_distortion_lb(1.0, params) == 2.0 * rep.d_asym
 
 
 def test_sphere_floor_at_weight_beyond_the_float_range():
@@ -144,6 +147,19 @@ def test_sphere_floor_at_weight_beyond_the_float_range():
         x = w / n
         want = bi.h_b_inv(min(bi.NAT_LOG2 - 1.2 * (bi.NAT_LOG2 - bi.h_b(x)), bi.NAT_LOG2))
         assert bc.sphere_floor_at_weight(params, w) == want
+    # sphere_floor takes n delta exactly: n / 4 at delta = 1/4
+    params = bc.SystemParams(n=n, rho=1.2, delta=0.25)
+    for k in (-3, 0, 5):
+        assert bc.sphere_floor(params, k) == bc.sphere_floor_at_weight(params, n // 4 + k)
+    with pytest.raises(bc.DomainError, match="n\\*delta integral"):
+        bc.sphere_floor(bc.SystemParams(n=n + 1, rho=1.2, delta=0.25))
+
+
+def test_expected_sphere_floor_beyond_the_float_range():
+    # its sum runs over n + 1 weights, which cannot finish past the float range
+    for n in (int(sys.float_info.max) + 1, 10**400):
+        with pytest.raises(bc.DomainError, match="beyond the float range"):
+            bc.expected_sphere_floor(bc.SystemParams(n=n, rho=1.2, delta=0.25))
 
 
 def test_gap_lower_bound_report():

@@ -240,19 +240,6 @@ def _outcome(fn, *args):
         return str(exc)
 
 
-@given(st.floats(0.05, 0.5), st.floats(0.3, 3.0), st.floats(0.0, 0.45),
-       st.floats(0.0, 0.5), st.none() | st.integers(1, 5000),
-       st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 0.5))
-def test_slack_is_rhs_minus_lhs(p, rho, delta1, delta2, n, u1, u2, q):
-    bp = br.BinaryBroadcastParams(rho=rho, p=p, delta1=delta1, delta2=delta2, n=n)
-    d1, d2 = u1 * p, u2 * p
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        want = _outcome(br.outer_bound_slack, d1, d2, q, bp)
-        got = _outcome(lambda: br._slack_rhs(d1, q, bp) - br._rbar(bp.p, q, d2))
-    assert got == want
-
-
 # The Gerber map h_b(conv(a, h_b_inv(t))), its inverse in the crossover and
 # the weak user's rate need are each defined once (_mgl, _mgl_inv, _rbar).
 # Below, each caller is written out with those steps inline, in the same
@@ -419,7 +406,7 @@ def test_finite_n_beyond_the_float_range():
     # at n = 10^400 the finite-n term is about 2e-198: every slack and
     # region point equals the asymptotic one
     huge, asym = region_bp(n=10**400), region_bp()
-    assert 0.0 < br._finite_n_term(huge) < 1e-190
+    assert 0.0 < huge.rho * bc.gamma_corr(huge.n, huge.delta2) < 1e-190
     for d1, d2, q in ((0.1, 0.1, 0.1), (0.2, 0.09, 0.3), (0.05, 0.2, 0.0)):
         assert br.outer_bound_slack(d1, d2, q, huge) == br.outer_bound_slack(d1, d2, q, asym)
     assert br.region_trace(huge, [0.15, 0.2]) == br.region_trace(asym, [0.15, 0.2])
@@ -514,9 +501,13 @@ def test_reference_pool_never_falls_back_to_the_inverse_walk(monkeypatch):
 def test_trace_point_evaluates_each_q_once(monkeypatch, args):
     rho, p, delta1, delta2, n, d1 = args
     bp = br.BinaryBroadcastParams(rho=rho, p=p, delta1=delta1, delta2=delta2, n=n)
-    seen, real_rhs = [], br._rhs_at_a1
-    monkeypatch.setattr(br, "_rhs_at_a1", lambda a1, d1_, q, bp_, corr:
-                        seen.append(q) or real_rhs(a1, d1_, q, bp_, corr))
+    seen, real_rhs_at = [], br._rhs_at
+
+    def spy_rhs_at(bp_, d1_):
+        rhs = real_rhs_at(bp_, d1_)
+        return lambda q, hcp: seen.append(q) or rhs(q, hcp)
+
+    monkeypatch.setattr(br, "_rhs_at", spy_rhs_at)
     sweeps, real_min = [], br._seeded_min
     monkeypatch.setattr(br, "_seeded_min", lambda fn: sweeps.append(fn) or real_min(fn))
     convs, real_conv = [], br.conv

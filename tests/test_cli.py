@@ -5,6 +5,7 @@ start-up test, which needs a fresh interpreter to see what gets imported.
 """
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -221,6 +222,22 @@ def test_region_plot_data_long_format(capsys):
     assert all(r[0] == "0.15" for r in rows)
     # slack at the traced d2 is nonnegative for every probe q
     assert all(float(r[2]) >= -1e-9 for r in rows)
+
+
+@pytest.mark.parametrize("n_args,digest", [
+    ([], "0ec53365ec61ef80d139c68bca7cee58e63150fdccc2ffb68a361f3227ec386a"),
+    (["--n", "1000"], "7660c36d09be91827fe839d34f1d53834dcc008c1eb47ad8f2700a88214fb568"),
+], ids=["asymptotic", "n1000"])
+def test_region_plot_data_frozen(capsys, n_args, digest):
+    # --plot-data is the CLI's route into outer_bound_slack: its full stdout
+    # (2 d1 x 66 q rows) is frozen by sha256
+    code, out, _ = run_cli(
+        ["bound", "region", "--rho", "1.2", "--delta1", "0.08", "--delta2", "0.05",
+         *n_args, "--d1-min", "0.15", "--d1-max", "0.2", "--d1-step", "0.05",
+         "--plot-data"], capsys)
+    assert code == 0
+    assert out.count("\n") == 1 + 2 * len(br._Q_SEEDS)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_clean_suite_exit_0(capsys):

@@ -450,6 +450,25 @@ def test_binomial_approx_close():
     assert err < 1e-5
 
 
+def _binomial_approx_exact(n, delta, k):
+    # the expansion in exact rationals, from the same float delta
+    d = Fraction(float(delta))
+    lead = Fraction((1.0 - 2.0 * delta) / (delta * (1.0 - delta)))
+    return Fraction(1, 2) + lead / 4 * (Fraction(k * k, 3 * n) / (d * (1 - d)) - 1) * Fraction(k, n)
+
+
+def test_binomial_gamma_approx_beyond_the_float_range():
+    # n or k has no float, or k * k overflows: one rounding of the exact
+    # rational value, and a DomainError where that leaves the float range
+    for n, k in ((10**400, 3), (10**400, -3), (10**308, 10**200), (10**400, 10**250)):
+        got = orc.binomial_gamma_approx(n, 0.25, k)
+        assert got == float(_binomial_approx_exact(n, 0.25, k))
+    assert orc.binomial_gamma_approx(10**400, 0.25, 3) == 0.5
+    for n, k in ((1, 10**200), (10**400, 10**400)):
+        with pytest.raises(DomainError, match="beyond the float range"):
+            orc.binomial_gamma_approx(n, 0.25, k)
+
+
 def test_binomial_gamma_scaling():
     # max_k |gamma| shrinks like 1/sqrt(n): the rescaled maxima stay within
     # a small constant factor of each other
