@@ -128,8 +128,9 @@ def h_b(x: float) -> float:
 # so every answer is the midpoint of a cell 2^-47 wide. Below h_b(5 cells)
 # ~ 1.1e-12 those cells are coarse against the root, so h_b_inv takes a
 # Newton root there. The cutoff sits at h_b of a cell edge: every Newton
-# root is at most that edge, every bisection answer above the cutoff at
-# least half a cell beyond it, so h_b_inv stays nondecreasing across it.
+# root is at most that edge, up to rounding, every bisection answer above
+# the cutoff at least half a cell beyond it, so h_b_inv stays
+# nondecreasing across it.
 #
 # Above the cutoff h_b_inv returns the bisection's float without making all
 # of its 46 evaluations. The bisection's mids are the integers m in
@@ -176,7 +177,10 @@ def h_b_inv(t: float) -> float:
     if t >= NAT_LOG2:
         return 0.5
     if t <= _NEWTON_CUTOFF:
-        return _h_b_inv_newton(t)
+        # t / (1 - 2 log t) lies left of the root, and underflows to 0 only
+        # where the root lies below the smallest float
+        x = t / (1.0 - 2.0 * math.log(t))
+        return _newton(t, x, 200)[0] if x > 0.0 else 0.0
     # mids <= below lie left of the root; [a, b] holds the mids in doubt,
     # all of them when the proof fails, and then the loop below meets the
     # bisection's 46 mids one by one
@@ -191,8 +195,9 @@ def h_b_inv(t: float) -> float:
         else:
             lo, hi, b = m - (m & -m), m, m - 1
     # every mid left in (lo, hi) is decided by its position: right up to
-    # below, left beyond it
-    return (2 * min(max(below, lo), hi - 1) + 1) * 2.0 ** -48
+    # below, left beyond it; below < hi, since every hi is 2^46 or lies
+    # past a mid in [a, b]
+    return (2 * max(below, lo) + 1) * 2.0 ** -48
 
 
 def _proved_window(t: float):
@@ -202,21 +207,10 @@ def _proved_window(t: float):
     comment above _H_ERR). None when an edge fails its proof."""
     # x0 from the closed form h(x) ~ log 2 (4x(1 - x))^(3/4), inverted
     # without cancellation. It lies in (0, 1/2), and where it lies right of
-    # the root (roots above ~0.06) it is within 2% of 1/2 - root. h is
-    # concave, so a Newton step from the right lands left of the root, and
-    # from the left climbs toward it without passing it.
+    # the root (roots above ~0.06) it is within 2% of 1/2 - root, so four
+    # steps reach the root.
     z = (t / NAT_LOG2) ** (4.0 / 3.0)
-    x = z / (2.0 + 2.0 * math.sqrt(1.0 - z))
-    for _ in range(4):
-        lx, l1x = math.log(x), math.log(1.0 - x)
-        hp = l1x - lx
-        x += (t + x * lx + (1.0 - x) * l1x) / hp
-    # The edge proofs need xa <= 1/2 and xb >= 0, which hold when x lies in
-    # (0, 1/2) and the half-width is positive. Within a few ulps of
-    # t = log 2, t - _h(x) is rounding noise, and a step can carry x past
-    # 1/2, where the last step's hp is negative.
-    if not (0.0 < x < 0.5 and hp > 0.0):
-        return None
+    x, hp = _newton(t, z / (2.0 + 2.0 * math.sqrt(1.0 - z)), 4)
     # The edges need h(root) - h(xa) and h(xb) - h(root) above 3 _H_ERR; h
     # is concave, so its least slope on the window is at the upper edge.
     # _H_ERR x0 = 8u x0 covers the few ulps Newton's last step leaves.
@@ -230,8 +224,37 @@ def _proved_window(t: float):
     if ((xa > 0.0 and not t - _h(xa, math.log) > 2.0 * _H_ERR)
             or (xb < 0.5 and not _h(xb, math.log) - t >= 2.0 * _H_ERR)):
         return None
-    below = math.floor(xa * 2.0 ** 47)
-    return below, max(below + 1, 1), min(math.ceil(xb * 2.0 ** 47) - 1, 2 ** 46 - 1)
+    below = math.floor(xa * 2.0 ** 47) if xa > 0.0 else 0
+    return below, below + 1, math.ceil(xb * 2.0 ** 47) - 1 if xb < 0.5 else 2 ** 46 - 1
+
+
+def _newton(t: float, x: float, steps: int):
+    """(x, h'(x)) after at most steps Newton steps on h(x) = t from x in
+    (0, 1/2), h' at the last x evaluated. h is concave, so a step from the
+    left climbs toward the root without passing it, and one from the right
+    lands left of it. The steps keep to a bracket that starts as (0, 1/2)
+    and shrinks to the root's side of each x, bisecting where rounding noise
+    or a far first step would leave it, so x stays where h' > 0. The loop
+    stops early once a step no longer moves x."""
+    lo, hi = 0.0, 0.5
+    for _ in range(steps):
+        # _h's arithmetic: below 1e-12 the root round-trips through h_b
+        lx, l1x = math.log(x), math.log(1.0 - x)
+        hp = l1x - lx
+        f = -x * lx - (1.0 - x) * l1x - t
+        step = x - f / hp
+        if f < 0.0:
+            lo = x
+            if not step < hi:
+                step = 0.5 * (x + hi)
+        else:
+            hi = x
+            if not step > lo:
+                step = 0.5 * (lo + x)
+        if step == x:
+            break
+        x = step
+    return x, hp
 
 
 def _first_mid(a: int, b: int) -> int:
@@ -240,34 +263,6 @@ def _first_mid(a: int, b: int) -> int:
     k = (a ^ b).bit_length()
     m = (b >> k) << k  # a multiple of 2^k in [a, b] can only be a itself
     return m if m >= a else (b >> (k - 1)) << (k - 1)
-
-
-def _h_b_inv_newton(t: float) -> float:
-    """Root of h_b(x) = t for 0 < t <= _NEWTON_CUTOFF.
-
-    Newton steps from t / (1 - 2 log t), which lies left of the root, kept
-    inside a bracket [lo, hi] with h_b(lo) < t <= h_b(hi) that each step
-    shrinks; a step that would leave it bisects instead. Stops when a step
-    no longer moves x or the bracket has no float left inside. The result
-    is 0.0 only where the root underflows.
-    """
-    lo, hi = 0.0, _NEWTON_EDGE
-    x = t / (1.0 - 2.0 * math.log(t))
-    for _ in range(200):
-        if not lo < x < hi:
-            break
-        f = _h(x, math.log) - t
-        if f < 0.0:
-            lo = x
-        elif f > 0.0:
-            hi = x
-        else:
-            break
-        step = x - f / (math.log(1.0 - x) - math.log(x))
-        if step == x:
-            break
-        x = step if lo < step < hi else 0.5 * (lo + hi)
-    return x
 
 
 def conv(a: float, b: float) -> float:
@@ -298,11 +293,15 @@ def mgl_phi(delta: float, t: float) -> float:
     return _mgl(delta, t)
 
 
+# h_b_inv(t) is _X_MIN here, and h_b_prime takes it from there up
+_T_MIN = h_b(_X_MIN)
+
+
 def mgl_phi_deriv(delta: float, t: float) -> float:
-    """d/dt of mgl_phi(delta, .), in (0, 1] on the open interval t in (0, log 2)."""
+    """d/dt of mgl_phi(delta, .), in (0, 1] for t in [_T_MIN, log 2)."""
     _real("delta", delta, 0.0, 0.5, "[)")
     # singular at t=0, indeterminate 0/0 at t=log 2
-    x = h_b_inv(_real("t", t, 0.0, NAT_LOG2, "()"))
+    x = h_b_inv(_real("t", t, _T_MIN, NAT_LOG2, "[)"))
     return (1.0 - 2.0 * delta) * h_b_prime(conv(delta, x)) / h_b_prime(x)
 
 

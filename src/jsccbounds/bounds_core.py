@@ -19,6 +19,7 @@ from .binary_info import (
     DomainError,
     Phi,
     _count,
+    _end,
     _real,
     conv,
     g,
@@ -48,14 +49,23 @@ class SystemParams:
         _real("delta", self.delta, 0.0, 0.5, "()")
         if self.m is not None:
             object.__setattr__(self, "m", _count("m", self.m))
-            if self.rho != self.n / self.m:
+            if self.rho != _ratio(self.n, self.m):
                 raise DomainError(
-                    f"rho={self.rho!r} does not equal n/m={self.n}/{self.m}"
+                    f"rho={self.rho!r} does not equal n/m={_end(self.n)}/{_end(self.m)}"
                 )
 
     @classmethod
     def from_counts(cls, m: int, n: int, delta: float) -> "SystemParams":
-        return cls(n=n, rho=n / _count("m", m), delta=delta, m=m)
+        return cls(n=n, rho=_ratio(n, _count("m", m)), delta=delta, m=m)
+
+
+def _ratio(n: int, m: int) -> float:
+    """n / m; DomainError where it is beyond the float range, since no
+    float rho equals it there."""
+    try:
+        return n / m
+    except OverflowError:
+        raise DomainError(f"n/m={_end(n)}/{_end(m)} is beyond the float range") from None
 
 
 @dataclass(frozen=True)
@@ -152,6 +162,12 @@ def _n_times(n: int, x: float):
     return n * Fraction(x) if n > sys.float_info.max else n * x
 
 
+def _show(w) -> str:
+    """repr of an _n_times product, and ~2^k for an exact one: its digits
+    can run past the 4300 that int-to-str converts."""
+    return repr(w) if isinstance(w, float) else _end(round(w))
+
+
 def gamma_corr(n: int, delta2: float) -> float:
     """Finite-n correction sqrt(delta2/n) log(n/delta2) + (log n + 1)/(2n).
 
@@ -214,7 +230,7 @@ def sphere_floor(params: SystemParams, k: int = 0) -> float:
     An n beyond the float range takes n delta exactly."""
     w0 = _n_times(params.n, params.delta)
     if abs(w0 - round(w0)) > 1e-9:
-        raise DomainError(f"sphere_floor needs n*delta integral, got {w0!r}")
+        raise DomainError(f"sphere_floor needs n*delta integral, got {_show(w0)}")
     w0 = round(w0)
     return sphere_floor_at_weight(params, w0 + _count("k", k, -w0, params.n - w0))
 

@@ -169,7 +169,8 @@ def g_spherical_ub(delta1: float, delta2: float, n: int, t: float) -> float:
     w2 = bounds_core._n_times(n, conv(delta1, delta2))
     if abs(w1 - round(w1)) > 1e-9 or abs(w2 - round(w2)) > 1e-9:
         raise DomainError(
-            f"sphere semantics need n*delta1={w1!r} and n*conv={w2!r} integral"
+            f"sphere semantics need n*delta1={bounds_core._show(w1)} and "
+            f"n*conv={bounds_core._show(w2)} integral"
         )
     return g_bsc(delta1, delta2, t) + bounds_core.gamma_corr(n, delta2)
 

@@ -185,6 +185,91 @@ def test_inverse_nondecreasing_across_the_newton_cutoff():
     assert bi.h_b_inv(cut) <= bi._NEWTON_EDGE < bi.h_b_inv(math.nextafter(cut, 1.0))
 
 
+# (t, h_b_inv(t)) below the Newton cutoff, as float.hex, from the bracketed
+# Newton loop that ran there before the inverse had a single Newton routine
+NEWTON_FROZEN = [
+    ("0x0.0000000000001p-1022", "0x0.0p+0"),
+    ("0x0.00000000002d9p-1022", "0x0.0p+0"),
+    ("0x0.00000000002e3p-1022", "0x0.0000000000001p-1022"),
+    ("0x0.00000000002e9p-1022", "0x0.0000000000001p-1022"),
+    ("0x0.000000002e3bbp-1022", "0x0.0000000000100p-1022"),
+    ("0x0.000085981479cp-1022", "0x0.0000002f0f7d7p-1022"),
+    ("0x1.82079bd128aa5p-1022", "0x0.008a4ceadecf5p-1022"),
+    ("0x1.16dd7e7b65a81p-1004", "0x1.968d793efd312p-1014"),
+    ("0x1.56e1fc2f8f359p-997", "0x1.f783a48b000b7p-1007"),
+    ("0x1.92e68eb0cb8aep-987", "0x1.2ade660ff43aep-996"),
+    ("0x1.230d790e51664p-969", "0x1.b78d190227d48p-979"),
+    ("0x1.a48242807747ep-952", "0x1.4354f47d5a5a3p-961"),
+    ("0x1.2fc5ce57a01f8p-934", "0x1.dbd79359eaac8p-944"),
+    ("0x1.b6e2f70cda924p-917", "0x1.5e441989f9d8ap-926"),
+    ("0x1.3d0c73e3fa538p-899", "0x1.01ec3bcfde3cdp-908"),
+    ("0x1.ca11486db86c2p-882", "0x1.7bfde0a457116p-891"),
+    ("0x1.4ae7a1ec1187cp-864", "0x1.18068d574f780p-873"),
+    ("0x1.de16330e7e490p-847", "0x1.9ce226531f0a5p-856"),
+    ("0x1.595dd63e9155cp-829", "0x1.30842b9ea5c2ep-838"),
+    ("0x1.f2fb17e3fabecp-812", "0x1.c161929b55eb1p-821"),
+    ("0x1.6875d74aa626bp-794", "0x1.4bbba590a0a3dp-803"),
+    ("0x1.0464e06897f82p-776", "0x1.ea0160ac09426p-786"),
+    ("0x1.7836b74c8e71dp-759", "0x1.6a13b15b65a27p-768"),
+    ("0x1.0fc6329ea623dp-741", "0x1.0bb01ba59d31cp-750"),
+    ("0x1.88a7d79dab84bp-724", "0x1.8c07117667581p-733"),
+    ("0x1.1ba6d76e79852p-706", "0x1.251e380e001ddp-715"),
+    ("0x1.99d0ec29a565cp-689", "0x1.b229a7f777b17p-698"),
+    ("0x1.280c5f588861fp-671", "0x1.41be296eec1c6p-680"),
+    ("0x1.abb9ff0a3bc52p-654", "0x1.dd2f28d7ffa00p-663"),
+    ("0x1.34fc991eca082p-636", "0x1.621c820256a67p-645"),
+    ("0x1.be6b744b77d51p-619", "0x1.06fa073b4b588p-627"),
+    ("0x1.427d947d3dd2ep-601", "0x1.86e69f5017293p-610"),
+    ("0x1.d1ee0dda0064cp-584", "0x1.22c4e0bd834eap-592"),
+    ("0x1.5095a500e2411p-566", "0x1.b0f4bd8ea3752p-575"),
+    ("0x1.e64aef9d6b354p-549", "0x1.42a3afc3d26e6p-557"),
+    ("0x1.5f4b64fe7295ap-531", "0x1.e157ff89956e6p-540"),
+    ("0x1.fb8ba3c0729e2p-514", "0x1.6770a87326f8bp-522"),
+    ("0x1.6ea5b8aa4c28ep-496", "0x1.0cb72db64fd14p-504"),
+    ("0x1.08dd0f948b007p-478", "0x1.9245915f68ea7p-487"),
+    ("0x1.7eabd152f05b1p-461", "0x1.2d7fc4025df4ap-469"),
+    ("0x1.147063115cddcp-443", "0x1.c494a311edaa0p-452"),
+    ("0x1.8f6530bfa58e7p-426", "0x1.54340664060f3p-434"),
+    ("0x1.2085389e3b2f3p-408", "0x1.002709dadf0d9p-416"),
+    ("0x1.a0d9acb4caf77p-391", "0x1.826d9e1e76094p-399"),
+    ("0x1.2d21392ef13c8p-373", "0x1.240d45d753ee9p-381"),
+    ("0x1.b311729f855b6p-356", "0x1.ba65dc2c0ee1fp-364"),
+    ("0x1.3a4a4d0a592d7p-338", "0x1.4fdcc011b8c75p-346"),
+    ("0x1.c6150b6a7d846p-321", "0x1.ff4bcff7ffa98p-329"),
+    ("0x1.48069e8ed7f47p-303", "0x1.865010c525314p-311"),
+    ("0x1.d9ed5f7d7ae2dp-286", "0x1.2aec6f1b77821p-293"),
+    ("0x1.565c9d15cf217p-268", "0x1.cb8991ac6e8c6p-276"),
+    ("0x1.eea3bae9baf19p-251", "0x1.62b0121ed3e51p-258"),
+    ("0x1.6552fff75f104p-233", "0x1.130eac9bc9616p-240"),
+    ("0x1.0220e8e27c756p-215", "0x1.acf1159267f52p-223"),
+    ("0x1.74f0c9afe644fp-198", "0x1.50985050a5958p-205"),
+    ("0x1.0d68e25a97e1ep-180", "0x1.0a2012064dcf2p-187"),
+    ("0x1.853d4b28b0a79p-163", "0x1.a8a403685009ap-170"),
+    ("0x1.192f12d79d6bep-145", "0x1.568ebeec613f1p-152"),
+    ("0x1.9640272567e24p-128", "0x1.1832e3ff86843p-134"),
+    ("0x1.2578fe7544decp-110", "0x1.d2a70330722c6p-117"),
+    ("0x1.a80155d7dbaebp-93", "0x1.8e0231cd711d2p-99"),
+    ("0x1.324c67061d938p-75", "0x1.5f20bd0b2c383p-81"),
+    ("0x1.2725dd1d243acp-60", "0x1.a15d47f2a77b3p-66"),
+    ("0x1.ba89289bcf36cp-58", "0x1.4618abdc3504fp-63"),
+    ("0x1.203af9ee75616p-50", "0x1.e3234bf65a925p-56"),
+    ("0x1.3faf4ec606ba7p-40", "0x1.3ffffffffffffp-45"),
+]
+
+
+def test_inverse_below_the_newton_cutoff_keeps_its_frozen_values():
+    ts = [float.fromhex(t) for t, _ in NEWTON_FROZEN]
+    xs = [bi.h_b_inv(t) for t in ts]
+    assert ts == sorted(ts) and ts[0] == 5e-324 and ts[-1] == bi._NEWTON_CUTOFF
+    for x, (_, want) in zip(xs, NEWTON_FROZEN):
+        want = float.fromhex(want)
+        assert abs(x - want) <= 2.0 * math.ulp(want)
+    assert all(a <= b for a, b in zip(xs, xs[1:]))
+    # 0.0 only where the root lies below the smallest float
+    for t, x in zip(ts, xs):
+        assert x > 0.0 or t < bi.h_b(5e-324)
+
+
 def _bisection_inverse(t):
     # the 46-step walk whose float h_b_inv returns above the Newton cutoff,
     # written out
@@ -351,6 +436,18 @@ def test_domain_errors():
         bi.mgl_phi_deriv(0.5, 0.3)  # left endpoint excluded for the slope
     with pytest.raises(bi.DomainError):
         bi.mgl_phi_deriv(0.1, 0.0)
+
+
+def test_mgl_deriv_checks_t_down_to_the_smallest_normal_root():
+    # h_b_inv(t) is subnormal below h_b(_X_MIN), where h_b_prime rejects it:
+    # the error names the t the caller passed, not that internal x
+    with pytest.raises(bi.DomainError, match="^t must be"):
+        bi.mgl_phi_deriv(0.1, 1e-306)
+    t = bi.h_b(bi._X_MIN)
+    with pytest.raises(bi.DomainError, match="^t must be"):
+        bi.mgl_phi_deriv(0.1, math.nextafter(t, 0.0))
+    for delta in (0.0, 0.1, 0.49):
+        assert 0.0 < bi.mgl_phi_deriv(delta, t) <= 1.0
 
 
 _LOG_RATIO_FNS = {

@@ -136,6 +136,13 @@ def test_gap_lower_bound_beyond_the_float_range():
         # (a / sqrt(n)) eta, about 1e-154 or less, vanishes beside 2 d_asym
         params = bc.SystemParams(n=n, rho=1.2, delta=0.2)
         assert bc.sum_distortion_lb(1.0, params) == 2.0 * rep.d_asym
+    # n / m has no float either, so no rho can equal it
+    with pytest.raises(bc.DomainError, match="beyond the float range"):
+        bc.SystemParams(n=10**400, rho=1.2, delta=0.25, m=1)
+    with pytest.raises(bc.DomainError, match="beyond the float range"):
+        bc.SystemParams.from_counts(1, 10**400, 0.25)
+    # a ratio inside the float range is still compared as a float
+    assert bc.SystemParams(n=10**400, rho=10.0, delta=0.25, m=10**399).m == 10**399
 
 
 def test_sphere_floor_at_weight_beyond_the_float_range():
@@ -153,6 +160,9 @@ def test_sphere_floor_at_weight_beyond_the_float_range():
         assert bc.sphere_floor(params, k) == bc.sphere_floor_at_weight(params, n // 4 + k)
     with pytest.raises(bc.DomainError, match="n\\*delta integral"):
         bc.sphere_floor(bc.SystemParams(n=n + 1, rho=1.2, delta=0.25))
+    # past 4300 digits the exact n delta prints as ~2^k
+    with pytest.raises(bc.DomainError, match="n\\*delta integral, got ~2\\^16608$"):
+        bc.sphere_floor(bc.SystemParams(n=10**5000 + 1, rho=1.2, delta=0.25))
 
 
 def test_expected_sphere_floor_beyond_the_float_range():

@@ -400,6 +400,9 @@ def test_g_spherical_ub_beyond_the_float_range():
     assert got == br.g_bsc(0.25, 0.25, 0.1) + bc.gamma_corr(n, 0.25)
     with pytest.raises(DomainError, match="sphere semantics"):
         br.g_spherical_ub(0.25, 0.25, n + 1, 0.1)  # n/4 is not an integer
+    # past 4300 digits the exact products print as ~2^k
+    with pytest.raises(DomainError, match="n\\*delta1=~2\\^16608 and n\\*conv=~2\\^16609"):
+        br.g_spherical_ub(0.25, 0.25, 10**5000 + 1, 0.1)
 
 
 def test_finite_n_beyond_the_float_range():
