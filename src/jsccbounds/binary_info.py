@@ -58,13 +58,13 @@ def _outside(name, x, lo, hi, ends, integer) -> str:
             "an integer " if integer else "",
             "(" if lo == -math.inf else ends[0], _end(lo),
             _end(hi), ")" if hi == math.inf else ends[1])
-    return "%s must be %s, got %r" % (name, must, x)
+    return "%s must be %s, got %s" % (name, must, _end(x) if isinstance(x, int) else repr(x))
 
 
 def _end(b) -> str:
     if isinstance(b, int) and b.bit_length() > 256:
-        # an encoder rank can run to thousands of digits
-        return "~2^%d" % b.bit_length()
+        # an encoder rank or a count can run to thousands of digits
+        return "-" * (b < 0) + "~2^%d" % b.bit_length()
     return "%g" % b if isinstance(b, float) else str(b)
 
 

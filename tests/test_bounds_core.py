@@ -163,6 +163,11 @@ def test_sphere_floor_at_weight_beyond_the_float_range():
     # past 4300 digits the exact n delta prints as ~2^k
     with pytest.raises(bc.DomainError, match="n\\*delta integral, got ~2\\^16608$"):
         bc.sphere_floor(bc.SystemParams(n=10**5000 + 1, rho=1.2, delta=0.25))
+    # and so does a count outside its range
+    with pytest.raises(bc.DomainError, match="k must be .*, got ~2\\^16610$"):
+        bc.sphere_floor(bc.SystemParams(n=10**5000, rho=1.2, delta=0.25), 10**5000)
+    with pytest.raises(bc.DomainError, match="n must be a positive integer, got -~2\\^16610$"):
+        bc.SystemParams(n=-10**5000, rho=1.2, delta=0.25)
 
 
 def test_expected_sphere_floor_beyond_the_float_range():
