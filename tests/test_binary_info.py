@@ -185,8 +185,9 @@ def test_inverse_nondecreasing_across_the_newton_cutoff():
     assert bi.h_b_inv(cut) <= bi._NEWTON_EDGE < bi.h_b_inv(math.nextafter(cut, 1.0))
 
 
-# (t, h_b_inv(t)) below the Newton cutoff, as float.hex, from the bracketed
-# Newton loop that ran there before the inverse had a single Newton routine
+# (t, h_b_inv(t)) below the Newton cutoff, as float.hex, frozen from the
+# earlier sub-cutoff Newton loop: a change to the loop may move a root by
+# rounding, by at most 2 ulps
 NEWTON_FROZEN = [
     ("0x0.0000000000001p-1022", "0x0.0p+0"),
     ("0x0.00000000002d9p-1022", "0x0.0p+0"),
