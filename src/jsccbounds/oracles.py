@@ -9,7 +9,6 @@ The grid verifiers scan the scalar inequalities over dense boxes.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -17,8 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._scalar_opt import Lcg64
-from .binary_info import (NAT_LOG2, DomainError, _conv, _count, _g, _h, _hp, _kappa,
-                          _mgl_inv, _nu, _phi, _Phi, _real, conv, h_b)
+from .binary_info import (NAT_LOG2, DomainError, _conv, _count, _end, _g, _h, _hp,
+                          _kappa, _mgl_inv, _nu, _phi, _Phi, _real, conv, h_b)
 
 DEFAULT_BUDGET = 2 ** 32
 
@@ -50,7 +49,9 @@ class EncoderTable:
     codewords: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.codewords) != 1 << self.m:
+        # len == 2^m, without forming 2^m for an m no table can match
+        size = len(self.codewords)
+        if size.bit_length() != self.m + 1 or size & (size - 1):
             raise ValueError("need one codeword per source word")
         if any(not 0 <= c < (1 << self.n) for c in self.codewords):
             raise ValueError("codeword out of range")
@@ -136,21 +137,87 @@ def _canonical_prefixes(n: int, L: int) -> np.ndarray:
     from bit 0 upward: c_1's ones sit lowest, then c_2's within each run of
     equal c_1 bits, and so on. So the canonical prefixes are the multisets
     of n types, C(n + 2^L - 1, n) of the N^L prefixes.
+
+    The multisets are grown one coordinate at a time from bit n - 1 down,
+    each one ending in type t by every type from t up (stars and bars). A
+    type t at bit i adds spread[t] << i to the rank, where spread[t] puts
+    bit k of t into base-N digit k, the digit of c_(L-k).
     """
     import numpy as np
 
+    types = np.arange(1 << L, dtype=np.int64)
+    spread = sum(((types >> k) & 1) << (k * n) for k in range(L))
+    rank = np.zeros(1, dtype=np.int64)
+    last = np.zeros(1, dtype=np.int64)
+    for i in range(n - 1, -1, -1):
+        grow = (1 << L) - last
+        first = np.repeat(np.cumsum(grow) - grow, grow)
+        last = np.repeat(last, grow) + np.arange(len(first)) - first
+        rank = np.repeat(rank, grow) + (spread[last] << i)
+    rank.sort()
+    rank.setflags(write=False)
+    return rank
+
+
+@lru_cache(maxsize=None)
+def _orbit_plan(n: int) -> tuple[np.ndarray, ...]:
+    """The m = 2 scan of _encoder_costs: the ascending ranks of the whole
+    tables (0, c_1, c_2, c_3) least under the n! coordinate permutations,
+    each one's index into the canonical (c_1, c_2) prefixes and its c_3,
+    then the prefixes' c_1 and c_2.
+
+    A table is least when its 3-bit column types do not decrease, so the
+    ranks are the canonical 3-word prefixes. The top two bits of those
+    types do not decrease either, so every (c_1, c_2) is a canonical pair.
+    """
+    import numpy as np
+
+    ranks = _canonical_prefixes(n, 3)
+    pairs = _canonical_prefixes(n, 2)
+    plan = (ranks, np.searchsorted(pairs, ranks >> n), ranks & ((1 << n) - 1),
+            pairs >> n, pairs & ((1 << n) - 1))
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
+
+
+def _orbit_costs(n, wtabs, dt):
+    """The costs of _encoder_costs at m = 2, one per table of _orbit_plan(n),
+    summed in dtype dt."""
+    import numpy as np
+
     N = 1 << n
-    ranks = []
-    # each multiset comes non-decreasing; bit n - 1 - j takes its j-th type
-    for types in itertools.combinations_with_replacement(range(1 << L), n):
-        rank = 0
-        for l in range(L):
-            word = sum(((t >> (L - 1 - l)) & 1) << (n - 1 - j) for j, t in enumerate(types))
-            rank = rank * N + word
-        ranks.append(rank)
-    out = np.array(sorted(ranks), dtype=np.int64)
-    out.setflags(write=False)
-    return out
+    ranks, pair_of, c3, c1s, c2s = _orbit_plan(n)
+    pc = _popcounts(n)
+    out = []
+    # every block's rows of A and B are gathered into this one array
+    rows = min(max(1, _BLOCK_CELLS // N), len(ranks))
+    buf = np.empty((2, rows, N), dtype=dt)
+    for w in wtabs:
+        # W[c, y] = w[popcount(c ^ y)]: row 0 is w[pc], and the rows from h
+        # to 2h are those below h with column y moved to y ^ h
+        W = np.empty((N, N), dtype=dt)
+        W[0] = np.array(w, dtype=dt)[pc]
+        h = 1
+        while h < N:
+            W[h:2 * h].reshape(h, -1, 2, h)[...] = W[:h].reshape(h, -1, 2, h)[:, :, ::-1]
+            h *= 2
+        total = 4 * int(W[0].sum())
+        A = np.abs(W.take(c1s, axis=0) - W.take(c2s, axis=0))
+        # B[c_3, y] = |W[0, y] - W[c_3, y]|, built in W's place
+        B = np.abs(np.subtract(W[0], W, out=W), out=W)
+        got = np.empty(len(ranks), dtype=np.int64)
+        for start in range(0, len(ranks), rows):
+            stop = min(start + rows, len(ranks))
+            a, b = buf[:, :stop - start]
+            # every index is in range; "clip" spares take its buffered copy
+            A.take(pair_of[start:stop], axis=0, out=a, mode="clip")
+            B.take(c3[start:stop], axis=0, out=b, mode="clip")
+            np.maximum(a, b, out=a)
+            np.subtract(total, np.einsum("ij->i", a), out=got[start:stop], dtype=np.int64)
+        out.append(got)
+        del W, A, B  # before the next weight table's W is allocated
+    return out + [ranks]
 
 
 def _encoder_costs(m, n, wtabs, budget):
@@ -164,43 +231,50 @@ def _encoder_costs(m, n, wtabs, budget):
     per-bit decoding error in weight units. A table's rank is its
     lexicographic rank (EncoderTable.index).
 
-    Codeword 0 is pinned to the zero word, and only the tables whose first
-    two free codewords (c_1, c_2; c_1 alone at m = 1) are a canonical
-    prefix (_canonical_prefixes) are scanned. This loses no minimum and no
-    lowest-rank witness for any weight-only channel. XOR by c_0 and any
-    permutation of the n coordinates keep every Hamming distance, so they
-    keep every table's cost. XOR by c_0 gives c_0 = 0 and, when c_0 was not
-    already 0, a smaller rank; the permutations keep c_0 = 0. A permutation
-    that makes a table's prefix least either leaves the prefix alone, so the
-    table is scanned, or makes it strictly smaller, and with it the rank. So
-    the lowest-rank table with any cost, or any tuple of costs under several
-    weight tables, has c_0 = 0 and a canonical prefix, and all of its later
-    codewords are scanned with it.
+    Codeword 0 is pinned to the zero word. At m = 2 only the whole tables
+    (0, c_1, c_2, c_3) that are least in their orbit under permutations of
+    the n coordinates are scanned (_orbit_plan), C(n + 7, n) of them; at
+    every other m, the tables whose first two free codewords (c_1 alone at
+    m = 1) are a canonical prefix (_canonical_prefixes), with all of their
+    later codewords. This loses no minimum and no lowest-rank witness for
+    any weight-only channel. XOR by c_0 and any permutation of the n
+    coordinates keep every Hamming distance, so they keep every table's
+    cost. XOR by c_0 gives c_0 = 0 and, when c_0 was not already 0, a
+    smaller rank; the permutations keep c_0 = 0. A permutation that makes a
+    table's filtered codewords (all three free ones at m = 2, the prefix
+    elsewhere) least either leaves them alone, so the table is scanned, or
+    makes them strictly smaller, and with them the rank. So the lowest-rank
+    table with any cost, or any tuple of costs under several weight tables,
+    has c_0 = 0 and is scanned.
 
     With min(A, S - A) = (S - |S - 2A|) / 2, and sum_y S(y) = K sum_y W[0, y]
     the same for every table, the cost is
         (m K sum_y W[0, y] - sum_j sum_y |D_j(y)|) / 2,
     D_j(y) = sum_s sign_j(s) W[c_s, y], sign_j(s) = -1 when source word s
-    has bit j set and +1 otherwise. The scanned tables are a product of
-    leading prefixes and all trailing codewords in rank order, so D_j is a
-    broadcast sum: the trailing slots' part is built once as an (N, N^T)
+    has bit j set and +1 otherwise.
+
+    At m = 2 the two bits' sums give D_0 + D_1 = 2 (W[0] - W[c_3]) and
+    D_0 - D_1 = 2 (W[c_1] - W[c_2]). With |a| + |b| = max(|a + b|, |a - b|),
+    |D_0| + |D_1| = 2 max(A, B), A(y) = |W[c_1, y] - W[c_2, y]| from the
+    (c_1, c_2) prefix alone and B(y) = |W[0, y] - W[c_3, y]| from c_3 alone,
+    so the cost is
+        4 sum_y W[0, y] - sum_y max(A(y), B(y)).
+    A is formed once per canonical prefix and B once per c_3, both from the
+    (N, N) table W. The tables are walked in blocks of at most
+    _BLOCK_CELLS / N of them (at least one): each block's rows of A and B
+    are gathered into one array, allocated once per call, and each table
+    then costs one max and one row sum over y.
+
+    Every other m takes the per-bit sums. The scanned tables are a product
+    of leading prefixes and all trailing codewords in rank order, so D_j is
+    a broadcast sum: the trailing slots' part is built once as an (N, N^T)
     array from the (N, N) table W, and the leading prefixes are walked in
     blocks whose (N, prefixes, N^T) sums stay within _BLOCK_CELLS cells,
-    or one prefix when N^(T+1) alone exceeds that. From m = 2 on at least
+    or one prefix when N^(T+1) alone exceeds that. From m = 3 on at least
     one trailing slot is kept, so no table pays its own gathers of W's
     entries, and at least two leading slots are kept, so the canonical
     filter never depends on the block size. Every block's sums are written
     into one array, allocated once per call for the largest block.
-
-    At m = 2 there is one trailing slot and two leading ones, and the two
-    bits' sums give D_0 + D_1 = 2 (W[0] - W[c_3]) and
-    D_0 - D_1 = 2 (W[c_1] - W[c_2]). With |a| + |b| = max(|a + b|, |a - b|),
-    |D_0| + |D_1| = 2 max(A, B), A(y) = |W[c_1, y] - W[c_2, y]| from the
-    leading prefix alone and B(y, c_3) = |W[0, y] - W[c_3, y]| from the
-    trailing codeword alone, so the cost is
-        4 sum_y W[0, y] - sum_y max(A(y), B(y, c_3)),
-    one max and one sum over y per table instead of two add, abs and sum
-    passes. Every other m takes the per-bit sums.
 
     The sums are exact integers in int32 when they stay below 2^31 and in
     int64 otherwise (up to a 2^62 guard on m K N max(w)). Each |D_j(y)| is
@@ -213,41 +287,30 @@ def _encoder_costs(m, n, wtabs, budget):
     int64, equal the direct sums.
 
     Memory: besides one int64 cost and one int64 rank per scanned table, a
-    call holds the trailing part, the block array and, while the part is
-    built, the (N, N) distance table and one weight table's W. At m = 2 the
-    part is one (N, N) array B per weight table, each built in its W's
-    place, and the block array holds at most max(_BLOCK_CELLS, N^2) cells:
-    from n = 8 on a block is one prefix with all N trailing codewords. So
-    at m = 2 the arrays beside the costs and ranks grow with 4^n, and no
-    (N, N) array is held per bit. Elsewhere the part is one (N, N^T) sum
-    per weight table and bit.
+    call at m = 2 holds one weight table's (N, N) W, with B built in its
+    place, the (prefixes, N) array A and the block array of at most
+    2 max(_BLOCK_CELLS, N) cells, so the arrays beside the costs and ranks
+    grow with 4^n. Elsewhere it holds the trailing part, the block array
+    and, while the part is built, the (N, N) distance table and one weight
+    table's W; the part is one (N, N^T) sum per weight table and bit.
 
-    The budget counts the scanned work: BudgetExceeded is raised when the
-    scanned tables times the 2^n output words, P 2^e with P canonical
-    prefixes of F = min(2^m - 1, 2) words and e = n (2^m - F), exceed it.
+    The budget counts the prefix scan, an upper bound on the work at m = 2:
+    BudgetExceeded (_check_budget) is raised when P 2^e, P canonical
+    prefixes of F = min(2^m - 1, 2) words and e = n (2^m - F), exceeds it:
+    the prefix scan's tables times the 2^n output words.
     """
     import numpy as np
 
+    _check_budget(m, n, budget)
     K = 1 << m
-    F = min(K - 1, 2)
-    # P >= 1, so once e reaches the budget's bit length 2^e alone exceeds it:
-    # no power that large is formed. math.inf never binds; NaN and -inf raise
-    P = math.comb(n + (1 << F) - 1, n)
-    e = n * (K - F)
-    if budget != math.inf:
-        try:
-            bits = int(_real("budget", budget)).bit_length()
-        except DomainError as exc:
-            raise DomainError("%s; math.inf is accepted too, for no budget" % exc) from None
-        if e >= bits or P << e > budget:
-            raise BudgetExceeded("search needs %d x 2^%d (encoder, output) pairs, budget is %s"
-                                 % (P, e, budget))
     N = 1 << n
     wmax = max(max(w) for w in wtabs)
     if m * K * N * wmax >= 2 ** 62:
         raise BudgetExceeded("integer costs would overflow int64 accumulators")
-    pair = m == 2  # the one-max form above
-    dt = np.int32 if (1 if pair else m * K) * N * wmax < 2 ** 31 else np.int64
+    if m == 2:
+        return _orbit_costs(n, wtabs, np.int32 if N * wmax < 2 ** 31 else np.int64)
+    F = min(K - 1, 2)
+    dt = np.int32 if m * K * N * wmax < 2 ** 31 else np.int64
     warrs = [np.array(w, dtype=dt) for w in wtabs]
     pc = _popcounts(n)
     y = np.arange(N, dtype=np.int64)
@@ -266,15 +329,10 @@ def _encoder_costs(m, n, wtabs, budget):
     # full[y, c] = popcount(c ^ y); only the trailing slots need all N columns
     full = pc[y[:, None] ^ y[None, :]] if T else None
     row0 = [w[pc] for w in warrs]  # W[0, y]; every row of W has the same sum
-    total = [(4 if pair else m * K) * int(r.sum()) for r in row0]
+    total = [m * K * int(r.sum()) for r in row0]
     tails = []
-    for w, r in zip(warrs, row0):
+    for w in warrs:
         W = w[full] if T else None
-        if pair:
-            # B[y, c_3] = |W[0, y] - W[c_3, y]|, built in W's place
-            np.subtract(r[:, None], W, out=W)
-            tails.append(np.abs(W, out=W))
-            continue
         per_bit = []
         for sg in signs:
             Dt = np.zeros((N, 1), dtype=dt)
@@ -293,23 +351,49 @@ def _encoder_costs(m, n, wtabs, budget):
         D = buf[:N * cnt * NT].reshape(N, cnt, NT)
         for wi, w in enumerate(warrs):
             cols = [w[d] for d in dists]
-            if pair:
-                A = np.abs(cols[0] - cols[1])
-                np.maximum(A[:, :, None], tails[wi][:, None, :], out=D)
-                acc = D.sum(axis=0, dtype=dt)
-            else:
-                acc = np.zeros((cnt, NT), dtype=dt)
-                for sg, Dt in zip(signs, tails[wi]):
-                    Dl = np.repeat(row0[wi][:, None], cnt, axis=1)  # c_0 = 0, sign +1
-                    for s, col in enumerate(cols, 1):
-                        Dl += sg[s] * col
-                    np.add(Dl[:, :, None], Dt[:, None, :], out=D)
-                    acc += np.abs(D, out=D).sum(axis=0, dtype=dt)
+            acc = np.zeros((cnt, NT), dtype=dt)
+            for sg, Dt in zip(signs, tails[wi]):
+                Dl = np.repeat(row0[wi][:, None], cnt, axis=1)  # c_0 = 0, sign +1
+                for s, col in enumerate(cols, 1):
+                    Dl += sg[s] * col
+                np.add(Dl[:, :, None], Dt[:, None, :], out=D)
+                acc += np.abs(D, out=D).sum(axis=0, dtype=dt)
             got = out[wi][start * NT:(start + cnt) * NT]
             np.subtract(total[wi], acc.reshape(-1), out=got, dtype=np.int64)
-            if not pair:
-                got //= 2
+            got //= 2
     return out + [ranks]
+
+
+_NEEDS = "search needs %s x 2^%s (encoder, output) pairs, budget is %s"
+
+
+def _check_budget(m, n, budget):
+    """Raise BudgetExceeded when the scan of _encoder_costs would pass budget
+    (encoder, output) pairs, or could pass the 2^62 guard on its sums.
+
+    m and n are held against the budget's bit length before any count that
+    grows with 2^m is formed, so a huge m or n is refused at once. The guard
+    is taken for weights of at least 1, as every oracle's are: then
+    m 2^m 2^n max(w) >= 2^(m + n).
+    """
+    F = min(m, 2)  # min(2^m - 1, 2)
+    # P >= 1, so once e reaches the budget's bit length 2^e alone exceeds it:
+    # no power that large is formed. math.inf never binds; NaN and -inf raise
+    P = math.comb(n + (1 << F) - 1, n)
+    if budget != math.inf:
+        try:
+            bits = int(_real("budget", budget)).bit_length()
+        except DomainError as exc:
+            raise DomainError("%s; math.inf is accepted too, for no budget" % exc) from None
+        # from m = 2 on e = n (2^m - 2) >= 2^(m - 1), past every budget here
+        if m > 256:
+            raise BudgetExceeded(_NEEDS % (_end(P), "(%s (2^%s - 2))" % (_end(n), _end(m)),
+                                           budget))
+        e = n * ((1 << m) - F)
+        if e >= bits or P << e > budget:
+            raise BudgetExceeded(_NEEDS % (_end(P), _end(e), budget))
+    if m + n >= 62:
+        raise BudgetExceeded("integer costs would overflow int64 accumulators")
 
 
 def _table_cost(m, n, codewords, wtab) -> int:
@@ -355,6 +439,7 @@ def p2p_bruteforce(m, n, delta, budget=DEFAULT_BUDGET):
     m = _count("m", m)
     n = _count("n", n)
     delta = _as_fraction("delta", delta)
+    _check_budget(m, n, budget)
     a, b = delta.numerator, delta.denominator
     wt = [a ** d * (b - a) ** (n - d) for d in range(n + 1)]
     costs, ranks = _encoder_costs(m, n, [wt], budget)
@@ -370,11 +455,14 @@ def sphere_bruteforce(m, n, weight, encoder=None, budget=DEFAULT_BUDGET):
     m = _count("m", m)
     n = _count("n", n)
     weight = _count("weight", weight, 0, n)
+    if encoder is None:
+        _check_budget(m, n, budget)
+    else:
+        cw = encoder.codewords if isinstance(encoder, EncoderTable) else tuple(encoder)
+        EncoderTable(m, n, tuple(cw))  # validates shape and range
     wt = [1 if d == weight else 0 for d in range(n + 1)]
     denom = m * (1 << m) * math.comb(n, weight)
     if encoder is not None:
-        cw = encoder.codewords if isinstance(encoder, EncoderTable) else tuple(encoder)
-        EncoderTable(m, n, tuple(cw))  # validates shape and range
         return ExactValue(Fraction(_table_cost(m, n, cw, wt), denom))
     costs = _encoder_costs(m, n, [wt], budget)[0]
     return ExactValue(Fraction(int(costs.min()), denom))
@@ -391,6 +479,7 @@ def broadcast_frontier(m, n, w1, w2, budget=DEFAULT_BUDGET):
     n = _count("n", n)
     w1 = _count("w1", w1, 0, n)
     w2 = _count("w2", w2, 0, n)
+    _check_budget(m, n, budget)
     t1 = [1 if d == w1 else 0 for d in range(n + 1)]
     t2 = [1 if d == w2 else 0 for d in range(n + 1)]
     c1, c2, ranks = _encoder_costs(m, n, [t1, t2], budget)
@@ -415,7 +504,9 @@ def binomial_gamma_exact(n, delta, k):
 
     n delta must be an integer w with k <= min(w, n - w). Common factors
     cancel, leaving r = C(n,w+k) a^2k / (C(n,w+k) a^2k + C(n,w-k) (b-a)^2k).
-    Returns (ratio, gamma) as ExactValues.
+    Only the ratio C(n,w+k) / C(n,w-k), the product of (n - j) / (j + 1)
+    over j from w - k to w + k - 1, is formed, so the work grows with k, not
+    with n. Returns (ratio, gamma) as ExactValues.
     """
     n = _count("n", n)
     delta = _as_fraction("delta", delta)
@@ -425,8 +516,9 @@ def binomial_gamma_exact(n, delta, k):
     w = int(w)
     k = _count("k", k, 0, min(w, n - w))
     a, b = delta.numerator, delta.denominator
-    up = math.comb(n, w + k) * a ** (2 * k)
-    down = math.comb(n, w - k) * (b - a) ** (2 * k)
+    span = range(w - k, w + k)
+    up = math.prod(n - j for j in span) * a ** (2 * k)
+    down = math.prod(j + 1 for j in span) * (b - a) ** (2 * k)
     r = Fraction(up, up + down)
     return ExactValue(r), ExactValue(2 * r - 1)
 

@@ -107,6 +107,45 @@ def test_p2p_domain_and_budget():
             orc.broadcast_frontier(1, 1, 0, 1, budget=budget)
 
 
+def test_budget_is_checked_before_any_work_in_m_or_n(monkeypatch):
+    # neither 2^m nor a weight table of n + 1 entries is formed before the
+    # budget refuses the search, so the kernel is never reached
+    def never(*args):
+        raise AssertionError("the kernel was called")
+
+    monkeypatch.setattr(orc, "_encoder_costs", never)
+    huge = 10**20
+    searches = [lambda m, n, **kw: orc.p2p_bruteforce(m, n, F(1, 4), **kw),
+                lambda m, n, **kw: orc.sphere_bruteforce(m, n, 1, **kw),
+                lambda m, n, **kw: orc.broadcast_frontier(m, n, 1, 1, **kw)]
+    for search in searches:
+        with pytest.raises(orc.BudgetExceeded,
+                           match=r"^search needs 10 x 2\^\(2 \(2\^%d - 2\)\) .* budget is %d$"
+                           % (huge, orc.DEFAULT_BUDGET)):
+            search(huge, 2)
+        with pytest.raises(orc.BudgetExceeded, match=r"^search needs 5001 x 2\^5000 "):
+            search(1, 5000)
+        # with no budget the 2^62 guard refuses both, as m 2^m 2^n >= 2^(m + n)
+        for m, n in ((huge, 2), (1, 61)):
+            with pytest.raises(orc.BudgetExceeded, match="overflow int64"):
+                search(m, n, budget=math.inf)
+    # an m past 2^256 bits is shown as such
+    with pytest.raises(orc.BudgetExceeded, match=r"2\^\(2 \(2\^~2\^257 - 2\)\)"):
+        orc.p2p_bruteforce(2**256, 2, F(1, 4))
+
+
+def test_encoder_table_size_check_forms_no_power():
+    with pytest.raises(ValueError, match="one codeword per source word"):
+        orc.EncoderTable(10**20, 2, (0, 3))
+    with pytest.raises(ValueError, match="one codeword per source word"):
+        orc.sphere_bruteforce(10**20, 2, 1, encoder=(0, 3))
+    for m, size in ((1, 2), (2, 4), (3, 8)):
+        assert len(orc.EncoderTable(m, 1, (0,) * size).codewords) == size
+        for wrong in (size - 1, size + 1, 2 * size):
+            with pytest.raises(ValueError):
+                orc.EncoderTable(m, 1, (0,) * wrong)
+
+
 def test_p2p_frozen_n5_n6():
     # copied from perfbench/reference/oracle.json (seed-commit outputs)
     cases = [
@@ -115,6 +154,9 @@ def test_p2p_frozen_n5_n6():
         (2, 6, F(1, 4), F(5, 32), 32319),
         # computed once by the full enumeration, before coordinate permutations
         (2, 7, F(1, 4), F(5, 32), 121919),
+        # computed once by the prefix scan, before whole-table orbits
+        (2, 6, F(49, 100), F(242501, 500000), 32319),  # int64 sums
+        (2, 8, F(1, 4), F(133, 1024), 522495),
         # computed once with budget=2**40, when the budget counted every table
         (2, 9, F(1, 4), F(983, 8192), 8373246),
         # the per-bit sums and the one-max form of the kernel agree on it
@@ -245,8 +287,9 @@ def _int32_bound(m, n, wtabs):
 
 
 def _costs_and_width(monkeypatch, m, n, wtabs):
-    # the kernel's return value, and whether it allocated an int32 array: its
-    # block sums are the only array of that type it makes
+    # the kernel's return value, and whether it allocated an int32 array: it
+    # makes its working arrays in the width of its sums, and its costs and
+    # ranks in int64
     seen, real_empty = [], np.empty
     with monkeypatch.context() as mp:
         mp.setattr(np, "empty", lambda *a, **k: seen.append(np.dtype(k["dtype"]))
@@ -260,9 +303,10 @@ def _permuted(word, perm):
 
 
 def _canonical_tables(m, n):
-    """The c0 = 0 tables whose first two free codewords (the first alone at
-    m = 1) are least over all n! coordinate permutations, in rank order."""
-    lead = min((1 << m) - 1, 2)
+    """The c0 = 0 tables whose filtered free codewords are least over all n!
+    coordinate permutations, in rank order: all three at m = 2, and the first
+    two (the first alone at m = 1) at every other m."""
+    lead = 3 if m == 2 else min((1 << m) - 1, 2)
     perms = list(itertools.permutations(range(n)))
     return [(0,) + rest
             for rest in itertools.product(range(1 << n), repeat=(1 << m) - 1)
@@ -325,8 +369,8 @@ def test_encoder_costs_one_max_constant_past_int32(monkeypatch):
     # W is constant: every max is 0 and every cost is the constant
     assert costs.tolist() == [4 * 256 * 8_000_000] * len(ranks)
     (costs, ranks), narrow = _costs_and_width(monkeypatch, 2, 8, [sloped])
-    assert narrow
-    for i in range(0, len(ranks), 997):
+    assert narrow and len(ranks) == math.comb(15, 8)
+    for i in range(0, len(ranks), 149):
         cw = orc.encoder_from_index(2, 8, int(ranks[i])).codewords
         assert int(costs[i]) == orc._table_cost(2, 8, cw, sloped)
 
@@ -342,15 +386,22 @@ def _assert_costs_match_table_cost(m, n, wtabs):
         assert got.tolist() == [orc._table_cost(m, n, cw, wt) for cw in tables]
 
 
-@pytest.mark.parametrize("cells", [1, 48, 192, 1000])
+@pytest.mark.parametrize("cells", [1, 48, 56, 192, 200, 1000])
 def test_encoder_costs_block_layout(monkeypatch, cells):
-    # at m=2, n=3 every cap gives 1 trailing slot, and blocks of 1, 1, 3
-    # and 15 of the 20 prefixes; 3 and 15 leave a partial last block
+    # at m=2, n=3 the 120 tables are walked in blocks of cells // 8 of them,
+    # at least 1 and at most 120; 7 and 25 leave a partial last block
+    rows = {1: 1, 48: 6, 56: 7, 192: 24, 200: 25, 1000: 120}[cells]
     wtabs = [[3, 1, 4, 1], [0, 2**40, 7, 5]]
     want = orc._encoder_costs(2, 3, wtabs, orc.DEFAULT_BUDGET)
+    assert len(want[-1]) == math.comb(10, 3) == 120
+    shapes, real_empty = [], np.empty
     monkeypatch.setattr(orc, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(np, "empty", lambda shape, **k: shapes.append(shape)
+                        or real_empty(shape, **k))
     got = orc._encoder_costs(2, 3, wtabs, orc.DEFAULT_BUDGET)
     assert [a.tolist() for a in got] == [b.tolist() for b in want]
+    # one block array per call, for both weight tables' A and B rows
+    assert [sh for sh in shapes if isinstance(sh, tuple) and len(sh) == 3] == [(2, rows, 8)]
 
 
 @pytest.mark.parametrize("m,n,cells", [(1, 4, 1), (1, 4, 48), (3, 2, 1), (3, 2, 256)])
@@ -365,17 +416,18 @@ def test_encoder_costs_block_layout_at_other_slot_counts(monkeypatch, m, n, cell
 
 
 def test_encoder_costs_hold_one_block_array():
-    # two int64 (N, block, N) arrays at m=2, n=5 are 896 KiB; the call holds
-    # one int32 array of that shape, and one that allocated a fresh array per
-    # weight table and bit would peak above the bound
-    orc.p2p_bruteforce(2, 5, F(1, 4))  # fills the cached popcounts and prefixes
+    # at m=2, n=5 the 792 tables make one block, and its int32 rows of A and
+    # B take 198 KiB; one more array of a block's rows (99 KiB), such as a
+    # fresh array per gather or max, or take's buffered copy into its out,
+    # would pass the bound
+    orc.p2p_bruteforce(2, 5, F(1, 4))  # fills the cached popcounts and plan
     tracemalloc.start()
     try:
         orc.p2p_bruteforce(2, 5, F(1, 4))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 896 * 1024
+    assert 2 * 792 * 32 * 4 < peak < 256 * 1024
 
 
 def _direct_costs(m, n, wtabs, pinned):
@@ -412,7 +464,7 @@ def _pick_frontier(c1, c2, ranks):
     return points
 
 
-@pytest.mark.parametrize("m,n", ENCODER_SHAPES)
+@pytest.mark.parametrize("m,n", ENCODER_SHAPES + [(2, 4), (2, 5)])
 @settings(max_examples=4)
 @given(data=st.data())
 def test_coordinate_permutations_keep_values_and_witnesses(m, n, data):
@@ -437,6 +489,25 @@ def test_binomial_gamma_exact_frozen():
     ratio0, gamma0 = orc.binomial_gamma_exact(4, F(1, 4), 0)
     assert ratio0.value == F(1, 2)
     assert gamma0.value == 0
+
+
+def test_binomial_gamma_exact_past_comb():
+    # C(n, w +- k) has about 10^21 bits here; the ratio of the two is
+    # (n - w + 1)(n - w) / (w (w + 1)) at k = 1
+    n = 10**21
+    w = n // 4
+    up, down = (n - w + 1) * (n - w), w * (w + 1) * 3**2
+    ratio, gamma = orc.binomial_gamma_exact(n, F(1, 4), 1)
+    assert ratio.value == F(up, up + down)
+    assert gamma.value == F(up - down, up + down)
+    # and the product route agrees with the binomials where they are cheap
+    for n, delta in ((40, F(1, 4)), (60, F(2, 5)), (13, F(1, 13))):
+        w = int(n * delta)
+        a, b = delta.numerator, delta.denominator
+        for k in range(min(w, n - w) + 1):
+            up = math.comb(n, w + k) * a ** (2 * k)
+            down = math.comb(n, w - k) * (b - a) ** (2 * k)
+            assert orc.binomial_gamma_exact(n, delta, k)[0].value == F(up, up + down)
 
 
 def test_binomial_gamma_relation():
