@@ -138,23 +138,33 @@ def _canonical_prefixes(n: int, L: int) -> np.ndarray:
     equal c_1 bits, and so on. So the canonical prefixes are the multisets
     of n types, C(n + 2^L - 1, n) of the N^L prefixes.
 
-    The multisets are grown one coordinate at a time from bit n - 1 down,
-    each one ending in type t by every type from t up (stars and bars). A
-    type t at bit i adds spread[t] << i to the rank, where spread[t] puts
-    bit k of t into base-N digit k, the digit of c_(L-k).
+    They are listed in rank order, one type bit at a time. After l bits
+    the coordinates whose types share an l-bit prefix form a run, a larger
+    prefix lower, and a multiset so far is the size and start of each run.
+    Word c_(l+1) puts the ones of each run at its bottom, so the next level
+    chooses, prefix by prefix from 0 up, how many of a run's coordinates
+    take bit l+1: from 0 to the run's size, each choice adding to the rank
+    more than any later one can. Each step repeats every multiset once per
+    choice, in increasing order, so the ranks come out ascending.
     """
     import numpy as np
 
-    types = np.arange(1 << L, dtype=np.int64)
-    spread = sum(((types >> k) & 1) << (k * n) for k in range(L))
     rank = np.zeros(1, dtype=np.int64)
-    last = np.zeros(1, dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        grow = (1 << L) - last
-        first = np.repeat(np.cumsum(grow) - grow, grow)
-        last = np.repeat(last, grow) + np.arange(len(first)) - first
-        rank = np.repeat(rank, grow) + (spread[last] << i)
-    rank.sort()
+    size = np.full((1, 1), n, dtype=np.int64)
+    start = np.zeros((1, 1), dtype=np.int64)
+    for l in range(L):
+        ones = np.zeros((len(rank), 0), dtype=np.int64)
+        for g in range(size.shape[1]):
+            grow = size[:, g] + 1
+            first = np.repeat(np.cumsum(grow) - grow, grow)
+            rank, size, start, ones = (np.repeat(a, grow, axis=0)
+                                       for a in (rank, size, start, ones))
+            x = np.arange(len(first)) - first
+            ones = np.concatenate([ones, x[:, None]], axis=1)
+            rank += ((1 << x) - 1) << (start[:, g] + n * (L - 1 - l))
+        # the runs of prefixes 2g and 2g + 1: the ones sit at the bottom
+        size = np.stack([size - ones, ones], axis=2).reshape(len(rank), -1)
+        start = np.stack([start + ones, start], axis=2).reshape(len(rank), -1)
     rank.setflags(write=False)
     return rank
 
@@ -191,7 +201,7 @@ def _orbit_costs(n, wtabs, dt):
     pc = _popcounts(n)
     out = []
     # every block's rows of A and B are gathered into this one array
-    rows = min(max(1, _BLOCK_CELLS // N), len(ranks))
+    rows = min(max(1, _BLOCK_CELLS // (2 * N)), len(ranks))
     buf = np.empty((2, rows, N), dtype=dt)
     for w in wtabs:
         # W[c, y] = w[popcount(c ^ y)]: row 0 is w[pc], and the rows from h
@@ -261,9 +271,10 @@ def _encoder_costs(m, n, wtabs, budget):
         4 sum_y W[0, y] - sum_y max(A(y), B(y)).
     A is formed once per canonical prefix and B once per c_3, both from the
     (N, N) table W. The tables are walked in blocks of at most
-    _BLOCK_CELLS / N of them (at least one): each block's rows of A and B
-    are gathered into one array, allocated once per call, and each table
-    then costs one max and one row sum over y.
+    _BLOCK_CELLS / 2N of them (at least one): each block's rows of A and B
+    are gathered into one array of at most max(_BLOCK_CELLS, 2N) cells,
+    allocated once per call, and each table then costs one max and one row
+    sum over y.
 
     Every other m takes the per-bit sums. The scanned tables are a product
     of leading prefixes and all trailing codewords in rank order, so D_j is
@@ -288,9 +299,8 @@ def _encoder_costs(m, n, wtabs, budget):
 
     Memory: besides one int64 cost and one int64 rank per scanned table, a
     call at m = 2 holds one weight table's (N, N) W, with B built in its
-    place, the (prefixes, N) array A and the block array of at most
-    2 max(_BLOCK_CELLS, N) cells, so the arrays beside the costs and ranks
-    grow with 4^n. Elsewhere it holds the trailing part, the block array
+    place, the (prefixes, N) array A and the block array, so the arrays
+    beside the costs and ranks grow with 4^n. Elsewhere it holds the trailing part, the block array
     and, while the part is built, the (N, N) distance table and one weight
     table's W; the part is one (N, N^T) sum per weight table and bit.
 

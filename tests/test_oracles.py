@@ -386,11 +386,12 @@ def _assert_costs_match_table_cost(m, n, wtabs):
         assert got.tolist() == [orc._table_cost(m, n, cw, wt) for cw in tables]
 
 
-@pytest.mark.parametrize("cells", [1, 48, 56, 192, 200, 1000])
+@pytest.mark.parametrize("cells", [1, 48, 112, 192, 400, 1000, 2000])
 def test_encoder_costs_block_layout(monkeypatch, cells):
-    # at m=2, n=3 the 120 tables are walked in blocks of cells // 8 of them,
-    # at least 1 and at most 120; 7 and 25 leave a partial last block
-    rows = {1: 1, 48: 6, 56: 7, 192: 24, 200: 25, 1000: 120}[cells]
+    # at m=2, n=3 the 120 tables are walked in blocks of cells // 16 of
+    # them, at least 1 and at most 120, whose rows of A and B (8 cells each)
+    # share one array; 7, 25 and 62 leave a partial last block
+    rows = {1: 1, 48: 3, 112: 7, 192: 12, 400: 25, 1000: 62, 2000: 120}[cells]
     wtabs = [[3, 1, 4, 1], [0, 2**40, 7, 5]]
     want = orc._encoder_costs(2, 3, wtabs, orc.DEFAULT_BUDGET)
     assert len(want[-1]) == math.comb(10, 3) == 120
