@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
+from ._orbits import _canonical_prefixes, _orbit_costs, _popcounts
 from ._scalar_opt import Lcg64
 from .binary_info import (NAT_LOG2, DomainError, _conv, _count, _end, _g, _h, _hp,
                           _kappa, _mgl_inv, _nu, _phi, _Phi, _real, conv, h_b)
@@ -96,19 +97,7 @@ def _as_fraction(name, x) -> Fraction:
     return _real(name, Fraction(x), 0, 0.5, "()")
 
 
-# cached per m or n and shared by every caller, so the arrays are read-only
-@lru_cache(maxsize=None)
-def _popcounts(n: int) -> np.ndarray:
-    import numpy as np
-
-    size = 1 << n
-    pc = np.zeros(size, dtype=np.int64)
-    for b in range(n):
-        pc += (np.arange(size, dtype=np.int64) >> b) & 1
-    pc.setflags(write=False)
-    return pc
-
-
+# cached per m and shared by every caller, so the arrays are read-only
 @lru_cache(maxsize=None)
 def _bit_groups(m: int) -> tuple[np.ndarray, ...]:
     import numpy as np
@@ -125,111 +114,6 @@ def _bit_groups(m: int) -> tuple[np.ndarray, ...]:
 _BLOCK_CELLS = 1 << 16
 
 
-@lru_cache(maxsize=None)
-def _canonical_prefixes(n: int, L: int) -> np.ndarray:
-    """Ascending ranks of the L-word prefixes (c_1, ..., c_L) that are
-    lexicographically least in their orbit under permutations of the n
-    coordinates, c_1 most significant.
-
-    The column type of coordinate i is the L-bit number whose bits, c_1's
-    bit on top, are bit i of c_1, ..., c_L. A permutation moves the types
-    between coordinates, and the prefix is least when they do not increase
-    from bit 0 upward: c_1's ones sit lowest, then c_2's within each run of
-    equal c_1 bits, and so on. So the canonical prefixes are the multisets
-    of n types, C(n + 2^L - 1, n) of the N^L prefixes.
-
-    They are listed in rank order, one type bit at a time. After l bits
-    the coordinates whose types share an l-bit prefix form a run, a larger
-    prefix lower, and a multiset so far is the size and start of each run.
-    Word c_(l+1) puts the ones of each run at its bottom, so the next level
-    chooses, prefix by prefix from 0 up, how many of a run's coordinates
-    take bit l+1: from 0 to the run's size, each choice adding to the rank
-    more than any later one can. Each step repeats every multiset once per
-    choice, in increasing order, so the ranks come out ascending.
-    """
-    import numpy as np
-
-    rank = np.zeros(1, dtype=np.int64)
-    size = np.full((1, 1), n, dtype=np.int64)
-    start = np.zeros((1, 1), dtype=np.int64)
-    for l in range(L):
-        ones = np.zeros((len(rank), 0), dtype=np.int64)
-        for g in range(size.shape[1]):
-            grow = size[:, g] + 1
-            first = np.repeat(np.cumsum(grow) - grow, grow)
-            rank, size, start, ones = (np.repeat(a, grow, axis=0)
-                                       for a in (rank, size, start, ones))
-            x = np.arange(len(first)) - first
-            ones = np.concatenate([ones, x[:, None]], axis=1)
-            rank += ((1 << x) - 1) << (start[:, g] + n * (L - 1 - l))
-        # the runs of prefixes 2g and 2g + 1: the ones sit at the bottom
-        size = np.stack([size - ones, ones], axis=2).reshape(len(rank), -1)
-        start = np.stack([start + ones, start], axis=2).reshape(len(rank), -1)
-    rank.setflags(write=False)
-    return rank
-
-
-@lru_cache(maxsize=None)
-def _orbit_plan(n: int) -> tuple[np.ndarray, ...]:
-    """The m = 2 scan of _encoder_costs: the ascending ranks of the whole
-    tables (0, c_1, c_2, c_3) least under the n! coordinate permutations,
-    each one's index into the canonical (c_1, c_2) prefixes and its c_3,
-    then the prefixes' c_1 and c_2.
-
-    A table is least when its 3-bit column types do not decrease, so the
-    ranks are the canonical 3-word prefixes. The top two bits of those
-    types do not decrease either, so every (c_1, c_2) is a canonical pair.
-    """
-    import numpy as np
-
-    ranks = _canonical_prefixes(n, 3)
-    pairs = _canonical_prefixes(n, 2)
-    plan = (ranks, np.searchsorted(pairs, ranks >> n), ranks & ((1 << n) - 1),
-            pairs >> n, pairs & ((1 << n) - 1))
-    for arr in plan:
-        arr.setflags(write=False)
-    return plan
-
-
-def _orbit_costs(n, wtabs, dt):
-    """The costs of _encoder_costs at m = 2, one per table of _orbit_plan(n),
-    summed in dtype dt."""
-    import numpy as np
-
-    N = 1 << n
-    ranks, pair_of, c3, c1s, c2s = _orbit_plan(n)
-    pc = _popcounts(n)
-    out = []
-    # every block's rows of A and B are gathered into this one array
-    rows = min(max(1, _BLOCK_CELLS // (2 * N)), len(ranks))
-    buf = np.empty((2, rows, N), dtype=dt)
-    for w in wtabs:
-        # W[c, y] = w[popcount(c ^ y)]: row 0 is w[pc], and the rows from h
-        # to 2h are those below h with column y moved to y ^ h
-        W = np.empty((N, N), dtype=dt)
-        W[0] = np.array(w, dtype=dt)[pc]
-        h = 1
-        while h < N:
-            W[h:2 * h].reshape(h, -1, 2, h)[...] = W[:h].reshape(h, -1, 2, h)[:, :, ::-1]
-            h *= 2
-        total = 4 * int(W[0].sum())
-        A = np.abs(W.take(c1s, axis=0) - W.take(c2s, axis=0))
-        # B[c_3, y] = |W[0, y] - W[c_3, y]|, built in W's place
-        B = np.abs(np.subtract(W[0], W, out=W), out=W)
-        got = np.empty(len(ranks), dtype=np.int64)
-        for start in range(0, len(ranks), rows):
-            stop = min(start + rows, len(ranks))
-            a, b = buf[:, :stop - start]
-            # every index is in range; "clip" spares take its buffered copy
-            A.take(pair_of[start:stop], axis=0, out=a, mode="clip")
-            B.take(c3[start:stop], axis=0, out=b, mode="clip")
-            np.maximum(a, b, out=a)
-            np.subtract(total, np.einsum("ij->i", a), out=got[start:stop], dtype=np.int64)
-        out.append(got)
-        del W, A, B  # before the next weight table's W is allocated
-    return out + [ranks]
-
-
 def _encoder_costs(m, n, wtabs, budget):
     """Integer decoding cost of encoder tables, one array per weight table,
     followed by the ascending int64 array of the tables' ranks.
@@ -243,10 +127,10 @@ def _encoder_costs(m, n, wtabs, budget):
 
     Codeword 0 is pinned to the zero word. At m = 2 only the whole tables
     (0, c_1, c_2, c_3) that are least in their orbit under permutations of
-    the n coordinates are scanned (_orbit_plan), C(n + 7, n) of them; at
-    every other m, the tables whose first two free codewords (c_1 alone at
-    m = 1) are a canonical prefix (_canonical_prefixes), with all of their
-    later codewords. This loses no minimum and no lowest-rank witness for
+    the n coordinates are scanned (_orbits._orbit_plan), C(n + 7, n) of
+    them; at every other m, the tables whose first two free codewords (c_1
+    alone at m = 1) are a canonical prefix (_canonical_prefixes), with all
+    of their later codewords. This loses no minimum and no lowest-rank witness for
     any weight-only channel. XOR by c_0 and any permutation of the n
     coordinates keep every Hamming distance, so they keep every table's
     cost. XOR by c_0 gives c_0 = 0 and, when c_0 was not already 0, a
@@ -318,7 +202,8 @@ def _encoder_costs(m, n, wtabs, budget):
     if m * K * N * wmax >= 2 ** 62:
         raise BudgetExceeded("integer costs would overflow int64 accumulators")
     if m == 2:
-        return _orbit_costs(n, wtabs, np.int32 if N * wmax < 2 ** 31 else np.int64)
+        dt = np.int32 if N * wmax < 2 ** 31 else np.int64
+        return _orbit_costs(n, wtabs, dt, _BLOCK_CELLS)
     F = min(K - 1, 2)
     dt = np.int32 if m * K * N * wmax < 2 ** 31 else np.int64
     warrs = [np.array(w, dtype=dt) for w in wtabs]
