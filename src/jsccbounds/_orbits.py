@@ -10,6 +10,7 @@ read-only.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 
@@ -74,7 +75,8 @@ def _orbit_plan(n: int) -> tuple[np.ndarray, ...]:
     """The m = 2 scan of oracles._encoder_costs: the ascending ranks of the whole
     tables (0, c_1, c_2, c_3) least under the n! coordinate permutations,
     each one's index into the canonical (c_1, c_2) prefixes and its c_3,
-    then the prefixes' c_1 and c_2.
+    the prefixes' c_1 and c_2, and c ^ y for the first min(N, 64) words c
+    and every y.
 
     A table is least when its 3-bit column types do not decrease, so the
     ranks are the canonical 3-word prefixes. The top two bits of those
@@ -82,10 +84,11 @@ def _orbit_plan(n: int) -> tuple[np.ndarray, ...]:
     """
     import numpy as np
 
+    N = 1 << n
     ranks = _canonical_prefixes(n, 3)
     pairs = _canonical_prefixes(n, 2)
-    plan = (ranks, np.searchsorted(pairs, ranks >> n), ranks & ((1 << n) - 1),
-            pairs >> n, pairs & ((1 << n) - 1))
+    plan = (ranks, np.searchsorted(pairs, ranks >> n), ranks & (N - 1),
+            pairs >> n, pairs & (N - 1), np.arange(min(N, 64))[:, None] ^ np.arange(N))
     for arr in plan:
         arr.setflags(write=False)
     return plan
@@ -98,30 +101,29 @@ def _orbit_costs(n, wtabs, dt, cells):
     import numpy as np
 
     N = 1 << n
-    ranks, pair_of, c3, c1s, c2s = _orbit_plan(n)
+    ranks, pair_of, c3, c1s, c2s, xor = _orbit_plan(n)
     pc = _popcounts(n)
     out = []
     # every block's rows of A and B are gathered into this one array
     rows = min(max(1, cells // (2 * N)), len(ranks))
     buf = np.empty((2, rows, N), dtype=dt)
     for w in wtabs:
-        # W[c, y] = w[popcount(c ^ y)]: row 0 is w[pc], and the rows from h
-        # to 2h are those below h with column y moved to y ^ h
+        # W[c, y] = W[0, c ^ y], gathered len(xor) rows at a time: for c =
+        # c_0 + r, with c_0 a multiple of len(xor), c ^ y = (r ^ y) ^ c_0
+        W0 = np.array(w, dtype=dt)[pc]
         W = np.empty((N, N), dtype=dt)
-        W[0] = np.array(w, dtype=dt)[pc]
-        h = 1
-        while h < N:
-            W[h:2 * h].reshape(h, -1, 2, h)[...] = W[:h].reshape(h, -1, 2, h)[:, :, ::-1]
-            h *= 2
-        total = 4 * int(W[0].sum())
+        for c0 in range(0, N, len(xor)):
+            W0.take(xor ^ c0 if c0 else xor, out=W[c0:c0 + len(xor)], mode="clip")
+        # 4 sum_y W[0, y], in Python integers
+        total = 4 * sum(math.comb(n, d) * wd for d, wd in enumerate(w))
         A = np.abs(W.take(c1s, axis=0) - W.take(c2s, axis=0))
         # B[c_3, y] = |W[0, y] - W[c_3, y]|, built in W's place
-        B = np.abs(np.subtract(W[0], W, out=W), out=W)
+        B = np.abs(np.subtract(W0, W, out=W), out=W)
         got = np.empty(len(ranks), dtype=np.int64)
         for start in range(0, len(ranks), rows):
             stop = min(start + rows, len(ranks))
-            a, b = buf[:, :stop - start]
-            # every index is in range; "clip" spares take its buffered copy
+            a, b = buf[0, :stop - start], buf[1, :stop - start]
+            # every index is in range; "clip" spares take a buffered copy
             A.take(pair_of[start:stop], axis=0, out=a, mode="clip")
             B.take(c3[start:stop], axis=0, out=b, mode="clip")
             np.maximum(a, b, out=a)
