@@ -39,33 +39,25 @@ def _canonical_prefixes(n: int, L: int) -> np.ndarray:
     equal c_1 bits, and so on. So the canonical prefixes are the multisets
     of n types, C(n + 2^L - 1, n) of the N^L prefixes.
 
-    They are listed in rank order, one type bit at a time. After l bits
-    the coordinates whose types share an l-bit prefix form a run, a larger
-    prefix lower, and a multiset so far is the size and start of each run.
-    Word c_(l+1) puts the ones of each run at its bottom, so the next level
-    chooses, prefix by prefix from 0 up, how many of a run's coordinates
-    take bit l+1: from 0 to the run's size, each choice adding to the rank
-    more than any later one can. Each step repeats every multiset once per
-    choice, in increasing order, so the ranks come out ascending.
+    The multisets are grown one coordinate at a time from bit n - 1 down,
+    each one ending in type t by every type from t up (stars and bars). A
+    type t at bit i adds spread[t] << i to the rank, where spread[t] puts
+    bit k of t into base-N digit k, the digit of c_(L-k).
     """
     import numpy as np
 
+    types = np.arange(1 << L, dtype=np.int64)
+    spread = sum(((types >> k) & 1) << (k * n) for k in range(L))
     rank = np.zeros(1, dtype=np.int64)
-    size = np.full((1, 1), n, dtype=np.int64)
-    start = np.zeros((1, 1), dtype=np.int64)
-    for l in range(L):
-        ones = np.zeros((len(rank), 0), dtype=np.int64)
-        for g in range(size.shape[1]):
-            grow = size[:, g] + 1
-            first = np.repeat(np.cumsum(grow) - grow, grow)
-            rank, size, start, ones = (np.repeat(a, grow, axis=0)
-                                       for a in (rank, size, start, ones))
-            x = np.arange(len(first)) - first
-            ones = np.concatenate([ones, x[:, None]], axis=1)
-            rank += ((1 << x) - 1) << (start[:, g] + n * (L - 1 - l))
-        # the runs of prefixes 2g and 2g + 1: the ones sit at the bottom
-        size = np.stack([size - ones, ones], axis=2).reshape(len(rank), -1)
-        start = np.stack([start + ones, start], axis=2).reshape(len(rank), -1)
+    last = np.zeros(1, dtype=np.int64)
+    for i in range(n - 1, -1, -1):
+        grow = (1 << L) - last
+        first = np.repeat(np.cumsum(grow) - grow, grow)
+        last = np.repeat(last, grow) + np.arange(len(first)) - first
+        rank = np.repeat(rank, grow) + (spread[last] << i)
+    # lexsort, the sort broadcast_frontier takes too: a second sort's code
+    # would add its pages to a process's resident memory
+    rank = rank[np.lexsort((rank,))]
     rank.setflags(write=False)
     return rank
 

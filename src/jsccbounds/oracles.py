@@ -130,12 +130,12 @@ def _encoder_costs(m, n, wtabs, budget):
     the n coordinates are scanned (_orbits._orbit_plan), C(n + 7, n) of
     them; at every other m, the tables whose first two free codewords (c_1
     alone at m = 1) are a canonical prefix (_canonical_prefixes), with all
-    of their later codewords. This loses no minimum and no lowest-rank witness for
-    any weight-only channel. XOR by c_0 and any permutation of the n
-    coordinates keep every Hamming distance, so they keep every table's
-    cost. XOR by c_0 gives c_0 = 0 and, when c_0 was not already 0, a
-    smaller rank; the permutations keep c_0 = 0. A permutation that makes a
-    table's filtered codewords (all three free ones at m = 2, the prefix
+    of their later codewords. This loses no minimum and no lowest-rank
+    witness for any weight-only channel. XOR by c_0 and any permutation of
+    the n coordinates keep every Hamming distance, so they keep every
+    table's cost. XOR by c_0 gives c_0 = 0 and, when c_0 was not already 0,
+    a smaller rank; the permutations keep c_0 = 0. A permutation that makes
+    a table's filtered codewords (all three free ones at m = 2, the prefix
     elsewhere) least either leaves them alone, so the table is scanned, or
     makes them strictly smaller, and with them the rank. So the lowest-rank
     table with any cost, or any tuple of costs under several weight tables,
@@ -184,9 +184,11 @@ def _encoder_costs(m, n, wtabs, budget):
     Memory: besides one int64 cost and one int64 rank per scanned table, a
     call at m = 2 holds one weight table's (N, N) W, with B built in its
     place, the (prefixes, N) array A and the block array, so the arrays
-    beside the costs and ranks grow with 4^n. Elsewhere it holds the trailing part, the block array
-    and, while the part is built, the (N, N) distance table and one weight
-    table's W; the part is one (N, N^T) sum per weight table and bit.
+    beside the costs and ranks grow with 4^n; the plan cached per n adds
+    at most 64 N words of XOR indices. Elsewhere a call holds the trailing
+    part, the block array and, while the part is built, the (N, N)
+    distance table and one weight table's W; the part is one (N, N^T) sum
+    per weight table and bit.
 
     The budget counts the prefix scan, an upper bound on the work at m = 2:
     BudgetExceeded (_check_budget) is raised when P 2^e, P canonical
