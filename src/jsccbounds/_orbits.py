@@ -5,25 +5,14 @@ A permutation of the n channel coordinates keeps every Hamming distance,
 so the oracles scan only tables that are least in their orbit under the
 n! permutations (see oracles._encoder_costs). The lists here depend only
 on n and are cached, and shared by every caller, so the arrays are
-read-only.
+read-only. The oracles import this module on their first search, so a
+process that makes none never compiles it.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-
-
-@lru_cache(maxsize=None)
-def _popcounts(n: int) -> np.ndarray:
-    import numpy as np
-
-    size = 1 << n
-    pc = np.zeros(size, dtype=np.int64)
-    for b in range(n):
-        pc += (np.arange(size, dtype=np.int64) >> b) & 1
-    pc.setflags(write=False)
-    return pc
 
 
 @lru_cache(maxsize=None)
@@ -86,15 +75,15 @@ def _orbit_plan(n: int) -> tuple[np.ndarray, ...]:
     return plan
 
 
-def _orbit_costs(n, wtabs, dt, cells):
+def _orbit_costs(n, wtabs, pc, dt, cells):
     """The costs of oracles._encoder_costs at m = 2, one per table of
     _orbit_plan(n), summed in dtype dt, in blocks whose gathered rows take
-    at most cells cells (or one table's two rows)."""
+    at most cells cells (or one table's two rows); pc[y] is the popcount
+    of y."""
     import numpy as np
 
     N = 1 << n
     ranks, pair_of, c3, c1s, c2s, xor = _orbit_plan(n)
-    pc = _popcounts(n)
     out = []
     # every block's rows of A and B are gathered into this one array
     rows = min(max(1, cells // (2 * N)), len(ranks))

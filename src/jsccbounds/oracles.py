@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from ._orbits import _canonical_prefixes, _orbit_costs, _popcounts
 from ._scalar_opt import Lcg64
 from .binary_info import (NAT_LOG2, DomainError, _conv, _count, _end, _g, _h, _hp,
                           _kappa, _mgl_inv, _nu, _phi, _Phi, _real, conv, h_b)
@@ -97,7 +96,19 @@ def _as_fraction(name, x) -> Fraction:
     return _real(name, Fraction(x), 0, 0.5, "()")
 
 
-# cached per m and shared by every caller, so the arrays are read-only
+# cached per m or n and shared by every caller, so the arrays are read-only
+@lru_cache(maxsize=None)
+def _popcounts(n: int) -> np.ndarray:
+    import numpy as np
+
+    size = 1 << n
+    pc = np.zeros(size, dtype=np.int64)
+    for b in range(n):
+        pc += (np.arange(size, dtype=np.int64) >> b) & 1
+    pc.setflags(write=False)
+    return pc
+
+
 @lru_cache(maxsize=None)
 def _bit_groups(m: int) -> tuple[np.ndarray, ...]:
     import numpy as np
@@ -197,6 +208,8 @@ def _encoder_costs(m, n, wtabs, budget):
     """
     import numpy as np
 
+    from ._orbits import _canonical_prefixes, _orbit_costs
+
     _check_budget(m, n, budget)
     K = 1 << m
     N = 1 << n
@@ -205,7 +218,7 @@ def _encoder_costs(m, n, wtabs, budget):
         raise BudgetExceeded("integer costs would overflow int64 accumulators")
     if m == 2:
         dt = np.int32 if N * wmax < 2 ** 31 else np.int64
-        return _orbit_costs(n, wtabs, dt, _BLOCK_CELLS)
+        return _orbit_costs(n, wtabs, _popcounts(n), dt, _BLOCK_CELLS)
     F = min(K - 1, 2)
     dt = np.int32 if m * K * N * wmax < 2 ** 31 else np.int64
     warrs = [np.array(w, dtype=dt) for w in wtabs]
