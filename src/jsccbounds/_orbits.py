@@ -53,11 +53,11 @@ def _canonical_prefixes(n: int, L: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _orbit_plan(n: int) -> tuple[np.ndarray, ...]:
-    """The m = 2 scan of oracles._encoder_costs: the ascending ranks of the whole
-    tables (0, c_1, c_2, c_3) least under the n! coordinate permutations,
-    each one's index into the canonical (c_1, c_2) prefixes and its c_3,
-    the prefixes' c_1 and c_2, and c ^ y for the first min(N, 64) words c
-    and every y.
+    """The m = 2 scan of oracles._encoder_costs: the ascending ranks of the
+    whole tables (0, c_1, c_2, c_3) least under the n! coordinate
+    permutations, each one's index into the canonical (c_1, c_2) prefixes
+    and its c_3, the prefixes' c_1 and c_2, and c ^ y for the first
+    min(N, 64) words c and every y.
 
     A table is least when its 3-bit column types do not decrease, so the
     ranks are the canonical 3-word prefixes. The top two bits of those

@@ -139,10 +139,11 @@ def _encoder_costs(m, n, wtabs, budget):
     Codeword 0 is pinned to the zero word. At m = 2 only the whole tables
     (0, c_1, c_2, c_3) that are least in their orbit under permutations of
     the n coordinates are scanned (_orbits._orbit_plan), C(n + 7, n) of
-    them; at every other m, the tables whose first two free codewords (c_1
-    alone at m = 1) are a canonical prefix (_canonical_prefixes), with all
-    of their later codewords. This loses no minimum and no lowest-rank
-    witness for any weight-only channel. XOR by c_0 and any permutation of
+    them; at every other m, the tables whose first two free codewords
+    (c_1 alone at m = 1) are a canonical prefix
+    (_orbits._canonical_prefixes), with all of their later codewords. This
+    loses no minimum and no lowest-rank witness for any weight-only
+    channel. XOR by c_0 and any permutation of
     the n coordinates keep every Hamming distance, so they keep every
     table's cost. XOR by c_0 gives c_0 = 0 and, when c_0 was not already 0,
     a smaller rank; the permutations keep c_0 = 0. A permutation that makes
@@ -208,7 +209,7 @@ def _encoder_costs(m, n, wtabs, budget):
     """
     import numpy as np
 
-    from ._orbits import _canonical_prefixes, _orbit_costs
+    from ._orbits import _canonical_prefixes, _orbit_costs  # on the first search
 
     _check_budget(m, n, budget)
     K = 1 << m
