@@ -5,8 +5,7 @@ A permutation of the n channel coordinates keeps every Hamming distance,
 so the oracles scan only tables that are least in their orbit under the
 n! permutations (see oracles._encoder_costs). The lists here depend only
 on n and are cached, and shared by every caller, so the arrays are
-read-only. The oracles import this module on their first search, so a
-process that makes none never compiles it.
+read-only.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
+from ._orbits import _canonical_prefixes, _orbit_costs
 from ._scalar_opt import Lcg64
 from .binary_info import (NAT_LOG2, DomainError, _conv, _count, _end, _g, _h, _hp,
                           _kappa, _mgl_inv, _nu, _phi, _Phi, _real, conv, h_b)
@@ -208,8 +209,6 @@ def _encoder_costs(m, n, wtabs, budget):
     the prefix scan's tables times the 2^n output words.
     """
     import numpy as np
-
-    from ._orbits import _canonical_prefixes, _orbit_costs  # on the first search
 
     _check_budget(m, n, budget)
     K = 1 << m
