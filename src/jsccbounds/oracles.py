@@ -144,15 +144,15 @@ def _encoder_costs(m, n, wtabs, budget):
     (c_1 alone at m = 1) are a canonical prefix
     (_orbits._canonical_prefixes), with all of their later codewords. This
     loses no minimum and no lowest-rank witness for any weight-only
-    channel. XOR by c_0 and any permutation of
-    the n coordinates keep every Hamming distance, so they keep every
-    table's cost. XOR by c_0 gives c_0 = 0 and, when c_0 was not already 0,
-    a smaller rank; the permutations keep c_0 = 0. A permutation that makes
-    a table's filtered codewords (all three free ones at m = 2, the prefix
-    elsewhere) least either leaves them alone, so the table is scanned, or
-    makes them strictly smaller, and with them the rank. So the lowest-rank
-    table with any cost, or any tuple of costs under several weight tables,
-    has c_0 = 0 and is scanned.
+    channel. XOR by c_0 and any permutation of the n coordinates keep every
+    Hamming distance, so they keep every table's cost. XOR by c_0 gives
+    c_0 = 0 and, when c_0 was not already 0, a smaller rank; the
+    permutations keep c_0 = 0. A permutation that makes a table's filtered
+    codewords (all three free ones at m = 2, the prefix elsewhere) least
+    either leaves them alone, so the table is scanned, or makes them
+    strictly smaller, and with them the rank. So the lowest-rank table with
+    any cost, or any tuple of costs under several weight tables, has
+    c_0 = 0 and is scanned.
 
     With min(A, S - A) = (S - |S - 2A|) / 2, and sum_y S(y) = K sum_y W[0, y]
     the same for every table, the cost is
