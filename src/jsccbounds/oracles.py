@@ -287,9 +287,8 @@ def _check_budget(m, n, budget):
     m 2^m 2^n max(w) >= 2^(m + n).
     """
     F = min(m, 2)  # min(2^m - 1, 2)
-    # P >= 1, so once e reaches the budget's bit length 2^e alone exceeds it:
-    # no power that large is formed. math.inf never binds; NaN and -inf raise
     P = math.comb(n + (1 << F) - 1, n)
+    # math.inf never binds; NaN and -inf raise
     if budget != math.inf:
         try:
             bits = int(_real("budget", budget)).bit_length()
@@ -300,6 +299,8 @@ def _check_budget(m, n, budget):
             raise BudgetExceeded(_NEEDS % (_end(P), "(%s (2^%s - 2))" % (_end(n), _end(m)),
                                            budget))
         e = n * ((1 << m) - F)
+        # P >= 1, so once e reaches the budget's bit length 2^e alone exceeds
+        # it: no power that large is formed
         if e >= bits or P << e > budget:
             raise BudgetExceeded(_NEEDS % (_end(P), _end(e), budget))
     if m + n >= 62:
