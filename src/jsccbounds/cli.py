@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import bounds_core as bc
 from . import broadcast_region as br
 from . import oracles as orc
-from .binary_info import _CATALOG, NAT_LOG2, DomainError, info_fn
+from .binary_info import _CATALOG, NAT_LOG2, DomainError, _end, info_fn
 
 _NAT_VALUED_FNS = ("h_b", "g", "kappa", "beta", "phi", "R", "mgl")
 
@@ -52,6 +52,15 @@ def _tau_auto(text: str) -> str:
 # ---------- output ----------
 
 
+def _exact_text(v) -> str:
+    """str of an int or Fraction; DomainError past the int-to-str digit limit."""
+    try:
+        return str(v)
+    except ValueError:
+        size = _end(v.numerator) + ("/" + _end(v.denominator)) * (v.denominator != 1)
+        raise DomainError("the exact value %s has too many digits to print" % size) from None
+
+
 def _csv_cell(v) -> str:
     if v is None:
         return ""
@@ -59,7 +68,7 @@ def _csv_cell(v) -> str:
         return "true" if v else "false"
     if isinstance(v, float):
         return "%.12g" % v
-    return str(v)
+    return _exact_text(v)
 
 
 def _json_cell(v):
@@ -70,7 +79,7 @@ def _json_cell(v):
     if isinstance(v, float):
         return float("%.12g" % v) if math.isfinite(v) else "%.12g" % v
     if isinstance(v, Fraction):
-        return str(v)
+        return _exact_text(v)
     return v
 
 
@@ -455,6 +464,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         columns, rows, bits_cols, code = args.handler(args)
+        if args.bits:
+            _to_bits(columns, rows, bits_cols)
+        _emit(columns, rows, args)
     except _Usage as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
@@ -464,9 +476,6 @@ def main(argv=None) -> int:
     except orc.BudgetExceeded as exc:
         sys.stderr.write("budget: %s\n" % exc)
         return 3
-    if args.bits:
-        _to_bits(columns, rows, bits_cols)
-    _emit(columns, rows, args)
     return code
 
 

@@ -54,7 +54,8 @@ class EncoderTable:
         size = len(self.codewords)
         if size.bit_length() != self.m + 1 or size & (size - 1):
             raise ValueError("need one codeword per source word")
-        if any(not 0 <= c < (1 << self.n) for c in self.codewords):
+        # c < 2^n, without forming 2^n for an n no budget admits
+        if any(c < 0 or int(c).bit_length() > self.n for c in self.codewords):
             raise ValueError("codeword out of range")
 
     @property
@@ -126,9 +127,10 @@ def _bit_groups(m: int) -> tuple[np.ndarray, ...]:
 _BLOCK_CELLS = 1 << 16
 
 
-def _encoder_costs(m, n, wtabs, budget):
+def _encoder_costs(m, n, wtabs):
     """Integer decoding cost of encoder tables, one array per weight table,
-    followed by the ascending int64 array of the tables' ranks.
+    followed by the ascending int64 array of the tables' ranks. Callers
+    check the budget (_check_budget) first.
 
     The cost of an encoder under weights w is
         sum_y sum_j min(A_j(y), S(y) - A_j(y)),
@@ -137,52 +139,36 @@ def _encoder_costs(m, n, wtabs, budget):
     per-bit decoding error in weight units. A table's rank is its
     lexicographic rank (EncoderTable.index).
 
-    Codeword 0 is pinned to the zero word. At m = 2 only the whole tables
-    (0, c_1, c_2, c_3) that are least in their orbit under permutations of
-    the n coordinates are scanned (_orbits._orbit_plan), C(n + 7, n) of
-    them; at every other m, the tables whose first two free codewords
-    (c_1 alone at m = 1) are a canonical prefix
-    (_orbits._canonical_prefixes), with all of their later codewords. This
-    loses no minimum and no lowest-rank witness for any weight-only
-    channel. XOR by c_0 and any permutation of the n coordinates keep every
-    Hamming distance, so they keep every table's cost. XOR by c_0 gives
-    c_0 = 0 and, when c_0 was not already 0, a smaller rank; the
-    permutations keep c_0 = 0. A permutation that makes a table's filtered
-    codewords (all three free ones at m = 2, the prefix elsewhere) least
-    either leaves them alone, so the table is scanned, or makes them
-    strictly smaller, and with them the rank. So the lowest-rank table with
-    any cost, or any tuple of costs under several weight tables, has
-    c_0 = 0 and is scanned.
+    Codeword 0 is pinned to the zero word, and a table is scanned when its
+    first L = min(2^m - 1, 3) free codewords are a canonical prefix
+    (_orbits._canonical_prefixes), least in their orbit under permutations
+    of the n coordinates, with all of its T = 2^m - 1 - L later codewords:
+    one table per orbit at m <= 2. This loses no minimum and no lowest-rank
+    witness for any weight-only channel. XOR by c_0 and any permutation of
+    the n coordinates keep every Hamming distance, so they keep every
+    table's cost. XOR by c_0 gives c_0 = 0 and, when c_0 was not already 0,
+    a smaller rank; the permutations keep c_0 = 0. A permutation that makes
+    a table's prefix least either leaves it alone, so the table is scanned,
+    or makes it strictly smaller, and with it the rank. So the lowest-rank
+    table with any cost, or any tuple of costs under several weight tables,
+    has c_0 = 0 and is scanned.
 
     With min(A, S - A) = (S - |S - 2A|) / 2, and sum_y S(y) = K sum_y W[0, y]
     the same for every table, the cost is
         (m K sum_y W[0, y] - sum_j sum_y |D_j(y)|) / 2,
     D_j(y) = sum_s sign_j(s) W[c_s, y], sign_j(s) = -1 when source word s
-    has bit j set and +1 otherwise.
+    has bit j set and +1 otherwise. The scanned tables are the prefixes
+    times all trailing codewords in rank order, so D_j is a broadcast sum:
+    the trailing part is built once as an (N, N^T) array from the (N, N)
+    table W, and the prefixes are walked in blocks whose (N, prefixes, N^T)
+    sums, written into one array allocated once per call, stay within
+    _BLOCK_CELLS cells, or take one prefix's N^(T+1) when that is more.
 
-    At m = 2 the two bits' sums give D_0 + D_1 = 2 (W[0] - W[c_3]) and
-    D_0 - D_1 = 2 (W[c_1] - W[c_2]). With |a| + |b| = max(|a + b|, |a - b|),
-    |D_0| + |D_1| = 2 max(A, B), A(y) = |W[c_1, y] - W[c_2, y]| from the
-    (c_1, c_2) prefix alone and B(y) = |W[0, y] - W[c_3, y]| from c_3 alone,
-    so the cost is
-        4 sum_y W[0, y] - sum_y max(A(y), B(y)).
-    A is formed once per canonical prefix and B once per c_3, both from the
-    (N, N) table W. The tables are walked in blocks of at most
-    _BLOCK_CELLS / 2N of them (at least one): each block's rows of A and B
-    are gathered into one array of at most max(_BLOCK_CELLS, 2N) cells,
-    allocated once per call, and each table then costs one max and one row
-    sum over y.
-
-    Every other m takes the per-bit sums. The scanned tables are a product
-    of leading prefixes and all trailing codewords in rank order, so D_j is
-    a broadcast sum: the trailing slots' part is built once as an (N, N^T)
-    array from the (N, N) table W, and the leading prefixes are walked in
-    blocks whose (N, prefixes, N^T) sums stay within _BLOCK_CELLS cells,
-    or one prefix when N^(T+1) alone exceeds that. From m = 3 on at least
-    one trailing slot is kept, so no table pays its own gathers of W's
-    entries, and at least two leading slots are kept, so the canonical
-    filter never depends on the block size. Every block's sums are written
-    into one array, allocated once per call for the largest block.
+    At m = 2 (T = 0) _orbits._orbit_costs takes the same sum in closed
+    form: D_0 + D_1 = 2 (W[0] - W[c_3]) and D_0 - D_1 = 2 (W[c_1] - W[c_2]),
+    and |a| + |b| = max(|a + b|, |a - b|), so the cost is
+        4 sum_y W[0, y]
+          - sum_y max(|W[c_1, y] - W[c_2, y]|, |W[0, y] - W[c_3, y]|).
 
     The sums are exact integers in int32 when they stay below 2^31 and in
     int64 otherwise (up to a 2^62 guard on m K N max(w)). Each |D_j(y)| is
@@ -190,27 +176,18 @@ def _encoder_costs(m, n, wtabs, budget):
     table's sum over j and y and the constant m K sum_y W[0, y] stay within
     m K N max(w): int32 when m K N max(w) < 2^31. At m = 2 each max is at
     most max(w), so the sums stay within N max(w), int32 when
-    N max(w) < 2^31, and the constant 4 sum_y W[0, y], which can pass 2^31
-    when the sums do not, is subtracted in int64. So the costs, returned as
-    int64, equal the direct sums.
+    N max(w) < 2^31, and the constant, which can pass 2^31 when the sums do
+    not, is subtracted in int64. So the costs, returned as int64, equal the
+    direct sums.
 
-    Memory: besides one int64 cost and one int64 rank per scanned table, a
-    call at m = 2 holds one weight table's (N, N) W, with B built in its
-    place, the (prefixes, N) array A and the block array, so the arrays
-    beside the costs and ranks grow with 4^n; the plan cached per n adds
-    at most 64 N words of XOR indices. Elsewhere a call holds the trailing
-    part, the block array and, while the part is built, the (N, N)
-    distance table and one weight table's W; the part is one (N, N^T) sum
-    per weight table and bit.
-
-    The budget counts the prefix scan, an upper bound on the work at m = 2:
-    BudgetExceeded (_check_budget) is raised when P 2^e, P canonical
-    prefixes of F = min(2^m - 1, 2) words and e = n (2^m - F), exceeds it:
-    the prefix scan's tables times the 2^n output words.
+    Memory: one int64 cost and one int64 rank per scanned table, and the
+    block array. Beside them, at m = 2 one weight table's W and the
+    (pairs, N) rows |W[c_1] - W[c_2]|; elsewhere the trailing part, m
+    (N, N^T) sums per weight table, and while it is built the (N, N)
+    distance table and one W.
     """
     import numpy as np
 
-    _check_budget(m, n, budget)
     K = 1 << m
     N = 1 << n
     wmax = max(max(w) for w in wtabs)
@@ -219,21 +196,15 @@ def _encoder_costs(m, n, wtabs, budget):
     if m == 2:
         dt = np.int32 if N * wmax < 2 ** 31 else np.int64
         return _orbit_costs(n, wtabs, _popcounts(n), dt, _BLOCK_CELLS)
-    F = min(K - 1, 2)
     dt = np.int32 if m * K * N * wmax < 2 ** 31 else np.int64
     warrs = [np.array(w, dtype=dt) for w in wtabs]
     pc = _popcounts(n)
     y = np.arange(N, dtype=np.int64)
     signs = [[-1 if (s >> (m - 1 - j)) & 1 else 1 for s in range(K)] for j in range(m)]
-    # T trailing slots are summed once; the L leading ones are walked per block
-    T = min(1, K - 1 - F)
-    while T < K - 1 - F and N ** (T + 2) <= _BLOCK_CELLS:
-        T += 1
-    L = K - 1 - T
+    L = min(K - 1, 3)
+    T = K - 1 - L
     NT = N ** T
-    rest = N ** (L - F)
-    leads = (_canonical_prefixes(n, F)[:, None] * rest
-             + np.arange(rest, dtype=np.int64)).reshape(-1)
+    leads = _canonical_prefixes(n, L)
     ranks = (leads[:, None] * NT + np.arange(NT, dtype=np.int64)).reshape(-1)
     block = min(max(1, _BLOCK_CELLS // (N * NT)), len(leads))
     # full[y, c] = popcount(c ^ y); only the trailing slots need all N columns
@@ -277,9 +248,18 @@ def _encoder_costs(m, n, wtabs, budget):
 _NEEDS = "search needs %s x 2^%s (encoder, output) pairs, budget is %s"
 
 
-def _check_budget(m, n, budget):
-    """Raise BudgetExceeded when the scan of _encoder_costs would pass budget
-    (encoder, output) pairs, or could pass the 2^62 guard on its sums.
+def _check_budget(m, n, budget, table=False):
+    """Raise BudgetExceeded when a search would pass budget (encoder, output)
+    pairs, or could pass the 2^62 guard on its sums; with table, when the
+    cost of one given table, 2^m 2^n pairs, would.
+
+    A search counts P 2^e pairs, P canonical prefixes of F = min(2^m - 1, 2)
+    free codewords and e = n (2^m - F): that many tables times the 2^n
+    output words. It bounds the scan of _encoder_costs, which takes canonical
+    prefixes of min(2^m - 1, 3) words, at every m, since the canonical
+    triples are at most 2^n per canonical pair: dropping c_3's bit from each
+    column type maps the triples onto the pairs, and a pair whose n types
+    fall n_t to type t has prod_t (n_t + 1) <= 2^n triples over it.
 
     m and n are held against the budget's bit length before any count that
     grows with 2^m is formed, so a huge m or n is refused at once. The guard
@@ -287,7 +267,7 @@ def _check_budget(m, n, budget):
     m 2^m 2^n max(w) >= 2^(m + n).
     """
     F = min(m, 2)  # min(2^m - 1, 2)
-    P = math.comb(n + (1 << F) - 1, n)
+    P = 1 if table else math.comb(n + (1 << F) - 1, n)
     # math.inf never binds; NaN and -inf raise
     if budget != math.inf:
         try:
@@ -298,7 +278,7 @@ def _check_budget(m, n, budget):
         if m > 256:
             raise BudgetExceeded(_NEEDS % (_end(P), "(%s (2^%s - 2))" % (_end(n), _end(m)),
                                            budget))
-        e = n * ((1 << m) - F)
+        e = m + n if table else n * ((1 << m) - F)
         # P >= 1, so once e reaches the budget's bit length 2^e alone exceeds
         # it: no power that large is formed
         if e >= bits or P << e > budget:
@@ -353,7 +333,7 @@ def p2p_bruteforce(m, n, delta, budget=DEFAULT_BUDGET):
     _check_budget(m, n, budget)
     a, b = delta.numerator, delta.denominator
     wt = [a ** d * (b - a) ** (n - d) for d in range(n + 1)]
-    costs, ranks = _encoder_costs(m, n, [wt], budget)
+    costs, ranks = _encoder_costs(m, n, [wt])
     best = int(costs.argmin())
     value = Fraction(int(costs[best]), m * (1 << m) * b ** n)
     return ExactValue(value), encoder_from_index(m, n, int(ranks[best]))
@@ -361,21 +341,21 @@ def p2p_bruteforce(m, n, delta, budget=DEFAULT_BUDGET):
 
 def sphere_bruteforce(m, n, weight, encoder=None, budget=DEFAULT_BUDGET):
     """Exact per-bit Hamming distortion when the additive noise is uniform
-    on the weight-`weight` sphere. Searches all encoders unless one is given.
+    on the weight-`weight` sphere. Searches all encoders unless one is given;
+    a given one's 2^m 2^n (encoder, output) pairs are held against budget.
     """
     m = _count("m", m)
     n = _count("n", n)
     weight = _count("weight", weight, 0, n)
-    if encoder is None:
-        _check_budget(m, n, budget)
-    else:
+    if encoder is not None:
         cw = encoder.codewords if isinstance(encoder, EncoderTable) else tuple(encoder)
         EncoderTable(m, n, tuple(cw))  # validates shape and range
+    _check_budget(m, n, budget, table=encoder is not None)
     wt = [1 if d == weight else 0 for d in range(n + 1)]
     denom = m * (1 << m) * math.comb(n, weight)
     if encoder is not None:
         return ExactValue(Fraction(_table_cost(m, n, cw, wt), denom))
-    costs = _encoder_costs(m, n, [wt], budget)[0]
+    costs = _encoder_costs(m, n, [wt])[0]
     return ExactValue(Fraction(int(costs.min()), denom))
 
 
@@ -393,7 +373,7 @@ def broadcast_frontier(m, n, w1, w2, budget=DEFAULT_BUDGET):
     _check_budget(m, n, budget)
     t1 = [1 if d == w1 else 0 for d in range(n + 1)]
     t2 = [1 if d == w2 else 0 for d in range(n + 1)]
-    c1, c2, ranks = _encoder_costs(m, n, [t1, t2], budget)
+    c1, c2, ranks = _encoder_costs(m, n, [t1, t2])
     den1 = m * (1 << m) * math.comb(n, w1)
     den2 = m * (1 << m) * math.comb(n, w2)
     order = np.lexsort((ranks, c2, c1))

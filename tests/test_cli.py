@@ -351,6 +351,25 @@ def test_budget_message_for_large_m(capsys, argv, prefixes, exp):
                    % (prefixes, exp, orc.DEFAULT_BUDGET))
 
 
+def test_fixed_encoder_past_the_budget_returns_3(capsys):
+    # 2^1 2^40 (encoder, output) pairs: refused before 2^40-word arrays
+    words = ["0" * 40, "1" * 40]
+    code, out, err = run_cli(["oracle", "spherical", "--m", "1", "--n", "40", "--weight", "1",
+                              "--encoder", ",".join(words)], capsys)
+    assert (code, out) == (3, "")
+    assert err == ("budget: search needs 1 x 2^41 (encoder, output) pairs, budget is %d\n"
+                   % orc.DEFAULT_BUDGET)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_exact_cell_past_the_digit_limit_returns_3(capsys, fmt):
+    # e_dev's denominator 10^40000 has more digits than int-to-str prints
+    code, out, err = run_cli(["oracle", "coupling", "--n", "100", "--delta1", "1/10",
+                              "--delta2", "1/1" + "0" * 400, "--format", fmt], capsys)
+    assert (code, out) == (3, "")
+    assert err == "infeasible: the exact value ~2^132876/~2^134197 has too many digits to print\n"
+
+
 def test_region_all_infeasible_returns_3(capsys):
     code, out, _ = run_cli(
         ["bound", "region", "--rho", "0.3", "--delta1", "0.4",

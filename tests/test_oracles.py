@@ -167,6 +167,16 @@ def test_p2p_frozen_n5_n6():
         assert (val.value, table.index) == (want, index), (m, n, delta)
 
 
+def test_p2p_and_frontier_frozen_at_m3():
+    # computed once by the scan of canonical (c_1, c_2) pairs, before the
+    # scan took canonical triples
+    for delta in (F(1, 10), F(1, 4), F(2, 5)):
+        val, table = orc.p2p_bruteforce(3, 3, delta)
+        assert (val.value, table.codewords) == (delta, tuple(range(8)))
+    assert orc.broadcast_frontier(3, 3, 1, 2) == [orc.FrontierPoint(F(2, 9), F(2, 9), 5713)]
+    assert orc.broadcast_frontier(3, 3, 0, 1) == [orc.FrontierPoint(F(0), F(2, 9), 371511)]
+
+
 def test_exact_value_container():
     v = orc.ExactValue(F(1, 3))
     assert float(v) == pytest.approx(1 / 3, rel=1e-15)
@@ -182,6 +192,10 @@ def test_encoder_table_validation():
         orc.EncoderTable(1, 2, (0, 1, 2))  # wrong table size
     with pytest.raises(ValueError):
         orc.EncoderTable(1, 2, (0, 4))  # codeword out of range
+    with pytest.raises(ValueError):
+        orc.EncoderTable(1, 2, (0, -1))
+    # the range is checked without forming 2^n
+    assert orc.EncoderTable(1, 10**20, (0, 2**70)).codewords == (0, 2**70)
 
 
 # ---------- sphere-noise brute force ----------
@@ -193,6 +207,18 @@ def test_sphere_fixed_encoder():
     # tuple and table forms agree
     tab = orc.EncoderTable(1, 2, (0, 3))
     assert orc.sphere_bruteforce(1, 2, 1, encoder=tab).value == F(1, 2)
+
+
+def test_sphere_fixed_encoder_budget():
+    # one given table costs 2^m 2^n (encoder, output) pairs: 16 at m=1, n=3
+    assert orc.sphere_bruteforce(1, 3, 1, encoder=(0, 7), budget=16).value == 0
+    with pytest.raises(orc.BudgetExceeded, match=r"^search needs 1 x 2\^4 .* budget is 15$"):
+        orc.sphere_bruteforce(1, 3, 1, encoder=(0, 7), budget=15)
+    # refused before any array of 2^n words is formed
+    with pytest.raises(orc.BudgetExceeded, match=r"needs 1 x 2\^41 "):
+        orc.sphere_bruteforce(1, 40, 1, encoder=(0, 2**40 - 1))
+    with pytest.raises(orc.BudgetExceeded, match=r"needs 1 x 2\^%d " % (10**20 + 1)):
+        orc.sphere_bruteforce(1, 10**20, 1, encoder=(0, 1))
 
 
 def test_sphere_search_beats_fixed():
@@ -294,7 +320,7 @@ def _costs_and_width(monkeypatch, m, n, wtabs):
     with monkeypatch.context() as mp:
         mp.setattr(np, "empty", lambda *a, **k: seen.append(np.dtype(k["dtype"]))
                    or real_empty(*a, **k))
-        got = orc._encoder_costs(m, n, wtabs, orc.DEFAULT_BUDGET)
+        got = orc._encoder_costs(m, n, wtabs)
     return got, np.dtype(np.int32) in seen
 
 
@@ -303,10 +329,9 @@ def _permuted(word, perm):
 
 
 def _canonical_tables(m, n):
-    """The c0 = 0 tables whose filtered free codewords are least over all n!
-    coordinate permutations, in rank order: all three at m = 2, and the first
-    two (the first alone at m = 1) at every other m."""
-    lead = 3 if m == 2 else min((1 << m) - 1, 2)
+    """The c0 = 0 tables whose first min(2^m - 1, 3) free codewords are
+    least over all n! coordinate permutations, in rank order."""
+    lead = min((1 << m) - 1, 3)
     perms = list(itertools.permutations(range(n)))
     return [(0,) + rest
             for rest in itertools.product(range(1 << n), repeat=(1 << m) - 1)
@@ -376,7 +401,7 @@ def test_encoder_costs_one_max_constant_past_int32(monkeypatch):
 
 
 def _assert_costs_match_table_cost(m, n, wtabs):
-    *costs, ranks = orc._encoder_costs(m, n, wtabs, orc.DEFAULT_BUDGET)
+    *costs, ranks = orc._encoder_costs(m, n, wtabs)
     want = [orc.EncoderTable(m, n, cw).index for cw in _canonical_tables(m, n)]
     assert ranks.dtype.name == "int64"
     assert ranks.tolist() == want
@@ -393,27 +418,39 @@ def test_encoder_costs_block_layout(monkeypatch, cells):
     # share one array; 7, 25 and 62 leave a partial last block
     rows = {1: 1, 48: 3, 112: 7, 192: 12, 400: 25, 1000: 62, 2000: 120}[cells]
     wtabs = [[3, 1, 4, 1], [0, 2**40, 7, 5]]
-    want = orc._encoder_costs(2, 3, wtabs, orc.DEFAULT_BUDGET)
+    want = orc._encoder_costs(2, 3, wtabs)
     assert len(want[-1]) == math.comb(10, 3) == 120
     shapes, real_empty = [], np.empty
     monkeypatch.setattr(orc, "_BLOCK_CELLS", cells)
     monkeypatch.setattr(np, "empty", lambda shape, **k: shapes.append(shape)
                         or real_empty(shape, **k))
-    got = orc._encoder_costs(2, 3, wtabs, orc.DEFAULT_BUDGET)
+    got = orc._encoder_costs(2, 3, wtabs)
     assert [a.tolist() for a in got] == [b.tolist() for b in want]
     # one block array per call, for both weight tables' A and B rows
     assert [sh for sh in shapes if isinstance(sh, tuple) and len(sh) == 3] == [(2, rows, 8)]
 
 
-@pytest.mark.parametrize("m,n,cells", [(1, 4, 1), (1, 4, 48), (3, 2, 1), (3, 2, 256)])
+@pytest.mark.parametrize("m,n,cells", [(1, 4, 1), (1, 4, 48), (3, 2, 1), (3, 2, 256),
+                                       (3, 2, 5120)])
 def test_encoder_costs_block_layout_at_other_slot_counts(monkeypatch, m, n, cells):
-    # m = 1 has no trailing slot, with blocks of 1 and 3 of the 5 prefixes;
-    # at m=3, n=2 the caps give 1 and 3 trailing slots against 5 uncapped
+    # the 2^m - 1 - min(2^m - 1, 3) trailing slots are summed once whatever
+    # the cell cap: none at m = 1, whose 5 prefixes take 16 cells each, and
+    # 4 at m=3, n=2, whose 36 canonical triples take 4^5 = 1,024 cells each;
+    # a block holds cells // (cells per prefix) of them, at least 1, and 3
+    # and 5 leave a partial last block
+    block = {1: 1, 48: 3, 256: 1, 5120: 5}[cells]
     wtabs = [list(range(1, n + 2)), [2**40] + [7] * n]
-    want = orc._encoder_costs(m, n, wtabs, orc.DEFAULT_BUDGET)
+    want = orc._encoder_costs(m, n, wtabs)
+    sizes, real_empty = [], np.empty
     monkeypatch.setattr(orc, "_BLOCK_CELLS", cells)
-    got = orc._encoder_costs(m, n, wtabs, orc.DEFAULT_BUDGET)
+    monkeypatch.setattr(np, "empty", lambda shape, **k: sizes.append(shape)
+                        or real_empty(shape, **k))
+    got = orc._encoder_costs(m, n, wtabs)
     assert [a.tolist() for a in got] == [b.tolist() for b in want]
+    trailing = 4 ** (4 * (m == 3))
+    assert len(want[-1]) == {1: 5, 3: 36}[m] * trailing
+    # the two weight tables' costs, then one block array
+    assert sizes == [len(want[-1])] * 2 + [2 ** n * block * trailing]
 
 
 def test_encoder_costs_hold_one_block_array():
@@ -473,7 +510,7 @@ def test_coordinate_permutations_keep_values_and_witnesses(m, n, data):
     weight = st.integers(0, 3) | st.integers(0, 2**40)
     wtabs = data.draw(st.lists(st.lists(weight, min_size=n + 1, max_size=n + 1),
                                min_size=2, max_size=2))
-    c1, c2, ranks = orc._encoder_costs(m, n, wtabs, orc.DEFAULT_BUDGET)
+    c1, c2, ranks = orc._encoder_costs(m, n, wtabs)
     f1, f2, franks = _direct_costs(m, n, wtabs, pinned=True)
     assert _pick_p2p(c1, ranks) == _pick_p2p(f1, franks)
     assert _pick_p2p(c2, ranks) == _pick_p2p(f2, franks)
