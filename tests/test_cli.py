@@ -363,7 +363,7 @@ def test_fixed_encoder_past_the_budget_returns_3(capsys):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_exact_cell_past_the_digit_limit_returns_3(capsys, fmt):
-    # e_dev's denominator 10^40000 has more digits than int-to-str prints
+    # e_dev's denominator, about 10^40398, has more digits than int-to-str prints
     code, out, err = run_cli(["oracle", "coupling", "--n", "100", "--delta1", "1/10",
                               "--delta2", "1/1" + "0" * 400, "--format", fmt], capsys)
     assert (code, out) == (3, "")
