@@ -299,7 +299,7 @@ def _run_binomial(args):
 
 
 def _run_coupling(args):
-    dev = orc.coupling_distance_exact(args.n, args.delta1, args.delta2)
+    dev = orc.coupling_distance_exact(args.n, args.delta1, args.delta2, budget=args.budget)
     bound = math.sqrt(args.n * float(args.delta2))
     row = [args.n, args.delta1, args.delta2, dev.value, bound]
     return (["n", "delta1", "delta2", "e_dev", "bound"], [row], set(), 0)
@@ -446,6 +446,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--delta1", required=True, type=_rational)
     p.add_argument("--delta2", required=True, type=_rational)
+    p.add_argument("--budget", type=int, default=orc.DEFAULT_BUDGET)
     p.set_defaults(handler=_run_coupling)
 
     p = oracle.add_parser("gq-search", parents=[common])

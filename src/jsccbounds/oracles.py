@@ -248,6 +248,14 @@ def _encoder_costs(m, n, wtabs):
 _NEEDS = "search needs %s x 2^%s (encoder, output) pairs, budget is %s"
 
 
+def _cap(budget):
+    """budget as an int, or math.inf, which never binds; NaN and -inf raise."""
+    try:
+        return budget if budget == math.inf else int(_real("budget", budget))
+    except DomainError as exc:
+        raise DomainError("%s; math.inf is accepted too, for no budget" % exc) from None
+
+
 def _check_budget(m, n, budget, table=False):
     """Raise BudgetExceeded when a search would pass budget (encoder, output)
     pairs, or could pass the 2^62 guard on its sums; with table, when the
@@ -268,12 +276,9 @@ def _check_budget(m, n, budget, table=False):
     """
     F = min(m, 2)  # min(2^m - 1, 2)
     P = 1 if table else math.comb(n + (1 << F) - 1, n)
-    # math.inf never binds; NaN and -inf raise
-    if budget != math.inf:
-        try:
-            bits = int(_real("budget", budget)).bit_length()
-        except DomainError as exc:
-            raise DomainError("%s; math.inf is accepted too, for no budget" % exc) from None
+    cap = _cap(budget)
+    if cap != math.inf:
+        bits = cap.bit_length()
         # from m = 2 on e = n (2^m - 2) >= 2^(m - 1), past every budget here
         if m > 256:
             raise BudgetExceeded(_NEEDS % (_end(P), "(%s (2^%s - 2))" % (_end(n), _end(m)),
@@ -445,21 +450,47 @@ def binomial_gamma_approx(n, delta, k) -> float:
 # ---------- coupling deviation ----------
 
 
-def coupling_distance_exact(n, delta1, delta2):
+def _walk(t, m1, m2, a, b):
+    """c_t = sum_j C(m1, j) C(m2, t-j) a^(m2-t+2j) (b-a)^(m1+t-2j), each term
+    from the one before; every step and the last term are checked."""
+    lo, hi = max(0, t - m2), min(m1, t)
+
+    def closed(j):
+        return (math.comb(m1, j) * math.comb(m2, t - j)
+                * a ** (m2 - t + 2 * j) * (b - a) ** (m1 + t - 2 * j))
+
+    up, down = a * a, (b - a) * (b - a)
+    x = total = closed(lo)
+    for j in range(lo, hi):
+        x, rem = divmod(x * ((m1 - j) * (t - j) * up), (j + 1) * (m2 - t + j + 1) * down)
+        if rem:
+            raise AssertionError("inexact step %d of the c_%d walk" % (j, t))
+        total += x
+    if x != closed(hi):
+        raise AssertionError("the c_%d walk missed its last term" % t)
+    return total
+
+
+def coupling_distance_exact(n, delta1, delta2, budget=DEFAULT_BUDGET):
     """Exact mean absolute deviation of T = Bin(n(1-d1), d2) + Bin(n d1, 1-d2)
-    around n conv(d1, d2).
+    around mu = n conv(d1, d2).
 
     With delta2 = a/b, b^n times the pmf of T is the coefficient list c_t of
         P(x) = (q1 + p1 x)^m1 (q2 + p2 x)^m2,
     (q1, p1, m1) = (b-a, a, n - n d1) and (q2, p2, m2) = (a, b-a, n d1).
-    P solves the first-order ODE (q1 + p1 x)(q2 + p2 x) P' = (r0 + n p1 p2 x) P
-    with r0 = m1 p1 q2 + m2 p2 q1, so with s = q1 p2 + p1 q2 the coefficients
-    obey the three-term recurrence
-        (t+1) q1 q2 c_{t+1} = (r0 - s t) c_t + p1 p2 (n - t + 1) c_{t-1},
-    from c_0 = q1^m1 q2^m2 and c_{-1} = 0. Each step scales one integer of at
-    most n log2 b bits by small factors and divides it exactly, so the work is
-    linear in the total size of the n + 1 coefficients, with no big-by-big
-    product. Returns an ExactValue rational.
+    De Moivre's closed form for a binomial carries over (P. Diaconis and
+    S. Zabell, Statist. Sci. 6, 1991): F(t) = q1 q2 (t+1) c_{t+1} +
+    p1 p2 (n - t) c_t has F(-1) = 0 and F(t) - F(t-1) = b^2 (mu - t) c_t,
+    read off at x^t in (q1 + p1 x)(q2 + p2 x) P' = (r0 + n p1 p2 x) P, as
+    q1 q2 + p1 p2 + q1 p2 + p1 q2 = b^2 and r0 + n p1 p2 = b^2 mu for
+    r0 = m1 p1 q2 + m2 p2 q1. Since sum_t (t - mu) c_t = 0, E|T - mu| =
+    2 sum_{t <= k} (mu - t) c_t / b^n = 2 F(k) / b^(n+2) at k = floor(mu),
+    so only c_k and c_{k+1} are formed, each by a _walk of at most
+    min(m1, m2) exact small-factor steps on integers below b^n.
+
+    Their terms times n bit_length(b), at least the bits of b^n, are held
+    against budget before any binomial or power is formed (BudgetExceeded).
+    Returns an ExactValue rational.
     """
     n = _count("n", n)
     d1 = _as_fraction("delta1", delta1)
@@ -467,27 +498,18 @@ def coupling_distance_exact(n, delta1, delta2):
     w1 = n * d1
     if w1.denominator != 1:
         raise DomainError("n * delta1 must be an integer")
-    w1 = int(w1)
+    m1, m2 = n - int(w1), int(w1)
     a, b = d2.numerator, d2.denominator
-    q1, p1, m1 = b - a, a, n - w1
-    q2, p2, m2 = a, b - a, w1
-    r0 = m1 * p1 * q2 + m2 * p2 * q1
-    s = q1 * p2 + p1 * q2
-    pp, qq = p1 * p2, q1 * q2
     mu = n * (d1 + d2 - 2 * d1 * d2)
-    pn, qd = mu.numerator, mu.denominator
-    prev, coeff = 0, q1 ** m1 * q2 ** m2
-    total = coeff * pn
-    for t in range(n):
-        nxt, rem = divmod((r0 - s * t) * coeff + pp * (n - t + 1) * prev,
-                          (t + 1) * qq)
-        if rem:
-            raise AssertionError("inexact step %d of the coupling recurrence" % t)
-        prev, coeff = coeff, nxt
-        total += coeff * abs((t + 1) * qd - pn)
-    if coeff != p1 ** m1 * p2 ** m2:
-        raise AssertionError("coupling recurrence missed its last coefficient")
-    return ExactValue(Fraction(total, qd * b ** n))
+    k = mu.numerator // mu.denominator
+    terms = sum(min(m1, t) - max(0, t - m2) + 1 for t in (k, k + 1))
+    bits = n * b.bit_length()
+    if terms * bits > _cap(budget):
+        raise BudgetExceeded("coupling needs %s walk terms x %s bits, budget is %s"
+                             % (_end(terms), _end(bits), budget))
+    # q1 q2 = p1 p2 = a (b - a)
+    f = a * (b - a) * ((k + 1) * _walk(k + 1, m1, m2, a, b) + (n - k) * _walk(k, m1, m2, a, b))
+    return ExactValue(Fraction(2 * f, b ** (n + 2)))
 
 
 # ---------- rate grid search ----------
@@ -539,20 +561,26 @@ def rbar_grid(p, q, d, steps=2001):
 # ---------- auxiliary-channel search ----------
 
 
-def converse_search_gq(delta1, delta2, t, trials=10000, seed=0):
+def converse_search_gq(delta1, delta2, t, trials=10000, seed=0, budget=DEFAULT_BUDGET):
     """Best I(W;Y2) found over auxiliary channels W -> X with at most four
     letters, subject to I(X;Y1|W) >= t, where Y1 = X xor Ber(delta1) and
     Y2 = Y1 xor Ber(delta2).
 
     Runs a seeded symmetric candidate, `trials` random draws from a
     self-contained LCG, then a deterministic coordinate-descent polish of
-    the incumbent. Returns -inf when nothing feasible is found.
+    the incumbent. Returns -inf when nothing feasible is found. The trials'
+    h_b evaluations are held against budget before the first draw
+    (BudgetExceeded).
     """
     d1 = _real("delta1", float(delta1), 0.0, 0.5, "()")
     d2 = _real("delta2", float(delta2), 0.0, 0.5, "()")
     cap = NAT_LOG2 - h_b(d1)
     t = _real("t", float(t), -1e-12, cap + 1e-12)
     trials = _count("trials", trials, -math.inf)
+    # a draw is scored with at most 9 h_b evaluations
+    if 9 * trials > _cap(budget):
+        raise BudgetExceeded("search needs %s trials x 9 h_b evaluations, budget is %s"
+                             % (_end(trials), budget))
     t = min(max(t, 0.0), cap)
     c = conv(d1, d2)
     h1 = h_b(d1)

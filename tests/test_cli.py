@@ -361,6 +361,30 @@ def test_fixed_encoder_past_the_budget_returns_3(capsys):
                    % orc.DEFAULT_BUDGET)
 
 
+def test_coupling_and_gq_search_budgets_return_3(capsys, time_cap):
+    argv = ["oracle", "coupling", "--n", "10", "--delta1", "1/10", "--delta2", "1/5"]
+    code, out, err = run_cli(argv + ["--budget", "119"], capsys)
+    assert (code, out, err) == (3, "", "budget: coupling needs 4 walk terms x 30 bits, "
+                                       "budget is 119\n")
+    assert run_cli(argv + ["--budget", "120"], capsys) == run_cli(argv, capsys)
+    # n = 10^6 first: a loop over n that never ends fails at the cap, before
+    # any larger n is tried
+    with time_cap(2.0):
+        for n, terms, bits in (("1" + "0" * 6, 200002, 4 * 10**6),
+                               ("1" + "0" * 21, 2 * 10**20 + 2, 4 * 10**21)):
+            code, out, err = run_cli(["oracle", "coupling", "--n", n, "--delta1", "1/10",
+                                      "--delta2", "1/10"], capsys)
+            assert (code, out, err) == (3, "", "budget: coupling needs %d walk terms x %d "
+                                        "bits, budget is %d\n"
+                                        % (terms, bits, orc.DEFAULT_BUDGET))
+        code, out, err = run_cli(["oracle", "gq-search", "--delta1", "0.1", "--delta2", "0.05",
+                                  "--t", "0.1", "--trials", "1" + "0" * 21, "--seed", "0"],
+                                 capsys)
+    assert (code, out) == (3, "")
+    assert err == ("budget: search needs %d trials x 9 h_b evaluations, budget is %d\n"
+                   % (10**21, orc.DEFAULT_BUDGET))
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_exact_cell_past_the_digit_limit_returns_3(capsys, fmt):
     # e_dev's denominator, about 10^40398, has more digits than int-to-str prints

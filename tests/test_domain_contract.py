@@ -100,10 +100,10 @@ _TABLE = {
     "binomial_gamma_exact": (jb.binomial_gamma_exact, dict(n=8, delta=0.25, k=1)),
     "binomial_gamma_approx": (jb.binomial_gamma_approx, dict(n=8, delta=0.25, k=1)),
     "coupling_distance_exact": (jb.coupling_distance_exact,
-                                dict(n=10, delta1=0.2, delta2=0.25)),
+                                dict(n=10, delta1=0.2, delta2=0.25, budget=2**32)),
     "rbar_grid": (jb.rbar_grid, dict(p=0.5, q=0.1, d=0.2, steps=11)),
     "converse_search_gq": (jb.converse_search_gq,
-                           dict(delta1=0.1, delta2=0.05, t=0.1, trials=10)),
+                           dict(delta1=0.1, delta2=0.05, t=0.1, trials=10, budget=2**32)),
     "verify_inequalities": (
         lambda **kw: jb.verify_inequalities(["g-convex"], **kw),
         dict(grid_step=0.01, tol=1e-9)),

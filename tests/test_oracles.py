@@ -664,9 +664,54 @@ def _coupling_instances(draw):
 
 @settings(max_examples=200)
 @given(inst=_coupling_instances())
-def test_coupling_recurrence_matches_kronecker_product(inst):
+def test_coupling_closed_form_matches_kronecker_product(inst):
     n, d1, d2 = inst
     assert orc.coupling_distance_exact(n, d1, d2).value == _coupling_by_kronecker(n, d1, d2)
+
+
+@pytest.mark.parametrize("n,d1,d2", [
+    (10, F(1, 10), F(1, 8)),  # mu = 2: the t = mu term is zero
+    (9, F(1, 9), F(2, 7)),  # w1 = 1: one step per walk
+    (12, F(1, 4), F(3, 2**40 + 15)),  # (b - a)^2, a divisor factor, is past 2^30
+    (12, F(1, 4), F(2**39, 2**40 + 15)),  # so are a^2 and (b - a)^2
+])
+def test_coupling_edges_match_kronecker_product(n, d1, d2):
+    assert orc.coupling_distance_exact(n, d1, d2).value == _coupling_by_kronecker(n, d1, d2)
+
+
+@pytest.mark.parametrize("n,d1,d2,msg", [
+    (20, F(1, 4), F(1, 3), "inexact step 5 of the c_9 walk"),
+    (10, F(3, 10), F(1, 5), "the c_4 walk missed its last term"),
+])
+def test_coupling_walks_check_their_steps_and_last_term(monkeypatch, n, d1, d2, msg):
+    # with every binomial read as 1, each walk starts from a wrong first term
+    monkeypatch.setattr(orc.math, "comb", lambda m, j: 1)
+    with pytest.raises(AssertionError, match="^%s$" % msg):
+        orc.coupling_distance_exact(n, d1, d2)
+
+
+def test_coupling_budget_is_checked_before_any_binomial_or_power(monkeypatch, time_cap):
+    def never(*args):
+        raise AssertionError("a binomial was formed")
+
+    # n = 10^6 first: a loop over n that never ends fails at the cap, before
+    # any larger n is tried
+    with monkeypatch.context() as patch, time_cap(2.0):
+        patch.setattr(orc.math, "comb", never)
+        for n, terms, bits in ((10**6, 200002, 4 * 10**6),
+                               (10**21, 2 * 10**20 + 2, 4 * 10**21)):
+            with pytest.raises(orc.BudgetExceeded,
+                               match=r"^coupling needs %d walk terms x %d bits, budget is %d$"
+                               % (terms, bits, orc.DEFAULT_BUDGET)):
+                orc.coupling_distance_exact(n, F(1, 10), F(1, 10))
+    # k = 2: c_2 and c_3 have 2 terms each, and 10 bit_length(5) = 30
+    with pytest.raises(orc.BudgetExceeded,
+                       match=r"^coupling needs 4 walk terms x 30 bits, budget is 119$"):
+        orc.coupling_distance_exact(10, F(1, 10), F(1, 5), budget=119)
+    assert orc.coupling_distance_exact(10, F(1, 10), F(1, 5), budget=120).value == F(
+        50724864, 48828125)
+    # the default budget admits n = 10^4
+    assert orc.coupling_distance_exact(10**4, F(3, 10), F(1, 7)).value > 0
 
 
 def test_coupling_frozen_digest_at_n2000():
@@ -710,6 +755,18 @@ def test_gq_search_brackets_closed_form():
 def test_gq_search_exact_at_zero_rate():
     best = orc.converse_search_gq(0.1, 0.05, 0.0, trials=100, seed=0)
     assert abs(best - g_bsc(0.1, 0.05, 0.0)) < 1e-9
+
+
+def test_gq_search_budget_is_checked_before_the_first_draw(time_cap):
+    with time_cap(2.0):
+        with pytest.raises(orc.BudgetExceeded,
+                           match=r"^search needs %d trials x 9 h_b evaluations, budget is %d$"
+                           % (10**21, orc.DEFAULT_BUDGET)):
+            orc.converse_search_gq(0.1, 0.05, 0.1, trials=10**21)
+    with pytest.raises(orc.BudgetExceeded, match="search needs 12 trials"):
+        orc.converse_search_gq(0.1, 0.05, 0.1, trials=12, budget=107)
+    assert orc.converse_search_gq(0.1, 0.05, 0.1, trials=12, budget=108) == \
+        orc.converse_search_gq(0.1, 0.05, 0.1, trials=12)
 
 
 def test_gq_search_domain():
