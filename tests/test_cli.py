@@ -367,8 +367,8 @@ def test_coupling_and_gq_search_budgets_return_3(capsys, time_cap):
     assert (code, out, err) == (3, "", "budget: coupling needs 4 walk terms x 30 bits, "
                                        "budget is 119\n")
     assert run_cli(argv + ["--budget", "120"], capsys) == run_cli(argv, capsys)
-    # n = 10^6 first: a loop over n that never ends fails at the cap, before
-    # any larger n is tried
+    # n = 10^6 first: work that grows with n shows at the cap there, while at
+    # n = 10^21 it could sit in one power that no alarm interrupts
     with time_cap(2.0):
         for n, terms, bits in (("1" + "0" * 6, 200002, 4 * 10**6),
                                ("1" + "0" * 21, 2 * 10**20 + 2, 4 * 10**21)):

@@ -694,8 +694,8 @@ def test_coupling_budget_is_checked_before_any_binomial_or_power(monkeypatch, ti
     def never(*args):
         raise AssertionError("a binomial was formed")
 
-    # n = 10^6 first: a loop over n that never ends fails at the cap, before
-    # any larger n is tried
+    # n = 10^6 first: work that grows with n shows at the cap there, while at
+    # n = 10^21 it could sit in one power that no alarm interrupts
     with monkeypatch.context() as patch, time_cap(2.0):
         patch.setattr(orc.math, "comb", never)
         for n, terms, bits in ((10**6, 200002, 4 * 10**6),
