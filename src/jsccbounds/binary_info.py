@@ -21,6 +21,14 @@ class DomainError(ValueError):
     """An argument left the domain where the requested quantity is defined."""
 
 
+# the oracles' default work budget; each oracle says what it counts
+DEFAULT_BUDGET = 2 ** 32
+
+
+class BudgetExceeded(RuntimeError):
+    """Raised when an exhaustive search would exceed its work budget."""
+
+
 # ---------- the argument checker ----------
 # Every argument check of the package goes through _real or _count, so the
 # NaN and +-inf policy lives here: a comparison with NaN is False, and the

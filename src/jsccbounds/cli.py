@@ -16,10 +16,11 @@ import math
 import sys
 from fractions import Fraction
 
-from . import bounds_core as bc
-from . import broadcast_region as br
-from . import oracles as orc
-from .binary_info import _CATALOG, NAT_LOG2, DomainError, _end, info_fn
+from .binary_info import (_CATALOG, DEFAULT_BUDGET, NAT_LOG2, BudgetExceeded, DomainError,
+                          _end, info_fn)
+
+# each handler imports the bounds_core, broadcast_region or oracles module it
+# calls, so a command compiles only the modules it runs
 
 _NAT_VALUED_FNS = ("h_b", "g", "kappa", "beta", "phi", "R", "mgl")
 
@@ -131,6 +132,8 @@ def _run_eval(args):
 
 
 def _run_lower(args):
+    from . import bounds_core as bc
+
     params = bc.SystemParams(n=args.n, rho=args.rho, delta=args.delta)
     rep = bc.gap_lower_bound(params)
     row = [args.n, args.rho, args.delta, rep.d_asym, rep.eta,
@@ -140,6 +143,8 @@ def _run_lower(args):
 
 
 def _run_psi(args):
+    from . import bounds_core as bc
+
     params = bc.SystemParams.from_counts(args.m, args.n, args.delta)
     value = bc.sphere_floor(params, args.k)
     return (["n", "m", "delta", "k", "value"],
@@ -147,6 +152,8 @@ def _run_psi(args):
 
 
 def _run_sum(args):
+    from . import bounds_core as bc
+
     params = bc.SystemParams(n=args.n, rho=args.rho, delta=args.delta)
     value = bc.sum_distortion_lb(args.a, params)
     row = [args.n, args.rho, args.delta, args.a, "auto", value,
@@ -156,6 +163,9 @@ def _run_sum(args):
 
 
 def _run_gap(args):
+    from . import bounds_core as bc
+    from . import broadcast_region as br
+
     bp = br.BinaryBroadcastParams(rho=args.rho, p=0.5, delta1=args.delta1,
                                   delta2=args.delta2, n=args.n)
     rhs = bc.gap_rhs(args.d1, args.d2, bp, args.tau)
@@ -191,6 +201,8 @@ def _d1_grid(lo, hi, step):
 
 
 def _run_region(args):
+    from . import broadcast_region as br
+
     bp = br.BinaryBroadcastParams(rho=args.rho, p=args.p, delta1=args.delta1,
                                   delta2=args.delta2, n=args.n)
     points = br.region_trace(bp, _d1_grid(args.d1_min, args.d1_max, args.d1_step))
@@ -206,6 +218,8 @@ def _run_region(args):
 
 
 def _run_gaussian(args):
+    from . import broadcast_region as br
+
     gp = br.GaussianBroadcastParams(sigma2=args.sigma2, aux_var=args.aux_var,
                                     power=args.power, n1=args.n1, n2=args.n2,
                                     rho=args.rho)
@@ -219,6 +233,8 @@ def _run_gaussian(args):
 
 
 def _run_erasure(args):
+    from . import broadcast_region as br
+
     eps = br.ErasureParams(eps1=args.eps1, eps2=args.eps2)
     fhat, thr = br._erasure_threshold(eps, args.rho, args.d1, args.q)
     floor = br.erasure_d2_floor(eps, args.rho, args.d1, args.q)
@@ -228,6 +244,8 @@ def _run_erasure(args):
 
 
 def _run_verify(args):
+    from . import oracles as orc
+
     names = [s for s in args.suite.split(",") if s]
     if not names:
         raise _Usage("--suite needs at least one suite name")
@@ -245,6 +263,8 @@ def _run_verify(args):
 
 
 def _run_p2p(args):
+    from . import oracles as orc
+
     value, table = orc.p2p_bruteforce(args.m, args.n, args.delta,
                                       budget=args.budget)
     cell = value.value if args.exact else float(value)
@@ -253,6 +273,8 @@ def _run_p2p(args):
 
 
 def _run_spherical(args):
+    from . import oracles as orc
+
     enc_cell = None
     encoder = None
     if args.encoder:
@@ -275,6 +297,8 @@ def _run_spherical(args):
 
 
 def _run_frontier(args):
+    from . import oracles as orc
+
     points = orc.broadcast_frontier(args.m, args.n, args.w1, args.w2)
     rows = []
     for pt in points:
@@ -285,6 +309,8 @@ def _run_frontier(args):
 
 
 def _run_binomial(args):
+    from . import oracles as orc
+
     w = int(args.n * args.delta)
     # k = 0 runs even for a negative --k-max: there the oracles reject an
     # invalid n or delta before any row is printed
@@ -299,6 +325,8 @@ def _run_binomial(args):
 
 
 def _run_coupling(args):
+    from . import oracles as orc
+
     dev = orc.coupling_distance_exact(args.n, args.delta1, args.delta2, budget=args.budget)
     bound = math.sqrt(args.n * float(args.delta2))
     row = [args.n, args.delta1, args.delta2, dev.value, bound]
@@ -306,6 +334,9 @@ def _run_coupling(args):
 
 
 def _run_gq_search(args):
+    from . import broadcast_region as br
+    from . import oracles as orc
+
     best = orc.converse_search_gq(args.delta1, args.delta2, args.t,
                                   trials=args.trials, seed=args.seed)
     gb = br.g_bsc(args.delta1, args.delta2, args.t)
@@ -419,7 +450,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--delta", required=True, type=_rational)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--budget", type=int, default=orc.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(handler=_run_p2p)
 
     p = oracle.add_parser("spherical", parents=[common])
@@ -446,7 +477,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--delta1", required=True, type=_rational)
     p.add_argument("--delta2", required=True, type=_rational)
-    p.add_argument("--budget", type=int, default=orc.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(handler=_run_coupling)
 
     p = oracle.add_parser("gq-search", parents=[common])
@@ -474,7 +505,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         sys.stderr.write("infeasible: %s\n" % exc)
         return 3
-    except orc.BudgetExceeded as exc:
+    except BudgetExceeded as exc:
         sys.stderr.write("budget: %s\n" % exc)
         return 3
     return code

@@ -17,14 +17,9 @@ from functools import lru_cache
 
 from ._orbits import _canonical_prefixes, _orbit_costs
 from ._scalar_opt import Lcg64
-from .binary_info import (NAT_LOG2, DomainError, _conv, _count, _end, _g, _h, _hp,
-                          _kappa, _mgl_inv, _nu, _phi, _Phi, _real, conv, h_b)
-
-DEFAULT_BUDGET = 2 ** 32
-
-
-class BudgetExceeded(RuntimeError):
-    """Raised when an exhaustive search would exceed its work budget."""
+from .binary_info import (DEFAULT_BUDGET, NAT_LOG2, BudgetExceeded, DomainError, _conv,
+                          _count, _end, _g, _h, _hp, _kappa, _mgl_inv, _nu, _phi, _Phi,
+                          _real, conv, h_b)
 
 
 # ---------- result containers ----------
@@ -125,6 +120,9 @@ def _bit_groups(m: int) -> tuple[np.ndarray, ...]:
 
 # cap on the cells of one block of _encoder_costs (output words x tables)
 _BLOCK_CELLS = 1 << 16
+# cap on the bytes of the ranks and costs _encoder_costs returns, one int64
+# each per scanned table and weight table
+_TABLE_BYTES = 1 << 30
 
 
 def _encoder_costs(m, n, wtabs):
@@ -180,9 +178,10 @@ def _encoder_costs(m, n, wtabs):
     not, is subtracted in int64. So the costs, returned as int64, equal the
     direct sums.
 
-    Memory: one int64 cost and one int64 rank per scanned table, and the
-    block array. Beside them, at m = 2 one weight table's W and the
-    (pairs, N) rows |W[c_1] - W[c_2]|; elsewhere the trailing part, m
+    Memory: one int64 cost and one int64 rank per scanned table (refused
+    before they are allocated past _TABLE_BYTES; the budget keeps m = 2 far
+    below it), and the block array. Beside them, at m = 2 one weight table's
+    W and the (pairs, N) rows |W[c_1] - W[c_2]|; elsewhere the trailing part, m
     (N, N^T) sums per weight table, and while it is built the (N, N)
     distance table and one W.
     """
@@ -205,6 +204,10 @@ def _encoder_costs(m, n, wtabs):
     T = K - 1 - L
     NT = N ** T
     leads = _canonical_prefixes(n, L)
+    tables = len(leads) * NT
+    if 8 * (len(wtabs) + 1) * tables > _TABLE_BYTES:
+        raise BudgetExceeded("search would keep %d tables' ranks and costs, over %d bytes"
+                             % (tables, _TABLE_BYTES))
     ranks = (leads[:, None] * NT + np.arange(NT, dtype=np.int64)).reshape(-1)
     block = min(max(1, _BLOCK_CELLS // (N * NT)), len(leads))
     # full[y, c] = popcount(c ^ y); only the trailing slots need all N columns

@@ -1,7 +1,7 @@
 """Command line surface: exit codes, formats, flag plumbing.
 
 Everything here drives cli.main() directly with argv lists, except the
-start-up test, which needs a fresh interpreter to see what gets imported.
+start-up tests, which need a fresh interpreter to see what gets imported.
 """
 
 import csv
@@ -580,24 +580,167 @@ _START_UP = """
 import json
 import sys
 
+seen = set()
+
+
+def stage():
+    # the package's modules, and numpy itself, loaded since the last stage
+    new = sorted(m for m in sys.modules
+                 if (m == "numpy" or m.split(".")[0] == "jsccbounds") and m not in seen)
+    seen.update(new)
+    return new
+
+
 import jsccbounds
 from jsccbounds import cli
 
-loaded = ["numpy" in sys.modules]
+stages = [stage()]
 for argv in (["eval", "--fn", "h_b", "--x", "0.11"],
              ["bound", "lower", "--n", "10000", "--rho", "1.2", "--delta", "0.2"],
-             ["oracle", "coupling", "--n", "10", "--delta1", "1/5", "--delta2", "1/4"]):
+             ["oracle", "coupling", "--n", "10", "--delta1", "1/5", "--delta2", "1/4"],
+             ["oracle", "p2p", "--m", "1", "--n", "2", "--delta", "1/4"]):
     assert cli.main(argv) == 0
-loaded.append("numpy" in sys.modules)
-assert cli.main(["oracle", "p2p", "--m", "1", "--n", "2", "--delta", "1/4"]) == 0
-loaded.append("numpy" in sys.modules)
-sys.stderr.write(json.dumps(loaded))
+    stages.append(stage())
+sys.stderr.write(json.dumps(stages))
 """
 
 
 def test_scalar_commands_start_without_numpy():
-    # numpy loads on the first array call, not on import or for scalar commands
+    # each command loads the modules it calls, and numpy only on the first
+    # array call: not on import, nor for scalar commands
     proc = subprocess.run([sys.executable, "-c", _START_UP], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stderr) == [False, False, True]
+    assert json.loads(proc.stderr) == [
+        ["jsccbounds", "jsccbounds.binary_info", "jsccbounds.cli"],  # import
+        [],  # eval
+        ["jsccbounds.bounds_core"],  # bound lower
+        ["jsccbounds._orbits", "jsccbounds._scalar_opt", "jsccbounds.oracles"],  # coupling
+        ["numpy"],  # p2p
+    ]
     assert proc.stdout.endswith("m,n,delta,value,witness\n1,2,1/4,0.25,00;01\n")
+
+
+def _one_command_per_subcommand():
+    """(name, argv, exit code, stdout) for each of the 15 subcommands: the
+    first of its commands in the benchmark's frozen cli pool, which has none
+    for spherical and frontier."""
+    ref = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+                      / "cli.json").read_text())
+    first = {}
+    for op in ref["ops"]:
+        argv = op["argv"]
+        name = " ".join(argv[:1 + (argv[0] in ("bound", "oracle"))])
+        first.setdefault(name, (name, argv, op["returncode"], op["stdout"]))
+    first["oracle spherical"] = (
+        "oracle spherical",
+        ["oracle", "spherical", "--m", "2", "--n", "3", "--weight", "1",
+         "--encoder", "000,011,101,110"],
+        0, "m,n,weight,encoder,value\n2,3,1,000;011;101;110,1/3\n")
+    first["oracle frontier"] = (
+        "oracle frontier", ["oracle", "frontier", "--m", "2", "--n", "3", "--w1", "1", "--w2", "2"],
+        0, "m,n,w1,w2,d1,d2,d1_exact,d2_exact,encoder_index\n"
+           "2,3,1,2,0.166666666667,0.166666666667,1/6,1/6,90\n")
+    return sorted(first.values())
+
+
+@pytest.mark.parametrize("name, argv, code, stdout",
+                         [pytest.param(*case, id=case[0].replace(" ", "-"))
+                          for case in _one_command_per_subcommand()])
+def test_every_handler_runs_in_a_fresh_process(name, argv, code, stdout):
+    # in this process every module is loaded already, so only a fresh
+    # interpreter shows a handler that forgot to import the module it calls
+    proc = subprocess.run([sys.executable, "-m", "jsccbounds.cli"] + argv, capture_output=True)
+    assert (proc.returncode, proc.stdout.decode("utf-8")) == (code, stdout), proc.stderr
+
+
+def test_the_fifteen_subcommands_are_all_run_fresh():
+    names = [case[0] for case in _one_command_per_subcommand()]
+    assert names == sorted(["eval", "verify"]
+                           + ["bound " + b for b in ("lower", "psi", "sum", "gap", "region",
+                                                     "gaussian", "erasure")]
+                           + ["oracle " + o for o in ("p2p", "spherical", "frontier",
+                                                      "binomial", "coupling", "gq-search")])
+
+
+# ---------- public names ----------
+
+
+# every public name of the package, by the submodule it was first defined in
+_PUBLIC = {
+    "binary_info": [
+        "DomainError", "NAT_LOG2", "Phi", "R", "beta", "conv", "g", "h_b", "h_b_inv",
+        "h_b_prime", "info_fn", "kappa", "mgl_phi", "mgl_phi_deriv", "nu", "phi", "psi",
+        "vartheta"],
+    "bounds_core": [
+        "LowerBoundReport", "SystemParams", "d_asym", "d_asym_deriv", "eta",
+        "expected_sphere_floor", "f_factor", "gamma_corr", "gap_lower_bound", "gap_rhs",
+        "separation_upper", "sphere_floor", "sphere_floor_at_weight", "sum_distortion_lb",
+        "tau_star"],
+    "broadcast_region": [
+        "BinaryBroadcastParams", "ErasureParams", "GaussianBroadcastParams", "RegionPoint",
+        "d1_feasibility_margin", "d2_floor", "d2_floor_slack", "erasure_d2_floor",
+        "fp_binary", "g_bec", "g_bsc", "g_spherical_ub", "gaussian_bound",
+        "gaussian_d2_floor", "gaussian_fp", "gaussian_gq", "gaussian_rate", "gaussian_rbar",
+        "outer_bound_slack", "rbar_binary", "region_trace"],
+    "oracles": [
+        "ALL_SUITES", "BudgetExceeded", "DEFAULT_BUDGET", "EncoderTable", "ExactValue",
+        "FrontierPoint", "ViolationReport", "binomial_gamma_approx", "binomial_gamma_exact",
+        "broadcast_frontier", "converse_search_gq", "coupling_distance_exact",
+        "encoder_from_index", "p2p_bruteforce", "rbar_grid", "sphere_bruteforce",
+        "verify_inequalities"],
+}
+
+
+def test_public_names_are_frozen():
+    import importlib
+
+    import jsccbounds
+
+    names = sorted(n for group in _PUBLIC.values() for n in group)
+    assert len(names) == 71
+    assert sorted(jsccbounds.__all__) == names
+    for mod, group in _PUBLIC.items():
+        sub = importlib.import_module("jsccbounds." + mod)
+        for name in group:
+            assert getattr(jsccbounds, name) is getattr(sub, name), name
+    star = {}
+    exec("from jsccbounds import *", star)
+    assert all(star[name] is getattr(jsccbounds, name) for name in names)
+    assert set(names) <= set(dir(jsccbounds))
+    assert jsccbounds.BudgetExceeded is orc.BudgetExceeded is bi.BudgetExceeded
+    assert jsccbounds.DEFAULT_BUDGET is orc.DEFAULT_BUDGET is bi.DEFAULT_BUDGET
+    for name in ("no_such_name", "_real"):
+        assert not hasattr(jsccbounds, name)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        jsccbounds.no_such_name
+
+
+_FIRST_USE = """
+import json
+import sys
+
+
+
+def submodules():
+    return sorted(m for m in sys.modules if m.startswith("jsccbounds."))
+
+
+import jsccbounds
+
+stages = [submodules()]
+jsccbounds.h_b
+stages.append(submodules())
+from jsccbounds import SystemParams
+stages.append(submodules())
+sys.stderr.write(json.dumps(stages))
+"""
+
+
+def test_a_public_name_loads_its_submodule_on_first_use():
+    proc = subprocess.run([sys.executable, "-c", _FIRST_USE], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr) == [
+        [],
+        ["jsccbounds.binary_info"],
+        ["jsccbounds.binary_info", "jsccbounds.bounds_core"],
+    ]

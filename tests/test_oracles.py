@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import math
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -132,6 +134,50 @@ def test_budget_is_checked_before_any_work_in_m_or_n(monkeypatch):
     # an m past 2^256 bits is shown as such
     with pytest.raises(orc.BudgetExceeded, match=r"2\^\(2 \(2\^~2\^257 - 2\)\)"):
         orc.p2p_bruteforce(2**256, 2, F(1, 4))
+
+
+_UNDER_1_GIB = """
+import os
+import resource
+import sys
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # BLAS threads reserve address space
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from jsccbounds import cli
+
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("m, n, tables", [(4, 2, 36 * 4**12), (5, 1, 8 * 2**28)])
+def test_searches_past_the_table_byte_cap_are_refused_before_allocating(m, n, tables):
+    # both pass the default budget (10 x 2^28 and 4 x 2^30 pairs), but their
+    # ranks and costs alone would take 9 GiB and 32 GiB; under a 1 GiB address
+    # space an attempt to allocate them ends in MemoryError, exit code 1
+    argv = ["oracle", "p2p", "--m", str(m), "--n", str(n), "--delta", "1/4"]
+    proc = subprocess.run([sys.executable, "-c", _UNDER_1_GIB] + argv,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == ("budget: search would keep %d tables' ranks and costs, over %d bytes\n"
+                           % (tables, 2**30))
+
+
+def test_table_byte_cap_counts_ranks_and_one_cost_per_weight_table(monkeypatch):
+    # m=3, n=2 scans 36 canonical triples x 4^4 trailing words = 9,216 tables:
+    # 16 bytes each for p2p, 24 for a frontier's two weight tables
+    for cap, refused in ((16 * 9216, False), (16 * 9216 - 1, True)):
+        monkeypatch.setattr(orc, "_TABLE_BYTES", cap)
+        if refused:
+            with pytest.raises(orc.BudgetExceeded, match="^search would keep 9216 tables'"):
+                orc.p2p_bruteforce(3, 2, F(1, 4))
+        else:
+            assert orc.p2p_bruteforce(3, 2, F(1, 4))[0].value == F(1, 3)
+    monkeypatch.setattr(orc, "_TABLE_BYTES", 24 * 9216 - 1)
+    with pytest.raises(orc.BudgetExceeded, match="^search would keep 9216 tables'"):
+        orc.broadcast_frontier(3, 2, 1, 2)
+    monkeypatch.undo()
+    # the largest m = 3 searches the default budget admits, at n = 4, fit
+    assert 24 * len(orc._canonical_prefixes(4, 3)) * 16**4 <= orc._TABLE_BYTES
 
 
 def test_encoder_table_size_check_forms_no_power():
