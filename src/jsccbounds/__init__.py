@@ -2,7 +2,7 @@
 broadcast extensions, exact brute-force oracles, and grid verifiers.
 
 Each public name is imported from its submodule on first use (PEP 562), so
-`import jsccbounds` compiles no submodule, and a command compiles only the
+`import jsccbounds` loads no submodule, and a command loads only the
 modules it calls.
 """
 
