@@ -692,25 +692,40 @@ def _merge(reports):
     return replace(best, violations=sum(rep.violations for rep in reports))
 
 
+# cells in one block of grid rows: a block's temporaries stay near 1 MiB
+_ROW_CELLS = 1 << 14
+
+
+def _scan(name, grid, rows, cols, margins, tol):
+    """_merge of the part reports on rows x cols, reduced block by block: for
+    rows[r], margins(r) yields each part's margins and its axes after cols."""
+    best = {}
+    step = max(1, _ROW_CELLS // len(cols))
+    for lo in range(0, len(rows), step):
+        r = slice(lo, lo + step)
+        for k, (v, extra) in enumerate(margins(r)):
+            rep = _report(name, grid, v, (rows[r], cols) + extra, tol)
+            best[k] = _merge([best[k], rep]) if k in best else rep
+    return _merge(list(best.values()))
+
+
 def _run_mgl_lin(step, tol):
     import numpy as np
 
     ax = _axis(step)
-    fracs = np.linspace(0.0, 1.0, 20)
-    us = _hinv_np(fracs * NAT_LOG2)
+    tvals = np.linspace(0.0, 1.0, 20) * NAT_LOG2
+    us = _hinv_np(tvals)
     h1 = _h(ax, np.log)
     g1 = _g(ax, np.log)
-    cc = _conv(ax[:, None], ax[None, :])
-    hcc = _h(cc, np.log)
-    slope = _g(cc, np.log) / g1[:, None]
+    lhs = [_h(_conv(ax, float(u)), np.log) for u in us]
     grid = "d1,d2 in %s; 20 t values in [0, log 2]" % _span(step)
-    reports = []
-    for u, fr in zip(us, fracs):
-        tval = fr * NAT_LOG2
-        lhs = _h(_conv(ax, float(u)), np.log)
-        v = hcc + slope * (tval - h1[:, None]) - lhs[None, :]
-        reports.append(_report("mgl-lin", grid, v[:, :, None], (ax, ax, (tval,)), tol))
-    return _merge(reports)
+    def margins(r):
+        cc = _conv(ax[r, None], ax[None, :])
+        hcc = _h(cc, np.log)
+        slope = _g(cc, np.log) / g1[r, None]
+        for tval, lh in zip(tvals, lhs):
+            yield (hcc + slope * (tval - h1[r, None]) - lh[None, :])[:, :, None], ((tval,),)
+    return _scan("mgl-lin", grid, ax, ax, margins, tol)
 
 
 def _run_g_convex(step, tol):
@@ -726,14 +741,12 @@ def _run_beta_props(step, tol):
     import numpy as np
 
     ax = _axis(step)
-    q = ax[:, None]
     t = ax[None, :]
-    grid = "q,t in %s" % _span(step)
-    v1 = q * _kappa(t, np.log) * _nu(q, t) - _phi(q, t, np.log)
-    rep1 = _report("beta-props", grid, v1, (ax, ax), tol)
-    beta = _h(_conv(q, t), np.log) - _h(t, np.log)
-    v2 = beta - q * _g(t, np.log)
-    return _merge([rep1, _report("beta-props", grid, v2, (ax, ax), tol)])
+    def margins(r):
+        q = ax[r, None]
+        yield q * _kappa(t, np.log) * _nu(q, t) - _phi(q, t, np.log), ()
+        yield _h(_conv(q, t), np.log) - _h(t, np.log) - q * _g(t, np.log), ()
+    return _scan("beta-props", "q,t in %s" % _span(step), ax, ax, margins, tol)
 
 
 def _run_theta_dec(step, tol):
@@ -749,26 +762,27 @@ def _run_f_lt_1(step, tol):
     import numpy as np
 
     ax = _axis(step)
-    npts = len(ax)
-    rho = 1.0 + 2.0 * np.arange(1, npts + 1) / npts
-    targ = NAT_LOG2 - rho[:, None] * (NAT_LOG2 - _h(ax, np.log))[None, :]
-    D = _hinv_np(targ)
-    ok = D > 0.0
-    phiD = _Phi(np.where(ok, D, 0.25), np.log)
-    f = _Phi(ax, np.log)[None, :] / (rho[:, None] * phiD)
-    v = np.where(ok, f - 1.0, -np.inf)
-    return _report("f-lt-1", "rho in (1, 3], delta in %s" % _span(step), v, (rho, ax), tol)
+    rho = 1.0 + 2.0 * np.arange(1, len(ax) + 1) / len(ax)
+    gap = (NAT_LOG2 - _h(ax, np.log))[None, :]
+    phi = _Phi(ax, np.log)[None, :]
+    def margins(r):
+        D = _hinv_np(NAT_LOG2 - rho[r, None] * gap)
+        ok = D > 0.0
+        f = phi / (rho[r, None] * _Phi(np.where(ok, D, 0.25), np.log))
+        yield np.where(ok, f - 1.0, -np.inf), ()
+    return _scan("f-lt-1", "rho in (1, 3], delta in %s" % _span(step), rho, ax, margins, tol)
 
 
 def _run_phi_deriv(step, tol):
     import numpy as np
 
     ax = _axis(step)
-    dd = ax[:, None]
     x = ax[None, :]
-    deriv = (1.0 - 2.0 * dd) * _hp(_conv(dd, x), np.log) / _hp(x, np.log)
-    v = np.maximum(deriv - 1.0, -deriv)
-    return _report("phi-deriv-le-1", "delta,x in %s" % _span(step), v, (ax, ax), tol)
+    def margins(r):
+        dd = ax[r, None]
+        deriv = (1.0 - 2.0 * dd) * _hp(_conv(dd, x), np.log) / _hp(x, np.log)
+        yield np.maximum(deriv - 1.0, -deriv), ()
+    return _scan("phi-deriv-le-1", "delta,x in %s" % _span(step), ax, ax, margins, tol)
 
 
 _SUITE_RUNNERS = {
@@ -783,8 +797,8 @@ _SUITE_RUNNERS = {
 ALL_SUITES = tuple(_SUITE_RUNNERS)
 
 
-# most points one grid axis may hold: the two-dimensional suites peak at
-# about 66 B per grid cell, so the cap keeps a run near 0.3 GiB
+# most points one grid axis may hold; the suites scan in blocks of rows, so
+# the cap bounds time (about 6 s for every suite at 2,000), not memory
 _VERIFY_AXIS_MAX_POINTS = 2_000
 
 
@@ -792,17 +806,18 @@ def verify_inequalities(suites, grid_step=1e-3, tol=1e-9):
     """Scan the named inequality suites on dense grids; one report each.
 
     A report with violations == 0 means no grid point exceeded tol.
-    grid_step must be finite and positive and put at most 2,000 points on
-    an axis, and tol must be finite. Every argument is checked before any
+    grid_step must be finite and positive and put 3 to 2,000 points on an
+    axis, and tol must be finite. Every argument is checked before any
     suite runs.
     """
     suites = list(suites)
     grid_step = float(grid_step)
     tol = float(tol)
     _real("grid_step", grid_step, 0.0, ends="()")
-    # the length of the np.arange that _axis builds
-    if (_BOX_HI + 0.5 * grid_step - _BOX_LO) / grid_step > _VERIFY_AXIS_MAX_POINTS:
-        raise DomainError("grid_step %r puts more than %d points on an axis"
+    # the length of the np.arange that _axis builds, checked before it is built
+    if ((_BOX_HI + 0.5 * grid_step - _BOX_LO) / grid_step > _VERIFY_AXIS_MAX_POINTS
+            or len(_axis(grid_step)) < 3):
+        raise DomainError("grid_step %r must put 3 to %d points on an axis"
                           % (grid_step, _VERIFY_AXIS_MAX_POINTS))
     _real("tol", tol)
     for name in suites:

@@ -507,6 +507,18 @@ def test_verify_grid_over_the_axis_cap_returns_1_at_once(capsys):
     assert err.startswith("error:")
 
 
+# fewer than 3 points on an axis: g-convex at 0.3 (2 points) and theta-dec at
+# 0.5 (1 point) used to end in an empty-argmax traceback, and the other suites
+# printed a degenerate report
+@pytest.mark.parametrize("suite", orc.ALL_SUITES)
+@pytest.mark.parametrize("step", ["0.3", "0.5", "1e300"])
+def test_verify_grid_under_three_points_returns_1(capsys, suite, step):
+    code, out, err = run_cli(["verify", "--suite", suite, "--grid-step", step], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "must put 3 to 2000 points" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["bound", "region", "--rho", "nan", "--delta1", "0.08", "--delta2", "0.05",
      "--d1-min", "0.05", "--d1-max", "0.06", "--d1-step", "0.01"],

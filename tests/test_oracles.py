@@ -874,6 +874,28 @@ def test_verify_axis_cap_boundary():
         orc.verify_inequalities(["g-convex"], grid_step=span / cap)
 
 
+def test_verify_three_point_floor_boundary():
+    # g-convex needs 3 points for one second difference, theta-dec 2 for one
+    # first difference; one floor of 3 holds for every suite
+    span = orc._BOX_HI - orc._BOX_LO
+    assert len(orc._axis(span / 2)) == 3
+    reports = orc.verify_inequalities(orc.ALL_SUITES, grid_step=span / 2)
+    assert [len(rep.argmax) for rep in reports] == [3, 1, 2, 1, 2, 2]
+    assert len(orc._axis(span / 1.5)) == 2
+    for name in orc.ALL_SUITES:
+        with pytest.raises(DomainError):
+            orc.verify_inequalities([name], grid_step=span / 1.5)
+
+
+@pytest.mark.parametrize("step", [0.3, 0.5, 1e300])
+def test_verify_refuses_a_coarse_step_before_any_suite_runs(monkeypatch, step):
+    ran = []
+    monkeypatch.setitem(orc._SUITE_RUNNERS, "mgl-lin", lambda step, tol: ran.append(step))
+    with pytest.raises(DomainError, match="must put 3 to"):
+        orc.verify_inequalities(["mgl-lin"], grid_step=step)
+    assert ran == []
+
+
 # every suite at grid step 0.02 with tol = -1, so every count is nonzero
 _FROZEN_REPORTS_002 = [
     orc.ViolationReport("mgl-lin", "d1,d2 in [0.0001, 0.4999] step 0.02; 20 t values in [0, log 2]",
@@ -895,6 +917,72 @@ _FROZEN_REPORTS_002 = [
 def test_verify_frozen_reports_at_negative_tol():
     reports = orc.verify_inequalities(orc.ALL_SUITES, grid_step=0.02, tol=-1.0)
     assert reports == _FROZEN_REPORTS_002
+
+
+# every suite at grid step 1e-3 with tol = -1; mgl-lin's largest margin, 0.0,
+# sits at six cells of two grid rows, and the first one is reported
+_FROZEN_REPORTS_0001 = [
+    orc.ViolationReport("mgl-lin", "d1,d2 in [0.0001, 0.4999] step 0.001; 20 t values in [0, log 2]",
+                        0.0, (0.4981, 0.4991, 0.6931471805599453), 5000000),
+    orc.ViolationReport("g-convex", "t in [0.0001, 0.4999] step 0.001",
+                        -8.000241713082595e-06, (0.4981,), 498),
+    orc.ViolationReport("beta-props", "q,t in [0.0001, 0.4999] step 0.001",
+                        -6.477270752380532e-14, (0.0001, 0.4991), 431951),
+    orc.ViolationReport("theta-dec", "t in [0.0001, 0.4999] step 0.001",
+                        -1.8667191725718624e-06, (0.4991,), 495),
+    orc.ViolationReport("f-lt-1", "rho in (1, 3], delta in [0.0001, 0.4999] step 0.001",
+                        -2.090729034343042e-09, (1.004, 0.4991), 198804),
+    orc.ViolationReport("phi-deriv-le-1", "delta,x in [0.0001, 0.4999] step 0.001",
+                        -7.034247463774827e-07, (0.4991, 0.0001), 250000),
+]
+
+
+def test_verify_frozen_reports_at_grid_1e3():
+    reports = orc.verify_inequalities(orc.ALL_SUITES, grid_step=1e-3, tol=-1.0)
+    assert reports == _FROZEN_REPORTS_0001
+
+
+# 25 rows at step 0.02: blocks of one row, and of 7 rows (the last holds 4)
+@pytest.mark.parametrize("cells", [1, 7 * 25])
+def test_verify_reports_do_not_depend_on_the_block_size(monkeypatch, cells):
+    monkeypatch.setattr(orc, "_ROW_CELLS", cells)
+    reports = orc.verify_inequalities(orc.ALL_SUITES, grid_step=0.02, tol=-1.0)
+    assert reports == _FROZEN_REPORTS_002
+
+
+def test_verify_keeps_the_first_largest_margin_across_blocks(monkeypatch):
+    # with one row per block, mgl-lin's six tied cells fall in two blocks
+    monkeypatch.setattr(orc, "_ROW_CELLS", 1)
+    assert orc.verify_inequalities(["mgl-lin"], grid_step=1e-3, tol=-1.0) == \
+        _FROZEN_REPORTS_0001[:1]
+
+
+def test_scan_ties_go_to_the_first_block_then_the_first_part(monkeypatch):
+    monkeypatch.setattr(orc, "_ROW_CELLS", 3)
+    rows, cols = np.arange(4.0), np.arange(3.0)
+
+    def margins(r):
+        yield np.where(rows[r, None] >= 1.0, 1.0, 0.0) + 0.0 * cols, ()
+        yield np.ones((len(rows[r]), len(cols))), ()
+    rep = orc._scan("tie", "grid", rows, cols, margins, 0.5)
+    assert rep == orc.ViolationReport("tie", "grid", 1.0, (1.0, 0.0), 21)
+
+
+@pytest.mark.parametrize("suite, step", [
+    ("f-lt-1", 1e-3),
+    ("phi-deriv-le-1", (orc._BOX_HI - orc._BOX_LO) / (orc._VERIFY_AXIS_MAX_POINTS - 1)),
+])
+def test_verify_blocks_bound_the_working_set(suite, step):
+    # a block holds about 2^14 cells, so a suite's temporaries stay near 1 MiB;
+    # scanned whole, f-lt-1 at 1e-3 peaked at 15.5 MiB and phi-deriv-le-1 at
+    # the axis cap at 122 MiB
+    tracemalloc.start()
+    try:
+        orc.verify_inequalities([suite], step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_verify_report_shape():
