@@ -974,8 +974,8 @@ def test_scan_ties_go_to_the_first_block_then_the_first_part(monkeypatch):
 ])
 def test_verify_blocks_bound_the_working_set(suite, step):
     # a block holds about 2^14 cells, so a suite's temporaries stay near 1 MiB;
-    # scanned whole, f-lt-1 at 1e-3 peaked at 15.5 MiB and phi-deriv-le-1 at
-    # the axis cap at 122 MiB
+    # the whole grid at once would take 15.5 MiB for f-lt-1 at 1e-3 and
+    # 122 MiB for phi-deriv-le-1 at the axis cap
     tracemalloc.start()
     try:
         orc.verify_inequalities([suite], step)
