@@ -98,37 +98,22 @@ def _as_fraction(name, x) -> Fraction:
 def _popcounts(n: int) -> np.ndarray:
     import numpy as np
 
-    size = 1 << n
-    pc = np.zeros(size, dtype=np.int64)
+    pc = np.zeros(1 << n, dtype=np.int64)
+    # in place: word 2^b + x, for x < 2^b, has one more bit than x
     for b in range(n):
-        pc += (np.arange(size, dtype=np.int64) >> b) & 1
+        np.add(pc[:1 << b], 1, out=pc[1 << b:2 << b])
     pc.setflags(write=False)
     return pc
 
 
-@lru_cache(maxsize=None)
-def _bit_groups(m: int) -> tuple[np.ndarray, ...]:
-    import numpy as np
-
-    K = 1 << m
-    groups = tuple(np.array([s for s in range(K) if (s >> (m - 1 - j)) & 1], dtype=np.int64)
-                   for j in range(m))
-    for grp in groups:
-        grp.setflags(write=False)
-    return groups
-
-
 # cap on the cells of one block of _encoder_costs (output words x tables)
 _BLOCK_CELLS = 1 << 16
-# cap on the bytes of the ranks and costs _encoder_costs returns, one int64
-# each per scanned table and weight table
-_TABLE_BYTES = 1 << 30
 
 
 def _encoder_costs(m, n, wtabs):
     """Integer decoding cost of encoder tables, one array per weight table,
     followed by the ascending int64 array of the tables' ranks. Callers
-    check the budget (_check_budget) first.
+    admit the search (_admit) first.
 
     The cost of an encoder under weights w is
         sum_y sum_j min(A_j(y), S(y) - A_j(y)),
@@ -177,13 +162,6 @@ def _encoder_costs(m, n, wtabs):
     N max(w) < 2^31, and the constant, which can pass 2^31 when the sums do
     not, is subtracted in int64. So the costs, returned as int64, equal the
     direct sums.
-
-    Memory: one int64 cost and one int64 rank per scanned table (refused
-    before they are allocated past _TABLE_BYTES; the budget keeps m = 2 far
-    below it), and the block array. Beside them, at m = 2 one weight table's
-    W and the (pairs, N) rows |W[c_1] - W[c_2]|; elsewhere the trailing part, m
-    (N, N^T) sums per weight table, and while it is built the (N, N)
-    distance table and one W.
     """
     import numpy as np
 
@@ -204,10 +182,6 @@ def _encoder_costs(m, n, wtabs):
     T = K - 1 - L
     NT = N ** T
     leads = _canonical_prefixes(n, L)
-    tables = len(leads) * NT
-    if 8 * (len(wtabs) + 1) * tables > _TABLE_BYTES:
-        raise BudgetExceeded("search would keep %d tables' ranks and costs, over %d bytes"
-                             % (tables, _TABLE_BYTES))
     ranks = (leads[:, None] * NT + np.arange(NT, dtype=np.int64)).reshape(-1)
     block = min(max(1, _BLOCK_CELLS // (N * NT)), len(leads))
     # full[y, c] = popcount(c ^ y); only the trailing slots need all N columns
@@ -249,6 +223,9 @@ def _encoder_costs(m, n, wtabs):
 
 
 _NEEDS = "search needs %s x 2^%s (encoder, output) pairs, budget is %s"
+_HOLDS = "search would hold %s bytes of arrays, cap is %d"
+# cap on the bytes of the arrays one brute-force search holds at once
+_ARRAY_BYTES = 1 << 31
 
 
 def _cap(budget):
@@ -259,40 +236,59 @@ def _cap(budget):
         raise DomainError("%s; math.inf is accepted too, for no budget" % exc) from None
 
 
-def _check_budget(m, n, budget, table=False):
-    """Raise BudgetExceeded when a search would pass budget (encoder, output)
-    pairs, or could pass the 2^62 guard on its sums; with table, when the
-    cost of one given table, 2^m 2^n pairs, would.
+def _admit(m, n, budget, weights=1, held=0, table=False):
+    """The tables S a search scans and a bound on the bytes of its arrays;
+    BudgetExceeded, before any array is made, when S N pairs (N = 2^n
+    output words) pass budget or the bound passes _ARRAY_BYTES.
 
-    A search counts P 2^e pairs, P canonical prefixes of F = min(2^m - 1, 2)
-    free codewords and e = n (2^m - F): that many tables times the 2^n
-    output words. It bounds the scan of _encoder_costs, which takes canonical
-    prefixes of min(2^m - 1, 3) words, at every m, since the canonical
-    triples are at most 2^n per canonical pair: dropping c_3's bit from each
-    column type maps the triples onto the pairs, and a pair whose n types
-    fall n_t to type t has prod_t (n_t + 1) <= 2^n triples over it.
+    _encoder_costs scans the C = C(n + 2^L - 1, n) canonical prefixes of
+    L = min(2^m - 1, 3) free codewords (multisets of n column types), each
+    with the N^T words of the T = 2^m - 1 - L later slots: S N = C 2^e,
+    e = n (T + 1); one given table (table) has C = S = 1, e = n. A search
+    holds 8 N^(T + 1) bytes or more (popcounts or trailing sums), so both
+    checks read bit lengths first: a refusal forms no 2^m or 2^e.
 
-    m and n are held against the budget's bit length before any count that
-    grows with 2^m is formed, so a huge m or n is refused at once. The guard
-    is taken for weights of at least 1, as every oracle's are: then
-    m 2^m 2^n max(w) >= 2^(m + n).
+    The bound counts 8 bytes a cell, and _BLOCK_CELLS cells for small
+    arrays and Python objects, for weights weight tables and held S-long
+    arrays the caller makes beside the costs and ranks:
+    - table: _table_cost's K x N distances, weights and bit-group rows
+      (K = 2^m), and 5 N-word arrays with the popcounts;
+    - m = 2: the popcounts, W[0], the 64-row XOR plan and its arange; W;
+      A's (pairs, N) rows and the two gathers that make them; the block
+      array; 7 S for the plan while the prefixes are built; the costs;
+    - else: the popcounts, y and W[0] per weight table; m (N, N^T) trailing
+      sums per weight table and, at T > 0, while they are built, three
+      (N, N) arrays and the last slot's previous sums; a block's (N, block,
+      N^T) sums and two (block, N^T) ones; 3 L + 2 (N, block) arrays (this
+      and the last block's distances, columns and running sum, one XOR);
+      7 C while the prefixes are built; ranks and costs. Arrays cached by
+      earlier calls are not counted.
     """
-    F = min(m, 2)  # min(2^m - 1, 2)
-    P = 1 if table else math.comb(n + (1 << F) - 1, n)
     cap = _cap(budget)
-    if cap != math.inf:
-        bits = cap.bit_length()
-        # from m = 2 on e = n (2^m - 2) >= 2^(m - 1), past every budget here
-        if m > 256:
-            raise BudgetExceeded(_NEEDS % (_end(P), "(%s (2^%s - 2))" % (_end(n), _end(m)),
-                                           budget))
-        e = m + n if table else n * ((1 << m) - F)
-        # P >= 1, so once e reaches the budget's bit length 2^e alone exceeds
-        # it: no power that large is formed
-        if e >= bits or P << e > budget:
-            raise BudgetExceeded(_NEEDS % (_end(P), _end(e), budget))
-    if m + n >= 62:
-        raise BudgetExceeded("integer costs would overflow int64 accumulators")
+    L = 1 if m == 1 else 3
+    C = 1 if table else math.comb(n + (1 << L) - 1, n)
+    # past m = 256, e >= 2^255 passes every bit length here: shown, not formed
+    e = n if table else n * ((1 << m) - L) if m <= 256 else None
+    shown = _end(e) if e is not None else "(%s (2^%s - %d))" % (_end(n), _end(m), L)
+    if cap != math.inf and (e is None or e >= cap.bit_length() or C << e > budget):
+        raise BudgetExceeded(_NEEDS % (_end(C), shown, budget))
+    if e is None or e + 3 >= _ARRAY_BYTES.bit_length():
+        raise BudgetExceeded(_HOLDS % ("at least 8 x 2^" + shown, _ARRAY_BYTES))
+    K, N, NT = 1 << m, 1 << n, 1 << (e - n)
+    tables = C * NT
+    if table:
+        cells = 3 * K * N + 5 * N
+    elif m == 2:
+        cells = N * (N + 67) + 3 * math.comb(n + 3, n) * N + max(_BLOCK_CELLS, 2 * N) + 6 * tables
+    else:
+        block = min(max(1, _BLOCK_CELLS // (N * NT)), C)
+        cells = ((2 + weights) * N + m * weights * N * NT + (3 * N * N + NT) * (m > 2)
+                 + (N + 2) * block * NT + (3 * L + 2) * N * block + 7 * C)
+    cells += (1 + weights + held) * tables
+    size = 8 * (cells + _BLOCK_CELLS)
+    if size > _ARRAY_BYTES:
+        raise BudgetExceeded(_HOLDS % (size, _ARRAY_BYTES))
+    return tables, size
 
 
 def _table_cost(m, n, codewords, wtab) -> int:
@@ -306,8 +302,9 @@ def _table_cost(m, n, codewords, wtab) -> int:
     G = np.array(wtab, dtype=np.int64)[dist]
     S = G.sum(axis=0)
     cost = 0
-    for grp in _bit_groups(m):
-        A = G[grp].sum(axis=0)
+    src = np.arange(K)
+    for j in range(m):
+        A = G[src >> j & 1 == 1].sum(axis=0)
         cost += int(np.minimum(A, S - A).sum())
     return cost
 
@@ -319,10 +316,7 @@ def encoder_from_index(m: int, n: int, index: int) -> EncoderTable:
     K = 1 << m
     N = 1 << n
     index = _count("index", index, 0, N ** K - 1)
-    codewords = []
-    for s in range(K):
-        codewords.append((index // N ** (K - 1 - s)) % N)
-    return EncoderTable(m, n, tuple(codewords))
+    return EncoderTable(m, n, tuple((index >> n * (K - 1 - s)) & (N - 1) for s in range(K)))
 
 
 def p2p_bruteforce(m, n, delta, budget=DEFAULT_BUDGET):
@@ -333,12 +327,13 @@ def p2p_bruteforce(m, n, delta, budget=DEFAULT_BUDGET):
     of an output at distance d from the codeword is a^d (b-a)^(n-d) with
     delta = a/b, so the optimum is the integer cost minimum divided by
     m 2^m b^n. Returns (ExactValue, EncoderTable witness); the witness is
-    the lowest-rank minimizing table.
+    the lowest-rank minimizing table. budget bounds the (encoder, output)
+    pairs the search scans, and its arrays are capped too (_admit).
     """
     m = _count("m", m)
     n = _count("n", n)
     delta = _as_fraction("delta", delta)
-    _check_budget(m, n, budget)
+    _admit(m, n, budget)
     a, b = delta.numerator, delta.denominator
     wt = [a ** d * (b - a) ** (n - d) for d in range(n + 1)]
     costs, ranks = _encoder_costs(m, n, [wt])
@@ -349,8 +344,8 @@ def p2p_bruteforce(m, n, delta, budget=DEFAULT_BUDGET):
 
 def sphere_bruteforce(m, n, weight, encoder=None, budget=DEFAULT_BUDGET):
     """Exact per-bit Hamming distortion when the additive noise is uniform
-    on the weight-`weight` sphere. Searches all encoders unless one is given;
-    a given one's 2^m 2^n (encoder, output) pairs are held against budget.
+    on the weight-`weight` sphere. Searches all encoders, as p2p_bruteforce
+    does, unless one is given: one table, whose 2^n pairs budget bounds.
     """
     m = _count("m", m)
     n = _count("n", n)
@@ -358,7 +353,7 @@ def sphere_bruteforce(m, n, weight, encoder=None, budget=DEFAULT_BUDGET):
     if encoder is not None:
         cw = encoder.codewords if isinstance(encoder, EncoderTable) else tuple(encoder)
         EncoderTable(m, n, tuple(cw))  # validates shape and range
-    _check_budget(m, n, budget, table=encoder is not None)
+    _admit(m, n, budget, table=encoder is not None)
     wt = [1 if d == weight else 0 for d in range(n + 1)]
     denom = m * (1 << m) * math.comb(n, weight)
     if encoder is not None:
@@ -371,6 +366,7 @@ def broadcast_frontier(m, n, w1, w2, budget=DEFAULT_BUDGET):
     """Pareto frontier of (d1, d2) over all encoders serving two sphere
     channels of weights w1 and w2 at once. Returns FrontierPoints sorted by
     increasing d1; each carries the lowest-rank encoder achieving the pair.
+    budget is as in p2p_bruteforce; the array cap counts the sort's 5 too.
     """
     import numpy as np
 
@@ -378,7 +374,7 @@ def broadcast_frontier(m, n, w1, w2, budget=DEFAULT_BUDGET):
     n = _count("n", n)
     w1 = _count("w1", w1, 0, n)
     w2 = _count("w2", w2, 0, n)
-    _check_budget(m, n, budget)
+    _admit(m, n, budget, weights=2, held=5)  # order, s2, its running min, 2 masks
     t1 = [1 if d == w1 else 0 for d in range(n + 1)]
     t2 = [1 if d == w2 else 0 for d in range(n + 1)]
     c1, c2, ranks = _encoder_costs(m, n, [t1, t2])

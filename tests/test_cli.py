@@ -337,14 +337,14 @@ def test_budget_overflow_returns_3(capsys):
 
 
 @pytest.mark.parametrize("argv,prefixes,exp", [
-    (["p2p", "--m", "12", "--n", "4", "--delta", "1/4"], 35, 4 * 4094),
-    (["frontier", "--m", "12", "--n", "4", "--w1", "1", "--w2", "2"], 35, 4 * 4094),
-    (["spherical", "--m", "14", "--n", "1", "--weight", "0"], 4, 16382),
+    (["p2p", "--m", "12", "--n", "4", "--delta", "1/4"], 330, 4 * 4093),
+    (["frontier", "--m", "12", "--n", "4", "--w1", "1", "--w2", "2"], 330, 4 * 4093),
+    (["spherical", "--m", "14", "--n", "1", "--weight", "0"], 8, 16381),
 ])
 def test_budget_message_for_large_m(capsys, argv, prefixes, exp):
     # (scanned tables x output words) has over 4,300 digits here, past the
     # limit of Python's int-to-str conversion, so the message gives it as
-    # canonical (c_1, c_2) prefixes times a power of 2
+    # canonical (c_1, c_2, c_3) prefixes times a power of 2
     code, out, err = run_cli(["oracle"] + argv, capsys)
     assert (code, out) == (3, "")
     assert err == ("budget: search needs %d x 2^%d (encoder, output) pairs, budget is %d\n"
@@ -352,12 +352,12 @@ def test_budget_message_for_large_m(capsys, argv, prefixes, exp):
 
 
 def test_fixed_encoder_past_the_budget_returns_3(capsys):
-    # 2^1 2^40 (encoder, output) pairs: refused before 2^40-word arrays
+    # 1 x 2^40 (encoder, output) pairs: refused before 2^40-word arrays
     words = ["0" * 40, "1" * 40]
     code, out, err = run_cli(["oracle", "spherical", "--m", "1", "--n", "40", "--weight", "1",
                               "--encoder", ",".join(words)], capsys)
     assert (code, out) == (3, "")
-    assert err == ("budget: search needs 1 x 2^41 (encoder, output) pairs, budget is %d\n"
+    assert err == ("budget: search needs 1 x 2^40 (encoder, output) pairs, budget is %d\n"
                    % orc.DEFAULT_BUDGET)
 
 

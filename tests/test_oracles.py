@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jsccbounds import _orbits
 from jsccbounds import bounds_core as bc
 from jsccbounds import oracles as orc
 from jsccbounds.binary_info import DomainError
@@ -83,18 +85,17 @@ def test_p2p_domain_and_budget():
         orc.p2p_bruteforce(0, 2, F(1, 10))
     with pytest.raises(orc.BudgetExceeded):
         orc.p2p_bruteforce(2, 4, F(1, 4), budget=1000)
-    # m=2, n=2: C(5, 2) = 10 canonical (c_1, c_2) prefixes, each with 4
-    # choices of c_3, times 4 output words is 10 x 2^4 = 160 scanned pairs;
-    # the budget is inclusive
-    with pytest.raises(orc.BudgetExceeded, match=r"needs 10 x 2\^4 .* budget is 159$"):
-        orc.p2p_bruteforce(2, 2, F(1, 4), budget=159)
-    assert orc.p2p_bruteforce(2, 2, F(1, 4), budget=160)[0].value == F(1, 4)
+    # m=2, n=2: the C(9, 2) = 36 canonical (c_1, c_2, c_3) tables, times 4
+    # output words, is 36 x 2^2 = 144 scanned pairs; the budget is inclusive
+    with pytest.raises(orc.BudgetExceeded, match=r"needs 36 x 2\^2 .* budget is 143$"):
+        orc.p2p_bruteforce(2, 2, F(1, 4), budget=143)
+    assert orc.p2p_bruteforce(2, 2, F(1, 4), budget=144)[0].value == F(1, 4)
     with pytest.raises(orc.BudgetExceeded):
         orc.p2p_bruteforce(1, 1, F(1, 4), budget=-1)
     assert orc.p2p_bruteforce(1, 1, F(1, 4), budget=math.inf)[0].value == F(1, 4)
     # the message gives a non-integer budget exactly, not its integer part
-    with pytest.raises(orc.BudgetExceeded, match=r"needs 10 x 2\^4 .* budget is 159\.5$"):
-        orc.p2p_bruteforce(2, 2, F(1, 4), budget=159.5)
+    with pytest.raises(orc.BudgetExceeded, match=r"needs 36 x 2\^2 .* budget is 143\.5$"):
+        orc.p2p_bruteforce(2, 2, F(1, 4), budget=143.5)
     with pytest.raises(orc.BudgetExceeded, match=r"budget is -1\.5$"):
         orc.p2p_bruteforce(1, 1, F(1, 4), budget=-1.5)
     # NaN would never bind and -inf has no integer part: neither is a budget,
@@ -122,17 +123,19 @@ def test_budget_is_checked_before_any_work_in_m_or_n(monkeypatch):
                 lambda m, n, **kw: orc.broadcast_frontier(m, n, 1, 1, **kw)]
     for search in searches:
         with pytest.raises(orc.BudgetExceeded,
-                           match=r"^search needs 10 x 2\^\(2 \(2\^%d - 2\)\) .* budget is %d$"
+                           match=r"^search needs 36 x 2\^\(2 \(2\^%d - 3\)\) .* budget is %d$"
                            % (huge, orc.DEFAULT_BUDGET)):
             search(huge, 2)
         with pytest.raises(orc.BudgetExceeded, match=r"^search needs 5001 x 2\^5000 "):
             search(1, 5000)
-        # with no budget the 2^62 guard refuses both, as m 2^m 2^n >= 2^(m + n)
-        for m, n in ((huge, 2), (1, 61)):
-            with pytest.raises(orc.BudgetExceeded, match="overflow int64"):
+        # with no budget the memory cap refuses both, as every search holds
+        # at least 8 N^(T + 1) bytes
+        for m, n, e in ((huge, 2, r"\(2 \(2\^%d - 3\)\)" % huge), (1, 61, "61")):
+            with pytest.raises(orc.BudgetExceeded,
+                               match=r"^search would hold at least 8 x 2\^%s bytes" % e):
                 search(m, n, budget=math.inf)
     # an m past 2^256 bits is shown as such
-    with pytest.raises(orc.BudgetExceeded, match=r"2\^\(2 \(2\^~2\^257 - 2\)\)"):
+    with pytest.raises(orc.BudgetExceeded, match=r"2\^\(2 \(2\^~2\^257 - 3\)\)"):
         orc.p2p_bruteforce(2**256, 2, F(1, 4))
 
 
@@ -149,35 +152,86 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-@pytest.mark.parametrize("m, n, tables", [(4, 2, 36 * 4**12), (5, 1, 8 * 2**28)])
-def test_searches_past_the_table_byte_cap_are_refused_before_allocating(m, n, tables):
-    # both pass the default budget (10 x 2^28 and 4 x 2^30 pairs), but their
-    # ranks and costs alone would take 9 GiB and 32 GiB; under a 1 GiB address
-    # space an attempt to allocate them ends in MemoryError, exit code 1
-    argv = ["oracle", "p2p", "--m", str(m), "--n", str(n), "--delta", "1/4"]
-    proc = subprocess.run([sys.executable, "-c", _UNDER_1_GIB] + argv,
+# each is refused by the memory cap before any array is made. Before, the
+# first four were admitted and ended in MemoryError, exit code 1: m = 1 at
+# n = 25 holds about ten arrays of 2^n words, m = 2 at n = 14 an (N, N)
+# table W, and a given table at n = 28 its 2 GiB of popcounts. m = 1 at
+# n = 40 was refused only by the int64 guard on its weights, and m = 4 and
+# m = 5 pass the work budget
+_PAST_THE_MEMORY_CAP = {
+    "p2p-1-25": ["p2p", "--m", "1", "--n", "25", "--delta", "1/3"],
+    "frontier-1-25": ["frontier", "--m", "1", "--n", "25", "--w1", "1", "--w2", "2"],
+    "p2p-2-14": ["p2p", "--m", "2", "--n", "14", "--delta", "1/4", "--budget", str(2**50)],
+    "spherical-1-28": ["spherical", "--m", "1", "--n", "28", "--weight", "1",
+                       "--encoder", "0" * 28 + "," + "1" * 28],
+    "p2p-1-40": ["p2p", "--m", "1", "--n", "40", "--delta", "1/4", "--budget", str(10**21)],
+    "p2p-4-2": ["p2p", "--m", "4", "--n", "2", "--delta", "1/4"],
+    "p2p-5-1": ["p2p", "--m", "5", "--n", "1", "--delta", "1/4"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_PAST_THE_MEMORY_CAP.values()),
+                         ids=list(_PAST_THE_MEMORY_CAP))
+def test_searches_past_the_memory_cap_are_refused_before_allocating(argv):
+    proc = subprocess.run([sys.executable, "-c", _UNDER_1_GIB, "oracle"] + argv,
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (3, "")
-    assert proc.stderr == ("budget: search would keep %d tables' ranks and costs, over %d bytes\n"
-                           % (tables, 2**30))
+    assert re.fullmatch(r"budget: search would hold (\d+|at least 8 x 2\^\d+) bytes of "
+                        r"arrays, cap is 2147483648\n", proc.stderr), proc.stderr
 
 
-def test_table_byte_cap_counts_ranks_and_one_cost_per_weight_table(monkeypatch):
-    # m=3, n=2 scans 36 canonical triples x 4^4 trailing words = 9,216 tables:
-    # 16 bytes each for p2p, 24 for a frontier's two weight tables
-    for cap, refused in ((16 * 9216, False), (16 * 9216 - 1, True)):
-        monkeypatch.setattr(orc, "_TABLE_BYTES", cap)
-        if refused:
-            with pytest.raises(orc.BudgetExceeded, match="^search would keep 9216 tables'"):
-                orc.p2p_bruteforce(3, 2, F(1, 4))
-        else:
-            assert orc.p2p_bruteforce(3, 2, F(1, 4))[0].value == F(1, 3)
-    monkeypatch.setattr(orc, "_TABLE_BYTES", 24 * 9216 - 1)
-    with pytest.raises(orc.BudgetExceeded, match="^search would keep 9216 tables'"):
-        orc.broadcast_frontier(3, 2, 1, 2)
+def test_memory_bound_holds_and_admission_decides(monkeypatch):
+    # the tracemalloc peak of a search from empty caches is at most the bytes
+    # it was admitted with, and not far below them beside the fixed allowance
+    sizes, admit = [], orc._admit
+    monkeypatch.setattr(orc, "_admit", lambda *a, **k: sizes.append(admit(*a, **k)[1]))
+    p2p, frontier, sphere = orc.p2p_bruteforce, orc.broadcast_frontier, orc.sphere_bruteforce
+    # numpy's lazily loaded parts are not the search's
+    for search, args in ((p2p, (3, 1, F(1, 4))), (p2p, (2, 1, F(1, 4))),
+                         (frontier, (1, 1, 0, 1)), (sphere, (1, 1, 0, (0, 1)))):
+        search(*args)
+    for search, args in ((p2p, (1, 12, F(1, 4))), (p2p, (2, 6, F(1, 4))),
+                         (p2p, (3, 2, F(1, 4))), (p2p, (3, 3, F(1, 4))),
+                         (frontier, (2, 5, 1, 2)), (frontier, (3, 3, 1, 2)),
+                         (sphere, (1, 12, 1, (0, 2**12 - 1)))):
+        for cache in (orc._popcounts, _orbits._orbit_plan, _orbits._canonical_prefixes):
+            cache.cache_clear()
+        tracemalloc.start()
+        try:
+            search(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sizes[-1] <= 4 * peak + 8 * orc._BLOCK_CELLS, (search.__name__, args)
     monkeypatch.undo()
-    # the largest m = 3 searches the default budget admits, at n = 4, fit
-    assert 24 * len(orc._canonical_prefixes(4, 3)) * 16**4 <= orc._TABLE_BYTES
+
+    # only the admission runs: the kernels are never reached
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    monkeypatch.setattr(orc, "_encoder_costs", admitted)
+    monkeypatch.setattr(orc, "_table_cost", admitted)
+    for search in (lambda: orc.p2p_bruteforce(1, 24, F(1, 4)),
+                   lambda: orc.p2p_bruteforce(2, 12, F(1, 4)),
+                   lambda: orc.p2p_bruteforce(2, 13, F(1, 4)),
+                   lambda: orc.p2p_bruteforce(3, 4, F(1, 4)),
+                   lambda: orc.broadcast_frontier(3, 4, 1, 2)):
+        with pytest.raises(Admitted):
+            search()
+    for search in (lambda: orc.p2p_bruteforce(1, 25, F(1, 3)),
+                   lambda: orc.broadcast_frontier(1, 25, 1, 2),
+                   lambda: orc.p2p_bruteforce(2, 14, F(1, 4), budget=2**50),
+                   lambda: orc.sphere_bruteforce(1, 28, 1, encoder=(0, 2**28 - 1)),
+                   lambda: orc.p2p_bruteforce(1, 40, F(1, 4), budget=10**21),
+                   # 0/1 weights pass the int64 guard, which refused the line above
+                   lambda: orc.sphere_bruteforce(1, 40, 1, budget=10**21),
+                   lambda: orc.p2p_bruteforce(4, 2, F(1, 4)),
+                   lambda: orc.p2p_bruteforce(5, 1, F(1, 4))):
+        with pytest.raises(orc.BudgetExceeded, match="^search would hold "):
+            search()
 
 
 def test_encoder_table_size_check_forms_no_power():
@@ -207,10 +261,25 @@ def test_p2p_frozen_n5_n6():
         (2, 9, F(1, 4), F(983, 8192), 8373246),
         # the per-bit sums and the one-max form of the kernel agree on it
         (2, 10, F(1, 4), F(53, 512), 33522687),
+        # computed once with the budget raised, before it counted the scan
+        (2, 12, F(1, 4), F(44507, 524288), 2146975740),
     ]
     for m, n, delta, want, index in cases:
         val, table = orc.p2p_bruteforce(m, n, delta)
         assert (val.value, table.index) == (want, index), (m, n, delta)
+
+
+def test_int64_guard_refuses_the_weights_that_would_overflow(monkeypatch):
+    # m 2^m 2^n max(w) against 2^62 at m=2, n=13: 8 2^13 12^13 is past it and
+    # 8 2^13 11^13 is not; the admission takes no weights, so it admits both
+    def reached(*args):
+        raise AssertionError("reached")
+
+    monkeypatch.setattr(orc, "_orbit_costs", reached)
+    with pytest.raises(orc.BudgetExceeded, match="overflow int64"):
+        orc.p2p_bruteforce(2, 13, F(1, 13))
+    with pytest.raises(AssertionError, match="reached"):
+        orc.p2p_bruteforce(2, 13, F(1, 12))
 
 
 def test_p2p_and_frontier_frozen_at_m3():
@@ -256,14 +325,14 @@ def test_sphere_fixed_encoder():
 
 
 def test_sphere_fixed_encoder_budget():
-    # one given table costs 2^m 2^n (encoder, output) pairs: 16 at m=1, n=3
-    assert orc.sphere_bruteforce(1, 3, 1, encoder=(0, 7), budget=16).value == 0
-    with pytest.raises(orc.BudgetExceeded, match=r"^search needs 1 x 2\^4 .* budget is 15$"):
-        orc.sphere_bruteforce(1, 3, 1, encoder=(0, 7), budget=15)
+    # one given table costs 1 x 2^n (encoder, output) pairs: 8 at m=1, n=3
+    assert orc.sphere_bruteforce(1, 3, 1, encoder=(0, 7), budget=8).value == 0
+    with pytest.raises(orc.BudgetExceeded, match=r"^search needs 1 x 2\^3 .* budget is 7$"):
+        orc.sphere_bruteforce(1, 3, 1, encoder=(0, 7), budget=7)
     # refused before any array of 2^n words is formed
-    with pytest.raises(orc.BudgetExceeded, match=r"needs 1 x 2\^41 "):
+    with pytest.raises(orc.BudgetExceeded, match=r"needs 1 x 2\^40 "):
         orc.sphere_bruteforce(1, 40, 1, encoder=(0, 2**40 - 1))
-    with pytest.raises(orc.BudgetExceeded, match=r"needs 1 x 2\^%d " % (10**20 + 1)):
+    with pytest.raises(orc.BudgetExceeded, match=r"needs 1 x 2\^%d " % 10**20):
         orc.sphere_bruteforce(1, 10**20, 1, encoder=(0, 1))
 
 
@@ -345,6 +414,12 @@ def test_frontier_encoders_reproduce_their_points():
 
 
 ENCODER_SHAPES = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
+
+
+@pytest.mark.parametrize("m,n", ENCODER_SHAPES)
+def test_admitted_tables_are_the_scanned_tables(m, n):
+    assert orc._admit(m, n, math.inf)[0] == len(orc._encoder_costs(m, n, [[1] * (n + 1)])[-1])
+    assert orc._admit(m, n, math.inf, table=True)[0] == 1
 
 
 def _weight_tables(n, top=2**40):
@@ -527,8 +602,8 @@ def _direct_costs(m, n, wtabs, pinned):
         G = np.array(wt, dtype=np.int64)[dist]
         S = G.sum(axis=1)
         cost = np.zeros(len(ranks), dtype=np.int64)
-        for grp in orc._bit_groups(m):
-            A = G[:, grp].sum(axis=1)
+        for j in range(m):
+            A = G[:, np.arange(K) >> j & 1 == 1].sum(axis=1)
             cost += np.minimum(A, S - A).sum(axis=1)
         out.append(cost)
     return out + [ranks]
