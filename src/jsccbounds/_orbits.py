@@ -3,9 +3,9 @@ costs of their orbits.
 
 A permutation of the n channel coordinates keeps every Hamming distance,
 so the oracles scan only tables that are least in their orbit under the
-n! permutations (see oracles._encoder_costs). The lists here depend only
-on n and are cached, and shared by every caller, so the arrays are
-read-only.
+n! permutations (see oracles._encoder_costs). Only the m = 2 plan is
+cached (12.8 MiB at most over every n the memory cap admits); every
+caller shares it, so its arrays are read-only.
 """
 
 from __future__ import annotations
@@ -14,7 +14,17 @@ import math
 from functools import lru_cache
 
 
-@lru_cache(maxsize=None)
+def _popcounts(n: int) -> np.ndarray:
+    """pc[y], the popcount of y, for every n-bit word y."""
+    import numpy as np
+
+    pc = np.zeros(1 << n, dtype=np.int64)
+    # in place: word 2^b + x, for x < 2^b, has one more bit than x
+    for b in range(n):
+        np.add(pc[:1 << b], 1, out=pc[1 << b:2 << b])
+    return pc
+
+
 def _canonical_prefixes(n: int, L: int) -> np.ndarray:
     """Ascending ranks of the L-word prefixes (c_1, ..., c_L) that are
     lexicographically least in their orbit under permutations of the n
@@ -45,9 +55,7 @@ def _canonical_prefixes(n: int, L: int) -> np.ndarray:
         rank = np.repeat(rank, grow) + (spread[last] << i)
     # lexsort, the sort broadcast_frontier takes too: a second sort's code
     # would add its pages to a process's resident memory
-    rank = rank[np.lexsort((rank,))]
-    rank.setflags(write=False)
-    return rank
+    return rank[np.lexsort((rank,))]
 
 
 @lru_cache(maxsize=None)
@@ -55,8 +63,8 @@ def _orbit_plan(n: int) -> tuple[np.ndarray, ...]:
     """The m = 2 scan of oracles._encoder_costs: the ascending ranks of the
     whole tables (0, c_1, c_2, c_3) least under the n! coordinate
     permutations, each one's index into the canonical (c_1, c_2) prefixes
-    and its c_3, the prefixes' c_1 and c_2, and c ^ y for the first
-    min(N, 64) words c and every y.
+    and its c_3, the prefixes' c_1 and c_2, c ^ y for the first min(N, 64)
+    words c and every y, and the popcounts.
 
     A table is least when its 3-bit column types do not decrease, so the
     ranks are the canonical 3-word prefixes. The top two bits of those
@@ -68,21 +76,21 @@ def _orbit_plan(n: int) -> tuple[np.ndarray, ...]:
     ranks = _canonical_prefixes(n, 3)
     pairs = _canonical_prefixes(n, 2)
     plan = (ranks, np.searchsorted(pairs, ranks >> n), ranks & (N - 1),
-            pairs >> n, pairs & (N - 1), np.arange(min(N, 64))[:, None] ^ np.arange(N))
+            pairs >> n, pairs & (N - 1), np.arange(min(N, 64))[:, None] ^ np.arange(N),
+            _popcounts(n))
     for arr in plan:
         arr.setflags(write=False)
     return plan
 
 
-def _orbit_costs(n, wtabs, pc, dt, cells):
+def _orbit_costs(n, wtabs, dt, cells):
     """The costs of oracles._encoder_costs at m = 2, one per table of
     _orbit_plan(n), summed in dtype dt, in blocks whose gathered rows take
-    at most cells cells (or one table's two rows); pc[y] is the popcount
-    of y."""
+    at most cells cells (or one table's two rows)."""
     import numpy as np
 
     N = 1 << n
-    ranks, pair_of, c3, c1s, c2s, xor = _orbit_plan(n)
+    ranks, pair_of, c3, c1s, c2s, xor, pc = _orbit_plan(n)
     out = []
     # every block's rows of A and B are gathered into this one array
     rows = min(max(1, cells // (2 * N)), len(ranks))

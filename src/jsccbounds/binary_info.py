@@ -48,6 +48,12 @@ def _real(name, x, lo=-math.inf, hi=math.inf, ends="[]"):
     raise DomainError(_outside(name, x, lo, hi, ends, False))
 
 
+def _clamp(name, x, lo, hi, below=1e-12):
+    """x pulled into [lo, hi]. It may lie up to below under lo or 1e-12
+    over hi (floating slop); beyond that _real raises DomainError."""
+    return min(max(_real(name, x, lo - below, hi + 1e-12), lo), hi)
+
+
 def _count(name, v, lo=1, hi=math.inf) -> int:
     """int(v), when v is an integer in [lo, hi]; else DomainError."""
     if lo <= v <= hi and -math.inf < v < math.inf and v == int(v):

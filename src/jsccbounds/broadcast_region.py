@@ -21,7 +21,8 @@ from functools import partial
 
 from . import bounds_core
 from ._scalar_opt import golden_min
-from .binary_info import NAT_LOG2, DomainError, _count, _mgl, _mgl_inv, _real, conv, g, h_b
+from .binary_info import (NAT_LOG2, DomainError, _clamp, _count, _mgl, _mgl_inv, _real, conv,
+                          g, h_b)
 
 _A1_FLOAT_GUARD = 1e-12
 
@@ -112,8 +113,7 @@ def fp_binary(p: float, q: float, t: float) -> float:
     """
     _real("p", p, 0.0, 0.5, "(]")
     _real("q", q, 0.0, 0.5)
-    _real("t", t, -1e-12, h_b(p) + 1e-12)
-    t = min(max(t, 0.0), h_b(p))
+    t = _clamp("t", t, 0.0, h_b(p))
     return t - h_b(conv(q, p)) + _mgl(q, h_b(p) - t)
 
 
@@ -121,8 +121,8 @@ def rbar_binary(p: float, q: float, d: float) -> float:
     """Weak user's remaining rate need at distortion d: h_b(conv(q, p)) - h_b(conv(q, d))."""
     _real("p", p, 0.0, 0.5, "(]")
     _real("q", q, 0.0, 0.5)
-    _real("d", d, -1e-15, p + 1e-12)
-    return _rbar(h_b(conv(q, p)), q, min(max(d, 0.0), p))
+    d = _clamp("d", d, 0.0, p, 1e-15)
+    return _rbar(h_b(conv(q, p)), q, d)
 
 
 def _rbar(hcp: float, q: float, d: float) -> float:
@@ -139,9 +139,7 @@ def g_bsc(delta1: float, delta2: float, t: float) -> float:
     """
     _real("delta1", delta1, 0.0, 0.5, "[)")
     _real("delta2", delta2, 0.0, 0.5)
-    cap = NAT_LOG2 - h_b(delta1)
-    _real("t", t, -1e-12, cap + 1e-12)
-    t = min(max(t, 0.0), cap)
+    t = _clamp("t", t, 0.0, NAT_LOG2 - h_b(delta1))
     return NAT_LOG2 - _mgl(delta2, h_b(delta1) + t)
 
 
@@ -152,8 +150,7 @@ def g_bec(eps: ErasureParams, t: float) -> float:
     and 0 at the strong-user capacity t = (1-eps1) log 2.
     """
     cap = (1.0 - eps.eps1) * NAT_LOG2
-    _real("t", t, -1e-12, cap + 1e-12)
-    t = min(max(t, 0.0), cap)
+    t = _clamp("t", t, 0.0, cap)
     return ((1.0 - eps.eps2) / (1.0 - eps.eps1)) * (cap - t)
 
 
@@ -188,10 +185,8 @@ def outer_bound_slack(d1: float, d2: float, q: float, bp: BinaryBroadcastParams)
     beyond a 1e-12 floating guard.
     """
     _real("q", q, 0.0, 0.5)
-    _real("d1", d1, -1e-15, bp.p + 1e-12)
-    _real("d2", d2, -1e-15, bp.p + 1e-12)
-    d1 = min(max(d1, 0.0), bp.p)
-    d2 = min(max(d2, 0.0), bp.p)
+    d1 = _clamp("d1", d1, 0.0, bp.p, 1e-15)
+    d2 = _clamp("d2", d2, 0.0, bp.p, 1e-15)
     hcp = h_b(conv(q, bp.p))
     rhs, a1 = _rhs_at(bp, d1)(q, hcp)
     if bp.n is None and a1 > NAT_LOG2:

@@ -13,11 +13,10 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 
-from ._orbits import _canonical_prefixes, _orbit_costs
+from ._orbits import _canonical_prefixes, _orbit_costs, _popcounts
 from ._scalar_opt import Lcg64
-from .binary_info import (DEFAULT_BUDGET, NAT_LOG2, BudgetExceeded, DomainError, _conv,
+from .binary_info import (DEFAULT_BUDGET, NAT_LOG2, BudgetExceeded, DomainError, _clamp, _conv,
                           _count, _end, _g, _h, _hp, _kappa, _mgl_inv, _nu, _phi, _Phi,
                           _real, conv, h_b)
 
@@ -93,19 +92,6 @@ def _as_fraction(name, x) -> Fraction:
     return _real(name, Fraction(x), 0, 0.5, "()")
 
 
-# cached per m or n and shared by every caller, so the arrays are read-only
-@lru_cache(maxsize=None)
-def _popcounts(n: int) -> np.ndarray:
-    import numpy as np
-
-    pc = np.zeros(1 << n, dtype=np.int64)
-    # in place: word 2^b + x, for x < 2^b, has one more bit than x
-    for b in range(n):
-        np.add(pc[:1 << b], 1, out=pc[1 << b:2 << b])
-    pc.setflags(write=False)
-    return pc
-
-
 # cap on the cells of one block of _encoder_costs (output words x tables)
 _BLOCK_CELLS = 1 << 16
 
@@ -113,7 +99,7 @@ _BLOCK_CELLS = 1 << 16
 def _encoder_costs(m, n, wtabs):
     """Integer decoding cost of encoder tables, one array per weight table,
     followed by the ascending int64 array of the tables' ranks. Callers
-    admit the search (_admit) first.
+    admit the search and its weights (_admit) first; nothing here refuses.
 
     The cost of an encoder under weights w is
         sum_y sum_j min(A_j(y), S(y) - A_j(y)),
@@ -154,7 +140,7 @@ def _encoder_costs(m, n, wtabs):
           - sum_y max(|W[c_1, y] - W[c_2, y]|, |W[0, y] - W[c_3, y]|).
 
     The sums are exact integers in int32 when they stay below 2^31 and in
-    int64 otherwise (up to a 2^62 guard on m K N max(w)). Each |D_j(y)| is
+    int64 otherwise (_admit refuses m K N max(w) >= 2^62). Each |D_j(y)| is
     at most K max(w), so each sum over y stays below K N max(w), and both a
     table's sum over j and y and the constant m K sum_y W[0, y] stay within
     m K N max(w): int32 when m K N max(w) < 2^31. At m = 2 each max is at
@@ -168,11 +154,9 @@ def _encoder_costs(m, n, wtabs):
     K = 1 << m
     N = 1 << n
     wmax = max(max(w) for w in wtabs)
-    if m * K * N * wmax >= 2 ** 62:
-        raise BudgetExceeded("integer costs would overflow int64 accumulators")
     if m == 2:
         dt = np.int32 if N * wmax < 2 ** 31 else np.int64
-        return _orbit_costs(n, wtabs, _popcounts(n), dt, _BLOCK_CELLS)
+        return _orbit_costs(n, wtabs, dt, _BLOCK_CELLS)
     dt = np.int32 if m * K * N * wmax < 2 ** 31 else np.int64
     warrs = [np.array(w, dtype=dt) for w in wtabs]
     pc = _popcounts(n)
@@ -236,17 +220,20 @@ def _cap(budget):
         raise DomainError("%s; math.inf is accepted too, for no budget" % exc) from None
 
 
-def _admit(m, n, budget, weights=1, held=0, table=False):
+def _admit(m, n, budget, weights=1, held=0, table=False, base=1):
     """The tables S a search scans and a bound on the bytes of its arrays;
-    BudgetExceeded, before any array is made, when S N pairs (N = 2^n
-    output words) pass budget or the bound passes _ARRAY_BYTES.
+    BudgetExceeded, before any array or weight is made, when S N pairs
+    (N = 2^n output words) pass budget, the bound passes _ARRAY_BYTES, or
+    weights up to base^n could overflow _encoder_costs's int64 sums,
+    m 2^m N base^n >= 2^62 (p2p_bruteforce's largest weight is (b - a)^n,
+    so it passes base = b - a; the sphere weights are 0 or 1).
 
     _encoder_costs scans the C = C(n + 2^L - 1, n) canonical prefixes of
     L = min(2^m - 1, 3) free codewords (multisets of n column types), each
     with the N^T words of the T = 2^m - 1 - L later slots: S N = C 2^e,
     e = n (T + 1); one given table (table) has C = S = 1, e = n. A search
-    holds 8 N^(T + 1) bytes or more (popcounts or trailing sums), so both
-    checks read bit lengths first: a refusal forms no 2^m or 2^e.
+    holds 8 N^(T + 1) bytes or more (popcounts or trailing sums), so the
+    checks read bit lengths first: a refusal forms no 2^m, 2^e or base^n.
 
     The bound counts 8 bytes a cell, and _BLOCK_CELLS cells for small
     arrays and Python objects, for weights weight tables and held S-long
@@ -261,8 +248,8 @@ def _admit(m, n, budget, weights=1, held=0, table=False):
       (N, N) arrays and the last slot's previous sums; a block's (N, block,
       N^T) sums and two (block, N^T) ones; 3 L + 2 (N, block) arrays (this
       and the last block's distances, columns and running sum, one XOR);
-      7 C while the prefixes are built; ranks and costs. Arrays cached by
-      earlier calls are not counted.
+      7 C while the prefixes are built; ranks and costs. The m = 2 plans
+      that earlier calls cached (_orbits._orbit_plan) are not counted.
     """
     cap = _cap(budget)
     L = 1 if m == 1 else 3
@@ -288,6 +275,8 @@ def _admit(m, n, budget, weights=1, held=0, table=False):
     size = 8 * (cells + _BLOCK_CELLS)
     if size > _ARRAY_BYTES:
         raise BudgetExceeded(_HOLDS % (size, _ARRAY_BYTES))
+    if n * (base.bit_length() - 1) >= 62 or m * K * N * base ** n >= 1 << 62:
+        raise BudgetExceeded("integer costs would overflow int64 accumulators")
     return tables, size
 
 
@@ -333,8 +322,8 @@ def p2p_bruteforce(m, n, delta, budget=DEFAULT_BUDGET):
     m = _count("m", m)
     n = _count("n", n)
     delta = _as_fraction("delta", delta)
-    _admit(m, n, budget)
     a, b = delta.numerator, delta.denominator
+    _admit(m, n, budget, base=b - a)
     wt = [a ** d * (b - a) ** (n - d) for d in range(n + 1)]
     costs, ranks = _encoder_costs(m, n, [wt])
     best = int(costs.argmin())
@@ -573,14 +562,12 @@ def converse_search_gq(delta1, delta2, t, trials=10000, seed=0, budget=DEFAULT_B
     """
     d1 = _real("delta1", float(delta1), 0.0, 0.5, "()")
     d2 = _real("delta2", float(delta2), 0.0, 0.5, "()")
-    cap = NAT_LOG2 - h_b(d1)
-    t = _real("t", float(t), -1e-12, cap + 1e-12)
+    t = _clamp("t", float(t), 0.0, NAT_LOG2 - h_b(d1))
     trials = _count("trials", trials, -math.inf)
     # a draw is scored with at most 9 h_b evaluations
     if 9 * trials > _cap(budget):
         raise BudgetExceeded("search needs %s trials x 9 h_b evaluations, budget is %s"
                              % (_end(trials), budget))
-    t = min(max(t, 0.0), cap)
     c = conv(d1, d2)
     h1 = h_b(d1)
     slop = 1e-12

@@ -194,8 +194,7 @@ def test_memory_bound_holds_and_admission_decides(monkeypatch):
                          (p2p, (3, 2, F(1, 4))), (p2p, (3, 3, F(1, 4))),
                          (frontier, (2, 5, 1, 2)), (frontier, (3, 3, 1, 2)),
                          (sphere, (1, 12, 1, (0, 2**12 - 1)))):
-        for cache in (orc._popcounts, _orbits._orbit_plan, _orbits._canonical_prefixes):
-            cache.cache_clear()
+        _orbits._orbit_plan.cache_clear()
         tracemalloc.start()
         try:
             search(*args)
@@ -214,7 +213,8 @@ def test_memory_bound_holds_and_admission_decides(monkeypatch):
 
     monkeypatch.setattr(orc, "_encoder_costs", admitted)
     monkeypatch.setattr(orc, "_table_cost", admitted)
-    for search in (lambda: orc.p2p_bruteforce(1, 24, F(1, 4)),
+    # at delta 1/4 the int64 guard refuses m = 1 at n = 24: 2 2^24 3^24 >= 2^62
+    for search in (lambda: orc.p2p_bruteforce(1, 24, F(1, 3)),
                    lambda: orc.p2p_bruteforce(2, 12, F(1, 4)),
                    lambda: orc.p2p_bruteforce(2, 13, F(1, 4)),
                    lambda: orc.p2p_bruteforce(3, 4, F(1, 4)),
@@ -269,17 +269,37 @@ def test_p2p_frozen_n5_n6():
         assert (val.value, table.index) == (want, index), (m, n, delta)
 
 
-def test_int64_guard_refuses_the_weights_that_would_overflow(monkeypatch):
-    # m 2^m 2^n max(w) against 2^62 at m=2, n=13: 8 2^13 12^13 is past it and
-    # 8 2^13 11^13 is not; the admission takes no weights, so it admits both
+def test_int64_guard_refuses_the_weights_that_would_overflow(monkeypatch, time_cap):
+    # m 2^m 2^n max(w) against 2^62: 8 2^13 12^13 and 2 2^24 3^24 are past
+    # it, 8 2^13 11^13 and 2 2^23 3^23 are not; the admission refuses the
+    # first two before the kernel
     def reached(*args):
         raise AssertionError("reached")
 
-    monkeypatch.setattr(orc, "_orbit_costs", reached)
-    with pytest.raises(orc.BudgetExceeded, match="overflow int64"):
-        orc.p2p_bruteforce(2, 13, F(1, 13))
-    with pytest.raises(AssertionError, match="reached"):
-        orc.p2p_bruteforce(2, 13, F(1, 12))
+    monkeypatch.setattr(orc, "_encoder_costs", reached)
+    for past, within in (((2, 13, F(1, 13)), (2, 13, F(1, 12))),
+                         ((1, 24, F(1, 4)), (1, 23, F(1, 4)))):
+        with pytest.raises(orc.BudgetExceeded, match="overflow int64"):
+            orc.p2p_bruteforce(*past)
+        with pytest.raises(AssertionError, match="reached"):
+            orc.p2p_bruteforce(*within)
+    # from the bit length of b - a: neither (10^30000 - 1)^24 nor the n + 1
+    # weights are formed, which took seconds
+    with time_cap(0.5):
+        with pytest.raises(orc.BudgetExceeded, match="overflow int64"):
+            orc.p2p_bruteforce(1, 24, F(1, 10**30000))
+
+
+def test_searches_leave_no_popcounts_behind():
+    # only the m = 2 plan is cached; an m = 1 search frees what it built
+    orc.p2p_bruteforce(1, 2, F(1, 4))  # numpy's lazily loaded parts are not the search's
+    tracemalloc.start()
+    try:
+        for n in (18, 17):
+            orc.p2p_bruteforce(1, n, F(1, 4))
+            assert tracemalloc.get_traced_memory()[0] < 64 << 10, n
+    finally:
+        tracemalloc.stop()
 
 
 def test_p2p_and_frontier_frozen_at_m3():
