@@ -1,28 +1,17 @@
-"""Canonical encoder tables for the brute-force oracles, and the m = 2
-costs of their orbits.
+"""Canonical encoder tables for the brute-force oracles, and the m = 1
+and m = 2 costs of their orbits.
 
 A permutation of the n channel coordinates keeps every Hamming distance,
 so the oracles scan only tables that are least in their orbit under the
-n! permutations (see oracles._encoder_costs). Only the m = 2 plan is
-cached (12.8 MiB at most over every n the memory cap admits); every
-caller shares it, so its arrays are read-only.
+n! permutations (see oracles._encoder_costs). At m = 1 an orbit's cost is
+a sum over column types, and no table of output words is made. Only the
+m = 2 plan is cached; every caller shares it, so its arrays are read-only.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-
-
-def _popcounts(n: int) -> np.ndarray:
-    """pc[y], the popcount of y, for every n-bit word y."""
-    import numpy as np
-
-    pc = np.zeros(1 << n, dtype=np.int64)
-    # in place: word 2^b + x, for x < 2^b, has one more bit than x
-    for b in range(n):
-        np.add(pc[:1 << b], 1, out=pc[1 << b:2 << b])
-    return pc
 
 
 def _canonical_prefixes(n: int, L: int) -> np.ndarray:
@@ -63,8 +52,8 @@ def _orbit_plan(n: int) -> tuple[np.ndarray, ...]:
     """The m = 2 scan of oracles._encoder_costs: the ascending ranks of the
     whole tables (0, c_1, c_2, c_3) least under the n! coordinate
     permutations, each one's index into the canonical (c_1, c_2) prefixes
-    and its c_3, the prefixes' c_1 and c_2, c ^ y for the first min(N, 64)
-    words c and every y, and the popcounts.
+    and its c_3, the prefixes' c_1 and c_2, and c ^ y for the first
+    min(N, 64) words c and every y.
 
     A table is least when its 3-bit column types do not decrease, so the
     ranks are the canonical 3-word prefixes. The top two bits of those
@@ -76,8 +65,7 @@ def _orbit_plan(n: int) -> tuple[np.ndarray, ...]:
     ranks = _canonical_prefixes(n, 3)
     pairs = _canonical_prefixes(n, 2)
     plan = (ranks, np.searchsorted(pairs, ranks >> n), ranks & (N - 1),
-            pairs >> n, pairs & (N - 1), np.arange(min(N, 64))[:, None] ^ np.arange(N),
-            _popcounts(n))
+            pairs >> n, pairs & (N - 1), np.arange(min(N, 64))[:, None] ^ np.arange(N))
     for arr in plan:
         arr.setflags(write=False)
     return plan
@@ -90,7 +78,7 @@ def _orbit_costs(n, wtabs, dt, cells):
     import numpy as np
 
     N = 1 << n
-    ranks, pair_of, c3, c1s, c2s, xor, pc = _orbit_plan(n)
+    ranks, pair_of, c3, c1s, c2s, xor = _orbit_plan(n)
     out = []
     # every block's rows of A and B are gathered into this one array
     rows = min(max(1, cells // (2 * N)), len(ranks))
@@ -98,7 +86,7 @@ def _orbit_costs(n, wtabs, dt, cells):
     for w in wtabs:
         # W[c, y] = W[0, c ^ y], gathered len(xor) rows at a time: for c =
         # c_0 + r, with c_0 a multiple of len(xor), c ^ y = (r ^ y) ^ c_0
-        W0 = np.array(w, dtype=dt)[pc]
+        W0 = np.array(w, dtype=dt).take(np.bitwise_count(xor[0]))  # xor[0] is every y
         W = np.empty((N, N), dtype=dt)
         for c0 in range(0, N, len(xor)):
             W0.take(xor ^ c0 if c0 else xor, out=W[c0:c0 + len(xor)], mode="clip")
@@ -119,3 +107,18 @@ def _orbit_costs(n, wtabs, dt, cells):
         out.append(got)
         del W, A, B  # before the next weight table's W is allocated
     return out + [ranks]
+
+
+def _type_costs(n, wtabs):
+    """The m = 1 costs of oracles._encoder_costs, one int64 array per weight
+    table, then the ranks of the tables (0, 2^w - 1), w = 0, ..., n, one per
+    orbit, as w = popcount(c_1) fixes the orbit of (0, c_1). Words are
+    counted by type (I. Csiszar and J. Korner, Information Theory, 1981):
+    C(n - w, i) C(w, j) of them have i ones where c_1 has zeros and j where
+    it has ones, so W[0, y] = t[i + j] and W[c_1, y] = t[i + w - j]."""
+    import numpy as np
+
+    costs = [[sum(math.comb(n - w, i) * math.comb(w, j) * min(t[i + j], t[i + w - j])
+                  for i in range(n - w + 1) for j in range(w + 1)) for w in range(n + 1)]
+             for t in wtabs]
+    return [np.array(a, dtype=np.int64) for a in costs + [[(1 << w) - 1 for w in range(n + 1)]]]

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from ._orbits import _canonical_prefixes, _orbit_costs, _popcounts
+from ._orbits import _canonical_prefixes, _orbit_costs, _type_costs
 from ._scalar_opt import Lcg64
 from .binary_info import (DEFAULT_BUDGET, NAT_LOG2, BudgetExceeded, DomainError, _clamp, _conv,
                           _count, _end, _g, _h, _hp, _kappa, _mgl_inv, _nu, _phi, _Phi,
@@ -120,18 +120,20 @@ def _encoder_costs(m, n, wtabs):
     a table's prefix least either leaves it alone, so the table is scanned,
     or makes it strictly smaller, and with it the rank. So the lowest-rank
     table with any cost, or any tuple of costs under several weight tables,
-    has c_0 = 0 and is scanned.
+    has c_0 = 0 and is scanned. At m = 1 _orbits._type_costs sums the n + 1
+    orbits' costs by column type.
 
     With min(A, S - A) = (S - |S - 2A|) / 2, and sum_y S(y) = K sum_y W[0, y]
     the same for every table, the cost is
         (m K sum_y W[0, y] - sum_j sum_y |D_j(y)|) / 2,
     D_j(y) = sum_s sign_j(s) W[c_s, y], sign_j(s) = -1 when source word s
-    has bit j set and +1 otherwise. The scanned tables are the prefixes
-    times all trailing codewords in rank order, so D_j is a broadcast sum:
-    the trailing part is built once as an (N, N^T) array from the (N, N)
-    table W, and the prefixes are walked in blocks whose (N, prefixes, N^T)
-    sums, written into one array allocated once per call, stay within
-    _BLOCK_CELLS cells, or take one prefix's N^(T+1) when that is more.
+    has bit j set and +1 otherwise. From m = 3 on (T >= 4) the scanned
+    tables are the triples times all trailing codewords in rank order, so
+    D_j is a broadcast sum: the trailing part is built once as an (N, N^T)
+    array from the (N, N) table W, and the triples are walked in blocks
+    whose (N, triples, N^T) sums, written into one array allocated once per
+    call, stay within _BLOCK_CELLS cells, or take one triple's N^(T+1)
+    when that is more. Each distance is np.bitwise_count of an XOR.
 
     At m = 2 (T = 0) _orbits._orbit_costs takes the same sum in closed
     form: D_0 + D_1 = 2 (W[0] - W[c_3]) and D_0 - D_1 = 2 (W[c_1] - W[c_2]),
@@ -151,45 +153,39 @@ def _encoder_costs(m, n, wtabs):
     """
     import numpy as np
 
-    K = 1 << m
-    N = 1 << n
-    wmax = max(max(w) for w in wtabs)
+    if m == 1:
+        return _type_costs(n, wtabs)
+    K, N = 1 << m, 1 << n
+    dt = np.int32 if (1 if m == 2 else m * K) * N * max(map(max, wtabs)) < 2 ** 31 else np.int64
     if m == 2:
-        dt = np.int32 if N * wmax < 2 ** 31 else np.int64
         return _orbit_costs(n, wtabs, dt, _BLOCK_CELLS)
-    dt = np.int32 if m * K * N * wmax < 2 ** 31 else np.int64
     warrs = [np.array(w, dtype=dt) for w in wtabs]
-    pc = _popcounts(n)
     y = np.arange(N, dtype=np.int64)
     signs = [[-1 if (s >> (m - 1 - j)) & 1 else 1 for s in range(K)] for j in range(m)]
-    L = min(K - 1, 3)
-    T = K - 1 - L
-    NT = N ** T
-    leads = _canonical_prefixes(n, L)
+    NT = N ** (K - 4)
+    leads = _canonical_prefixes(n, 3)
     ranks = (leads[:, None] * NT + np.arange(NT, dtype=np.int64)).reshape(-1)
     block = min(max(1, _BLOCK_CELLS // (N * NT)), len(leads))
-    # full[y, c] = popcount(c ^ y); only the trailing slots need all N columns
-    full = pc[y[:, None] ^ y[None, :]] if T else None
-    row0 = [w[pc] for w in warrs]  # W[0, y]; every row of W has the same sum
+    row0 = [w[np.bitwise_count(y)] for w in warrs]  # W[0, y]; every row of W has this sum
     total = [m * K * int(r.sum()) for r in row0]
     tails = []
     for w in warrs:
-        W = w[full] if T else None
+        W = w[np.bitwise_count(y[:, None] ^ y)]
         per_bit = []
         for sg in signs:
             Dt = np.zeros((N, 1), dtype=dt)
-            for s in range(L + 1, K):
+            for s in range(4, K):
                 Dt = (Dt[:, :, None] + sg[s] * W[:, None, :]).reshape(N, -1)
             per_bit.append(Dt)
         tails.append(per_bit)
-    del full, W
+    del W
     out = [np.empty(len(ranks), dtype=np.int64) for _ in wtabs]
     # every block's sums are written into this one array
     buf = np.empty(N * block * NT, dtype=dt)
     for start in range(0, len(leads), block):
         ld = leads[start:start + block]
         cnt = len(ld)
-        dists = [pc[y[:, None] ^ ((ld // N ** (L - 1 - l)) % N)[None, :]] for l in range(L)]
+        dists = [np.bitwise_count(y[:, None] ^ (ld // N ** (2 - l)) % N) for l in range(3)]
         D = buf[:N * cnt * NT].reshape(N, cnt, NT)
         for wi, w in enumerate(warrs):
             cols = [w[d] for d in dists]
@@ -231,25 +227,26 @@ def _admit(m, n, budget, weights=1, held=0, table=False, base=1):
     _encoder_costs scans the C = C(n + 2^L - 1, n) canonical prefixes of
     L = min(2^m - 1, 3) free codewords (multisets of n column types), each
     with the N^T words of the T = 2^m - 1 - L later slots: S N = C 2^e,
-    e = n (T + 1); one given table (table) has C = S = 1, e = n. A search
-    holds 8 N^(T + 1) bytes or more (popcounts or trailing sums), so the
-    checks read bit lengths first: a refusal forms no 2^m, 2^e or base^n.
+    e = n (T + 1); one given table (table) has C = S = 1, e = n. A given
+    table, or a search from m = 2 on, holds 8 N^(T + 1) bytes or more; m = 1
+    only costs and ranks (_orbits._type_costs). The checks read bit lengths
+    first: a refusal forms no 2^m, 2^e or base^n.
 
     The bound counts 8 bytes a cell, and _BLOCK_CELLS cells for small
     arrays and Python objects, for weights weight tables and held S-long
     arrays the caller makes beside the costs and ranks:
     - table: _table_cost's K x N distances, weights and bit-group rows
-      (K = 2^m), and 5 N-word arrays with the popcounts;
-    - m = 2: the popcounts, W[0], the 64-row XOR plan and its arange; W;
+      (K = 2^m), and 5 N-word arrays;
+    - m = 2: W[0], its distances, the 64-row XOR plan and its arange; W;
       A's (pairs, N) rows and the two gathers that make them; the block
       array; 7 S for the plan while the prefixes are built; the costs;
-    - else: the popcounts, y and W[0] per weight table; m (N, N^T) trailing
-      sums per weight table and, at T > 0, while they are built, three
+    - m >= 3: y, its distances and W[0] per weight table; m (N, N^T)
+      trailing sums per weight table and, while they are built, three
       (N, N) arrays and the last slot's previous sums; a block's (N, block,
-      N^T) sums and two (block, N^T) ones; 3 L + 2 (N, block) arrays (this
-      and the last block's distances, columns and running sum, one XOR);
-      7 C while the prefixes are built; ranks and costs. The m = 2 plans
-      that earlier calls cached (_orbits._orbit_plan) are not counted.
+      N^T) sums and two (block, N^T) ones; 11 (N, block) arrays (this and
+      the last block's distances, columns and running sum, one XOR); 7 C
+      while the prefixes are built; ranks and costs. The m = 2 plans that
+      earlier calls cached (_orbits._orbit_plan) are not counted.
     """
     cap = _cap(budget)
     L = 1 if m == 1 else 3
@@ -259,23 +256,25 @@ def _admit(m, n, budget, weights=1, held=0, table=False, base=1):
     shown = _end(e) if e is not None else "(%s (2^%s - %d))" % (_end(n), _end(m), L)
     if cap != math.inf and (e is None or e >= cap.bit_length() or C << e > budget):
         raise BudgetExceeded(_NEEDS % (_end(C), shown, budget))
-    if e is None or e + 3 >= _ARRAY_BYTES.bit_length():
-        raise BudgetExceeded(_HOLDS % ("at least 8 x 2^" + shown, _ARRAY_BYTES))
-    K, N, NT = 1 << m, 1 << n, 1 << (e - n)
-    tables = C * NT
-    if table:
-        cells = 3 * K * N + 5 * N
-    elif m == 2:
-        cells = N * (N + 67) + 3 * math.comb(n + 3, n) * N + max(_BLOCK_CELLS, 2 * N) + 6 * tables
-    else:
-        block = min(max(1, _BLOCK_CELLS // (N * NT)), C)
-        cells = ((2 + weights) * N + m * weights * N * NT + (3 * N * N + NT) * (m > 2)
-                 + (N + 2) * block * NT + (3 * L + 2) * N * block + 7 * C)
+    cells = 0
+    if table or m > 1:
+        if e is None or e + 3 >= _ARRAY_BYTES.bit_length():
+            raise BudgetExceeded(_HOLDS % ("at least 8 x 2^" + shown, _ARRAY_BYTES))
+        K, N, NT = 1 << m, 1 << n, 1 << (e - n)
+        if table:
+            cells = 3 * K * N + 5 * N
+        elif m == 2:
+            cells = N * (N + 67 + 3 * math.comb(n + 3, n)) + max(_BLOCK_CELLS, 2 * N) + 6 * C
+        else:
+            block = min(max(1, _BLOCK_CELLS // (N * NT)), C)
+            cells = ((2 + weights) * N + m * weights * N * NT + 3 * N * N + NT
+                     + (N + 2) * block * NT + 11 * N * block + 7 * C)
+    tables = C << (e - n)
     cells += (1 + weights + held) * tables
     size = 8 * (cells + _BLOCK_CELLS)
     if size > _ARRAY_BYTES:
         raise BudgetExceeded(_HOLDS % (size, _ARRAY_BYTES))
-    if n * (base.bit_length() - 1) >= 62 or m * K * N * base ** n >= 1 << 62:
+    if m + n * base.bit_length() >= 62 or (m << m + n) * base ** n >= 1 << 62:
         raise BudgetExceeded("integer costs would overflow int64 accumulators")
     return tables, size
 
@@ -283,15 +282,12 @@ def _admit(m, n, budget, weights=1, held=0, table=False, base=1):
 def _table_cost(m, n, codewords, wtab) -> int:
     import numpy as np
 
-    K = 1 << m
-    N = 1 << n
-    pc = _popcounts(n)
     cw = np.asarray(codewords, dtype=np.int64)
-    dist = pc[cw[:, None] ^ np.arange(N, dtype=np.int64)[None, :]]
+    dist = np.bitwise_count(cw[:, None] ^ np.arange(1 << n, dtype=np.int64))
     G = np.array(wtab, dtype=np.int64)[dist]
     S = G.sum(axis=0)
     cost = 0
-    src = np.arange(K)
+    src = np.arange(1 << m)
     for j in range(m):
         A = G[src >> j & 1 == 1].sum(axis=0)
         cost += int(np.minimum(A, S - A).sum())

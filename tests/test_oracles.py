@@ -128,12 +128,14 @@ def test_budget_is_checked_before_any_work_in_m_or_n(monkeypatch):
             search(huge, 2)
         with pytest.raises(orc.BudgetExceeded, match=r"^search needs 5001 x 2\^5000 "):
             search(1, 5000)
-        # with no budget the memory cap refuses both, as every search holds
-        # at least 8 N^(T + 1) bytes
-        for m, n, e in ((huge, 2, r"\(2 \(2\^%d - 3\)\)" % huge), (1, 61, "61")):
-            with pytest.raises(orc.BudgetExceeded,
-                               match=r"^search would hold at least 8 x 2\^%s bytes" % e):
-                search(m, n, budget=math.inf)
+        # with no budget the memory cap refuses the first, as a search from
+        # m = 2 on holds at least 8 N^(T + 1) bytes, and the int64 guard the
+        # second from bit lengths, m + n bit_length(base) >= 62, before 2^n
+        with pytest.raises(orc.BudgetExceeded, match=r"^search would hold at least 8 x "
+                           r"2\^\(2 \(2\^%d - 3\)\) bytes" % huge):
+            search(huge, 2, budget=math.inf)
+        with pytest.raises(orc.BudgetExceeded, match="^integer costs would overflow int64"):
+            search(1, 61, budget=math.inf)
     # an m past 2^256 bits is shown as such
     with pytest.raises(orc.BudgetExceeded, match=r"2\^\(2 \(2\^~2\^257 - 3\)\)"):
         orc.p2p_bruteforce(2**256, 2, F(1, 4))
@@ -153,18 +155,13 @@ sys.exit(cli.main(sys.argv[1:]))
 
 
 # each is refused by the memory cap before any array is made. Before, the
-# first four were admitted and ended in MemoryError, exit code 1: m = 1 at
-# n = 25 holds about ten arrays of 2^n words, m = 2 at n = 14 an (N, N)
-# table W, and a given table at n = 28 its 2 GiB of popcounts. m = 1 at
-# n = 40 was refused only by the int64 guard on its weights, and m = 4 and
-# m = 5 pass the work budget
+# first two were admitted and ended in MemoryError, exit code 1: m = 2 at
+# n = 14 holds an (N, N) table W, and a given table at n = 28 its 2 GiB of
+# distances; m = 4 and m = 5 pass the work budget
 _PAST_THE_MEMORY_CAP = {
-    "p2p-1-25": ["p2p", "--m", "1", "--n", "25", "--delta", "1/3"],
-    "frontier-1-25": ["frontier", "--m", "1", "--n", "25", "--w1", "1", "--w2", "2"],
     "p2p-2-14": ["p2p", "--m", "2", "--n", "14", "--delta", "1/4", "--budget", str(2**50)],
     "spherical-1-28": ["spherical", "--m", "1", "--n", "28", "--weight", "1",
                        "--encoder", "0" * 28 + "," + "1" * 28],
-    "p2p-1-40": ["p2p", "--m", "1", "--n", "40", "--delta", "1/4", "--budget", str(10**21)],
     "p2p-4-2": ["p2p", "--m", "4", "--n", "2", "--delta", "1/4"],
     "p2p-5-1": ["p2p", "--m", "5", "--n", "1", "--delta", "1/4"],
 }
@@ -178,6 +175,27 @@ def test_searches_past_the_memory_cap_are_refused_before_allocating(argv):
     assert (proc.returncode, proc.stdout) == (3, "")
     assert re.fullmatch(r"budget: search would hold (\d+|at least 8 x 2\^\d+) bytes of "
                         r"arrays, cap is 2147483648\n", proc.stderr), proc.stderr
+
+
+# m = 1 sums its n + 1 orbits by column type and holds no array of 2^n
+# words, so n = 25 runs in the 1 GiB child (before, it held about ten such
+# arrays and was refused by the memory cap). 35174066851/847288609443 is
+# P(Bin(25, 1/3) >= 13), the repetition code's majority error; on the two
+# spheres the table (0, 1) has distortion 0, as y's parity names the codeword
+_M1_AT_N25 = {
+    "p2p-1-25": (["p2p", "--m", "1", "--n", "25", "--delta", "1/3", "--exact"],
+                 "1,25,1/3,35174066851/847288609443,"),
+    "frontier-1-25": (["frontier", "--m", "1", "--n", "25", "--w1", "1", "--w2", "2"],
+                      "1,25,1,2,0,0,0,0,1\n"),
+}
+
+
+@pytest.mark.parametrize("argv,line", list(_M1_AT_N25.values()), ids=list(_M1_AT_N25))
+def test_m1_searches_at_n25_run_under_1_gib(argv, line):
+    proc = subprocess.run([sys.executable, "-c", _UNDER_1_GIB, "oracle"] + argv,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert line in proc.stdout, proc.stdout
 
 
 def test_memory_bound_holds_and_admission_decides(monkeypatch):
@@ -203,6 +221,8 @@ def test_memory_bound_holds_and_admission_decides(monkeypatch):
             tracemalloc.stop()
         assert peak <= sizes[-1] <= 4 * peak + 8 * orc._BLOCK_CELLS, (search.__name__, args)
     monkeypatch.undo()
+    # 0/1 weights pass the int64 guard, and m = 1 holds no 2^40-word array
+    assert orc.sphere_bruteforce(1, 40, 1, budget=10**21).value == 0
 
     # only the admission runs: the kernels are never reached
     class Admitted(Exception):
@@ -215,19 +235,20 @@ def test_memory_bound_holds_and_admission_decides(monkeypatch):
     monkeypatch.setattr(orc, "_table_cost", admitted)
     # at delta 1/4 the int64 guard refuses m = 1 at n = 24: 2 2^24 3^24 >= 2^62
     for search in (lambda: orc.p2p_bruteforce(1, 24, F(1, 3)),
+                   lambda: orc.p2p_bruteforce(1, 25, F(1, 3)),
+                   lambda: orc.p2p_bruteforce(1, 27, F(1, 3)),
+                   lambda: orc.broadcast_frontier(1, 25, 1, 2),
                    lambda: orc.p2p_bruteforce(2, 12, F(1, 4)),
                    lambda: orc.p2p_bruteforce(2, 13, F(1, 4)),
                    lambda: orc.p2p_bruteforce(3, 4, F(1, 4)),
                    lambda: orc.broadcast_frontier(3, 4, 1, 2)):
         with pytest.raises(Admitted):
             search()
-    for search in (lambda: orc.p2p_bruteforce(1, 25, F(1, 3)),
-                   lambda: orc.broadcast_frontier(1, 25, 1, 2),
-                   lambda: orc.p2p_bruteforce(2, 14, F(1, 4), budget=2**50),
+    # 29 x 2^28 scanned pairs pass the default budget at m = 1
+    with pytest.raises(orc.BudgetExceeded, match=r"^search needs 29 x 2\^28 "):
+        orc.p2p_bruteforce(1, 28, F(1, 3))
+    for search in (lambda: orc.p2p_bruteforce(2, 14, F(1, 4), budget=2**50),
                    lambda: orc.sphere_bruteforce(1, 28, 1, encoder=(0, 2**28 - 1)),
-                   lambda: orc.p2p_bruteforce(1, 40, F(1, 4), budget=10**21),
-                   # 0/1 weights pass the int64 guard, which refused the line above
-                   lambda: orc.sphere_bruteforce(1, 40, 1, budget=10**21),
                    lambda: orc.p2p_bruteforce(4, 2, F(1, 4)),
                    lambda: orc.p2p_bruteforce(5, 1, F(1, 4))):
         with pytest.raises(orc.BudgetExceeded, match="^search would hold "):
@@ -283,21 +304,28 @@ def test_int64_guard_refuses_the_weights_that_would_overflow(monkeypatch, time_c
             orc.p2p_bruteforce(*past)
         with pytest.raises(AssertionError, match="reached"):
             orc.p2p_bruteforce(*within)
-    # from the bit length of b - a: neither (10^30000 - 1)^24 nor the n + 1
-    # weights are formed, which took seconds
+    # from bit lengths, m + n bit_length(b - a) >= 62: neither (10^30000 - 1)^24
+    # nor the n + 1 weights are formed, which took seconds, and at m = 1, which
+    # holds no 2^n-word array, nor is 2^n (before, the memory cap refused n = 40)
     with time_cap(0.5):
+        for args in ((1, 24, F(1, 10**30000)), (1, 40, F(1, 4), 10**21)):
+            with pytest.raises(orc.BudgetExceeded, match="overflow int64"):
+                orc.p2p_bruteforce(*args)
         with pytest.raises(orc.BudgetExceeded, match="overflow int64"):
-            orc.p2p_bruteforce(1, 24, F(1, 10**30000))
+            orc.sphere_bruteforce(1, 61, 1, budget=math.inf)
+        with pytest.raises(orc.BudgetExceeded):
+            orc.sphere_bruteforce(1, 10**12, 1, budget=math.inf)
 
 
 def test_searches_leave_no_popcounts_behind():
-    # only the m = 2 plan is cached; an m = 1 search frees what it built
+    # only the m = 2 plan is cached, and an m = 1 search sums by column type:
+    # it holds no 2^n-word array (before, p2p(1, 22) peaked at 320 MiB)
     orc.p2p_bruteforce(1, 2, F(1, 4))  # numpy's lazily loaded parts are not the search's
     tracemalloc.start()
     try:
-        for n in (18, 17):
+        for n in (22, 17):
             orc.p2p_bruteforce(1, n, F(1, 4))
-            assert tracemalloc.get_traced_memory()[0] < 64 << 10, n
+            assert tracemalloc.get_traced_memory()[1] < 64 << 10, n
     finally:
         tracemalloc.stop()
 
@@ -500,16 +528,31 @@ def test_encoder_costs_match_table_cost_in_int32(m, n, data):
     _assert_costs_match_table_cost(m, n, wtabs)
 
 
-@pytest.mark.parametrize("top", [2**26 - 1, 2**26])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_m1_type_sums_match_table_cost(data):
+    # the canonical m = 1 tables are (0, 2^w - 1), one per orbit; small
+    # weights make ties, and one weight table may be past int32
+    n = data.draw(st.integers(1, 12))
+    wtabs = data.draw(st.lists(st.lists(st.integers(0, 3) | st.just(2**40),
+                                        min_size=n + 1, max_size=n + 1), min_size=1, max_size=2))
+    *costs, ranks = orc._encoder_costs(1, n, wtabs)
+    assert ranks.tolist() == [2**w - 1 for w in range(n + 1)]
+    for wt, got in zip(wtabs, costs):
+        assert got.dtype.name == "int64"
+        assert got.tolist() == [orc._table_cost(1, n, (0, r), wt) for r in ranks.tolist()]
+
+
+@pytest.mark.parametrize("top", [2**31 // 48, 2**31 // 48 + 1])
 def test_encoder_costs_at_the_int32_edge(monkeypatch, top):
-    # the general rule: at m=1, n=4 the bound is 32 max(w), so 2^26 - 1 is the
-    # last int32 table and 2^26 the first int64 one
-    wtabs = [[top] * 5, [top, 0, 0, 0, 0], [0, 1, top, 2, top], [top, top - 1, 1, 0, top]]
+    # the general rule: at m=3, n=1 the bound is 48 max(w), so floor(2^31 / 48)
+    # is the last int32 table and one more the first int64 one
+    wtabs = [[top, top], [top, 0], [0, top], [top, top - 1]]
     for wt in wtabs:
-        assert _int32_bound(1, 4, [wt]) == (top < 2**26)
-        assert _costs_and_width(monkeypatch, 1, 4, [wt])[1] == (top < 2**26)
-        _assert_costs_match_table_cost(1, 4, [wt])
-    _assert_costs_match_table_cost(1, 4, wtabs[1:3])
+        assert _int32_bound(3, 1, [wt]) == (top < 2**31 / 48)
+        assert _costs_and_width(monkeypatch, 3, 1, [wt])[1] == (top < 2**31 / 48)
+        _assert_costs_match_table_cost(3, 1, [wt])
+    _assert_costs_match_table_cost(3, 1, wtabs[1:3])
 
 
 @pytest.mark.parametrize("top", [2**29 - 1, 2**29])
@@ -571,15 +614,13 @@ def test_encoder_costs_block_layout(monkeypatch, cells):
     assert [sh for sh in shapes if isinstance(sh, tuple) and len(sh) == 3] == [(2, rows, 8)]
 
 
-@pytest.mark.parametrize("m,n,cells", [(1, 4, 1), (1, 4, 48), (3, 2, 1), (3, 2, 256),
-                                       (3, 2, 5120)])
+@pytest.mark.parametrize("m,n,cells", [(3, 2, 1), (3, 2, 256), (3, 2, 5120)])
 def test_encoder_costs_block_layout_at_other_slot_counts(monkeypatch, m, n, cells):
-    # the 2^m - 1 - min(2^m - 1, 3) trailing slots are summed once whatever
-    # the cell cap: none at m = 1, whose 5 prefixes take 16 cells each, and
-    # 4 at m=3, n=2, whose 36 canonical triples take 4^5 = 1,024 cells each;
-    # a block holds cells // (cells per prefix) of them, at least 1, and 3
-    # and 5 leave a partial last block
-    block = {1: 1, 48: 3, 256: 1, 5120: 5}[cells]
+    # the 2^m - 4 trailing slots are summed once whatever the cell cap: 4 at
+    # m=3, n=2, whose 36 canonical triples take 4^5 = 1,024 cells each; a
+    # block holds cells // 1,024 of them, at least 1, and 5 leaves a partial
+    # last block
+    block = {1: 1, 256: 1, 5120: 5}[cells]
     wtabs = [list(range(1, n + 2)), [2**40] + [7] * n]
     want = orc._encoder_costs(m, n, wtabs)
     sizes, real_empty = [], np.empty
@@ -588,8 +629,8 @@ def test_encoder_costs_block_layout_at_other_slot_counts(monkeypatch, m, n, cell
                         or real_empty(shape, **k))
     got = orc._encoder_costs(m, n, wtabs)
     assert [a.tolist() for a in got] == [b.tolist() for b in want]
-    trailing = 4 ** (4 * (m == 3))
-    assert len(want[-1]) == {1: 5, 3: 36}[m] * trailing
+    trailing = 4 ** 4
+    assert len(want[-1]) == 36 * trailing
     # the two weight tables' costs, then one block array
     assert sizes == [len(want[-1])] * 2 + [2 ** n * block * trailing]
 
@@ -616,7 +657,9 @@ def _direct_costs(m, n, wtabs, pinned):
     K, N = 1 << m, 1 << n
     ranks = np.arange(N ** (K - 1 if pinned else K), dtype=np.int64)
     cw = np.stack([(ranks // N ** (K - 1 - s)) % N for s in range(K)], axis=1)
-    dist = orc._popcounts(n)[cw[:, :, None] ^ np.arange(N)]
+    # popcounts from int.bit_count, independent of the kernel's np.bitwise_count
+    pc = np.array([y.bit_count() for y in range(N)])
+    dist = pc[cw[:, :, None] ^ np.arange(N)]
     out = []
     for wt in wtabs:
         G = np.array(wt, dtype=np.int64)[dist]
