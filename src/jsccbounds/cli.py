@@ -312,10 +312,14 @@ def _run_binomial(args):
     from . import oracles as orc
 
     w = int(args.n * args.delta)
-    # k = 0 runs even for a negative --k-max: there the oracles reject an
-    # invalid n or delta before any row is printed
+    top = max(0, min(args.k_max, w, args.n - w))
+    # k = 0 rejects an invalid n or delta, even for a negative --k-max, before
+    # the rows' 2 top (top + 1) factors, in products of at most the last
+    # row's bits, are held against the budget and any row is printed
+    orc.binomial_gamma_exact(args.n, args.delta, 0)
+    orc._binomial_budget(args.n, args.delta.denominator, top, 2 * top * (top + 1))
     rows = []
-    for k in range(max(0, min(args.k_max, w, args.n - w)) + 1):
+    for k in range(top + 1):
         ratio, gamma = orc.binomial_gamma_exact(args.n, args.delta, k)
         approx = orc.binomial_gamma_approx(args.n, float(args.delta), k)
         if k <= args.k_max:

@@ -55,10 +55,9 @@ class EncoderTable:
     @property
     def index(self) -> int:
         # lexicographic rank of the full table, codewords[0] most significant
-        N = 1 << self.n
         r = 0
         for c in self.codewords:
-            r = r * N + c
+            r = r << self.n | c
         return r
 
     def words(self) -> list[str]:
@@ -295,13 +294,22 @@ def _table_cost(m, n, codewords, wtab) -> int:
 
 
 def encoder_from_index(m: int, n: int, index: int) -> EncoderTable:
-    """Inverse of EncoderTable.index."""
+    """Inverse of EncoderTable.index. BudgetExceeded, before 2^m is formed,
+    when the 2^m codewords at 8 bytes each would pass _ARRAY_BYTES."""
     m = _count("m", m)
     n = _count("n", n)
+    if m + 3 >= _ARRAY_BYTES.bit_length():
+        raise BudgetExceeded(_HOLDS % ("at least 8 x 2^" + _end(m), _ARRAY_BYTES))
     K = 1 << m
-    N = 1 << n
-    index = _count("index", index, 0, N ** K - 1)
-    return EncoderTable(m, n, tuple((index >> n * (K - 1 - s)) & (N - 1) for s in range(K)))
+    # index < N^K = 2^(n K); past 2^20 bits N^K is formed only for an index
+    # that has more bits, to word the refusal
+    nK = n * K
+    index = _count("index", index, 0, (1 << nK) - 1 if nK <= 1 << 20 else math.inf)
+    if index.bit_length() > nK:
+        _count("index", index, 0, (1 << nK) - 1)
+    # a mask no wider than index: 2^n is not formed
+    mask = (1 << min(n, index.bit_length())) - 1
+    return EncoderTable(m, n, tuple((index >> n * (K - 1 - s)) & mask for s in range(K)))
 
 
 def p2p_bruteforce(m, n, delta, budget=DEFAULT_BUDGET):
@@ -378,6 +386,15 @@ def broadcast_frontier(m, n, w1, w2, budget=DEFAULT_BUDGET):
 # ---------- posterior weight ratios ----------
 
 
+def _binomial_budget(n, b, k, factors):
+    """BudgetExceeded when factors factors of products of up to
+    2 k (bit_length(n) + bit_length(b)) bits pass DEFAULT_BUDGET."""
+    bits = 2 * k * (n.bit_length() + b.bit_length())
+    if factors * bits > DEFAULT_BUDGET:
+        raise BudgetExceeded("binomial needs %s factors x %s bits, budget is %d"
+                             % (_end(factors), _end(bits), DEFAULT_BUDGET))
+
+
 def binomial_gamma_exact(n, delta, k):
     """Exact posterior split r(k) between the +k and -k deviations of a
     Binomial(n, delta) weight around its mean, and gamma = 2 r - 1.
@@ -386,7 +403,9 @@ def binomial_gamma_exact(n, delta, k):
     cancel, leaving r = C(n,w+k) a^2k / (C(n,w+k) a^2k + C(n,w-k) (b-a)^2k).
     Only the ratio C(n,w+k) / C(n,w-k), the product of (n - j) / (j + 1)
     over j from w - k to w + k - 1, is formed, so the work grows with k, not
-    with n. Returns (ratio, gamma) as ExactValues.
+    with n. Its 4k factors times the products' 2 k (bit_length(n) +
+    bit_length(b)) bits are held against DEFAULT_BUDGET before any product
+    is formed (BudgetExceeded). Returns (ratio, gamma) as ExactValues.
     """
     n = _count("n", n)
     delta = _as_fraction("delta", delta)
@@ -396,6 +415,7 @@ def binomial_gamma_exact(n, delta, k):
     w = int(w)
     k = _count("k", k, 0, min(w, n - w))
     a, b = delta.numerator, delta.denominator
+    _binomial_budget(n, b, k, 4 * k)
     span = range(w - k, w + k)
     up = math.prod(n - j for j in span) * a ** (2 * k)
     down = math.prod(j + 1 for j in span) * (b - a) ** (2 * k)

@@ -385,6 +385,35 @@ def test_coupling_and_gq_search_budgets_return_3(capsys, time_cap):
                    % (10**21, orc.DEFAULT_BUDGET))
 
 
+def test_binomial_rows_budget_returns_3(capsys, monkeypatch, time_cap):
+    # the rows k = 0..K need 2 K (K + 1) factors in products of at most
+    # 2 K (bit_length(n) + bit_length(b)) bits, held against the default
+    # budget before any row; at n = 4 k-max, delta 1/4, k-max 424 is the last
+    # admitted and 425 the first refused (before, n = 8000 and k-max 2000 took
+    # 12.5 s, and n = k-max = 10^21 did not end)
+    with time_cap(2.0):
+        for n, k, factors, bits in (("1700", "425", 362100, 11900),
+                                    ("8000", "2000", 8004000, 64000),
+                                    ("1" + "0" * 21, "1" + "0" * 21,
+                                     125 * 10**39 + 5 * 10**20, 365 * 10**20)):
+            code, out, err = run_cli(["oracle", "binomial", "--n", n, "--delta", "1/4",
+                                      "--k-max", k], capsys)
+            assert (code, out, err) == (3, "", "budget: binomial needs %d factors x %d bits, "
+                                        "budget is %d\n" % (factors, bits, orc.DEFAULT_BUDGET))
+
+    class Admitted(Exception):
+        pass
+
+    def admitted(n, delta, k, real=orc.binomial_gamma_exact):
+        if k:  # the k = 0 row checks n and delta before the budget
+            raise Admitted
+        return real(n, delta, k)
+
+    monkeypatch.setattr(orc, "binomial_gamma_exact", admitted)
+    with pytest.raises(Admitted):
+        cli.main(["oracle", "binomial", "--n", "1696", "--delta", "1/4", "--k-max", "424"])
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_exact_cell_past_the_digit_limit_returns_3(capsys, fmt):
     # e_dev's denominator, about 10^40398, has more digits than int-to-str prints

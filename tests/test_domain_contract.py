@@ -154,3 +154,18 @@ def test_finite_result_or_domain_error(name, arg, value):
     except DomainError:
         return
     assert _finite(out), out
+
+
+def test_encoder_from_index_refuses_an_m_past_the_memory_cap(time_cap):
+    # 2^m codewords at 8 bytes each pass the 2 GiB array cap from m = 29 on:
+    # refused from bit lengths, before 2^m or N^K is formed (before, m = 10^21
+    # raised OverflowError and m = 2^63 MemoryError)
+    with time_cap(0.5):
+        for m in (10**21, 2**63, 29):
+            with pytest.raises(jb.BudgetExceeded,
+                               match=r"^search would hold at least 8 x 2\^%d bytes" % m):
+                jb.encoder_from_index(m, 1, 0)
+        # a long n forms no 2^n either
+        assert jb.encoder_from_index(1, 10**21, 3).codewords == (0, 3)
+        with pytest.raises(DomainError, match=r"in \[0, inf\), got -1$"):
+            jb.encoder_from_index(1, 10**21, -1)

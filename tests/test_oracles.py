@@ -313,7 +313,8 @@ def test_int64_guard_refuses_the_weights_that_would_overflow(monkeypatch, time_c
                 orc.p2p_bruteforce(*args)
         with pytest.raises(orc.BudgetExceeded, match="overflow int64"):
             orc.sphere_bruteforce(1, 61, 1, budget=math.inf)
-        with pytest.raises(orc.BudgetExceeded):
+        # its n + 1 costs and ranks alone pass the memory cap
+        with pytest.raises(orc.BudgetExceeded, match="^search would hold 16000000524304 bytes"):
             orc.sphere_bruteforce(1, 10**12, 1, budget=math.inf)
 
 
@@ -730,6 +731,20 @@ def test_binomial_gamma_exact_past_comb():
             up = math.comb(n, w + k) * a ** (2 * k)
             down = math.comb(n, w - k) * (b - a) ** (2 * k)
             assert orc.binomial_gamma_exact(n, delta, k)[0].value == F(up, up + down)
+
+
+def test_binomial_budget_is_checked_before_any_product(time_cap):
+    # 4k factors in products of 2k (bit_length(n) + bit_length(b)) bits: at
+    # n = 4k, delta 1/4, k = 5461 is the last admitted and 5462 the first
+    # refused; before, k = 10^20 began a product of 2 10^20 factors
+    with time_cap(1.0):
+        for n, k, factors, bits in ((4 * 5462, 5462, 21848, 196632),
+                                    (10**21, 10**20, 4 * 10**20, 146 * 10**20)):
+            with pytest.raises(orc.BudgetExceeded,
+                               match=r"^binomial needs %d factors x %d bits, budget is %d$"
+                               % (factors, bits, orc.DEFAULT_BUDGET)):
+                orc.binomial_gamma_exact(n, F(1, 4), k)
+        assert 0 < orc.binomial_gamma_exact(4 * 5461, F(1, 4), 5461)[0].value < 1
 
 
 def test_binomial_gamma_relation():
