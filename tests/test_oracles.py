@@ -198,6 +198,26 @@ def test_m1_searches_at_n25_run_under_1_gib(argv, line):
     assert line in proc.stdout, proc.stdout
 
 
+# m = 1 at n = 40 holds no 2^n-word array, so the memory cap no longer refuses
+# it (before, it did): its 41 x 2^40 pairs pass the default work budget, and
+# under a budget that admits them its integer costs would overflow int64
+_M1_AT_N40 = {
+    "p2p-1-40": ([], r"search needs 41 x 2\^40 \(encoder, output\) pairs, "
+                     r"budget is 4294967296"),
+    "p2p-1-40-budget-10^21": (["--budget", str(10**21)],
+                              r"integer costs would overflow int64 accumulators"),
+}
+
+
+@pytest.mark.parametrize("budget,reason", list(_M1_AT_N40.values()), ids=list(_M1_AT_N40))
+def test_m1_search_at_n40_is_refused_before_allocating(budget, reason):
+    argv = ["p2p", "--m", "1", "--n", "40", "--delta", "1/4"] + budget
+    proc = subprocess.run([sys.executable, "-c", _UNDER_1_GIB, "oracle"] + argv,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert re.fullmatch("budget: " + reason + "\n", proc.stderr), proc.stderr
+
+
 def test_memory_bound_holds_and_admission_decides(monkeypatch):
     # the tracemalloc peak of a search from empty caches is at most the bytes
     # it was admitted with, and not far below them beside the fixed allowance
