@@ -110,15 +110,13 @@ def _orbit_costs(n, wtabs, dt, cells):
 
 
 def _type_costs(n, wtabs):
-    """The m = 1 costs of oracles._encoder_costs, one int64 array per weight
-    table, then the ranks of the tables (0, 2^w - 1), w = 0, ..., n, one per
-    orbit, as w = popcount(c_1) fixes the orbit of (0, c_1). Words are
-    counted by type (I. Csiszar and J. Korner, Information Theory, 1981):
+    """The m = 1 costs of oracles._encoder_costs, one list of Python ints per
+    weight table, then the ranks of the tables (0, 2^w - 1), w = 0, ..., n,
+    one per orbit, as w = popcount(c_1) fixes the orbit of (0, c_1). Words
+    are counted by type (I. Csiszar and J. Korner, Information Theory, 1981):
     C(n - w, i) C(w, j) of them have i ones where c_1 has zeros and j where
     it has ones, so W[0, y] = t[i + j] and W[c_1, y] = t[i + w - j]."""
-    import numpy as np
-
     costs = [[sum(math.comb(n - w, i) * math.comb(w, j) * min(t[i + j], t[i + w - j])
                   for i in range(n - w + 1) for j in range(w + 1)) for w in range(n + 1)]
              for t in wtabs]
-    return [np.array(a, dtype=np.int64) for a in costs + [[(1 << w) - 1 for w in range(n + 1)]]]
+    return costs + [[(1 << w) - 1 for w in range(n + 1)]]

@@ -161,10 +161,16 @@ def h_b(x: float) -> float:
 # (2u relative). Then -x log x carries 3u of its value, (1 - x) log(1 - x)
 # 4u plus u from rounding 1 - x inside the log, and the final subtraction u
 # of h, so |fl(_h(x)) - h(x)| <= (5 log 2 + 1) u + O(u^2) ~ 4.5u. _H_ERR
-# takes 8u, which also covers a libm log within 2 ulps.
+# takes 8u, which also covers a libm log within 2 ulps. With a log within
+# L ulps the bound is ((2L + 3) log 2 + 1) u, and _hinv_np's _H_ERR_NP =
+# 16u rests on np.log within 8 ulps of the exact log (14.2u, so 1.8u to
+# spare). tests/test_binary_info.py asserts np.log within 7 ulps of
+# math.log, itself within 1 ulp. The two agree within 1 ulp on an AVX-512
+# Xeon (numpy 2.4), so np.log keeps a margin of 6 ulps there.
 _NEWTON_EDGE = 5.0 * 2.0 ** -47
 _NEWTON_CUTOFF = h_b(_NEWTON_EDGE)
 _H_ERR = 8.0 * 2.0 ** -53
+_H_ERR_NP = 2.0 * _H_ERR
 
 
 def h_b_inv(t: float) -> float:
@@ -277,6 +283,71 @@ def _first_mid(a: int, b: int) -> int:
     k = (a ^ b).bit_length()
     m = (b >> k) << k  # a multiple of 2^k in [a, b] can only be a itself
     return m if m >= a else (b >> (k - 1)) << (k - 1)
+
+
+def _hinv_np(t):
+    """h_b_inv on an array, by the verify suites' own rule: the float that
+    60 halvings of [0, 1/2] leave, mid = 0.5 (lo + hi) and the right half
+    kept where _h(mid, np.log) < t, then 0 where t <= 0 and 1/2 where
+    t >= log 2 (a NaN t gives 2^-62).
+
+    Bit for bit, with fewer halvings: as in h_b_inv, _h at the two edges of
+    a window [xa, xb] around a Newton root settles every mid outside it
+    (the comment above _H_ERR, with _H_ERR_NP for np.log). The first k
+    halvings then only walk to the level-k dyadic block that holds the
+    window; for k <= 50 its ends, and the walk's sums and mids, are exact
+    floats. So each cell starts from that block and makes the other 60 - k
+    halvings with the same float ops. A cell whose edge proof fails starts
+    from [0, 1/2], and one with t <= 0 or t >= log 2 makes no halving.
+    """
+    import numpy as np
+
+    shape = np.shape(t)
+    t = np.asarray(t, dtype=float).ravel()
+    with np.errstate(all="ignore"):
+        # four steps from h_b_inv's start in _newton's bracket rule; NaN
+        # wherever t is outside (0, log 2)
+        z = (t / NAT_LOG2) ** (4.0 / 3.0)
+        x = z / (2.0 + 2.0 * np.sqrt(1.0 - z))
+        lo, hi = np.zeros_like(t), np.full_like(t, 0.5)
+        for _ in range(4):
+            lx, l1x = np.log(x), np.log(1.0 - x)
+            hp = l1x - lx
+            f = -x * lx - (1.0 - x) * l1x - t
+            step = x - f / hp
+            left = f < 0.0
+            lo, hi = np.where(left, x, lo), np.where(left, hi, x)
+            x = np.where(left, np.where(step < hi, step, 0.5 * (x + hi)),
+                         np.where(step > lo, step, 0.5 * (lo + x)))
+        half = 4.0 * _H_ERR_NP / hp
+        xa, xb = x - half, x + half
+        # 2 _H_ERR_NP is a float, so a rounded difference above it shows the
+        # exact one above it; a window past 0 or 1/2 holds vacuously there
+        ok = (((xa <= 0.0) | (t - _h(xa, np.log) > 2.0 * _H_ERR_NP))
+              & ((xb >= 0.5) | (_h(xb, np.log) - t > 2.0 * _H_ERR_NP)))
+        # the window in units of 2^-51, [0, 2^50) where the proof fails
+        a = np.where(ok, np.floor(np.maximum(xa, 0.0) * 2.0 ** 51), 0.0).astype(np.int64)
+        b = np.where(ok, np.ceil(np.minimum(xb, 0.5) * 2.0 ** 51), 2.0 ** 50).astype(np.int64)
+    # a < b, and the block of level 50 - s holds [a, b], s the bit length
+    # of a ^ (b - 1)
+    s = np.frexp((a ^ (b - 1)).astype(float))[1]
+    lo = np.ldexp((a >> s << s).astype(float), -51)
+    hi = lo + np.ldexp(1.0, s - 51)
+    halvings = np.where((t <= 0.0) | (t >= NAT_LOG2), 0, 10 + s)
+    # sorted by their halvings, the cells that halving i makes (more than
+    # 59 - i halvings) are a suffix
+    order = np.argsort(halvings)
+    lo, hi, ts = lo[order], hi[order], t[order]
+    starts = np.searchsorted(halvings[order], np.arange(60, 0, -1))
+    for i in starts[starts < len(t)]:
+        l, h = lo[i:], hi[i:]
+        mid = 0.5 * (l + h)
+        below = _h(mid, np.log) < ts[i:]
+        lo[i:], hi[i:] = np.where(below, mid, l), np.where(below, h, mid)
+    out = np.empty_like(t)
+    out[order] = 0.5 * (lo + hi)
+    out = np.where(t <= 0.0, 0.0, out)
+    return np.where(t >= NAT_LOG2, 0.5, out).reshape(shape)
 
 
 def conv(a: float, b: float) -> float:

@@ -17,8 +17,8 @@ from fractions import Fraction
 from ._orbits import _canonical_prefixes, _orbit_costs, _type_costs
 from ._scalar_opt import Lcg64
 from .binary_info import (DEFAULT_BUDGET, NAT_LOG2, BudgetExceeded, DomainError, _clamp, _conv,
-                          _count, _end, _g, _h, _hp, _kappa, _mgl_inv, _nu, _phi, _Phi,
-                          _real, conv, h_b)
+                          _count, _end, _g, _h, _hinv_np, _hp, _kappa, _mgl_inv, _nu, _phi,
+                          _Phi, _real, conv, h_b)
 
 
 # ---------- result containers ----------
@@ -33,6 +33,13 @@ class ExactValue:
 
     def __float__(self):
         return float(self.value)
+
+    def __repr__(self):
+        try:
+            return "ExactValue(value=%r)" % (self.value,)
+        except ValueError:  # past the int-to-str digit limit
+            return "ExactValue(value=Fraction(%s, %s))" % (_end(self.value.numerator),
+                                                           _end(self.value.denominator))
 
 
 @dataclass(frozen=True)
@@ -97,8 +104,9 @@ _BLOCK_CELLS = 1 << 16
 
 def _encoder_costs(m, n, wtabs):
     """Integer decoding cost of encoder tables, one array per weight table,
-    followed by the ascending int64 array of the tables' ranks. Callers
-    admit the search and its weights (_admit) first; nothing here refuses.
+    followed by the ascending int64 array of the tables' ranks; at m = 1,
+    lists of Python ints, made without numpy. Callers admit the search and
+    its weights (_admit) first; nothing here refuses.
 
     The cost of an encoder under weights w is
         sum_y sum_j min(A_j(y), S(y) - A_j(y)),
@@ -150,10 +158,10 @@ def _encoder_costs(m, n, wtabs):
     not, is subtracted in int64. So the costs, returned as int64, equal the
     direct sums.
     """
-    import numpy as np
-
     if m == 1:
         return _type_costs(n, wtabs)
+    import numpy as np
+
     K, N = 1 << m, 1 << n
     dt = np.int32 if (1 if m == 2 else m * K) * N * max(map(max, wtabs)) < 2 ** 31 else np.int64
     if m == 2:
@@ -312,6 +320,11 @@ def encoder_from_index(m: int, n: int, index: int) -> EncoderTable:
     return EncoderTable(m, n, tuple((index >> n * (K - 1 - s)) & mask for s in range(K)))
 
 
+def _first_least(costs) -> int:
+    """The index of the first least cost in a list or an int64 array."""
+    return costs.index(min(costs)) if isinstance(costs, list) else int(costs.argmin())
+
+
 def p2p_bruteforce(m, n, delta, budget=DEFAULT_BUDGET):
     """Exact optimal per-bit Hamming distortion of the best 2^m -> 2^n code
     over a memoryless flip channel with crossover delta.
@@ -330,7 +343,7 @@ def p2p_bruteforce(m, n, delta, budget=DEFAULT_BUDGET):
     _admit(m, n, budget, base=b - a)
     wt = [a ** d * (b - a) ** (n - d) for d in range(n + 1)]
     costs, ranks = _encoder_costs(m, n, [wt])
-    best = int(costs.argmin())
+    best = _first_least(costs)
     value = Fraction(int(costs[best]), m * (1 << m) * b ** n)
     return ExactValue(value), encoder_from_index(m, n, int(ranks[best]))
 
@@ -352,7 +365,7 @@ def sphere_bruteforce(m, n, weight, encoder=None, budget=DEFAULT_BUDGET):
     if encoder is not None:
         return ExactValue(Fraction(_table_cost(m, n, cw, wt), denom))
     costs = _encoder_costs(m, n, [wt])[0]
-    return ExactValue(Fraction(int(costs.min()), denom))
+    return ExactValue(Fraction(int(costs[_first_least(costs)]), denom))
 
 
 def broadcast_frontier(m, n, w1, w2, budget=DEFAULT_BUDGET):
@@ -370,7 +383,7 @@ def broadcast_frontier(m, n, w1, w2, budget=DEFAULT_BUDGET):
     _admit(m, n, budget, weights=2, held=5)  # order, s2, its running min, 2 masks
     t1 = [1 if d == w1 else 0 for d in range(n + 1)]
     t2 = [1 if d == w2 else 0 for d in range(n + 1)]
-    c1, c2, ranks = _encoder_costs(m, n, [t1, t2])
+    c1, c2, ranks = map(np.asarray, _encoder_costs(m, n, [t1, t2]))
     den1 = m * (1 << m) * math.comb(n, w1)
     den2 = m * (1 << m) * math.comb(n, w2)
     order = np.lexsort((ranks, c2, c1))
@@ -651,23 +664,6 @@ def _axis(step):
 
     ax = np.arange(_BOX_LO, _BOX_HI + 0.5 * step, step)
     return ax[ax <= _BOX_HI + 1e-12]
-
-
-def _hinv_np(t):
-    """Array h_b_inv: 60 halvings of [0, 1/2], every mid inside (0, 1/2)."""
-    import numpy as np
-
-    t = np.asarray(t, dtype=float)
-    lo = np.zeros_like(t)
-    hi = np.full_like(t, 0.5)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        below = _h(mid, np.log) < t
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    out = 0.5 * (lo + hi)
-    out = np.where(t <= 0.0, 0.0, out)
-    return np.where(t >= NAT_LOG2, 0.5, out)
 
 
 def _span(step):

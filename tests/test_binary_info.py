@@ -2,8 +2,9 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jsccbounds import binary_info as bi
 
@@ -409,6 +410,93 @@ def test_beta_phi_nonnegative(q, t):
 def test_q_zero_collapses(t):
     assert bi.beta(0.0, t) == 0.0
     assert abs(bi.phi(0.0, t)) < 1e-12
+
+
+# ---------- the verify suites' array inverse ----------
+
+
+def _halving_inverse_np(t):
+    # the array inverse by its definition: 60 halvings of [0, 1/2] on every
+    # cell, each keeping the right half where _h(mid, np.log) < t
+    t = np.asarray(t, dtype=float)
+    lo = np.zeros_like(t)
+    hi = np.full_like(t, 0.5)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = bi._h(mid, np.log) < t
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    out = 0.5 * (lo + hi)
+    out = np.where(t <= 0.0, 0.0, out)
+    return np.where(t >= bi.NAT_LOG2, 0.5, out)
+
+
+def _assert_bitwise(t):
+    got, want = bi._hinv_np(t), _halving_inverse_np(t)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _f_lt_1_cells(step):
+    # the t of every cell the f-lt-1 suite inverts at this grid step
+    from jsccbounds import oracles as orc
+
+    ax = orc._axis(step)
+    rho = 1.0 + 2.0 * np.arange(1, len(ax) + 1) / len(ax)
+    return bi.NAT_LOG2 - rho[:, None] * (bi.NAT_LOG2 - bi._h(ax, np.log))[None, :]
+
+
+_ARRAY_INVERSE_EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1e-300, 5e-324, 1e-300,
+                        1e-12, bi._NEWTON_CUTOFF, bi.NAT_LOG2,
+                        math.nextafter(bi.NAT_LOG2, 0.0), math.nextafter(bi.NAT_LOG2, 1.0)]
+
+
+@pytest.mark.parametrize("t", [
+    pytest.param(_f_lt_1_cells(1e-2), id="f-lt-1-grid-1e-2"),
+    pytest.param(np.linspace(0.0, 1.0, 20) * bi.NAT_LOG2, id="mgl-lin-t"),
+    pytest.param(np.array(_ARRAY_INVERSE_EDGES), id="edges"),
+    pytest.param(np.float64(0.3), id="zero-dimensional"),
+])
+def test_array_inverse_is_the_halving_loop_bit_for_bit(t):
+    _assert_bitwise(t)
+
+
+# the t bands of the verify suites and beyond, mixed within one array so
+# that cells of every start level are sorted together
+_T_BANDS = (st.floats(-0.1, bi.NAT_LOG2)
+            | st.floats(bi.NAT_LOG2 - 1e-6, bi.NAT_LOG2)
+            | st.floats(0.0, 1e-6)
+            | st.sampled_from(_ARRAY_INVERSE_EDGES))
+
+
+@settings(max_examples=200)
+@given(st.lists(_T_BANDS, min_size=1, max_size=64))
+def test_array_inverse_matches_the_halving_loop_on_every_band(ts):
+    _assert_bitwise(np.array(ts))
+
+
+def test_array_inverse_starts_most_cells_deep(monkeypatch):
+    # the halvings a proved window settles are not made: f-lt-1's cells at
+    # grid 1e-2 take about 17 _h evaluations each where the loop takes 60
+    cells = []
+    real = bi._h
+    monkeypatch.setattr(bi, "_h", lambda x, log: cells.append(np.size(x)) or real(x, log))
+    t = _f_lt_1_cells(1e-2)
+    bi._hinv_np(t)
+    assert sum(cells) < 20 * t.size
+
+
+def test_np_log_is_within_the_ulps_the_array_error_bound_assumes():
+    # _H_ERR_NP rests on np.log within 8 ulps of the exact log; math.log is
+    # within 1. A fixed sample of 10^5 points: log-uniform over the floats
+    # in (0, 1/2], subnormals included, and uniform over [1/2, 1), where
+    # _h takes log(x) and log(1 - x)
+    rng = random.Random(30)
+    xs = ([math.ldexp(1.0 + rng.random(), -rng.randint(2, 1074)) for _ in range(50_000)]
+          + [0.5 + 0.5 * rng.random() for _ in range(50_000)])
+    want = np.array([math.log(x) for x in xs])
+    ulps = np.abs(np.log(np.array(xs)) - want) / np.spacing(np.abs(want))
+    assert ulps.max() <= 7.0
 
 
 # ---------- domains ----------

@@ -629,7 +629,8 @@ stages = [stage()]
 for argv in (["eval", "--fn", "h_b", "--x", "0.11"],
              ["bound", "lower", "--n", "10000", "--rho", "1.2", "--delta", "0.2"],
              ["oracle", "coupling", "--n", "10", "--delta1", "1/5", "--delta2", "1/4"],
-             ["oracle", "p2p", "--m", "1", "--n", "2", "--delta", "1/4"]):
+             ["oracle", "p2p", "--m", "1", "--n", "2", "--delta", "1/4"],
+             ["oracle", "p2p", "--m", "2", "--n", "2", "--delta", "1/4"]):
     assert cli.main(argv) == 0
     stages.append(stage())
 sys.stderr.write(json.dumps(stages))
@@ -638,7 +639,8 @@ sys.stderr.write(json.dumps(stages))
 
 def test_scalar_commands_start_without_numpy():
     # each command loads the modules it calls, and numpy only on the first
-    # array call: not on import, nor for scalar commands
+    # array call: not on import, nor for scalar commands, nor for the m = 1
+    # search, which sums its orbits in Python integers
     proc = subprocess.run([sys.executable, "-c", _START_UP], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stderr) == [
@@ -646,9 +648,11 @@ def test_scalar_commands_start_without_numpy():
         [],  # eval
         ["jsccbounds.bounds_core"],  # bound lower
         ["jsccbounds._orbits", "jsccbounds._scalar_opt", "jsccbounds.oracles"],  # coupling
-        ["numpy"],  # p2p
+        [],  # p2p at m = 1
+        ["numpy"],  # p2p at m = 2
     ]
-    assert proc.stdout.endswith("m,n,delta,value,witness\n1,2,1/4,0.25,00;01\n")
+    assert proc.stdout.endswith("m,n,delta,value,witness\n1,2,1/4,0.25,00;01\n"
+                                "m,n,delta,value,witness\n2,2,1/4,0.25,00;01;10;11\n")
 
 
 def _one_command_per_subcommand():

@@ -365,6 +365,15 @@ def test_exact_value_container():
     v = orc.ExactValue(F(1, 3))
     assert float(v) == pytest.approx(1 / 3, rel=1e-15)
     assert v.mode == "exact"
+    assert repr(v) == "ExactValue(value=Fraction(1, 3))"
+
+
+def test_exact_value_repr_past_the_digit_limit():
+    # str of a 5,001-digit numerator passes the int-to-str limit; the repr
+    # shows its bit length instead, as the CLI's refusal does
+    v = orc.ExactValue(F(10**5000 + 1, 3))
+    assert repr(v) == "ExactValue(value=Fraction(~2^16610, 3))"
+    assert repr(orc.ExactValue(1 / v.value)) == "ExactValue(value=Fraction(3, ~2^16610))"
 
 
 def test_encoder_table_validation():
@@ -558,10 +567,9 @@ def test_m1_type_sums_match_table_cost(data):
     wtabs = data.draw(st.lists(st.lists(st.integers(0, 3) | st.just(2**40),
                                         min_size=n + 1, max_size=n + 1), min_size=1, max_size=2))
     *costs, ranks = orc._encoder_costs(1, n, wtabs)
-    assert ranks.tolist() == [2**w - 1 for w in range(n + 1)]
+    assert _as_ints(1, ranks) == [2**w - 1 for w in range(n + 1)]
     for wt, got in zip(wtabs, costs):
-        assert got.dtype.name == "int64"
-        assert got.tolist() == [orc._table_cost(1, n, (0, r), wt) for r in ranks.tolist()]
+        assert _as_ints(1, got) == [orc._table_cost(1, n, (0, r), wt) for r in ranks]
 
 
 @pytest.mark.parametrize("top", [2**31 // 48, 2**31 // 48 + 1])
@@ -605,15 +613,24 @@ def test_encoder_costs_one_max_constant_past_int32(monkeypatch):
         assert int(costs[i]) == orc._table_cost(2, 8, cw, sloped)
 
 
+def _as_ints(m, arr):
+    # the kernel's costs and ranks: exact Python ints at m = 1, made without
+    # numpy, and int64 arrays from m = 2 on
+    if m == 1:
+        assert type(arr) is list and all(type(v) is int for v in arr)
+        return arr
+    assert arr.dtype.name == "int64"
+    return arr.tolist()
+
+
 def _assert_costs_match_table_cost(m, n, wtabs):
     *costs, ranks = orc._encoder_costs(m, n, wtabs)
     want = [orc.EncoderTable(m, n, cw).index for cw in _canonical_tables(m, n)]
-    assert ranks.dtype.name == "int64"
-    assert ranks.tolist() == want
+    assert _as_ints(m, ranks) == want
     tables = [orc.encoder_from_index(m, n, r).codewords for r in want]
     assert len(costs) == len(wtabs)
     for wt, got in zip(wtabs, costs):
-        assert got.tolist() == [orc._table_cost(m, n, cw, wt) for cw in tables]
+        assert _as_ints(m, got) == [orc._table_cost(m, n, cw, wt) for cw in tables]
 
 
 @pytest.mark.parametrize("cells", [1, 48, 112, 192, 400, 1000, 2000])
@@ -695,13 +712,13 @@ def _direct_costs(m, n, wtabs, pinned):
 
 def _pick_p2p(costs, ranks):
     # the least cost and the lowest rank that reaches it
-    return min(zip(costs.tolist(), ranks.tolist()))
+    return min(zip(map(int, costs), map(int, ranks)))
 
 
 def _pick_frontier(c1, c2, ranks):
     # each Pareto point of (c1, c2) with the lowest rank that reaches it
     points = []
-    for a, b, r in sorted(zip(c1.tolist(), c2.tolist(), ranks.tolist())):
+    for a, b, r in sorted(zip(map(int, c1), map(int, c2), map(int, ranks))):
         if not points or b < points[-1][1]:
             points.append((a, b, r))
     return points
