@@ -297,8 +297,9 @@ def _hinv_np(t):
     halvings then only walk to the level-k dyadic block that holds the
     window; for k <= 50 its ends, and the walk's sums and mids, are exact
     floats. So each cell starts from that block and makes the other 60 - k
-    halvings with the same float ops. A cell whose edge proof fails starts
-    from [0, 1/2], and one with t <= 0 or t >= log 2 makes no halving.
+    halvings with the same float ops, or fewer where the last ones can no
+    longer change its answer. A cell whose edge proof fails starts from
+    [0, 1/2], and one with t <= 0 or t >= log 2 makes no halving.
     """
     import numpy as np
 
@@ -333,7 +334,12 @@ def _hinv_np(t):
     s = np.frexp((a ^ (b - 1)).astype(float))[1]
     lo = np.ldexp((a >> s << s).astype(float), -51)
     hi = lo + np.ldexp(1.0, s - 51)
-    halvings = np.where((t <= 0.0) | (t >= NAT_LOG2), 0, 10 + s)
+    # From level 50 on, a block [lo, hi] with lo in [2^(p-1), 2^p) needs at
+    # most 2 - p more halvings: each mid is exact while half the width is at
+    # least ulp(lo), so these leave lo and hi one float apart; 0.5 (lo + hi)
+    # then rounds to lo or hi, and every later halving keeps that answer
+    tail = np.where(lo > 0.0, np.minimum(10, 2 - np.frexp(lo)[1]), 10)
+    halvings = np.where((t <= 0.0) | (t >= NAT_LOG2), 0, s + tail)
     # sorted by their halvings, the cells that halving i makes (more than
     # 59 - i halvings) are a suffix
     order = np.argsort(halvings)
