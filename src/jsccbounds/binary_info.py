@@ -305,41 +305,7 @@ def _hinv_np(t):
 
     shape = np.shape(t)
     t = np.asarray(t, dtype=float).ravel()
-    with np.errstate(all="ignore"):
-        # four steps from h_b_inv's start in _newton's bracket rule; NaN
-        # wherever t is outside (0, log 2)
-        z = (t / NAT_LOG2) ** (4.0 / 3.0)
-        x = z / (2.0 + 2.0 * np.sqrt(1.0 - z))
-        lo, hi = np.zeros_like(t), np.full_like(t, 0.5)
-        for _ in range(4):
-            lx, l1x = np.log(x), np.log(1.0 - x)
-            hp = l1x - lx
-            f = -x * lx - (1.0 - x) * l1x - t
-            step = x - f / hp
-            left = f < 0.0
-            lo, hi = np.where(left, x, lo), np.where(left, hi, x)
-            x = np.where(left, np.where(step < hi, step, 0.5 * (x + hi)),
-                         np.where(step > lo, step, 0.5 * (lo + x)))
-        half = 4.0 * _H_ERR_NP / hp
-        xa, xb = x - half, x + half
-        # 2 _H_ERR_NP is a float, so a rounded difference above it shows the
-        # exact one above it; a window past 0 or 1/2 holds vacuously there
-        ok = (((xa <= 0.0) | (t - _h(xa, np.log) > 2.0 * _H_ERR_NP))
-              & ((xb >= 0.5) | (_h(xb, np.log) - t > 2.0 * _H_ERR_NP)))
-        # the window in units of 2^-51, [0, 2^50) where the proof fails
-        a = np.where(ok, np.floor(np.maximum(xa, 0.0) * 2.0 ** 51), 0.0).astype(np.int64)
-        b = np.where(ok, np.ceil(np.minimum(xb, 0.5) * 2.0 ** 51), 2.0 ** 50).astype(np.int64)
-    # a < b, and the block of level 50 - s holds [a, b], s the bit length
-    # of a ^ (b - 1)
-    s = np.frexp((a ^ (b - 1)).astype(float))[1]
-    lo = np.ldexp((a >> s << s).astype(float), -51)
-    hi = lo + np.ldexp(1.0, s - 51)
-    # From level 50 on, a block [lo, hi] with lo in [2^(p-1), 2^p) needs at
-    # most 2 - p more halvings: each mid is exact while half the width is at
-    # least ulp(lo), so these leave lo and hi one float apart; 0.5 (lo + hi)
-    # then rounds to lo or hi, and every later halving keeps that answer
-    tail = np.where(lo > 0.0, np.minimum(10, 2 - np.frexp(lo)[1]), 10)
-    halvings = np.where((t <= 0.0) | (t >= NAT_LOG2), 0, s + tail)
+    lo, hi, halvings = _start_np(t)
     # sorted by their halvings, the cells that halving i makes (more than
     # 59 - i halvings) are a suffix
     order = np.argsort(halvings)
@@ -354,6 +320,49 @@ def _hinv_np(t):
     out[order] = 0.5 * (lo + hi)
     out = np.where(t <= 0.0, 0.0, out)
     return np.where(t >= NAT_LOG2, 0.5, out).reshape(shape)
+
+
+def _start_np(t):
+    """Each cell's start in _hinv_np, for a 1-d array t: the dyadic block
+    (lo, hi) that holds its proved window, and the halvings it makes."""
+    import numpy as np
+
+    with np.errstate(all="ignore"):
+        # four steps from h_b_inv's start, kept to _newton's bracket: x
+        # becomes the root's new bracket end, and a step that leaves the
+        # bracket bisects it (a step from the left can only overshoot hi,
+        # one from the right only lo); NaN wherever t is outside (0, log 2)
+        x = (t / NAT_LOG2) ** (4.0 / 3.0)
+        x = x / (2.0 + 2.0 * np.sqrt(1.0 - x))
+        lo, hi = np.zeros_like(t), np.full_like(t, 0.5)
+        for _ in range(4):
+            lx, l1x = np.log(x), np.log(1.0 - x)
+            hp = l1x - lx
+            f = -x * lx - (1.0 - x) * l1x - t
+            step = x - f / hp
+            left = f < 0.0
+            lo, hi = np.where(left, x, lo), np.where(left, hi, x)
+            x = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        half = 4.0 * _H_ERR_NP / hp
+        xa, xb = x - half, x + half
+        # 2 _H_ERR_NP is a float, so a rounded difference above it shows the
+        # exact one above it; a window past 0 or 1/2 holds vacuously there
+        ok = (((xa <= 0.0) | (t - _h(xa, np.log) > 2.0 * _H_ERR_NP))
+              & ((xb >= 0.5) | (_h(xb, np.log) - t > 2.0 * _H_ERR_NP)))
+        # the window in units of 2^-51, [0, 2^50] where the proof fails
+        a = np.where(ok, np.floor(np.maximum(xa, 0.0) * 2.0 ** 51), 0.0).astype(np.int64)
+        b = np.where(ok, np.ceil(np.minimum(xb, 0.5) * 2.0 ** 51), 2.0 ** 50).astype(np.int64)
+    # a < b, and the block of level 50 - s holds [a, b], s the bit length
+    # of a ^ (b - 1)
+    s = np.frexp((a ^ (b - 1)).astype(float))[1]
+    lo = np.ldexp((a >> s << s).astype(float), -51)
+    # From level 50 on, a block [lo, hi] with lo in [2^(p-1), 2^p) needs at
+    # most 2 - p more halvings: each mid is exact while half the width is at
+    # least ulp(lo), so these leave lo and hi one float apart; 0.5 (lo + hi)
+    # then rounds to lo or hi, and every later halving keeps that answer
+    tail = np.where(lo > 0.0, np.minimum(10, 2 - np.frexp(lo)[1]), 10)
+    return (lo, lo + np.ldexp(1.0, s - 51),
+            np.where((t <= 0.0) | (t >= NAT_LOG2), 0, s + tail))
 
 
 def conv(a: float, b: float) -> float:
