@@ -116,7 +116,12 @@ def _type_costs(n, wtabs):
     are counted by type (I. Csiszar and J. Korner, Information Theory, 1981):
     C(n - w, i) C(w, j) of them have i ones where c_1 has zeros and j where
     it has ones, so W[0, y] = t[i + j] and W[c_1, y] = t[i + w - j]."""
-    costs = [[sum(math.comb(n - w, i) * math.comb(w, j) * min(t[i + j], t[i + w - j])
-                  for i in range(n - w + 1) for j in range(w + 1)) for w in range(n + 1)]
-             for t in wtabs]
+    costs = [[_type_cost(n, w, t) for w in range(n + 1)] for t in wtabs]
     return costs + [[(1 << w) - 1 for w in range(n + 1)]]
+
+
+def _type_cost(n, w, t):
+    """The cost under weight table t of the orbit with w = popcount(c_1), as
+    _type_costs sums it."""
+    return sum(math.comb(n - w, i) * math.comb(w, j) * min(t[i + j], t[i + w - j])
+               for i in range(n - w + 1) for j in range(w + 1))

@@ -327,11 +327,17 @@ def _start_np(t):
     (lo, hi) that holds its proved window, and the halvings it makes."""
     import numpy as np
 
+    # only a cell with 0 < t < log 2 has a window to find; any other starts
+    # from [0, 1/2] and makes no halving (_hinv_np sets its answer), but a
+    # NaN t, which makes all 60
+    inside = (0.0 < t) & (t < NAT_LOG2)
+    start = np.zeros_like(t), np.full_like(t, 0.5), np.where(np.isnan(t), 60, 0)
+    t = t[inside]
     with np.errstate(all="ignore"):
         # four steps from h_b_inv's start, kept to _newton's bracket: x
         # becomes the root's new bracket end, and a step that leaves the
         # bracket bisects it (a step from the left can only overshoot hi,
-        # one from the right only lo); NaN wherever t is outside (0, log 2)
+        # one from the right only lo)
         x = (t / NAT_LOG2) ** (4.0 / 3.0)
         x = x / (2.0 + 2.0 * np.sqrt(1.0 - x))
         lo, hi = np.zeros_like(t), np.full_like(t, 0.5)
@@ -361,8 +367,9 @@ def _start_np(t):
     # least ulp(lo), so these leave lo and hi one float apart; 0.5 (lo + hi)
     # then rounds to lo or hi, and every later halving keeps that answer
     tail = np.where(lo > 0.0, np.minimum(10, 2 - np.frexp(lo)[1]), 10)
-    return (lo, lo + np.ldexp(1.0, s - 51),
-            np.where((t <= 0.0) | (t >= NAT_LOG2), 0, s + tail))
+    for out, cells in zip(start, (lo, lo + np.ldexp(1.0, s - 51), s + tail)):
+        out[inside] = cells
+    return start
 
 
 def conv(a: float, b: float) -> float:

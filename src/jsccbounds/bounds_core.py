@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .binary_info import (
@@ -29,30 +29,25 @@ from .binary_info import (
 )
 
 
-@dataclass(frozen=True)
-class SystemParams:
+class SystemParams(namedtuple("SystemParams", "n rho delta m")):
     """A point-to-point instance: n channel uses for m source bits, rho = n/m.
 
     m is optional; when present, rho must equal n/m exactly. delta is the
     channel crossover probability.
     """
 
-    n: int
-    rho: float
-    delta: float
-    m: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, n: int, rho: float, delta: float, m: int | None = None):
         # counts are stored as int, so an integral float n or m counts too
-        object.__setattr__(self, "n", _count("n", self.n))
-        _real("rho", self.rho, 0.0, ends="()")
-        _real("delta", self.delta, 0.0, 0.5, "()")
-        if self.m is not None:
-            object.__setattr__(self, "m", _count("m", self.m))
-            if self.rho != _ratio(self.n, self.m):
-                raise DomainError(
-                    f"rho={self.rho!r} does not equal n/m={_end(self.n)}/{_end(self.m)}"
-                )
+        n = _count("n", n)
+        _real("rho", rho, 0.0, ends="()")
+        _real("delta", delta, 0.0, 0.5, "()")
+        if m is not None:
+            m = _count("m", m)
+            if rho != _ratio(n, m):
+                raise DomainError(f"rho={rho!r} does not equal n/m={_end(n)}/{_end(m)}")
+        return super().__new__(cls, n, rho, delta, m)
 
     @classmethod
     def from_counts(cls, m: int, n: int, delta: float) -> "SystemParams":
@@ -68,8 +63,13 @@ def _ratio(n: int, m: int) -> float:
         raise DomainError(f"n/m={_end(n)}/{_end(m)} is beyond the float range") from None
 
 
-@dataclass(frozen=True)
-class LowerBoundReport:
+# the order of the gap bound's remainder, which no explicit constant backs
+_CORRECTION_ORDER = "O(n^{-3/4} log n)"
+
+
+class LowerBoundReport(namedtuple("LowerBoundReport", "d_asym eta leading_term correction_order "
+                                  "correction_constant_known",
+                                  defaults=(_CORRECTION_ORDER, False))):
     """Leading term of the distortion-gap lower bound at blocklength n.
 
     leading_term = sqrt(delta(1-delta)/(2 pi n)) * eta, by construction.
@@ -77,11 +77,7 @@ class LowerBoundReport:
     False because no explicit constant is available for it.
     """
 
-    d_asym: float
-    eta: float
-    leading_term: float
-    correction_order: str = "O(n^{-3/4} log n)"
-    correction_constant_known: bool = field(default=False)
+    __slots__ = ()
 
 
 def d_asym(rho: float, delta: float) -> float:

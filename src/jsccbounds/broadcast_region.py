@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 
 from . import bounds_core
@@ -27,8 +27,7 @@ from .binary_info import (NAT_LOG2, DomainError, _clamp, _count, _mgl, _mgl_inv,
 _A1_FLOAT_GUARD = 1e-12
 
 
-@dataclass(frozen=True)
-class BinaryBroadcastParams:
+class BinaryBroadcastParams(namedtuple("BinaryBroadcastParams", "rho p delta1 delta2 n")):
     """Binary broadcast instance.
 
     p is the source bias (uniform source at p = 1/2); delta1 is user 1's
@@ -39,56 +38,48 @@ class BinaryBroadcastParams:
     exhaustive sphere-noise instances.
     """
 
-    rho: float
-    p: float
-    delta1: float
-    delta2: float
-    n: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        _real("rho", self.rho, 0.0, ends="()")
-        _real("p", self.p, 0.0, 0.5, "(]")
-        _real("delta1", self.delta1, 0.0, 0.5, "[)")
-        _real("delta2", self.delta2, 0.0, 0.5)
-        if self.n is not None:
-            object.__setattr__(self, "n", _count("n", self.n))
+    def __new__(cls, rho: float, p: float, delta1: float, delta2: float, n: int | None = None):
+        _real("rho", rho, 0.0, ends="()")
+        _real("p", p, 0.0, 0.5, "(]")
+        _real("delta1", delta1, 0.0, 0.5, "[)")
+        _real("delta2", delta2, 0.0, 0.5)
+        if n is not None:
+            n = _count("n", n)
+        return super().__new__(cls, rho, p, delta1, delta2, n)
 
 
-@dataclass(frozen=True)
-class GaussianBroadcastParams:
+class GaussianBroadcastParams(namedtuple("GaussianBroadcastParams",
+                                         "sigma2 aux_var power n1 n2 rho")):
     """Gaussian broadcast instance: source variance sigma2, auxiliary noise
     variance aux_var, transmit power, and the two users' noise powers."""
 
-    sigma2: float
-    aux_var: float
-    power: float
-    n1: float
-    n2: float
-    rho: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _real("sigma2", self.sigma2, 0.0, ends="()")
-        _real("aux_var", self.aux_var, 0.0)
-        _real("power", self.power, 0.0, ends="()")
-        _real("n1", self.n1, 0.0, ends="()")
-        _real("n2", self.n2, 0.0)
-        _real("rho", self.rho, 0.0, ends="()")
+    def __new__(cls, sigma2: float, aux_var: float, power: float, n1: float, n2: float,
+                rho: float):
+        _real("sigma2", sigma2, 0.0, ends="()")
+        _real("aux_var", aux_var, 0.0)
+        _real("power", power, 0.0, ends="()")
+        _real("n1", n1, 0.0, ends="()")
+        _real("n2", n2, 0.0)
+        _real("rho", rho, 0.0, ends="()")
+        return super().__new__(cls, sigma2, aux_var, power, n1, n2, rho)
 
 
-@dataclass(frozen=True)
-class ErasureParams:
+class ErasureParams(namedtuple("ErasureParams", "eps1 eps2")):
     """Erasure broadcast instance; eps1 <= eps2 keeps user 2 degraded."""
 
-    eps1: float
-    eps2: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _real("eps1", self.eps1, 0.0, 1.0, "[)")
-        _real("eps2", self.eps2, self.eps1, 1.0, "[)")
+    def __new__(cls, eps1: float, eps2: float):
+        _real("eps1", eps1, 0.0, 1.0, "[)")
+        _real("eps2", eps2, eps1, 1.0, "[)")
+        return super().__new__(cls, eps1, eps2)
 
 
-@dataclass(frozen=True)
-class RegionPoint:
+class RegionPoint(namedtuple("RegionPoint", "d1 d2_min q_star slack")):
     """One traced boundary point: the smallest d2 compatible with d1.
 
     q_star is the binding auxiliary parameter and slack the worst-case bound
@@ -96,10 +87,7 @@ class RegionPoint:
     infeasible, positive when the bound never binds and d2_min = 0).
     """
 
-    d1: float
-    d2_min: float
-    q_star: float
-    slack: float
+    __slots__ = ()
 
     @property
     def feasible(self) -> bool:
@@ -205,18 +193,20 @@ def _rhs_at(bp: BinaryBroadcastParams, d1: float):
     an A1 in (log 2, log 2 + guard] in asymptotic mode; each caller warns of
     that clamp its own way.
     """
+    # a record's field read costs a lookup, so the closure keeps locals
+    rho, delta2 = bp.rho, bp.delta2
     hd1, h1, hp = h_b(bp.delta1), h_b(d1), h_b(bp.p)
-    corr = None if bp.n is None else bp.rho * bounds_core.gamma_corr(bp.n, bp.delta2)
+    corr = None if bp.n is None else rho * bounds_core.gamma_corr(bp.n, delta2)
 
     def rhs(q: float, hcp: float) -> tuple[float, float]:
-        a1 = hd1 + (h_b(conv(q, d1)) - h1 - hcp + hp) / bp.rho
+        a1 = hd1 + (h_b(conv(q, d1)) - h1 - hcp + hp) / rho
         if a1 < -_A1_FLOAT_GUARD:
             raise DomainError(f"A1={a1!r} fell below 0")
         if corr is None and a1 > NAT_LOG2 + _A1_FLOAT_GUARD:
             raise DomainError(
                 f"A1={a1!r} exceeds log 2: d1={d1!r} is infeasible at q={q!r}"
             )
-        out = bp.rho * (NAT_LOG2 - _mgl(bp.delta2, min(max(a1, 0.0), NAT_LOG2)))
+        out = rho * (NAT_LOG2 - _mgl(delta2, min(max(a1, 0.0), NAT_LOG2)))
         if corr is not None:
             out += corr
         return out, a1
@@ -284,20 +274,22 @@ def _trace_point(bp: BinaryBroadcastParams, d1: float, clamped: list) -> RegionP
     # every sweep below revisits the same q, and only h_b(conv(q, d2)) moves
     # with d2: per q, keep the d2-free half of the slack at this d1 (-inf
     # where A1 is out of range) and h_b(conv(q, p)); each A1 the guard
-    # clamps goes to clamped, once per q
+    # clamps goes to clamped, once per q. bp's fields are read into locals
+    # once, as the sweeps would read them hundreds of times
+    p, asymptotic = bp.p, bp.n is None
     rhs_at = _rhs_at(bp, d1)
     by_q = {}
 
     def slack(d2, q):
         got = by_q.get(q)
         if got is None:
-            hcp = h_b(conv(q, bp.p))
+            hcp = h_b(conv(q, p))
             try:
                 rhs, a1 = rhs_at(q, hcp)
             except DomainError:
                 rhs = float("-inf")
             else:
-                if bp.n is None and a1 > NAT_LOG2:
+                if asymptotic and a1 > NAT_LOG2:
                     clamped.append(a1)
             got = by_q[q] = (rhs, hcp)
         return got[0] - _rbar(got[1], q, d2)
@@ -312,13 +304,13 @@ def _trace_point(bp: BinaryBroadcastParams, d1: float, clamped: list) -> RegionP
 
     s0, q0 = worst_slack(0.0)
     if s0 == float("-inf"):
-        return RegionPoint(d1=d1, d2_min=bp.p, q_star=q0, slack=s0)
+        return RegionPoint(d1=d1, d2_min=p, q_star=q0, slack=s0)
     if s0 >= 0.0:
         return RegionPoint(d1=d1, d2_min=0.0, q_star=q0, slack=s0)
     # slack(0.0, q) is evaluated first, so by_q holds q's h_b(conv(q, p))
     d2_star = -_seeded_min(
-        lambda q: -_d2_at_q(q, slack(0.0, q), by_q[q][1], bp.p))[0]
-    lo, hi = 0.0, bp.p
+        lambda q: -_d2_at_q(q, slack(0.0, q), by_q[q][1], p))[0]
+    lo, hi = 0.0, p
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if abs(mid - d2_star) <= _D2_BAND:

@@ -156,8 +156,7 @@ def _run_sum(args):
 
     params = bc.SystemParams(n=args.n, rho=args.rho, delta=args.delta)
     value = bc.sum_distortion_lb(args.a, params)
-    row = [args.n, args.rho, args.delta, args.a, "auto", value,
-           bc.LowerBoundReport.correction_order]
+    row = [args.n, args.rho, args.delta, args.a, "auto", value, bc._CORRECTION_ORDER]
     return (["n", "rho", "delta", "a", "tau", "value", "correction_order"],
             [row], set(), 0)
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 
-from ._orbits import _canonical_prefixes, _orbit_costs, _type_costs
+from ._orbits import _canonical_prefixes, _orbit_costs, _type_cost, _type_costs
 from ._scalar_opt import Lcg64
 from .binary_info import (DEFAULT_BUDGET, NAT_LOG2, BudgetExceeded, DomainError, _clamp, _conv,
                           _count, _end, _g, _h, _hinv_np, _hp, _kappa, _mgl_inv, _nu, _phi,
@@ -24,11 +24,10 @@ from .binary_info import (DEFAULT_BUDGET, NAT_LOG2, BudgetExceeded, DomainError,
 # ---------- result containers ----------
 
 
-@dataclass(frozen=True)
-class ExactValue:
+class ExactValue(namedtuple("ExactValue", "value")):
     """A number carried as an exact rational."""
 
-    value: Fraction
+    __slots__ = ()
     mode = "exact"
 
     def __float__(self):
@@ -42,22 +41,20 @@ class ExactValue:
                                                            _end(self.value.denominator))
 
 
-@dataclass(frozen=True)
-class EncoderTable:
+class EncoderTable(namedtuple("EncoderTable", "m n codewords")):
     """Deterministic encoder: source word i (m bits) maps to codewords[i] (n bits)."""
 
-    m: int
-    n: int
-    codewords: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, m: int, n: int, codewords: tuple[int, ...]):
         # len == 2^m, without forming 2^m for an m no table can match
-        size = len(self.codewords)
-        if size.bit_length() != self.m + 1 or size & (size - 1):
+        size = len(codewords)
+        if size.bit_length() != m + 1 or size & (size - 1):
             raise ValueError("need one codeword per source word")
         # c < 2^n, without forming 2^n for an n no budget admits
-        if any(c < 0 or int(c).bit_length() > self.n for c in self.codewords):
+        if any(c < 0 or int(c).bit_length() > n for c in codewords):
             raise ValueError("codeword out of range")
+        return super().__new__(cls, m, n, codewords)
 
     @property
     def index(self) -> int:
@@ -71,20 +68,13 @@ class EncoderTable:
         return [format(c, "0%db" % self.n) for c in self.codewords]
 
 
-@dataclass(frozen=True)
-class FrontierPoint:
-    d1: Fraction
-    d2: Fraction
-    encoder_index: int
+class FrontierPoint(namedtuple("FrontierPoint", "d1 d2 encoder_index")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ViolationReport:
-    inequality: str
-    grid: str
-    max_violation: float
-    argmax: tuple[float, ...]
-    violations: int
+class ViolationReport(namedtuple("ViolationReport",
+                                 "inequality grid max_violation argmax violations")):
+    __slots__ = ()
 
 
 # ---------- exact search machinery ----------
@@ -234,10 +224,10 @@ def _admit(m, n, budget, weights=1, held=0, table=False, base=1):
     _encoder_costs scans the C = C(n + 2^L - 1, n) canonical prefixes of
     L = min(2^m - 1, 3) free codewords (multisets of n column types), each
     with the N^T words of the T = 2^m - 1 - L later slots: S N = C 2^e,
-    e = n (T + 1); one given table (table) has C = S = 1, e = n. A given
-    table, or a search from m = 2 on, holds 8 N^(T + 1) bytes or more; m = 1
-    only costs and ranks (_orbits._type_costs). The checks read bit lengths
-    first: a refusal forms no 2^m, 2^e or base^n.
+    e = n (T + 1); one given table (table) has C = S = 1, e = n. From m = 2
+    on a given table or a search holds 8 N^(T + 1) bytes or more; at m = 1
+    either only sums by column type (_orbits._type_costs). The checks read
+    bit lengths first: a refusal forms no 2^m, 2^e or base^n.
 
     The bound counts 8 bytes a cell, and _BLOCK_CELLS cells for small
     arrays and Python objects, for weights weight tables and held S-long
@@ -264,7 +254,7 @@ def _admit(m, n, budget, weights=1, held=0, table=False, base=1):
     if cap != math.inf and (e is None or e >= cap.bit_length() or C << e > budget):
         raise BudgetExceeded(_NEEDS % (_end(C), shown, budget))
     cells = 0
-    if table or m > 1:
+    if m > 1:
         if e is None or e + 3 >= _ARRAY_BYTES.bit_length():
             raise BudgetExceeded(_HOLDS % ("at least 8 x 2^" + shown, _ARRAY_BYTES))
         K, N, NT = 1 << m, 1 << n, 1 << (e - n)
@@ -362,6 +352,11 @@ def sphere_bruteforce(m, n, weight, encoder=None, budget=DEFAULT_BUDGET):
     _admit(m, n, budget, table=encoder is not None)
     wt = [1 if d == weight else 0 for d in range(n + 1)]
     denom = m * (1 << m) * math.comb(n, weight)
+    if encoder is not None and m == 1:
+        # XOR by c_0 and the coordinate permutations keep every distance, so
+        # the table costs as the orbit of (0, 2^w - 1), w = popcount(c_0 ^ c_1)
+        w = (int(cw[0]) ^ int(cw[1])).bit_count()
+        return ExactValue(Fraction(_type_cost(n, w, wt), denom))
     if encoder is not None:
         return ExactValue(Fraction(_table_cost(m, n, cw, wt), denom))
     costs = _encoder_costs(m, n, [wt])[0]
@@ -684,7 +679,9 @@ def _report(name, grid, v, axes, tol):
 def _merge(reports):
     """The first report with the largest margin, carrying every report's count."""
     best = max(reports, key=lambda rep: rep.max_violation)
-    return replace(best, violations=sum(rep.violations for rep in reports))
+    # _replace builds through _make and skips __new__: safe only because
+    # ViolationReport validates nothing; never _replace a validated record
+    return best._replace(violations=sum(rep.violations for rep in reports))
 
 
 # cells in one block of grid rows: a block's temporaries stay near 1 MiB

@@ -615,9 +615,11 @@ seen = set()
 
 
 def stage():
-    # the package's modules, and numpy itself, loaded since the last stage
+    # the package's modules, numpy, and dataclasses and inspect (about 10 ms
+    # of start-up), loaded since the last stage
     new = sorted(m for m in sys.modules
-                 if (m == "numpy" or m.split(".")[0] == "jsccbounds") and m not in seen)
+                 if (m in ("numpy", "dataclasses", "inspect") or m.split(".")[0] == "jsccbounds")
+                 and m not in seen)
     seen.update(new)
     return new
 
@@ -628,8 +630,12 @@ from jsccbounds import cli
 stages = [stage()]
 for argv in (["eval", "--fn", "h_b", "--x", "0.11"],
              ["bound", "lower", "--n", "10000", "--rho", "1.2", "--delta", "0.2"],
+             ["bound", "region", "--rho", "1.2", "--delta1", "0.08", "--delta2", "0.05",
+              "--d1-min", "0.15", "--d1-max", "0.15", "--d1-step", "0.05"],
              ["oracle", "coupling", "--n", "10", "--delta1", "1/5", "--delta2", "1/4"],
              ["oracle", "p2p", "--m", "1", "--n", "2", "--delta", "1/4"],
+             ["oracle", "spherical", "--m", "1", "--n", "3", "--weight", "1",
+              "--encoder", "000,111"],
              ["oracle", "p2p", "--m", "2", "--n", "2", "--delta", "1/4"]):
     assert cli.main(argv) == 0
     stages.append(stage())
@@ -639,19 +645,24 @@ sys.stderr.write(json.dumps(stages))
 
 def test_scalar_commands_start_without_numpy():
     # each command loads the modules it calls, and numpy only on the first
-    # array call: not on import, nor for scalar commands, nor for the m = 1
-    # search, which sums its orbits in Python integers
+    # array call: not on import, nor for scalar commands, nor for m = 1,
+    # whose search and given table sum orbits in Python integers. The
+    # result records are named tuples, so no command loads dataclasses, and
+    # only numpy brings in inspect
     proc = subprocess.run([sys.executable, "-c", _START_UP], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stderr) == [
         ["jsccbounds", "jsccbounds.binary_info", "jsccbounds.cli"],  # import
         [],  # eval
         ["jsccbounds.bounds_core"],  # bound lower
-        ["jsccbounds._orbits", "jsccbounds._scalar_opt", "jsccbounds.oracles"],  # coupling
+        ["jsccbounds._scalar_opt", "jsccbounds.broadcast_region"],  # bound region
+        ["jsccbounds._orbits", "jsccbounds.oracles"],  # coupling
         [],  # p2p at m = 1
-        ["numpy"],  # p2p at m = 2
+        [],  # spherical at m = 1 with a given table
+        ["inspect", "numpy"],  # p2p at m = 2
     ]
     assert proc.stdout.endswith("m,n,delta,value,witness\n1,2,1/4,0.25,00;01\n"
+                                "m,n,weight,encoder,value\n1,3,1,000;111,0\n"
                                 "m,n,delta,value,witness\n2,2,1/4,0.25,00;01;10;11\n")
 
 

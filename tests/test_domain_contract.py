@@ -1,9 +1,10 @@
 """The domain contract of the public API: every function and params class
 exported from jsccbounds returns a finite value or raises DomainError, for
 NaN and +-inf in any real or count argument and a non-integer count, and a
-count given as an integral float means the same as the int."""
+count given as an integral float means the same as the int. The ten result
+records keep their reprs, fields and defaults, are immutable, and compare
+and hash by value."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -126,10 +127,8 @@ def _cases():
 def _finite(out) -> bool:
     if isinstance(out, float):
         return math.isfinite(out)
-    if isinstance(out, (list, tuple)):
+    if isinstance(out, (list, tuple)):  # the result records are named tuples
         return all(map(_finite, out))
-    if dataclasses.is_dataclass(out):
-        return all(_finite(getattr(out, f.name)) for f in dataclasses.fields(out))
     return out is None or isinstance(out, (int, Fraction, str))
 
 
@@ -169,3 +168,93 @@ def test_encoder_from_index_refuses_an_m_past_the_memory_cap(time_cap):
         assert jb.encoder_from_index(1, 10**21, 3).codewords == (0, 3)
         with pytest.raises(DomainError, match=r"in \[0, inf\), got -1$"):
             jb.encoder_from_index(1, 10**21, -1)
+
+
+# ---------- result records ----------
+
+_ORDER = "O(n^{-3/4} log n)"
+
+# each record: a valid instance's arguments, in field order; its repr; its
+# defaults; and arguments it refuses, or None where it checks none
+_RECORDS = {
+    "SystemParams": (
+        jb.SystemParams, dict(n=100, rho=1.25, delta=0.2, m=80),
+        "SystemParams(n=100, rho=1.25, delta=0.2, m=80)", dict(m=None),
+        dict(n=100, rho=1.2, delta=0.2, m=80)),
+    "LowerBoundReport": (
+        jb.LowerBoundReport, dict(d_asym=0.1, eta=0.25, leading_term=1e-3,
+                                  correction_order=_ORDER, correction_constant_known=False),
+        "LowerBoundReport(d_asym=0.1, eta=0.25, leading_term=0.001, "
+        "correction_order='O(n^{-3/4} log n)', correction_constant_known=False)",
+        dict(correction_order=_ORDER, correction_constant_known=False), None),
+    "BinaryBroadcastParams": (
+        jb.BinaryBroadcastParams, dict(rho=1.2, p=0.5, delta1=0.08, delta2=0.05, n=1000),
+        "BinaryBroadcastParams(rho=1.2, p=0.5, delta1=0.08, delta2=0.05, n=1000)",
+        dict(n=None), dict(rho=1.2, p=0.5, delta1=0.5, delta2=0.05, n=1000)),
+    "GaussianBroadcastParams": (
+        jb.GaussianBroadcastParams, dict(sigma2=1.0, aux_var=0.5, power=1.0, n1=0.5, n2=1.0,
+                                         rho=2.0),
+        "GaussianBroadcastParams(sigma2=1.0, aux_var=0.5, power=1.0, n1=0.5, n2=1.0, rho=2.0)",
+        {}, dict(sigma2=1.0, aux_var=0.5, power=1.0, n1=0.0, n2=1.0, rho=2.0)),
+    "ErasureParams": (
+        jb.ErasureParams, dict(eps1=0.1, eps2=0.2), "ErasureParams(eps1=0.1, eps2=0.2)", {},
+        dict(eps1=0.2, eps2=0.1)),
+    "RegionPoint": (
+        jb.RegionPoint, dict(d1=0.1, d2_min=0.2, q_star=0.0, slack=-math.inf),
+        "RegionPoint(d1=0.1, d2_min=0.2, q_star=0.0, slack=-inf)", {}, None),
+    "ExactValue": (
+        jb.ExactValue, dict(value=Fraction(1, 3)), "ExactValue(value=Fraction(1, 3))", {}, None),
+    "EncoderTable": (
+        jb.EncoderTable, dict(m=1, n=2, codewords=(0, 3)),
+        "EncoderTable(m=1, n=2, codewords=(0, 3))", {}, dict(m=1, n=2, codewords=(0, 4))),
+    "FrontierPoint": (
+        jb.FrontierPoint, dict(d1=Fraction(1, 6), d2=Fraction(1, 6), encoder_index=90),
+        "FrontierPoint(d1=Fraction(1, 6), d2=Fraction(1, 6), encoder_index=90)", {}, None),
+    "ViolationReport": (
+        jb.ViolationReport, dict(inequality="g-convex", grid="grid", max_violation=0.0,
+                                 argmax=(0.1, 0.2), violations=0),
+        "ViolationReport(inequality='g-convex', grid='grid', max_violation=0.0, "
+        "argmax=(0.1, 0.2), violations=0)", {}, None),
+}
+
+
+@pytest.mark.parametrize("name", list(_RECORDS))
+def test_result_record_contract(name):
+    cls, kw, text, defaults, bad = _RECORDS[name]
+    rec = cls(**kw)
+    assert repr(rec) == text
+    assert rec._fields == tuple(kw)
+    # by value: equal to a second instance and to the plain tuple, same hash
+    twin = cls(*kw.values())
+    assert rec == twin == tuple(kw.values()) and rec is not twin
+    assert hash(rec) == hash(twin)
+    assert cls(**{k: v for k, v in kw.items() if k not in defaults}) == cls(**dict(kw, **defaults))
+    for attr in (rec._fields[0], "other"):
+        with pytest.raises(AttributeError):
+            setattr(rec, attr, kw[rec._fields[0]])
+    assert rec == twin
+    if bad is not None:
+        with pytest.raises(ValueError if cls is jb.EncoderTable else DomainError):
+            cls(**bad)
+
+
+def test_result_records_keep_their_behaviour():
+    from jsccbounds import bounds_core, oracles
+
+    assert jb.LowerBoundReport(0.1, 0.25, 1e-3).correction_order == _ORDER
+    assert bounds_core._CORRECTION_ORDER == _ORDER
+    # counts are stored as int
+    assert type(jb.SystemParams(100.0, 1.25, 0.2, 80.0).m) is int
+    assert jb.SystemParams.from_counts(80, 100, 0.2) == (100, 1.25, 0.2, 80)
+    value = jb.ExactValue(Fraction(2**16610, 3))
+    assert repr(value) == "ExactValue(value=Fraction(~2^16611, 3))"  # past the digit limit
+    assert value.mode == "exact" and float(jb.ExactValue(Fraction(1, 4))) == 0.25
+    assert not jb.RegionPoint(0.1, 0.2, 0.0, -math.inf).feasible
+    assert jb.RegionPoint(0.1, 0.2, 0.0, 0.0).feasible
+    table = jb.EncoderTable(2, 3, (0, 3, 5, 6))
+    assert (table.index, table.words()) == (0o356, ["000", "011", "101", "110"])
+    # _merge keeps the first largest margin and sums every report's count
+    reps = [jb.ViolationReport("s", "g", v, (k,), k) for v, k in ((0.5, 2), (0.7, 3), (0.7, 4))]
+    merged = oracles._merge(reps)
+    assert type(merged) is jb.ViolationReport
+    assert merged == jb.ViolationReport("s", "g", 0.7, (3,), 9)

@@ -155,13 +155,14 @@ sys.exit(cli.main(sys.argv[1:]))
 
 
 # each is refused by the memory cap before any array is made. Before, the
-# first two were admitted and ended in MemoryError, exit code 1: m = 2 at
-# n = 14 holds an (N, N) table W, and a given table at n = 28 its 2 GiB of
-# distances; m = 4 and m = 5 pass the work budget
+# first was admitted and ended in MemoryError, exit code 1: m = 2 at n = 14
+# holds an (N, N) table W; a given m = 2 table at n = 24 holds 17 arrays of
+# 2^24 words (its distances, weights and bit-group rows), 2.3 GB; m = 4
+# and m = 5 pass the work budget
 _PAST_THE_MEMORY_CAP = {
     "p2p-2-14": ["p2p", "--m", "2", "--n", "14", "--delta", "1/4", "--budget", str(2**50)],
-    "spherical-1-28": ["spherical", "--m", "1", "--n", "28", "--weight", "1",
-                       "--encoder", "0" * 28 + "," + "1" * 28],
+    "spherical-2-24": ["spherical", "--m", "2", "--n", "24", "--weight", "1",
+                       "--encoder", ",".join(["0" * 24, "0" * 24, "1" * 24, "1" * 24])],
     "p2p-4-2": ["p2p", "--m", "4", "--n", "2", "--delta", "1/4"],
     "p2p-5-1": ["p2p", "--m", "5", "--n", "1", "--delta", "1/4"],
 }
@@ -181,12 +182,18 @@ def test_searches_past_the_memory_cap_are_refused_before_allocating(argv):
 # words, so n = 25 runs in the 1 GiB child (before, it held about ten such
 # arrays and was refused by the memory cap). 35174066851/847288609443 is
 # P(Bin(25, 1/3) >= 13), the repetition code's majority error; on the two
-# spheres the table (0, 1) has distortion 0, as y's parity names the codeword
+# spheres the table (0, 1) has distortion 0, as y's parity names the codeword.
+# A given m = 1 table costs as its orbit, so n = 28 runs too (before, its
+# 2 GiB of distances were refused by the memory cap); one flip never moves
+# a word of the repetition code past majority
 _M1_AT_N25 = {
     "p2p-1-25": (["p2p", "--m", "1", "--n", "25", "--delta", "1/3", "--exact"],
                  "1,25,1/3,35174066851/847288609443,"),
     "frontier-1-25": (["frontier", "--m", "1", "--n", "25", "--w1", "1", "--w2", "2"],
                       "1,25,1,2,0,0,0,0,1\n"),
+    "spherical-1-28": (["spherical", "--m", "1", "--n", "28", "--weight", "1",
+                        "--encoder", "0" * 28 + "," + "1" * 28],
+                       "1,28,1,%s;%s,0\n" % ("0" * 28, "1" * 28)),
 }
 
 
@@ -268,7 +275,7 @@ def test_memory_bound_holds_and_admission_decides(monkeypatch):
     with pytest.raises(orc.BudgetExceeded, match=r"^search needs 29 x 2\^28 "):
         orc.p2p_bruteforce(1, 28, F(1, 3))
     for search in (lambda: orc.p2p_bruteforce(2, 14, F(1, 4), budget=2**50),
-                   lambda: orc.sphere_bruteforce(1, 28, 1, encoder=(0, 2**28 - 1)),
+                   lambda: orc.sphere_bruteforce(2, 24, 1, encoder=(0, 0, 2**24 - 1, 2**24 - 1)),
                    lambda: orc.p2p_bruteforce(4, 2, F(1, 4)),
                    lambda: orc.p2p_bruteforce(5, 1, F(1, 4))):
         with pytest.raises(orc.BudgetExceeded, match="^search would hold "):
@@ -570,6 +577,29 @@ def test_m1_type_sums_match_table_cost(data):
     assert _as_ints(1, ranks) == [2**w - 1 for w in range(n + 1)]
     for wt, got in zip(wtabs, costs):
         assert _as_ints(1, got) == [orc._table_cost(1, n, (0, r), wt) for r in ranks]
+
+
+def _given_m1_table_matches_table_cost(n, weight, c0, c1):
+    wt = [1 if d == weight else 0 for d in range(n + 1)]
+    got = orc.sphere_bruteforce(1, n, weight, encoder=(c0, c1)).value
+    assert got == Fraction(orc._table_cost(1, n, (c0, c1), wt), 2 * math.comb(n, weight))
+
+
+def test_a_given_m1_table_costs_as_its_orbit():
+    # XOR by c_0 and the coordinate permutations keep every distance, so
+    # (c_0, c_1) costs as (0, 2^w - 1), w = popcount(c_0 ^ c_1): every table
+    # up to n = 4, at every weight
+    for n in range(1, 5):
+        for weight, c0, c1 in itertools.product(range(n + 1), range(1 << n), range(1 << n)):
+            _given_m1_table_matches_table_cost(n, weight, c0, c1)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_a_given_m1_table_costs_as_its_orbit_up_to_n10(data):
+    n = data.draw(st.integers(5, 10))
+    c0, c1 = data.draw(st.lists(st.integers(0, 2**n - 1), min_size=2, max_size=2))
+    _given_m1_table_matches_table_cost(n, data.draw(st.integers(0, n)), c0, c1)
 
 
 @pytest.mark.parametrize("top", [2**31 // 48, 2**31 // 48 + 1])
