@@ -123,5 +123,6 @@ def _type_costs(n, wtabs):
 def _type_cost(n, w, t):
     """The cost under weight table t of the orbit with w = popcount(c_1), as
     _type_costs sums it."""
-    return sum(math.comb(n - w, i) * math.comb(w, j) * min(t[i + j], t[i + w - j])
-               for i in range(n - w + 1) for j in range(w + 1))
+    cw = [math.comb(w, j) for j in range(w + 1)]
+    return sum(math.comb(n - w, i) * sum(c * min(t[i + j], t[i + w - j]) for j, c in enumerate(cw))
+               for i in range(n - w + 1))

@@ -310,20 +310,16 @@ def _run_frontier(args):
 def _run_binomial(args):
     from . import oracles as orc
 
+    # k = 0 rejects an invalid n or delta, even for a negative --k-max (no rows)
+    orc.binomial_gamma_exact(args.n, args.delta, 0)
     w = int(args.n * args.delta)
     top = max(0, min(args.k_max, w, args.n - w))
-    # k = 0 rejects an invalid n or delta, even for a negative --k-max, before
-    # the rows' 2 top (top + 1) factors, in products of at most the last
-    # row's bits, are held against the budget and any row is printed
-    orc.binomial_gamma_exact(args.n, args.delta, 0)
-    orc._binomial_budget(args.n, args.delta.denominator, top, 2 * top * (top + 1))
     rows = []
-    for k in range(top + 1):
-        ratio, gamma = orc.binomial_gamma_exact(args.n, args.delta, k)
+    products = orc._binomial_rows(args.n, args.delta, top, 2 * top * (top + 1))
+    for k, (up, down) in zip(range(args.k_max + 1), products):
+        ratio = Fraction(up, up + down)
         approx = orc.binomial_gamma_approx(args.n, float(args.delta), k)
-        if k <= args.k_max:
-            rows.append([k, ratio.value, gamma.value, approx,
-                         abs(approx - float(ratio))])
+        rows.append([k, ratio, 2 * ratio - 1, approx, abs(approx - float(ratio))])
     return (["k", "ratio", "gamma", "ratio_approx", "abs_err"], rows, set(), 0)
 
 

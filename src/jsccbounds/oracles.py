@@ -117,8 +117,7 @@ def _encoder_costs(m, n, wtabs):
     a table's prefix least either leaves it alone, so the table is scanned,
     or makes it strictly smaller, and with it the rank. So the lowest-rank
     table with any cost, or any tuple of costs under several weight tables,
-    has c_0 = 0 and is scanned. At m = 1 _orbits._type_costs sums the n + 1
-    orbits' costs by column type.
+    has c_0 = 0 and is scanned. At m = 1 _orbits._type_costs sums by type.
 
     With min(A, S - A) = (S - |S - 2A|) / 2, and sum_y S(y) = K sum_y W[0, y]
     the same for every table, the cost is
@@ -199,7 +198,6 @@ def _encoder_costs(m, n, wtabs):
     return out + [ranks]
 
 
-_NEEDS = "search needs %s x 2^%s (encoder, output) pairs, budget is %s"
 _HOLDS = "search would hold %s bytes of arrays, cap is %d"
 # cap on the bytes of the arrays one brute-force search holds at once
 _ARRAY_BYTES = 1 << 31
@@ -213,21 +211,27 @@ def _cap(budget):
         raise DomainError("%s; math.inf is accepted too, for no budget" % exc) from None
 
 
+def _charge(budget, work, needs, *counts):
+    """BudgetExceeded("<needs % counts>, budget is <budget>") when work passes
+    _cap(budget); each count is shown by _end, so no digit limit can bind."""
+    if work > _cap(budget):
+        raise BudgetExceeded("%s, budget is %s" % (needs % tuple(map(_end, counts)), budget))
+
+
 def _admit(m, n, budget, weights=1, held=0, table=False, base=1):
     """The tables S a search scans and a bound on the bytes of its arrays;
-    BudgetExceeded, before any array or weight is made, when S N pairs
-    (N = 2^n output words) pass budget, the bound passes _ARRAY_BYTES, or
-    weights up to base^n could overflow _encoder_costs's int64 sums,
-    m 2^m N base^n >= 2^62 (p2p_bruteforce's largest weight is (b - a)^n,
-    so it passes base = b - a; the sphere weights are 0 or 1).
+    BudgetExceeded, before any array or weight is made, when the bound passes
+    _ARRAY_BYTES or the work passes budget. At m = 1 the work (_charge) is a
+    search's weights C(n + 3, 3) _orbits._type_cost terms, or a given table's
+    at most (n + 2)^2 / 4, each of n (bit_length(base) + 1) bits.
 
-    _encoder_costs scans the C = C(n + 2^L - 1, n) canonical prefixes of
-    L = min(2^m - 1, 3) free codewords (multisets of n column types), each
-    with the N^T words of the T = 2^m - 1 - L later slots: S N = C 2^e,
-    e = n (T + 1); one given table (table) has C = S = 1, e = n. From m = 2
-    on a given table or a search holds 8 N^(T + 1) bytes or more; at m = 1
-    either only sums by column type (_orbits._type_costs). The checks read
-    bit lengths first: a refusal forms no 2^m, 2^e or base^n.
+    From m = 2 on the work is S N = C 2^e pairs (N = 2^n output words): C =
+    C(n + 7, n) canonical prefixes of 3 free codewords, each with the N^T
+    words of the T = 2^m - 4 later slots, e = n (T + 1), holding 8 N^(T + 1)
+    bytes or more; a given table (table) has C = S = 1, e = n. Weights up to
+    base^n must not overflow _encoder_costs's int64 sums, m 2^m N base^n <
+    2^62 (p2p_bruteforce passes base = b - a for its largest weight (b - a)^n;
+    the sphere weights are 0 or 1). No refusal forms 2^m, 2^e or base^n.
 
     The bound counts 8 bytes a cell, and _BLOCK_CELLS cells for small
     arrays and Python objects, for weights weight tables and held S-long
@@ -245,16 +249,20 @@ def _admit(m, n, budget, weights=1, held=0, table=False, base=1):
       while the prefixes are built; ranks and costs. The m = 2 plans that
       earlier calls cached (_orbits._orbit_plan) are not counted.
     """
-    cap = _cap(budget)
-    L = 1 if m == 1 else 3
-    C = 1 if table else math.comb(n + (1 << L) - 1, n)
-    # past m = 256, e >= 2^255 passes every bit length here: shown, not formed
-    e = n if table else n * ((1 << m) - L) if m <= 256 else None
-    shown = _end(e) if e is not None else "(%s (2^%s - %d))" % (_end(n), _end(m), L)
-    if cap != math.inf and (e is None or e >= cap.bit_length() or C << e > budget):
-        raise BudgetExceeded(_NEEDS % (_end(C), shown, budget))
-    cells = 0
-    if m > 1:
+    if m == 1:
+        tables, cells = (1 if table else n + 1), 0
+        terms = (n + 2) ** 2 // 4 if table else weights * math.comb(n + 3, 3)
+        bits = n * (base.bit_length() + 1)
+        _charge(budget, terms * bits, "search needs %s orbit terms x %s bits", terms, bits)
+    else:
+        cap = _cap(budget)
+        C = 1 if table else math.comb(n + 7, n)
+        # past m = 256, e >= 2^255 passes every bit length here: shown, not formed
+        e = n if table else n * ((1 << m) - 3) if m <= 256 else None
+        shown = _end(e) if e is not None else "(%s (2^%s - 3))" % (_end(n), _end(m))
+        if cap != math.inf and (e is None or e >= cap.bit_length() or C << e > budget):
+            raise BudgetExceeded("search needs %s x 2^%s (encoder, output) pairs, budget is %s"
+                                 % (_end(C), shown, budget))
         if e is None or e + 3 >= _ARRAY_BYTES.bit_length():
             raise BudgetExceeded(_HOLDS % ("at least 8 x 2^" + shown, _ARRAY_BYTES))
         K, N, NT = 1 << m, 1 << n, 1 << (e - n)
@@ -266,12 +274,12 @@ def _admit(m, n, budget, weights=1, held=0, table=False, base=1):
             block = min(max(1, _BLOCK_CELLS // (N * NT)), C)
             cells = ((2 + weights) * N + m * weights * N * NT + 3 * N * N + NT
                      + (N + 2) * block * NT + 11 * N * block + 7 * C)
-    tables = C << (e - n)
+        tables = C << (e - n)
     cells += (1 + weights + held) * tables
     size = 8 * (cells + _BLOCK_CELLS)
     if size > _ARRAY_BYTES:
         raise BudgetExceeded(_HOLDS % (size, _ARRAY_BYTES))
-    if m + n * base.bit_length() >= 62 or (m << m + n) * base ** n >= 1 << 62:
+    if m > 1 and (m + n * base.bit_length() >= 62 or (m << m + n) * base ** n >= 1 << 62):
         raise BudgetExceeded("integer costs would overflow int64 accumulators")
     return tables, size
 
@@ -323,8 +331,7 @@ def p2p_bruteforce(m, n, delta, budget=DEFAULT_BUDGET):
     of an output at distance d from the codeword is a^d (b-a)^(n-d) with
     delta = a/b, so the optimum is the integer cost minimum divided by
     m 2^m b^n. Returns (ExactValue, EncoderTable witness); the witness is
-    the lowest-rank minimizing table. budget bounds the (encoder, output)
-    pairs the search scans, and its arrays are capped too (_admit).
+    the lowest-rank minimizing table. _admit holds the search to budget.
     """
     m = _count("m", m)
     n = _count("n", n)
@@ -341,7 +348,7 @@ def p2p_bruteforce(m, n, delta, budget=DEFAULT_BUDGET):
 def sphere_bruteforce(m, n, weight, encoder=None, budget=DEFAULT_BUDGET):
     """Exact per-bit Hamming distortion when the additive noise is uniform
     on the weight-`weight` sphere. Searches all encoders, as p2p_bruteforce
-    does, unless one is given: one table, whose 2^n pairs budget bounds.
+    does, unless one is given: one table (_admit's table).
     """
     m = _count("m", m)
     n = _count("n", n)
@@ -352,13 +359,12 @@ def sphere_bruteforce(m, n, weight, encoder=None, budget=DEFAULT_BUDGET):
     _admit(m, n, budget, table=encoder is not None)
     wt = [1 if d == weight else 0 for d in range(n + 1)]
     denom = m * (1 << m) * math.comb(n, weight)
-    if encoder is not None and m == 1:
-        # XOR by c_0 and the coordinate permutations keep every distance, so
-        # the table costs as the orbit of (0, 2^w - 1), w = popcount(c_0 ^ c_1)
-        w = (int(cw[0]) ^ int(cw[1])).bit_count()
-        return ExactValue(Fraction(_type_cost(n, w, wt), denom))
     if encoder is not None:
-        return ExactValue(Fraction(_table_cost(m, n, cw, wt), denom))
+        # at m = 1 XOR by c_0 and the coordinate permutations keep every distance,
+        # so the table costs as the orbit of (0, 2^w - 1), w = popcount(c_0 ^ c_1)
+        cost = (_type_cost(n, (int(cw[0]) ^ int(cw[1])).bit_count(), wt) if m == 1
+                else _table_cost(m, n, cw, wt))
+        return ExactValue(Fraction(cost, denom))
     costs = _encoder_costs(m, n, [wt])[0]
     return ExactValue(Fraction(int(costs[_first_least(costs)]), denom))
 
@@ -394,13 +400,19 @@ def broadcast_frontier(m, n, w1, w2, budget=DEFAULT_BUDGET):
 # ---------- posterior weight ratios ----------
 
 
-def _binomial_budget(n, b, k, factors):
-    """BudgetExceeded when factors factors of products of up to
-    2 k (bit_length(n) + bit_length(b)) bits pass DEFAULT_BUDGET."""
+def _binomial_rows(n, delta, k, factors):
+    """binomial_gamma_exact's up and down at 0, ..., k, each row from the last
+    by four small factors and a^2, (b - a)^2, once factors factors of up to
+    row k's 2 k (bit_length(n) + bit_length(b)) bits are charged (_charge)."""
+    a, b = delta.numerator, delta.denominator
     bits = 2 * k * (n.bit_length() + b.bit_length())
-    if factors * bits > DEFAULT_BUDGET:
-        raise BudgetExceeded("binomial needs %s factors x %s bits, budget is %d"
-                             % (_end(factors), _end(bits), DEFAULT_BUDGET))
+    _charge(DEFAULT_BUDGET, factors * bits, "binomial needs %s factors x %s bits", factors, bits)
+    w, up, down = n * a // b, 1, 1
+    yield up, down
+    for j in range(k):
+        up *= (n - w + j + 1) * (n - w - j) * a * a
+        down *= (w - j) * (w + j + 1) * (b - a) * (b - a)
+        yield up, down
 
 
 def binomial_gamma_exact(n, delta, k):
@@ -411,22 +423,17 @@ def binomial_gamma_exact(n, delta, k):
     cancel, leaving r = C(n,w+k) a^2k / (C(n,w+k) a^2k + C(n,w-k) (b-a)^2k).
     Only the ratio C(n,w+k) / C(n,w-k), the product of (n - j) / (j + 1)
     over j from w - k to w + k - 1, is formed, so the work grows with k, not
-    with n. Its 4k factors times the products' 2 k (bit_length(n) +
-    bit_length(b)) bits are held against DEFAULT_BUDGET before any product
-    is formed (BudgetExceeded). Returns (ratio, gamma) as ExactValues.
+    with n. Its 4k factors are charged before any product is formed
+    (_binomial_rows, BudgetExceeded). Returns (ratio, gamma) as ExactValues.
     """
     n = _count("n", n)
     delta = _as_fraction("delta", delta)
     w = n * delta
     if w.denominator != 1:
         raise DomainError("n * delta must be an integer")
-    w = int(w)
-    k = _count("k", k, 0, min(w, n - w))
-    a, b = delta.numerator, delta.denominator
-    _binomial_budget(n, b, k, 4 * k)
-    span = range(w - k, w + k)
-    up = math.prod(n - j for j in span) * a ** (2 * k)
-    down = math.prod(j + 1 for j in span) * (b - a) ** (2 * k)
+    k = _count("k", k, 0, min(int(w), n - int(w)))
+    for up, down in _binomial_rows(n, delta, k, 4 * k):
+        pass
     r = Fraction(up, up + down)
     return ExactValue(r), ExactValue(2 * r - 1)
 
@@ -516,9 +523,7 @@ def coupling_distance_exact(n, delta1, delta2, budget=DEFAULT_BUDGET):
     k = mu.numerator // mu.denominator
     terms = sum(min(m1, t) - max(0, t - m2) + 1 for t in (k, k + 1))
     bits = n * b.bit_length()
-    if terms * bits > _cap(budget):
-        raise BudgetExceeded("coupling needs %s walk terms x %s bits, budget is %s"
-                             % (_end(terms), _end(bits), budget))
+    _charge(budget, terms * bits, "coupling needs %s walk terms x %s bits", terms, bits)
     # q1 q2 = p1 p2 = a (b - a)
     f = a * (b - a) * ((k + 1) * _walk(k + 1, m1, m2, a, b) + (n - k) * _walk(k, m1, m2, a, b))
     return ExactValue(Fraction(2 * f, b ** (n + 2)))
@@ -588,10 +593,7 @@ def converse_search_gq(delta1, delta2, t, trials=10000, seed=0, budget=DEFAULT_B
     d2 = _real("delta2", float(delta2), 0.0, 0.5, "()")
     t = _clamp("t", float(t), 0.0, NAT_LOG2 - h_b(d1))
     trials = _count("trials", trials, -math.inf)
-    # a draw is scored with at most 9 h_b evaluations
-    if 9 * trials > _cap(budget):
-        raise BudgetExceeded("search needs %s trials x 9 h_b evaluations, budget is %s"
-                             % (_end(trials), budget))
+    _charge(budget, 9 * trials, "search needs %s trials x 9 h_b evaluations", trials)
     c = conv(d1, d2)
     h1 = h_b(d1)
     slop = 1e-12

@@ -352,13 +352,19 @@ def test_budget_message_for_large_m(capsys, argv, prefixes, exp):
 
 
 def test_fixed_encoder_past_the_budget_returns_3(capsys):
-    # 1 x 2^40 (encoder, output) pairs: refused before 2^40-word arrays
-    words = ["0" * 40, "1" * 40]
-    code, out, err = run_cli(["oracle", "spherical", "--m", "1", "--n", "40", "--weight", "1",
-                              "--encoder", ",".join(words)], capsys)
-    assert (code, out) == (3, "")
-    assert err == ("budget: search needs 1 x 2^40 (encoder, output) pairs, budget is %d\n"
+    def spherical(n):
+        words = ["0" * n, "1" * n]
+        return ";".join(words), run_cli(["oracle", "spherical", "--m", "1", "--n", str(n),
+                                         "--weight", "1", "--encoder", ",".join(words)], capsys)
+
+    # a given m = 1 table costs as its orbit: at most 1501 x 1501 terms of
+    # 6000 bits at n = 3000, refused before any term is formed
+    _, got = spherical(3000)
+    assert got == (3, "", "budget: search needs 2253001 orbit terms x 6000 bits, budget is %d\n"
                    % orc.DEFAULT_BUDGET)
+    # at n = 40 its 2^40 (encoder, output) pairs were refused; now it is an answer
+    cell, got = spherical(40)
+    assert got == (0, "m,n,weight,encoder,value\n1,40,1,%s,0\n" % cell, "")
 
 
 def test_coupling_and_gq_search_budgets_return_3(capsys, time_cap):
@@ -404,14 +410,17 @@ def test_binomial_rows_budget_returns_3(capsys, monkeypatch, time_cap):
     class Admitted(Exception):
         pass
 
-    def admitted(n, delta, k, real=orc.binomial_gamma_exact):
-        if k:  # the k = 0 row checks n and delta before the budget
-            raise Admitted
-        return real(n, delta, k)
+    def admitted(*args, real=orc._binomial_rows):
+        next(real(*args))  # the charge, then row 0
+        raise Admitted
 
-    monkeypatch.setattr(orc, "binomial_gamma_exact", admitted)
+    monkeypatch.setattr(orc, "_binomial_rows", admitted)
     with pytest.raises(Admitted):
         cli.main(["oracle", "binomial", "--n", "1696", "--delta", "1/4", "--k-max", "424"])
+    monkeypatch.undo()
+    # the charge runs before the first row is built
+    with pytest.raises(orc.BudgetExceeded, match="^binomial needs 362100 factors x 11900 bits"):
+        next(orc._binomial_rows(1700, Fraction(1, 4), 425, 2 * 425 * 426))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

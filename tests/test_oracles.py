@@ -118,23 +118,28 @@ def test_budget_is_checked_before_any_work_in_m_or_n(monkeypatch):
 
     monkeypatch.setattr(orc, "_encoder_costs", never)
     huge = 10**20
-    searches = [lambda m, n, **kw: orc.p2p_bruteforce(m, n, F(1, 4), **kw),
-                lambda m, n, **kw: orc.sphere_bruteforce(m, n, 1, **kw),
-                lambda m, n, **kw: orc.broadcast_frontier(m, n, 1, 1, **kw)]
-    for search in searches:
+    # m = 1 charges C(n + 3, 3) orbit terms per weight table, times
+    # n (bit_length(base) + 1) bits: base b - a = 3 for p2p, 1 for the spheres
+    per_table = math.comb(5003, 3)
+    searches = [(lambda m, n, **kw: orc.p2p_bruteforce(m, n, F(1, 4), **kw), per_table, 15000),
+                (lambda m, n, **kw: orc.sphere_bruteforce(m, n, 1, **kw), per_table, 10000),
+                (lambda m, n, **kw: orc.broadcast_frontier(m, n, 1, 1, **kw), 2 * per_table,
+                 10000)]
+    for search, terms, bits in searches:
         with pytest.raises(orc.BudgetExceeded,
                            match=r"^search needs 36 x 2\^\(2 \(2\^%d - 3\)\) .* budget is %d$"
                            % (huge, orc.DEFAULT_BUDGET)):
             search(huge, 2)
-        with pytest.raises(orc.BudgetExceeded, match=r"^search needs 5001 x 2\^5000 "):
+        with pytest.raises(orc.BudgetExceeded, match=r"^search needs %d orbit terms x %d bits, "
+                           r"budget is %d$" % (terms, bits, orc.DEFAULT_BUDGET)):
             search(1, 5000)
         # with no budget the memory cap refuses the first, as a search from
-        # m = 2 on holds at least 8 N^(T + 1) bytes, and the int64 guard the
-        # second from bit lengths, m + n bit_length(base) >= 62, before 2^n
+        # m = 2 on holds at least 8 N^(T + 1) bytes; m = 1 sums Python
+        # integers, which no int64 guard bounds, so the second is admitted
         with pytest.raises(orc.BudgetExceeded, match=r"^search would hold at least 8 x "
                            r"2\^\(2 \(2\^%d - 3\)\) bytes" % huge):
             search(huge, 2, budget=math.inf)
-        with pytest.raises(orc.BudgetExceeded, match="^integer costs would overflow int64"):
+        with pytest.raises(AssertionError, match="the kernel was called"):
             search(1, 61, budget=math.inf)
     # an m past 2^256 bits is shown as such
     with pytest.raises(orc.BudgetExceeded, match=r"2\^\(2 \(2\^~2\^257 - 3\)\)"):
@@ -205,27 +210,45 @@ def test_m1_searches_at_n25_run_under_1_gib(argv, line):
     assert line in proc.stdout, proc.stdout
 
 
-# m = 1 at n = 40 holds no 2^n-word array, so the memory cap no longer refuses
-# it (before, it did): its 41 x 2^40 pairs pass the default work budget, and
-# under a budget that admits them its integer costs would overflow int64
-_M1_AT_N40 = {
-    "p2p-1-40": ([], r"search needs 41 x 2\^40 \(encoder, output\) pairs, "
-                     r"budget is 4294967296"),
-    "p2p-1-40-budget-10^21": (["--budget", str(10**21)],
-                              r"integer costs would overflow int64 accumulators"),
+# m = 1 charges its orbits' Python-integer terms times their bits, not the
+# 41 x 2^40 (encoder, output) pairs of a scan it does not make, and no int64
+# guard bounds its sums: n = 40 runs at any budget (before, the pairs were
+# refused by the default budget and a budget of 10^21 ended in the int64
+# guard). The majority-vote value is P(Bin(40, 1/4) > 20) + P(Bin = 20) / 2.
+# At n = 400 its C(403, 3) terms of 1200 bits each pass the default budget
+_M1_DECIDED = {
+    "p2p-1-40": ([], 0, "1,40,1/4,14115818193907387787/37778931862957161709568,"),
+    "p2p-1-40-budget-10^21": (["--budget", str(10**21)], 0,
+                              "1,40,1/4,14115818193907387787/37778931862957161709568,"),
+    "p2p-1-400": (["--n", "400"], 3, "budget: search needs 10827401 orbit terms x 1200 bits, "
+                                      "budget is 4294967296\n"),
 }
 
 
-@pytest.mark.parametrize("budget,reason", list(_M1_AT_N40.values()), ids=list(_M1_AT_N40))
-def test_m1_search_at_n40_is_refused_before_allocating(budget, reason):
-    argv = ["p2p", "--m", "1", "--n", "40", "--delta", "1/4"] + budget
+@pytest.mark.parametrize("extra,code,line", list(_M1_DECIDED.values()), ids=list(_M1_DECIDED))
+def test_m1_searches_are_decided_under_1_gib(extra, code, line):
+    argv = ["p2p", "--m", "1", "--n", "40", "--delta", "1/4", "--exact"] + extra
     proc = subprocess.run([sys.executable, "-c", _UNDER_1_GIB, "oracle"] + argv,
                           capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout) == (3, "")
-    assert re.fullmatch("budget: " + reason + "\n", proc.stderr), proc.stderr
+    assert proc.returncode == code
+    if code:
+        assert (proc.stdout, proc.stderr) == ("", line)
+    else:
+        assert proc.stderr == "" and line in proc.stdout, proc.stdout
 
 
-def test_memory_bound_holds_and_admission_decides(monkeypatch):
+def test_m2_memory_refusals_at_no_budget():
+    # with no work budget the memory cap decides m = 2 from n = 28: by its
+    # closed-form bound there, and by bit lengths from n = 29, where one
+    # 2^n-word array of 8-byte cells already passes 2^31 bytes (e + 3 >= 32)
+    for n, held in ((28, "576489859727682048"), (29, "at least 8 x 2^29"),
+                    (30, "at least 8 x 2^30")):
+        with pytest.raises(orc.BudgetExceeded, match=r"^search would hold %s bytes of arrays, "
+                           r"cap is 2147483648$" % re.escape(held)):
+            orc.p2p_bruteforce(2, n, F(1, 4), budget=math.inf)
+
+
+def test_memory_bound_holds_and_admission_decides(monkeypatch, time_cap):
     # the tracemalloc peak of a search from empty caches is at most the bytes
     # it was admitted with, and not far below them beside the fixed allowance
     sizes, admit = [], orc._admit
@@ -260,10 +283,13 @@ def test_memory_bound_holds_and_admission_decides(monkeypatch):
 
     monkeypatch.setattr(orc, "_encoder_costs", admitted)
     monkeypatch.setattr(orc, "_table_cost", admitted)
-    # at delta 1/4 the int64 guard refuses m = 1 at n = 24: 2 2^24 3^24 >= 2^62
+    # m = 1 is charged its orbit terms times their bits, not 29 x 2^28 pairs,
+    # so n = 28 is admitted (before, it was refused)
     for search in (lambda: orc.p2p_bruteforce(1, 24, F(1, 3)),
                    lambda: orc.p2p_bruteforce(1, 25, F(1, 3)),
                    lambda: orc.p2p_bruteforce(1, 27, F(1, 3)),
+                   lambda: orc.p2p_bruteforce(1, 28, F(1, 3)),
+                   lambda: orc.p2p_bruteforce(1, 302, F(1, 4)),
                    lambda: orc.broadcast_frontier(1, 25, 1, 2),
                    lambda: orc.p2p_bruteforce(2, 12, F(1, 4)),
                    lambda: orc.p2p_bruteforce(2, 13, F(1, 4)),
@@ -271,9 +297,11 @@ def test_memory_bound_holds_and_admission_decides(monkeypatch):
                    lambda: orc.broadcast_frontier(3, 4, 1, 2)):
         with pytest.raises(Admitted):
             search()
-    # 29 x 2^28 scanned pairs pass the default budget at m = 1
-    with pytest.raises(orc.BudgetExceeded, match=r"^search needs 29 x 2\^28 "):
-        orc.p2p_bruteforce(1, 28, F(1, 3))
+    # C(n + 3, 3) terms of n (bit_length(3) + 1) bits: 4,242,218,160 at
+    # n = 302 are within the default budget, 4,298,406,480 at n = 303 are not
+    with time_cap(0.5), pytest.raises(orc.BudgetExceeded, match=r"^search needs 4728720 orbit "
+                                      r"terms x 909 bits, budget is 4294967296$"):
+        orc.p2p_bruteforce(1, 303, F(1, 4))
     for search in (lambda: orc.p2p_bruteforce(2, 14, F(1, 4), budget=2**50),
                    lambda: orc.sphere_bruteforce(2, 24, 1, encoder=(0, 0, 2**24 - 1, 2**24 - 1)),
                    lambda: orc.p2p_bruteforce(4, 2, F(1, 4)),
@@ -318,31 +346,62 @@ def test_p2p_frozen_n5_n6():
 
 
 def test_int64_guard_refuses_the_weights_that_would_overflow(monkeypatch, time_cap):
-    # m 2^m 2^n max(w) against 2^62: 8 2^13 12^13 and 2 2^24 3^24 are past
-    # it, 8 2^13 11^13 and 2 2^23 3^23 are not; the admission refuses the
-    # first two before the kernel
+    # m 2^m 2^n max(w) against 2^62: 8 2^13 12^13 is past it, 8 2^13 11^13
+    # is not; the admission refuses the first before the kernel
     def reached(*args):
         raise AssertionError("reached")
 
     monkeypatch.setattr(orc, "_encoder_costs", reached)
-    for past, within in (((2, 13, F(1, 13)), (2, 13, F(1, 12))),
-                         ((1, 24, F(1, 4)), (1, 23, F(1, 4)))):
-        with pytest.raises(orc.BudgetExceeded, match="overflow int64"):
-            orc.p2p_bruteforce(*past)
-        with pytest.raises(AssertionError, match="reached"):
-            orc.p2p_bruteforce(*within)
-    # from bit lengths, m + n bit_length(b - a) >= 62: neither (10^30000 - 1)^24
-    # nor the n + 1 weights are formed, which took seconds, and at m = 1, which
-    # holds no 2^n-word array, nor is 2^n (before, the memory cap refused n = 40)
+    with pytest.raises(orc.BudgetExceeded, match="overflow int64"):
+        orc.p2p_bruteforce(2, 13, F(1, 13))
+    with pytest.raises(AssertionError, match="reached"):
+        orc.p2p_bruteforce(2, 13, F(1, 12))
+    # from bit lengths, m + n bit_length(b - a) >= 62: neither (10^30000 - 1)^13
+    # nor the n + 1 weights are formed, which took seconds. At m = 1 the
+    # charge refuses the same base from its bit length: C(27, 3) terms of
+    # 24 (99658 + 1) bits
     with time_cap(0.5):
-        for args in ((1, 24, F(1, 10**30000)), (1, 40, F(1, 4), 10**21)):
-            with pytest.raises(orc.BudgetExceeded, match="overflow int64"):
-                orc.p2p_bruteforce(*args)
         with pytest.raises(orc.BudgetExceeded, match="overflow int64"):
-            orc.sphere_bruteforce(1, 61, 1, budget=math.inf)
-        # its n + 1 costs and ranks alone pass the memory cap
+            orc.p2p_bruteforce(2, 13, F(1, 10**30000))
+        with pytest.raises(orc.BudgetExceeded, match="^search needs 2925 orbit terms x 2391816 "):
+            orc.p2p_bruteforce(1, 24, F(1, 10**30000))
+        # n + 1 costs at n = 10^12 would pass the memory cap; the charge
+        # refuses them first, and with no budget the cap does
+        with pytest.raises(orc.BudgetExceeded, match="^search needs %d orbit terms x %d bits"
+                           % (math.comb(10**12 + 3, 3), 2 * 10**12)):
+            orc.sphere_bruteforce(1, 10**12, 1)
         with pytest.raises(orc.BudgetExceeded, match="^search would hold 16000000524304 bytes"):
             orc.sphere_bruteforce(1, 10**12, 1, budget=math.inf)
+        with pytest.raises(orc.BudgetExceeded, match="^search would hold 16000000524304 bytes"):
+            orc.p2p_bruteforce(1, 10**12, F(1, 4), budget=math.inf)
+    monkeypatch.undo()
+    # m = 1 sums Python integers, so the int64 guard does not reach it: 2 2^24
+    # 3^24 >= 2^62 refused p2p(1, 24, 1/4) before, and sphere(1, 61) with no
+    # budget; both are answers now
+    assert orc.p2p_bruteforce(1, 24, F(1, 4))[0].value == _majority_vote(24, F(1, 4))
+    assert orc.sphere_bruteforce(1, 61, 1, budget=math.inf).value == 0
+
+
+def _majority_vote(n, delta):
+    # P(Bin(n, delta) > n / 2) + P(Bin(n, delta) = n / 2) / 2: the repetition
+    # code decoded by majority, a tie split evenly
+    pmf = [math.comb(n, k) * delta**k * (1 - delta)**(n - k) for k in range(n + 1)]
+    return sum(pmf[n // 2 + 1:]) + (pmf[n // 2] / 2 if n % 2 == 0 else 0)
+
+
+@pytest.mark.parametrize("n,w", [(100, 99), (101, 101)])
+def test_m1_optimum_is_the_majority_vote(n, w):
+    # at n = 100 the orbits of weight 99 and 100 tie, and the lowest rank is
+    # weight 99's
+    for delta in (F(1, 4), F(1, 3), F(1, 10)):
+        value, table = orc.p2p_bruteforce(1, n, delta)
+        assert (value.value, table.codewords) == (_majority_vote(n, delta), (0, 2**w - 1))
+
+
+def test_m1_frontier_ranks_past_int64():
+    # the ranks 2^w - 1 pass int64 from w = 64 on, so broadcast_frontier
+    # sorts an object array of them
+    assert orc.broadcast_frontier(1, 70, 1, 2) == [orc.FrontierPoint(F(0), F(0), 1)]
 
 
 def test_searches_leave_no_popcounts_behind():
@@ -410,15 +469,23 @@ def test_sphere_fixed_encoder():
 
 
 def test_sphere_fixed_encoder_budget():
-    # one given table costs 1 x 2^n (encoder, output) pairs: 8 at m=1, n=3
-    assert orc.sphere_bruteforce(1, 3, 1, encoder=(0, 7), budget=8).value == 0
-    with pytest.raises(orc.BudgetExceeded, match=r"^search needs 1 x 2\^3 .* budget is 7$"):
-        orc.sphere_bruteforce(1, 3, 1, encoder=(0, 7), budget=7)
-    # refused before any array of 2^n words is formed
-    with pytest.raises(orc.BudgetExceeded, match=r"needs 1 x 2\^40 "):
-        orc.sphere_bruteforce(1, 40, 1, encoder=(0, 2**40 - 1))
-    with pytest.raises(orc.BudgetExceeded, match=r"needs 1 x 2\^%d " % 10**20):
+    # one given m = 1 table costs at most floor((n + 2) / 2) ceil((n + 2) / 2)
+    # orbit terms of 2n bits: 2 x 3 terms x 6 bits at n = 3 (before, it cost
+    # 1 x 2^3 (encoder, output) pairs)
+    assert orc.sphere_bruteforce(1, 3, 1, encoder=(0, 7), budget=36).value == 0
+    with pytest.raises(orc.BudgetExceeded, match=r"^search needs 6 orbit terms x 6 bits, "
+                       r"budget is 35$"):
+        orc.sphere_bruteforce(1, 3, 1, encoder=(0, 7), budget=35)
+    # no array of 2^n words is formed, so n = 40 is an answer (before, its
+    # 2^40 pairs were refused), and n = 10^20 is refused at once
+    assert orc.sphere_bruteforce(1, 40, 1, encoder=(0, 2**40 - 1)).value == 0
+    half = 10**20 // 2 + 1
+    with pytest.raises(orc.BudgetExceeded, match=r"^search needs %d orbit terms x %d bits"
+                       % (half * half, 2 * 10**20)):
         orc.sphere_bruteforce(1, 10**20, 1, encoder=(0, 1))
+    # from m = 2 on a given table still costs 1 x 2^n pairs
+    with pytest.raises(orc.BudgetExceeded, match=r"^search needs 1 x 2\^3 .* budget is 7$"):
+        orc.sphere_bruteforce(2, 3, 1, encoder=(0, 1, 6, 7), budget=7)
 
 
 def test_sphere_search_beats_fixed():
