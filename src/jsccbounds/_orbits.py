@@ -71,13 +71,15 @@ def _orbit_plan(n: int) -> tuple[np.ndarray, ...]:
     return plan
 
 
-def _orbit_costs(n, wtabs, dt, cells):
+def _orbit_costs(n, wtabs, cells):
     """The costs of oracles._encoder_costs at m = 2, one per table of
-    _orbit_plan(n), summed in dtype dt, in blocks whose gathered rows take
-    at most cells cells (or one table's two rows)."""
+    _orbit_plan(n), summed in int32 when N max(w) < 2^31 and in int64
+    otherwise, in blocks whose gathered rows take at most cells cells (or
+    one table's two rows)."""
     import numpy as np
 
     N = 1 << n
+    dt = np.int32 if N * max(map(max, wtabs)) < 2 ** 31 else np.int64
     ranks, pair_of, c3, c1s, c2s, xor = _orbit_plan(n)
     out = []
     # every block's rows of A and B are gathered into this one array

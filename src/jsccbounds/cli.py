@@ -328,7 +328,11 @@ def _run_coupling(args):
 
     dev = orc.coupling_distance_exact(args.n, args.delta1, args.delta2, budget=args.budget)
     bound = math.sqrt(args.n * float(args.delta2))
-    row = [args.n, args.delta1, args.delta2, dev.value, bound]
+    try:
+        cell = _exact_text(dev.value)
+    except DomainError:  # past the digit limit: the correctly rounded float
+        cell = float(dev.value)
+    row = [args.n, args.delta1, args.delta2, cell, bound]
     return (["n", "delta1", "delta2", "e_dev", "bound"], [row], set(), 0)
 
 

@@ -143,18 +143,18 @@ def _encoder_costs(m, n, wtabs):
     table's sum over j and y and the constant m K sum_y W[0, y] stay within
     m K N max(w): int32 when m K N max(w) < 2^31. At m = 2 each max is at
     most max(w), so the sums stay within N max(w), int32 when
-    N max(w) < 2^31, and the constant, which can pass 2^31 when the sums do
-    not, is subtracted in int64. So the costs, returned as int64, equal the
-    direct sums.
+    N max(w) < 2^31 (_orbits._orbit_costs picks this width itself), and
+    the constant, which can pass 2^31 when the sums do not, is subtracted
+    in int64. So the costs, returned as int64, equal the direct sums.
     """
     if m == 1:
         return _type_costs(n, wtabs)
+    if m == 2:
+        return _orbit_costs(n, wtabs, _BLOCK_CELLS)
     import numpy as np
 
     K, N = 1 << m, 1 << n
-    dt = np.int32 if (1 if m == 2 else m * K) * N * max(map(max, wtabs)) < 2 ** 31 else np.int64
-    if m == 2:
-        return _orbit_costs(n, wtabs, dt, _BLOCK_CELLS)
+    dt = np.int32 if m * K * N * max(map(max, wtabs)) < 2 ** 31 else np.int64
     warrs = [np.array(w, dtype=dt) for w in wtabs]
     y = np.arange(N, dtype=np.int64)
     signs = [[-1 if (s >> (m - 1 - j)) & 1 else 1 for s in range(K)] for j in range(m)]
@@ -218,17 +218,19 @@ def _charge(budget, work, needs, *counts):
         raise BudgetExceeded("%s, budget is %s" % (needs % tuple(map(_end, counts)), budget))
 
 
-def _admit(m, n, budget, weights=1, held=0, table=False, base=1):
+def _admit(m, n, budget, weights=1, held=0, table=None, base=1):
     """The tables S a search scans and a bound on the bytes of its arrays;
     BudgetExceeded, before any array or weight is made, when the bound passes
-    _ARRAY_BYTES or the work passes budget. At m = 1 the work (_charge) is a
-    search's weights C(n + 3, 3) _orbits._type_cost terms, or a given table's
-    at most (n + 2)^2 / 4, each of n (bit_length(base) + 1) bits.
+    _ARRAY_BYTES or the work passes budget. table is a given table's
+    codewords, None for a search. At m = 1 the work (_charge) is a search's
+    weights C(n + 3, 3) _orbits._type_cost terms, or a given table's
+    (n - w + 1)(w + 1), w = popcount(c_0 ^ c_1), each of
+    n (bit_length(base) + 1) bits.
 
     From m = 2 on the work is S N = C 2^e pairs (N = 2^n output words): C =
     C(n + 7, n) canonical prefixes of 3 free codewords, each with the N^T
     words of the T = 2^m - 4 later slots, e = n (T + 1), holding 8 N^(T + 1)
-    bytes or more; a given table (table) has C = S = 1, e = n. Weights up to
+    bytes or more; a given table has C = S = 1, e = n. Weights up to
     base^n must not overflow _encoder_costs's int64 sums, m 2^m N base^n <
     2^62 (p2p_bruteforce passes base = b - a for its largest weight (b - a)^n;
     the sphere weights are 0 or 1). No refusal forms 2^m, 2^e or base^n.
@@ -236,8 +238,9 @@ def _admit(m, n, budget, weights=1, held=0, table=False, base=1):
     The bound counts 8 bytes a cell, and _BLOCK_CELLS cells for small
     arrays and Python objects, for weights weight tables and held S-long
     arrays the caller makes beside the costs and ranks:
-    - table: _table_cost's K x N distances, weights and bit-group rows
-      (K = 2^m), and 5 N-word arrays;
+    - m = 1: each weight table's n + 1 weights;
+    - a given table from m = 2 on: _table_cost's K x N distances, weights
+      and bit-group rows (K = 2^m), and 5 N-word arrays;
     - m = 2: W[0], its distances, the 64-row XOR plan and its arange; W;
       A's (pairs, N) rows and the two gathers that make them; the block
       array; 7 S for the plan while the prefixes are built; the costs;
@@ -250,15 +253,19 @@ def _admit(m, n, budget, weights=1, held=0, table=False, base=1):
       earlier calls cached (_orbits._orbit_plan) are not counted.
     """
     if m == 1:
-        tables, cells = (1 if table else n + 1), 0
-        terms = (n + 2) ** 2 // 4 if table else weights * math.comb(n + 3, 3)
+        if table is None:
+            tables, terms = n + 1, weights * math.comb(n + 3, 3)
+        else:
+            w = (int(table[0]) ^ int(table[1])).bit_count()
+            tables, terms = 1, (n - w + 1) * (w + 1)
+        cells = weights * (n + 1)
         bits = n * (base.bit_length() + 1)
         _charge(budget, terms * bits, "search needs %s orbit terms x %s bits", terms, bits)
     else:
         cap = _cap(budget)
-        C = 1 if table else math.comb(n + 7, n)
+        C = 1 if table is not None else math.comb(n + 7, n)
         # past m = 256, e >= 2^255 passes every bit length here: shown, not formed
-        e = n if table else n * ((1 << m) - 3) if m <= 256 else None
+        e = n if table is not None else n * ((1 << m) - 3) if m <= 256 else None
         shown = _end(e) if e is not None else "(%s (2^%s - 3))" % (_end(n), _end(m))
         if cap != math.inf and (e is None or e >= cap.bit_length() or C << e > budget):
             raise BudgetExceeded("search needs %s x 2^%s (encoder, output) pairs, budget is %s"
@@ -266,7 +273,7 @@ def _admit(m, n, budget, weights=1, held=0, table=False, base=1):
         if e is None or e + 3 >= _ARRAY_BYTES.bit_length():
             raise BudgetExceeded(_HOLDS % ("at least 8 x 2^" + shown, _ARRAY_BYTES))
         K, N, NT = 1 << m, 1 << n, 1 << (e - n)
-        if table:
+        if table is not None:
             cells = 3 * K * N + 5 * N
         elif m == 2:
             cells = N * (N + 67 + 3 * math.comb(n + 3, n)) + max(_BLOCK_CELLS, 2 * N) + 6 * C
@@ -353,13 +360,14 @@ def sphere_bruteforce(m, n, weight, encoder=None, budget=DEFAULT_BUDGET):
     m = _count("m", m)
     n = _count("n", n)
     weight = _count("weight", weight, 0, n)
+    cw = None
     if encoder is not None:
         cw = encoder.codewords if isinstance(encoder, EncoderTable) else tuple(encoder)
-        EncoderTable(m, n, tuple(cw))  # validates shape and range
-    _admit(m, n, budget, table=encoder is not None)
+        EncoderTable(m, n, cw)  # validates shape and range
+    _admit(m, n, budget, table=cw)
     wt = [1 if d == weight else 0 for d in range(n + 1)]
     denom = m * (1 << m) * math.comb(n, weight)
-    if encoder is not None:
+    if cw is not None:
         # at m = 1 XOR by c_0 and the coordinate permutations keep every distance,
         # so the table costs as the orbit of (0, 2^w - 1), w = popcount(c_0 ^ c_1)
         cost = (_type_cost(n, (int(cw[0]) ^ int(cw[1])).bit_count(), wt) if m == 1
@@ -375,8 +383,6 @@ def broadcast_frontier(m, n, w1, w2, budget=DEFAULT_BUDGET):
     increasing d1; each carries the lowest-rank encoder achieving the pair.
     budget is as in p2p_bruteforce; the array cap counts the sort's 5 too.
     """
-    import numpy as np
-
     m = _count("m", m)
     n = _count("n", n)
     w1 = _count("w1", w1, 0, n)
@@ -384,17 +390,29 @@ def broadcast_frontier(m, n, w1, w2, budget=DEFAULT_BUDGET):
     _admit(m, n, budget, weights=2, held=5)  # order, s2, its running min, 2 masks
     t1 = [1 if d == w1 else 0 for d in range(n + 1)]
     t2 = [1 if d == w2 else 0 for d in range(n + 1)]
-    c1, c2, ranks = map(np.asarray, _encoder_costs(m, n, [t1, t2]))
+    c1, c2, ranks = _encoder_costs(m, n, [t1, t2])
     den1 = m * (1 << m) * math.comb(n, w1)
     den2 = m * (1 << m) * math.comb(n, w2)
-    order = np.lexsort((ranks, c2, c1))
     # a table is on the frontier when its c2 beats every c2 sorted before it
-    s2 = c2[order]
-    keep = np.ones(len(order), dtype=bool)
-    keep[1:] = s2[1:] < np.minimum.accumulate(s2)[:-1]
+    # on (c1, c2); both sorts are stable and the ranks ascend, so of tied
+    # tables the lowest-rank one comes first
+    if m == 1:
+        front, least = [], math.inf
+        for idx in sorted(range(n + 1), key=lambda i: (c1[i], c2[i])):
+            if c2[idx] < least:
+                front.append(idx)
+                least = c2[idx]
+    else:
+        import numpy as np
+
+        order = np.lexsort((c2, c1))
+        s2 = c2[order]
+        keep = np.ones(len(order), dtype=bool)
+        keep[1:] = s2[1:] < np.minimum.accumulate(s2)[:-1]
+        front = order[keep]
     return [FrontierPoint(Fraction(int(c1[idx]), den1), Fraction(int(c2[idx]), den2),
                           int(ranks[idx]))
-            for idx in order[keep]]
+            for idx in front]
 
 
 # ---------- posterior weight ratios ----------

@@ -492,6 +492,15 @@ def test_array_inverse_starts_most_cells_deep(monkeypatch):
     assert sum(cells) < 13 * t.size
 
 
+def test_error_bounds_cover_their_derivation():
+    # the forward error model above _H_ERR: with a log within L ulps,
+    # |fl(_h(x)) - h(x)| <= ((2L + 3) log 2 + 1) u, u = 2^-53. _H_ERR covers a
+    # libm log within 2 ulps, and _H_ERR_NP np.log within 8
+    u = 2.0 ** -53
+    assert bi._H_ERR >= ((2 * 2 + 3) * math.log(2) + 1) * u
+    assert bi._H_ERR_NP >= ((2 * 8 + 3) * math.log(2) + 1) * u
+
+
 def test_np_log_is_within_the_ulps_the_array_error_bound_assumes():
     # _H_ERR_NP rests on np.log within 8 ulps of the exact log; math.log is
     # within 1. A fixed sample of 10^5 points: log-uniform over the floats

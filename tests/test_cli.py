@@ -352,18 +352,23 @@ def test_budget_message_for_large_m(capsys, argv, prefixes, exp):
 
 
 def test_fixed_encoder_past_the_budget_returns_3(capsys):
-    def spherical(n):
-        words = ["0" * n, "1" * n]
+    def spherical(n, ones):
+        words = ["0" * n, "0" * (n - ones) + "1" * ones]
         return ";".join(words), run_cli(["oracle", "spherical", "--m", "1", "--n", str(n),
                                          "--weight", "1", "--encoder", ",".join(words)], capsys)
 
-    # a given m = 1 table costs as its orbit: at most 1501 x 1501 terms of
-    # 6000 bits at n = 3000, refused before any term is formed
-    _, got = spherical(3000)
+    # a given m = 1 table costs as its own orbit, (n - w + 1)(w + 1) terms of
+    # 2n bits: at n = 3000 the half-weight table's 1501 x 1501 terms of 6000
+    # bits are refused before any term is formed
+    _, got = spherical(3000, 1500)
     assert got == (3, "", "budget: search needs 2253001 orbit terms x 6000 bits, budget is %d\n"
                    % orc.DEFAULT_BUDGET)
+    # the all-ones table's 1 x 3001 terms are an answer (before, it was
+    # charged the worst orbit's 2253001 and refused)
+    cell, got = spherical(3000, 3000)
+    assert got == (0, "m,n,weight,encoder,value\n1,3000,1,%s,0\n" % cell, "")
     # at n = 40 its 2^40 (encoder, output) pairs were refused; now it is an answer
-    cell, got = spherical(40)
+    cell, got = spherical(40, 40)
     assert got == (0, "m,n,weight,encoder,value\n1,40,1,%s,0\n" % cell, "")
 
 
@@ -425,11 +430,36 @@ def test_binomial_rows_budget_returns_3(capsys, monkeypatch, time_cap):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_exact_cell_past_the_digit_limit_returns_3(capsys, fmt):
-    # e_dev's denominator, about 10^40398, has more digits than int-to-str prints
-    code, out, err = run_cli(["oracle", "coupling", "--n", "100", "--delta1", "1/10",
-                              "--delta2", "1/1" + "0" * 400, "--format", fmt], capsys)
+    # the optimum's denominator, 2 (10^400)^11, has more digits than
+    # int-to-str prints
+    code, out, err = run_cli(["oracle", "p2p", "--m", "1", "--n", "11", "--delta",
+                              "1/1" + "0" * 400, "--exact", "--format", fmt], capsys)
     assert (code, out) == (3, "")
-    assert err == "infeasible: the exact value ~2^132876/~2^134197 has too many digits to print\n"
+    assert err == "infeasible: the exact value ~2^6651/~2^14615 has too many digits to print\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n,delta1,delta2", [
+    ("10000", "3/10", "1/7"),
+    # about 10^-398: the float underflows to 0, as the bound's does
+    ("100", "1/10", "1/1" + "0" * 400),
+])
+def test_coupling_prints_the_float_past_the_digit_limit(capsys, fmt, n, delta1, delta2):
+    # e_dev has more digits than int-to-str prints (before, exit 3), so its
+    # cell is the correctly rounded float
+    exact = orc.coupling_distance_exact(int(n), Fraction(delta1), Fraction(delta2)).value
+    with pytest.raises(ValueError):
+        str(exact)
+    code, out, err = run_cli(["oracle", "coupling", "--n", n, "--delta1", delta1,
+                              "--delta2", delta2, "--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    bound = math.sqrt(int(n) * float(Fraction(delta2)))
+    if fmt == "csv":
+        assert out == "n,delta1,delta2,e_dev,bound\n%s,%s,%s,%.12g,%.12g\n" % (
+            n, delta1, delta2, float(exact), bound)
+    else:
+        assert json.loads(out)["rows"] == [[int(n), delta1, delta2, float("%.12g" % float(exact)),
+                                            float("%.12g" % bound)]]
 
 
 def test_region_all_infeasible_returns_3(capsys):
@@ -645,6 +675,7 @@ for argv in (["eval", "--fn", "h_b", "--x", "0.11"],
              ["oracle", "p2p", "--m", "1", "--n", "2", "--delta", "1/4"],
              ["oracle", "spherical", "--m", "1", "--n", "3", "--weight", "1",
               "--encoder", "000,111"],
+             ["oracle", "frontier", "--m", "1", "--n", "3", "--w1", "1", "--w2", "2"],
              ["oracle", "p2p", "--m", "2", "--n", "2", "--delta", "1/4"]):
     assert cli.main(argv) == 0
     stages.append(stage())
@@ -655,7 +686,7 @@ sys.stderr.write(json.dumps(stages))
 def test_scalar_commands_start_without_numpy():
     # each command loads the modules it calls, and numpy only on the first
     # array call: not on import, nor for scalar commands, nor for m = 1,
-    # whose search and given table sum orbits in Python integers. The
+    # whose search, given table and frontier stay in Python integers. The
     # result records are named tuples, so no command loads dataclasses, and
     # only numpy brings in inspect
     proc = subprocess.run([sys.executable, "-c", _START_UP], capture_output=True, text=True)
@@ -668,10 +699,13 @@ def test_scalar_commands_start_without_numpy():
         ["jsccbounds._orbits", "jsccbounds.oracles"],  # coupling
         [],  # p2p at m = 1
         [],  # spherical at m = 1 with a given table
+        [],  # frontier at m = 1
         ["inspect", "numpy"],  # p2p at m = 2
     ]
     assert proc.stdout.endswith("m,n,delta,value,witness\n1,2,1/4,0.25,00;01\n"
                                 "m,n,weight,encoder,value\n1,3,1,000;111,0\n"
+                                "m,n,w1,w2,d1,d2,d1_exact,d2_exact,encoder_index\n"
+                                "1,3,1,2,0,0,0,0,1\n"
                                 "m,n,delta,value,witness\n2,2,1/4,0.25,00;01;10;11\n")
 
 

@@ -365,15 +365,19 @@ def test_int64_guard_refuses_the_weights_that_would_overflow(monkeypatch, time_c
             orc.p2p_bruteforce(2, 13, F(1, 10**30000))
         with pytest.raises(orc.BudgetExceeded, match="^search needs 2925 orbit terms x 2391816 "):
             orc.p2p_bruteforce(1, 24, F(1, 10**30000))
-        # n + 1 costs at n = 10^12 would pass the memory cap; the charge
-        # refuses them first, and with no budget the cap does
+        # n + 1 weights, costs and ranks at n = 10^12 would pass the memory
+        # cap; the charge refuses them first, and with no budget the cap does
         with pytest.raises(orc.BudgetExceeded, match="^search needs %d orbit terms x %d bits"
                            % (math.comb(10**12 + 3, 3), 2 * 10**12)):
             orc.sphere_bruteforce(1, 10**12, 1)
-        with pytest.raises(orc.BudgetExceeded, match="^search would hold 16000000524304 bytes"):
+        with pytest.raises(orc.BudgetExceeded, match="^search would hold 24000000524312 bytes"):
             orc.sphere_bruteforce(1, 10**12, 1, budget=math.inf)
-        with pytest.raises(orc.BudgetExceeded, match="^search would hold 16000000524304 bytes"):
+        with pytest.raises(orc.BudgetExceeded, match="^search would hold 24000000524312 bytes"):
             orc.p2p_bruteforce(1, 10**12, F(1, 4), budget=math.inf)
+        # a given table's n + 1 weights too (before, they were built, and a
+        # MemoryError ended the call)
+        with pytest.raises(orc.BudgetExceeded, match="^search would hold 8000000524312 bytes"):
+            orc.sphere_bruteforce(1, 10**12, 1, encoder=(0, 1), budget=math.inf)
     monkeypatch.undo()
     # m = 1 sums Python integers, so the int64 guard does not reach it: 2 2^24
     # 3^24 >= 2^62 refused p2p(1, 24, 1/4) before, and sphere(1, 61) with no
@@ -399,8 +403,7 @@ def test_m1_optimum_is_the_majority_vote(n, w):
 
 
 def test_m1_frontier_ranks_past_int64():
-    # the ranks 2^w - 1 pass int64 from w = 64 on, so broadcast_frontier
-    # sorts an object array of them
+    # the ranks 2^w - 1 pass int64 from w = 64 on; m = 1 sorts Python ints
     assert orc.broadcast_frontier(1, 70, 1, 2) == [orc.FrontierPoint(F(0), F(0), 1)]
 
 
@@ -469,19 +472,18 @@ def test_sphere_fixed_encoder():
 
 
 def test_sphere_fixed_encoder_budget():
-    # one given m = 1 table costs at most floor((n + 2) / 2) ceil((n + 2) / 2)
-    # orbit terms of 2n bits: 2 x 3 terms x 6 bits at n = 3 (before, it cost
-    # 1 x 2^3 (encoder, output) pairs)
-    assert orc.sphere_bruteforce(1, 3, 1, encoder=(0, 7), budget=36).value == 0
-    with pytest.raises(orc.BudgetExceeded, match=r"^search needs 6 orbit terms x 6 bits, "
-                       r"budget is 35$"):
-        orc.sphere_bruteforce(1, 3, 1, encoder=(0, 7), budget=35)
+    # one given m = 1 table costs its own orbit's (n - w + 1)(w + 1) terms of
+    # 2n bits, w = popcount(c_0 ^ c_1): 1 x 4 terms x 6 bits for (0, 7) at
+    # n = 3 (before, the worst orbit's 2 x 3 terms)
+    assert orc.sphere_bruteforce(1, 3, 1, encoder=(0, 7), budget=24).value == 0
+    with pytest.raises(orc.BudgetExceeded, match=r"^search needs 4 orbit terms x 6 bits, "
+                       r"budget is 23$"):
+        orc.sphere_bruteforce(1, 3, 1, encoder=(0, 7), budget=23)
     # no array of 2^n words is formed, so n = 40 is an answer (before, its
     # 2^40 pairs were refused), and n = 10^20 is refused at once
     assert orc.sphere_bruteforce(1, 40, 1, encoder=(0, 2**40 - 1)).value == 0
-    half = 10**20 // 2 + 1
     with pytest.raises(orc.BudgetExceeded, match=r"^search needs %d orbit terms x %d bits"
-                       % (half * half, 2 * 10**20)):
+                       % (2 * 10**20, 2 * 10**20)):
         orc.sphere_bruteforce(1, 10**20, 1, encoder=(0, 1))
     # from m = 2 on a given table still costs 1 x 2^n pairs
     with pytest.raises(orc.BudgetExceeded, match=r"^search needs 1 x 2\^3 .* budget is 7$"):
@@ -571,7 +573,7 @@ ENCODER_SHAPES = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (3, 1)
 @pytest.mark.parametrize("m,n", ENCODER_SHAPES)
 def test_admitted_tables_are_the_scanned_tables(m, n):
     assert orc._admit(m, n, math.inf)[0] == len(orc._encoder_costs(m, n, [[1] * (n + 1)])[-1])
-    assert orc._admit(m, n, math.inf, table=True)[0] == 1
+    assert orc._admit(m, n, math.inf, table=(0,) * 2**m)[0] == 1
 
 
 def _weight_tables(n, top=2**40):
