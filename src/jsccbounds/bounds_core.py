@@ -12,7 +12,6 @@ import math
 import sys
 import warnings
 from collections import namedtuple
-from fractions import Fraction
 
 from .binary_info import (
     NAT_LOG2,
@@ -155,7 +154,11 @@ def _split_n(n: int) -> tuple[float, int]:
 def _n_times(n: int, x: float):
     """n x: the float product when n fits a float, the exact Fraction
     otherwise, where the float product would overflow."""
-    return n * Fraction(x) if n > sys.float_info.max else n * x
+    if n > sys.float_info.max:
+        from fractions import Fraction
+
+        return n * Fraction(x)
+    return n * x
 
 
 def _show(w) -> str:

@@ -11,16 +11,15 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import sys
-from fractions import Fraction
 
 from .binary_info import (_CATALOG, DEFAULT_BUDGET, NAT_LOG2, BudgetExceeded, DomainError,
                           _end, info_fn)
 
 # each handler imports the bounds_core, broadcast_region or oracles module it
-# calls, so a command compiles only the modules it runs
+# calls, so a command compiles only the modules it runs; json and fractions,
+# too, are imported where a JSON table is written or a rational is read
 
 _NAT_VALUED_FNS = ("h_b", "g", "kappa", "beta", "phi", "R", "mgl")
 
@@ -40,7 +39,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
-def _rational(text: str) -> Fraction:
+def _rational(text: str):
+    from fractions import Fraction
+
     return Fraction(text)
 
 
@@ -79,13 +80,17 @@ def _json_cell(v):
         return v
     if isinstance(v, float):
         return float("%.12g" % v) if math.isfinite(v) else "%.12g" % v
-    if isinstance(v, Fraction):
-        return _exact_text(v)
-    return v
+    if isinstance(v, (int, str)):
+        return v
+    from fractions import Fraction
+
+    return _exact_text(v) if isinstance(v, Fraction) else v
 
 
 def _emit(columns, rows, args):
     if args.format == "json":
+        import json
+
         text = json.dumps({"columns": list(columns),
                            "rows": [[_json_cell(v) for v in r] for r in rows]}) + "\n"
     else:
@@ -96,8 +101,11 @@ def _emit(columns, rows, args):
             w.writerow([_csv_cell(v) for v in r])
         text = buf.getvalue()
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _Usage("cannot write --out %s: %s" % (args.out, exc.strerror or exc)) from None
     else:
         sys.stdout.write(text)
 
@@ -308,6 +316,8 @@ def _run_frontier(args):
 
 
 def _run_binomial(args):
+    from fractions import Fraction
+
     from . import oracles as orc
 
     # k = 0 rejects an invalid n or delta, even for a negative --k-max (no rows)
@@ -332,6 +342,8 @@ def _run_coupling(args):
         cell = _exact_text(dev.value)
     except DomainError:  # past the digit limit: the correctly rounded float
         cell = float(dev.value)
+        if cell == 0.0 and dev.value:  # a 0 would hide that e_dev > 0
+            raise
     row = [args.n, args.delta1, args.delta2, cell, bound]
     return (["n", "delta1", "delta2", "e_dev", "bound"], [row], set(), 0)
 
@@ -351,8 +363,137 @@ def _run_gq_search(args):
 
 # ---------- parser wiring ----------
 
+# the leaves of the two command groups; eval and verify are leaves of their own
+_LEAVES = {"bound": ("lower", "psi", "sum", "gap", "region", "gaussian", "erasure"),
+           "oracle": ("p2p", "spherical", "frontier", "binomial", "coupling", "gq-search")}
 
-def _build_parser() -> _Parser:
+
+def _path(argv):
+    """The leaf that argv opens with, such as ("bound", "lower"), or None
+    when it opens with anything else: an option, a group's --help, a typo."""
+    if argv[:1] in (["eval"], ["verify"]):
+        return (argv[0],)
+    if len(argv) > 1 and argv[1] in _LEAVES.get(argv[0], ()):
+        return (argv[0], argv[1])
+    return None
+
+
+def _add_leaf(sub, name, common):
+    """Add the leaf name, its options and its handler to the subcommands sub."""
+    p = sub.add_parser(name, parents=[common])
+    if name == "eval":
+        p.add_argument("--fn", required=True, choices=list(_CATALOG))
+        p.add_argument("--x", required=True, type=float)
+        p.add_argument("--q", type=float)
+        p.add_argument("--delta", type=float)
+        p.set_defaults(handler=_run_eval)
+    elif name == "lower":
+        p.add_argument("--n", required=True, type=int)
+        p.add_argument("--rho", required=True, type=float)
+        p.add_argument("--delta", required=True, type=float)
+        p.set_defaults(handler=_run_lower)
+    elif name == "psi":
+        p.add_argument("--n", required=True, type=int)
+        p.add_argument("--m", required=True, type=int)
+        p.add_argument("--delta", required=True, type=float)
+        p.add_argument("--k", required=True, type=int)
+        p.set_defaults(handler=_run_psi)
+    elif name == "sum":
+        p.add_argument("--n", required=True, type=int)
+        p.add_argument("--rho", required=True, type=float)
+        p.add_argument("--delta", required=True, type=float)
+        p.add_argument("--a", required=True, type=float)
+        p.add_argument("--tau", type=_tau_auto, default="auto")
+        p.set_defaults(handler=_run_sum)
+    elif name == "gap":
+        p.add_argument("--rho", required=True, type=float)
+        p.add_argument("--delta1", required=True, type=float)
+        p.add_argument("--delta2", required=True, type=float)
+        p.add_argument("--d1", required=True, type=float)
+        p.add_argument("--d2", required=True, type=float)
+        p.add_argument("--tau", required=True, type=float)
+        p.add_argument("--n", type=int, default=None)
+        p.set_defaults(handler=_run_gap)
+    elif name == "region":
+        p.add_argument("--rho", required=True, type=float)
+        p.add_argument("--delta1", required=True, type=float)
+        p.add_argument("--delta2", required=True, type=float)
+        p.add_argument("--p", type=float, default=0.5)
+        p.add_argument("--n", type=int, default=None)
+        p.add_argument("--d1-min", required=True, type=float, dest="d1_min")
+        p.add_argument("--d1-max", required=True, type=float, dest="d1_max")
+        p.add_argument("--d1-step", required=True, type=float, dest="d1_step")
+        p.add_argument("--plot-data", action="store_true", dest="plot_data")
+        p.set_defaults(handler=_run_region)
+    elif name == "gaussian":
+        p.add_argument("--sigma2", required=True, type=float)
+        p.add_argument("--aux-var", required=True, type=float, dest="aux_var")
+        p.add_argument("--power", required=True, type=float)
+        p.add_argument("--n1", required=True, type=float)
+        p.add_argument("--n2", required=True, type=float)
+        p.add_argument("--rho", required=True, type=float)
+        p.add_argument("--d1", required=True, type=float)
+        p.set_defaults(handler=_run_gaussian)
+    elif name == "erasure":
+        p.add_argument("--eps1", required=True, type=float)
+        p.add_argument("--eps2", required=True, type=float)
+        p.add_argument("--rho", required=True, type=float)
+        p.add_argument("--d1", required=True, type=float)
+        p.add_argument("--q", required=True, type=float)
+        p.set_defaults(handler=_run_erasure)
+    elif name == "verify":
+        p.add_argument("--suite", required=True)
+        p.add_argument("--grid-step", type=float, default=1e-3, dest="grid_step")
+        p.add_argument("--tol", type=float, default=1e-9)
+        p.set_defaults(handler=_run_verify)
+    elif name == "p2p":
+        p.add_argument("--m", required=True, type=int)
+        p.add_argument("--n", required=True, type=int)
+        p.add_argument("--delta", required=True, type=_rational)
+        p.add_argument("--exact", action="store_true")
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        p.set_defaults(handler=_run_p2p)
+    elif name == "spherical":
+        p.add_argument("--m", required=True, type=int)
+        p.add_argument("--n", required=True, type=int)
+        p.add_argument("--weight", required=True, type=int)
+        p.add_argument("--encoder", default=None)
+        p.set_defaults(handler=_run_spherical)
+    elif name == "frontier":
+        p.add_argument("--m", required=True, type=int)
+        p.add_argument("--n", required=True, type=int)
+        p.add_argument("--w1", required=True, type=int)
+        p.add_argument("--w2", required=True, type=int)
+        p.set_defaults(handler=_run_frontier)
+    elif name == "binomial":
+        p.add_argument("--n", required=True, type=int)
+        p.add_argument("--delta", required=True, type=_rational)
+        p.add_argument("--k-max", required=True, type=int, dest="k_max")
+        p.set_defaults(handler=_run_binomial)
+    elif name == "coupling":
+        p.add_argument("--n", required=True, type=int)
+        p.add_argument("--delta1", required=True, type=_rational)
+        p.add_argument("--delta2", required=True, type=_rational)
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        p.set_defaults(handler=_run_coupling)
+    else:  # gq-search
+        p.add_argument("--delta1", required=True, type=float)
+        p.add_argument("--delta2", required=True, type=float)
+        p.add_argument("--t", required=True, type=float)
+        p.add_argument("--trials", required=True, type=int)
+        p.add_argument("--seed", required=True, type=int)
+        p.set_defaults(handler=_run_gq_search)
+
+
+def _build_parser(path=None) -> _Parser:
+    """The whole command line parser or, given the leaf path argv opens with
+    (`_path`), the parser that argv consults: the top parser and its four
+    names, both group parsers, and that one leaf.
+
+    On such an argv argparse reads only the top parser, the group parser,
+    which dispatches argv[1], and the leaf, and none of them changes, so
+    stdout, stderr and the exit code are those of the whole parser.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["csv", "json"],
                         default=argparse.SUPPRESS)
@@ -365,138 +506,24 @@ def _build_parser() -> _Parser:
     parser.add_argument("--bits", action="store_true", default=False)
     top = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-
-    p = top.add_parser("eval", parents=[common])
-    p.add_argument("--fn", required=True, choices=list(_CATALOG))
-    p.add_argument("--x", required=True, type=float)
-    p.add_argument("--q", type=float)
-    p.add_argument("--delta", type=float)
-    p.set_defaults(handler=_run_eval)
-
-    bound = top.add_parser("bound").add_subparsers(dest="bound_command",
-                                                   required=True,
-                                                   parser_class=_Parser)
-
-    p = bound.add_parser("lower", parents=[common])
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--rho", required=True, type=float)
-    p.add_argument("--delta", required=True, type=float)
-    p.set_defaults(handler=_run_lower)
-
-    p = bound.add_parser("psi", parents=[common])
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--m", required=True, type=int)
-    p.add_argument("--delta", required=True, type=float)
-    p.add_argument("--k", required=True, type=int)
-    p.set_defaults(handler=_run_psi)
-
-    p = bound.add_parser("sum", parents=[common])
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--rho", required=True, type=float)
-    p.add_argument("--delta", required=True, type=float)
-    p.add_argument("--a", required=True, type=float)
-    p.add_argument("--tau", type=_tau_auto, default="auto")
-    p.set_defaults(handler=_run_sum)
-
-    p = bound.add_parser("gap", parents=[common])
-    p.add_argument("--rho", required=True, type=float)
-    p.add_argument("--delta1", required=True, type=float)
-    p.add_argument("--delta2", required=True, type=float)
-    p.add_argument("--d1", required=True, type=float)
-    p.add_argument("--d2", required=True, type=float)
-    p.add_argument("--tau", required=True, type=float)
-    p.add_argument("--n", type=int, default=None)
-    p.set_defaults(handler=_run_gap)
-
-    p = bound.add_parser("region", parents=[common])
-    p.add_argument("--rho", required=True, type=float)
-    p.add_argument("--delta1", required=True, type=float)
-    p.add_argument("--delta2", required=True, type=float)
-    p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--d1-min", required=True, type=float, dest="d1_min")
-    p.add_argument("--d1-max", required=True, type=float, dest="d1_max")
-    p.add_argument("--d1-step", required=True, type=float, dest="d1_step")
-    p.add_argument("--plot-data", action="store_true", dest="plot_data")
-    p.set_defaults(handler=_run_region)
-
-    p = bound.add_parser("gaussian", parents=[common])
-    p.add_argument("--sigma2", required=True, type=float)
-    p.add_argument("--aux-var", required=True, type=float, dest="aux_var")
-    p.add_argument("--power", required=True, type=float)
-    p.add_argument("--n1", required=True, type=float)
-    p.add_argument("--n2", required=True, type=float)
-    p.add_argument("--rho", required=True, type=float)
-    p.add_argument("--d1", required=True, type=float)
-    p.set_defaults(handler=_run_gaussian)
-
-    p = bound.add_parser("erasure", parents=[common])
-    p.add_argument("--eps1", required=True, type=float)
-    p.add_argument("--eps2", required=True, type=float)
-    p.add_argument("--rho", required=True, type=float)
-    p.add_argument("--d1", required=True, type=float)
-    p.add_argument("--q", required=True, type=float)
-    p.set_defaults(handler=_run_erasure)
-
-    p = top.add_parser("verify", parents=[common])
-    p.add_argument("--suite", required=True)
-    p.add_argument("--grid-step", type=float, default=1e-3, dest="grid_step")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(handler=_run_verify)
-
-    oracle = top.add_parser("oracle").add_subparsers(dest="oracle_command",
-                                                     required=True,
-                                                     parser_class=_Parser)
-
-    p = oracle.add_parser("p2p", parents=[common])
-    p.add_argument("--m", required=True, type=int)
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--delta", required=True, type=_rational)
-    p.add_argument("--exact", action="store_true")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.set_defaults(handler=_run_p2p)
-
-    p = oracle.add_parser("spherical", parents=[common])
-    p.add_argument("--m", required=True, type=int)
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--weight", required=True, type=int)
-    p.add_argument("--encoder", default=None)
-    p.set_defaults(handler=_run_spherical)
-
-    p = oracle.add_parser("frontier", parents=[common])
-    p.add_argument("--m", required=True, type=int)
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--w1", required=True, type=int)
-    p.add_argument("--w2", required=True, type=int)
-    p.set_defaults(handler=_run_frontier)
-
-    p = oracle.add_parser("binomial", parents=[common])
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--delta", required=True, type=_rational)
-    p.add_argument("--k-max", required=True, type=int, dest="k_max")
-    p.set_defaults(handler=_run_binomial)
-
-    p = oracle.add_parser("coupling", parents=[common])
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--delta1", required=True, type=_rational)
-    p.add_argument("--delta2", required=True, type=_rational)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.set_defaults(handler=_run_coupling)
-
-    p = oracle.add_parser("gq-search", parents=[common])
-    p.add_argument("--delta1", required=True, type=float)
-    p.add_argument("--delta2", required=True, type=float)
-    p.add_argument("--t", required=True, type=float)
-    p.add_argument("--trials", required=True, type=int)
-    p.add_argument("--seed", required=True, type=int)
-    p.set_defaults(handler=_run_gq_search)
-
+    for name in ("eval", "bound", "verify", "oracle"):
+        if name in _LEAVES:
+            group = top.add_parser(name).add_subparsers(dest=name + "_command",
+                                                         required=True,
+                                                         parser_class=_Parser)
+            for leaf in _LEAVES[name]:
+                if path in (None, (name, leaf)):
+                    _add_leaf(group, leaf, common)
+        elif path in (None, (name,)):
+            _add_leaf(top, name, common)
+        else:
+            top.add_parser(name)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(_path(argv)).parse_args(argv)
     try:
         columns, rows, bits_cols, code = args.handler(args)
         if args.bits:

@@ -4,6 +4,7 @@ Everything here drives cli.main() directly with argv lists, except the
 start-up tests, which need a fresh interpreter to see what gets imported.
 """
 
+import argparse
 import csv
 import hashlib
 import io
@@ -184,6 +185,15 @@ def test_out_writes_file_and_keeps_stdout_quiet(tmp_path, capsys):
     header, rows = parse_csv(target.read_text(encoding="utf-8"))
     assert header[0] == "fn"
     assert rows[0][4] == "%.12g" % bi.g(0.2)
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_out_that_cannot_be_written_returns_1(tmp_path, capsys, where):
+    # an unwritable --out is a usage error naming the path, not a traceback
+    target = tmp_path / "no" / "row.csv" if where == "missing-dir" else tmp_path
+    code, out, err = run_cli(["eval", "--fn", "h_b", "--x", "0.1", "--out", str(target)], capsys)
+    reason = "No such file or directory" if where == "missing-dir" else "Is a directory"
+    assert (code, out, err) == (1, "", "error: cannot write --out %s: %s\n" % (target, reason))
 
 
 def test_p2p_exact_cells(capsys):
@@ -441,17 +451,23 @@ def test_exact_cell_past_the_digit_limit_returns_3(capsys, fmt):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("n,delta1,delta2", [
     ("10000", "3/10", "1/7"),
-    # about 10^-398: the float underflows to 0, as the bound's does
+    # about 10^-398: the float underflows to 0, so this one is refused
     ("100", "1/10", "1/1" + "0" * 400),
 ])
 def test_coupling_prints_the_float_past_the_digit_limit(capsys, fmt, n, delta1, delta2):
-    # e_dev has more digits than int-to-str prints (before, exit 3), so its
-    # cell is the correctly rounded float
+    # e_dev has more digits than int-to-str prints, so its cell is the
+    # correctly rounded float, unless that float is 0 and would hide e_dev > 0
     exact = orc.coupling_distance_exact(int(n), Fraction(delta1), Fraction(delta2)).value
     with pytest.raises(ValueError):
         str(exact)
     code, out, err = run_cli(["oracle", "coupling", "--n", n, "--delta1", delta1,
                               "--delta2", delta2, "--format", fmt], capsys)
+    if float(exact) == 0.0:
+        assert exact > 0
+        assert (code, out) == (3, "")
+        assert err == ("infeasible: the exact value ~2^132876/~2^134197 has too many digits"
+                       " to print\n")
+        return
     assert (code, err) == (0, "")
     bound = math.sqrt(int(n) * float(Fraction(delta2)))
     if fmt == "csv":
@@ -647,17 +663,18 @@ def test_reference_commands_reproduce_their_stdout(capsys):
 
 
 _START_UP = """
-import json
 import sys
 
 seen = set()
 
 
 def stage():
-    # the package's modules, numpy, and dataclasses and inspect (about 10 ms
-    # of start-up), loaded since the last stage
+    # the package's modules, numpy, dataclasses and inspect (about 10 ms of
+    # start-up), and json, fractions and decimal (about 6 ms), loaded since
+    # the last stage
     new = sorted(m for m in sys.modules
-                 if (m in ("numpy", "dataclasses", "inspect") or m.split(".")[0] == "jsccbounds")
+                 if (m in ("numpy", "dataclasses", "inspect", "json", "fractions", "decimal")
+                     or m.split(".")[0] == "jsccbounds")
                  and m not in seen)
     seen.update(new)
     return new
@@ -679,6 +696,8 @@ for argv in (["eval", "--fn", "h_b", "--x", "0.11"],
              ["oracle", "p2p", "--m", "2", "--n", "2", "--delta", "1/4"]):
     assert cli.main(argv) == 0
     stages.append(stage())
+import json  # only now, so that no stage counts it
+
 sys.stderr.write(json.dumps(stages))
 """
 
@@ -688,7 +707,8 @@ def test_scalar_commands_start_without_numpy():
     # array call: not on import, nor for scalar commands, nor for m = 1,
     # whose search, given table and frontier stay in Python integers. The
     # result records are named tuples, so no command loads dataclasses, and
-    # only numpy brings in inspect
+    # only numpy brings in inspect. A CSV table needs no json, and fractions
+    # (with decimal) comes only with a rational: here, with oracles
     proc = subprocess.run([sys.executable, "-c", _START_UP], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stderr) == [
@@ -696,7 +716,7 @@ def test_scalar_commands_start_without_numpy():
         [],  # eval
         ["jsccbounds.bounds_core"],  # bound lower
         ["jsccbounds._scalar_opt", "jsccbounds.broadcast_region"],  # bound region
-        ["jsccbounds._orbits", "jsccbounds.oracles"],  # coupling
+        ["decimal", "fractions", "jsccbounds._orbits", "jsccbounds.oracles"],  # coupling
         [],  # p2p at m = 1
         [],  # spherical at m = 1 with a given table
         [],  # frontier at m = 1
@@ -749,6 +769,123 @@ def test_the_fifteen_subcommands_are_all_run_fresh():
                                                      "gaussian", "erasure")]
                            + ["oracle " + o for o in ("p2p", "spherical", "frontier",
                                                       "binomial", "coupling", "gq-search")])
+
+
+# ---------- one leaf parser ----------
+
+
+def _subcommands(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _leaf_parsers():
+    """{path: parser} for the 15 leaves of the whole parser, by the path
+    that reaches each, such as ("bound", "lower")."""
+    leaves = {}
+    for name, p in _subcommands(cli._build_parser()).items():
+        if name in cli._LEAVES:
+            leaves.update(((name, leaf), q) for leaf, q in _subcommands(p).items())
+        else:
+            leaves[(name,)] = p
+    return leaves
+
+
+def _parse(parser, argv, capsys):
+    """(the parsed options or the exit code, stdout, stderr) of parser on argv"""
+    try:
+        parsed = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        parsed = exc.code
+    cap = capsys.readouterr()
+    return parsed, cap.out, cap.err
+
+
+def test_a_leaf_path_parses_as_the_whole_parser(capsys):
+    # argparse reads only the top parser, the group parser and the leaf on a
+    # leaf's path, so the parser built for that path alone answers every argv
+    # on it as the whole parser does: the same options, or the same output
+    # and exit code
+    leaves = _leaf_parsers()
+    assert sorted(leaves) == sorted(
+        [("eval",), ("verify",)] + [(g, leaf) for g in cli._LEAVES for leaf in cli._LEAVES[g]])
+    valid = {tuple(argv[:1 + (argv[0] in cli._LEAVES)]): argv[len(name.split()):]
+             for name, argv, _, _ in _one_command_per_subcommand()}
+    for path, leaf in leaves.items():
+        assert cli._path(list(path) + valid[path]) == path
+        tails = [[], ["-h"], ["--nope"], ["extra"], ["--format", "xml"], valid[path],
+                 valid[path] + ["extra"]]
+        tails += [valid[path] + [a.option_strings[0], "zz"]
+                  for a in leaf._actions if a.option_strings and a.nargs != 0]
+        for tail in tails:
+            argv = list(path) + tail
+            assert (_parse(cli._build_parser(path), argv, capsys)
+                    == _parse(cli._build_parser(), argv, capsys)), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["--format", "json", "bound", "lower", "--n", "10", "--rho", "1.2", "--delta", "0.2"],
+    ["--help"], [], ["bound", "--help"], ["bound", "lowr"], ["bound"], ["eva"], ["lower"],
+])
+def test_argv_off_a_leaf_path_gets_the_whole_parser(argv):
+    assert cli._path(argv) is None
+
+
+# ---------- option sweep ----------
+
+
+# the extreme values each option is set to, one option at a time
+_EXTREMES = ["5e-324", "1e-300", repr(0.5 - 2.0 ** -54), "0", "-1", "1", "1/2", "inf", "-inf",
+             "nan", "1" + "0" * 21, "1" + "0" * 400, "1/1" + "0" * 400]
+
+
+def _sweep_bases():
+    """One valid argv per leaf, and one per catalog function for eval."""
+    bases = [argv for name, argv, _, _ in _one_command_per_subcommand() if name != "eval"]
+    for fn in bi._CATALOG:
+        flag = cli._FIRST_ARG_FLAG.get(fn)
+        bases.append(["eval", "--fn", fn, "--x", "0.2"] + (["--" + flag, "0.1"] if flag else []))
+    return bases
+
+
+def _set(argv, option, value):
+    """argv with option set to value (and no other setting of it)"""
+    out = []
+    skip = False
+    for a in argv:
+        if skip:
+            skip = False
+        elif a == option:
+            skip = True
+        else:
+            out.append(a)
+    return out + ["%s=%s" % (option, value)]
+
+
+@pytest.mark.filterwarnings("ignore:.*validity range:UserWarning")
+def test_every_option_at_every_extreme_exits_0_to_3(capsys, time_cap):
+    # one option at a time at each extreme value, from a valid command of
+    # every leaf: an exit code in 0..3, never a traceback, and no NaN printed
+    leaves = _leaf_parsers()
+    bad = []
+    with time_cap(60.0):
+        for base in _sweep_bases():
+            path = cli._path(base)
+            for action in leaves[path]._actions:
+                option = action.option_strings[:1]
+                if not option or action.nargs == 0 or option[0] in ("--out", "--format"):
+                    continue
+                for value in _EXTREMES:
+                    argv = _set(base, option[0], value)
+                    try:
+                        code = cli.main(argv)
+                    except SystemExit as exc:
+                        code = exc.code
+                    except Exception as exc:  # a traceback on the command line
+                        code = repr(exc)
+                    out = capsys.readouterr().out
+                    if code not in (0, 1, 2, 3) or (code == 0 and "nan" in out.lower()):
+                        bad.append((argv, code))
+    assert bad == []
 
 
 # ---------- public names ----------
