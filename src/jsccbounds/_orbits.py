@@ -1,11 +1,19 @@
-"""Canonical encoder tables for the brute-force oracles, and the m = 1
-and m = 2 costs of their orbits.
+"""Canonical encoder tables for the brute-force oracles, and the kernels
+that sum their costs at m = 1, at m = 2 and from m = 3 on.
 
 A permutation of the n channel coordinates keeps every Hamming distance,
 so the oracles scan only tables that are least in their orbit under the
 n! permutations (see oracles._encoder_costs). At m = 1 an orbit's cost is
 a sum over column types, and no table of output words is made. Only the
 m = 2 plan is cached; every caller shares it, so its arrays are read-only.
+
+From m = 2 on, as min(A, S - A) = (S - |S - 2A|) / 2 and every table has
+sum_y S(y) = K sum_y W[0, y] (K = 2^m), oracles._encoder_costs's cost is
+    (m K sum_y W[0, y] - sum_j sum_y |D_j(y)|) / 2,
+D_j(y) = sum_s sign_j(s) W[c_s, y], sign_j(s) = -1 when source word s
+has bit j set and +1 otherwise. The sums are exact in int32 below 2^31
+and in int64 otherwise (oracles._admit refuses m K N max(w) >= 2^62), so
+the int64 costs equal the direct sums.
 """
 
 from __future__ import annotations
@@ -73,9 +81,14 @@ def _orbit_plan(n: int) -> tuple[np.ndarray, ...]:
 
 def _orbit_costs(n, wtabs, cells):
     """The costs of oracles._encoder_costs at m = 2, one per table of
-    _orbit_plan(n), summed in int32 when N max(w) < 2^31 and in int64
-    otherwise, in blocks whose gathered rows take at most cells cells (or
-    one table's two rows)."""
+    _orbit_plan(n), in blocks whose gathered rows take at most cells cells
+    (or one table's two rows). D_0 + D_1 = 2 (W[0] - W[c_3]), D_0 - D_1 =
+    2 (W[c_1] - W[c_2]), and |a| + |b| = max(|a + b|, |a - b|), so the cost is
+        4 sum_y W[0, y]
+          - sum_y max(|W[c_1, y] - W[c_2, y]|, |W[0, y] - W[c_3, y]|).
+    Each max is at most max(w), so the sums stay within N max(w): int32
+    when N max(w) < 2^31. The constant, which can pass 2^31 when the sums
+    do not, is subtracted in int64."""
     import numpy as np
 
     N = 1 << n
@@ -108,6 +121,60 @@ def _orbit_costs(n, wtabs, cells):
             np.subtract(total, np.einsum("ij->i", a), out=got[start:stop], dtype=np.int64)
         out.append(got)
         del W, A, B  # before the next weight table's W is allocated
+    return out + [ranks]
+
+
+def _triple_shape(m, n, cells):
+    """The scan of _triple_costs: C = C(n + 7, n) canonical triples, the N^T
+    words of T = 2^m - 4 trailing slots, and triples per block, whose (N,
+    block, N^T) sums take at most cells cells, or one triple's if more."""
+    N = 1 << n
+    C, NT = math.comb(n + 7, n), N ** ((1 << m) - 4)
+    return C, NT, min(max(1, cells // (N * NT)), C)
+
+
+def _triple_costs(m, n, wtabs, cells):
+    """The costs of oracles._encoder_costs from m = 3 on, in the blocks of
+    _triple_shape(m, n, cells): canonical triples (c_1, c_2, c_3) times all
+    trailing codewords in rank order, so D_j is a broadcast sum. One weight
+    table at a time, its symmetric (N, N) table W is built once, and from it
+    each D_j's trailing part as an (N, N^T) array; a block's lead part is
+    W[:, 0] plus its signed columns W[:, c_l], and its (N, triples, N^T)
+    sums go into one array allocated once a call. As |D_j(y)| <= K max(w),
+    each sum over y and the constant m K sum_y W[0, y], from which they are
+    subtracted down to twice a cost, stay within m K N max(w): int32 when
+    that is < 2^31."""
+    import numpy as np
+
+    K, N = 1 << m, 1 << n
+    dt = np.int32 if m * K * N * max(map(max, wtabs)) < 2 ** 31 else np.int64
+    C, NT, block = _triple_shape(m, n, cells)
+    leads = _canonical_prefixes(n, 3)
+    ranks = (leads[:, None] * NT + np.arange(NT, dtype=np.int64)).reshape(-1)
+    signs = [[-1 if (s >> (m - 1 - j)) & 1 else 1 for s in range(K)] for j in range(m)]
+    dist = np.bitwise_count(np.arange(N)[:, None] ^ np.arange(N))
+    out = [np.empty(len(ranks), dtype=np.int64) for _ in wtabs]
+    # every block's sums are written into this one array
+    buf = np.empty(N * block * NT, dtype=dt)
+    for w, costs in zip(wtabs, out):
+        W = np.array(w, dtype=dt)[dist]
+        total = m * K * int(W[0].sum())  # every row of W has this sum
+        tails = []
+        for sg in signs:
+            Dt = np.zeros((N, 1), dtype=dt)
+            for s in range(4, K):
+                Dt = (Dt[:, :, None] + sg[s] * W[:, None, :]).reshape(N, -1)
+            tails.append(Dt)
+        for start in range(0, C, block):
+            ld = leads[start:start + block]
+            cols = [W[:, (ld >> (2 - l) * n) & (N - 1)] for l in range(3)]  # c_1, c_2, c_3
+            D = buf[:N * len(ld) * NT].reshape(N, len(ld), NT)
+            acc = np.full((len(ld), NT), total, dtype=dt)
+            for sg, Dt in zip(signs, tails):
+                Dl = W[:, :1] + sg[1] * cols[0] + sg[2] * cols[1] + sg[3] * cols[2]  # c_0 = 0
+                np.add(Dl[:, :, None], Dt[:, None, :], out=D)
+                acc -= np.abs(D, out=D).sum(axis=0, dtype=dt)
+            costs[start * NT:(start + len(ld)) * NT] = acc.reshape(-1) // 2
     return out + [ranks]
 
 

@@ -284,14 +284,14 @@ def _run_spherical(args):
 
     enc_cell = None
     encoder = None
-    if args.encoder:
+    if args.encoder is not None:
         words = args.encoder.split(",")
-        try:
-            encoder = tuple(int(w, 2) for w in words)
-        except ValueError:
+        # only 0s and 1s: int(w, 2) would take a sign, spaces and underscores
+        if not all(w and set(w) <= {"0", "1"} for w in words):
             raise _Usage("--encoder wants comma-separated binary words")
         if any(len(w) != args.n for w in words):
             raise _Usage("each encoder word must have exactly n bits")
+        encoder = tuple(int(w, 2) for w in words)
         enc_cell = ";".join(words)
     try:
         value = orc.sphere_bruteforce(args.m, args.n, args.weight, encoder=encoder)

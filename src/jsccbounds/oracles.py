@@ -14,7 +14,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from ._orbits import _canonical_prefixes, _orbit_costs, _type_cost, _type_costs
+from ._orbits import _orbit_costs, _triple_costs, _triple_shape, _type_cost, _type_costs
 from ._scalar_opt import Lcg64
 from .binary_info import (DEFAULT_BUDGET, NAT_LOG2, BudgetExceeded, DomainError, _clamp, _conv,
                           _count, _end, _g, _h, _hinv_np, _hp, _kappa, _mgl_inv, _nu, _phi,
@@ -117,85 +117,13 @@ def _encoder_costs(m, n, wtabs):
     a table's prefix least either leaves it alone, so the table is scanned,
     or makes it strictly smaller, and with it the rank. So the lowest-rank
     table with any cost, or any tuple of costs under several weight tables,
-    has c_0 = 0 and is scanned. At m = 1 _orbits._type_costs sums by type.
-
-    With min(A, S - A) = (S - |S - 2A|) / 2, and sum_y S(y) = K sum_y W[0, y]
-    the same for every table, the cost is
-        (m K sum_y W[0, y] - sum_j sum_y |D_j(y)|) / 2,
-    D_j(y) = sum_s sign_j(s) W[c_s, y], sign_j(s) = -1 when source word s
-    has bit j set and +1 otherwise. From m = 3 on (T >= 4) the scanned
-    tables are the triples times all trailing codewords in rank order, so
-    D_j is a broadcast sum: the trailing part is built once as an (N, N^T)
-    array from the (N, N) table W, and the triples are walked in blocks
-    whose (N, triples, N^T) sums, written into one array allocated once per
-    call, stay within _BLOCK_CELLS cells, or take one triple's N^(T+1)
-    when that is more. Each distance is np.bitwise_count of an XOR.
-
-    At m = 2 (T = 0) _orbits._orbit_costs takes the same sum in closed
-    form: D_0 + D_1 = 2 (W[0] - W[c_3]) and D_0 - D_1 = 2 (W[c_1] - W[c_2]),
-    and |a| + |b| = max(|a + b|, |a - b|), so the cost is
-        4 sum_y W[0, y]
-          - sum_y max(|W[c_1, y] - W[c_2, y]|, |W[0, y] - W[c_3, y]|).
-
-    The sums are exact integers in int32 when they stay below 2^31 and in
-    int64 otherwise (_admit refuses m K N max(w) >= 2^62). Each |D_j(y)| is
-    at most K max(w), so each sum over y stays below K N max(w), and both a
-    table's sum over j and y and the constant m K sum_y W[0, y] stay within
-    m K N max(w): int32 when m K N max(w) < 2^31. At m = 2 each max is at
-    most max(w), so the sums stay within N max(w), int32 when
-    N max(w) < 2^31 (_orbits._orbit_costs picks this width itself), and
-    the constant, which can pass 2^31 when the sums do not, is subtracted
-    in int64. So the costs, returned as int64, equal the direct sums.
+    has c_0 = 0 and is scanned. The kernels in _orbits sum the costs.
     """
     if m == 1:
         return _type_costs(n, wtabs)
     if m == 2:
         return _orbit_costs(n, wtabs, _BLOCK_CELLS)
-    import numpy as np
-
-    K, N = 1 << m, 1 << n
-    dt = np.int32 if m * K * N * max(map(max, wtabs)) < 2 ** 31 else np.int64
-    warrs = [np.array(w, dtype=dt) for w in wtabs]
-    y = np.arange(N, dtype=np.int64)
-    signs = [[-1 if (s >> (m - 1 - j)) & 1 else 1 for s in range(K)] for j in range(m)]
-    NT = N ** (K - 4)
-    leads = _canonical_prefixes(n, 3)
-    ranks = (leads[:, None] * NT + np.arange(NT, dtype=np.int64)).reshape(-1)
-    block = min(max(1, _BLOCK_CELLS // (N * NT)), len(leads))
-    row0 = [w[np.bitwise_count(y)] for w in warrs]  # W[0, y]; every row of W has this sum
-    total = [m * K * int(r.sum()) for r in row0]
-    tails = []
-    for w in warrs:
-        W = w[np.bitwise_count(y[:, None] ^ y)]
-        per_bit = []
-        for sg in signs:
-            Dt = np.zeros((N, 1), dtype=dt)
-            for s in range(4, K):
-                Dt = (Dt[:, :, None] + sg[s] * W[:, None, :]).reshape(N, -1)
-            per_bit.append(Dt)
-        tails.append(per_bit)
-    del W
-    out = [np.empty(len(ranks), dtype=np.int64) for _ in wtabs]
-    # every block's sums are written into this one array
-    buf = np.empty(N * block * NT, dtype=dt)
-    for start in range(0, len(leads), block):
-        ld = leads[start:start + block]
-        cnt = len(ld)
-        dists = [np.bitwise_count(y[:, None] ^ (ld // N ** (2 - l)) % N) for l in range(3)]
-        D = buf[:N * cnt * NT].reshape(N, cnt, NT)
-        for wi, w in enumerate(warrs):
-            cols = [w[d] for d in dists]
-            acc = np.zeros((cnt, NT), dtype=dt)
-            for sg, Dt in zip(signs, tails[wi]):
-                Dl = np.repeat(row0[wi][:, None], cnt, axis=1)  # c_0 = 0, sign +1
-                for s, col in enumerate(cols, 1):
-                    Dl += sg[s] * col
-                np.add(Dl[:, :, None], Dt[:, None, :], out=D)
-                acc += np.abs(D, out=D).sum(axis=0, dtype=dt)
-            got = out[wi][start * NT:(start + cnt) * NT]
-            np.subtract(total[wi], acc.reshape(-1), out=got, dtype=np.int64)
-            got //= 2
-    return out + [ranks]
+    return _triple_costs(m, n, wtabs, _BLOCK_CELLS)
 
 
 _HOLDS = "search would hold %s bytes of arrays, cap is %d"
@@ -244,13 +172,15 @@ def _admit(m, n, budget, weights=1, held=0, table=None, base=1):
     - m = 2: W[0], its distances, the 64-row XOR plan and its arange; W;
       A's (pairs, N) rows and the two gathers that make them; the block
       array; 7 S for the plan while the prefixes are built; the costs;
-    - m >= 3: y, its distances and W[0] per weight table; m (N, N^T)
-      trailing sums per weight table and, while they are built, three
-      (N, N) arrays and the last slot's previous sums; a block's (N, block,
-      N^T) sums and two (block, N^T) ones; 11 (N, block) arrays (this and
-      the last block's distances, columns and running sum, one XOR); 7 C
-      while the prefixes are built; ranks and costs. The m = 2 plans that
-      earlier calls cached (_orbits._orbit_plan) are not counted.
+    - m >= 3 (_orbits._triple_costs): (2 + weights) N for two aranges;
+      3 N^2 for the distances, W and one more (N, N) array (their XOR, the
+      next table's W, or a signed W); m weights N N^T for one weight table's
+      m (N, N^T) trailing sums; N^T for the last slot's previous sums; (N +
+      2) block N^T for a block's (N, block, N^T) sums and two (block, N^T)
+      ones; 11 N block for this and the last block's three lead columns and
+      up to four sums of them; 7 C for the prefixes as they are built; ranks
+      and costs. The m = 2 plans (_orbits._orbit_plan) that earlier calls
+      cached are not counted.
     """
     if m == 1:
         if table is None:
@@ -278,7 +208,7 @@ def _admit(m, n, budget, weights=1, held=0, table=None, base=1):
         elif m == 2:
             cells = N * (N + 67 + 3 * math.comb(n + 3, n)) + max(_BLOCK_CELLS, 2 * N) + 6 * C
         else:
-            block = min(max(1, _BLOCK_CELLS // (N * NT)), C)
+            block = _triple_shape(m, n, _BLOCK_CELLS)[2]
             cells = ((2 + weights) * N + m * weights * N * NT + 3 * N * N + NT
                      + (N + 2) * block * NT + 11 * N * block + 7 * C)
         tables = C << (e - n)
@@ -526,7 +456,9 @@ def coupling_distance_exact(n, delta1, delta2, budget=DEFAULT_BUDGET):
     min(m1, m2) exact small-factor steps on integers below b^n.
 
     Their terms times n bit_length(b), at least the bits of b^n, are held
-    against budget before any binomial or power is formed (BudgetExceeded).
+    against budget before any binomial or power is formed (BudgetExceeded),
+    and an n past sys.maxsize, where b^n passes 2^63 bits and math.comb can
+    refuse the walk's binomials, is a DomainError.
     Returns an ExactValue rational.
     """
     n = _count("n", n)
@@ -542,6 +474,8 @@ def coupling_distance_exact(n, delta1, delta2, budget=DEFAULT_BUDGET):
     terms = sum(min(m1, t) - max(0, t - m2) + 1 for t in (k, k + 1))
     bits = n * b.bit_length()
     _charge(budget, terms * bits, "coupling needs %s walk terms x %s bits", terms, bits)
+    if n > sys.maxsize:
+        raise DomainError("coupling needs b^n, over 2^63 bits, at n = %s" % _end(n))
     # q1 q2 = p1 p2 = a (b - a)
     f = a * (b - a) * ((k + 1) * _walk(k + 1, m1, m2, a, b) + (n - k) * _walk(k, m1, m2, a, b))
     return ExactValue(Fraction(2 * f, b ** (n + 2)))

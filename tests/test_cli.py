@@ -8,6 +8,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import subprocess
@@ -406,6 +407,16 @@ def test_coupling_and_gq_search_budgets_return_3(capsys, time_cap):
                    % (10**21, orc.DEFAULT_BUDGET))
 
 
+def test_coupling_past_maxsize_returns_3(capsys, time_cap):
+    # a budget past every walk lets n = 10^21 reach a binomial past sys.maxsize:
+    # one line and exit 3, not math.comb's OverflowError traceback
+    with time_cap(2.0):
+        code, out, err = run_cli(["oracle", "coupling", "--n", "1" + "0" * 21, "--delta1", "1/10",
+                                  "--delta2", "1/10", "--budget", "1" + "0" * 400], capsys)
+    assert (code, out) == (3, "")
+    assert err == "infeasible: coupling needs b^n, over 2^63 bits, at n = %d\n" % 10**21
+
+
 def test_binomial_rows_budget_returns_3(capsys, monkeypatch, time_cap):
     # the rows k = 0..K need 2 K (K + 1) factors in products of at most
     # 2 K (bit_length(n) + bit_length(b)) bits, held against the default
@@ -517,11 +528,13 @@ def test_argparse_level_failures_raise_systemexit():
 
 
 def test_bad_encoder_string_returns_1(capsys):
-    code, _, err = run_cli(
-        ["oracle", "spherical", "--m", "1", "--n", "2", "--weight", "1",
-         "--encoder", "0x,11"], capsys)
-    assert code == 1
-    assert err.startswith("error:")
+    # int(w, 2) takes a sign, spaces and underscores; each word must be n 0s and
+    # 1s, and an empty value is no table
+    for n, encoder in (("2", "0x,11"), ("3", "0_1,110"), ("3", " 01,110"), ("3", "+01,110"),
+                       ("3", "")):
+        got = run_cli(["oracle", "spherical", "--m", "1", "--n", n, "--weight", "1",
+                       "--encoder", encoder], capsys)
+        assert got == (1, "", "error: --encoder wants comma-separated binary words\n"), encoder
 
 
 def test_region_bad_grid_returns_1(capsys):
@@ -861,30 +874,59 @@ def _set(argv, option, value):
     return out + ["%s=%s" % (option, value)]
 
 
+def _faults(argvs, capsys):
+    """(argv, outcome) for each argv whose exit code is not in 0..3, that
+    lets an exception out (a traceback on the command line), or that prints
+    a NaN at exit 0."""
+    bad = []
+    for argv in argvs:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code = repr(exc)
+        out = capsys.readouterr().out
+        if code not in (0, 1, 2, 3) or (code == 0 and "nan" in out.lower()):
+            bad.append((argv, code))
+    return bad
+
+
 @pytest.mark.filterwarnings("ignore:.*validity range:UserWarning")
 def test_every_option_at_every_extreme_exits_0_to_3(capsys, time_cap):
     # one option at a time at each extreme value, from a valid command of
     # every leaf: an exit code in 0..3, never a traceback, and no NaN printed
     leaves = _leaf_parsers()
-    bad = []
+    argvs = [_set(base, action.option_strings[0], value)
+             for base in _sweep_bases() for action in leaves[cli._path(base)]._actions
+             if action.nargs != 0 and action.dest not in ("out", "format")  # -h and flags
+             for value in _EXTREMES]
     with time_cap(60.0):
-        for base in _sweep_bases():
-            path = cli._path(base)
-            for action in leaves[path]._actions:
-                if action.nargs == 0 or action.dest in ("out", "format"):  # -h and flags
-                    continue
-                for value in _EXTREMES:
-                    argv = _set(base, action.option_strings[0], value)
-                    try:
-                        code = cli.main(argv)
-                    except SystemExit as exc:
-                        code = exc.code
-                    except Exception as exc:  # a traceback on the command line
-                        code = repr(exc)
-                    out = capsys.readouterr().out
-                    if code not in (0, 1, 2, 3) or (code == 0 and "nan" in out.lower()):
-                        bad.append((argv, code))
-    assert bad == []
+        assert _faults(argvs, capsys) == []
+
+
+# the integer counts, and the values each pair of them is set to: every call
+# these admit finishes, as a budget past 10^21 admits no count of 10^21
+_COUNTS = {"--m", "--n", "--k", "--k-max", "--weight", "--w1", "--w2", "--trials", "--seed",
+           "--budget"}
+_COUNT_VALUES = ["0", "-1", "1", "1" + "0" * 21, "1" + "0" * 400]
+
+
+@pytest.mark.filterwarnings("ignore:.*validity range:UserWarning")
+def test_every_pair_of_count_options_exits_0_to_3(capsys, time_cap):
+    # two counts of a leaf at a time, at each pair of values, from the same
+    # valid commands: an exit code in 0..3, never a traceback, and no NaN
+    leaves = _leaf_parsers()
+    argvs = []
+    for base in _sweep_bases():
+        counts = [a.option_strings[0] for a in leaves[cli._path(base)]._actions
+                  if a.option_strings and a.option_strings[0] in _COUNTS]
+        for first, second in itertools.combinations(counts, 2):
+            argvs += [_set(_set(base, first, v1), second, v2)
+                      for v1, v2 in itertools.product(_COUNT_VALUES, repeat=2)]
+    assert {a.split("=")[0] for argv in argvs for a in argv[-2:]} == _COUNTS
+    with time_cap(30.0):
+        assert _faults(argvs, capsys) == []
 
 
 # ---------- public names ----------

@@ -428,6 +428,32 @@ def test_p2p_and_frontier_frozen_at_m3():
         assert (val.value, table.codewords) == (delta, tuple(range(8)))
     assert orc.broadcast_frontier(3, 3, 1, 2) == [orc.FrontierPoint(F(2, 9), F(2, 9), 5713)]
     assert orc.broadcast_frontier(3, 3, 0, 1) == [orc.FrontierPoint(F(0), F(2, 9), 371511)]
+    # m = 4, n = 1, the one admitted m = 4 shape, after the (4, 1) case of
+    # test_coordinate_permutations_keep_values_and_witnesses matched them to
+    # the direct sums over every pinned table
+    val, table = orc.p2p_bruteforce(4, 1, F(1, 4))
+    assert (val.value, table.index) == (F(13, 32), 279)
+    assert orc.broadcast_frontier(4, 1, 0, 1) == [orc.FrontierPoint(F(5, 16), F(5, 16), 279)]
+
+
+@pytest.mark.parametrize("m,n,sizes", [
+    (3, 1, (533328, 540256)), (3, 2, (1155904, 1622880)), (3, 3, (9873024, 34252480)),
+    (3, 4, (381708080, 1444964272)), (4, 1, (2394064, 4229088)),
+])
+def test_admission_frozen_at_every_admitted_m3_shape(m, n, sizes):
+    # tables and bytes for a p2p search (one weight table, nothing held) and
+    # a frontier (two weight tables, five held arrays); the block rule and
+    # the cell bound are _orbits._triple_shape's and _admit's
+    tables = math.comb(n + 7, n) << n * (2**m - 4)
+    for (weights, held), size in zip(((1, 0), (2, 5)), sizes):
+        assert orc._admit(m, n, math.inf, weights=weights, held=held) == (tables, size)
+
+
+@pytest.mark.parametrize("m,n,size", [(3, 5, 14387059520), (4, 2, 12751211296)])
+def test_memory_refusals_past_the_admitted_m3_shapes(m, n, size):
+    with pytest.raises(orc.BudgetExceeded, match=r"^search would hold %d bytes of arrays, "
+                       r"cap is 2147483648$" % size):
+        orc._admit(m, n, math.inf)
 
 
 def test_exact_value_container():
@@ -823,7 +849,7 @@ def _pick_frontier(c1, c2, ranks):
     return points
 
 
-@pytest.mark.parametrize("m,n", ENCODER_SHAPES + [(2, 4), (2, 5)])
+@pytest.mark.parametrize("m,n", ENCODER_SHAPES + [(2, 4), (2, 5), (4, 1)])
 @settings(max_examples=4)
 @given(data=st.data())
 def test_coordinate_permutations_keep_values_and_witnesses(m, n, data):
@@ -1047,6 +1073,22 @@ def test_coupling_budget_is_checked_before_any_binomial_or_power(monkeypatch, ti
         50724864, 48828125)
     # the default budget admits n = 10^4
     assert orc.coupling_distance_exact(10**4, F(3, 10), F(1, 7)).value > 0
+
+
+def test_coupling_refuses_n_past_maxsize(monkeypatch, time_cap):
+    # with no budget, n = 10^21 walks from C(9 10^20, 1.8 10^20 + 1), which
+    # math.comb refuses with OverflowError; at n = 2^64, delta1 = delta2 =
+    # 2^-64 the binomials are small, but the walk's powers have about 2^70
+    # bits. Both are refused before any binomial or power is formed
+    def never(*args):
+        raise AssertionError("a binomial was formed")
+
+    with monkeypatch.context() as patch, time_cap(2.0):
+        patch.setattr(orc.math, "comb", never)
+        for n, d in ((10**21, F(1, 10)), (2**64, F(1, 2**64))):
+            with pytest.raises(DomainError, match=r"^coupling needs b\^n, over 2\^63 bits, "
+                               r"at n = %d$" % n):
+                orc.coupling_distance_exact(n, d, d, budget=math.inf)
 
 
 def test_coupling_frozen_digest_at_n2000():
