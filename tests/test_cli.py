@@ -408,7 +408,7 @@ def test_coupling_and_gq_search_budgets_return_3(capsys, time_cap):
 
 
 def test_coupling_past_maxsize_returns_3(capsys, time_cap):
-    # a budget past every walk lets n = 10^21 reach a binomial past sys.maxsize:
+    # a budget past the walks' work takes n = 10^21 to the sys.maxsize refusal:
     # one line and exit 3, not math.comb's OverflowError traceback
     with time_cap(2.0):
         code, out, err = run_cli(["oracle", "coupling", "--n", "1" + "0" * 21, "--delta1", "1/10",
@@ -905,8 +905,9 @@ def test_every_option_at_every_extreme_exits_0_to_3(capsys, time_cap):
         assert _faults(argvs, capsys) == []
 
 
-# the integer counts, and the values each pair of them is set to: every call
-# these admit finishes, as a budget past 10^21 admits no count of 10^21
+# the integer counts, and the values each pair of them is set to; every call
+# these admit finishes (5000 with a budget past 10^21 would admit minutes of
+# work, as the budget allows)
 _COUNTS = {"--m", "--n", "--k", "--k-max", "--weight", "--w1", "--w2", "--trials", "--seed",
            "--budget"}
 _COUNT_VALUES = ["0", "-1", "1", "1" + "0" * 21, "1" + "0" * 400]
