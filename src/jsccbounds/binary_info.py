@@ -149,24 +149,39 @@ def h_b(x: float) -> float:
 # Above the cutoff h_b_inv returns the bisection's float without making all
 # of its 46 evaluations. The bisection's mids are the integers m in
 # (0, 2^46), in units of 2^-47, and its answer depends only on the 46
-# decisions _h(m) < t. With fl(_h(x)) within _H_ERR of the exact h(x) for
-# every float x in (0, 1/2], one _h value settles a whole side: if
-# _h(xa) < t - 2 _H_ERR with xa <= 1/2, then for every mid m <= xa,
-# fl(_h(m)) <= h(m) + _H_ERR <= h(xa) + _H_ERR < t, since the exact h
-# increases on [0, 1/2]; likewise _h(xb) >= t + 2 _H_ERR with xb >= 0
-# settles every mid m >= xb as "not below t". Only the mids strictly inside
-# (xa, xb) need _h. The forward error model (Higham, Accuracy and Stability
-# of Numerical Algorithms, 2nd ed., 2002, ch. 3): each float operation is
-# exact times (1 + d) with |d| <= u = 2^-53, and the libm log within 1 ulp
-# (2u relative). Then -x log x carries 3u of its value, (1 - x) log(1 - x)
-# 4u plus u from rounding 1 - x inside the log, and the final subtraction u
-# of h, so |fl(_h(x)) - h(x)| <= (5 log 2 + 1) u + O(u^2) ~ 4.5u. _H_ERR
-# takes 8u, which also covers a libm log within 2 ulps. With a log within
-# L ulps the bound is ((2L + 3) log 2 + 1) u, and _hinv_np's _H_ERR_NP =
-# 16u rests on np.log within 8 ulps of the exact log (14.2u, so 1.8u to
-# spare). tests/test_binary_info.py asserts np.log within 7 ulps of
-# math.log, itself within 1 ulp. The two agree within 1 ulp on an AVX-512
-# Xeon (numpy 2.4), so np.log keeps a margin of 6 ulps there.
+# decisions _h(m) < t. Let fl(_h(y)) lie within H = _H_ERR of the exact
+# h(y) for every float y in (0, 1/2]. Take p in (0, 1/2), F within H of
+# h(p), s within e of h'(p), the Newton root x = p + (t - F) / s, w = 3H / s
+# and D = (|t - F| + 3H) / s, which bounds the distance from p to x - w and
+# to x + w. Then:
+# - h is concave, so its tangent at p lies above it, and every mid m <= x - w
+#   has fl(_h(m)) <= F + 2H + h'(p) (x - w - p) <= t - H + e D;
+# - h increases on [0, 1/2] and lies at most D^2 / (2c) below that tangent
+#   on [p - D, p + D] (Taylor), c the least y (1 - y) between p and x + w,
+#   so every mid m in [x + w, 1/2) has fl(_h(m)) >= t + H - e D - D^2 / (2c).
+# With logs within L ulps, e <= (2L + 1) u s + (4L log 2 + 1) u, so
+# D + |t - F| < 2^-6 keeps e D below u for L <= 8; and as c >= (p - D) / 2,
+# 2 D^2 <= H (p - D) keeps D^2 / (2c) below H / 2. Forming x -+ w rounds by
+# at most u x twice, under u in h (x s < 0.3). So under the first condition
+# every mid <= x - w lies left of the root, and under both every mid
+# >= x + w right of it. A side whose condition fails reaches the end of the
+# grid instead: a poor p only widens the window. h_b_inv takes p one Newton
+# step from a fitted start (below), so two steps reach x, and the logs at p
+# give both the second step and the proof.
+#
+# The forward error model (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., 2002, ch. 3): each float operation is exact times
+# (1 + d) with |d| <= u = 2^-53, and the libm log within 1 ulp (2u
+# relative). Then -x log x carries 3u of its value, (1 - x) log(1 - x) 4u
+# plus u from rounding 1 - x inside the log, and the final subtraction u of
+# h, so |fl(_h(x)) - h(x)| <= (5 log 2 + 1) u + O(u^2) ~ 4.5u. _H_ERR takes
+# 8u, which also covers a libm log within 2 ulps. With a log within L ulps
+# the bound is ((2L + 3) log 2 + 1) u, and _hinv_np's _H_ERR_NP = 16u rests
+# on np.log within 8 ulps of the exact log (14.2u, so 1.8u to spare).
+# tests/test_binary_info.py asserts np.log within 7 ulps of math.log, itself
+# within 1 ulp. The two agree within 1 ulp on an AVX-512 Xeon (numpy 2.4),
+# so np.log keeps a margin of 6 ulps there. For F and s at p, h_b_inv takes
+# log2(p) log 2 and log1p(-p), both checked there to lie within 2 ulps.
 _NEWTON_EDGE = 5.0 * 2.0 ** -47
 _NEWTON_CUTOFF = h_b(_NEWTON_EDGE)
 _H_ERR = 8.0 * 2.0 ** -53
@@ -182,13 +197,13 @@ def h_b_inv(t: float) -> float:
     h_b itself has there. NaN raises DomainError.
 
     Above ~1.1e-12 the result is the bisection's float, bit for bit, from
-    about 2.5 evaluations of h_b instead of 46 (two at the window edges):
+    two Newton steps and about one evaluation of h_b instead of 46:
     _proved_window finds the few grid mids whose side of the root is in
     doubt, and the bisection is replayed on the integer grid, jumping
     straight to each of them. Near t = log 2, where h_b' vanishes, the
-    window widens and holds more mids. When the window's proof fails, the
-    replay takes the whole grid as its window and so makes all 46
-    evaluations of the bisection itself.
+    window widens and holds more mids. A side of the window whose proof
+    fails reaches the end of the grid, and with both sides failing the
+    replay makes all 46 evaluations of the bisection itself.
     """
     if t <= 0.0:
         return 0.0
@@ -200,11 +215,10 @@ def h_b_inv(t: float) -> float:
         # t / (1 - 2 log t) lies left of the root, and underflows to 0 only
         # where the root lies below the smallest float
         x = t / (1.0 - 2.0 * math.log(t))
-        return _newton(t, x, 200)[0] if x > 0.0 else 0.0
-    # mids <= below lie left of the root; [a, b] holds the mids in doubt,
-    # all of them when the proof fails, and then the loop below meets the
-    # bisection's 46 mids one by one
-    below, a, b = _proved_window(t) or (-1, 1, 2 ** 46 - 1)
+        return _newton(t, x, 200) if x > 0.0 else 0.0
+    # mids <= below lie left of the root, and [a, b] holds the mids in
+    # doubt; the loop below meets them one by one, as the bisection would
+    below, a, b = _proved_window(t)
     # the bisection's block (lo, hi) holds [a, b], and the block of its
     # first mid m inside [a, b] is m +- 2^tz(m), tz the trailing zero count
     lo, hi = 0, 2 ** 46
@@ -223,39 +237,71 @@ def h_b_inv(t: float) -> float:
 def _proved_window(t: float):
     """(below, a, b) for _NEWTON_CUTOFF < t < log 2: the bisection finds
     every grid mid m <= below left of the root and every m > b right of it,
-    and [a, b] holds the rest, from h_b at the window's two edges (see the
-    comment above _H_ERR). None when an edge fails its proof."""
-    # x0 from the closed form h(x) ~ log 2 (4x(1 - x))^(3/4), inverted
-    # without cancellation. It lies in (0, 1/2), and where it lies right of
-    # the root (roots above ~0.06) it is within 2% of 1/2 - root, so four
-    # steps reach the root.
-    z = (t / NAT_LOG2) ** (4.0 / 3.0)
-    x, hp = _newton(t, z / (2.0 + 2.0 * math.sqrt(1.0 - z)), 4)
-    # The edges need h(root) - h(xa) and h(xb) - h(root) above 3 _H_ERR; h
-    # is concave, so its least slope on the window is at the upper edge.
-    # _H_ERR x0 = 8u x0 covers the few ulps Newton's last step leaves.
-    half = 3.0 * _H_ERR / hp
-    if x + half < 0.5:
-        half = _H_ERR * (3.0 / _hp(x + half, math.log) + x)
-    xa, xb = x - half, x + half
-    # No mid lies at or below 0 or at or above 1/2: a window reaching past
-    # either end holds vacuously there. Both subtractions are exact
-    # (Sterbenz) wherever they come near 2 _H_ERR, because t > 1e-12.
-    if ((xa > 0.0 and not t - _h(xa, math.log) > 2.0 * _H_ERR)
-            or (xb < 0.5 and not _h(xb, math.log) - t >= 2.0 * _H_ERR)):
-        return None
-    below = math.floor(xa * 2.0 ** 47) if xa > 0.0 else 0
-    return below, below + 1, math.ceil(xb * 2.0 ** 47) - 1 if xb < 0.5 else 2 ** 46 - 1
+    and [a, b] holds the rest. One Newton step from the fitted start
+    reaches p, and the logs at p give both the second step, to the root x,
+    and the proof that settles the mids outside [x - w, x + w] (see the
+    comment above _H_ERR)."""
+    x = _start_high(t, math.sqrt) if t >= 0.1 else _start_low(t, math.log2)
+    # log2 and log1p take about a third of math.log's time, whose optional
+    # base is parsed on every call; the replay keeps math.log, as h_b does
+    lx, l1x = math.log2(x) * NAT_LOG2, math.log1p(-x)
+    p = x + (t + x * lx + (1.0 - x) * l1x) / (l1x - lx)
+    if not 0.0 < p < 0.5:
+        # kept inside (0, 1/2), as _newton keeps its steps
+        p = 0.5 * (x + 0.5) if p > x else 0.5 * x
+    xa, xb, left, right = _window(t, p, math.log2(p) * NAT_LOG2, math.log1p(-p), _H_ERR)
+    below = math.floor(xa * 2.0 ** 47) if left and xa > 0.0 else 0
+    return below, below + 1, math.ceil(xb * 2.0 ** 47) - 1 if right and xb < 0.5 else 2 ** 46 - 1
 
 
-def _newton(t: float, x: float, steps: int):
-    """(x, h'(x)) after at most steps Newton steps on h(x) = t from x in
-    (0, 1/2), h' at the last x evaluated. h is concave, so a step from the
-    left climbs toward the root without passing it, and one from the right
-    lands left of it. The steps keep to a bracket that starts as (0, 1/2)
-    and shrinks to the root's side of each x, bisecting where rounding noise
-    or a far first step would leave it, so x stays where h' > 0. The loop
-    stops early once a step no longer moves x."""
+def _window(t, p, lx, l1x, err):
+    """(x - w, x + w, left, right) around the Newton root x from p, for
+    floats and arrays alike, given lx ~ log p and l1x ~ log(1 - p) and err
+    bounding |fl(_h) - h|: left says that every grid mid <= x - w lies left
+    of the root, right that every mid >= x + w lies right of it (the
+    comment above _H_ERR)."""
+    s = l1x - lx
+    r = t - (-p * lx - (1.0 - p) * l1x)
+    x, w, d = p + r / s, 3.0 * err / s, (abs(r) + 3.0 * err) / s
+    return x - w, x + w, d + abs(r) < 2.0 ** -6, 2.0 * d * d <= err * (p - d)
+
+
+# The start: within 2e-4 of the root, relative to min(x, 1/2 - x), for
+# every t above the cutoff, so that one Newton step leaves D^2 far below
+# H p / 2 for the second. For t >= 0.1 it is 1/2 - sqrt(S) P(S) with
+# S = log 2 - t, formed in two parts so that it keeps its relative accuracy
+# up to t = log 2, where the root is 1/2 - sqrt(S / 2) (1 + O(S)); below
+# 0.1, t / Q(log2 t), as t / x = -log x + 1 + O(x). P (degree 5) and Q
+# (degree 7) are least-squares fits on 300 Chebyshev nodes, reweighted
+# toward their largest errors, to roots taken to 40 digits; their largest
+# errors are 5.0e-5 on [0.1, log 2) and 1.7e-4 on [1.1e-12, 0.1]
+# (tools/fit_hinv_start.py refits and rechecks them).
+_LN2_LO = 2.3190468138462996e-17  # log 2 - NAT_LOG2
+
+
+def _start_high(t, sqrt):
+    s = (NAT_LOG2 - t) + _LN2_LO
+    return 0.5 - sqrt(s) * (0.7071414078176834 + s * (
+        -0.12041320003327856 + s * (0.005771220697744554 + s * (
+            -0.1575872149084829 + s * (0.27868152980266386 + s * -0.22836922200282322)))))
+
+
+def _start_low(t, log2):
+    v = log2(t)
+    return t / (1.6822839484622136 + v * (-1.0747141757869194 + v * (
+        -0.04401988532998535 + v * (-0.0035596664715715617 + v * (
+            -0.00017677302729599646 + v * (-5.131847609832534e-06 + v * (
+                -7.960091164310092e-08 + v * -5.080119779877501e-10)))))))
+
+
+def _newton(t: float, x: float, steps: int) -> float:
+    """x after at most steps Newton steps on h(x) = t from x in (0, 1/2). h
+    is concave, so a step from the left climbs toward the root without
+    passing it, and one from the right lands left of it. The steps keep to
+    a bracket that starts as (0, 1/2) and shrinks to the root's side of each
+    x, bisecting where rounding noise or a far first step would leave it,
+    so x stays where h' > 0. The loop stops early once a step no longer
+    moves x."""
     lo, hi = 0.0, 0.5
     for _ in range(steps):
         # _h's arithmetic: below 1e-12 the root round-trips through h_b
@@ -274,7 +320,7 @@ def _newton(t: float, x: float, steps: int):
         if step == x:
             break
         x = step
-    return x, hp
+    return x
 
 
 def _first_mid(a: int, b: int) -> int:
@@ -291,15 +337,15 @@ def _hinv_np(t):
     kept where _h(mid, np.log) < t, then 0 where t <= 0 and 1/2 where
     t >= log 2 (a NaN t gives 2^-62).
 
-    Bit for bit, with fewer halvings: as in h_b_inv, _h at the two edges of
-    a window [xa, xb] around a Newton root settles every mid outside it
-    (the comment above _H_ERR, with _H_ERR_NP for np.log). The first k
-    halvings then only walk to the level-k dyadic block that holds the
-    window; for k <= 50 its ends, and the walk's sums and mids, are exact
-    floats. So each cell starts from that block and makes the other 60 - k
-    halvings with the same float ops, or fewer where the last ones can no
-    longer change its answer. A cell whose edge proof fails starts from
-    [0, 1/2], and one with t <= 0 or t >= log 2 makes no halving.
+    Bit for bit, with fewer halvings: as in h_b_inv, two Newton steps from
+    the fitted start and the proof at the root (the comment above _H_ERR,
+    with _H_ERR_NP for np.log) settle every mid outside a window. The
+    first k halvings then only walk to the level-k dyadic block that holds
+    the window; for k <= 50 its ends, and the walk's sums and mids, are
+    exact floats. So each cell starts from that block and makes the other
+    60 - k halvings with the same float ops, or fewer where the last ones
+    can no longer change its answer. A side of the window whose proof fails
+    reaches 0 or 1/2, and a cell with t <= 0 or t >= log 2 makes no halving.
     """
     import numpy as np
 
@@ -334,30 +380,15 @@ def _start_np(t):
     start = np.zeros_like(t), np.full_like(t, 0.5), np.where(np.isnan(t), 60, 0)
     t = t[inside]
     with np.errstate(all="ignore"):
-        # four steps from h_b_inv's start, kept to _newton's bracket: x
-        # becomes the root's new bracket end, and a step that leaves the
-        # bracket bisects it (a step from the left can only overshoot hi,
-        # one from the right only lo)
-        x = (t / NAT_LOG2) ** (4.0 / 3.0)
-        x = x / (2.0 + 2.0 * np.sqrt(1.0 - x))
-        lo, hi = np.zeros_like(t), np.full_like(t, 0.5)
-        for _ in range(4):
-            lx, l1x = np.log(x), np.log(1.0 - x)
-            hp = l1x - lx
-            f = -x * lx - (1.0 - x) * l1x - t
-            step = x - f / hp
-            left = f < 0.0
-            lo, hi = np.where(left, x, lo), np.where(left, hi, x)
-            x = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
-        half = 4.0 * _H_ERR_NP / hp
-        xa, xb = x - half, x + half
-        # 2 _H_ERR_NP is a float, so a rounded difference above it shows the
-        # exact one above it; a window past 0 or 1/2 holds vacuously there
-        ok = (((xa <= 0.0) | (t - _h(xa, np.log) > 2.0 * _H_ERR_NP))
-              & ((xb >= 0.5) | (_h(xb, np.log) - t > 2.0 * _H_ERR_NP)))
-        # the window in units of 2^-51, [0, 2^50] where the proof fails
-        a = np.where(ok, np.floor(np.maximum(xa, 0.0) * 2.0 ** 51), 0.0).astype(np.int64)
-        b = np.where(ok, np.ceil(np.minimum(xb, 0.5) * 2.0 ** 51), 2.0 ** 50).astype(np.int64)
+        # _proved_window's start, step and proof, with np.log
+        x = np.where(t >= 0.1, _start_high(t, np.sqrt), _start_low(t, np.log2))
+        lx, l1x = np.log(x), np.log(1.0 - x)
+        p = x + (t + x * lx + (1.0 - x) * l1x) / (l1x - lx)
+        p = np.where((0.0 < p) & (p < 0.5), p, 0.5 * (x + np.where(p > x, 0.5, 0.0)))
+        xa, xb, left, right = _window(t, p, np.log(p), np.log(1.0 - p), _H_ERR_NP)
+        # the window in units of 2^-51, out to 0 or 2^50 on a failed side
+        a = np.where(left & (xa > 0.0), np.floor(xa * 2.0 ** 51), 0.0).astype(np.int64)
+        b = np.where(right & (xb < 0.5), np.ceil(xb * 2.0 ** 51), 2.0 ** 50).astype(np.int64)
     # a < b, and the block of level 50 - s holds [a, b], s the bit length
     # of a ^ (b - 1)
     s = np.frexp((a ^ (b - 1)).astype(float))[1]

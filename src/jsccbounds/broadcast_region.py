@@ -235,7 +235,9 @@ def _seeded_min(fn):
     """Minimum of fn over q in [0, 1/2]: the _Q_SEEDS sweep, then golden
     section to 1e-10 in the bracket around the best seed; returns (value, q)."""
     vals = [fn(q) for q in _Q_SEEDS]
-    i = min(range(len(_Q_SEEDS)), key=lambda j: (vals[j], j))
+    # the first least seed: min keeps the first of equal values, and index
+    # finds the first one equal to it
+    i = vals.index(min(vals))
     best_q, best_v = _Q_SEEDS[i], vals[i]
     if best_v == float("-inf"):
         return best_v, best_q

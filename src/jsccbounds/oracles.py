@@ -174,13 +174,13 @@ def _admit(m, n, budget, weights=1, held=0, table=None, base=1):
       array; 7 S for the plan while the prefixes are built; the costs;
     - m >= 3 (_orbits._triple_costs): (2 + weights) N for two aranges;
       3 N^2 for the distances, W and one more (N, N) array (their XOR, the
-      next table's W, or a signed W); m weights N N^T for one weight table's
-      m (N, N^T) trailing sums; N^T for the last slot's previous sums; (N +
-      2) block N^T for a block's (N, block, N^T) sums and two (block, N^T)
-      ones; 11 N block for this and the last block's three lead columns and
-      up to four sums of them; 7 C for the prefixes as they are built; ranks
-      and costs. The m = 2 plans (_orbits._orbit_plan) that earlier calls
-      cached are not counted.
+      next table's W, or a signed W); m N N^T for the m (N, N^T) trailing
+      sums of the one weight table in hand; N^T for the last slot's previous
+      sums; (N + 2) block N^T for a block's (N, block, N^T) sums and two
+      (block, N^T) ones; 11 N block for this and the last block's three lead
+      columns and up to four sums of them; 7 C for the prefixes as they are
+      built; ranks and costs. The m = 2 plans (_orbits._orbit_plan) that
+      earlier calls cached are not counted.
     """
     if m == 1:
         if table is None:
@@ -209,7 +209,7 @@ def _admit(m, n, budget, weights=1, held=0, table=None, base=1):
             cells = N * (N + 67 + 3 * math.comb(n + 3, n)) + max(_BLOCK_CELLS, 2 * N) + 6 * C
         else:
             block = _triple_shape(m, n, _BLOCK_CELLS)[2]
-            cells = ((2 + weights) * N + m * weights * N * NT + 3 * N * N + NT
+            cells = ((2 + weights) * N + m * N * NT + 3 * N * N + NT
                      + (N + 2) * block * NT + 11 * N * block + 7 * C)
         tables = C << (e - n)
     cells += (1 + weights + held) * tables

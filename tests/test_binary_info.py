@@ -1,6 +1,9 @@
+import collections
+import decimal
 import math
 import random
 import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -342,20 +345,30 @@ INVERSE_TS = [0.5209097113396619, 0.3, 1e-6, 1e-11, bi.NAT_LOG2 - 1e-15]
 
 
 def _spy_on_windows(monkeypatch):
-    # every window h_b_inv gets, None where the edge proof failed
+    # every window h_b_inv gets
     windows, real = [], bi._proved_window
     monkeypatch.setattr(bi, "_proved_window", lambda t: windows.append(real(t)) or windows[-1])
     return windows
 
 
-def test_inverse_falls_back_to_the_walk_when_an_edge_fails(monkeypatch):
-    # with no error margin the window is the point x0 and the two edge
-    # proofs contradict each other, so every call walks the whole grid
+def test_inverse_falls_back_to_the_walk_when_the_proof_fails(monkeypatch):
+    # a NaN start fails both sides of the proof, so the window is the whole
+    # grid and every call makes the walk's 46 evaluations; a far start
+    # fails a side or widens the window, and the answers stay the walk's
     windows = _spy_on_windows(monkeypatch)
-    monkeypatch.setattr(bi, "_H_ERR", 0.0)
-    for t in INVERSE_TS:
-        assert bi.h_b_inv(t) == _bisection_inverse(t)
-    assert windows == [None] * len(INVERSE_TS)
+    evals = []
+    real = bi._h
+    monkeypatch.setattr(bi, "_h", lambda x, log: evals.append(x) or real(x, log))
+    for x0 in (math.nan, 1e-300, 0.25, 0.4999):
+        monkeypatch.setattr(bi, "_start_high", lambda t, sqrt: x0)
+        monkeypatch.setattr(bi, "_start_low", lambda t, log2: x0)
+        for t in INVERSE_TS:
+            evals.clear()
+            x = bi.h_b_inv(t)
+            assert len(evals) == 46 or x0 == x0
+            assert x == _bisection_inverse(t)
+    assert windows[:len(INVERSE_TS)] == [(0, 1, 2 ** 46 - 1)] * len(INVERSE_TS)
+    assert all(b - a > 2 ** 20 for _, a, b in windows)
 
 
 @pytest.mark.parametrize("err", [1e-9, 1e-4, 1.0])
@@ -492,6 +505,33 @@ def test_array_inverse_starts_most_cells_deep(monkeypatch):
     assert sum(cells) < 13 * t.size
 
 
+# a fixed log-spaced sample over (cutoff, log 2), and the halvings that
+# _start_np leaves its cells there, as {halvings: cells}
+_STEP_SAMPLE = bi._NEWTON_CUTOFF * (bi.NAT_LOG2 / bi._NEWTON_CUTOFF) ** (np.arange(1, 2000) / 2000)
+_STEP_HALVINGS = {8: 3, 9: 32, 10: 121, 11: 543, 12: 555, 13: 393, 14: 185, 15: 83, 16: 39,
+                  17: 23, 18: 13, 19: 2, 20: 2, 21: 2, 22: 3}
+
+
+def test_two_newton_steps_prove_narrow_windows():
+    # the fitted start, one Newton step and the proof at the second: on both
+    # paths one step fewer leaves the root too far for the right side's
+    # proof. Every window is proved on both sides, and from t = 0.03 up it
+    # holds at most two mids
+    for t in _STEP_SAMPLE:
+        below, a, b = bi._proved_window(float(t))
+        assert below > 0 and b < 2 ** 46 - 1
+        assert t < 0.03 or b - a < 2
+    # the array path's blocks hold the halving loop's answers, and their
+    # halvings keep to the frozen histogram. A histogram, not a digest of
+    # the arrays: a last-bit change in np.log, as another CPU's may make,
+    # moves a window edge across a grid point in a few cells of 2,000
+    lo, hi, halvings = bi._start_np(_STEP_SAMPLE.copy())
+    want = _halving_inverse_np(_STEP_SAMPLE)
+    assert np.all((lo <= want) & (want <= hi))
+    got = collections.Counter(halvings.tolist())
+    assert sum(abs(got[k] - _STEP_HALVINGS.get(k, 0)) for k in set(got) | set(_STEP_HALVINGS)) <= 8
+
+
 def test_error_bounds_cover_their_derivation():
     # the forward error model above _H_ERR: with a log within L ulps,
     # |fl(_h(x)) - h(x)| <= ((2L + 3) log 2 + 1) u, u = 2^-53. _H_ERR covers a
@@ -512,6 +552,22 @@ def test_np_log_is_within_the_ulps_the_array_error_bound_assumes():
     want = np.array([math.log(x) for x in xs])
     ulps = np.abs(np.log(np.array(xs)) - want) / np.spacing(np.abs(want))
     assert ulps.max() <= 7.0
+
+
+def test_fast_logs_are_within_the_ulps_the_error_bound_assumes():
+    # above the Newton cutoff h_b_inv forms fl(_h(p)) and h'(p) from
+    # log2(p) log 2 and log1p(-p); _H_ERR covers logs within 2 ulps of the
+    # exact ones. A fixed sample of 2,000 points p in [2^-47, 1/2), against
+    # 40-digit decimal logs
+    rng = random.Random(36)
+    xs = ([math.ldexp(1.0 + rng.random(), -rng.randint(2, 47)) for _ in range(1000)]
+          + [0.25 + 0.25 * rng.random() for _ in range(1000)])
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        for x in xs:
+            for got, exact in ((math.log2(x) * bi.NAT_LOG2, Decimal(x).ln()),
+                               (math.log1p(-x), (1 - Decimal(x)).ln())):
+                assert abs(Decimal(got) - exact) <= 2 * Decimal(math.ulp(float(exact)))
 
 
 # ---------- domains ----------

@@ -12,6 +12,7 @@ import pytest
 
 import jsccbounds as jb
 from jsccbounds import DomainError
+from jsccbounds.binary_info import NAT_LOG2, _NEWTON_CUTOFF
 
 _BP = dict(rho=1.2, p=0.5, delta1=0.08, delta2=0.05)
 _GP = dict(sigma2=1.0, aux_var=0.5, power=1.0, n1=0.5, n2=1.0, rho=1.0)
@@ -150,6 +151,29 @@ def test_finite_result_or_domain_error(name, arg, value):
         return
     try:
         out = fn(**kw)
+    except DomainError:
+        return
+    assert _finite(out), out
+
+
+# the kernel's edges: t at 0, at h_b_inv's Newton cutoff and the float
+# above it, where its fitted start begins to count, at 0.03, at log 2 and
+# the float below, and at the 1e-12 of slop past log 2 and the float beyond;
+# q at both ends of [0, 1/2]
+_T_EDGES = [0.0, _NEWTON_CUTOFF, math.nextafter(_NEWTON_CUTOFF, 1.0), 0.03,
+            math.nextafter(NAT_LOG2, 0.0), NAT_LOG2, NAT_LOG2 + 1e-12,
+            math.nextafter(NAT_LOG2 + 1e-12, 1.0)]
+_EDGES = ([(name, "t", t) for name in ("h_b_inv", "mgl_phi", "mgl_phi_deriv") for t in _T_EDGES]
+          + [(name, "q", q) for name in ("beta", "phi", "nu", "fp_binary", "rbar_binary",
+                                         "outer_bound_slack") for q in (0.0, 0.5)])
+
+
+@pytest.mark.parametrize("name,arg,value", [
+    pytest.param(*case, id="%s-%s=%r" % case) for case in _EDGES])
+def test_finite_result_or_domain_error_at_the_kernel_edges(name, arg, value):
+    fn, base = _TABLE[name]
+    try:
+        out = fn(**dict(base, **{arg: value}))
     except DomainError:
         return
     assert _finite(out), out

@@ -437,16 +437,22 @@ def test_p2p_and_frontier_frozen_at_m3():
 
 
 @pytest.mark.parametrize("m,n,sizes", [
-    (3, 1, (533328, 540256)), (3, 2, (1155904, 1622880)), (3, 3, (9873024, 34252480)),
-    (3, 4, (381708080, 1444964272)), (4, 1, (2394064, 4229088)),
+    (3, 1, (533328, 539488)), (3, 2, (1155904, 1598304)), (3, 3, (9873024, 33466048)),
+    (3, 4, (381708080, 1419798448)), (4, 1, (2394064, 3966944)),
 ])
 def test_admission_frozen_at_every_admitted_m3_shape(m, n, sizes):
     # tables and bytes for a p2p search (one weight table, nothing held) and
     # a frontier (two weight tables, five held arrays); the block rule and
-    # the cell bound are _orbits._triple_shape's and _admit's
+    # the cell bound are _orbits._triple_shape's and _admit's. The frontier
+    # holds the m trailing-sum arrays of one weight table at a time, so its
+    # bound sits 8 m N N^T bytes below one that counted both tables'
     tables = math.comb(n + 7, n) << n * (2**m - 4)
     for (weights, held), size in zip(((1, 0), (2, 5)), sizes):
         assert orc._admit(m, n, math.inf, weights=weights, held=held) == (tables, size)
+    N, NT = 1 << n, 1 << n * (2**m - 4)
+    counted_twice = {(3, 1): 540256, (3, 2): 1622880, (3, 3): 34252480,
+                     (3, 4): 1444964272, (4, 1): 4229088}[m, n]
+    assert sizes[1] == counted_twice - 8 * m * N * NT
 
 
 @pytest.mark.parametrize("m,n,size", [(3, 5, 14387059520), (4, 2, 12751211296)])
