@@ -55,15 +55,6 @@ def _cases():
     unit = [rng.random() for _ in range(1000)]
     pairs = [(0.5 * a, b) for a, b in zip(unit, reversed(unit))]
 
-    def inverse(lo, hi, log=False):
-        def args(bi):
-            top = bi.NAT_LOG2 if hi is None else hi
-            cut = bi._NEWTON_CUTOFF if lo is None else lo
-            if log:
-                return [(10.0 ** (-300.0 + (math.log10(top) + 300.0) * u),) for u in unit[:200]]
-            return [(cut + (top - cut) * u,) for u in unit]
-        return args
-
     def f_lt_1():
         import numpy as np
         from jsccbounds import binary_info as bi
@@ -84,10 +75,13 @@ def _cases():
     return {
         "kernel/h_b": ("kernel", scalar("h_b", lambda bi: [(x,) for x in unit])),
         "kernel/conv": ("kernel", scalar("conv", lambda bi: pairs)),
-        "kernel/h_b_inv/below-cutoff": ("kernel", scalar("h_b_inv", lambda bi: inverse(
-            None, bi._NEWTON_CUTOFF, log=True)(bi))),
-        "kernel/h_b_inv/0.03-0.2": ("kernel", scalar("h_b_inv", inverse(0.03, 0.2))),
-        "kernel/h_b_inv/0.2-log2": ("kernel", scalar("h_b_inv", inverse(0.2, None))),
+        # 200 log-spaced t in [1e-300, the Newton cutoff], 1000 uniform above
+        "kernel/h_b_inv/below-cutoff": ("kernel", scalar("h_b_inv", lambda bi: [
+            (10.0 ** (-300.0 + (math.log10(bi._NEWTON_CUTOFF) + 300.0) * u),) for u in unit[:200]])),
+        "kernel/h_b_inv/0.03-0.2": ("kernel", scalar("h_b_inv", lambda bi: [
+            (0.03 + 0.17 * u,) for u in unit])),
+        "kernel/h_b_inv/0.2-log2": ("kernel", scalar("h_b_inv", lambda bi: [
+            (0.2 + (bi.NAT_LOG2 - 0.2) * u,) for u in unit])),
         "kernel/_hinv_np/f-lt-1-1e-2": ("kernel", f_lt_1),
         "driver/region_trace/binding": ("driver", region("binding")),
         "driver/region_trace/unbinding": ("driver", region("unbinding")),
