@@ -370,7 +370,9 @@ def _hinv_np(t):
 
 def _start_np(t):
     """Each cell's start in _hinv_np, for a 1-d array t: the dyadic block
-    (lo, hi) that holds its proved window, and the halvings it makes."""
+    (lo, hi) that holds its proved window, and the halvings it makes. The
+    window is _proved_window's, from the same fitted start, Newton step and
+    _window proof, with np.log and _H_ERR_NP."""
     import numpy as np
 
     # only a cell with 0 < t < log 2 has a window to find; any other starts
@@ -380,7 +382,6 @@ def _start_np(t):
     start = np.zeros_like(t), np.full_like(t, 0.5), np.where(np.isnan(t), 60, 0)
     t = t[inside]
     with np.errstate(all="ignore"):
-        # _proved_window's start, step and proof, with np.log
         x = np.where(t >= 0.1, _start_high(t, np.sqrt), _start_low(t, np.log2))
         lx, l1x = np.log(x), np.log(1.0 - x)
         p = x + (t + x * lx + (1.0 - x) * l1x) / (l1x - lx)
