@@ -496,8 +496,8 @@ def test_array_inverse_matches_the_halving_loop_on_every_band(ts):
 def test_array_inverse_starts_most_cells_deep(monkeypatch):
     # the halvings a proved window settles, and those that can no longer
     # change the answer, are not made: f-lt-1's cells at grid 1e-2 take
-    # about 10.6 _h evaluations each (15.2 with every cell's last ten
-    # halvings) where the loop takes 60
+    # about 8.3 _h evaluations each (12.9 with every cell's last ten
+    # halvings; the proof itself evaluates no _h) where the loop takes 60
     cells = []
     real = bi._h
     monkeypatch.setattr(bi, "_h", lambda x, log: cells.append(np.size(x)) or real(x, log))
