@@ -5,8 +5,10 @@
 
 Each case is a fixed batch of calls into one layer: the scalar kernel
 (h_b, conv, h_b_inv in three t bands, the verify suites' array inverse on
-f-lt-1's cells) or a driver (region_trace on one binding, one unbinding and
-one infeasible point of perfbench/reference/region.json). A sample times
+f-lt-1's cells), a bound evaluator (outer_bound_slack on a grid of d2 and
+q, and one worst-q sweep at d2 = 0, both at the first binding point of
+perfbench/reference/region.json) or a driver (region_trace on that point
+and on the first unbinding and the first infeasible one). A sample times
 one batch after a warm-up batch. Every round runs each side in a fresh
 process: this checkout's src/ and, with --parent, DIR's src/, alternating
 which side goes first. The script prints one JSON object: per case and
@@ -64,13 +66,28 @@ def _cases():
         t = bi.NAT_LOG2 - rho[:, None] * (bi.NAT_LOG2 - bi._h(ax, np.log))[None, :]
         return (lambda: bi._hinv_np(t)), 1
 
+    def point(kind):
+        from jsccbounds import broadcast_region as br
+        params, d1 = _region_point(kind)
+        return br, br.BinaryBroadcastParams(**params), d1
+
     def region(kind):
         def build():
-            from jsccbounds import broadcast_region as br
-            params, d1 = _region_point(kind)
-            bp = br.BinaryBroadcastParams(**params)
+            br, bp, d1 = point(kind)
             return (lambda: br.region_trace(bp, [d1])), 1
         return build
+
+    def slack_grid():
+        # the q seeds at ten d2 in (0, p]: d1 binds, so every seed's A1 is
+        # in range at every d2
+        br, bp, d1 = point("binding")
+        xs = [(d1, bp.p * k / 10, q, bp) for k in range(1, 11) for q in br._Q_SEEDS]
+        return (lambda: [br.outer_bound_slack(*x) for x in xs]), len(xs)
+
+    def worst_q_sweep():
+        # the seeds and the golden section, each slack evaluated afresh
+        br, bp, d1 = point("binding")
+        return (lambda: br._seeded_min(lambda q: br._slack_no_raise(d1, 0.0, q, bp))), 1
 
     return {
         "kernel/h_b": ("kernel", scalar("h_b", lambda bi: [(x,) for x in unit])),
@@ -83,6 +100,8 @@ def _cases():
         "kernel/h_b_inv/0.2-log2": ("kernel", scalar("h_b_inv", lambda bi: [
             (0.2 + (bi.NAT_LOG2 - 0.2) * u,) for u in unit])),
         "kernel/_hinv_np/f-lt-1-1e-2": ("kernel", f_lt_1),
+        "evaluator/outer_bound_slack": ("evaluator", slack_grid),
+        "evaluator/worst_q_sweep": ("evaluator", worst_q_sweep),
         "driver/region_trace/binding": ("driver", region("binding")),
         "driver/region_trace/unbinding": ("driver", region("unbinding")),
         "driver/region_trace/infeasible": ("driver", region("infeasible")),

@@ -17,12 +17,11 @@ import math
 import sys
 import warnings
 from collections import namedtuple
-from functools import partial
 
 from . import bounds_core
 from ._scalar_opt import golden_min
-from .binary_info import (NAT_LOG2, DomainError, _clamp, _count, _mgl, _mgl_inv, _real, conv,
-                          g, h_b)
+from .binary_info import (NAT_LOG2, DomainError, _clamp, _count, _hconv, _mgl, _mgl_inv, _real,
+                          conv, g, h_b)
 
 _A1_FLOAT_GUARD = 1e-12
 
@@ -102,7 +101,7 @@ def fp_binary(p: float, q: float, t: float) -> float:
     _real("p", p, 0.0, 0.5, "(]")
     _real("q", q, 0.0, 0.5)
     t = _clamp("t", t, 0.0, h_b(p))
-    return t - h_b(conv(q, p)) + _mgl(q, h_b(p) - t)
+    return t - _hconv(q, p) + _mgl(q, h_b(p) - t)
 
 
 def rbar_binary(p: float, q: float, d: float) -> float:
@@ -110,13 +109,13 @@ def rbar_binary(p: float, q: float, d: float) -> float:
     _real("p", p, 0.0, 0.5, "(]")
     _real("q", q, 0.0, 0.5)
     d = _clamp("d", d, 0.0, p, 1e-15)
-    return _rbar(h_b(conv(q, p)), q, d)
+    return _rbar(_hconv(q, p), q, d)
 
 
 def _rbar(hcp: float, q: float, d: float) -> float:
     # rbar_binary from hcp = h_b(conv(q, p)), without its checks and clamp:
     # d already in [0, p]
-    return hcp - h_b(conv(q, d))
+    return hcp - _hconv(q, d)
 
 
 def g_bsc(delta1: float, delta2: float, t: float) -> float:
@@ -175,7 +174,7 @@ def outer_bound_slack(d1: float, d2: float, q: float, bp: BinaryBroadcastParams)
     _real("q", q, 0.0, 0.5)
     d1 = _clamp("d1", d1, 0.0, bp.p, 1e-15)
     d2 = _clamp("d2", d2, 0.0, bp.p, 1e-15)
-    hcp = h_b(conv(q, bp.p))
+    hcp = _hconv(q, bp.p)
     rhs, a1 = _rhs_at(bp, d1)(q, hcp)
     if bp.n is None and a1 > NAT_LOG2:
         warnings.warn(f"A1={a1!r} exceeds log 2 within the floating guard; clamping",
@@ -199,7 +198,7 @@ def _rhs_at(bp: BinaryBroadcastParams, d1: float):
     corr = None if bp.n is None else rho * bounds_core.gamma_corr(bp.n, delta2)
 
     def rhs(q: float, hcp: float) -> tuple[float, float]:
-        a1 = hd1 + (h_b(conv(q, d1)) - h1 - hcp + hp) / rho
+        a1 = hd1 + (_hconv(q, d1) - h1 - hcp + hp) / rho
         if a1 < -_A1_FLOAT_GUARD:
             raise DomainError(f"A1={a1!r} fell below 0")
         if corr is None and a1 > NAT_LOG2 + _A1_FLOAT_GUARD:
@@ -249,10 +248,10 @@ def _seeded_min(fn):
     return best_v, best_q
 
 
-def _d2_at_q(q: float, s0: float, hcp: float, p: float) -> float:
+def _d2_at_q(q: float, s0: float, hcp: float, p: float, hq: float | None = None) -> float:
     """Smallest d2 in [0, p] whose slack at this q is nonnegative, given the
-    slack s0 at d2 = 0 (-inf where d1 is infeasible at q) and
-    hcp = h_b(conv(q, p)).
+    slack s0 at d2 = 0 (-inf where d1 is infeasible at q),
+    hcp = h_b(conv(q, p)) and hq = h_b(q), formed here when not given.
 
     Only the h_b(conv(q, d2)) term of the slack moves with d2, so the
     threshold solves h_b(conv(q, d2)) = h_b(q) - s0. p when even d2 = p
@@ -260,7 +259,7 @@ def _d2_at_q(q: float, s0: float, hcp: float, p: float) -> float:
     """
     if s0 >= 0.0:
         return 0.0
-    t = h_b(q) - s0
+    t = (h_b(q) if hq is None else hq) - s0
     if t >= hcp:
         return p
     return _mgl_inv(q, t, p)
@@ -274,44 +273,55 @@ _D2_BAND = 1e-12
 
 def _trace_point(bp: BinaryBroadcastParams, d1: float, clamped: list) -> RegionPoint:
     # every sweep below revisits the same q, and only h_b(conv(q, d2)) moves
-    # with d2: per q, keep the d2-free half of the slack at this d1 (-inf
-    # where A1 is out of range) and h_b(conv(q, p)); each A1 the guard
-    # clamps goes to clamped, once per q. bp's fields are read into locals
-    # once, as the sweeps would read them hundreds of times
+    # with d2: per q, keep one record (rhs, hcp, hq, s0) of the d2-free half
+    # of the slack at this d1 (-inf where A1 is out of range),
+    # hcp = h_b(conv(q, p)), hq = h_b(q) and the slack at d2 = 0; each A1 the
+    # guard clamps goes to clamped, once per q. bp's fields are read into
+    # locals once, as the sweeps would read them hundreds of times
     p, asymptotic = bp.p, bp.n is None
     rhs_at = _rhs_at(bp, d1)
     by_q = {}
 
-    def slack(d2, q):
-        got = by_q.get(q)
-        if got is None:
-            hcp = h_b(conv(q, p))
-            try:
-                rhs, a1 = rhs_at(q, hcp)
-            except DomainError:
-                rhs = float("-inf")
-            else:
-                if asymptotic and a1 > NAT_LOG2:
-                    clamped.append(a1)
-            got = by_q[q] = (rhs, hcp)
-        return got[0] - _rbar(got[1], q, d2)
+    def record(q):
+        hcp = _hconv(q, p)
+        try:
+            rhs, a1 = rhs_at(q, hcp)
+        except DomainError:
+            rhs = float("-inf")
+        else:
+            if asymptotic and a1 > NAT_LOG2:
+                clamped.append(a1)
+        # conv(q, 0) is q, so hq is _rbar's h_b(conv(q, 0)) and s0 the slack
+        # _rbar gives at d2 = 0
+        hq = _hconv(q, 0.0)
+        got = by_q[q] = (rhs, hcp, hq, rhs - (hcp - hq))
+        return got
+
+    def s0_at(q):
+        return (by_q.get(q) or record(q))[3]
 
     # the final sweep at hi repeats the band sweep that set hi, if one did
     by_d2 = {}
 
     def worst_slack(d2):
         if d2 not in by_d2:
-            by_d2[d2] = _seeded_min(partial(slack, d2))
+            def slack(q):
+                got = by_q.get(q) or record(q)
+                return got[0] - _rbar(got[1], q, d2)
+            by_d2[d2] = _seeded_min(slack)
         return by_d2[d2]
 
-    s0, q0 = worst_slack(0.0)
+    s0, q0 = _seeded_min(s0_at)
     if s0 == float("-inf"):
         return RegionPoint(d1=d1, d2_min=p, q_star=q0, slack=s0)
     if s0 >= 0.0:
         return RegionPoint(d1=d1, d2_min=0.0, q_star=q0, slack=s0)
-    # slack(0.0, q) is evaluated first, so by_q holds q's h_b(conv(q, p))
-    d2_star = -_seeded_min(
-        lambda q: -_d2_at_q(q, slack(0.0, q), by_q[q][1], p))[0]
+
+    def neg_d2_at(q):
+        _, hcp, hq, s0 = by_q.get(q) or record(q)
+        return -_d2_at_q(q, s0, hcp, p, hq)
+
+    d2_star = -_seeded_min(neg_d2_at)[0]
     lo, hi = 0.0, p
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -346,15 +356,24 @@ def region_trace(bp: BinaryBroadcastParams, d1_grid) -> list[RegionPoint]:
     repeats, and reuses, the band sweep that set d2_min when one did. On
     the benchmark's reference pool a binding point makes 4 or 5 distinct
     sweeps: d2 = 0, d2*, and two or three band sweeps, one of which
-    also serves d2_min. There it makes about 740 h_b, 650 conv and 170
-    h_b_inv calls.
+    also serves d2_min. There it evaluates h_b about 570 times, all but
+    three as h_b(conv(q, d)) in one call of binary_info._hconv, and makes
+    about 170 h_b_inv calls. Before the per-q record held h_b(q) and the
+    slack at d2 = 0 it made about 740 h_b (650 of them on a conv) and 650
+    conv calls. _hconv is not one of perfbench's traced names, so its
+    traced binary_info.h_b.calls and conv.calls fall to about 3 and 0 per
+    point; that fall is not work saved, and only the 170 fewer entropy
+    evaluations are.
 
-    Each point keeps, per q, the slack's right-hand side (A1, its h_b_inv
-    and the finite-n term, -inf where A1 is out of range) and
-    h_b(conv(q, p)). No d2 moves either, so each q the sweeps revisit costs
-    one conv and one h_b. h_b(delta1), h_b(d1), h_b(p) and the finite-n
-    term are computed once per point, by _rhs_at. These caches live for one
-    d1, and the slack is formed from them by _rhs_at and _rbar, as
+    Each point keeps one record per q: the slack's right-hand side (A1,
+    its h_b_inv and the finite-n term, -inf where A1 is out of range),
+    h_b(conv(q, p)), h_b(q) and the slack at d2 = 0. None of these moves
+    with d2, so a q that a sweep at d2 > 0 revisits costs one
+    h_b(conv(q, d2)), and one that the d2 = 0 or the d2* sweep revisits
+    costs none: the d2* sweep passes the record's slack and h_b(q) to
+    _d2_at_q. h_b(delta1), h_b(d1), h_b(p) and the finite-n term are
+    computed once per point, by _rhs_at. These caches live for one d1, and
+    the slack is formed from them by _rhs_at and _rbar, as
     outer_bound_slack forms it, so every point is bit-identical to
     evaluating it directly.
     """

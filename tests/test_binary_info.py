@@ -393,6 +393,33 @@ def test_conv_stays_between_arguments_and_half(a, b):
     assert max(a, b) - 1e-15 <= c <= 0.5 + 1e-15
 
 
+# both ends, 1/2 and the floats beside it, the smallest subnormal and
+# normal floats, and the floats beside 1 and 2^-53
+_UNIT_EDGES = [0.0, 1.0, 0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 5e-324,
+               sys.float_info.min, math.nextafter(1.0, 0.0), 2.0 ** -53,
+               math.nextafter(2.0 ** -53, 1.0)]
+_UNIT = st.sampled_from(_UNIT_EDGES) | st.floats(0.0, 1.0)
+
+
+def _same_float(a, b):
+    # bit for bit: == alone would let 0.0 stand for -0.0
+    return a.hex() == b.hex()
+
+
+@settings(max_examples=500)
+@given(_UNIT, _UNIT)
+def test_hconv_is_h_b_of_conv_bit_for_bit(a, b):
+    # _hconv inlines h_b(conv(a, b)) for the slack and the Gerber map; a
+    # change to either formula must reach it too
+    assert _same_float(bi._hconv(a, b), bi.h_b(bi.conv(a, b)))
+
+
+def test_hconv_is_h_b_of_conv_at_every_pair_of_edges():
+    for a in _UNIT_EDGES:
+        for b in _UNIT_EDGES:
+            assert _same_float(bi._hconv(a, b), bi.h_b(bi.conv(a, b))), (a, b)
+
+
 @given(st.floats(1e-4, 0.4999), st.floats(1e-4, 0.6921),
        st.floats(1e-4, 0.6921))
 def test_mgl_midpoint_convexity(d2, t1, t2):

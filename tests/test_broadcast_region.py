@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import warnings
@@ -318,6 +317,18 @@ def test_factored_steps_match_the_inline_formulas(p, rho, delta1, delta2, n, u1,
                 == _outcome(_inline_slack, d1, d2, q, bp))
 
 
+_HALF = (st.sampled_from([0.0, 0.5, math.nextafter(0.5, 0.0), 5e-324, 2.0 ** -53])
+         | st.floats(0.0, 0.5))
+
+
+@given(_HALF, st.sampled_from([0.0, 5e-324, bi._NEWTON_CUTOFF, NAT_LOG2, NAT_LOG2 + 1e-12])
+       | st.floats(0.0, NAT_LOG2 + 1e-12), _HALF, _HALF, st.floats(0.0, NAT_LOG2))
+def test_gerber_map_and_rate_need_keep_their_h_b_of_conv_forms(delta, t, q, d, hcp):
+    # both now take h_b(conv(., .)) in one call of binary_info._hconv
+    assert bi._mgl(delta, t).hex() == h_b(conv(delta, h_b_inv(t))).hex()
+    assert br._rbar(hcp, q, d).hex() == (hcp - h_b(conv(q, d))).hex()
+
+
 def test_a1_clamp_warning_points_at_the_caller():
     # A1 - log 2 is 4.4e-13 here: inside the 1e-12 guard, so the asymptotic
     # bound clamps A1 and warns instead of raising
@@ -512,27 +523,51 @@ def test_trace_point_evaluates_each_q_once(monkeypatch, args):
         return lambda q, hcp: seen.append(q) or rhs(q, hcp)
 
     monkeypatch.setattr(br, "_rhs_at", spy_rhs_at)
-    sweeps, real_min = [], br._seeded_min
+    # every call below is tagged with the sweep that made it, the index of
+    # its _seeded_min call (-1 before the first)
+    sweeps, calls, real_min = [], [], br._seeded_min
     monkeypatch.setattr(br, "_seeded_min", lambda fn: sweeps.append(fn) or real_min(fn))
-    convs, real_conv = [], br.conv
-    monkeypatch.setattr(br, "conv", lambda a, b: convs.append((a, b)) or real_conv(a, b))
+
+    def spy(name, real):
+        monkeypatch.setattr(br, name, lambda *a: calls.append((len(sweeps) - 1, name, a))
+                            or real(*a))
+
+    for name in ("_hconv", "h_b", "_rbar", "_d2_at_q"):
+        spy(name, getattr(br, name))
     (pt,) = br.region_trace(bp, [d1])
     assert len(seen) == len(set(seen)) > 0
-    # h_b(conv(q, p)) once per q, kept beside its rhs; a slack evaluated at
-    # d2 = p would call conv(q, p) a second time
-    assert sorted(a for a, b in convs if b == bp.p) == sorted(seen)
-    # a worst-slack sweep is a partial of the slack at its d2, and the d2*
-    # sweep is the one other kind
-    swept = [fn.args[0] for fn in sweeps if isinstance(fn, functools.partial)]
+    # per q, h_b(conv(q, p)) and h_b(q) = h_b(conv(q, 0)) once each, kept
+    # in its record; a slack evaluated at d2 = p would take h_b(conv(q, p))
+    # a second time. d1 lies strictly between 0 and p, so A1's
+    # h_b(conv(q, d1)) is neither
+    assert 0.0 < d1 < p
+    for b in (p, 0.0):
+        assert sorted(a[0] for _, name, a in calls if name == "_hconv" and a[1] == b) \
+            == sorted(seen)
+    # h_b itself only forms _rhs_at's per-point terms, before any sweep
+    assert [k for k, name, _ in calls if name == "h_b"] == [-1, -1, -1]
+    # a sweep at d2 > 0 takes each slack from _rbar at its d2; the d2 = 0
+    # sweep reads the slack from the records, and the d2* sweep passes the
+    # record's slack and h_b(q) to _d2_at_q, forming neither itself
+    rbar_d2 = [{a[2] for k, name, a in calls if name == "_rbar" and k == i}
+               for i in range(len(sweeps))]
+    d2_star_at = [[a for k, name, a in calls if name == "_d2_at_q" and k == i]
+                  for i in range(len(sweeps))]
+    assert rbar_d2[0] == set() and d2_star_at[0] == []
     # the d2 = 0 sweep alone decides an infeasible or unbinding point; a
-    # binding one adds at least the d2* sweep and one at d2_min
+    # binding one adds the d2* sweep and at least one at d2_min
     if pt.slack == float("-inf") or pt.d2_min == 0.0:
-        assert len(sweeps) == len(swept) == 1
-    else:
-        assert len(sweeps) - 1 == len(swept) >= 2
+        assert len(sweeps) == 1
+        return
+    assert rbar_d2[1] == set() and len(d2_star_at[1]) > 0
+    assert all(len(a) == 5 for a in d2_star_at[1])
+    assert len(sweeps) >= 3
+    assert all(len(d2s) == 1 for d2s in rbar_d2[2:])
+    assert all(d2_star_at[i] == [] for i in range(2, len(sweeps)))
+    swept = [0.0] + [d2 for d2s in rbar_d2[2:] for d2 in d2s]
     # no sweep at d2 = p, whose verdict is the d2 = 0 sweep's, and no d2 swept
     # twice: the final sweep at d2_min reuses the band sweep that set it
-    assert swept[0] == 0.0 and bp.p not in swept
+    assert bp.p not in swept and pt.d2_min in swept
     assert len(swept) == len(set(swept))
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import jsccbounds as jb
 from jsccbounds import DomainError
-from jsccbounds.binary_info import NAT_LOG2, _NEWTON_CUTOFF
+from jsccbounds.binary_info import NAT_LOG2, _NEWTON_CUTOFF, h_b
 
 _BP = dict(rho=1.2, p=0.5, delta1=0.08, delta2=0.05)
 _GP = dict(sigma2=1.0, aux_var=0.5, power=1.0, n1=0.5, n2=1.0, rho=1.0)
@@ -174,6 +174,42 @@ def test_finite_result_or_domain_error_at_the_kernel_edges(name, arg, value):
     fn, base = _TABLE[name]
     try:
         out = fn(**dict(base, **{arg: value}))
+    except DomainError:
+        return
+    assert _finite(out), out
+
+
+# n = 10^6 wherever n is not a brute-force size: every function with an n,
+# and the broadcast ones through their params, but the exhaustive and exact
+# oracles, which meet their work budget there (BudgetExceeded), and
+# expected_sphere_floor, which sums all n + 1 weights (about 7 s at 10^6)
+_N_BRUTE = {"encoder_from_index", "p2p_bruteforce", "sphere_bruteforce", "broadcast_frontier",
+            "binomial_gamma_exact", "coupling_distance_exact", "expected_sphere_floor"}
+_N_BIG = [name for name, (_, base) in _TABLE.items() if "n" in base and name not in _N_BRUTE] + [
+    "region_trace", "d1_feasibility_margin", "d2_floor", "d2_floor_slack"]
+# SystemParams checks n against m rho, so m moves with n
+_N_BIG_WITH = {"SystemParams": dict(m=500_000)}
+
+
+# rho at the d_asym = 0 edge, log 2 / (log 2 - h_b(delta)), and the float on
+# either side of it, where D* > 0 decides between a value and DomainError
+def _rho_edges(delta):
+    edge = NAT_LOG2 / (NAT_LOG2 - h_b(delta))
+    return [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
+
+
+_BIG_CASES = ([(name, "n", 10 ** 6) for name in _N_BIG]
+              + [(name, "rho", rho)
+                 for name in ("d_asym", "d_asym_deriv", "eta", "tau_star", "gap_lower_bound")
+                 for rho in _rho_edges(_TABLE[name][1]["delta"])])
+
+
+@pytest.mark.parametrize("name,arg,value", [
+    pytest.param(*case, id="%s-%s=%r" % case) for case in _BIG_CASES])
+def test_finite_result_or_domain_error_at_large_n_and_the_rho_edge(name, arg, value):
+    fn, base = _TABLE[name]
+    try:
+        out = fn(**dict(base, **{arg: value}, **_N_BIG_WITH.get(name, {})))
     except DomainError:
         return
     assert _finite(out), out

@@ -10,7 +10,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_layer_harness_prints_one_json_object_per_run():
-    cases = ["kernel/h_b_inv/0.2-log2", "driver/region_trace/binding"]
+    cases = ["kernel/h_b_inv/0.2-log2", "evaluator/worst_q_sweep", "driver/region_trace/binding"]
     cmd = [sys.executable, str(ROOT / "bench" / "layers.py"), "--repeats", "2", "--rounds", "2",
            "--parent", str(ROOT)]
     for case in cases:
