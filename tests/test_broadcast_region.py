@@ -324,7 +324,8 @@ _HALF = (st.sampled_from([0.0, 0.5, math.nextafter(0.5, 0.0), 5e-324, 2.0 ** -53
 @given(_HALF, st.sampled_from([0.0, 5e-324, bi._NEWTON_CUTOFF, NAT_LOG2, NAT_LOG2 + 1e-12])
        | st.floats(0.0, NAT_LOG2 + 1e-12), _HALF, _HALF, st.floats(0.0, NAT_LOG2))
 def test_gerber_map_and_rate_need_keep_their_h_b_of_conv_forms(delta, t, q, d, hcp):
-    # both now take h_b(conv(., .)) in one call of binary_info._hconv
+    # both take h_b(conv(., .)) in one call of binary_info._hconv, and must
+    # keep the floats of the two calls
     assert bi._mgl(delta, t).hex() == h_b(conv(delta, h_b_inv(t))).hex()
     assert br._rbar(hcp, q, d).hex() == (hcp - h_b(conv(q, d))).hex()
 
