@@ -21,6 +21,9 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+# cells of a scan's block (output words x tables), and _scan_cells's spare
+_BLOCK_CELLS = 1 << 16
+
 
 def _canonical_prefixes(n: int, L: int) -> np.ndarray:
     """Ascending ranks of the L-word prefixes (c_1, ..., c_L) that are
@@ -79,16 +82,21 @@ def _orbit_plan(n: int) -> tuple[np.ndarray, ...]:
     return plan
 
 
-def _orbit_costs(n, wtabs, cells):
+def _orbit_costs(n, wtabs):
     """The costs of oracles._encoder_costs at m = 2, one per table of
-    _orbit_plan(n), in blocks whose gathered rows take at most cells cells
-    (or one table's two rows). D_0 + D_1 = 2 (W[0] - W[c_3]), D_0 - D_1 =
-    2 (W[c_1] - W[c_2]), and |a| + |b| = max(|a + b|, |a - b|), so the cost is
+    _orbit_plan(n), in blocks whose gathered rows take at most _BLOCK_CELLS
+    cells (or one table's two rows). As D_0 +- D_1 = 2 (W[0] - W[c_3]) and
+    2 (W[c_1] - W[c_2]), and |a| + |b| = max(|a + b|, |a - b|), the cost is
         4 sum_y W[0, y]
           - sum_y max(|W[c_1, y] - W[c_2, y]|, |W[0, y] - W[c_3, y]|).
     Each max is at most max(w), so the sums stay within N max(w): int32
     when N max(w) < 2^31. The constant, which can pass 2^31 when the sums
-    do not, is subtracted in int64."""
+    do not, is subtracted in int64.
+
+    It holds (_orbit_cells) W[0], its distances, the 64-row XOR plan and
+    its arange; W; A's (pairs, N) rows and the two gathers that make them;
+    the block array; 7 C for the plan while its C ranks are built. A plan
+    an earlier call cached is not counted."""
     import numpy as np
 
     N = 1 << n
@@ -96,7 +104,7 @@ def _orbit_costs(n, wtabs, cells):
     ranks, pair_of, c3, c1s, c2s, xor = _orbit_plan(n)
     out = []
     # every block's rows of A and B are gathered into this one array
-    rows = min(max(1, cells // (2 * N)), len(ranks))
+    rows = min(max(1, _BLOCK_CELLS // (2 * N)), len(ranks))
     buf = np.empty((2, rows, N), dtype=dt)
     for w in wtabs:
         # W[c, y] = W[0, c ^ y], gathered len(xor) rows at a time: for c =
@@ -124,18 +132,24 @@ def _orbit_costs(n, wtabs, cells):
     return out + [ranks]
 
 
-def _triple_shape(m, n, cells):
+def _orbit_cells(n):
+    # the arrays that _orbit_costs lists
+    N, C = 1 << n, math.comb(n + 7, n)
+    return N * (N + 67 + 3 * math.comb(n + 3, n)) + max(_BLOCK_CELLS, 2 * N) + 6 * C
+
+
+def _triple_shape(m, n):
     """The scan of _triple_costs: C = C(n + 7, n) canonical triples, the N^T
     words of T = 2^m - 4 trailing slots, and triples per block, whose (N,
-    block, N^T) sums take at most cells cells, or one triple's if more."""
+    block, N^T) sums take at most _BLOCK_CELLS cells (or one triple's)."""
     N = 1 << n
     C, NT = math.comb(n + 7, n), N ** ((1 << m) - 4)
-    return C, NT, min(max(1, cells // (N * NT)), C)
+    return C, NT, min(max(1, _BLOCK_CELLS // (N * NT)), C)
 
 
-def _triple_costs(m, n, wtabs, cells):
+def _triple_costs(m, n, wtabs):
     """The costs of oracles._encoder_costs from m = 3 on, in the blocks of
-    _triple_shape(m, n, cells): canonical triples (c_1, c_2, c_3) times all
+    _triple_shape(m, n): canonical triples (c_1, c_2, c_3) times all
     trailing codewords in rank order, so D_j is a broadcast sum. One weight
     table at a time, its symmetric (N, N) table W is built once, and from it
     each D_j's trailing part as an (N, N^T) array; a block's lead part is
@@ -143,12 +157,19 @@ def _triple_costs(m, n, wtabs, cells):
     sums go into one array allocated once a call. As |D_j(y)| <= K max(w),
     each sum over y and the constant m K sum_y W[0, y], from which they are
     subtracted down to twice a cost, stay within m K N max(w): int32 when
-    that is < 2^31."""
+    that is < 2^31.
+
+    It holds (_triple_cells) (2 + weights) N for two aranges; the
+    distances, W and one more (N, N) array (their XOR, the next W, or a
+    signed W); the m (N, N^T) trailing sums of one weight table, and N^T
+    for the last slot's previous sums; a block's (N, block, N^T) sums and
+    two (block, N^T) ones; 11 N block for this and the last block's lead
+    columns and up to four sums of them; 7 C as the prefixes are built."""
     import numpy as np
 
     K, N = 1 << m, 1 << n
     dt = np.int32 if m * K * N * max(map(max, wtabs)) < 2 ** 31 else np.int64
-    C, NT, block = _triple_shape(m, n, cells)
+    C, NT, block = _triple_shape(m, n)
     leads = _canonical_prefixes(n, 3)
     ranks = (leads[:, None] * NT + np.arange(NT, dtype=np.int64)).reshape(-1)
     signs = [[-1 if (s >> (m - 1 - j)) & 1 else 1 for s in range(K)] for j in range(m)]
@@ -178,6 +199,14 @@ def _triple_costs(m, n, wtabs, cells):
     return out + [ranks]
 
 
+def _triple_cells(m, n, weights):
+    # the arrays that _triple_costs lists
+    N = 1 << n
+    C, NT, block = _triple_shape(m, n)
+    return ((2 + weights) * N + m * N * NT + 3 * N * N + NT
+            + (N + 2) * block * NT + 11 * N * block + 7 * C)
+
+
 def _type_costs(n, wtabs):
     """The m = 1 costs of oracles._encoder_costs, one list of Python ints per
     weight table, then the ranks of the tables (0, 2^w - 1), w = 0, ..., n,
@@ -195,3 +224,34 @@ def _type_cost(n, w, t):
     cw = [math.comb(w, j) for j in range(w + 1)]
     return sum(math.comb(n - w, i) * sum(c * min(t[i + j], t[i + w - j]) for j, c in enumerate(cw))
                for i in range(n - w + 1))
+
+
+def _table_cost(m, n, codewords, wtab) -> int:
+    """One given table's cost, summed directly over K x N distances, weights
+    and bit-group rows (K = 2^m) and 5 N-word arrays (_scan_cells)."""
+    import numpy as np
+
+    cw = np.asarray(codewords, dtype=np.int64)
+    dist = np.bitwise_count(cw[:, None] ^ np.arange(1 << n, dtype=np.int64))
+    G = np.array(wtab, dtype=np.int64)[dist]
+    S = G.sum(axis=0)
+    cost = 0
+    src = np.arange(1 << m)
+    for j in range(m):
+        A = G[src >> j & 1 == 1].sum(axis=0)
+        cost += int(np.minimum(A, S - A).sum())
+    return cost
+
+
+def _scan_cells(m, n, weights, given):
+    """The cells a scan under weights weight tables, or one given table's
+    cost, holds beside its costs and ranks, with _BLOCK_CELLS to spare."""
+    if m == 1:
+        cells = weights * (n + 1)  # the weight tables
+    elif given:
+        cells = (3 * (1 << m) + 5) * (1 << n)  # _table_cost's
+    elif m == 2:
+        cells = _orbit_cells(n)
+    else:
+        cells = _triple_cells(m, n, weights)
+    return cells + _BLOCK_CELLS

@@ -7,13 +7,13 @@ import math
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_min(fn, lo: float, hi: float, tol: float = 1e-10):
-    """Golden-section minimum of fn on [lo, hi]; returns (x, fn(x))."""
+def golden_min(fn, lo: float, hi: float):
+    """Golden-section minimum of fn on [lo, hi] to 1e-10; returns (x, fn(x))."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > tol:
+    while b - a > 1e-10:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)

@@ -216,7 +216,7 @@ def h_b_inv(t: float) -> float:
         # t / (1 - 2 log t) lies left of the root, and underflows to 0 only
         # where the root lies below the smallest float
         x = t / (1.0 - 2.0 * math.log(t))
-        return _newton(t, x, 200) if x > 0.0 else 0.0
+        return _newton(t, x) if x > 0.0 else 0.0
     # mids <= below lie left of the root, and [a, b] holds the mids in
     # doubt; the loop below meets them one by one, as the bisection would
     below, a, b = _proved_window(t)
@@ -295,8 +295,8 @@ def _start_low(t, log2):
                 -7.960091164310092e-08 + v * -5.080119779877501e-10)))))))
 
 
-def _newton(t: float, x: float, steps: int) -> float:
-    """x after at most steps Newton steps on h(x) = t from x in (0, 1/2). h
+def _newton(t: float, x: float) -> float:
+    """x after at most 200 Newton steps on h(x) = t from x in (0, 1/2). h
     is concave, so a step from the left climbs toward the root without
     passing it, and one from the right lands left of it. The steps keep to
     a bracket that starts as (0, 1/2) and shrinks to the root's side of each
@@ -304,7 +304,7 @@ def _newton(t: float, x: float, steps: int) -> float:
     so x stays where h' > 0. The loop stops early once a step no longer
     moves x."""
     lo, hi = 0.0, 0.5
-    for _ in range(steps):
+    for _ in range(200):
         # _h's arithmetic: below 1e-12 the root round-trips through h_b
         lx, l1x = math.log(x), math.log(1.0 - x)
         hp = l1x - lx

@@ -12,6 +12,7 @@ import math
 import sys
 import warnings
 from collections import namedtuple
+from itertools import takewhile
 
 from .binary_info import (
     NAT_LOG2,
@@ -99,9 +100,12 @@ def _d_star(rho: float, delta: float, why: str) -> float:
 
 
 def d_asym_deriv(rho: float, delta: float) -> float:
-    """Derivative of d_asym in delta: rho h_b'(delta)/h_b'(D); needs D > 0."""
-    D = _d_star(rho, delta, "d_asym_deriv needs d_asym(rho, delta) > 0")
-    return rho * h_b_prime(delta) / h_b_prime(D)
+    """Derivative of d_asym in delta: rho h_b'(delta)/h_b'(D); needs D > 0,
+    and h_b'(D) > 0, which a D within rounding of 1/2 lacks."""
+    slope = h_b_prime(_d_star(rho, delta, "d_asym_deriv needs d_asym(rho, delta) > 0"))
+    if slope == 0.0:
+        raise DomainError("d_asym_deriv needs h_b'(d_asym(rho, delta)) > 0, got 0.0")
+    return rho * h_b_prime(delta) / slope
 
 
 def f_factor(rho: float, delta: float) -> float:
@@ -234,27 +238,38 @@ def sphere_floor(params: SystemParams, k: int = 0) -> float:
     return sphere_floor_at_weight(params, w0 + _count("k", k, -w0, params.n - w0))
 
 
+# most weights expected_sphere_floor may sum, at about 8 us each
+_FLOOR_TERMS = 1 << 18
+
+
 def expected_sphere_floor(params: SystemParams) -> float:
     """Binomial(n, delta) average of the per-weight sphere floors.
 
     A valid lower bound on the expected distortion of every code, with no
     integrality requirement on n delta. The binomial weights are formed in
-    the log domain, so no term overflows at large n. The sum runs over all
-    n + 1 weights, so an n beyond the float range is a DomainError.
+    the log domain, and only those whose float is nonzero are summed, in
+    order of w: they are log-concave, so walking out from the mode to the
+    first 0.0 on each side skips only terms of 0.0. A weight k from n delta
+    is below exp(-2 k^2 / n) (Hoeffding), 0.0 once k^2 > 375 n, so an n with
+    1500 n > _FLOOR_TERMS^2 is a DomainError.
     """
     n, d = params.n, params.delta
-    if n > sys.float_info.max:
-        raise DomainError(
-            f"expected_sphere_floor sums n + 1 weights; n ~ 2^{n.bit_length()} "
-            "is beyond the float range")
+    if 1500 * n > _FLOOR_TERMS ** 2:
+        raise DomainError(f"expected_sphere_floor sums up to sqrt(1500 n) weights, over "
+                          f"{_FLOOR_TERMS} at n ~ 2^{n.bit_length()}")
     log_d, log_1md = math.log(d), math.log1p(-d)
     log_n_fact = math.lgamma(n + 1)
-    total = 0.0
-    for w in range(n + 1):
-        pw = math.exp(
+
+    def nonzero(ws):
+        # (w, weight) for each w in ws up to the first weight that is 0.0
+        return takewhile(lambda wp: wp[1] > 0.0, ((w, math.exp(
             log_n_fact - math.lgamma(w + 1) - math.lgamma(n - w + 1)
-            + w * log_d + (n - w) * log_1md
-        )
+            + w * log_d + (n - w) * log_1md)) for w in ws))
+
+    mode = min(int((n + 1) * d), n)
+    below = [*nonzero(range(mode - 1, -1, -1))][::-1]
+    total = 0.0
+    for w, pw in below + [*nonzero(range(mode, n + 1))]:
         total += pw * sphere_floor_at_weight(params, w)
     return total
 

@@ -242,16 +242,16 @@ def _seeded_min(fn):
         return best_v, best_q
     lo = _Q_SEEDS[i - 1] if i > 0 else 0.0
     hi = _Q_SEEDS[i + 1] if i + 1 < len(_Q_SEEDS) else 0.5
-    q_ref, v_ref = golden_min(fn, lo, hi, tol=1e-10)
+    q_ref, v_ref = golden_min(fn, lo, hi)
     if v_ref < best_v:
         return v_ref, q_ref
     return best_v, best_q
 
 
-def _d2_at_q(q: float, s0: float, hcp: float, p: float, hq: float | None = None) -> float:
+def _d2_at_q(q: float, s0: float, hcp: float, p: float, hq: float) -> float:
     """Smallest d2 in [0, p] whose slack at this q is nonnegative, given the
     slack s0 at d2 = 0 (-inf where d1 is infeasible at q),
-    hcp = h_b(conv(q, p)) and hq = h_b(q), formed here when not given.
+    hcp = h_b(conv(q, p)) and hq = h_b(q).
 
     Only the h_b(conv(q, d2)) term of the slack moves with d2, so the
     threshold solves h_b(conv(q, d2)) = h_b(q) - s0. p when even d2 = p
@@ -259,7 +259,7 @@ def _d2_at_q(q: float, s0: float, hcp: float, p: float, hq: float | None = None)
     """
     if s0 >= 0.0:
         return 0.0
-    t = (h_b(q) if hq is None else hq) - s0
+    t = hq - s0
     if t >= hcp:
         return p
     return _mgl_inv(q, t, p)
@@ -272,12 +272,10 @@ _D2_BAND = 1e-12
 
 
 def _trace_point(bp: BinaryBroadcastParams, d1: float, clamped: list) -> RegionPoint:
-    # every sweep below revisits the same q, and only h_b(conv(q, d2)) moves
-    # with d2: per q, keep one record (rhs, hcp, hq, s0) of the d2-free half
-    # of the slack at this d1 (-inf where A1 is out of range),
-    # hcp = h_b(conv(q, p)), hq = h_b(q) and the slack at d2 = 0; each A1 the
-    # guard clamps goes to clamped, once per q. bp's fields are read into
-    # locals once, as the sweeps would read them hundreds of times
+    # per q, one record (rhs, hcp, hq, s0) of the slack's d2-free half at
+    # this d1: rhs (-inf where A1 is out of range), hcp = h_b(conv(q, p)),
+    # hq = h_b(q), the slack at d2 = 0; A1s the guard clamps go to clamped,
+    # once per q. bp's fields are read once, for the sweeps' hundreds of reads
     p, asymptotic = bp.p, bp.n is None
     rhs_at = _rhs_at(bp, d1)
     by_q = {}
@@ -353,29 +351,13 @@ def region_trace(bp: BinaryBroadcastParams, d1_grid) -> list[RegionPoint]:
     [0, p] stopped at width 1e-12, each mid decided against d2* or, within
     1e-12 of it, by the sign of a further sweep, since d2* is only good to
     h_b_inv's tolerance. q_star and slack come from a sweep at d2_min, which
-    repeats, and reuses, the band sweep that set d2_min when one did. On
-    the benchmark's reference pool a binding point makes 4 or 5 distinct
-    sweeps: d2 = 0, d2*, and two or three band sweeps, one of which
-    also serves d2_min. There it evaluates h_b about 570 times, all but
-    three as h_b(conv(q, d)) in one call of binary_info._hconv, and makes
-    about 170 h_b_inv calls. Before the per-q record held h_b(q) and the
-    slack at d2 = 0 it made about 740 h_b (650 of them on a conv) and 650
-    conv calls. _hconv is not one of perfbench's traced names, so its
-    traced binary_info.h_b.calls and conv.calls fall to about 3 and 0 per
-    point; that fall is not work saved, and only the 170 fewer entropy
-    evaluations are.
+    repeats, and reuses, the band sweep that set d2_min when one did.
 
-    Each point keeps one record per q: the slack's right-hand side (A1,
-    its h_b_inv and the finite-n term, -inf where A1 is out of range),
-    h_b(conv(q, p)), h_b(q) and the slack at d2 = 0. None of these moves
-    with d2, so a q that a sweep at d2 > 0 revisits costs one
-    h_b(conv(q, d2)), and one that the d2 = 0 or the d2* sweep revisits
-    costs none: the d2* sweep passes the record's slack and h_b(q) to
-    _d2_at_q. h_b(delta1), h_b(d1), h_b(p) and the finite-n term are
-    computed once per point, by _rhs_at. These caches live for one d1, and
-    the slack is formed from them by _rhs_at and _rbar, as
-    outer_bound_slack forms it, so every point is bit-identical to
-    evaluating it directly.
+    _trace_point keeps one record per q of the slack's parts that do not
+    move with d2, so a q that a sweep revisits costs at most one
+    h_b(conv(q, d2)). These caches live for one d1, and the slack is formed
+    from them by _rhs_at and _rbar, as outer_bound_slack forms it, so
+    every point is bit-identical to evaluating it directly.
     """
     pts = []
     for d1 in d1_grid:

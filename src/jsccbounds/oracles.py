@@ -14,11 +14,11 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from ._orbits import _orbit_costs, _triple_costs, _triple_shape, _type_cost, _type_costs
+from ._orbits import _orbit_costs, _scan_cells, _table_cost, _triple_costs, _type_cost, _type_costs
 from ._scalar_opt import Lcg64
 from .binary_info import (DEFAULT_BUDGET, NAT_LOG2, BudgetExceeded, DomainError, _clamp, _conv,
-                          _count, _end, _g, _h, _hinv_np, _hp, _kappa, _mgl_inv, _nu, _phi,
-                          _Phi, _real, conv, h_b)
+                          _count, _end, _g, _h, _hconv, _hinv_np, _hp, _kappa, _mgl_inv, _nu,
+                          _phi, _Phi, _real, conv, h_b)
 
 
 # ---------- result containers ----------
@@ -88,10 +88,6 @@ def _as_fraction(name, x) -> Fraction:
     return _real(name, Fraction(x), 0, 0.5, "()")
 
 
-# cap on the cells of one block of _encoder_costs (output words x tables)
-_BLOCK_CELLS = 1 << 16
-
-
 def _encoder_costs(m, n, wtabs):
     """Integer decoding cost of encoder tables, one array per weight table,
     followed by the ascending int64 array of the tables' ranks; at m = 1,
@@ -122,8 +118,8 @@ def _encoder_costs(m, n, wtabs):
     if m == 1:
         return _type_costs(n, wtabs)
     if m == 2:
-        return _orbit_costs(n, wtabs, _BLOCK_CELLS)
-    return _triple_costs(m, n, wtabs, _BLOCK_CELLS)
+        return _orbit_costs(n, wtabs)
+    return _triple_costs(m, n, wtabs)
 
 
 _HOLDS = "search would hold %s bytes of arrays, cap is %d"
@@ -151,36 +147,15 @@ def _admit(m, n, budget, weights=1, held=0, table=None, base=1):
     BudgetExceeded, before any array or weight is made, when the bound passes
     _ARRAY_BYTES or the work passes budget. table is a given table's
     codewords, None for a search. At m = 1 the work (_charge) is a search's
-    weights C(n + 3, 3) _orbits._type_cost terms, or a given table's
-    (n - w + 1)(w + 1), w = popcount(c_0 ^ c_1), each of
-    n (bit_length(base) + 1) bits.
-
-    From m = 2 on the work is S N = C 2^e pairs (N = 2^n output words): C =
-    C(n + 7, n) canonical prefixes of 3 free codewords, each with the N^T
-    words of the T = 2^m - 4 later slots, e = n (T + 1), holding 8 N^(T + 1)
-    bytes or more; a given table has C = S = 1, e = n. Weights up to
-    base^n must not overflow _encoder_costs's int64 sums, m 2^m N base^n <
-    2^62 (p2p_bruteforce passes base = b - a for its largest weight (b - a)^n;
-    the sphere weights are 0 or 1). No refusal forms 2^m, 2^e or base^n.
-
-    The bound counts 8 bytes a cell, and _BLOCK_CELLS cells for small
-    arrays and Python objects, for weights weight tables and held S-long
-    arrays the caller makes beside the costs and ranks:
-    - m = 1: each weight table's n + 1 weights;
-    - a given table from m = 2 on: _table_cost's K x N distances, weights
-      and bit-group rows (K = 2^m), and 5 N-word arrays;
-    - m = 2: W[0], its distances, the 64-row XOR plan and its arange; W;
-      A's (pairs, N) rows and the two gathers that make them; the block
-      array; 7 S for the plan while the prefixes are built; the costs;
-    - m >= 3 (_orbits._triple_costs): (2 + weights) N for two aranges;
-      3 N^2 for the distances, W and one more (N, N) array (their XOR, the
-      next table's W, or a signed W); m N N^T for the m (N, N^T) trailing
-      sums of the one weight table in hand; N^T for the last slot's previous
-      sums; (N + 2) block N^T for a block's (N, block, N^T) sums and two
-      (block, N^T) ones; 11 N block for this and the last block's three lead
-      columns and up to four sums of them; 7 C for the prefixes as they are
-      built; ranks and costs. The m = 2 plans (_orbits._orbit_plan) that
-      earlier calls cached are not counted.
+    weights C(n + 3, 3) _orbits._type_cost terms, or a given table's (n - w
+    + 1)(w + 1), w = popcount(c_0 ^ c_1), each of n (bit_length(base) + 1)
+    bits. From m = 2 on it is the S N = C 2^e, e = n (2^m - 3), (encoder,
+    output) pairs of _encoder_costs's scan; C = S = 1, e = n for a given
+    table. Weights up to base^n (base = b - a in p2p_bruteforce, 1 on a
+    sphere) must not overflow its int64 sums: m 2^m N base^n < 2^62. No
+    refusal forms 2^m, 2^e or base^n. The bound is 8 bytes a cell: the
+    kernel's _orbits._scan_cells, the ranks, each weight table's costs and
+    held S-long arrays.
     """
     if m == 1:
         if table is None:
@@ -188,7 +163,6 @@ def _admit(m, n, budget, weights=1, held=0, table=None, base=1):
         else:
             w = (int(table[0]) ^ int(table[1])).bit_count()
             tables, terms = 1, (n - w + 1) * (w + 1)
-        cells = weights * (n + 1)
         bits = n * (base.bit_length() + 1)
         _charge(budget, terms * bits, "search needs %s orbit terms x %s bits", terms, bits)
     else:
@@ -202,38 +176,13 @@ def _admit(m, n, budget, weights=1, held=0, table=None, base=1):
                                  % (_end(C), shown, budget))
         if e is None or e + 3 >= _ARRAY_BYTES.bit_length():
             raise BudgetExceeded(_HOLDS % ("at least 8 x 2^" + shown, _ARRAY_BYTES))
-        K, N, NT = 1 << m, 1 << n, 1 << (e - n)
-        if table is not None:
-            cells = 3 * K * N + 5 * N
-        elif m == 2:
-            cells = N * (N + 67 + 3 * math.comb(n + 3, n)) + max(_BLOCK_CELLS, 2 * N) + 6 * C
-        else:
-            block = _triple_shape(m, n, _BLOCK_CELLS)[2]
-            cells = ((2 + weights) * N + m * N * NT + 3 * N * N + NT
-                     + (N + 2) * block * NT + 11 * N * block + 7 * C)
         tables = C << (e - n)
-    cells += (1 + weights + held) * tables
-    size = 8 * (cells + _BLOCK_CELLS)
+    size = 8 * (_scan_cells(m, n, weights, table is not None) + (1 + weights + held) * tables)
     if size > _ARRAY_BYTES:
         raise BudgetExceeded(_HOLDS % (size, _ARRAY_BYTES))
     if m > 1 and (m + n * base.bit_length() >= 62 or (m << m + n) * base ** n >= 1 << 62):
         raise BudgetExceeded("integer costs would overflow int64 accumulators")
     return tables, size
-
-
-def _table_cost(m, n, codewords, wtab) -> int:
-    import numpy as np
-
-    cw = np.asarray(codewords, dtype=np.int64)
-    dist = np.bitwise_count(cw[:, None] ^ np.arange(1 << n, dtype=np.int64))
-    G = np.array(wtab, dtype=np.int64)[dist]
-    S = G.sum(axis=0)
-    cost = 0
-    src = np.arange(1 << m)
-    for j in range(m):
-        A = G[src >> j & 1 == 1].sum(axis=0)
-        cost += int(np.minimum(A, S - A).sum())
-    return cost
 
 
 def encoder_from_index(m: int, n: int, index: int) -> EncoderTable:
@@ -405,7 +354,8 @@ def binomial_gamma_approx(n, delta, k) -> float:
         if math.isfinite(value):
             return value
     fd = Fraction(d)
-    exact = Fraction(1, 2) + Fraction(lead) / 4 * (
+    flead = Fraction(lead) if lead < math.inf else (1 - 2 * fd) / (fd * (1 - fd))
+    exact = Fraction(1, 2) + flead / 4 * (
         Fraction(k * k, 3 * n) / (fd * (1 - fd)) - 1) * Fraction(k, n)
     try:
         return float(exact)
@@ -498,10 +448,14 @@ def _info_uv(p, q, u01, u10):
     p01 = (1 - p) * (1 - q) * u01 + p * q * (1 - u10)
     p10 = (1 - p) * q * (1 - u01) + p * (1 - q) * u10
     p11 = (1 - p) * q * u01 + p * (1 - q) * (1 - u10)
-    hu = h_b(conv(p, q))
+    hu = _hconv(p, q)
     hv = -_xlogx(p01 + p11) - _xlogx(p00 + p10)
     hj = -_xlogx(p00) - _xlogx(p01) - _xlogx(p10) - _xlogx(p11)
     return hu + hv - hj
+
+
+# most points on an rbar_grid axis; its arrays take 62 B a cell of the grid
+_RBAR_STEPS_MAX = 4001
 
 
 def rbar_grid(p, q, d, steps=2001):
@@ -513,7 +467,7 @@ def rbar_grid(p, q, d, steps=2001):
     p = _real("p", float(p), 0.0, 0.5, "(]")
     q = _real("q", float(q), 0.0, 0.5)
     d = _real("d", float(d), 0.0, p)
-    ax = np.linspace(0.0, 1.0, _count("steps", steps))
+    ax = np.linspace(0.0, 1.0, _count("steps", steps, 1, _RBAR_STEPS_MAX))
     # a row or column whose own distortion term exceeds d holds no feasible cell
     rows = ax[(1.0 - p) * ax <= d + 1e-15][:, None]
     cols = ax[p * ax <= d + 1e-15][None, :]
@@ -551,11 +505,11 @@ def converse_search_gq(delta1, delta2, t, trials=10000, seed=0, budget=DEFAULT_B
     slop = 1e-12
 
     def score(p, x):
-        i1 = sum(pw * h_b(conv(xw, d1)) for pw, xw in zip(p, x)) - h1
+        i1 = sum(pw * _hconv(xw, d1) for pw, xw in zip(p, x)) - h1
         if i1 < t - slop:
             return None
         xbar = sum(pw * xw for pw, xw in zip(p, x))
-        return h_b(conv(xbar, c)) - sum(pw * h_b(conv(xw, c)) for pw, xw in zip(p, x))
+        return _hconv(xbar, c) - sum(pw * _hconv(xw, c) for pw, xw in zip(p, x))
 
     best = -math.inf
     best_cand = None

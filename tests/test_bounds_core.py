@@ -170,11 +170,43 @@ def test_sphere_floor_at_weight_beyond_the_float_range():
         bc.SystemParams(n=-10**5000, rho=1.2, delta=0.25)
 
 
-def test_expected_sphere_floor_beyond_the_float_range():
-    # its sum runs over n + 1 weights, which cannot finish past the float range
-    for n in (int(sys.float_info.max) + 1, 10**400):
-        with pytest.raises(bc.DomainError, match="beyond the float range"):
-            bc.expected_sphere_floor(bc.SystemParams(n=n, rho=1.2, delta=0.25))
+def test_expected_sphere_floor_beyond_the_float_range(time_cap):
+    # up to sqrt(1500 n) weights can be nonzero, too many to sum past the cap
+    with time_cap(1):
+        for n in (45812985, 10**21, int(sys.float_info.max) + 1, 10**400):
+            with pytest.raises(bc.DomainError, match=r"^expected_sphere_floor sums up to "
+                               r"sqrt\(1500 n\) weights, over 262144 at n ~ 2\^%d$"
+                               % n.bit_length()):
+                bc.expected_sphere_floor(bc.SystemParams(n=n, rho=1.2, delta=0.25))
+    # the largest n admitted, whose nonzero weights here are w = 0 and 1
+    assert 0.4 < bc.expected_sphere_floor(bc.SystemParams(n=45812984, rho=0.01, delta=1e-300))
+
+
+def _every_weight_sphere_floor(params):
+    """expected_sphere_floor's sum over all n + 1 weights, zeros included."""
+    n, d = params.n, params.delta
+    log_n_fact, total = math.lgamma(n + 1), 0.0
+    for w in range(n + 1):
+        pw = math.exp(log_n_fact - math.lgamma(w + 1) - math.lgamma(n - w + 1)
+                      + w * math.log(d) + (n - w) * math.log1p(-d))
+        total += pw * bc.sphere_floor_at_weight(params, w)
+    return total
+
+
+@given(st.integers(1030, 1400), st.floats(1.1, 2.0), st.floats(0.05, 0.3))
+def test_expected_sphere_floor_skips_only_zero_weights(n, rho, delta):
+    # the perfbench probe's range; the skipped weights are exactly 0.0
+    params = bc.SystemParams(n=n, rho=rho, delta=delta)
+    assert bc.expected_sphere_floor(params) == _every_weight_sphere_floor(params)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 100, 5000])
+@pytest.mark.parametrize("delta", [5e-324, 1e-300, 0.1, 0.25, 0.5 - 2**-54])
+def test_expected_sphere_floor_is_the_every_weight_sum(n, delta):
+    # acceptance #2's (m, n, delta) among them, and the deltas at the edges
+    for rho in (n / 2, 1.7):
+        params = bc.SystemParams(n=n, rho=rho, delta=delta)
+        assert bc.expected_sphere_floor(params) == _every_weight_sphere_floor(params)
 
 
 def test_gap_lower_bound_report():

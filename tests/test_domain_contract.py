@@ -13,7 +13,7 @@ import pytest
 
 import jsccbounds as jb
 from jsccbounds import DomainError
-from jsccbounds.binary_info import NAT_LOG2, _NEWTON_CUTOFF, h_b
+from jsccbounds.binary_info import NAT_LOG2, _NEWTON_CUTOFF, _end, h_b
 
 _BP = dict(rho=1.2, p=0.5, delta1=0.08, delta2=0.05)
 _GP = dict(sigma2=1.0, aux_var=0.5, power=1.0, n1=0.5, n2=1.0, rho=1.0)
@@ -182,10 +182,9 @@ def test_finite_result_or_domain_error_at_the_kernel_edges(name, arg, value):
 
 # n = 10^6 wherever n is not a brute-force size: every function with an n,
 # and the broadcast ones through their params, but the exhaustive and exact
-# oracles, which meet their work budget there (BudgetExceeded), and
-# expected_sphere_floor, which sums all n + 1 weights (about 7 s at 10^6)
+# oracles, which meet their work budget there (BudgetExceeded)
 _N_BRUTE = {"encoder_from_index", "p2p_bruteforce", "sphere_bruteforce", "broadcast_frontier",
-            "binomial_gamma_exact", "coupling_distance_exact", "expected_sphere_floor"}
+            "binomial_gamma_exact", "coupling_distance_exact"}
 _N_BIG = [name for name, (_, base) in _TABLE.items() if "n" in base and name not in _N_BRUTE] + [
     "region_trace", "d1_feasibility_margin", "d2_floor", "d2_floor_slack"]
 # SystemParams checks n against m rho, so m moves with n
@@ -213,6 +212,36 @@ def test_finite_result_or_domain_error_at_large_n_and_the_rho_edge(name, arg, va
         out = fn(**dict(base, **{arg: value}, **_N_BIG_WITH.get(name, {})))
     except DomainError:
         return
+    assert _finite(out), out
+
+
+# the option sweeps' extreme values (tests/test_cli.py) in library form, one
+# argument at a time: each real at each float, and each count or budget at
+# each integer; the exact oracles may also refuse by their work budget or
+# array cap (BudgetExceeded), and so may converse_search_gq by its budget
+_REAL_EXTREMES = [5e-324, 1e-300, 0.5 - 2.0 ** -54, 0.0, -1.0, 1.0, 0.5, 1e21]
+_COUNT_EXTREMES = [0, -1, 1, 10**21, 10**400]
+_BUDGETED = _N_BRUTE | {"converse_search_gq"}
+_SWEEP = [(name, arg, value) for name, (_, base) in _TABLE.items() for arg in base
+          for value in (_COUNT_EXTREMES if arg in _COUNTS | {"budget"} else _REAL_EXTREMES)]
+
+
+@pytest.mark.filterwarnings("ignore:.*validity range:UserWarning")
+@pytest.mark.parametrize("name,arg,value", [
+    pytest.param(name, arg, value, id="%s-%s=%s" % (
+        name, arg, _end(value) if isinstance(value, int) else repr(value)))
+    for name, arg, value in _SWEEP])
+def test_finite_result_or_domain_error_at_the_sweep_extremes(name, arg, value, time_cap):
+    fn, base = _TABLE[name]
+    refusals = (DomainError, jb.BudgetExceeded) if name in _BUDGETED else DomainError
+    with time_cap(10.0):
+        try:
+            out = fn(**dict(base, **{arg: value}))
+        except refusals:
+            return
+    if name == "region_trace":
+        # slack -inf is a RegionPoint's mark of an infeasible d1, with d2_min = p
+        out = [pt[:3] if pt.slack == -math.inf else pt for pt in out]
     assert _finite(out), out
 
 

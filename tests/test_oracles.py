@@ -269,7 +269,7 @@ def test_memory_bound_holds_and_admission_decides(monkeypatch, time_cap):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= sizes[-1] <= 4 * peak + 8 * orc._BLOCK_CELLS, (search.__name__, args)
+        assert peak <= sizes[-1] <= 4 * peak + 8 * _orbits._BLOCK_CELLS, (search.__name__, args)
     monkeypatch.undo()
     # 0/1 weights pass the int64 guard, and m = 1 holds no 2^40-word array
     assert orc.sphere_bruteforce(1, 40, 1, budget=10**21).value == 0
@@ -774,7 +774,7 @@ def test_encoder_costs_block_layout(monkeypatch, cells):
     want = orc._encoder_costs(2, 3, wtabs)
     assert len(want[-1]) == math.comb(10, 3) == 120
     shapes, real_empty = [], np.empty
-    monkeypatch.setattr(orc, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(_orbits, "_BLOCK_CELLS", cells)
     monkeypatch.setattr(np, "empty", lambda shape, **k: shapes.append(shape)
                         or real_empty(shape, **k))
     got = orc._encoder_costs(2, 3, wtabs)
@@ -793,7 +793,7 @@ def test_encoder_costs_block_layout_at_other_slot_counts(monkeypatch, m, n, cell
     wtabs = [list(range(1, n + 2)), [2**40] + [7] * n]
     want = orc._encoder_costs(m, n, wtabs)
     sizes, real_empty = [], np.empty
-    monkeypatch.setattr(orc, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(_orbits, "_BLOCK_CELLS", cells)
     monkeypatch.setattr(np, "empty", lambda shape, **k: sizes.append(shape)
                         or real_empty(shape, **k))
     got = orc._encoder_costs(m, n, wtabs)
@@ -1119,6 +1119,16 @@ def test_rbar_grid_close_to_closed_form():
     for p, q, d in ((0.3, 0.1, 0.1), (0.5, 0.2, 0.2), (0.4, 0.05, 0.15)):
         grid = orc.rbar_grid(p, q, d)
         assert abs(grid - rbar_binary(p, q, d)) < 1e-4
+
+
+def test_rbar_grid_refuses_steps_past_its_cap(time_cap):
+    # before any array: numpy refused 10^21 with a bare ValueError, and 2^40
+    # points an axis would have asked for 8 TiB
+    with time_cap(1):
+        for steps in (4002, 2**40, 10**21):
+            with pytest.raises(orc.DomainError,
+                               match=r"^steps must be an integer in \[1, 4001\], got %d$" % steps):
+                orc.rbar_grid(0.5, 0.1, 0.2, steps=steps)
 
 
 def test_gq_search_deterministic():
