@@ -1,10 +1,10 @@
 """The domain contract of the public API: every function and params class
 exported from jsccbounds returns a finite value or raises DomainError, for
 NaN and +-inf in any real or count argument and a non-integer count, at the
-kernel's edges, at n = 10^6 and at the rho where d_asym reaches 0, and a
-count given as an integral float means the same as the int. The ten result
-records keep their reprs, fields and defaults, are immutable, and compare
-and hash by value."""
+kernel's edges, at n = 10^6, at the rho where d_asym reaches 0 and at the
+option sweeps' extreme values, and a count given as an integral float means
+the same as the int. The ten result records keep their reprs, fields and
+defaults, are immutable, and compare and hash by value."""
 
 import math
 from fractions import Fraction
