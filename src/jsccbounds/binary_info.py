@@ -33,18 +33,42 @@ class BudgetExceeded(RuntimeError):
 # Every argument check of the package goes through _real or _count, so the
 # NaN and +-inf policy lives here: a comparison with NaN is False, and the
 # -inf < x < inf test catches the infinities an unbounded end lets through.
+# Float arithmetic sees an int or a Fraction through its float, so _real
+# checks that float too: it must exist (_float_of) and lie in the interval,
+# which 1/2 - 10**-400 does not for [0, 1/2) once it rounds to 1/2. The
+# exact oracles take a rational as it is, and _as_fraction checks it
+# exactly instead.
 # The scalar kernel leaves h_b, h_b_inv and conv keep inline comparisons: a
 # checker call adds about 300 ns to h_b's ~450 ns (timeit, CPython 3.11 on
 # an Intel Xeon). The slack's h_b(conv(., .)), about 570 a binding region
 # point, goes through _hconv, which checks nothing.
 
 
-def _real(name, x, lo=-math.inf, hi=math.inf, ends="[]"):
-    """x, when it is finite and lies between lo and hi; the interval is open
-    at an end whose bracket in ends is a parenthesis. Else DomainError."""
-    if ((lo < x if ends[0] == "(" else lo <= x)
+_FLOAT_MAX = sys.float_info.max
+
+
+def _within(x, lo, hi, ends) -> bool:
+    return ((lo < x if ends[0] == "(" else lo <= x)
             and (x < hi if ends[1] == ")" else x <= hi)
-            and -math.inf < x < math.inf):
+            and -math.inf < x < math.inf)
+
+
+def _float_of(x) -> float:
+    """float(x) for an int or a Fraction, or NaN where it has no float: past
+    the float range (10**400), or nonzero with a float of 0 (1/10**400)."""
+    if -_FLOAT_MAX <= x <= _FLOAT_MAX:
+        f = float(x)
+        if f or not x:
+            return f
+    return math.nan
+
+
+def _real(name, x, lo=-math.inf, hi=math.inf, ends="[]"):
+    """x, when it is finite and lies between lo and hi, and so does its
+    float if it is an int or a Fraction; the interval is open at an end
+    whose bracket in ends is a parenthesis. Else DomainError."""
+    if _within(x, lo, hi, ends) and (isinstance(x, float)
+                                     or _within(_float_of(x), lo, hi, ends)):
         return x
     raise DomainError(_outside(name, x, lo, hi, ends, False))
 
@@ -73,7 +97,18 @@ def _outside(name, x, lo, hi, ends, integer) -> str:
             "an integer " if integer else "",
             "(" if lo == -math.inf else ends[0], _end(lo),
             _end(hi), ")" if hi == math.inf else ends[1])
-    return "%s must be %s, got %s" % (name, must, _end(x) if isinstance(x, int) else repr(x))
+    return "%s must be %s, got %s" % (name, must, _repr(x))
+
+
+def _repr(x) -> str:
+    """repr of x, but an int, and a Fraction past the int-to-str digit limit,
+    by _end: a Fraction of 5000-digit integers reads Fraction(~2^16610, 3)."""
+    if isinstance(x, int):
+        return _end(x)
+    try:
+        return repr(x)
+    except ValueError:
+        return "Fraction(%s, %s)" % (_end(x.numerator), _end(x.denominator))
 
 
 def _end(b) -> str:
@@ -132,10 +167,13 @@ def _nu(q, t):
 def h_b(x: float) -> float:
     """Binary entropy in nats, with 0 log 0 = 0."""
     if not 0.0 <= x <= 1.0:
-        raise DomainError(f"h_b needs x in [0, 1], got {x!r}")
+        raise DomainError(f"h_b needs x in [0, 1], got {_repr(x)}")
     if x == 0.0 or x == 1.0:
         return 0.0
-    return _h(x, math.log)
+    try:
+        return _h(x, math.log)
+    except ValueError:  # a Fraction is taken as its float, here 0 or 1
+        return 0.0
 
 
 # h_b_inv's answers are defined by a bisection: 46 halvings of [0, 1/2]
@@ -209,13 +247,14 @@ def h_b_inv(t: float) -> float:
     if t <= 0.0:
         return 0.0
     if not t <= NAT_LOG2 + 1e-12:
-        raise DomainError(f"h_b_inv needs t <= log 2, got {t!r}")
+        raise DomainError(f"h_b_inv needs t <= log 2, got {_repr(t)}")
     if t >= NAT_LOG2:
         return 0.5
     if t <= _NEWTON_CUTOFF:
         # t / (1 - 2 log t) lies left of the root, and underflows to 0 only
-        # where the root lies below the smallest float
-        x = t / (1.0 - 2.0 * math.log(t))
+        # where the root lies below the smallest float, as it does for a
+        # Fraction whose float is 0
+        x = t / (1.0 - 2.0 * math.log(t)) if float(t) else 0.0
         return _newton(t, x) if x > 0.0 else 0.0
     # mids <= below lie left of the root, and [a, b] holds the mids in
     # doubt; the loop below meets them one by one, as the bisection would
@@ -408,7 +447,7 @@ def _start_np(t):
 def conv(a: float, b: float) -> float:
     """Binary convolution a(1-b) + b(1-a)."""
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-        raise DomainError(f"conv needs arguments in [0, 1], got {a!r}, {b!r}")
+        raise DomainError(f"conv needs arguments in [0, 1], got {_repr(a)}, {_repr(b)}")
     return _conv(a, b)
 
 
@@ -496,8 +535,8 @@ def nu(q: float, t: float) -> float:
 
 
 def psi(t: float) -> float:
-    # kappa checks t
-    return (1.0 - 2.0 * t) * kappa(t) / g(t)
+    # kappa checks t, before 1 - 2t is formed
+    return kappa(t) * (1.0 - 2.0 * t) / g(t)
 
 
 def vartheta(t: float) -> float:

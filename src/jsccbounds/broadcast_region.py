@@ -361,7 +361,7 @@ def region_trace(bp: BinaryBroadcastParams, d1_grid) -> list[RegionPoint]:
     """
     pts = []
     for d1 in d1_grid:
-        d1 = _real("d1", float(d1), 0.0, bp.p, "(]")
+        d1 = float(_real("d1", d1, 0.0, bp.p, "(]"))
         clamped = []
         pts.append(_trace_point(bp, d1, clamped))
         if clamped:

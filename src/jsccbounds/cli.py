@@ -363,126 +363,73 @@ def _run_gq_search(args):
 
 # ---------- parser wiring ----------
 
-# the leaves of the two command groups; eval and verify are leaves of their own
-_LEAVES = {"bound": ("lower", "psi", "sum", "gap", "region", "gaussian", "erasure"),
-           "oracle": ("p2p", "spherical", "frontier", "binomial", "coupling", "gq-search")}
+# every command, in the order --help lists them: eval and verify are leaves,
+# bound and oracle groups of leaves, and a leaf is its handler and options.
+# An option is (flag, type) when it is required, (flag, type, default) when
+# it is not, and (flag,) for a switch; a list in place of the type gives a
+# required option's choices. argparse derives each dest from the flag.
+_COMMANDS = {
+    "eval": (_run_eval, ("--fn", list(_CATALOG)), ("--x", float), ("--q", float, None),
+             ("--delta", float, None)),
+    "bound": {
+        "lower": (_run_lower, ("--n", int), ("--rho", float), ("--delta", float)),
+        "psi": (_run_psi, ("--n", int), ("--m", int), ("--delta", float), ("--k", int)),
+        "sum": (_run_sum, ("--n", int), ("--rho", float), ("--delta", float), ("--a", float),
+                ("--tau", _tau_auto, "auto")),
+        "gap": (_run_gap, ("--rho", float), ("--delta1", float), ("--delta2", float),
+                ("--d1", float), ("--d2", float), ("--tau", float), ("--n", int, None)),
+        "region": (_run_region, ("--rho", float), ("--delta1", float), ("--delta2", float),
+                   ("--p", float, 0.5), ("--n", int, None), ("--d1-min", float),
+                   ("--d1-max", float), ("--d1-step", float), ("--plot-data",)),
+        "gaussian": (_run_gaussian, ("--sigma2", float), ("--aux-var", float),
+                     ("--power", float), ("--n1", float), ("--n2", float), ("--rho", float),
+                     ("--d1", float)),
+        "erasure": (_run_erasure, ("--eps1", float), ("--eps2", float), ("--rho", float),
+                    ("--d1", float), ("--q", float)),
+    },
+    "verify": (_run_verify, ("--suite", None), ("--grid-step", float, 1e-3),
+               ("--tol", float, 1e-9)),
+    "oracle": {
+        "p2p": (_run_p2p, ("--m", int), ("--n", int), ("--delta", _rational), ("--exact",),
+                ("--budget", int, DEFAULT_BUDGET)),
+        "spherical": (_run_spherical, ("--m", int), ("--n", int), ("--weight", int),
+                      ("--encoder", None, None)),
+        "frontier": (_run_frontier, ("--m", int), ("--n", int), ("--w1", int), ("--w2", int)),
+        "binomial": (_run_binomial, ("--n", int), ("--delta", _rational), ("--k-max", int)),
+        "coupling": (_run_coupling, ("--n", int), ("--delta1", _rational),
+                     ("--delta2", _rational), ("--budget", int, DEFAULT_BUDGET)),
+        "gq-search": (_run_gq_search, ("--delta1", float), ("--delta2", float), ("--t", float),
+                      ("--trials", int), ("--seed", int)),
+    },
+}
+
+# the two command groups and their leaves
+_LEAVES = {name: leaves for name, leaves in _COMMANDS.items() if isinstance(leaves, dict)}
 
 
 def _path(argv):
     """The leaf that argv opens with, such as ("bound", "lower"), or None
     when it opens with anything else: an option, a group's --help, a typo."""
-    if argv[:1] in (["eval"], ["verify"]):
+    if argv and isinstance(_COMMANDS.get(argv[0]), tuple):
         return (argv[0],)
     if len(argv) > 1 and argv[1] in _LEAVES.get(argv[0], ()):
         return (argv[0], argv[1])
     return None
 
 
-def _add_leaf(sub, name, common):
-    """Add the leaf name, its options and its handler to the subcommands sub."""
+def _add_leaf(sub, name, common, handler, *options):
+    """Add the leaf name, its handler and its options to the subcommands sub."""
     p = sub.add_parser(name, parents=[common])
-    if name == "eval":
-        p.add_argument("--fn", required=True, choices=list(_CATALOG))
-        p.add_argument("--x", required=True, type=float)
-        p.add_argument("--q", type=float)
-        p.add_argument("--delta", type=float)
-        p.set_defaults(handler=_run_eval)
-    elif name == "lower":
-        p.add_argument("--n", required=True, type=int)
-        p.add_argument("--rho", required=True, type=float)
-        p.add_argument("--delta", required=True, type=float)
-        p.set_defaults(handler=_run_lower)
-    elif name == "psi":
-        p.add_argument("--n", required=True, type=int)
-        p.add_argument("--m", required=True, type=int)
-        p.add_argument("--delta", required=True, type=float)
-        p.add_argument("--k", required=True, type=int)
-        p.set_defaults(handler=_run_psi)
-    elif name == "sum":
-        p.add_argument("--n", required=True, type=int)
-        p.add_argument("--rho", required=True, type=float)
-        p.add_argument("--delta", required=True, type=float)
-        p.add_argument("--a", required=True, type=float)
-        p.add_argument("--tau", type=_tau_auto, default="auto")
-        p.set_defaults(handler=_run_sum)
-    elif name == "gap":
-        p.add_argument("--rho", required=True, type=float)
-        p.add_argument("--delta1", required=True, type=float)
-        p.add_argument("--delta2", required=True, type=float)
-        p.add_argument("--d1", required=True, type=float)
-        p.add_argument("--d2", required=True, type=float)
-        p.add_argument("--tau", required=True, type=float)
-        p.add_argument("--n", type=int, default=None)
-        p.set_defaults(handler=_run_gap)
-    elif name == "region":
-        p.add_argument("--rho", required=True, type=float)
-        p.add_argument("--delta1", required=True, type=float)
-        p.add_argument("--delta2", required=True, type=float)
-        p.add_argument("--p", type=float, default=0.5)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--d1-min", required=True, type=float, dest="d1_min")
-        p.add_argument("--d1-max", required=True, type=float, dest="d1_max")
-        p.add_argument("--d1-step", required=True, type=float, dest="d1_step")
-        p.add_argument("--plot-data", action="store_true", dest="plot_data")
-        p.set_defaults(handler=_run_region)
-    elif name == "gaussian":
-        p.add_argument("--sigma2", required=True, type=float)
-        p.add_argument("--aux-var", required=True, type=float, dest="aux_var")
-        p.add_argument("--power", required=True, type=float)
-        p.add_argument("--n1", required=True, type=float)
-        p.add_argument("--n2", required=True, type=float)
-        p.add_argument("--rho", required=True, type=float)
-        p.add_argument("--d1", required=True, type=float)
-        p.set_defaults(handler=_run_gaussian)
-    elif name == "erasure":
-        p.add_argument("--eps1", required=True, type=float)
-        p.add_argument("--eps2", required=True, type=float)
-        p.add_argument("--rho", required=True, type=float)
-        p.add_argument("--d1", required=True, type=float)
-        p.add_argument("--q", required=True, type=float)
-        p.set_defaults(handler=_run_erasure)
-    elif name == "verify":
-        p.add_argument("--suite", required=True)
-        p.add_argument("--grid-step", type=float, default=1e-3, dest="grid_step")
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.set_defaults(handler=_run_verify)
-    elif name == "p2p":
-        p.add_argument("--m", required=True, type=int)
-        p.add_argument("--n", required=True, type=int)
-        p.add_argument("--delta", required=True, type=_rational)
-        p.add_argument("--exact", action="store_true")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        p.set_defaults(handler=_run_p2p)
-    elif name == "spherical":
-        p.add_argument("--m", required=True, type=int)
-        p.add_argument("--n", required=True, type=int)
-        p.add_argument("--weight", required=True, type=int)
-        p.add_argument("--encoder", default=None)
-        p.set_defaults(handler=_run_spherical)
-    elif name == "frontier":
-        p.add_argument("--m", required=True, type=int)
-        p.add_argument("--n", required=True, type=int)
-        p.add_argument("--w1", required=True, type=int)
-        p.add_argument("--w2", required=True, type=int)
-        p.set_defaults(handler=_run_frontier)
-    elif name == "binomial":
-        p.add_argument("--n", required=True, type=int)
-        p.add_argument("--delta", required=True, type=_rational)
-        p.add_argument("--k-max", required=True, type=int, dest="k_max")
-        p.set_defaults(handler=_run_binomial)
-    elif name == "coupling":
-        p.add_argument("--n", required=True, type=int)
-        p.add_argument("--delta1", required=True, type=_rational)
-        p.add_argument("--delta2", required=True, type=_rational)
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        p.set_defaults(handler=_run_coupling)
-    else:  # gq-search
-        p.add_argument("--delta1", required=True, type=float)
-        p.add_argument("--delta2", required=True, type=float)
-        p.add_argument("--t", required=True, type=float)
-        p.add_argument("--trials", required=True, type=int)
-        p.add_argument("--seed", required=True, type=int)
-        p.set_defaults(handler=_run_gq_search)
+    for flag, *kind in options:
+        if not kind:
+            p.add_argument(flag, action="store_true")
+        elif isinstance(kind[0], list):
+            p.add_argument(flag, required=True, choices=kind[0])
+        elif len(kind) == 1:
+            p.add_argument(flag, required=True, type=kind[0])
+        else:
+            p.add_argument(flag, type=kind[0], default=kind[1])
+    p.set_defaults(handler=handler)
 
 
 def _build_parser(path=None) -> _Parser:
@@ -506,16 +453,16 @@ def _build_parser(path=None) -> _Parser:
     parser.add_argument("--bits", action="store_true", default=False)
     top = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-    for name in ("eval", "bound", "verify", "oracle"):
+    for name, spec in _COMMANDS.items():
         if name in _LEAVES:
             group = top.add_parser(name).add_subparsers(dest=name + "_command",
                                                          required=True,
                                                          parser_class=_Parser)
-            for leaf in _LEAVES[name]:
+            for leaf, leaf_spec in spec.items():
                 if path in (None, (name, leaf)):
-                    _add_leaf(group, leaf, common)
+                    _add_leaf(group, leaf, common, *leaf_spec)
         elif path in (None, (name,)):
-            _add_leaf(top, name, common)
+            _add_leaf(top, name, common, *spec)
         else:
             top.add_parser(name)
     return parser

@@ -18,7 +18,7 @@ from ._orbits import _orbit_costs, _scan_cells, _table_cost, _triple_costs, _typ
 from ._scalar_opt import Lcg64
 from .binary_info import (DEFAULT_BUDGET, NAT_LOG2, BudgetExceeded, DomainError, _clamp, _conv,
                           _count, _end, _g, _h, _hconv, _hinv_np, _hp, _kappa, _mgl_inv, _nu,
-                          _phi, _Phi, _real, conv, h_b)
+                          _outside, _phi, _Phi, _real, _repr, conv, h_b)
 
 
 # ---------- result containers ----------
@@ -34,11 +34,7 @@ class ExactValue(namedtuple("ExactValue", "value")):
         return float(self.value)
 
     def __repr__(self):
-        try:
-            return "ExactValue(value=%r)" % (self.value,)
-        except ValueError:  # past the int-to-str digit limit
-            return "ExactValue(value=Fraction(%s, %s))" % (_end(self.value.numerator),
-                                                           _end(self.value.denominator))
+        return "ExactValue(value=%s)" % _repr(self.value)
 
 
 class EncoderTable(namedtuple("EncoderTable", "m n codewords")):
@@ -82,10 +78,15 @@ class ViolationReport(namedtuple("ViolationReport",
 
 def _as_fraction(name, x) -> Fraction:
     """A crossover probability as an exact rational in (0, 1/2). Floats are
-    checked first, then read through their decimal repr, so 0.1 means 1/10."""
+    checked first, then read through their decimal repr, so 0.1 means 1/10.
+    The rational is checked exactly, not by its float as _real checks it, so
+    Fraction(1, 10**400) is taken."""
     if isinstance(x, float):
         x = str(_real(name, x, 0.0, 0.5, "()"))
-    return _real(name, Fraction(x), 0, 0.5, "()")
+    x = Fraction(x)
+    if 0 < x < Fraction(1, 2):
+        return x
+    raise DomainError(_outside(name, x, 0, 0.5, "()", False))
 
 
 def _encoder_costs(m, n, wtabs):
@@ -128,9 +129,12 @@ _ARRAY_BYTES = 1 << 31
 
 
 def _cap(budget):
-    """budget as an int, or math.inf, which never binds; NaN and -inf raise."""
+    """budget as an int, or math.inf, which never binds; NaN and -inf raise.
+    An int of any size is a budget, even one with no float."""
+    if isinstance(budget, int) or budget == math.inf:
+        return budget
     try:
-        return budget if budget == math.inf else int(_real("budget", budget))
+        return int(_real("budget", budget))
     except DomainError as exc:
         raise DomainError("%s; math.inf is accepted too, for no budget" % exc) from None
 
@@ -345,7 +349,7 @@ def binomial_gamma_approx(n, delta, k) -> float:
     """
     n = _count("n", n)
     k = _count("k", k, -math.inf)
-    d = _real("delta", float(delta), 0.0, 0.5, "()")
+    d = float(_real("delta", delta, 0.0, 0.5, "()"))
     lead = (1.0 - 2.0 * d) / (d * (1.0 - d))
     if max(n, abs(k)) <= sys.float_info.max:
         fn, fk = float(n), float(k)
@@ -454,7 +458,9 @@ def _info_uv(p, q, u01, u10):
     return hu + hv - hj
 
 
-# most points on an rbar_grid axis; its arrays take 62 B a cell of the grid
+# most points on an rbar_grid axis; the grid is scanned in blocks of rows
+# (_ROW_CELLS), so the cap bounds time (about 0.7 s at 4,001 on a 2-vCPU
+# host), not memory
 _RBAR_STEPS_MAX = 4001
 
 
@@ -464,16 +470,20 @@ def rbar_grid(p, q, d, steps=2001):
     """
     import numpy as np
 
-    p = _real("p", float(p), 0.0, 0.5, "(]")
-    q = _real("q", float(q), 0.0, 0.5)
-    d = _real("d", float(d), 0.0, p)
+    p = float(_real("p", p, 0.0, 0.5, "(]"))
+    q = float(_real("q", q, 0.0, 0.5))
+    d = float(_real("d", d, 0.0, p))
     ax = np.linspace(0.0, 1.0, _count("steps", steps, 1, _RBAR_STEPS_MAX))
     # a row or column whose own distortion term exceeds d holds no feasible cell
-    rows = ax[(1.0 - p) * ax <= d + 1e-15][:, None]
+    rows = ax[(1.0 - p) * ax <= d + 1e-15]
     cols = ax[p * ax <= d + 1e-15][None, :]
-    info = _info_uv(p, q, rows, cols)
-    feasible = (1.0 - p) * rows + p * cols <= d + 1e-15
-    best = float(np.where(feasible, info, np.inf).min())
+    # a min over blocks of rows is the min over the grid
+    best = math.inf
+    step = max(1, _ROW_CELLS // cols.size)
+    for lo in range(0, len(rows), step):
+        r = rows[lo:lo + step, None]
+        feasible = (1.0 - p) * r + p * cols <= d + 1e-15
+        best = min(best, float(np.where(feasible, _info_uv(p, q, r, cols), np.inf).min()))
     hi = min(1.0, d / (1.0 - p))
     u01 = np.linspace(0.0, hi, 200001)
     u10 = np.clip((d - (1.0 - p) * u01) / p, 0.0, 1.0)
@@ -495,9 +505,9 @@ def converse_search_gq(delta1, delta2, t, trials=10000, seed=0, budget=DEFAULT_B
     h_b evaluations are held against budget before the first draw
     (BudgetExceeded).
     """
-    d1 = _real("delta1", float(delta1), 0.0, 0.5, "()")
-    d2 = _real("delta2", float(delta2), 0.0, 0.5, "()")
-    t = _clamp("t", float(t), 0.0, NAT_LOG2 - h_b(d1))
+    d1 = float(_real("delta1", delta1, 0.0, 0.5, "()"))
+    d2 = float(_real("delta2", delta2, 0.0, 0.5, "()"))
+    t = float(_clamp("t", t, 0.0, NAT_LOG2 - h_b(d1)))
     trials = _count("trials", trials, -math.inf)
     _charge(budget, 9 * trials, "search needs %s trials x 9 h_b evaluations", trials)
     c = conv(d1, d2)
@@ -711,15 +721,13 @@ def verify_inequalities(suites, grid_step=1e-3, tol=1e-9):
     suite runs.
     """
     suites = list(suites)
-    grid_step = float(grid_step)
-    tol = float(tol)
-    _real("grid_step", grid_step, 0.0, ends="()")
+    grid_step = float(_real("grid_step", grid_step, 0.0, ends="()"))
     # the length of the np.arange that _axis builds, checked before it is built
     if ((_BOX_HI + 0.5 * grid_step - _BOX_LO) / grid_step > _VERIFY_AXIS_MAX_POINTS
             or len(_axis(grid_step)) < 3):
         raise DomainError("grid_step %r must put 3 to %d points on an axis"
                           % (grid_step, _VERIFY_AXIS_MAX_POINTS))
-    _real("tol", tol)
+    tol = float(_real("tol", tol))
     for name in suites:
         if name not in _SUITE_RUNNERS:
             raise DomainError("unknown suite: %s (choose from %s)"

@@ -843,6 +843,31 @@ def test_argv_off_a_leaf_path_gets_the_whole_parser(argv):
     assert cli._path(argv) is None
 
 
+def _action_rows(parser, path=()):
+    """One row per action of parser and of every parser below it: the path
+    to the parser, and the action's option strings, dest, default, required,
+    choices, nargs, const and type name."""
+    rows = []
+    for a in parser._actions:
+        rows.append([list(path), a.option_strings, a.dest, repr(a.default), a.required,
+                     None if a.choices is None else list(a.choices), a.nargs, repr(a.const),
+                     getattr(a.type, "__name__", repr(a.type))])
+        if isinstance(a, argparse._SubParsersAction):
+            for name, p in a.choices.items():
+                rows += _action_rows(p, path + (name,))
+    return rows
+
+
+def test_the_parser_keeps_every_action():
+    # the actions of the top parser, both groups and the 15 leaves, pinned by
+    # their sha256; --help text is not hashed, as it wraps with COLUMNS and
+    # changes across Python versions
+    rows = _action_rows(cli._build_parser())
+    assert len(rows) == 141
+    assert (hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+            == "09494645151bcd7395c7a4a74d831c216208f418d2b6428be140b202691bee02")
+
+
 # ---------- option sweep ----------
 
 

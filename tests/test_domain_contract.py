@@ -216,20 +216,27 @@ def test_finite_result_or_domain_error_at_large_n_and_the_rho_edge(name, arg, va
 
 
 # the option sweeps' extreme values (tests/test_cli.py) in library form, one
-# argument at a time: each real at each float, and each count or budget at
-# each integer; the exact oracles may also refuse by their work budget or
-# array cap (BudgetExceeded), and so may converse_search_gq by its budget
-_REAL_EXTREMES = [5e-324, 1e-300, 0.5 - 2.0 ** -54, 0.0, -1.0, 1.0, 0.5, 1e21]
+# argument at a time: each real at each float and at four reals with no
+# float, and each count or budget at each integer; the exact oracles may
+# also refuse by their work budget or array cap (BudgetExceeded), and so may
+# converse_search_gq by its budget
+_REAL_EXTREMES = [5e-324, 1e-300, 0.5 - 2.0 ** -54, 0.0, -1.0, 1.0, 0.5, 1e21,
+                  10**400, -10**400, Fraction(1, 10**400), -Fraction(1, 10**5000)]
 _COUNT_EXTREMES = [0, -1, 1, 10**21, 10**400]
 _BUDGETED = _N_BRUTE | {"converse_search_gq"}
+def _shown(value) -> str:
+    if isinstance(value, Fraction):
+        return "%s/%s" % (_end(value.numerator), _end(value.denominator))
+    return _end(value) if isinstance(value, int) else repr(value)
+
+
 _SWEEP = [(name, arg, value) for name, (_, base) in _TABLE.items() for arg in base
           for value in (_COUNT_EXTREMES if arg in _COUNTS | {"budget"} else _REAL_EXTREMES)]
 
 
 @pytest.mark.filterwarnings("ignore:.*validity range:UserWarning")
 @pytest.mark.parametrize("name,arg,value", [
-    pytest.param(name, arg, value, id="%s-%s=%s" % (
-        name, arg, _end(value) if isinstance(value, int) else repr(value)))
+    pytest.param(name, arg, value, id="%s-%s=%s" % (name, arg, _shown(value)))
     for name, arg, value in _SWEEP])
 def test_finite_result_or_domain_error_at_the_sweep_extremes(name, arg, value, time_cap):
     fn, base = _TABLE[name]
@@ -243,6 +250,19 @@ def test_finite_result_or_domain_error_at_the_sweep_extremes(name, arg, value, t
         # slack -inf is a RegionPoint's mark of an infeasible d1, with d2_min = p
         out = [pt[:3] if pt.slack == -math.inf else pt for pt in out]
     assert _finite(out), out
+
+
+def test_a_real_whose_float_is_an_open_end_is_refused():
+    # 1/2 - 10^-400 lies in [_X_MIN, 1/2) and (0, 1/2), but its float is 1/2,
+    # where g and log 2 - h_b vanish: before _real checked the float too,
+    # these divided by that 0 (ZeroDivisionError)
+    t = Fraction(1, 2) - Fraction(1, 10**400)
+    for call in (lambda: jb.psi(t), lambda: jb.eta(1.5, t),
+                 lambda: jb.gap_lower_bound(jb.SystemParams(1000, 1.5, t))):
+        with pytest.raises(DomainError, match=r"got Fraction\(4999"):
+            call()
+    # the exact oracles take it as it is
+    assert type(jb.p2p_bruteforce(1, 2, t)[0].value) is Fraction
 
 
 def test_encoder_from_index_refuses_an_m_past_the_memory_cap(time_cap):

@@ -1121,6 +1121,43 @@ def test_rbar_grid_close_to_closed_form():
         assert abs(grid - rbar_binary(p, q, d)) < 1e-4
 
 
+def _rbar_full_grid(p, q, d, steps):
+    """rbar_grid with its whole grid in one array, as it was before blocks"""
+    ax = np.linspace(0.0, 1.0, steps)
+    rows = ax[(1.0 - p) * ax <= d + 1e-15][:, None]
+    cols = ax[p * ax <= d + 1e-15][None, :]
+    feasible = (1.0 - p) * rows + p * cols <= d + 1e-15
+    best = float(np.where(feasible, orc._info_uv(p, q, rows, cols), np.inf).min())
+    u01 = np.linspace(0.0, min(1.0, d / (1.0 - p)), 200001)
+    u10 = np.clip((d - (1.0 - p) * u01) / p, 0.0, 1.0)
+    return min(best, float(orc._info_uv(p, q, u01, u10).min()))
+
+
+def test_rbar_grid_blocks_give_the_full_grid_min(monkeypatch):
+    # a min over blocks of rows is the min over the grid, bit for bit: at 201
+    # steps a block holds 81 rows, and at 16 cells one row
+    cases = [(p, q, d) for p in (0.5, 0.3, 0.11) for q in (0.0, 0.1, 0.5)
+             for d in (0.0, 0.05, p)]
+    for p, q, d in cases:
+        assert orc.rbar_grid(p, q, d, 201) == _rbar_full_grid(p, q, d, 201), (p, q, d)
+    monkeypatch.setattr(orc, "_ROW_CELLS", 16)
+    for p, q, d in cases:
+        assert orc.rbar_grid(p, q, d, 21) == _rbar_full_grid(p, q, d, 21), (p, q, d)
+
+
+def test_rbar_grid_holds_one_block_of_rows():
+    # at d = p every cell of the default 2,001 x 2,001 grid is scanned; the
+    # whole grid at once peaked at 248 MiB, the blocks and the line sweep's
+    # 200,001 points near 16 MiB
+    tracemalloc.start()
+    try:
+        orc.rbar_grid(0.5, 0.1, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+
+
 def test_rbar_grid_refuses_steps_past_its_cap(time_cap):
     # before any array: numpy refused 10^21 with a bare ValueError, and 2^40
     # points an axis would have asked for 8 TiB
