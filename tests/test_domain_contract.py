@@ -224,14 +224,15 @@ _REAL_EXTREMES = [5e-324, 1e-300, 0.5 - 2.0 ** -54, 0.0, -1.0, 1.0, 0.5, 1e21,
                   10**400, -10**400, Fraction(1, 10**400), -Fraction(1, 10**5000)]
 _COUNT_EXTREMES = [0, -1, 1, 10**21, 10**400]
 _BUDGETED = _N_BRUTE | {"converse_search_gq"}
+_SWEEP = [(name, arg, value) for name, (_, base) in _TABLE.items() for arg in base
+          for value in (_COUNT_EXTREMES if arg in _COUNTS | {"budget"} else _REAL_EXTREMES)]
+
+
 def _shown(value) -> str:
+    """a test id's value: an int or a Fraction's ends by _end, a float by repr"""
     if isinstance(value, Fraction):
         return "%s/%s" % (_end(value.numerator), _end(value.denominator))
     return _end(value) if isinstance(value, int) else repr(value)
-
-
-_SWEEP = [(name, arg, value) for name, (_, base) in _TABLE.items() for arg in base
-          for value in (_COUNT_EXTREMES if arg in _COUNTS | {"budget"} else _REAL_EXTREMES)]
 
 
 @pytest.mark.filterwarnings("ignore:.*validity range:UserWarning")
