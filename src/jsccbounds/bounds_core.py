@@ -16,10 +16,11 @@ from itertools import takewhile
 
 from .binary_info import (
     NAT_LOG2,
+    _X_MIN,
     DomainError,
-    Phi,
     _count,
     _end,
+    _Phi,
     _real,
     conv,
     g,
@@ -41,8 +42,8 @@ class SystemParams(namedtuple("SystemParams", "n rho delta m")):
     def __new__(cls, n: int, rho: float, delta: float, m: int | None = None):
         # counts are stored as int, so an integral float n or m counts too
         n = _count("n", n)
-        _real("rho", rho, 0.0, ends="()")
-        _real("delta", delta, 0.0, 0.5, "()")
+        rho = _real("rho", rho, 0.0, ends="()")
+        delta = _real("delta", delta, 0.0, 0.5, "()")
         if m is not None:
             m = _count("m", m)
             if rho != _ratio(n, m):
@@ -51,7 +52,8 @@ class SystemParams(namedtuple("SystemParams", "n rho delta m")):
 
     @classmethod
     def from_counts(cls, m: int, n: int, delta: float) -> "SystemParams":
-        return cls(n=n, rho=_ratio(n, _count("m", m)), delta=delta, m=m)
+        rho = _real("n/m", _ratio(n, _count("m", m)), 0.0, ends="()")
+        return cls(n=n, rho=rho, delta=delta, m=m)
 
 
 def _ratio(n: int, m: int) -> float:
@@ -86,8 +88,8 @@ def d_asym(rho: float, delta: float) -> float:
     Uses the extended inverse, so expansion factors large enough to drive the
     argument nonpositive return exactly 0.
     """
-    _real("rho", rho, 0.0, ends="()")
-    _real("delta", delta, 0.0, 0.5)
+    rho = _real("rho", rho, 0.0, ends="()")
+    delta = _real("delta", delta, 0.0, 0.5)
     return h_b_inv(NAT_LOG2 - rho * (NAT_LOG2 - h_b(delta)))
 
 
@@ -102,6 +104,8 @@ def _d_star(rho: float, delta: float, why: str) -> float:
 def d_asym_deriv(rho: float, delta: float) -> float:
     """Derivative of d_asym in delta: rho h_b'(delta)/h_b'(D); needs D > 0,
     and h_b'(D) > 0, which a D within rounding of 1/2 lacks."""
+    rho = _real("rho", rho, 0.0, ends="()")
+    delta = _real("delta", delta, _X_MIN, 0.5)
     slope = h_b_prime(_d_star(rho, delta, "d_asym_deriv needs d_asym(rho, delta) > 0"))
     if slope == 0.0:
         raise DomainError("d_asym_deriv needs h_b'(d_asym(rho, delta)) > 0, got 0.0")
@@ -114,8 +118,11 @@ def f_factor(rho: float, delta: float) -> float:
     Equals 1 at rho = 1, drops below 1 for rho > 1 (when D > 0), and sits at
     or above 1 for rho <= 1.
     """
+    rho = _real("rho", rho, 0.0, ends="()")
+    delta = _real("delta", delta, _X_MIN, 0.5, "[)")
     D = _d_star(rho, delta, "f_factor needs d_asym(rho, delta) > 0")
-    return Phi(delta) / (rho * Phi(D))
+    D = _real("d_asym(rho, delta)", D, _X_MIN, 0.5, "[)")
+    return _Phi(delta, math.log) / (rho * _Phi(D, math.log))
 
 
 def eta(rho: float, delta: float) -> float:
@@ -124,6 +131,8 @@ def eta(rho: float, delta: float) -> float:
     2 rho [h_b'(delta)/h_b'(D)] [D(1-f)^2 / (2f + 4D(1-f))] [(1+f)/f]
     with D = d_asym and f = f_factor. Strictly positive on its domain.
     """
+    rho = _real("rho", rho, 0.0, ends="()")
+    delta = _real("delta", delta, _X_MIN, 0.5, "[)")
     D = _d_star(rho, delta, "eta needs d_asym(rho, delta) > 0")
     f = f_factor(rho, delta)
     if f >= 1.0:
@@ -177,8 +186,8 @@ def gamma_corr(n: int, delta2: float) -> float:
     At delta2 = 0 the first term is taken at its limit, 0. An integer n
     beyond the float range is scaled by powers of two rather than converted.
     """
-    _count("n", n)
-    _real("delta2", delta2, 0.0, 0.5)
+    n = _count("n", n)
+    delta2 = _real("delta2", delta2, 0.0, 0.5)
     f, e = _split_n(n)
     # ldexp rounds an underflow to 0
     second = math.ldexp((math.log(n) + 1.0) / (2.0 * f), -2 * e)
@@ -278,13 +287,14 @@ def gap_rhs(d1: float, d2: float, bparams, tau: float) -> float:
     """Right-hand side of the distortion-gap inequality at split (d1, d2).
 
     bparams carries rho, delta1, delta2, and an optional n; with n absent the
-    correction term is 0 (asymptotic mode). Requires d1, d2 in (0, 1/2) and
-    tau > 0; DomainError when 2 d2 tau underflows to 0 or the value is not
-    finite.
+    correction term is 0 (asymptotic mode). Requires d1, d2 and delta1 in
+    [_X_MIN, 1/2), where g and h_b' are finite, and tau > 0; DomainError
+    when 2 d2 tau underflows to 0 or the value is not finite.
     """
-    _real("tau", tau, 0.0, ends="()")
-    _real("d1", d1, 0.0, 0.5, "()")
-    _real("d2", d2, 0.0, 0.5, "()")
+    tau = _real("tau", tau, 0.0, ends="()")
+    d1 = _real("d1", d1, _X_MIN, 0.5, "[)")
+    d2 = _real("d2", d2, _X_MIN, 0.5, "[)")
+    _real("delta1", bparams.delta1, _X_MIN, 0.5, "[)")
     two_d2_tau = 2.0 * d2 * tau
     if two_d2_tau == 0.0:
         raise DomainError(f"2*d2*tau underflows to 0 at d2={d2!r}, tau={tau!r}")
@@ -301,7 +311,7 @@ def gap_rhs(d1: float, d2: float, bparams, tau: float) -> float:
     second = (
         (c - bparams.delta1)
         * (h_b_prime(bparams.delta1) / L2)
-        * (Phi(bparams.delta1) / Phi(d2))
+        * (_Phi(bparams.delta1, math.log) / _Phi(d2, math.log))
         * (1.0 + tau)
         * g(d1)
         / g(d2)
@@ -319,7 +329,7 @@ def sum_distortion_lb(a: float, params: SystemParams) -> float:
     the formula no longer applies. An n beyond the float range is scaled as
     in gamma_corr.
     """
-    _real("a", a, 0.0)
+    a = _real("a", a, 0.0)
     _real("rho", params.rho, 1.0, ends="()")
     if a >= math.log(params.n) ** 2:
         warnings.warn(
@@ -334,6 +344,6 @@ def sum_distortion_lb(a: float, params: SystemParams) -> float:
 
 def separation_upper(d0: float, p_err: float) -> float:
     """Distortion achieved by separate compression and coding: (1-p_err) d0 + p_err."""
-    _real("d0", d0, 0.0, 1.0)
-    _real("p_err", p_err, 0.0, 1.0)
+    d0 = _real("d0", d0, 0.0, 1.0)
+    p_err = _real("p_err", p_err, 0.0, 1.0)
     return (1.0 - p_err) * d0 + p_err

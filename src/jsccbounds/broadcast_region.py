@@ -20,8 +20,8 @@ from collections import namedtuple
 
 from . import bounds_core
 from ._scalar_opt import golden_min
-from .binary_info import (NAT_LOG2, DomainError, _clamp, _count, _hconv, _mgl, _mgl_inv, _real,
-                          conv, g, h_b)
+from .binary_info import (NAT_LOG2, _X_MIN, DomainError, _clamp, _count, _hconv, _mgl, _mgl_inv,
+                          _real, conv, g, h_b)
 
 _A1_FLOAT_GUARD = 1e-12
 
@@ -40,10 +40,10 @@ class BinaryBroadcastParams(namedtuple("BinaryBroadcastParams", "rho p delta1 de
     __slots__ = ()
 
     def __new__(cls, rho: float, p: float, delta1: float, delta2: float, n: int | None = None):
-        _real("rho", rho, 0.0, ends="()")
-        _real("p", p, 0.0, 0.5, "(]")
-        _real("delta1", delta1, 0.0, 0.5, "[)")
-        _real("delta2", delta2, 0.0, 0.5)
+        rho = _real("rho", rho, 0.0, ends="()")
+        p = _real("p", p, 0.0, 0.5, "(]")
+        delta1 = _real("delta1", delta1, 0.0, 0.5, "[)")
+        delta2 = _real("delta2", delta2, 0.0, 0.5)
         if n is not None:
             n = _count("n", n)
         return super().__new__(cls, rho, p, delta1, delta2, n)
@@ -58,12 +58,12 @@ class GaussianBroadcastParams(namedtuple("GaussianBroadcastParams",
 
     def __new__(cls, sigma2: float, aux_var: float, power: float, n1: float, n2: float,
                 rho: float):
-        _real("sigma2", sigma2, 0.0, ends="()")
-        _real("aux_var", aux_var, 0.0)
-        _real("power", power, 0.0, ends="()")
-        _real("n1", n1, 0.0, ends="()")
-        _real("n2", n2, 0.0)
-        _real("rho", rho, 0.0, ends="()")
+        sigma2 = _real("sigma2", sigma2, 0.0, ends="()")
+        aux_var = _real("aux_var", aux_var, 0.0)
+        power = _real("power", power, 0.0, ends="()")
+        n1 = _real("n1", n1, 0.0, ends="()")
+        n2 = _real("n2", n2, 0.0)
+        rho = _real("rho", rho, 0.0, ends="()")
         return super().__new__(cls, sigma2, aux_var, power, n1, n2, rho)
 
 
@@ -73,8 +73,8 @@ class ErasureParams(namedtuple("ErasureParams", "eps1 eps2")):
     __slots__ = ()
 
     def __new__(cls, eps1: float, eps2: float):
-        _real("eps1", eps1, 0.0, 1.0, "[)")
-        _real("eps2", eps2, eps1, 1.0, "[)")
+        eps1 = _real("eps1", eps1, 0.0, 1.0, "[)")
+        eps2 = _real("eps2", eps2, eps1, 1.0, "[)")
         return super().__new__(cls, eps1, eps2)
 
 
@@ -98,16 +98,16 @@ def fp_binary(p: float, q: float, t: float) -> float:
 
     t - h_b(conv(q, p)) + mgl_phi(q, h_b(p) - t); exact at p = 1/2.
     """
-    _real("p", p, 0.0, 0.5, "(]")
-    _real("q", q, 0.0, 0.5)
+    p = _real("p", p, 0.0, 0.5, "(]")
+    q = _real("q", q, 0.0, 0.5)
     t = _clamp("t", t, 0.0, h_b(p))
     return t - _hconv(q, p) + _mgl(q, h_b(p) - t)
 
 
 def rbar_binary(p: float, q: float, d: float) -> float:
     """Weak user's remaining rate need at distortion d: h_b(conv(q, p)) - h_b(conv(q, d))."""
-    _real("p", p, 0.0, 0.5, "(]")
-    _real("q", q, 0.0, 0.5)
+    p = _real("p", p, 0.0, 0.5, "(]")
+    q = _real("q", q, 0.0, 0.5)
     d = _clamp("d", d, 0.0, p, 1e-15)
     return _rbar(_hconv(q, p), q, d)
 
@@ -124,8 +124,8 @@ def g_bsc(delta1: float, delta2: float, t: float) -> float:
     log 2 - mgl_phi(delta2, h_b(delta1) + t); concave and
     nonincreasing in t on [0, log 2 - h_b(delta1)].
     """
-    _real("delta1", delta1, 0.0, 0.5, "[)")
-    _real("delta2", delta2, 0.0, 0.5)
+    delta1 = _real("delta1", delta1, 0.0, 0.5, "[)")
+    delta2 = _real("delta2", delta2, 0.0, 0.5)
     t = _clamp("t", t, 0.0, NAT_LOG2 - h_b(delta1))
     return NAT_LOG2 - _mgl(delta2, h_b(delta1) + t)
 
@@ -149,6 +149,8 @@ def g_spherical_ub(delta1: float, delta2: float, n: int, t: float) -> float:
     the float range takes both products exactly, as fractions.
     """
     n = _count("n", n)
+    delta1 = _real("delta1", delta1, 0.0, 0.5, "[)")
+    delta2 = _real("delta2", delta2, 0.0, 0.5)
     w1 = bounds_core._n_times(n, delta1)
     w2 = bounds_core._n_times(n, conv(delta1, delta2))
     if abs(w1 - round(w1)) > 1e-9 or abs(w2 - round(w2)) > 1e-9:
@@ -171,7 +173,7 @@ def outer_bound_slack(d1: float, d2: float, q: float, bp: BinaryBroadcastParams)
     means no blocklength sequence can achieve d1, and it raises DomainError
     beyond a 1e-12 floating guard.
     """
-    _real("q", q, 0.0, 0.5)
+    q = _real("q", q, 0.0, 0.5)
     d1 = _clamp("d1", d1, 0.0, bp.p, 1e-15)
     d2 = _clamp("d2", d2, 0.0, bp.p, 1e-15)
     hcp = _hconv(q, bp.p)
@@ -361,7 +363,7 @@ def region_trace(bp: BinaryBroadcastParams, d1_grid) -> list[RegionPoint]:
     """
     pts = []
     for d1 in d1_grid:
-        d1 = float(_real("d1", d1, 0.0, bp.p, "(]"))
+        d1 = _real("d1", d1, 0.0, bp.p, "(]")
         clamped = []
         pts.append(_trace_point(bp, d1, clamped))
         if clamped:
@@ -388,8 +390,8 @@ def d1_feasibility_margin(d1: float, bp: BinaryBroadcastParams) -> float:
     """
     if bp.n is not None:
         raise DomainError("d1_feasibility_margin is an asymptotic statement; drop n")
-    _real("d1", d1, 0.0, bp.p, "(]")
-    _real("delta1", bp.delta1, 0.0, 0.5, "()")
+    d1 = _real("d1", d1, _X_MIN, bp.p)
+    _real("delta1", bp.delta1, _X_MIN, 0.5, "[)")
     c = _real("conv(delta1, delta2)", conv(bp.delta1, bp.delta2), 0.0, 0.5, "[)")
     d2s = bounds_core._d_star(
         bp.rho, c, "weak-user optimum D2* is 0; the condition degenerates")
@@ -425,7 +427,7 @@ def d2_floor(bp: BinaryBroadcastParams) -> float:
 
 def d2_floor_slack(d2_probe: float, bp: BinaryBroadcastParams) -> float:
     """Slack of the quadratic weak-user bound at d2_probe (>= 0 iff allowed)."""
-    _real("d2_probe", d2_probe, 0.0, 0.5)
+    d2_probe = _real("d2_probe", d2_probe, 0.0, 0.5)
     return _d2_floor_k(bp, "d2_floor_slack") - (1.0 - 2.0 * d2_probe) ** 2
 
 
@@ -434,7 +436,8 @@ def d2_floor_slack(d2_probe: float, bp: BinaryBroadcastParams) -> float:
 
 def gaussian_rate(gp: GaussianBroadcastParams, d: float) -> float:
     """Gaussian source rate at distortion d: (1/2) log(sigma2/d)."""
-    ratio = gp.sigma2 / _real("d", d, 0.0, gp.sigma2, "(]")
+    d = _real("d", d, 0.0, gp.sigma2, "(]")
+    ratio = gp.sigma2 / d
     if ratio < math.inf:
         return 0.5 * math.log(ratio)
     return 0.5 * (math.log(gp.sigma2) - math.log(d))
@@ -443,7 +446,7 @@ def gaussian_rate(gp: GaussianBroadcastParams, d: float) -> float:
 def gaussian_fp(gp: GaussianBroadcastParams, t: float) -> float:
     """t - (1/2) log((aux_var + sigma2)/(aux_var + sigma2 e^{-2t})), which is
     (1/2) log((aux_var e^{2t} + sigma2)/(aux_var + sigma2)): 0 at aux_var = 0."""
-    _real("t", t, 0.0)
+    t = _real("t", t, 0.0)
     s2, a2 = gp.sigma2, gp.aux_var
     den = a2 + s2 * math.exp(-2.0 * t)
     ratio = (a2 + s2) / den if den > 0.0 else math.inf
@@ -458,7 +461,7 @@ def gaussian_fp(gp: GaussianBroadcastParams, t: float) -> float:
 
 def gaussian_rbar(gp: GaussianBroadcastParams, d: float) -> float:
     """(1/2) log((aux_var + sigma2)/(aux_var + d))."""
-    _real("d", d, 0.0, gp.sigma2, "(]")
+    d = _real("d", d, 0.0, gp.sigma2, "(]")
     return 0.5 * math.log((gp.aux_var + gp.sigma2) / (gp.aux_var + d))
 
 
@@ -475,7 +478,7 @@ def _log_sum_exp(*logs: float) -> float:
 def gaussian_gq(gp: GaussianBroadcastParams, t: float) -> float:
     """(1/2) log((P + N1 + N2)/(N1 e^{2t} + N2)); negative past the strong
     user's capacity, which signals an empty bound."""
-    _real("t", t, 0.0)
+    t = _real("t", t, 0.0)
     if 2.0 * t < _LOG_FLOAT_MAX:
         ratio = (gp.power + gp.n1 + gp.n2) / (gp.n1 * math.exp(2.0 * t) + gp.n2)
         if 0.0 < ratio < math.inf:
@@ -489,8 +492,8 @@ def gaussian_gq(gp: GaussianBroadcastParams, t: float) -> float:
 
 def _gaussian_threshold(gp: GaussianBroadcastParams, d1: float) -> float:
     """rho G(F(R(d1))/rho), half the log of gaussian_bound."""
-    t = gaussian_rate(gp, d1)
-    return gp.rho * gaussian_gq(gp, gaussian_fp(gp, t) / gp.rho)
+    t = gaussian_rate(gp, _real("d1", d1, 0.0, gp.sigma2, "(]"))
+    return gp.rho * gaussian_gq(gp, _real("F(R(d1))/rho", gaussian_fp(gp, t) / gp.rho, 0.0))
 
 
 def gaussian_bound(gp: GaussianBroadcastParams, d1: float) -> float:
@@ -530,9 +533,9 @@ def _erasure_threshold(eps: ErasureParams, rho: float, d1: float, q: float):
     """(fp, threshold) of the erasure bound: fp = fp_binary(1/2, q, R(d1))
     and threshold = rho g_bec(fp / rho). DomainError when fp / rho exceeds
     the strong user's capacity (1 - eps1) log 2."""
-    _real("rho", rho, 0.0, ends="()")
-    _real("q", q, 0.0, 0.5)
-    _real("d1", d1, 0.0, 0.5, "(]")
+    rho = _real("rho", rho, 0.0, ends="()")
+    q = _real("q", q, 0.0, 0.5)
+    d1 = _real("d1", d1, 0.0, 0.5, "(]")
     fhat = fp_binary(0.5, q, NAT_LOG2 - h_b(d1))
     arg = fhat / rho
     cap = (1.0 - eps.eps1) * NAT_LOG2
@@ -550,6 +553,7 @@ def erasure_d2_floor(eps: ErasureParams, rho: float, d1: float, q: float) -> flo
     h_b(conv(q, d2)) >= log 2 - threshold. DomainError when even user 1's
     constraint alone is infeasible.
     """
+    q = _real("q", q, 0.0, 0.5)
     _, thr = _erasure_threshold(eps, rho, d1, q)
     # q = 1/2 leaves d2 free, and _mgl_inv would divide by 1 - 2q = 0 there
     return 0.0 if q >= 0.5 else _mgl_inv(q, NAT_LOG2 - thr, 0.5)

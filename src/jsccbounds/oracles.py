@@ -349,7 +349,7 @@ def binomial_gamma_approx(n, delta, k) -> float:
     """
     n = _count("n", n)
     k = _count("k", k, -math.inf)
-    d = float(_real("delta", delta, 0.0, 0.5, "()"))
+    d = _real("delta", delta, 0.0, 0.5, "()")
     lead = (1.0 - 2.0 * d) / (d * (1.0 - d))
     if max(n, abs(k)) <= sys.float_info.max:
         fn, fk = float(n), float(k)
@@ -470,9 +470,9 @@ def rbar_grid(p, q, d, steps=2001):
     """
     import numpy as np
 
-    p = float(_real("p", p, 0.0, 0.5, "(]"))
-    q = float(_real("q", q, 0.0, 0.5))
-    d = float(_real("d", d, 0.0, p))
+    p = _real("p", p, 0.0, 0.5, "(]")
+    q = _real("q", q, 0.0, 0.5)
+    d = _real("d", d, 0.0, p)
     ax = np.linspace(0.0, 1.0, _count("steps", steps, 1, _RBAR_STEPS_MAX))
     # a row or column whose own distortion term exceeds d holds no feasible cell
     rows = ax[(1.0 - p) * ax <= d + 1e-15]
@@ -505,9 +505,9 @@ def converse_search_gq(delta1, delta2, t, trials=10000, seed=0, budget=DEFAULT_B
     h_b evaluations are held against budget before the first draw
     (BudgetExceeded).
     """
-    d1 = float(_real("delta1", delta1, 0.0, 0.5, "()"))
-    d2 = float(_real("delta2", delta2, 0.0, 0.5, "()"))
-    t = float(_clamp("t", t, 0.0, NAT_LOG2 - h_b(d1)))
+    d1 = _real("delta1", delta1, 0.0, 0.5, "()")
+    d2 = _real("delta2", delta2, 0.0, 0.5, "()")
+    t = _clamp("t", t, 0.0, NAT_LOG2 - h_b(d1))
     trials = _count("trials", trials, -math.inf)
     _charge(budget, 9 * trials, "search needs %s trials x 9 h_b evaluations", trials)
     c = conv(d1, d2)
@@ -721,13 +721,13 @@ def verify_inequalities(suites, grid_step=1e-3, tol=1e-9):
     suite runs.
     """
     suites = list(suites)
-    grid_step = float(_real("grid_step", grid_step, 0.0, ends="()"))
+    grid_step = _real("grid_step", grid_step, 0.0, ends="()")
     # the length of the np.arange that _axis builds, checked before it is built
     if ((_BOX_HI + 0.5 * grid_step - _BOX_LO) / grid_step > _VERIFY_AXIS_MAX_POINTS
             or len(_axis(grid_step)) < 3):
-        raise DomainError("grid_step %r must put 3 to %d points on an axis"
-                          % (grid_step, _VERIFY_AXIS_MAX_POINTS))
-    tol = float(_real("tol", tol))
+        raise DomainError("grid_step must put 3 to %d points on an axis, got %r"
+                          % (_VERIFY_AXIS_MAX_POINTS, grid_step))
+    tol = _real("tol", tol)
     for name in suites:
         if name not in _SUITE_RUNNERS:
             raise DomainError("unknown suite: %s (choose from %s)"

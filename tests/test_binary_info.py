@@ -414,6 +414,19 @@ def test_hconv_is_h_b_of_conv_bit_for_bit(a, b):
     assert _same_float(bi._hconv(a, b), bi.h_b(bi.conv(a, b)))
 
 
+# t at both ends of [_X_MIN, 1/2) and the floats beside them, and anywhere between
+_T_OPEN = st.sampled_from([bi._X_MIN, math.nextafter(bi._X_MIN, 1.0),
+                           math.nextafter(0.5, 0.0)]) | st.floats(bi._X_MIN, 0.5, exclude_max=True)
+
+
+@settings(max_examples=500)
+@given(_T_OPEN)
+def test_psi_and_vartheta_are_their_products_bit_for_bit(t):
+    # each checks t once and forms the product from the private formulas
+    assert _same_float(bi.psi(t), bi.kappa(t) * (1.0 - 2.0 * t) / bi.g(t))
+    assert _same_float(bi.vartheta(t), bi.Phi(t) * bi.R(t))
+
+
 def test_hconv_is_h_b_of_conv_at_every_pair_of_edges():
     for a in _UNIT_EDGES:
         for b in _UNIT_EDGES:

@@ -7,6 +7,7 @@ the same as the int. The ten result records keep their reprs, fields and
 defaults, are immutable, and compare and hash by value."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -216,21 +217,57 @@ def test_finite_result_or_domain_error_at_large_n_and_the_rho_edge(name, arg, va
 
 
 # the option sweeps' extreme values (tests/test_cli.py) in library form, one
-# argument at a time: each real at each float and at four reals with no
-# float, and each count or budget at each integer; the exact oracles may
-# also refuse by their work budget or array cap (BudgetExceeded), and so may
+# argument at a time: each real at each float, at four reals with no float,
+# at two rationals and at the rationals near its valid value v (_near), and
+# each count or budget at each integer; the exact oracles may also refuse by
+# their work budget or array cap (BudgetExceeded), and so may
 # converse_search_gq by its budget
+_TINY = Fraction(1, 10**400)
 _REAL_EXTREMES = [5e-324, 1e-300, 0.5 - 2.0 ** -54, 0.0, -1.0, 1.0, 0.5, 1e21,
-                  10**400, -10**400, Fraction(1, 10**400), -Fraction(1, 10**5000)]
+                  10**400, -10**400, _TINY, -Fraction(1, 10**5000),
+                  Fraction(1, 3), Fraction(1, 2) - _TINY]
 _COUNT_EXTREMES = [0, -1, 1, 10**21, 10**400]
 _BUDGETED = _N_BRUTE | {"converse_search_gq"}
-_SWEEP = [(name, arg, value) for name, (_, base) in _TABLE.items() for arg in base
-          for value in (_COUNT_EXTREMES if arg in _COUNTS | {"budget"} else _REAL_EXTREMES)]
+
+
+def _near(v):
+    """v as a Fraction, and the rationals 10^-400 either side of it"""
+    return [Fraction(v) - _TINY, Fraction(v) + _TINY, Fraction(v)]
+
+
+def _values(arg, v):
+    if arg in _COUNTS | {"budget"}:
+        return _COUNT_EXTREMES
+    # 1/2 - 10^-400 is v - 10^-400 at v = 1/2, and 0.5 == Fraction(1, 2)
+    # as values, so equal values of one type are kept once
+    return list({(type(x), x): x for x in _REAL_EXTREMES + _near(v)}.values())
+
+
+_SWEEP = [(name, arg, value) for name, (_, base) in _TABLE.items() for arg, v in base.items()
+          for value in _values(arg, v)]
+
+# what a refusal may name besides the entry's own arguments: a value derived
+# from them, in the caller's terms
+_DERIVED = {"n/m", "d_asym(rho, delta)", "conv(delta1, delta2)", "F(R(d1))/rho", "n * delta",
+            "n * delta1"}
+
+
+def _named(exc) -> str:
+    """what a DomainError says must hold: the text before " must ", or the
+    whole message where it has none"""
+    said = re.match(r"(.+?) must ", str(exc))
+    return said.group(1) if said else str(exc)
 
 
 def _shown(value) -> str:
-    """a test id's value: an int or a Fraction's ends by _end, a float by repr"""
+    """a test id's value: an int or a Fraction's ends by _end, a float by
+    repr, and a Fraction of long ends near a nonzero float as that float
+    and the offset"""
     if isinstance(value, Fraction):
+        f = float(value)
+        if f and value.denominator.bit_length() > 256:
+            off = value - Fraction(f)
+            return "%r%s%s" % (f, "-" if off < 0 else "+", _shown(abs(off)))
         return "%s/%s" % (_end(value.numerator), _end(value.denominator))
     return _end(value) if isinstance(value, int) else repr(value)
 
@@ -245,7 +282,9 @@ def test_finite_result_or_domain_error_at_the_sweep_extremes(name, arg, value, t
     with time_cap(10.0):
         try:
             out = fn(**dict(base, **{arg: value}))
-        except refusals:
+        except refusals as exc:
+            # a refusal names what the caller passed, or a value derived from it
+            assert " must " not in str(exc) or _named(exc) in set(base) | _DERIVED, exc
             return
     if name == "region_trace":
         # slack -inf is a RegionPoint's mark of an infeasible d1, with d2_min = p
@@ -264,6 +303,47 @@ def test_a_real_whose_float_is_an_open_end_is_refused():
             call()
     # the exact oracles take it as it is
     assert type(jb.p2p_bruteforce(1, 2, t)[0].value) is Fraction
+
+
+# every entry but the exact oracles computes with the float its check
+# accepted, so a rational gives the answer of its float, or both are refused
+# for the same parameter
+_RATIONALS = [(name, arg, value) for name, (_, base) in _TABLE.items() if name not in _N_BRUTE
+              for arg, v in base.items() if arg not in _COUNTS | {"budget"}
+              for value in dict.fromkeys([Fraction(1, 3), Fraction(1, 2) - _TINY] + _near(v))]
+
+
+def _outcome(fn, kw):
+    try:
+        return fn(**kw)
+    except DomainError as exc:
+        return DomainError, _named(exc)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("name,arg,value", [
+    pytest.param(name, arg, value, id="%s-%s=%s" % (name, arg, _shown(value)))
+    for name, arg, value in _RATIONALS])
+def test_a_rational_gives_the_answer_of_its_float(name, arg, value):
+    fn, base = _TABLE[name]
+    got = _outcome(fn, dict(base, **{arg: value}))
+    want = _outcome(fn, dict(base, **{arg: float(value)}))
+    if got != want:
+        # the exact check alone may refuse more: a rational just past a closed
+        # end, whose float is that end, as 1/2 + 10^-400 is for p in (0, 1/2]
+        assert got == (DomainError, arg) and value != float(value), (got, want)
+
+
+def test_a_rational_that_rounds_onto_an_end_is_computed_as_that_float():
+    # the branches and the arithmetic read one float: before, q >= 0.5 read
+    # the exact q while 1 - 2q read its float (ZeroDivisionError), and p or d1
+    # reached g as 1/2 through an inner check that refused it, naming its t
+    t = Fraction(1, 2) - _TINY
+    assert jb.erasure_d2_floor(jb.ErasureParams(0.1, 0.2), 1.0, 0.2, t) == 0.0
+    assert jb.d1_feasibility_margin(0.2, _bp(**dict(_BP, p=t))) == 1.7430226511385727
+    assert jb.d1_feasibility_margin(t, _bp(**_BP)) == 2.574799267810507
+    with pytest.raises(DomainError, match=r"^delta must be in \[2\.22507e-308, 0\.5\), got Fr"):
+        jb.eta(1.5, t)
 
 
 def test_encoder_from_index_refuses_an_m_past_the_memory_cap(time_cap):

@@ -9,7 +9,8 @@ toward its largest errors (Lawson's iteration) so that the largest
 error relative to min(x, 1/2 - x) comes out near its least. The roots
 are taken to 40 digits with decimal. The script prints both coefficient
 lists, highest degree last, and then the largest such error of
-binary_info's own start on 2,000 further roots per band.
+binary_info's own start on 2,000 further roots per band. It exits 1 when
+that error reaches START_ERR in either band.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from jsccbounds import binary_info as bi  # noqa: E402
 
 SPLIT, CUT, DEG_P, DEG_Q, NODES = 0.1, 1.1e-12, 5, 7, 300
+# the bound on the start's error, relative to min(x, 1/2 - x), that the
+# proof in the comment above binary_info._H_ERR takes as its premise
+START_ERR = 2e-4
 
 
 def root(t: Decimal) -> Decimal:
@@ -52,7 +56,7 @@ def lawson(v, y, weight, deg, domain):
     return fit.convert(kind=np.polynomial.Polynomial, domain=domain, window=domain).coef
 
 
-def main() -> None:
+def main() -> int:
     with localcontext() as ctx:
         ctx.prec = 40
         ln2 = Decimal(2).ln()
@@ -75,6 +79,7 @@ def main() -> None:
         print("Q", [float(c) for c in q])
         # binary_info's start against further roots, each band's largest
         # error relative to min(x, 1/2 - x)
+        code = 0
         high = [float(ln2) - 10.0 ** k for k in np.linspace(-15.9, math.log10(smax), 2000)]
         low = list(np.geomspace(CUT * 1.001, SPLIT * 0.999, 2000))
         for name, ts, start in (("P", high, bi._start_high), ("Q", low, bi._start_low)):
@@ -84,7 +89,12 @@ def main() -> None:
                 got = start(tf, math.sqrt if name == "P" else math.log2)
                 worst = max(worst, float(abs(Decimal(got) - r) / min(r, Decimal("0.5") - r)))
             print("%s: binary_info's start within %.2g of the root" % (name, worst))
+            if not worst < START_ERR:
+                print("%s: the start is not within %g of every root" % (name, START_ERR),
+                      file=sys.stderr)
+                code = 1
+    return code
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
