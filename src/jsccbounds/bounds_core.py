@@ -20,6 +20,7 @@ from .binary_info import (
     DomainError,
     _count,
     _end,
+    _hp,
     _Phi,
     _real,
     conv,
@@ -90,39 +91,44 @@ def d_asym(rho: float, delta: float) -> float:
     """
     rho = _real("rho", rho, 0.0, ends="()")
     delta = _real("delta", delta, 0.0, 0.5)
+    return _d_asym(rho, delta)
+
+
+def _d_asym(rho: float, delta: float) -> float:
+    # d_asym of checked floats
     return h_b_inv(NAT_LOG2 - rho * (NAT_LOG2 - h_b(delta)))
 
 
-def _d_star(rho: float, delta: float, why: str) -> float:
-    """D* = d_asym(rho, delta) when it is positive; else DomainError(why)."""
-    D = d_asym(rho, delta)
-    if D <= 0.0:
-        raise DomainError(why)
-    return D
+def _d_star(rho: float, delta: float, name: str = "d_asym(rho, delta)", lo: float = _X_MIN,
+            ends: str = "[)") -> float:
+    """D* = d_asym(rho, delta) of checked floats, checked as name on [lo, 1/2]
+    with ends: h_b'(D*) and Phi(D*) are finite and positive on [_X_MIN, 1/2)."""
+    return _real(name, _d_asym(rho, delta), lo, 0.5, ends)
+
+
+def _chain(rho: float, delta: float) -> tuple[float, float, float, float]:
+    """(rho, delta, D*, f) for the bounds: rho and delta checked once, D*
+    formed once, and f = Phi(delta) / (rho Phi(D*))."""
+    rho = _real("rho", rho, 0.0, ends="()")
+    delta = _real("delta", delta, _X_MIN, 0.5, "[)")
+    D = _d_star(rho, delta)
+    return rho, delta, D, _Phi(delta, math.log) / (rho * _Phi(D, math.log))
 
 
 def d_asym_deriv(rho: float, delta: float) -> float:
-    """Derivative of d_asym in delta: rho h_b'(delta)/h_b'(D); needs D > 0,
-    and h_b'(D) > 0, which a D within rounding of 1/2 lacks."""
-    rho = _real("rho", rho, 0.0, ends="()")
-    delta = _real("delta", delta, _X_MIN, 0.5)
-    slope = h_b_prime(_d_star(rho, delta, "d_asym_deriv needs d_asym(rho, delta) > 0"))
-    if slope == 0.0:
-        raise DomainError("d_asym_deriv needs h_b'(d_asym(rho, delta)) > 0, got 0.0")
-    return rho * h_b_prime(delta) / slope
+    """Derivative of d_asym in delta: rho h_b'(delta)/h_b'(D); needs D in
+    [_X_MIN, 1/2), where h_b'(D) > 0."""
+    rho, delta, D, _ = _chain(rho, delta)
+    return rho * _hp(delta, math.log) / _hp(D, math.log)
 
 
 def f_factor(rho: float, delta: float) -> float:
-    """Curvature ratio Phi(delta) / (rho Phi(D)); needs D > 0.
+    """Curvature ratio Phi(delta) / (rho Phi(D)); needs D in [_X_MIN, 1/2).
 
     Equals 1 at rho = 1, drops below 1 for rho > 1 (when D > 0), and sits at
     or above 1 for rho <= 1.
     """
-    rho = _real("rho", rho, 0.0, ends="()")
-    delta = _real("delta", delta, _X_MIN, 0.5, "[)")
-    D = _d_star(rho, delta, "f_factor needs d_asym(rho, delta) > 0")
-    D = _real("d_asym(rho, delta)", D, _X_MIN, 0.5, "[)")
-    return _Phi(delta, math.log) / (rho * _Phi(D, math.log))
+    return _chain(rho, delta)[3]
 
 
 def eta(rho: float, delta: float) -> float:
@@ -131,16 +137,17 @@ def eta(rho: float, delta: float) -> float:
     2 rho [h_b'(delta)/h_b'(D)] [D(1-f)^2 / (2f + 4D(1-f))] [(1+f)/f]
     with D = d_asym and f = f_factor. Strictly positive on its domain.
     """
-    rho = _real("rho", rho, 0.0, ends="()")
-    delta = _real("delta", delta, _X_MIN, 0.5, "[)")
-    D = _d_star(rho, delta, "eta needs d_asym(rho, delta) > 0")
-    f = f_factor(rho, delta)
-    if f >= 1.0:
-        raise DomainError(f"eta needs f < 1, got f={f!r}")
-    return (
+    return _eta(rho, delta)[1]
+
+
+def _eta(rho: float, delta: float) -> tuple[float, float]:
+    # (D*, eta) from one chain
+    rho, delta, D, f = _chain(rho, delta)
+    f = _real("f_factor(rho, delta)", f, 0.0, 1.0, "()")
+    return D, (
         2.0
         * rho
-        * (h_b_prime(delta) / h_b_prime(D))
+        * (_hp(delta, math.log) / _hp(D, math.log))
         * (D * (1.0 - f) ** 2 / (2.0 * f + 4.0 * D * (1.0 - f)))
         * ((1.0 + f) / f)
     )
@@ -148,9 +155,7 @@ def eta(rho: float, delta: float) -> float:
 
 def tau_star(rho: float, delta: float) -> float:
     """(1 - f)/(2 f); positive exactly when f < 1."""
-    f = f_factor(rho, delta)
-    if f >= 1.0:
-        raise DomainError(f"tau_star needs f < 1, got f={f!r}")
+    f = _real("f_factor(rho, delta)", _chain(rho, delta)[3], 0.0, 1.0, "()")
     return (1.0 - f) / (2.0 * f)
 
 
@@ -164,20 +169,22 @@ def _split_n(n: int) -> tuple[float, int]:
     return float(n >> (2 * e)), e
 
 
-def _n_times(n: int, x: float):
-    """n x: the float product when n fits a float, the exact Fraction
-    otherwise, where the float product would overflow."""
+def _whole(name: str, n: int, x: float) -> int:
+    """n x as an int, when it lies within 1e-9 of one; else DomainError
+    naming it as name. n x is the float product when n fits a float, and the
+    exact Fraction otherwise, where the float product would overflow; that
+    one is shown as ~2^k, as its digits can run past the 4300 that
+    int-to-str converts."""
     if n > sys.float_info.max:
         from fractions import Fraction
 
-        return n * Fraction(x)
-    return n * x
-
-
-def _show(w) -> str:
-    """repr of an _n_times product, and ~2^k for an exact one: its digits
-    can run past the 4300 that int-to-str converts."""
-    return repr(w) if isinstance(w, float) else _end(round(w))
+        w = n * Fraction(x)
+    else:
+        w = n * x
+    if abs(w - round(w)) > 1e-9:
+        raise DomainError("%s must be an integer, got %s"
+                          % (name, repr(w) if isinstance(w, float) else _end(round(w))))
+    return round(w)
 
 
 def gamma_corr(n: int, delta2: float) -> float:
@@ -211,8 +218,7 @@ def gap_lower_bound(params: SystemParams) -> LowerBoundReport:
     float range is scaled as in gamma_corr.
     """
     _real("rho", params.rho, 1.0, ends="()")
-    D = d_asym(params.rho, params.delta)
-    e = eta(params.rho, params.delta)
+    D, e = _eta(params.rho, params.delta)
     f, k = _split_n(params.n)
     lead = math.ldexp(
         math.sqrt(params.delta * (1.0 - params.delta) / (2.0 * math.pi * f)) * e, -k)
@@ -240,10 +246,7 @@ def sphere_floor_at_weight(params: SystemParams, w: int) -> float:
 def sphere_floor(params: SystemParams, k: int = 0) -> float:
     """Sphere floor at the offset-k weight n delta + k; needs n delta integral.
     An n beyond the float range takes n delta exactly."""
-    w0 = _n_times(params.n, params.delta)
-    if abs(w0 - round(w0)) > 1e-9:
-        raise DomainError(f"sphere_floor needs n*delta integral, got {_show(w0)}")
-    w0 = round(w0)
+    w0 = _whole("n * delta", params.n, params.delta)
     return sphere_floor_at_weight(params, w0 + _count("k", k, -w0, params.n - w0))
 
 
@@ -286,7 +289,7 @@ def expected_sphere_floor(params: SystemParams) -> float:
 def gap_rhs(d1: float, d2: float, bparams, tau: float) -> float:
     """Right-hand side of the distortion-gap inequality at split (d1, d2).
 
-    bparams carries rho, delta1, delta2, and an optional n; with n absent the
+    bparams carries rho, delta1, delta2, and n; with n None the
     correction term is 0 (asymptotic mode). Requires d1, d2 and delta1 in
     [_X_MIN, 1/2), where g and h_b' are finite, and tau > 0; DomainError
     when 2 d2 tau underflows to 0 or the value is not finite.
@@ -300,8 +303,7 @@ def gap_rhs(d1: float, d2: float, bparams, tau: float) -> float:
         raise DomainError(f"2*d2*tau underflows to 0 at d2={d2!r}, tau={tau!r}")
     rho = bparams.rho
     c = conv(bparams.delta1, bparams.delta2)
-    n = getattr(bparams, "n", None)
-    gamma = gamma_corr(n, bparams.delta2) if n is not None else 0.0
+    gamma = 0.0 if bparams.n is None else gamma_corr(bparams.n, bparams.delta2)
     L2 = h_b_prime(d2)
     first = (
         ((1.0 + two_d2_tau) / two_d2_tau)
@@ -337,9 +339,9 @@ def sum_distortion_lb(a: float, params: SystemParams) -> float:
             "the bound's validity range is exceeded",
             stacklevel=2,
         )
+    D, e = _eta(params.rho, params.delta)
     f, k = _split_n(params.n)
-    return 2.0 * d_asym(params.rho, params.delta) + math.ldexp(
-        (a / math.sqrt(f)) * eta(params.rho, params.delta), -k)
+    return 2.0 * D + math.ldexp((a / math.sqrt(f)) * e, -k)
 
 
 def separation_upper(d0: float, p_err: float) -> float:

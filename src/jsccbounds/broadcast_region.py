@@ -151,13 +151,8 @@ def g_spherical_ub(delta1: float, delta2: float, n: int, t: float) -> float:
     n = _count("n", n)
     delta1 = _real("delta1", delta1, 0.0, 0.5, "[)")
     delta2 = _real("delta2", delta2, 0.0, 0.5)
-    w1 = bounds_core._n_times(n, delta1)
-    w2 = bounds_core._n_times(n, conv(delta1, delta2))
-    if abs(w1 - round(w1)) > 1e-9 or abs(w2 - round(w2)) > 1e-9:
-        raise DomainError(
-            f"sphere semantics need n*delta1={bounds_core._show(w1)} and "
-            f"n*conv={bounds_core._show(w2)} integral"
-        )
+    bounds_core._whole("n * delta1", n, delta1)
+    bounds_core._whole("n * conv(delta1, delta2)", n, conv(delta1, delta2))
     return g_bsc(delta1, delta2, t) + bounds_core.gamma_corr(n, delta2)
 
 
@@ -388,13 +383,11 @@ def d1_feasibility_margin(d1: float, bp: BinaryBroadcastParams) -> float:
     make this nonnegative; since g decreases, the condition is a lower bound
     on d1. Asymptotic mode only.
     """
-    if bp.n is not None:
-        raise DomainError("d1_feasibility_margin is an asymptotic statement; drop n")
+    _asymptotic(bp)
     d1 = _real("d1", d1, _X_MIN, bp.p)
     _real("delta1", bp.delta1, _X_MIN, 0.5, "[)")
     c = _real("conv(delta1, delta2)", conv(bp.delta1, bp.delta2), 0.0, 0.5, "[)")
-    d2s = bounds_core._d_star(
-        bp.rho, c, "weak-user optimum D2* is 0; the condition degenerates")
+    d2s = bounds_core._d_star(bp.rho, c, "d_asym(rho, conv(delta1, delta2))", 0.0, "(]")
     ratio = g(bp.delta1) / g(c)
     return (
         _g_closed(bp.p)
@@ -403,14 +396,17 @@ def d1_feasibility_margin(d1: float, bp: BinaryBroadcastParams) -> float:
     )
 
 
-def _d2_floor_k(bp: BinaryBroadcastParams, name: str) -> float:
-    """Right side (1-2c)^2 + (1-2p)^2 (1 - (1-2c)^2) of the quadratic
-    weak-user bound, c = conv(delta2, D1*); name is the caller, for errors."""
+def _asymptotic(bp: BinaryBroadcastParams) -> None:
+    """DomainError when bp has an n: the floors are asymptotic statements."""
     if bp.n is not None:
-        raise DomainError(f"{name} is an asymptotic statement; drop n")
-    d1s = bounds_core._d_star(
-        bp.rho, bp.delta1, "strong-user optimum D1* is 0; the floor degenerates")
-    c = conv(bp.delta2, d1s)
+        raise DomainError(f"n must be None for an asymptotic statement, got {bp.n}")
+
+
+def _d2_floor_k(bp: BinaryBroadcastParams) -> float:
+    """Right side (1-2c)^2 + (1-2p)^2 (1 - (1-2c)^2) of the quadratic
+    weak-user bound, c = conv(delta2, D1*)."""
+    _asymptotic(bp)
+    c = conv(bp.delta2, bounds_core._d_star(bp.rho, bp.delta1, "d_asym(rho, delta1)", 0.0, "(]"))
     k = (1.0 - 2.0 * c) ** 2
     return k + (1.0 - 2.0 * bp.p) ** 2 * (1.0 - k)
 
@@ -422,13 +418,13 @@ def d2_floor(bp: BinaryBroadcastParams) -> float:
     With c = conv(delta2, D1*), the bound reads (1-2 d2)^2 <= (1-2c)^2 +
     (1-2p)^2 (1 - (1-2c)^2); at p = 1/2 the floor is exactly c.
     """
-    return 0.5 * (1.0 - math.sqrt(_d2_floor_k(bp, "d2_floor")))
+    return 0.5 * (1.0 - math.sqrt(_d2_floor_k(bp)))
 
 
 def d2_floor_slack(d2_probe: float, bp: BinaryBroadcastParams) -> float:
     """Slack of the quadratic weak-user bound at d2_probe (>= 0 iff allowed)."""
     d2_probe = _real("d2_probe", d2_probe, 0.0, 0.5)
-    return _d2_floor_k(bp, "d2_floor_slack") - (1.0 - 2.0 * d2_probe) ** 2
+    return _d2_floor_k(bp) - (1.0 - 2.0 * d2_probe) ** 2
 
 
 # ---------- Gaussian instantiation ----------
@@ -537,13 +533,8 @@ def _erasure_threshold(eps: ErasureParams, rho: float, d1: float, q: float):
     q = _real("q", q, 0.0, 0.5)
     d1 = _real("d1", d1, 0.0, 0.5, "(]")
     fhat = fp_binary(0.5, q, NAT_LOG2 - h_b(d1))
-    arg = fhat / rho
     cap = (1.0 - eps.eps1) * NAT_LOG2
-    if arg > cap + 1e-12:
-        raise DomainError(
-            f"strong-user rate need {arg!r} exceeds its capacity {cap!r}"
-        )
-    return fhat, rho * g_bec(eps, min(arg, cap))
+    return fhat, rho * g_bec(eps, _clamp("F(R(d1))/rho", fhat / rho, 0.0, cap))
 
 
 def erasure_d2_floor(eps: ErasureParams, rho: float, d1: float, q: float) -> float:

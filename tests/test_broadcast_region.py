@@ -410,11 +410,15 @@ def test_g_spherical_ub_beyond_the_float_range():
     n = 10**400
     got = br.g_spherical_ub(0.25, 0.25, n, 0.1)
     assert got == br.g_bsc(0.25, 0.25, 0.1) + bc.gamma_corr(n, 0.25)
-    with pytest.raises(DomainError, match="sphere semantics"):
+    with pytest.raises(DomainError, match="^n \\* delta1 must be an integer"):
         br.g_spherical_ub(0.25, 0.25, n + 1, 0.1)  # n/4 is not an integer
-    # past 4300 digits the exact products print as ~2^k
-    with pytest.raises(DomainError, match="n\\*delta1=~2\\^16608 and n\\*conv=~2\\^16609"):
+    # past 4300 digits the exact products print as ~2^k; 4 (10^5000 + 1) is
+    # a multiple of 4 but not of 8, so n/4 is an integer and 3n/8 is not
+    with pytest.raises(DomainError, match="^n \\* delta1 must be an integer, got ~2\\^16608$"):
         br.g_spherical_ub(0.25, 0.25, 10**5000 + 1, 0.1)
+    with pytest.raises(DomainError,
+                       match=r"^n \* conv\(delta1, delta2\) must be an integer, got ~2\^16611$"):
+        br.g_spherical_ub(0.25, 0.25, 4 * (10**5000 + 1), 0.1)
 
 
 def test_finite_n_beyond_the_float_range():

@@ -248,8 +248,9 @@ _SWEEP = [(name, arg, value) for name, (_, base) in _TABLE.items() for arg, v in
 
 # what a refusal may name besides the entry's own arguments: a value derived
 # from them, in the caller's terms
-_DERIVED = {"n/m", "d_asym(rho, delta)", "conv(delta1, delta2)", "F(R(d1))/rho", "n * delta",
-            "n * delta1"}
+_DERIVED = {"n/m", "d_asym(rho, delta)", "d_asym(rho, delta1)", "d_asym(rho, conv(delta1, delta2))",
+            "f_factor(rho, delta)", "conv(delta1, delta2)", "F(R(d1))/rho", "n * delta",
+            "n * delta1", "n * conv(delta1, delta2)"}
 
 
 def _named(exc) -> str:
@@ -257,6 +258,11 @@ def _named(exc) -> str:
     whole message where it has none"""
     said = re.match(r"(.+?) must ", str(exc))
     return said.group(1) if said else str(exc)
+
+
+def _opener(exc) -> str:
+    """the first word of a DomainError's text"""
+    return re.match(r"[\w.]*", str(exc)).group()
 
 
 def _shown(value) -> str:
@@ -283,8 +289,12 @@ def test_finite_result_or_domain_error_at_the_sweep_extremes(name, arg, value, t
         try:
             out = fn(**dict(base, **{arg: value}))
         except refusals as exc:
-            # a refusal names what the caller passed, or a value derived from it
-            assert " must " not in str(exc) or _named(exc) in set(base) | _DERIVED, exc
+            # a refusal names what the caller passed, or a value derived from it;
+            # one that says no " must " does not speak for another entry
+            if " must " in str(exc):
+                assert _named(exc) in set(base) | _DERIVED, exc
+            else:
+                assert _opener(exc) == name or _opener(exc) not in _TABLE, exc
             return
     if name == "region_trace":
         # slack -inf is a RegionPoint's mark of an infeasible d1, with d2_min = p
