@@ -170,21 +170,22 @@ def _split_n(n: int) -> tuple[float, int]:
 
 
 def _whole(name: str, n: int, x: float) -> int:
-    """n x as an int, when it lies within 1e-9 of one; else DomainError
-    naming it as name. n x is the float product when n fits a float, and the
-    exact Fraction otherwise, where the float product would overflow; that
-    one is shown as ~2^k, as its digits can run past the 4300 that
-    int-to-str converts."""
-    if n > sys.float_info.max:
-        from fractions import Fraction
-
-        w = n * Fraction(x)
-    else:
-        w = n * x
-    if abs(w - round(w)) > 1e-9:
-        raise DomainError("%s must be an integer, got %s"
-                          % (name, repr(w) if isinstance(w, float) else _end(round(w))))
-    return round(w)
+    """n x as an int w, when n x lies within 1e-9 of it (compared exactly,
+    in integers); else DomainError naming it as name, showing n x as its
+    float, as w and the distance where that float lost the fraction, or as
+    ~2^k past the float range (int-to-str converts at most 4300 digits)."""
+    num, den = x.as_integer_ratio()
+    w = (2 * n * num + den) // (2 * den)
+    rem = n * num - w * den
+    if abs(rem) * 10**9 > den:
+        if w > sys.float_info.max:
+            got = _end(w)
+        elif not (f := n * num / den).is_integer():
+            got = repr(f)
+        else:
+            got = _end(w) + format(rem / den, "+")
+        raise DomainError("%s must be an integer, got %s" % (name, got))
+    return w
 
 
 def gamma_corr(n: int, delta2: float) -> float:
@@ -200,13 +201,10 @@ def gamma_corr(n: int, delta2: float) -> float:
     second = math.ldexp((math.log(n) + 1.0) / (2.0 * f), -2 * e)
     if delta2 == 0.0:
         return second
-    if e:
+    if e or (ratio := n / delta2) == math.inf:
+        # n has no float, or a subnormal delta2 overflows n / delta2
         first = math.sqrt(delta2) / math.sqrt(f) * (math.log(n) - math.log(delta2))
         return math.ldexp(first, -e) + second
-    ratio = n / delta2
-    if ratio == math.inf:
-        # subnormal delta2: n / delta2 overflows and delta2 / n may flush to 0
-        return math.sqrt(delta2) / math.sqrt(n) * (math.log(n) - math.log(delta2)) + second
     return math.sqrt(delta2 / n) * math.log(ratio) + second
 
 
@@ -244,8 +242,8 @@ def sphere_floor_at_weight(params: SystemParams, w: int) -> float:
 
 
 def sphere_floor(params: SystemParams, k: int = 0) -> float:
-    """Sphere floor at the offset-k weight n delta + k; needs n delta integral.
-    An n beyond the float range takes n delta exactly."""
+    """Sphere floor at the offset-k weight n delta + k; needs n delta
+    integral, taken exactly."""
     w0 = _whole("n * delta", params.n, params.delta)
     return sphere_floor_at_weight(params, w0 + _count("k", k, -w0, params.n - w0))
 
@@ -333,13 +331,13 @@ def sum_distortion_lb(a: float, params: SystemParams) -> float:
     """
     a = _real("a", a, 0.0)
     _real("rho", params.rho, 1.0, ends="()")
+    D, e = _eta(params.rho, params.delta)
     if a >= math.log(params.n) ** 2:
         warnings.warn(
             f"a={a!r} is at or above log^2(n)={math.log(params.n) ** 2:.6g}; "
             "the bound's validity range is exceeded",
             stacklevel=2,
         )
-    D, e = _eta(params.rho, params.delta)
     f, k = _split_n(params.n)
     return 2.0 * D + math.ldexp((a / math.sqrt(f)) * e, -k)
 

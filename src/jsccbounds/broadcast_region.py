@@ -145,8 +145,8 @@ def g_spherical_ub(delta1: float, delta2: float, n: int, t: float) -> float:
     """Finite-n upper bound on the weak user's normalized rate ceiling.
 
     g_bsc plus the correction gamma_corr(n, delta2); the sphere semantics
-    require n delta1 and n conv(delta1, delta2) to be integers. An n beyond
-    the float range takes both products exactly, as fractions.
+    require n delta1 and n conv(delta1, delta2) to be integers, which are
+    taken exactly.
     """
     n = _count("n", n)
     delta1 = _real("delta1", delta1, 0.0, 0.5, "[)")
@@ -433,6 +433,8 @@ def d2_floor_slack(d2_probe: float, bp: BinaryBroadcastParams) -> float:
 def gaussian_rate(gp: GaussianBroadcastParams, d: float) -> float:
     """Gaussian source rate at distortion d: (1/2) log(sigma2/d)."""
     d = _real("d", d, 0.0, gp.sigma2, "(]")
+    # log sigma2 - log d only past the float range: where sigma2 and d are
+    # close it is the less accurate form
     ratio = gp.sigma2 / d
     if ratio < math.inf:
         return 0.5 * math.log(ratio)
@@ -450,15 +452,19 @@ def gaussian_fp(gp: GaussianBroadcastParams, t: float) -> float:
         return t - 0.5 * math.log(ratio)
     # e^{-2t} underflows to 0 or the ratio overflows: the second form, in
     # the log domain
-    log_a2 = math.log(a2) if a2 > 0.0 else -math.inf
-    return 0.5 * (_log_sum_exp(log_a2 + 2.0 * t, math.log(s2))
-                  - _log_sum_exp(log_a2, math.log(s2)))
+    return 0.5 * (_log_sum_exp(_log(a2) + 2.0 * t, math.log(s2))
+                  - _log_sum_exp(_log(a2), math.log(s2)))
 
 
 def gaussian_rbar(gp: GaussianBroadcastParams, d: float) -> float:
     """(1/2) log((aux_var + sigma2)/(aux_var + d))."""
     d = _real("d", d, 0.0, gp.sigma2, "(]")
-    return 0.5 * math.log((gp.aux_var + gp.sigma2) / (gp.aux_var + d))
+    ratio = (gp.aux_var + gp.sigma2) / (gp.aux_var + d)
+    if ratio < math.inf:
+        return 0.5 * math.log(ratio)
+    # aux_var + sigma2 overflows (the ratio is inf, or NaN): the log domain
+    log_a2 = _log(gp.aux_var)
+    return 0.5 * (_log_sum_exp(log_a2, math.log(gp.sigma2)) - _log_sum_exp(log_a2, math.log(d)))
 
 
 # math.exp(x) overflows for x above this
@@ -471,6 +477,11 @@ def _log_sum_exp(*logs: float) -> float:
     return top + math.log(math.fsum(math.exp(v - top) for v in logs))
 
 
+def _log(x: float) -> float:
+    # log x of an x >= 0, -inf at 0
+    return math.log(x) if x > 0.0 else -math.inf
+
+
 def gaussian_gq(gp: GaussianBroadcastParams, t: float) -> float:
     """(1/2) log((P + N1 + N2)/(N1 e^{2t} + N2)); negative past the strong
     user's capacity, which signals an empty bound."""
@@ -481,7 +492,7 @@ def gaussian_gq(gp: GaussianBroadcastParams, t: float) -> float:
             return 0.5 * math.log(ratio)
     # e^{2t} or the ratio leaves the float range: compare log(N1) + 2t with
     # log(N2) in the log domain instead
-    log_n2 = math.log(gp.n2) if gp.n2 > 0.0 else -math.inf
+    log_n2 = _log(gp.n2)
     return 0.5 * (_log_sum_exp(math.log(gp.power), math.log(gp.n1), log_n2)
                   - _log_sum_exp(math.log(gp.n1) + 2.0 * t, log_n2))
 
@@ -510,31 +521,36 @@ def gaussian_bound(gp: GaussianBroadcastParams, d1: float) -> float:
 def gaussian_d2_floor(gp: GaussianBroadcastParams, d1: float) -> float:
     """Smallest d2 compatible with gaussian_bound; DomainError when empty."""
     thr = _gaussian_threshold(gp, d1)
-    if not 2.0 * thr < _LOG_FLOAT_MAX:
-        # the ratio overflows, so (aux_var + sigma2) / ratio is tiny
-        return max(0.0, math.exp(math.log(gp.aux_var + gp.sigma2) - 2.0 * thr)
-                   - gp.aux_var)
-    ratio = math.exp(2.0 * thr)
-    if ratio < 1.0:
-        raise DomainError(
-            f"ratio bound {ratio!r} < 1: no distortion pair satisfies the bound"
-        )
-    return max(0.0, (gp.aux_var + gp.sigma2) / ratio - gp.aux_var)
+    if 2.0 * thr < _LOG_FLOAT_MAX:
+        ratio = math.exp(2.0 * thr)
+        if ratio < 1.0:
+            raise DomainError(
+                f"ratio bound {ratio!r} < 1: no distortion pair satisfies the bound"
+            )
+        floor = (gp.aux_var + gp.sigma2) / ratio - gp.aux_var
+        if floor < math.inf:
+            return max(0.0, floor)
+    # the ratio or aux_var + sigma2 overflows: the log domain
+    log_sum = _log_sum_exp(_log(gp.aux_var), math.log(gp.sigma2))
+    return max(0.0, math.exp(log_sum - 2.0 * thr) - gp.aux_var)
 
 
 # ---------- erasure instantiation ----------
 
 
-def _erasure_threshold(eps: ErasureParams, rho: float, d1: float, q: float):
-    """(fp, threshold) of the erasure bound: fp = fp_binary(1/2, q, R(d1))
-    and threshold = rho g_bec(fp / rho). DomainError when fp / rho exceeds
-    the strong user's capacity (1 - eps1) log 2."""
+def _erasure(eps: ErasureParams, rho: float, d1: float, q: float):
+    """(fp, threshold, d2_floor) of the erasure bound at auxiliary q: fp =
+    fp_binary(1/2, q, R(d1)), threshold = rho g_bec(fp / rho), and d2_floor
+    the d2 that h_b(conv(q, d2)) = log 2 - threshold gives. DomainError when
+    fp / rho exceeds the strong user's capacity (1 - eps1) log 2."""
     rho = _real("rho", rho, 0.0, ends="()")
     q = _real("q", q, 0.0, 0.5)
     d1 = _real("d1", d1, 0.0, 0.5, "(]")
     fhat = fp_binary(0.5, q, NAT_LOG2 - h_b(d1))
     cap = (1.0 - eps.eps1) * NAT_LOG2
-    return fhat, rho * g_bec(eps, _clamp("F(R(d1))/rho", fhat / rho, 0.0, cap))
+    thr = rho * g_bec(eps, _clamp("F(R(d1))/rho", fhat / rho, 0.0, cap))
+    # q = 1/2 leaves d2 free, and _mgl_inv would divide by 1 - 2q = 0 there
+    return fhat, thr, 0.0 if q >= 0.5 else _mgl_inv(q, NAT_LOG2 - thr, 0.5)
 
 
 def erasure_d2_floor(eps: ErasureParams, rho: float, d1: float, q: float) -> float:
@@ -544,7 +560,4 @@ def erasure_d2_floor(eps: ErasureParams, rho: float, d1: float, q: float) -> flo
     h_b(conv(q, d2)) >= log 2 - threshold. DomainError when even user 1's
     constraint alone is infeasible.
     """
-    q = _real("q", q, 0.0, 0.5)
-    _, thr = _erasure_threshold(eps, rho, d1, q)
-    # q = 1/2 leaves d2 free, and _mgl_inv would divide by 1 - 2q = 0 there
-    return 0.0 if q >= 0.5 else _mgl_inv(q, NAT_LOG2 - thr, 0.5)
+    return _erasure(eps, rho, d1, q)[2]

@@ -243,8 +243,7 @@ def _run_erasure(args):
     from . import broadcast_region as br
 
     eps = br.ErasureParams(eps1=args.eps1, eps2=args.eps2)
-    fhat, thr = br._erasure_threshold(eps, args.rho, args.d1, args.q)
-    floor = br.erasure_d2_floor(eps, args.rho, args.d1, args.q)
+    fhat, thr, floor = br._erasure(eps, args.rho, args.d1, args.q)
     row = [args.eps1, args.eps2, args.rho, args.d1, args.q, fhat, thr, floor]
     return (["eps1", "eps2", "rho", "d1", "q", "fp", "threshold", "d2_floor"],
             [row], {"fp", "threshold"}, 0)

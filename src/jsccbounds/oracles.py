@@ -342,25 +342,15 @@ def binomial_gamma_exact(n, delta, k):
 def binomial_gamma_approx(n, delta, k) -> float:
     """Second-order expansion of the posterior split r(k) for small k/n.
 
-    Needs a positive integer n, an integer k and delta in (0, 1/2). Where n
-    or k has no float, or a float step overflows, the same formula is taken
-    in exact rationals and rounded once; DomainError when that value is
-    beyond the float range.
+    Needs a positive integer n, an integer k and delta in (0, 1/2). The
+    formula is taken in exact rationals, at delta's float, and rounded once;
+    DomainError when that value is beyond the float range.
     """
     n = _count("n", n)
     k = _count("k", k, -math.inf)
-    d = _real("delta", delta, 0.0, 0.5, "()")
-    lead = (1.0 - 2.0 * d) / (d * (1.0 - d))
-    if max(n, abs(k)) <= sys.float_info.max:
-        fn, fk = float(n), float(k)
-        inner = fk * fk / (3.0 * fn * d * (1.0 - d)) - 1.0
-        value = 0.5 + 0.25 * lead * inner * (fk / fn)
-        if math.isfinite(value):
-            return value
-    fd = Fraction(d)
-    flead = Fraction(lead) if lead < math.inf else (1 - 2 * fd) / (fd * (1 - fd))
-    exact = Fraction(1, 2) + flead / 4 * (
-        Fraction(k * k, 3 * n) / (fd * (1 - fd)) - 1) * Fraction(k, n)
+    d = Fraction(_real("delta", delta, 0.0, 0.5, "()"))
+    exact = Fraction(1, 2) + (1 - 2 * d) / (4 * d * (1 - d)) * (
+        Fraction(k * k, 3 * n) / (d * (1 - d)) - 1) * Fraction(k, n)
     try:
         return float(exact)
     except OverflowError:

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from decimal import Decimal, localcontext
 
 import pytest
@@ -412,6 +413,16 @@ def test_sphere_floor_integrality():
         bc.sphere_floor_at_weight(p2, 101)
 
 
+def test_sphere_floor_takes_n_delta_exactly_past_2_53():
+    # n delta = 25000000000000000.25 (n % 4 == 1), whose float product
+    # rounds to the integer 2.5e16
+    with pytest.raises(bc.DomainError,
+                       match=r"^n \* delta must be an integer, got 25000000000000000\+0\.25$"):
+        bc.sphere_floor(bc.SystemParams(n=10**17 + 1, rho=1.2, delta=0.25))
+    whole = bc.SystemParams(n=10**17, rho=1.2, delta=0.25)
+    assert bc.sphere_floor(whole) == bc.sphere_floor_at_weight(whole, 25 * 10**15)
+
+
 def test_gap_rhs_domains():
     bp = BinaryBroadcastParams(rho=1.2, p=0.5, delta1=0.18, delta2=0.05)
     for tau in (0.0, math.nan):
@@ -443,6 +454,16 @@ def test_sum_distortion_guard_rails():
     with pytest.warns(UserWarning):
         val = bc.sum_distortion_lb(22.0, p)  # log(100)^2 is about 21.2
     assert val > 0.0
+
+
+def test_sum_distortion_warns_only_after_its_checks_pass():
+    # a = 100 is above log^2(10), but D* is 0 at rho = 1e21: the call is
+    # refused, and with no warning
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(bc.DomainError, match=r"^d_asym\(rho, delta\) must be"):
+            bc.sum_distortion_lb(100.0, bc.SystemParams(10, 1e21, 0.1))
+    assert seen == []
 
 
 def test_d_asym_definition_roundtrip():

@@ -1,6 +1,8 @@
 import json
 import math
+import random
 import warnings
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -272,7 +274,7 @@ def _inline_d2_at_q(bp, q, s0):
 
 
 def _inline_erasure_floor(eps, rho, d1, q):
-    _, thr = br._erasure_threshold(eps, rho, d1, q)
+    _, thr, _ = br._erasure(eps, rho, d1, q)
     if thr >= NAT_LOG2:
         return 0.0
     x = h_b_inv(NAT_LOG2 - thr)
@@ -419,6 +421,13 @@ def test_g_spherical_ub_beyond_the_float_range():
     with pytest.raises(DomainError,
                        match=r"^n \* conv\(delta1, delta2\) must be an integer, got ~2\^16611$"):
         br.g_spherical_ub(0.25, 0.25, 4 * (10**5000 + 1), 0.1)
+
+
+def test_g_spherical_ub_takes_the_products_exactly_past_2_53():
+    # n delta1 = 25000000000000000.25, whose float product is an integer
+    with pytest.raises(DomainError,
+                       match=r"^n \* delta1 must be an integer, got 25000000000000000\+0\.25$"):
+        br.g_spherical_ub(0.25, 0.25, 10**17 + 1, 0.1)
 
 
 def test_finite_n_beyond_the_float_range():
@@ -833,6 +842,61 @@ def test_gaussian_fp_stays_finite_where_exp_minus_2t_underflows():
     # a positive aux_var keeps the first form, whose denominator is aux_var
     tiny = br.GaussianBroadcastParams(1.0, 1e-300, 1.0, 0.5, 1.0, 1.0)
     assert br.gaussian_fp(tiny, 400.0) == 400.0 - 0.5 * math.log(1.0 / 1e-300)
+
+
+def test_gaussian_rbar_and_floor_stay_finite_where_aux_var_plus_sigma2_overflows():
+    # aux_var + sigma2 = 2e308 is inf: its log is formed in the log domain
+    gp = br.GaussianBroadcastParams(1e308, 1e308, 1.0, 0.5, 1.0, 1.0)
+    assert br.gaussian_rbar(gp, 1e308) == 0.0
+    assert feq(br.gaussian_rbar(gp, 1.0), 0.5 * math.log(2.0), rel=1e-12)
+    # d1 = sigma2: the ratio bound is 5/3, and the floor 2e308 / (5/3) - 1e308
+    assert feq(br.gaussian_bound(gp, 1e308), 5.0 / 3.0, rel=1e-14)
+    assert feq(br.gaussian_d2_floor(gp, 1e308), 2e307, rel=1e-12)
+
+
+def _decimal_gaussian(gp, d1, t, d):
+    # the Gaussian handles at 60 digits, from the same floats
+    with localcontext() as ctx:
+        ctx.prec = 60
+        s2, a2, p, n1, n2, rho = map(Decimal, gp)
+        d1, t, d = Decimal(d1), Decimal(t), Decimal(d)
+
+        def fp(t):
+            return t - ((a2 + s2) / (a2 + s2 * (-2 * t).exp())).ln() / 2
+
+        def gq(t):
+            return ((p + n1 + n2) / (n1 * (2 * t).exp() + n2)).ln() / 2
+
+        ratio = (2 * rho * gq(fp((s2 / d1).ln() / 2) / rho)).exp()
+        return {"rate": (s2 / d1).ln() / 2, "fp": fp(t), "rbar": ((a2 + s2) / (a2 + d)).ln() / 2,
+                "gq": gq(t), "bound": ratio, "floor": max(0, (a2 + s2) / ratio - a2)}
+
+
+def test_gaussian_handles_match_a_decimal_reference():
+    # a fixed sample; each value is a log, or the exp of one, of ratios the
+    # floats round once, so its error is a few ulps of the terms it is
+    # formed from: t for fp, aux_var + sigma2 for the floor
+    rng = random.Random(43)
+    checked = 0
+    for _ in range(300):
+        s2, a2 = 10 ** rng.uniform(-3, 3), 10 ** rng.uniform(-3, 3) * (rng.random() < 0.9)
+        gp = br.GaussianBroadcastParams(s2, a2, 10 ** rng.uniform(-2, 2), 10 ** rng.uniform(-2, 1),
+                                        10 ** rng.uniform(-2, 1), rng.uniform(0.2, 3.0))
+        d1, t, d = s2 * rng.uniform(0.01, 1.0), rng.uniform(0.0, 5.0), s2 * rng.uniform(0.01, 1.0)
+        ref = _decimal_gaussian(gp, d1, t, d)
+        scale = {"rate": 1.0, "fp": max(1.0, t), "rbar": 1.0, "gq": max(1.0, t),
+                 "bound": ref["bound"], "floor": a2 + s2}
+        got = {"rate": br.gaussian_rate(gp, d1), "fp": br.gaussian_fp(gp, t),
+               "rbar": br.gaussian_rbar(gp, d), "gq": br.gaussian_gq(gp, t),
+               "bound": br.gaussian_bound(gp, d1)}
+        if ref["bound"] >= 1:
+            got["floor"] = br.gaussian_d2_floor(gp, d1)
+        for name, v in got.items():
+            # the ratio bound is exp(2 thr): thr's error, times 2 thr
+            tol = Decimal("4e-15" if name == "bound" else "1e-15")
+            assert abs(Decimal(v) - ref[name]) / Decimal(scale[name]) < tol, (name, gp, d1, t, d)
+            checked += 1
+    assert checked > 1700
 
 
 def test_gaussian_rate_stays_finite_where_the_ratio_overflows():

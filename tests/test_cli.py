@@ -129,9 +129,8 @@ def test_bound_erasure_row(capsys):
     assert header == ["eps1", "eps2", "rho", "d1", "q", "fp", "threshold",
                       "d2_floor"]
     eps = br.ErasureParams(0.1, 0.3)
-    fp, thr = br._erasure_threshold(eps, 1.0, 0.1, 0.05)
-    floor = br.erasure_d2_floor(eps, 1.0, 0.1, 0.05)
-    assert floor > 0.0
+    fp, thr, floor = br._erasure(eps, 1.0, 0.1, 0.05)
+    assert floor == br.erasure_d2_floor(eps, 1.0, 0.1, 0.05) > 0.0
     assert rows[0][5:] == ["%.12g" % fp, "%.12g" % thr, "%.12g" % floor]
 
 
@@ -699,6 +698,7 @@ from jsccbounds import cli
 stages = [stage()]
 for argv in (["eval", "--fn", "h_b", "--x", "0.11"],
              ["bound", "lower", "--n", "10000", "--rho", "1.2", "--delta", "0.2"],
+             ["bound", "psi", "--n", "25", "--m", "20", "--delta", "0.28", "--k", "1"],
              ["bound", "region", "--rho", "1.2", "--delta1", "0.08", "--delta2", "0.05",
               "--d1-min", "0.15", "--d1-max", "0.15", "--d1-step", "0.05"],
              ["oracle", "coupling", "--n", "10", "--delta1", "1/5", "--delta2", "1/4"],
@@ -728,6 +728,7 @@ def test_scalar_commands_start_without_numpy():
         ["jsccbounds", "jsccbounds.binary_info", "jsccbounds.cli"],  # import
         [],  # eval
         ["jsccbounds.bounds_core"],  # bound lower
+        [],  # bound psi, which takes n delta exactly in integers
         ["jsccbounds._scalar_opt", "jsccbounds.broadcast_region"],  # bound region
         ["decimal", "fractions", "jsccbounds._orbits", "jsccbounds.oracles"],  # coupling
         [],  # p2p at m = 1

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import random
 import re
 import subprocess
 import sys
@@ -929,8 +930,25 @@ def test_binomial_approx_close():
 def _binomial_approx_exact(n, delta, k):
     # the expansion in exact rationals, from the same float delta
     d = Fraction(float(delta))
-    lead = Fraction((1.0 - 2.0 * delta) / (delta * (1.0 - delta)))
+    lead = (1 - 2 * d) / (d * (1 - d))
     return Fraction(1, 2) + lead / 4 * (Fraction(k * k, 3 * n) / (d * (1 - d)) - 1) * Fraction(k, n)
+
+
+def test_binomial_gamma_approx_is_its_exact_value_rounded_once():
+    # a fixed sample of n, k and delta, subnormal deltas among them: one
+    # rounding of the formula, so no ulp is lost to float steps
+    rng = random.Random(43)
+    for _ in range(2000):
+        n = rng.randrange(1, 10 ** rng.randrange(1, 8))
+        k = rng.randrange(-n, n + 1) if rng.random() < 0.5 else rng.randrange(-30, 31)
+        delta = rng.uniform(1e-6, 0.5 - 1e-6) if rng.random() < 0.9 else 10 ** rng.uniform(-310, -1)
+        try:
+            want = float(_binomial_approx_exact(n, delta, k))
+        except OverflowError:
+            with pytest.raises(DomainError, match="beyond the float range"):
+                orc.binomial_gamma_approx(n, delta, k)
+        else:
+            assert orc.binomial_gamma_approx(n, delta, k) == want, (n, k, delta)
 
 
 def test_binomial_gamma_approx_beyond_the_float_range():
