@@ -8,12 +8,13 @@ Each case is a fixed batch of calls into one layer: the scalar kernel
 f-lt-1's cells), a bound evaluator (outer_bound_slack on a grid of d2 and
 q, and one worst-q sweep at d2 = 0, both at the first binding point of
 perfbench/reference/region.json) or a driver (region_trace on that point
-and on the first unbinding and the first infeasible one). A sample times
-one batch after a warm-up batch. Every round runs each side in a fresh
-process: this checkout's src/ and, with --parent, DIR's src/, alternating
-which side goes first. The script prints one JSON object: per case and
-side, the median and quartiles of the time per call over all samples
-(statistics.quantiles, n=4), in microseconds.
+and on the first unbinding and the first infeasible one; each verify
+suite at grid step 1e-3; the README's gq-search example, 10^4 trials at
+seed 0). A sample times one batch after a warm-up batch. Every round runs
+each side in a fresh process: this checkout's src/ and, with --parent,
+DIR's src/, alternating which side goes first. The script prints one JSON
+object: per case and side, the median and quartiles of the time per call
+over all samples (statistics.quantiles, n=4), in microseconds.
 """
 
 from __future__ import annotations
@@ -89,6 +90,16 @@ def _cases():
         br, bp, d1 = point("binding")
         return (lambda: br._seeded_min(lambda q: br._slack_no_raise(d1, 0.0, q, bp))), 1
 
+    def verify(suite):
+        def build():
+            from jsccbounds import oracles as orc
+            return (lambda: orc.verify_inequalities([suite], 1e-3)), 1
+        return build
+
+    def gq_search():
+        from jsccbounds import oracles as orc
+        return (lambda: orc.converse_search_gq(0.1, 0.05, 0.2, trials=10**4, seed=0)), 1
+
     return {
         "kernel/h_b": ("kernel", scalar("h_b", lambda bi: [(x,) for x in unit])),
         "kernel/conv": ("kernel", scalar("conv", lambda bi: pairs)),
@@ -105,6 +116,11 @@ def _cases():
         "driver/region_trace/binding": ("driver", region("binding")),
         "driver/region_trace/unbinding": ("driver", region("unbinding")),
         "driver/region_trace/infeasible": ("driver", region("infeasible")),
+        # oracles.ALL_SUITES, named here: this process may not import the package
+        **{"driver/verify/" + suite: ("driver", verify(suite))
+           for suite in ("mgl-lin", "g-convex", "beta-props", "theta-dec", "f-lt-1",
+                         "phi-deriv-le-1")},
+        "driver/gq-search/1e4": ("driver", gq_search),
     }
 
 

@@ -68,14 +68,15 @@ def _orbit_plan(n: int) -> tuple[np.ndarray, ...]:
 
     A table is least when its 3-bit column types do not decrease, so the
     ranks are the canonical 3-word prefixes. The top two bits of those
-    types do not decrease either, so every (c_1, c_2) is a canonical pair.
+    types do not decrease either, and c_3 = 0 extends any canonical pair,
+    so the canonical pairs are the distinct (c_1, c_2) of the ranks.
     """
     import numpy as np
 
     N = 1 << n
     ranks = _canonical_prefixes(n, 3)
-    pairs = _canonical_prefixes(n, 2)
-    plan = (ranks, np.searchsorted(pairs, ranks >> n), ranks & (N - 1),
+    pairs, pair_of = np.unique(ranks >> n, return_inverse=True)
+    plan = (ranks, pair_of, ranks & (N - 1),
             pairs >> n, pairs & (N - 1), np.arange(min(N, 64))[:, None] ^ np.arange(N))
     for arr in plan:
         arr.setflags(write=False)

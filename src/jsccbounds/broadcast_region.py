@@ -20,8 +20,8 @@ from collections import namedtuple
 
 from . import bounds_core
 from ._scalar_opt import golden_min
-from .binary_info import (NAT_LOG2, _X_MIN, DomainError, _clamp, _count, _hconv, _mgl, _mgl_inv,
-                          _real, conv, g, h_b)
+from .binary_info import (NAT_LOG2, _X_MIN, DomainError, _clamp, _count, _g, _hconv, _mgl,
+                          _mgl_inv, _real, conv, h_b)
 
 _A1_FLOAT_GUARD = 1e-12
 
@@ -368,13 +368,6 @@ def region_trace(bp: BinaryBroadcastParams, d1_grid) -> list[RegionPoint]:
     return pts
 
 
-def _g_closed(t: float) -> float:
-    # g extended by continuity to t = 1/2 (both factors vanish)
-    if t == 0.5:
-        return 0.0
-    return g(t)
-
-
 def d1_feasibility_margin(d1: float, bp: BinaryBroadcastParams) -> float:
     """Margin of the strong-user feasibility condition when the weak user is
     pinned at its asymptotic optimum D2* = d_asym(rho, conv(delta1, delta2)).
@@ -388,12 +381,10 @@ def d1_feasibility_margin(d1: float, bp: BinaryBroadcastParams) -> float:
     _real("delta1", bp.delta1, _X_MIN, 0.5, "[)")
     c = _real("conv(delta1, delta2)", conv(bp.delta1, bp.delta2), 0.0, 0.5, "[)")
     d2s = bounds_core._d_star(bp.rho, c, "d_asym(rho, conv(delta1, delta2))", 0.0, "(]")
-    ratio = g(bp.delta1) / g(c)
-    return (
-        _g_closed(bp.p)
-        + ratio * (_g_closed(d2s) - _g_closed(bp.p))
-        - _g_closed(d1)
-    )
+    # p >= d1: each value is checked into [_X_MIN, 1/2], and _g(1/2) is 0.0
+    gp = _g(bp.p, math.log)
+    ratio = _g(bp.delta1, math.log) / _g(c, math.log)
+    return gp + ratio * (_g(d2s, math.log) - gp) - _g(d1, math.log)
 
 
 def _asymptotic(bp: BinaryBroadcastParams) -> None:

@@ -74,17 +74,10 @@ def _csv_cell(v) -> str:
 
 
 def _json_cell(v):
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return v
-    if isinstance(v, float):
-        return float("%.12g" % v) if math.isfinite(v) else "%.12g" % v
     if isinstance(v, (int, str)):
         return v
-    from fractions import Fraction
-
-    return _exact_text(v) if isinstance(v, Fraction) else v
+    text = _csv_cell(v)
+    return float(text) if isinstance(v, float) and math.isfinite(v) else text
 
 
 def _emit(columns, rows, args):

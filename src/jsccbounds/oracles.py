@@ -507,33 +507,29 @@ def converse_search_gq(delta1, delta2, t, trials=10000, seed=0, budget=DEFAULT_B
     def score(p, x):
         i1 = sum(pw * _hconv(xw, d1) for pw, xw in zip(p, x)) - h1
         if i1 < t - slop:
-            return None
+            return -math.inf
         xbar = sum(pw * xw for pw, xw in zip(p, x))
         return _hconv(xbar, c) - sum(pw * _hconv(xw, c) for pw, xw in zip(p, x))
 
+    def candidates():
+        eta = _mgl_inv(d1, h1 + t, 0.5)
+        yield (0.5, 0.5, 0.0, 0.0), (eta, 1.0 - eta, 0.5, 0.5)
+        rng = Lcg64(seed)
+        for _ in range(trials):
+            raw = [rng.uniform() for _ in range(4)]
+            tot = sum(raw) or 1.0
+            yield tuple(r / tot for r in raw), tuple(rng.uniform() for _ in range(4))
+
     best = -math.inf
     best_cand = None
-
-    def consider(p, x):
-        nonlocal best, best_cand
+    for p, x in candidates():
         v = score(p, x)
-        if v is not None and v > best:
+        if v > best:
             best = v
             best_cand = (p, x)
 
-    eta = _mgl_inv(d1, h1 + t, 0.5)
-    consider((0.5, 0.5, 0.0, 0.0), (eta, 1.0 - eta, 0.5, 0.5))
-
-    rng = Lcg64(seed)
-    for _ in range(trials):
-        raw = [rng.uniform() for _ in range(4)]
-        tot = sum(raw) or 1.0
-        p = tuple(r / tot for r in raw)
-        x = tuple(rng.uniform() for _ in range(4))
-        consider(p, x)
-
     if best_cand is None:
-        return -math.inf
+        return best
 
     # deterministic polish: greedy coordinate steps on the raw weights, kept
     # in [0, inf), then on the letters, kept in [0, 1]
@@ -549,7 +545,7 @@ def converse_search_gq(delta1, delta2, t, trials=10000, seed=0, budget=DEFAULT_B
                     if tot <= 0.0:
                         continue
                     v = score(tuple(w / tot for w in cand[0]), tuple(cand[1]))
-                    if v is not None and v > best:
+                    if v > best:
                         best = v
                         cur = cand
         step *= 0.65
@@ -567,10 +563,6 @@ def _axis(step):
 
     ax = np.arange(_BOX_LO, _BOX_HI + 0.5 * step, step)
     return ax[ax <= _BOX_HI + 1e-12]
-
-
-def _span(step):
-    return "[%g, %g] step %g" % (_BOX_LO, _BOX_HI, step)
 
 
 def _report(name, grid, v, axes, tol):
@@ -609,16 +601,15 @@ def _scan(name, grid, rows, cols, margins, tol):
     return _merge(list(best.values()))
 
 
-def _run_mgl_lin(step, tol):
+def _run_mgl_lin(ax, span, tol):
     import numpy as np
 
-    ax = _axis(step)
     tvals = np.linspace(0.0, 1.0, 20) * NAT_LOG2
     us = _hinv_np(tvals)
     h1 = _h(ax, np.log)
     g1 = _g(ax, np.log)
     lhs = [_h(_conv(ax, float(u)), np.log) for u in us]
-    grid = "d1,d2 in %s; 20 t values in [0, log 2]" % _span(step)
+    grid = "d1,d2 in %s; 20 t values in [0, log 2]" % span
     def margins(r):
         cc = _conv(ax[r, None], ax[None, :])
         hcc = _h(cc, np.log)
@@ -628,40 +619,36 @@ def _run_mgl_lin(step, tol):
     return _scan("mgl-lin", grid, ax, ax, margins, tol)
 
 
-def _run_g_convex(step, tol):
+def _run_g_convex(ax, span, tol):
     import numpy as np
 
-    ax = _axis(step)
     gv = _g(ax, np.log)
     v = gv[1:-1] - 0.5 * (gv[:-2] + gv[2:])
-    return _report("g-convex", "t in %s" % _span(step), v, (ax[1:-1],), tol)
+    return _report("g-convex", "t in %s" % span, v, (ax[1:-1],), tol)
 
 
-def _run_beta_props(step, tol):
+def _run_beta_props(ax, span, tol):
     import numpy as np
 
-    ax = _axis(step)
     t = ax[None, :]
     def margins(r):
         q = ax[r, None]
         yield q * _kappa(t, np.log) * _nu(q, t) - _phi(q, t, np.log), ()
         yield _h(_conv(q, t), np.log) - _h(t, np.log) - q * _g(t, np.log), ()
-    return _scan("beta-props", "q,t in %s" % _span(step), ax, ax, margins, tol)
+    return _scan("beta-props", "q,t in %s" % span, ax, ax, margins, tol)
 
 
-def _run_theta_dec(step, tol):
+def _run_theta_dec(ax, span, tol):
     import numpy as np
 
-    ax = _axis(step)
     th = _Phi(ax, np.log) * (NAT_LOG2 - _h(ax, np.log))
     v = th[1:] - th[:-1]
-    return _report("theta-dec", "t in %s" % _span(step), v, (ax[1:],), tol)
+    return _report("theta-dec", "t in %s" % span, v, (ax[1:],), tol)
 
 
-def _run_f_lt_1(step, tol):
+def _run_f_lt_1(ax, span, tol):
     import numpy as np
 
-    ax = _axis(step)
     rho = 1.0 + 2.0 * np.arange(1, len(ax) + 1) / len(ax)
     gap = (NAT_LOG2 - _h(ax, np.log))[None, :]
     phi = _Phi(ax, np.log)[None, :]
@@ -670,19 +657,18 @@ def _run_f_lt_1(step, tol):
         ok = D > 0.0
         f = phi / (rho[r, None] * _Phi(np.where(ok, D, 0.25), np.log))
         yield np.where(ok, f - 1.0, -np.inf), ()
-    return _scan("f-lt-1", "rho in (1, 3], delta in %s" % _span(step), rho, ax, margins, tol)
+    return _scan("f-lt-1", "rho in (1, 3], delta in %s" % span, rho, ax, margins, tol)
 
 
-def _run_phi_deriv(step, tol):
+def _run_phi_deriv(ax, span, tol):
     import numpy as np
 
-    ax = _axis(step)
     x = ax[None, :]
     def margins(r):
         dd = ax[r, None]
         deriv = (1.0 - 2.0 * dd) * _hp(_conv(dd, x), np.log) / _hp(x, np.log)
         yield np.maximum(deriv - 1.0, -deriv), ()
-    return _scan("phi-deriv-le-1", "delta,x in %s" % _span(step), ax, ax, margins, tol)
+    return _scan("phi-deriv-le-1", "delta,x in %s" % span, ax, ax, margins, tol)
 
 
 _SUITE_RUNNERS = {
@@ -714,7 +700,7 @@ def verify_inequalities(suites, grid_step=1e-3, tol=1e-9):
     grid_step = _real("grid_step", grid_step, 0.0, ends="()")
     # the length of the np.arange that _axis builds, checked before it is built
     if ((_BOX_HI + 0.5 * grid_step - _BOX_LO) / grid_step > _VERIFY_AXIS_MAX_POINTS
-            or len(_axis(grid_step)) < 3):
+            or len(ax := _axis(grid_step)) < 3):
         raise DomainError("grid_step must put 3 to %d points on an axis, got %r"
                           % (_VERIFY_AXIS_MAX_POINTS, grid_step))
     tol = _real("tol", tol)
@@ -722,4 +708,5 @@ def verify_inequalities(suites, grid_step=1e-3, tol=1e-9):
         if name not in _SUITE_RUNNERS:
             raise DomainError("unknown suite: %s (choose from %s)"
                               % (name, ", ".join(ALL_SUITES)))
-    return [_SUITE_RUNNERS[name](grid_step, tol) for name in suites]
+    span = "[%g, %g] step %g" % (_BOX_LO, _BOX_HI, grid_step)
+    return [_SUITE_RUNNERS[name](ax, span, tol) for name in suites]

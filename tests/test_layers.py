@@ -1,12 +1,32 @@
-"""Smoke test of the layer harness, bench/layers.py: one case per layer,
-both sides alternating, and the JSON it prints."""
+"""Smoke test of the layer harness, bench/layers.py: every case built and
+run once in process, one case per layer timed on both sides alternating,
+and the JSON it prints."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+from jsccbounds import oracles as orc
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_every_case_builds_and_runs_in_process():
+    # a private name a case reads (orc._axis, br._slack_no_raise,
+    # bi._NEWTON_CUTOFF) fails here when it is renamed
+    spec = importlib.util.spec_from_file_location("layers", ROOT / "bench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    cases = layers._cases()
+    assert [name for name in cases if name.startswith("driver/verify/")] == \
+        ["driver/verify/" + suite for suite in orc.ALL_SUITES]
+    for name, (layer, build) in cases.items():
+        assert name.split("/")[0] == layer
+        run, calls = build()
+        assert calls >= 1
+        run()
 
 
 def test_layer_harness_prints_one_json_object_per_run():

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from jsccbounds import _orbits
 from jsccbounds import bounds_core as bc
+from jsccbounds import broadcast_region as br
 from jsccbounds import oracles as orc
 from jsccbounds.binary_info import DomainError
 from jsccbounds.broadcast_region import g_bsc
@@ -435,6 +436,22 @@ def test_p2p_and_frontier_frozen_at_m3():
     val, table = orc.p2p_bruteforce(4, 1, F(1, 4))
     assert (val.value, table.index) == (F(13, 32), 279)
     assert orc.broadcast_frontier(4, 1, 0, 1) == [orc.FrontierPoint(F(5, 16), F(5, 16), 279)]
+
+
+def test_orbit_plan_takes_the_pairs_from_the_triples():
+    # reference: the canonical pairs enumerated on their own, and each
+    # triple's pair found among them by search
+    for n in range(1, 13):
+        N = 1 << n
+        ranks = _orbits._canonical_prefixes(n, 3)
+        pairs = _orbits._canonical_prefixes(n, 2)
+        want = (ranks, np.searchsorted(pairs, ranks >> n), ranks & (N - 1), pairs >> n,
+                pairs & (N - 1), np.arange(min(N, 64))[:, None] ^ np.arange(N))
+        got = _orbits._orbit_plan(n)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a.dtype, a.shape, a.tobytes(), a.flags.writeable) == \
+                (b.dtype, b.shape, b.tobytes(), False), n
 
 
 @pytest.mark.parametrize("m,n,sizes", [
@@ -1217,6 +1234,33 @@ def test_gq_search_budget_is_checked_before_the_first_draw(time_cap):
         orc.converse_search_gq(0.1, 0.05, 0.1, trials=12)
 
 
+def _value_or_refusal(f, *args):
+    try:
+        return repr(f(*args))
+    except DomainError as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+def test_gq_search_and_feasibility_margin_keep_their_outputs():
+    # sha256 of 200 seeded searches (t = 0 at every tenth, 0 to 300 trials)
+    # and 500 seeded margins, one value or refusal text a line
+    rng = random.Random(44)
+    digest = hashlib.sha256()
+    for i in range(200):
+        t = 0.0 if i % 10 == 0 else rng.uniform(0.0, 0.7)
+        digest.update(_value_or_refusal(
+            orc.converse_search_gq, rng.uniform(0.0, 0.5), rng.uniform(0.0, 0.5), t,
+            rng.randint(0, 300), rng.randrange(2**32)).encode() + b"\n")
+    for _ in range(500):
+        p = rng.choice([0.5, rng.uniform(0.0, 0.5)])
+        bp = br.BinaryBroadcastParams(10 ** rng.uniform(-1.0, 1.0), p, rng.uniform(0.0, 0.5),
+                                      rng.uniform(0.0, 0.5))
+        d1 = rng.choice([p, 0.5, rng.uniform(0.0, p), 10 ** rng.uniform(-320.0, -1.0)])
+        digest.update(_value_or_refusal(br.d1_feasibility_margin, d1, bp).encode() + b"\n")
+    assert digest.hexdigest() == \
+        "a75789e4db192353433381049583a8241000149186dc2a3be9bf5d3512670cb4"
+
+
 def test_gq_search_domain():
     cap = math.log(2) - (-0.1 * math.log(0.1) - 0.9 * math.log(0.9))
     with pytest.raises(DomainError):
@@ -1246,10 +1290,18 @@ def test_verify_unknown_suite():
 
 def test_verify_checks_every_suite_name_before_running_any(monkeypatch):
     ran = []
-    monkeypatch.setitem(orc._SUITE_RUNNERS, "mgl-lin", lambda step, tol: ran.append(step))
+    monkeypatch.setitem(orc._SUITE_RUNNERS, "mgl-lin", lambda ax, span, tol: ran.append(span))
     with pytest.raises(DomainError):
         orc.verify_inequalities(["mgl-lin", "nope"])
     assert ran == []
+
+
+def test_verify_builds_the_axis_once(monkeypatch):
+    calls = []
+    axis = orc._axis
+    monkeypatch.setattr(orc, "_axis", lambda step: calls.append(step) or axis(step))
+    orc.verify_inequalities(orc.ALL_SUITES, 1e-2)
+    assert calls == [1e-2]
 
 
 @pytest.mark.parametrize("step", [0.0, -0.01, math.nan, math.inf])
@@ -1292,7 +1344,7 @@ def test_verify_three_point_floor_boundary():
 @pytest.mark.parametrize("step", [0.3, 0.5, 1e300])
 def test_verify_refuses_a_coarse_step_before_any_suite_runs(monkeypatch, step):
     ran = []
-    monkeypatch.setitem(orc._SUITE_RUNNERS, "mgl-lin", lambda step, tol: ran.append(step))
+    monkeypatch.setitem(orc._SUITE_RUNNERS, "mgl-lin", lambda ax, span, tol: ran.append(span))
     with pytest.raises(DomainError, match="must put 3 to"):
         orc.verify_inequalities(["mgl-lin"], grid_step=step)
     assert ran == []
