@@ -14,7 +14,11 @@ seed 0). A sample times one batch after a warm-up batch. Every round runs
 each side in a fresh process: this checkout's src/ and, with --parent,
 DIR's src/, alternating which side goes first. The script prints one JSON
 object: per case and side, the median and quartiles of the time per call
-over all samples (statistics.quantiles, n=4), in microseconds.
+over all samples (statistics.quantiles, n=4) and the median of each
+round's samples, in microseconds; with --parent, per case, the number of
+rounds whose change median is below the parent's. The pooled quartiles
+show the spread inside a process, the round medians the spread between
+processes.
 """
 
 from __future__ import annotations
@@ -169,20 +173,31 @@ def main(argv=None):
         print(json.dumps(_worker(names, args.repeats)))
         return 0
     sides = {"change": ROOT} if args.parent is None else {"change": ROOT, "parent": Path(args.parent)}
-    samples = {side: {name: [] for name in names} for side in sides}
+    # per side and case, one list of samples per round
+    rounds = {side: {name: [] for name in names} for side in sides}
     for k in range(args.rounds):
         for side in (list(sides) if k % 2 == 0 else list(sides)[::-1]):
             for name, got in _side(sides[side], names, args.repeats).items():
-                samples[side][name] += got
+                rounds[side][name].append(got)
+
+    def row(name):
+        out = {"layer": cases[name][0]}
+        meds = {}
+        for side in sides:
+            meds[side] = [statistics.median(got) for got in rounds[side][name]]
+            out[side] = dict(_summary([x for got in rounds[side][name] for x in got]),
+                             round_medians=meds[side])
+        if "parent" in sides:
+            out["change_won"] = sum(c < p for c, p in zip(meds["change"], meds["parent"]))
+        return out
     print(json.dumps({
         "about": "microseconds per call: median and quartiles over %d rounds of %d samples "
-                 "per side, each round a fresh process per side, sides alternating"
-                 % (args.rounds, args.repeats),
+                 "per side, and each round's median, each round a fresh process per side, "
+                 "sides alternating; change_won counts the rounds whose change median is "
+                 "below the parent's" % (args.rounds, args.repeats),
         "host": "%s, Python %s" % (platform.machine(), platform.python_version()),
         "sides": {side: str(path) for side, path in sides.items()},
-        "cases": {name: dict({"layer": cases[name][0]},
-                             **{side: _summary(samples[side][name]) for side in sides})
-                  for name in names},
+        "cases": {name: row(name) for name in names},
     }, indent=1))
     return 0
 

@@ -18,16 +18,15 @@ from .binary_info import (
     NAT_LOG2,
     _X_MIN,
     DomainError,
+    _conv,
     _count,
     _end,
+    _g,
     _hp,
     _Phi,
     _real,
-    conv,
-    g,
     h_b,
     h_b_inv,
-    h_b_prime,
 )
 
 
@@ -295,26 +294,28 @@ def gap_rhs(d1: float, d2: float, bparams, tau: float) -> float:
     tau = _real("tau", tau, 0.0, ends="()")
     d1 = _real("d1", d1, _X_MIN, 0.5, "[)")
     d2 = _real("d2", d2, _X_MIN, 0.5, "[)")
-    _real("delta1", bparams.delta1, _X_MIN, 0.5, "[)")
+    delta1 = _real("delta1", bparams.delta1, _X_MIN, 0.5, "[)")
     two_d2_tau = 2.0 * d2 * tau
     if two_d2_tau == 0.0:
         raise DomainError(f"2*d2*tau underflows to 0 at d2={d2!r}, tau={tau!r}")
     rho = bparams.rho
-    c = conv(bparams.delta1, bparams.delta2)
+    c = _conv(delta1, bparams.delta2)
     gamma = 0.0 if bparams.n is None else gamma_corr(bparams.n, bparams.delta2)
-    L2 = h_b_prime(d2)
+    # d1, d2 and delta1 are checked into [_X_MIN, 1/2), where _hp and _g are
+    # finite and _hp positive
+    L2 = _hp(d2, math.log)
     first = (
         ((1.0 + two_d2_tau) / two_d2_tau)
         * (rho * (NAT_LOG2 - h_b(c)) - (NAT_LOG2 - h_b(d2)) + rho * gamma)
         / L2
     )
     second = (
-        (c - bparams.delta1)
-        * (h_b_prime(bparams.delta1) / L2)
-        * (_Phi(bparams.delta1, math.log) / _Phi(d2, math.log))
+        (c - delta1)
+        * (_hp(delta1, math.log) / L2)
+        * (_Phi(delta1, math.log) / _Phi(d2, math.log))
         * (1.0 + tau)
-        * g(d1)
-        / g(d2)
+        * _g(d1, math.log)
+        / _g(d2, math.log)
     )
     rhs = first + second
     if not -math.inf < rhs < math.inf:

@@ -100,8 +100,9 @@ def fp_binary(p: float, q: float, t: float) -> float:
     """
     p = _real("p", p, 0.0, 0.5, "(]")
     q = _real("q", q, 0.0, 0.5)
-    t = _clamp("t", t, 0.0, h_b(p))
-    return t - _hconv(q, p) + _mgl(q, h_b(p) - t)
+    hp = h_b(p)
+    t = _clamp("t", t, 0.0, hp)
+    return t - _hconv(q, p) + _mgl(q, hp - t)
 
 
 def rbar_binary(p: float, q: float, d: float) -> float:
@@ -126,8 +127,9 @@ def g_bsc(delta1: float, delta2: float, t: float) -> float:
     """
     delta1 = _real("delta1", delta1, 0.0, 0.5, "[)")
     delta2 = _real("delta2", delta2, 0.0, 0.5)
-    t = _clamp("t", t, 0.0, NAT_LOG2 - h_b(delta1))
-    return NAT_LOG2 - _mgl(delta2, h_b(delta1) + t)
+    hd1 = h_b(delta1)
+    t = _clamp("t", t, 0.0, NAT_LOG2 - hd1)
+    return NAT_LOG2 - _mgl(delta2, hd1 + t)
 
 
 def g_bec(eps: ErasureParams, t: float) -> float:
@@ -424,25 +426,29 @@ def d2_floor_slack(d2_probe: float, bp: BinaryBroadcastParams) -> float:
 def gaussian_rate(gp: GaussianBroadcastParams, d: float) -> float:
     """Gaussian source rate at distortion d: (1/2) log(sigma2/d)."""
     d = _real("d", d, 0.0, gp.sigma2, "(]")
-    # log sigma2 - log d only past the float range: where sigma2 and d are
-    # close it is the less accurate form
-    ratio = gp.sigma2 / d
-    if ratio < math.inf:
-        return 0.5 * math.log(ratio)
+    # (1/2) log1p((sigma2 - d)/d) keeps its relative accuracy as d nears
+    # sigma2; log sigma2 - log d only where that quotient overflows
+    r = (gp.sigma2 - d) / d
+    if r < math.inf:
+        return 0.5 * math.log1p(r)
     return 0.5 * (math.log(gp.sigma2) - math.log(d))
 
 
 def gaussian_fp(gp: GaussianBroadcastParams, t: float) -> float:
     """t - (1/2) log((aux_var + sigma2)/(aux_var + sigma2 e^{-2t})), which is
-    (1/2) log((aux_var e^{2t} + sigma2)/(aux_var + sigma2)): 0 at aux_var = 0."""
+    (1/2) log((aux_var e^{2t} + sigma2)/(aux_var + sigma2)): 0 at aux_var = 0.
+
+    Formed as (1/2) log1p(aux_var (e^{2t} - 1)/(aux_var + sigma2)), which
+    keeps its relative accuracy for small t and is >= 0 for every t >= 0."""
     t = _real("t", t, 0.0)
     s2, a2 = gp.sigma2, gp.aux_var
-    den = a2 + s2 * math.exp(-2.0 * t)
-    ratio = (a2 + s2) / den if den > 0.0 else math.inf
-    if ratio < math.inf:
-        return t - 0.5 * math.log(ratio)
-    # e^{-2t} underflows to 0 or the ratio overflows: the second form, in
-    # the log domain
+    total = a2 + s2
+    if 2.0 * t < _LOG_FLOAT_MAX and total < math.inf:
+        r = a2 * math.expm1(2.0 * t) / total
+        if r < math.inf:
+            return 0.5 * math.log1p(r)
+    # e^{2t}, aux_var + sigma2 or the quotient overflows: the second form,
+    # in the log domain
     return 0.5 * (_log_sum_exp(_log(a2) + 2.0 * t, math.log(s2))
                   - _log_sum_exp(_log(a2), math.log(s2)))
 
@@ -450,10 +456,12 @@ def gaussian_fp(gp: GaussianBroadcastParams, t: float) -> float:
 def gaussian_rbar(gp: GaussianBroadcastParams, d: float) -> float:
     """(1/2) log((aux_var + sigma2)/(aux_var + d))."""
     d = _real("d", d, 0.0, gp.sigma2, "(]")
-    ratio = (gp.aux_var + gp.sigma2) / (gp.aux_var + d)
-    if ratio < math.inf:
-        return 0.5 * math.log(ratio)
-    # aux_var + sigma2 overflows (the ratio is inf, or NaN): the log domain
+    # (1/2) log1p((sigma2 - d)/(aux_var + d)) keeps its relative accuracy as
+    # d nears sigma2
+    r = (gp.sigma2 - d) / (gp.aux_var + d)
+    if r < math.inf and gp.aux_var + gp.sigma2 < math.inf:
+        return 0.5 * math.log1p(r)
+    # the quotient or aux_var + sigma2 overflows: the log domain
     log_a2 = _log(gp.aux_var)
     return 0.5 * (_log_sum_exp(log_a2, math.log(gp.sigma2)) - _log_sum_exp(log_a2, math.log(d)))
 

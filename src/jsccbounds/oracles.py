@@ -497,11 +497,11 @@ def converse_search_gq(delta1, delta2, t, trials=10000, seed=0, budget=DEFAULT_B
     """
     d1 = _real("delta1", delta1, 0.0, 0.5, "()")
     d2 = _real("delta2", delta2, 0.0, 0.5, "()")
-    t = _clamp("t", t, 0.0, NAT_LOG2 - h_b(d1))
+    h1 = h_b(d1)
+    t = _clamp("t", t, 0.0, NAT_LOG2 - h1)
     trials = _count("trials", trials, -math.inf)
     _charge(budget, 9 * trials, "search needs %s trials x 9 h_b evaluations", trials)
     c = conv(d1, d2)
-    h1 = h_b(d1)
     slop = 1e-12
 
     def score(p, x):
@@ -631,10 +631,11 @@ def _run_beta_props(ax, span, tol):
     import numpy as np
 
     t = ax[None, :]
+    kt, ht, gt = _kappa(t, np.log), _h(t, np.log), _g(t, np.log)
     def margins(r):
         q = ax[r, None]
-        yield q * _kappa(t, np.log) * _nu(q, t) - _phi(q, t, np.log), ()
-        yield _h(_conv(q, t), np.log) - _h(t, np.log) - q * _g(t, np.log), ()
+        yield q * kt * _nu(q, t) - _phi(q, t, np.log), ()
+        yield _h(_conv(q, t), np.log) - ht - q * gt, ()
     return _scan("beta-props", "q,t in %s" % span, ax, ax, margins, tol)
 
 
@@ -664,9 +665,10 @@ def _run_phi_deriv(ax, span, tol):
     import numpy as np
 
     x = ax[None, :]
+    hx = _hp(x, np.log)
     def margins(r):
         dd = ax[r, None]
-        deriv = (1.0 - 2.0 * dd) * _hp(_conv(dd, x), np.log) / _hp(x, np.log)
+        deriv = (1.0 - 2.0 * dd) * _hp(_conv(dd, x), np.log) / hx
         yield np.maximum(deriv - 1.0, -deriv), ()
     return _scan("phi-deriv-le-1", "delta,x in %s" % span, ax, ax, margins, tol)
 

@@ -686,6 +686,55 @@ def test_closed_right_endpoint():
         bi.psi(0.5)
 
 
+def _decimal_rate(t):
+    # log 2 - h(t) at 80 digits: next to 1/2 the difference cancels about 32
+    # of them
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        t = Decimal(t)
+        return Decimal(2).ln() + t * t.ln() + (1 - t) * (1 - t).ln()
+
+
+def _rel(got, exact):
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        return abs((Decimal(got) - exact) / exact)
+
+
+def test_R_keeps_its_relative_accuracy_up_to_one_half():
+    # t uniform on (0, 1/2), log-uniform down to 1e-300, 0.5 - 10^-u up to
+    # the last floats below 1/2, and those floats themselves
+    rng = random.Random(45)
+    ts = [rng.uniform(0.0, 0.5) for _ in range(1500)]
+    ts += [10 ** rng.uniform(-300.0, -1.0) for _ in range(300)]
+    ts += [0.5 - 10 ** rng.uniform(-16.0, -0.7) for _ in range(1500)]
+    ts += [0.5 - k * 2.0 ** -54 for k in range(1, 300)]
+    # eval --fn R read -1.11022302463e-16 at this t, where R is 1.5e-31
+    ts.append(0.4999999999999997)
+    for t in ts:
+        assert _rel(bi.R(t), _decimal_rate(t)) < Decimal("1e-15"), t
+    assert bi.R(0.5) == 0.0
+
+
+def test_R_is_nonnegative_next_to_one_half():
+    rng = random.Random(45)
+    ts = [rng.uniform(0.5 - 1.2e-10, 0.5) for _ in range(20000)]
+    ts += [0.5 - k * 2.0 ** -54 for k in range(20000)]
+    assert min(bi.R(t) for t in ts) >= 0.0
+
+
+def test_vartheta_next_to_one_half_is_near_one():
+    # eval --fn vartheta read -7.20575940379e+14 here; the rest of its error
+    # is log((1 - t) / t)'s, in Phi
+    t = 0.4999999999999997
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        L = ((1 - Decimal(t)) / Decimal(t)).ln()
+        phi = 2 / ((1 - 2 * Decimal(t)) * L) + 1 / (Decimal(t) * (1 - Decimal(t)) * L * L)
+        exact = phi * _decimal_rate(t)
+    assert _rel(bi.vartheta(t), exact) < Decimal("1e-6")
+
+
 def test_info_fn_dispatch():
     assert bi.info_fn("h_b") is bi.h_b
     assert bi.info_fn("mgl") is bi.mgl_phi

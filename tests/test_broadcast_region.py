@@ -839,7 +839,8 @@ def test_gaussian_fp_stays_finite_where_exp_minus_2t_underflows():
     big = br.GaussianBroadcastParams(1e308, 1e308, 1.0, 0.5, 1.0, 1.0)
     assert feq(br.gaussian_fp(big, 1.0), 0.5 * math.log((math.e ** 2 + 1.0) / 2.0),
                rel=1e-14)
-    # a positive aux_var keeps the first form, whose denominator is aux_var
+    # a positive aux_var: 2t is past log of the float range, and the log
+    # domain gives t - (1/2) log(1 / aux_var)
     tiny = br.GaussianBroadcastParams(1.0, 1e-300, 1.0, 0.5, 1.0, 1.0)
     assert br.gaussian_fp(tiny, 400.0) == 400.0 - 0.5 * math.log(1.0 / 1e-300)
 
@@ -897,6 +898,56 @@ def test_gaussian_handles_match_a_decimal_reference():
             assert abs(Decimal(v) - ref[name]) / Decimal(scale[name]) < tol, (name, gp, d1, t, d)
             checked += 1
     assert checked > 1700
+
+
+def _floats_below(x, k):
+    for _ in range(k):
+        x = math.nextafter(x, 0.0)
+    return x
+
+
+def test_gaussian_handles_keep_their_relative_accuracy():
+    # d a uniform draw or 0 to 40 floats below sigma2, and t down to 1e-18:
+    # the log1p forms keep each result within 1e-15 of an 80-digit
+    # reference, relative to the result itself
+    rng = random.Random(45)
+    checked = 0
+    with localcontext() as ctx:
+        ctx.prec = 80
+        for _ in range(2000):
+            s2 = 10 ** rng.uniform(-3, 3)
+            a2 = s2 * 10 ** rng.uniform(-6, 3) * (rng.random() < 0.9)
+            gp = br.GaussianBroadcastParams(s2, a2, 1.0, 0.5, 1.0, 1.0)
+            d = rng.choice([s2 * rng.uniform(0.01, 1.0), _floats_below(s2, rng.randint(0, 40))])
+            t = rng.choice([10 ** rng.uniform(-18, 1), br.gaussian_rate(gp, d)])
+            S2, A2, D, T = map(Decimal, (s2, a2, d, t))
+            for got, exact in ((br.gaussian_rate(gp, d), (S2 / D).ln() / 2),
+                               (br.gaussian_rbar(gp, d), ((A2 + S2) / (A2 + D)).ln() / 2),
+                               (br.gaussian_fp(gp, t),
+                                ((A2 * (2 * T).exp() + S2) / (A2 + S2)).ln() / 2)):
+                if exact == 0:
+                    assert got == 0.0, (gp, d, t)
+                else:
+                    assert abs(Decimal(got) - exact) / exact < Decimal("1e-15"), (gp, d, t)
+                checked += 1
+    assert checked == 6000
+
+
+def test_a_d1_just_below_sigma2_is_feasible():
+    # t - (1/2) log(ratio) cancelled to -1.1e-16 at t ~ 6e-17, and the
+    # threshold refused F(R(d1))/rho as negative
+    gp = br.GaussianBroadcastParams(7.895802286548089, 1.102858475354303, 1.0, 0.5, 1.0, 1.0)
+    d1 = 7.895802286548088
+    assert br.gaussian_fp(gp, br.gaussian_rate(gp, d1)) > 0.0
+    assert br.gaussian_bound(gp, d1) == pytest.approx(5.0 / 3.0, rel=1e-15)
+    # a seeded sample of d1 1 to 40 floats below sigma2: none is refused
+    rng = random.Random(45)
+    for _ in range(20000):
+        s2 = 10 ** rng.uniform(-3, 3)
+        gp = br.GaussianBroadcastParams(s2, s2 * 10 ** rng.uniform(-3, 1), 10 ** rng.uniform(-2, 2),
+                                        10 ** rng.uniform(-2, 1), 10 ** rng.uniform(-2, 1),
+                                        rng.uniform(0.2, 3.0))
+        assert br.gaussian_bound(gp, _floats_below(s2, rng.randint(1, 40))) >= 1.0
 
 
 def test_gaussian_rate_stays_finite_where_the_ratio_overflows():

@@ -45,3 +45,5 @@ def test_layer_harness_prints_one_json_object_per_run():
         for side in ("change", "parent"):
             s = row[side]
             assert s["n"] == 4 and 0.0 < s["q1"] <= s["median"] <= s["q3"]
+            assert len(s["round_medians"]) == 2 and min(s["round_medians"]) > 0.0
+        assert row["change_won"] in (0, 1, 2)
