@@ -4,9 +4,10 @@
                            [--parent DIR]
 
 Each case is a fixed batch of calls into one layer: the scalar kernel
-(h_b, conv, h_b_inv in three t bands, the verify suites' array inverse on
-f-lt-1's cells), a bound evaluator (outer_bound_slack on a grid of d2 and
-q, and one worst-q sweep at d2 = 0, both at the first binding point of
+(h_b, conv, h_b_inv in three t bands and at knife edges, the verify
+suites' array inverse on f-lt-1's cells), a bound evaluator
+(outer_bound_slack on a grid of d2 and q, and one worst-q sweep at
+d2 = 0, both at the first binding point of
 perfbench/reference/region.json) or a driver (region_trace on that point
 and on the first unbinding and the first infeasible one; each verify
 suite at grid step 1e-3; the README's gq-search example, 10^4 trials at
@@ -114,6 +115,10 @@ def _cases():
             (0.03 + 0.17 * u,) for u in unit])),
         "kernel/h_b_inv/0.2-log2": ("kernel", scalar("h_b_inv", lambda bi: [
             (0.2 + (bi.NAT_LOG2 - 0.2) * u,) for u in unit])),
+        # t = h of 1000 seeded grid mids, log-uniform over [6, 2^46): each
+        # mid lies in its t's proved window, so the replay evaluates it
+        "kernel/h_b_inv/knife-edges": ("kernel", scalar("h_b_inv", lambda bi: [
+            (bi.h_b(int(2.0 ** (2.6 + 43.4 * u)) * 2.0 ** -47),) for u in unit])),
         "kernel/_hinv_np/f-lt-1-1e-2": ("kernel", f_lt_1),
         "evaluator/outer_bound_slack": ("evaluator", slack_grid),
         "evaluator/worst_q_sweep": ("evaluator", worst_q_sweep),

@@ -236,12 +236,12 @@ def h_b_inv(t: float) -> float:
     h_b itself has there. NaN raises DomainError.
 
     Above ~1.1e-12 the result is the bisection's float, bit for bit, from
-    two Newton steps and about one evaluation of h_b instead of 46:
+    two Newton steps and about 0.3 evaluations of h_b instead of 46:
     _proved_window finds the few grid mids whose side of the root is in
-    doubt, and the bisection is replayed on the integer grid, jumping
-    straight to each of them. Near t = log 2, where h_b' vanishes, the
-    window widens and holds more mids. A side of the window whose proof
-    fails reaches the end of the grid, and with both sides failing the
+    doubt, and the bisection is replayed on the integer grid from the
+    dyadic block that holds them, as in _hinv_np. Near t = log 2, where
+    h_b' vanishes, the window widens and holds more mids. A side whose
+    proof fails reaches the end of the grid, and with both failing the
     replay makes all 46 evaluations of the bisection itself.
     """
     if t <= 0.0:
@@ -256,31 +256,28 @@ def h_b_inv(t: float) -> float:
         # Fraction whose float is 0
         x = t / (1.0 - 2.0 * math.log(t)) if float(t) else 0.0
         return _newton(t, x) if x > 0.0 else 0.0
-    # mids <= below lie left of the root, and [a, b] holds the mids in
-    # doubt; the loop below meets them one by one, as the bisection would
-    below, a, b = _proved_window(t)
-    # the bisection's block (lo, hi) holds [a, b], and the block of its
-    # first mid m inside [a, b] is m +- 2^tz(m), tz the trailing zero count
-    lo, hi = 0, 2 ** 46
-    while a <= b:
-        m = _first_mid(a, b)
-        if _h(m * 2.0 ** -47, math.log) < t:
-            lo, hi, a = m, m + (m & -m), m + 1
+    below, b = _proved_window(t)
+    # the bisection reaches the least dyadic block (lo, hi) that holds the
+    # window, as every mid on its way lies outside it, and halves from there
+    k = (below ^ (b - 1)).bit_length()
+    lo = below >> k << k
+    hi = lo + 2 ** k
+    while hi - lo > 1:
+        m = (lo + hi) >> 1
+        if m <= below or (m < b and _h(m * 2.0 ** -47, math.log) < t):
+            lo = m
         else:
-            lo, hi, b = m - (m & -m), m, m - 1
-    # every mid left in (lo, hi) is decided by its position: right up to
-    # below, left beyond it; below < hi, since every hi is 2^46 or lies
-    # past a mid in [a, b]
-    return (2 * max(below, lo) + 1) * 2.0 ** -48
+            hi = m
+    return (2 * lo + 1) * 2.0 ** -48
 
 
 def _proved_window(t: float):
-    """(below, a, b) for _NEWTON_CUTOFF < t < log 2: the bisection finds
-    every grid mid m <= below left of the root and every m > b right of it,
-    and [a, b] holds the rest. One Newton step from the fitted start
-    reaches p, and the logs at p give both the second step, to the root x,
-    and the proof that settles the mids outside [x - w, x + w] (see the
-    comment above _H_ERR)."""
+    """(below, b) for _NEWTON_CUTOFF < t < log 2, in units of 2^-47: the
+    bisection finds every grid mid m <= below left of the root and every
+    m >= b right of it, and only below < m < b are in doubt; a failed side
+    reaches 0 or 2^46. One Newton step from the fitted start reaches p, and
+    the logs at p give both the second step, to the root x, and the proof
+    that settles the mids outside [x - w, x + w] (the comment above _H_ERR)."""
     x = _start_high(t, math.sqrt) if t >= 0.1 else _start_low(t, math.log2)
     # log2 and log1p take about a third of math.log's time, whose optional
     # base is parsed on every call; the replay keeps math.log, as h_b does
@@ -291,7 +288,7 @@ def _proved_window(t: float):
         p = 0.5 * (x + 0.5) if p > x else 0.5 * x
     xa, xb, left, right = _window(t, p, math.log2(p) * NAT_LOG2, math.log1p(-p), _H_ERR)
     below = math.floor(xa * 2.0 ** 47) if left and xa > 0.0 else 0
-    return below, below + 1, math.ceil(xb * 2.0 ** 47) - 1 if right and xb < 0.5 else 2 ** 46 - 1
+    return below, math.ceil(xb * 2.0 ** 47) if right and xb < 0.5 else 2 ** 46
 
 
 def _window(t, p, lx, l1x, err):
@@ -363,14 +360,6 @@ def _newton(t: float, x: float) -> float:
     return x
 
 
-def _first_mid(a: int, b: int) -> int:
-    """The integer in [a, b] with the most trailing zeros, for 1 <= a <= b:
-    the first mid that a bisection of a dyadic block holding [a, b] meets."""
-    k = (a ^ b).bit_length()
-    m = (b >> k) << k  # a multiple of 2^k in [a, b] can only be a itself
-    return m if m >= a else (b >> (k - 1)) << (k - 1)
-
-
 def _hinv_np(t):
     """h_b_inv on an array, by the verify suites' own rule: the float that
     60 halvings of [0, 1/2] leave, mid = 0.5 (lo + hi) and the right half
@@ -411,8 +400,8 @@ def _hinv_np(t):
 def _start_np(t):
     """Each cell's start in _hinv_np, for a 1-d array t: the dyadic block
     (lo, hi) that holds its proved window, and the halvings it makes. The
-    window is _proved_window's, from the same fitted start, Newton step and
-    _window proof, with np.log and _H_ERR_NP."""
+    window is _proved_window's (below, b) in units of 2^-51, from the same
+    fitted start, Newton step and _window proof, with np.log and _H_ERR_NP."""
     import numpy as np
 
     # only a cell with 0 < t < log 2 has a window to find; any other starts

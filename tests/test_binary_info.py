@@ -319,17 +319,6 @@ def test_inverse_is_the_bisection_everywhere_above_the_cutoff(t):
     assert bi.h_b_inv(t) == _bisection_inverse(t)
 
 
-def test_first_mid_has_the_most_trailing_zeros():
-    def tz(m):
-        return (m & -m).bit_length()
-
-    for a in range(1, 300):
-        for b in range(a, 300):
-            m = bi._first_mid(a, b)
-            assert a <= m <= b
-            assert all(tz(j) < tz(m) for j in range(a, b + 1) if j != m)
-
-
 def test_inverse_is_the_bisection_at_knife_edges():
     # t = h of a grid mid, and its two float neighbours: the walk's decision
     # at that mid turns on the last bit
@@ -368,8 +357,8 @@ def test_inverse_falls_back_to_the_walk_when_the_proof_fails(monkeypatch):
             if x0 != x0:
                 assert len(evals) == 46
             assert x == _bisection_inverse(t)
-    assert windows[:len(INVERSE_TS)] == [(0, 1, 2 ** 46 - 1)] * len(INVERSE_TS)
-    assert all(b - a > 2 ** 20 for _, a, b in windows)
+    assert windows[:len(INVERSE_TS)] == [(0, 2 ** 46)] * len(INVERSE_TS)
+    assert all(b - below > 2 ** 20 + 2 for below, b in windows)
 
 
 @pytest.mark.parametrize("err", [1e-9, 1e-4, 1.0])
@@ -380,6 +369,43 @@ def test_inverse_replays_the_walk_through_a_wide_window(monkeypatch, err):
     for t in INVERSE_TS:
         assert bi.h_b_inv(t) == _bisection_inverse(t)
     assert None not in windows
+
+
+def _walk_mids(t):
+    # the mids of the 46-step walk on the integer grid, in units of 2^-47,
+    # in the order the walk meets them
+    lo, hi, mids = 0, 2 ** 46, []
+    while hi - lo > 1:
+        m = (lo + hi) >> 1
+        mids.append(m)
+        if bi._h(m * 2.0 ** -47, math.log) < t:
+            lo = m
+        else:
+            hi = m
+    return mids
+
+
+def test_scalar_inverse_evaluates_only_the_mids_in_doubt(monkeypatch):
+    # the replay starts from the block that holds the proved window, so it
+    # evaluates exactly the walk's mids strictly inside (below, b), in the
+    # walk's order, and settles the rest by position. Answers alone cannot
+    # tell a mid at an edge evaluated from one settled: both decide alike
+    rng = random.Random(46)
+    ts = INVERSE_TS + [rng.uniform(bi._NEWTON_CUTOFF, bi.NAT_LOG2) for _ in range(1000)]
+    ts += [10.0 ** -rng.uniform(0.2, 11.9) for _ in range(1000)]
+    for _ in range(200):
+        hm = bi.h_b(int(2.0 ** rng.uniform(2.6, 46.0)) * 2.0 ** -47)
+        ts += [math.nextafter(hm, 0.0), hm, math.nextafter(hm, 1.0)]
+    want = []
+    for t in ts:
+        below, b = bi._proved_window(t)
+        want.append([m for m in _walk_mids(t) if below < m < b])
+    got, real = [], bi._h
+    monkeypatch.setattr(bi, "_h", lambda x, log: got[-1].append(int(x * 2.0 ** 47)) or real(x, log))
+    for t in ts:
+        got.append([])
+        bi.h_b_inv(t)
+    assert got == want
 
 
 @given(st.floats(1e-4, 0.5))
@@ -559,9 +585,9 @@ def test_two_newton_steps_prove_narrow_windows():
     # proof. Every window is proved on both sides, and from t = 0.03 up it
     # holds at most two mids
     for t in _STEP_SAMPLE:
-        below, a, b = bi._proved_window(float(t))
-        assert below > 0 and b < 2 ** 46 - 1
-        assert t < 0.03 or b - a < 2
+        below, b = bi._proved_window(float(t))
+        assert below > 0 and b < 2 ** 46
+        assert t < 0.03 or b - below <= 3
     # the array path's blocks hold the halving loop's answers, and their
     # halvings keep to the frozen histogram. A histogram, not a digest of
     # the arrays: a last-bit change in np.log, as another CPU's may make,
